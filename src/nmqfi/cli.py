@@ -3,16 +3,14 @@
 Exit status: 0 on success, 2 for configuration problems, 3 for numerical
 failures inside the engine. Floats are emitted with 17 significant digits
 and JSON keys are sorted, so identical configs (and seeds) reproduce
-byte-identical outputs. NMQFI_THREADS caps sweep concurrency.
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import IO, Iterable
 
 import numpy as np
@@ -164,7 +162,7 @@ def run_estimate(cfg: ScenarioConfig, out: IO[str], fmt: str, seed_override):
 
 
 def _sequential_point(cfg: ScenarioConfig, bath, resp, force, energy: float):
-    block = cfg.raw["sequential"]
+    block = cfg.block("sequential")
     total = float(block["total_window"])
     m = moments(bath)
     prefactor = bool(cfg.options.get("omega0_prefactor", True))
@@ -187,6 +185,9 @@ def _sequential_point(cfg: ScenarioConfig, bath, resp, force, energy: float):
     fasym = (sequential.seq_qfi_asymptotic(energy, m, ints.xi, ints.c_coeff,
                                            cfg.omega0, prefactor)
              if m.script_n > 0 else None)
+    # the reported xi and C cover the steps that fit, nu * tau, not all of T
+    steps = sequential.xi_and_c(force, cfg.omega0,
+                                len(seq.per_step_qfi) * seq.tau_used)
     gamma = _gamma_for(cfg)
     markov = None
     if gamma is not None and gamma > 0:
@@ -200,8 +201,8 @@ def _sequential_point(cfg: ScenarioConfig, bath, resp, force, energy: float):
         "total_qfi": seq.total_qfi,
         "total_qfi_asymptotic": fasym,
         "markov_bound": None if markov is None else markov.total_qfi_bound,
-        "xi": seq.xi,
-        "c_coeff": seq.c_coeff,
+        "xi": steps.xi,
+        "c_coeff": steps.c_coeff,
         "regime_flags": {
             "hit_bound": hit,
             "short_time_valid": bool(tau_numeric * fastest <= 0.1),
@@ -217,7 +218,7 @@ def run_sequential(cfg: ScenarioConfig, out: IO[str], fmt: str):
     if energy is None:
         raise ConfigError("sequential subcommand needs probe.energy")
     if fmt == "csv":
-        block = cfg.raw["sequential"]
+        block = cfg.block("sequential")
         total = float(block["total_window"])
         m = moments(bath)
         if "tau_bounds" in block:
@@ -243,22 +244,14 @@ def run_sweep(cfg: ScenarioConfig, out: IO[str], fmt: str):
     if not sweep:
         raise ConfigError("sweep subcommand needs options.energy_sweep "
                           "(list of script-E values)")
-    threads = max(1, int(os.environ.get("NMQFI_THREADS", "1")))
-
-    def point(se: float):
+    rows = []
+    for se in map(float, sweep):
         row = _sequential_point(cfg, bath, resp, force, energy_for_script_e(se))
-        return (se, row["tau_opt_numeric"], row["total_qfi"],
-                row["tau_opt_asymptotic"] or float("nan"),
-                row["total_qfi_asymptotic"] or float("nan"),
-                row["markov_bound"] if row["markov_bound"] is not None
-                else float("nan"))
-
-    values = [float(v) for v in sweep]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(point, values))
-    else:
-        rows = [point(v) for v in values]
+        rows.append((se, row["tau_opt_numeric"], row["total_qfi"],
+                     row["tau_opt_asymptotic"] or float("nan"),
+                     row["total_qfi_asymptotic"] or float("nan"),
+                     row["markov_bound"] if row["markov_bound"] is not None
+                     else float("nan")))
     _write_csv(out, ["script_e", "tau_opt", "total_qfi", "tau_opt_asymptotic",
                      "total_qfi_asymptotic", "markov_bound"], rows)
 

@@ -1,4 +1,4 @@
-"""Scenario configuration: JSON schema, validation, and object building.
+"""Scenario configuration: key table, validation, and object building.
 
 A scenario file is one JSON object with blocks `probe`, `bath`, `force`,
 `grid`, `window`, `sequential`, and `options`; each subcommand requires a
@@ -8,11 +8,12 @@ loudly before any computation runs.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
-import jsonschema
 import numpy as np
 
 from . import force as force_mod
@@ -22,154 +23,93 @@ from .force import ForceModulation
 from .probe import GaussianProbeInit
 from .response import TimeGrid, default_grid
 
-_NUMBER = {"type": "number"}
+# One rule per scenario key: NUM (any JSON number but a boolean), BOOL, an
+# _Int (an integer, 1.0 included, at least its minimum), a set of allowed
+# strings, [item rule, fewest, most or None] for an array, or a _Block: an
+# object allowing only its own keys and needing its required ones.
+NUM, BOOL = "number", "boolean"
 
-_OCCUPATION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["model"],
-    "properties": {
-        "model": {"enum": ["zero", "thermal", "constant"]},
-        "temperature": _NUMBER,
-        "value": _NUMBER,
-    },
-}
 
-_BATH_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "modes": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "minItems": 3,
-                "maxItems": 3,
-                "items": _NUMBER,
-            },
-        },
-        "continuum": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family", "scale", "cutoff", "n_modes"],
-            "properties": {
-                "family": {"enum": ["flat", "ohmic"]},
-                "s": _NUMBER,
-                "scale": _NUMBER,
-                "cutoff": _NUMBER,
-                "cutoff_shape": {"enum": ["hard", "exponential"]},
-                "n_modes": {"type": "integer", "minimum": 1},
-                "occupation": _OCCUPATION_SCHEMA,
-            },
-        },
-    },
-}
+class _Int(NamedTuple):
+    minimum: float = -math.inf
 
-_INIT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["vacuum", "coherent", "squeezed", "thermal", "matrix"]},
-        "alpha_re": _NUMBER,
-        "alpha_im": _NUMBER,
-        "r": _NUMBER,
-        "axis_angle": _NUMBER,
-        "nbar": _NUMBER,
-        "mean_re": _NUMBER,
-        "mean_im": _NUMBER,
-        "cov": {
-            "type": "array",
-            "minItems": 2,
-            "maxItems": 2,
-            "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                      "items": _NUMBER},
-        },
-    },
-}
 
-_FORCE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["constant", "sinusoid", "gaussian_pulse", "table"]},
-        "value": _NUMBER,
-        "amplitude": _NUMBER,
-        "frequency": _NUMBER,
-        "phase": _NUMBER,
-        "center": _NUMBER,
-        "width": _NUMBER,
-        "times": {"type": "array", "items": _NUMBER, "minItems": 2},
-        "values": {"type": "array", "items": _NUMBER, "minItems": 2},
-        "support": {"type": "array", "minItems": 2, "maxItems": 2,
-                    "items": _NUMBER},
-    },
-}
+class _Block(dict):
+    def __init__(self, required: tuple = (), **keys):
+        super().__init__(keys)
+        self.required = required
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "probe": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["omega0"],
-            "properties": {
-                "omega0": _NUMBER,
-                "energy": _NUMBER,
-                "init": _INIT_SCHEMA,
-            },
-        },
-        "bath": _BATH_SCHEMA,
-        "force": _FORCE_SCHEMA,
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["t_end"],
-            "properties": {
-                "t_end": _NUMBER,
-                "n_steps": {"type": "integer", "minimum": 2},
-            },
-        },
-        "window": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["t0", "t"],
-            "properties": {"t0": _NUMBER, "t": _NUMBER},
-        },
-        "sequential": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["total_window"],
-            "properties": {
-                "total_window": _NUMBER,
-                "tau": _NUMBER,
-                "optimize": {"type": "boolean"},
-                "tau_bounds": {"type": "array", "minItems": 2, "maxItems": 2,
-                               "items": _NUMBER},
-            },
-        },
-        "options": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "seed": {"type": "integer"},
-                "replications": {"type": "integer", "minimum": 2},
-                "nu": {"type": "integer", "minimum": 1},
-                "force_amplitude": _NUMBER,
-                "theta": _NUMBER,
-                "omega0_prefactor": {"type": "boolean"},
-                "energy_sweep": {"type": "array", "items": _NUMBER,
-                                 "minItems": 1},
-                "gamma": _NUMBER,
-                "n_thermal": _NUMBER,
-                "report_points": {"type": "integer", "minimum": 2},
-                "t_prime": _NUMBER,
-            },
-        },
-    },
-}
+
+_PAIR = [NUM, 2, 2]
+KEYS = _Block(
+    probe=_Block(("omega0",), omega0=NUM, energy=NUM, init=_Block(
+        ("kind",), kind={"vacuum", "coherent", "squeezed", "thermal", "matrix"},
+        alpha_re=NUM, alpha_im=NUM, r=NUM, axis_angle=NUM, nbar=NUM,
+        mean_re=NUM, mean_im=NUM, cov=[_PAIR, 2, 2])),
+    bath=_Block(modes=[[NUM, 3, 3], 0, None], continuum=_Block(
+        ("family", "scale", "cutoff", "n_modes"), family={"flat", "ohmic"},
+        s=NUM, scale=NUM, cutoff=NUM, cutoff_shape={"hard", "exponential"},
+        n_modes=_Int(1), occupation=_Block(
+            ("model",), model={"zero", "thermal", "constant"},
+            temperature=NUM, value=NUM))),
+    force=_Block(
+        ("kind",), kind={"constant", "sinusoid", "gaussian_pulse", "table"},
+        value=NUM, amplitude=NUM, frequency=NUM, phase=NUM, center=NUM,
+        width=NUM, times=[NUM, 2, None], values=[NUM, 2, None], support=_PAIR),
+    grid=_Block(("t_end",), t_end=NUM, n_steps=_Int(2)),
+    window=_Block(("t0", "t"), t0=NUM, t=NUM),
+    sequential=_Block(("total_window",), total_window=NUM, tau=NUM,
+                      optimize=BOOL, tau_bounds=_PAIR),
+    options=_Block(seed=_Int(), replications=_Int(2), nu=_Int(1),
+                   force_amplitude=NUM, theta=NUM, omega0_prefactor=BOOL,
+                   energy_sweep=[NUM, 1, None], gamma=NUM, n_thermal=NUM,
+                   report_points=_Int(2), t_prime=NUM))
+
+
+def _check(value: Any, rule: Any, path: str = "") -> None:
+    """Raise ConfigError naming the first place where value breaks rule."""
+    def fail(problem: str):
+        raise ConfigError(f"config invalid at {path or '<root>'}: {problem}")
+
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(rule, _Block):
+        if not isinstance(value, dict):
+            fail("expected an object")
+        for key in rule.required:
+            if key not in value:
+                fail(f"missing required key '{key}'")
+        for key, item in value.items():
+            if key not in rule:
+                fail(f"unknown key '{key}'")
+            _check(item, rule[key], f"{path}/{key}" if path else key)
+    elif isinstance(rule, list):
+        item, fewest, most = rule
+        if not (isinstance(value, list)
+                and fewest <= len(value) <= (most or len(value))):
+            fail(f"expected an array of {fewest} to {most or 'any'} items")
+        for i, entry in enumerate(value):
+            _check(entry, item, f"{path}/{i}")
+    elif isinstance(rule, set):
+        if not (isinstance(value, str) and value in rule):
+            fail(f"expected one of {', '.join(sorted(rule))}, got {value!r}")
+    elif isinstance(rule, _Int):
+        if not (number and (isinstance(value, int) or value.is_integer())):
+            fail(f"expected an integer, got {value!r}")
+        if value < rule.minimum:
+            fail(f"{value!r} is below the minimum {rule.minimum}")
+    elif not (isinstance(value, bool) if rule == BOOL else number):
+        fail(f"expected a {rule}, got {value!r}")
+
+
+def _builder(build):
+    """Report a builder's ValueError (a value out of its domain) as ConfigError."""
+    @functools.wraps(build)
+    def checked(self, *args):
+        try:
+            return build(self, *args)
+        except ValueError as exc:
+            raise ConfigError(f"{build.__name__}: {exc}") from exc
+    return checked
 
 
 @dataclass(frozen=True)
@@ -186,44 +126,38 @@ class ScenarioConfig:
     def options(self) -> dict:
         return self.raw.get("options", {})
 
+    def block(self, name: str) -> dict:
+        """The named top-level block, which the running subcommand needs."""
+        if name not in self.raw:
+            raise ConfigError(f"scenario needs a '{name}' block for this subcommand")
+        return self.raw[name]
+
     def spectrum(self) -> Optional[ContinuousSpectrum]:
-        block = self.raw.get("bath", {})
-        if "continuum" not in block:
+        c = self.raw.get("bath", {}).get("continuum")
+        if c is None:
             return None
-        c = block["continuum"]
         occ = c.get("occupation", {"model": "zero"})
-        model = {"zero": OccupationModel.zero,
-                 "thermal": lambda: OccupationModel.thermal(occ.get("temperature", 0.0)),
-                 "constant": lambda: OccupationModel.constant(occ.get("value", 0.0)),
-                 }[occ["model"]]()
+        model = OccupationModel(occ["model"], float(occ.get("temperature", 0.0)),
+                                float(occ.get("value", 0.0)))
         return ContinuousSpectrum(
             family=c["family"], scale=float(c["scale"]), cutoff=float(c["cutoff"]),
             exponent=float(c.get("s", 1.0)),
             cutoff_shape=c.get("cutoff_shape", "hard"), occupation=model)
 
+    @_builder
     def bath(self) -> DiscreteBath:
-        block = self.raw.get("bath")
-        if block is None:
-            raise ConfigError("scenario needs a 'bath' block for this subcommand")
-        if "modes" in block and "continuum" in block:
+        block = self.block("bath")
+        if ("modes" in block) == ("continuum" in block):
             raise ConfigError("bath block must give either 'modes' or 'continuum'")
-        if "modes" in block:
-            rows = block["modes"]
-            if not rows:
-                return DiscreteBath.empty(self.omega0)
-            arr = np.asarray(rows, dtype=float)
-            return DiscreteBath.from_arrays(arr[:, 0], arr[:, 1], arr[:, 2],
-                                            self.omega0)
-        spectrum = self.spectrum()
-        if spectrum is None:
-            raise ConfigError("bath block must give either 'modes' or 'continuum'")
-        return discretize(spectrum, int(block["continuum"]["n_modes"]),
-                          self.omega0)
+        if "continuum" in block:
+            return discretize(self.spectrum(), int(block["continuum"]["n_modes"]),
+                              self.omega0)
+        arr = np.asarray(block["modes"], dtype=float).reshape(-1, 3)
+        return DiscreteBath.from_arrays(arr[:, 0], arr[:, 1], arr[:, 2], self.omega0)
 
+    @_builder
     def force(self) -> ForceModulation:
-        block = self.raw.get("force")
-        if block is None:
-            raise ConfigError("scenario needs a 'force' block for this subcommand")
+        block = self.block("force")
         support = tuple(block.get("support", (0.0, float("inf"))))
         kind = block["kind"]
         if kind == "constant":
@@ -236,6 +170,7 @@ class ScenarioConfig:
             return force_mod.gaussian_pulse(block["center"], block["width"], support)
         return force_mod.TabulatedForce.from_samples(block["times"], block["values"])
 
+    @_builder
     def init_state(self) -> GaussianProbeInit:
         probe = self.raw["probe"]
         init = probe.get("init")
@@ -262,19 +197,16 @@ class ScenarioConfig:
         val = self.raw["probe"].get("energy")
         return None if val is None else float(val)
 
+    @_builder
     def grid(self, bath: DiscreteBath) -> TimeGrid:
-        block = self.raw.get("grid")
-        if block is None:
-            raise ConfigError("scenario needs a 'grid' block for this subcommand")
+        block = self.block("grid")
         t_end = float(block["t_end"])
         if "n_steps" in block:
             return TimeGrid(0.0, t_end, int(block["n_steps"]))
         return default_grid(bath, t_end)
 
     def window(self) -> tuple[float, float]:
-        block = self.raw.get("window")
-        if block is None:
-            raise ConfigError("scenario needs a 'window' block for this subcommand")
+        block = self.block("window")
         t0, t1 = float(block["t0"]), float(block["t"])
         if t1 < t0:
             raise ConfigError("window must satisfy t0 <= t")
@@ -282,22 +214,40 @@ class ScenarioConfig:
 
 
 def validate(raw: Any) -> ScenarioConfig:
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    """Check raw against KEYS and the cross-key ranges; wrap it as a scenario."""
+    _check(raw, KEYS)
     probe = raw.get("probe", {})
     if "energy" in probe and "init" in probe:
         raise ConfigError("probe.energy and probe.init are mutually exclusive: "
                           "the energy selects the best squeezed state")
+    energies = [probe.get("energy", 0.5), *raw.get("options", {}).get("energy_sweep", [])]
+    if not all(e >= 0.5 for e in energies):
+        raise ConfigError("probe.energy and options.energy_sweep values must be >= 1/2")
+    seq = raw.get("sequential")
+    if seq is not None:
+        total = seq["total_window"]
+        if not total > 0:
+            raise ConfigError("sequential.total_window must be > 0")
+        if "tau" in seq and not 0 < seq["tau"] <= total:
+            raise ConfigError("sequential.tau must satisfy 0 < tau <= total_window")
+        lo, hi = seq.get("tau_bounds", (total, total))
+        if "tau_bounds" in seq and not 0 < lo < hi <= total:
+            raise ConfigError("sequential.tau_bounds must satisfy "
+                              "0 < lower < upper <= total_window")
     return ScenarioConfig(raw)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
 
 
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -55,8 +55,6 @@ class SeqResult:
     total_qfi: float
     per_step_qfi: tuple[float, ...]
     tau_used: float
-    xi: float
-    c_coeff: float
 
 
 @dataclass(frozen=True)
@@ -144,11 +142,9 @@ def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
             displacement(response, force, omega0, scheme.step_window(k)).magnitude ** 2
             for k in range(nu)])
     per_step = numerators / denom
-    integrals = xi_and_c(force, omega0, nu * tau, scheme.start)
     return SeqResult(total_qfi=float(per_step.sum()),
                      per_step_qfi=tuple(float(v) for v in per_step),
-                     tau_used=float(tau), xi=integrals.xi,
-                     c_coeff=integrals.c_coeff)
+                     tau_used=float(tau))
 
 
 @dataclass(frozen=True)

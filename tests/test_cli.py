@@ -190,6 +190,65 @@ def test_energy_and_init_conflict_rejected(tmp_path):
     assert run_cli(["qfi", "--config", cfg]) == 2
 
 
+def _set(block, **values):
+    return lambda raw: raw[block].update(values)
+
+
+# Inputs that once escaped as a traceback (exit 1) or ran to exit 0 with a
+# NaN in the output: (base scenario, subcommand, edit of the parsed file).
+OUT_OF_RANGE = {
+    "omega0_zero": ("qfi_best_state_resonant", "qfi", _set("probe", omega0=0)),
+    "omega0_nan_literal": ("qfi_best_state_resonant", "qfi",
+                           _set("probe", omega0=float("nan"))),
+    "energy_below_vacuum": ("qfi_best_state_resonant", "qfi",
+                            _set("probe", energy=0.1)),
+    "t_end_zero": ("response_narrowband", "response", _set("grid", t_end=0)),
+    "k_sq_negative": ("response_narrowband", "response",
+                      _set("bath", modes=[[-0.25, 1.0, 0.0]])),
+    "cutoff_zero": ("correlation_flatband", "correlation",
+                    lambda raw: raw["bath"]["continuum"].update(cutoff=0)),
+    "total_window_zero": ("sequential_nonmarkov", "sequential",
+                          _set("sequential", total_window=0)),
+    "tau_negative": ("sequential_nonmarkov", "sequential",
+                     _set("sequential", tau=-1, optimize=False)),
+    "tau_bounds_reversed": ("sequential_nonmarkov", "sequential",
+                            _set("sequential", tau_bounds=[0.2, 0.1])),
+    "tau_bounds_past_window": ("sequential_nonmarkov", "sequential",
+                               _set("sequential", tau_bounds=[0.01, 1.5])),
+    "script_e_below_half": ("sweep_scaling", "sweep",
+                            _set("options", energy_sweep=[0.1])),
+    "sequential_block_missing": ("sequential_nonmarkov", "sequential",
+                                 lambda raw: raw.pop("sequential")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_input_is_a_config_error(case, tmp_path, capsys):
+    base, sub, edit = OUT_OF_RANGE[case]
+    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
+    edit(raw)
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli([sub, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_overflowing_number_is_a_config_error(tmp_path, capsys):
+    text = (SCENARIO_DIR / "qfi_best_state_resonant.json").read_text()
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(text.replace('"t": 1.7', '"t": 1e400'))
+    assert run_cli(["qfi", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cli_import_loads_no_schema_library_or_thread_pool():
+    code = ("import sys, nmqfi.cli; print(sorted({'jsonschema', "
+            "'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_format_mismatch_rejected():
     cfg = SCENARIO_DIR / "response_narrowband.json"
     assert run_cli(["response", "--config", cfg, "--format", "json"]) == 2
