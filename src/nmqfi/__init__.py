@@ -10,10 +10,10 @@ from .bath import (BathMode, BathMoments, ContinuousSpectrum, DiscreteBath,
                    OccupationModel, bare_correlation, discretize,
                    memory_kernel, moments)
 from .correlation import (CorrelationResult, bath_correlation,
-                          correlation_timescale_check, equal_start_correlation)
+                          correlation_timescale_check)
 from .errors import (AlignmentError, ConfigError, ConsistencyError,
-                     CoverageError, EstimationError, NmqfiError,
-                     SolverInstabilityError)
+                     ConvergenceError, CoverageError, EstimationError,
+                     NmqfiError, SolverInstabilityError)
 from .force import (ConstantForce, ForceModulation, GaussianPulseForce,
                     SinusoidForce, TabulatedForce, constant, gaussian_pulse,
                     sinusoid)
@@ -24,9 +24,8 @@ from .metrology import (BestStateSpec, EstimationResult, QfiResult,
                         simulate_estimation)
 from .probe import (CovarianceSnapshot, DisplacementCoefficient,
                     GaussianProbeInit, covariance_snapshot, displacement,
-                    mode_displacement, noise_term, quadrature_mean,
-                    quadrature_variance, rotated_max_variance_angle,
-                    variance_p)
+                    noise_term, quadrature_mean, quadrature_variance,
+                    rotated_max_variance_angle, variance_p)
 from .response import (ResponseFunction, TimeGrid, default_grid, dyson_series,
                        first_order_asymptote, first_order_response,
                        long_time_first_order, markov_closed_form,
@@ -35,7 +34,6 @@ from .response import (ResponseFunction, TimeGrid, default_grid, dyson_series,
 from .sequential import (ForceWindowIntegrals, MarkovSeqResult, SeqResult,
                          SequentialScheme, TauOptimum, default_tau_bounds,
                          markov_seq, optimize_tau, seq_qfi,
-                         seq_qfi_asymptotic, step_noise_variance,
-                         tau_opt_asymptotic, xi_and_c)
+                         seq_qfi_asymptotic, tau_opt_asymptotic, xi_and_c)
 
 __version__ = "0.1.0"

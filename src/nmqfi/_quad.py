@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConvergenceError, retired
+
 
 def simpson_weights(n_panels: int) -> np.ndarray:
     """Weights for composite Simpson on n_panels (even) uniform panels.
@@ -25,7 +27,8 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-9,
     """Integrate f over [a, b], doubling the node count until converged.
 
     f takes an ndarray of nodes and returns values of the same shape
-    (complex allowed). Returns 0 for an empty interval.
+    (complex allowed). Returns 0 for an empty interval; raises
+    ConvergenceError when max_panels panels do not reach the tolerance.
     """
     if b <= a:
         return 0.0 + 0.0j
@@ -40,30 +43,8 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-9,
         if abs(refined - value) <= max(abs_tol, rel_tol * abs(refined)):
             return refined
         value = refined
-    return value
+    raise ConvergenceError(f"Simpson quadrature on [{a}, {b}] not converged "
+                           f"at {max_panels} panels")
 
 
-def adaptive_simpson_vector(f, a: float, b: float, rel_tol: float = 1e-9,
-                            abs_tol: float = 1e-13, min_panels: int = 8,
-                            max_panels: int = 1 << 15) -> np.ndarray:
-    """Vector-valued variant: f maps nodes (k,) to values (m, k).
-
-    All m components are integrated on a shared node set; doubling stops
-    once every component is converged.
-    """
-    if b <= a:
-        probe = f(np.array([a]))
-        return np.zeros(probe.shape[0], dtype=complex)
-    n = max(2, min_panels + (min_panels % 2))
-    span = b - a
-    x = np.linspace(a, b, n + 1)
-    value = f(x) @ simpson_weights(n) * (span / n)
-    while n < max_panels:
-        n *= 2
-        x = np.linspace(a, b, n + 1)
-        refined = f(x) @ simpson_weights(n) * (span / n)
-        err = np.abs(refined - value)
-        if np.all(err <= np.maximum(abs_tol, rel_tol * np.abs(refined))):
-            return refined
-        value = refined
-    return value
+adaptive_simpson_vector = retired("adaptive_simpson_vector")

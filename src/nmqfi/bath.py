@@ -82,16 +82,37 @@ class DiscreteBath:
 
     @property
     def k_squared(self) -> float:
-        return float(self.coupling_sq.sum()) if self.n_modes else 0.0
+        return float(self.coupling_sq.sum())
 
     @property
     def script_n(self) -> float:
-        if not self.n_modes:
-            return 0.0
         return float(np.dot(self.coupling_sq, self.occupations + 0.5))
 
     def with_extra_mode(self, mode: BathMode) -> "DiscreteBath":
         return DiscreteBath(self.modes + (mode,), self.probe_frequency)
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and vectors of the probe-plus-bath amplitude generator.
+
+        H = [[omega0, K^T], [K, diag(omega_n)]] with K_n = sqrt(|K_n|^2):
+        the rotating-wave system is an (N+1)-mode Friedrichs (Fano-Anderson)
+        model. Computed on first use only.
+        """
+        h = np.diag(np.concatenate(([self.probe_frequency], self.frequencies)))
+        h[0, 1:] = h[1:, 0] = np.sqrt(self.coupling_sq)
+        return np.linalg.eigh(h)
+
+    def propagate(self, w, tau) -> np.ndarray:
+        """Row w^T U(tau) of the amplitude propagator U = V e^{-i Lambda tau} V^T.
+
+        w weights the probe (index 0) and the modes (1..N); the result has
+        shape tau.shape + (N+1,). U_0n(tau) is the bath-mode content of the
+        probe amplitude; the probe frame is not rotated.
+        """
+        lam, vec = self.eigensystem
+        phases = np.exp(-1j * np.multiply.outer(np.asarray(tau, dtype=float), lam))
+        return (phases * (np.asarray(w, dtype=float) @ vec)) @ vec.T
 
 
 @dataclass(frozen=True)
@@ -202,10 +223,7 @@ def discretize(spectrum: ContinuousSpectrum, n_modes: int,
 def _weighted_phase_sum(bath: DiscreteBath, tau, weights: np.ndarray):
     """sum_n w_n exp(i delta_n tau), preserving the shape of tau."""
     tau_arr = np.asarray(tau, dtype=float)
-    if bath.n_modes == 0:
-        out = np.zeros(tau_arr.shape, dtype=complex)
-    else:
-        out = np.exp(1j * tau_arr[..., None] * bath.detunings) @ weights
+    out = np.exp(1j * tau_arr[..., None] * bath.detunings) @ weights.astype(complex)
     return complex(out) if tau_arr.ndim == 0 else out
 
 
@@ -215,17 +233,12 @@ def memory_kernel(bath: DiscreteBath, tau) -> Union[complex, np.ndarray]:
     Hermitian in tau: kernel(-tau) = conj(kernel(tau)); kernel(0) equals
     the total squared coupling.
     """
-    if bath.n_modes == 0:
-        return _weighted_phase_sum(bath, tau, np.zeros(0))
-    return _weighted_phase_sum(bath, tau, bath.coupling_sq.astype(complex))
+    return _weighted_phase_sum(bath, tau, bath.coupling_sq)
 
 
 def bare_correlation(bath: DiscreteBath, tau) -> Union[complex, np.ndarray]:
     """Free-bath correlation sum(|K_n|^2 (N_n + 1/2) exp(i (omega0 - omega_n) tau))."""
-    if bath.n_modes == 0:
-        return _weighted_phase_sum(bath, tau, np.zeros(0))
-    weights = (bath.coupling_sq * (bath.occupations + 0.5)).astype(complex)
-    return _weighted_phase_sum(bath, tau, weights)
+    return _weighted_phase_sum(bath, tau, bath.coupling_sq * (bath.occupations + 0.5))
 
 
 @dataclass(frozen=True)

@@ -220,9 +220,13 @@ def validate(raw: Any) -> ScenarioConfig:
     if "energy" in probe and "init" in probe:
         raise ConfigError("probe.energy and probe.init are mutually exclusive: "
                           "the energy selects the best squeezed state")
-    energies = [probe.get("energy", 0.5), *raw.get("options", {}).get("energy_sweep", [])]
+    options = raw.get("options", {})
+    energies = [probe.get("energy", 0.5), *options.get("energy_sweep", [])]
     if not all(e >= 0.5 for e in energies):
         raise ConfigError("probe.energy and options.energy_sweep values must be >= 1/2")
+    for key in ("gamma", "n_thermal"):
+        if options.get(key, 0.0) < 0:
+            raise ConfigError(f"options.{key} must be >= 0")
     seq = raw.get("sequential")
     if seq is not None:
         total = seq["total_window"]

@@ -7,7 +7,8 @@ coupling and the decay time of the whole function matches the inverse
 moment frequencies of the coupling spectrum. Windows are measured from
 t0 = 0, the start of the solved response grid. Evaluation is at zero force
 amplitude: the amplitude-dependent piece shifts only the mean of the
-collective coupling and the correlation subtracts means.
+collective coupling and the correlation subtracts means. Both parts come
+in closed form from the bath's modal propagator, with no time quadrature.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_simpson, simpson_weights
 from .bath import DiscreteBath, bare_correlation, moments
+from .errors import retired
 from .response import ResponseFunction
 
 
@@ -30,75 +31,32 @@ class CorrelationResult:
     interaction: complex
 
 
-def _double_term(response: ResponseFunction, bath: DiscreteBath, t: float,
-                 t_prime: float, rel_tol: float = 1e-7,
-                 max_panels: int = 2048) -> complex:
-    """int_0^t ds int_0^t' ds' C0(s-s') Gdot(t-s) conj(Gdot(t'-s'))."""
-    if t <= 0.0 or t_prime <= 0.0:
-        return 0.0 + 0.0j
-    value = None
-    n = 32
-    while n <= max_panels:
-        s = np.linspace(0.0, t, n + 1)
-        sp = np.linspace(0.0, t_prime, n + 1)
-        ws = simpson_weights(n) * (t / n)
-        wsp = simpson_weights(n) * (t_prime / n)
-        left = ws * np.asarray(response.g_dot(t - s))
-        right = wsp * np.conj(np.asarray(response.g_dot(t_prime - sp)))
-        c0 = np.asarray(bare_correlation(bath, s[:, None] - sp[None, :]))
-        refined = complex(left @ c0 @ right)
-        if value is not None and abs(refined - value) <= max(1e-14, rel_tol * abs(refined)):
-            return refined
-        value = refined
-        n *= 2
-    return value
-
-
 def bath_correlation(bath: DiscreteBath, response: ResponseFunction,
                      probe_fluctuation: float, t: float, t_prime: float,
-                     omega0: float, rel_tol: float = 1e-7) -> CorrelationResult:
+                     omega0: float) -> CorrelationResult:
     """Correlation of the collective coupling between times t and t_prime.
 
     probe_fluctuation is the centered symmetric second moment of the
     initial probe, (<a adag + adag a>/2 - |<a>|^2); one half for any pure
-    coherent or vacuum preparation. The Born part is
-    e^{-i omega0 (t - t')} C0(t - t'); the interaction part collects the
-    four response-derivative terms.
+    coherent or vacuum preparation. With beta(t) = (0, K)^T U(t) from the
+    modal propagator, the total is sum_m beta_m(t) conj(beta_m(t')) occ_m,
+    where occ_0 is the probe fluctuation and occ_n = N_n + 1/2. The Born
+    part is e^{-i omega0 (t - t')} C0(t - t'); the interaction part is the
+    rest. omega0 sets the frame of both, as the Born phase does.
     """
     response.require_coverage(max(t, t_prime))
-    phase = np.exp(-1j * omega0 * (t - t_prime))
-    born = phase * bare_correlation(bath, t - t_prime)
-
-    first = adaptive_simpson(
-        lambda s: (np.asarray(bare_correlation(bath, t - s))
-                   * np.conj(np.asarray(response.g_dot(t_prime - s)))),
-        0.0, t_prime, rel_tol=rel_tol)
-    second = adaptive_simpson(
-        lambda s: (np.asarray(bare_correlation(bath, s - t_prime))
-                   * np.asarray(response.g_dot(t - s))),
-        0.0, t, rel_tol=rel_tol)
-    point = probe_fluctuation * response.g_dot(t) * np.conj(response.g_dot(t_prime))
-    double = _double_term(response, bath, t, t_prime, rel_tol=rel_tol)
-    interaction = phase * (first + second + point + double)
-    return CorrelationResult(total=complex(born + interaction),
-                             born=complex(born),
-                             interaction=complex(interaction))
+    born = np.exp(-1j * omega0 * (t - t_prime)) * bare_correlation(bath, t - t_prime)
+    couplings = np.concatenate(([0.0], np.sqrt(bath.coupling_sq)))
+    beta, beta_prime = bath.propagate(couplings, [t, t_prime])
+    occ = np.concatenate(([probe_fluctuation], bath.occupations + 0.5))
+    frame = np.exp(-1j * (omega0 - bath.probe_frequency) * (t - t_prime))
+    total = frame * ((beta * np.conj(beta_prime)) @ occ)
+    return CorrelationResult(total=complex(total), born=complex(born),
+                             interaction=complex(total - born))
 
 
-def equal_start_correlation(bath: DiscreteBath, response: ResponseFunction,
-                            t: float, omega0: float,
-                            rel_tol: float = 1e-9) -> complex:
-    """Reduced form at t_prime = 0: the interaction collapses to one integral.
-
-    e^{-i omega0 t} [C0(t) + int_0^t C0(s) Gdot(t - s) ds]; useful as an
-    independent check of the general assembly.
-    """
-    response.require_coverage(t)
-    tail = adaptive_simpson(
-        lambda s: np.asarray(bare_correlation(bath, s))
-        * np.asarray(response.g_dot(t - s)),
-        0.0, t, rel_tol=rel_tol)
-    return complex(np.exp(-1j * omega0 * t) * (bare_correlation(bath, t) + tail))
+_double_term = retired("_double_term")
+equal_start_correlation = retired("equal_start_correlation")
 
 
 @dataclass(frozen=True)
@@ -130,9 +88,9 @@ def correlation_timescale_check(bath: DiscreteBath, response: ResponseFunction,
         rates.append(m.chi(2))
     predicted = 1.0 / max(rates) if max(rates) > 0 else np.inf
     times = np.linspace(0.0, response.t_end, n_samples + 1)[1:]
-    mags = np.array([abs(equal_start_correlation(bath, response, float(t),
-                                                 bath.probe_frequency,
-                                                 rel_tol=1e-6))
+    # at t' = 0 beta_0 vanishes, so the probe fluctuation drops out
+    mags = np.array([abs(bath_correlation(bath, response, 0.5, float(t), 0.0,
+                                          bath.probe_frequency).total)
                      for t in times])
     threshold = m.script_n / np.e
     below = np.nonzero(mags <= threshold)[0]

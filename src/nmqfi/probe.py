@@ -13,9 +13,9 @@ from typing import Union
 
 import numpy as np
 
-from ._quad import adaptive_simpson, adaptive_simpson_vector
-from .bath import BathMode, DiscreteBath
-from .errors import ConsistencyError
+from ._quad import adaptive_simpson
+from .bath import DiscreteBath
+from .errors import ConsistencyError, retired
 from .force import ForceModulation
 from .response import ResponseFunction
 
@@ -181,70 +181,21 @@ def displacement(response: ResponseFunction, force: ForceModulation,
     return DisplacementCoefficient(val, (t0, t1))
 
 
-def mode_displacement(response: ResponseFunction, force: ForceModulation,
-                      mode: BathMode, omega0: float, window: Window,
-                      rel_tol: float = 1e-7) -> complex:
-    """Force-induced displacement pushed into one bath mode.
-
-    Nested quadrature of
-    omega0 |K| int du zeta(u) e^{i omega0 (u-t0)} int_u^t ds e^{i(omega_n-omega0)(s-t0)} G(s-u);
-    the coupling is taken with unit phase since only the modulus is consumed.
-    """
-    t0, t1 = _check_window(window)
-    response.require_coverage(t1 - t0)
-    if mode.coupling_sq == 0.0:
-        return 0.0 + 0.0j
-    lo, hi = force.clipped(t0, t1)
-    if hi <= lo:
-        return 0.0 + 0.0j
-    det = mode.frequency - omega0   # omega_n - omega0
-
-    def inner(u: float) -> complex:
-        span = t1 - u
-        if span <= 0:
-            return 0.0 + 0.0j
-        val = adaptive_simpson(
-            lambda v: np.exp(1j * det * v) * response.g(v),
-            0.0, span, rel_tol=rel_tol, min_panels=4)
-        return np.exp(1j * det * (u - t0)) * val
-
-    def outer(u):
-        inner_vals = np.array([inner(float(x)) for x in np.atleast_1d(u)])
-        return (np.asarray(force.value(u)) * np.exp(1j * omega0 * (u - t0))
-                * inner_vals)
-
-    val = omega0 * np.sqrt(mode.coupling_sq) * adaptive_simpson(
-        outer, lo, hi, rel_tol=rel_tol, min_panels=4)
-    return complex(val)
-
-
-def _mode_noise_integrals(response: ResponseFunction, bath: DiscreteBath,
-                          tau: float, rel_tol: float = 1e-9) -> np.ndarray:
-    """Per-mode integrals int_0^tau G(tau-u) e^{i (omega0-omega_n) u} du."""
-    if bath.n_modes == 0 or tau <= 0.0:
-        return np.zeros(bath.n_modes, dtype=complex)
-    delta = bath.detunings
-
-    def rows(u):
-        return np.exp(1j * np.outer(delta, u)) * response.g(tau - u)[None, :]
-
-    return adaptive_simpson_vector(rows, 0.0, tau, rel_tol=rel_tol)
-
-
 def noise_term(response: ResponseFunction, bath: DiscreteBath,
                window: Window) -> float:
     """Bath-injected quadrature noise n_B, identical for every angle.
 
-    Sum over modes of |K_n|^2 (N_n + 1/2) |int G e^{i delta u} du|^2; zero
-    exactly for an empty bath or a zero-length window.
+    sum_n (N_n + 1/2) |U_0n(tau)|^2 over the bath amplitudes of the modal
+    propagator (DiscreteBath.propagate), tau = t - t0; zero exactly for an
+    empty bath or a zero-length window.
     """
     t0, t1 = _check_window(window)
     response.require_coverage(t1 - t0)
-    if bath.n_modes == 0:
+    if bath.n_modes == 0 or t1 == t0:
         return 0.0
-    integrals = _mode_noise_integrals(response, bath, t1 - t0)
-    weights = bath.coupling_sq * (bath.occupations + 0.5)
-    return float(np.dot(weights, np.abs(integrals) ** 2))
+    probe_row = np.eye(1, bath.n_modes + 1)[0]
+    bath_amps = bath.propagate(probe_row, t1 - t0)[1:]
+    return float(np.abs(bath_amps) ** 2 @ (bath.occupations + 0.5))
 
 
 def quadrature_mean(init: GaussianProbeInit, response: ResponseFunction,
@@ -330,3 +281,6 @@ def rotated_max_variance_angle(theta_m0: float, response: ResponseFunction,
     tau = t1 - t0
     gval = response.g(tau)
     return float(np.mod(theta_m0 + np.angle(gval) - omega0 * tau, np.pi))
+
+
+mode_displacement = retired("mode_displacement")

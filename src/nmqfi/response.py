@@ -154,11 +154,8 @@ def solve_response(bath: DiscreteBath, grid: TimeGrid,
     ksq = bath.k_squared
     g[0], g_dot[0], g_ddot[0] = 1.0, 0.0, -ksq
 
-    if bath.n_modes == 0 or ksq == 0.0:
-        g[:] = 1.0
-        g_dot[:] = 0.0
-        g_ddot[:] = 0.0 if ksq == 0.0 else -ksq
-        g_ddot[0] = -ksq
+    if ksq == 0.0:            # no mode carries weight: G is identically one
+        g[:], g_dot[:], g_ddot[:] = 1.0, 0.0, 0.0
         return ResponseFunction(grid, g, g_dot, g_ddot, bath)
 
     h = grid.h / refine

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_simpson, simpson_weights
-from .bath import BathMoments, DiscreteBath, bare_correlation
+from ._quad import adaptive_simpson
+from .bath import BathMoments, DiscreteBath
+from .errors import ConfigError, retired
 from .force import ConstantForce, ForceModulation
 from .metrology import script_e
-from .probe import displacement
+from .probe import displacement, noise_term
 from .response import ResponseFunction
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,41 +87,12 @@ def xi_and_c(force: ForceModulation, omega0: float, total_window: float,
     return ForceWindowIntegrals(float(xi), float(0.25 * bulk))
 
 
-def step_noise_variance(response: ResponseFunction, bath: DiscreteBath,
-                        tau: float, rel_tol: float = 1e-8,
-                        max_panels: int = 1 << 12) -> float:
-    """Double integral of G(tau-s) G*(tau-s') C0(s-s') over the step square.
-
-    Tensor-product Simpson with node doubling; the lag structure of C0 on
-    a uniform grid reduces the double sum to a correlation, evaluated
-    independently of the per-mode route used by the single-shot variance.
-    """
-    if bath.n_modes == 0 or tau <= 0.0:
-        return 0.0
-    response.require_coverage(tau)
-    value = None
-    n = 64
-    while n <= max_panels:
-        h = tau / n
-        s = np.linspace(0.0, tau, n + 1)
-        u = simpson_weights(n) * h * np.asarray(response.g(tau - s))
-        lags = np.correlate(u, u, mode="full")          # lag d at index n + d
-        diffs = (np.arange(2 * n + 1) - n) * h
-        c0 = np.asarray(bare_correlation(bath, diffs))
-        refined = float(np.real(np.dot(c0, lags)))
-        if value is not None and abs(refined - value) <= max(1e-14, rel_tol * abs(refined)):
-            return refined
-        value = refined
-        n *= 2
-    return value
-
-
 def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
             response: ResponseFunction, force: ForceModulation,
             omega0: float) -> SeqResult:
     """Total Fisher information of the cadence with best-state re-preparation.
 
-    The step denominator |G(tau)|^2 / (4 script_e) + step noise is computed
+    The step denominator |G(tau)|^2 / (4 script_e) + n_B(tau) is computed
     once; numerators are the per-step squared displacements. A constant
     force on the uniform schedule makes every numerator identical, which
     is exact (the displacement depends on the elapsed interval only).
@@ -129,7 +101,7 @@ def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
     response.require_coverage(tau)
     se = script_e(energy)
     g_abs = abs(response.g(tau))
-    denom = 0.25 * g_abs ** 2 / se + step_noise_variance(response, bath, tau)
+    denom = 0.25 * g_abs ** 2 / se + noise_term(response, bath, (0.0, tau))
     nu = scheme.repetitions
     uniform = (isinstance(force, ConstantForce)
                and force.support[0] <= scheme.start
@@ -165,7 +137,8 @@ def default_tau_bounds(response: ResponseFunction, total_window: float,
     if omega2 > 0:
         upper = min(upper, 5.0 / omega2)
     if upper <= lower:
-        raise ValueError("tau search bracket collapsed; refine the response grid")
+        raise ConfigError("tau search bracket collapsed; refine the response "
+                          "grid or give sequential.tau_bounds")
     return lower, upper
 
 
@@ -309,3 +282,6 @@ def markov_seq(total_window: float, energy: float, gamma: float,
     return MarkovSeqResult(tau_opt=se ** -0.5 / (8.0 * a),
                            total_qfi_bound=prefactor * xi / (3.0 * a),
                            noiseless=False)
+
+
+step_noise_variance = retired("step_noise_variance")

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from nmqfi.bath import ContinuousSpectrum, DiscreteBath, OccupationModel, discretize
+from nmqfi._quad import adaptive_simpson, simpson_weights
+from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
+                        bare_correlation, discretize)
 from nmqfi.response import TimeGrid, solve_response
 
 
@@ -70,6 +72,98 @@ def initial_joint_covariance(bath: DiscreteBath, probe_cov: np.ndarray) -> np.nd
         o = 2 + 2 * j
         sigma[o:o + 2, o:o + 2] = (bath.occupations[j] + 0.5) * np.eye(2)
     return sigma
+
+
+# Quadrature oracles: the time-integral forms of the bath noise and the
+# two-time correlation, built on the solved response. The engine computes
+# both in closed form from the bath's modal propagator instead.
+
+def step_noise_variance(response, bath: DiscreteBath, tau: float,
+                        rel_tol: float = 1e-8, max_panels: int = 1 << 12) -> float:
+    """Double integral of G(tau-s) G*(tau-s') C0(s-s') over the step square.
+
+    Tensor-product Simpson with node doubling; the lag structure of C0 on
+    a uniform grid reduces the double sum to a correlation.
+    """
+    if bath.n_modes == 0 or tau <= 0.0:
+        return 0.0
+    response.require_coverage(tau)
+    value = None
+    n = 64
+    while n <= max_panels:
+        h = tau / n
+        s = np.linspace(0.0, tau, n + 1)
+        u = simpson_weights(n) * h * np.asarray(response.g(tau - s))
+        lags = np.correlate(u, u, mode="full")          # lag d at index n + d
+        diffs = (np.arange(2 * n + 1) - n) * h
+        c0 = np.asarray(bare_correlation(bath, diffs))
+        refined = float(np.real(np.dot(c0, lags)))
+        if value is not None and abs(refined - value) <= max(1e-14, rel_tol * abs(refined)):
+            return refined
+        value = refined
+        n *= 2
+    return value
+
+
+def _double_term(response, bath: DiscreteBath, t: float, t_prime: float,
+                 rel_tol: float = 1e-7, max_panels: int = 2048) -> complex:
+    """int_0^t ds int_0^t' ds' C0(s-s') Gdot(t-s) conj(Gdot(t'-s'))."""
+    if t <= 0.0 or t_prime <= 0.0:
+        return 0.0 + 0.0j
+    value = None
+    n = 32
+    while n <= max_panels:
+        s = np.linspace(0.0, t, n + 1)
+        sp = np.linspace(0.0, t_prime, n + 1)
+        ws = simpson_weights(n) * (t / n)
+        wsp = simpson_weights(n) * (t_prime / n)
+        left = ws * np.asarray(response.g_dot(t - s))
+        right = wsp * np.conj(np.asarray(response.g_dot(t_prime - sp)))
+        c0 = np.asarray(bare_correlation(bath, s[:, None] - sp[None, :]))
+        refined = complex(left @ c0 @ right)
+        if value is not None and abs(refined - value) <= max(1e-14, rel_tol * abs(refined)):
+            return refined
+        value = refined
+        n *= 2
+    return value
+
+
+def four_term_correlation(bath: DiscreteBath, response, probe_fluctuation: float,
+                          t: float, t_prime: float, omega0: float,
+                          rel_tol: float = 1e-7) -> complex:
+    """Total two-time correlation as the paper assembles it.
+
+    e^{-i omega0 (t - t')} [C0(t - t') + two single integrals of C0 against
+    Gdot + the probe point term + the double integral].
+    """
+    response.require_coverage(max(t, t_prime))
+    first = adaptive_simpson(
+        lambda s: (np.asarray(bare_correlation(bath, t - s))
+                   * np.conj(np.asarray(response.g_dot(t_prime - s)))),
+        0.0, t_prime, rel_tol=rel_tol)
+    second = adaptive_simpson(
+        lambda s: (np.asarray(bare_correlation(bath, s - t_prime))
+                   * np.asarray(response.g_dot(t - s))),
+        0.0, t, rel_tol=rel_tol)
+    point = probe_fluctuation * response.g_dot(t) * np.conj(response.g_dot(t_prime))
+    double = _double_term(response, bath, t, t_prime, rel_tol=rel_tol)
+    return complex(np.exp(-1j * omega0 * (t - t_prime))
+                   * (bare_correlation(bath, t - t_prime)
+                      + first + second + point + double))
+
+
+def equal_start_correlation(bath: DiscreteBath, response, t: float,
+                            omega0: float, rel_tol: float = 1e-9) -> complex:
+    """Reduced form at t_prime = 0: the interaction collapses to one integral.
+
+    e^{-i omega0 t} [C0(t) + int_0^t C0(s) Gdot(t - s) ds].
+    """
+    response.require_coverage(t)
+    tail = adaptive_simpson(
+        lambda s: np.asarray(bare_correlation(bath, s))
+        * np.asarray(response.g_dot(t - s)),
+        0.0, t, rel_tol=rel_tol)
+    return complex(np.exp(-1j * omega0 * t) * (bare_correlation(bath, t) + tail))
 
 
 @pytest.fixture(scope="session")

@@ -219,6 +219,15 @@ OUT_OF_RANGE = {
                             _set("options", energy_sweep=[0.1])),
     "sequential_block_missing": ("sequential_nonmarkov", "sequential",
                                  lambda raw: raw.pop("sequential")),
+    "tau_bracket_collapsed": ("sequential_nonmarkov", "sequential",
+                              lambda raw: (raw["sequential"].pop("tau_bounds"),
+                                           raw["grid"].update(n_steps=2))),
+    "gamma_negative": ("limits_narrowband", "limits",
+                       _set("options", gamma=-0.1)),
+    "n_thermal_negative_half": ("sequential_nonmarkov", "sequential",
+                                _set("options", n_thermal=-0.5)),
+    "n_thermal_negative": ("sequential_nonmarkov", "sequential",
+                           _set("options", n_thermal=-2.0)),
 }
 
 

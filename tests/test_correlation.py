@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import equal_start_correlation, four_term_correlation
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, bare_correlation,
                         discretize)
-from nmqfi.correlation import (bath_correlation, correlation_timescale_check,
-                               equal_start_correlation)
+from nmqfi.correlation import bath_correlation, correlation_timescale_check
 from nmqfi.response import TimeGrid, solve_response
 
 
@@ -52,6 +52,25 @@ class TestDecomposition:
             full = bath_correlation(bath, resp, 0.5, t, 0.0, 1.0)
             reduced = equal_start_correlation(bath, resp, t, 1.0)
             assert abs(full.total - reduced) <= 1e-8
+
+    @pytest.mark.parametrize("fluct", [0.5, 1.3])
+    def test_matches_four_term_assembly(self, flat_band, fluct):
+        # the paper's quadrature assembly on the solved response
+        bath, resp = flat_band
+        for t, tp in ((2.0, 0.9), (0.7, 2.3), (1.5, 1.5), (4.0, 0.0)):
+            got = bath_correlation(bath, resp, fluct, t, tp, 1.0).total
+            want = four_term_correlation(bath, resp, fluct, t, tp, 1.0)
+            assert abs(got - want) <= 1e-7
+
+    def test_thermal_modes_match_four_term_assembly(self):
+        omega0 = 1.3
+        bath = DiscreteBath.from_arrays([0.16, 0.09], [1.0, 1.9], [0.0, 0.7],
+                                        omega0)
+        resp = solve_response(bath, TimeGrid(0.0, 4.0, 4096))
+        for t, tp in ((2.1, 0.9), (0.8, 3.0)):
+            got = bath_correlation(bath, resp, 0.8, t, tp, omega0).total
+            want = four_term_correlation(bath, resp, 0.8, t, tp, omega0)
+            assert abs(got - want) <= 1e-7
 
 
 class TestCouplingScaling:

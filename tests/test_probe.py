@@ -5,12 +5,11 @@ import pytest
 
 from conftest import exact_single_mode_g
 from nmqfi import force as fc
-from nmqfi.bath import BathMode, DiscreteBath
+from nmqfi.bath import ContinuousSpectrum, DiscreteBath, discretize
 from nmqfi.errors import CoverageError
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
-                         mode_displacement, noise_term, quadrature_mean,
-                         quadrature_variance, rotated_max_variance_angle,
-                         variance_p)
+                         noise_term, quadrature_mean, quadrature_variance,
+                         rotated_max_variance_angle, variance_p)
 from nmqfi.response import TimeGrid, solve_response
 
 
@@ -98,27 +97,6 @@ class TestDisplacement:
             displacement(resp, fc.constant(1.0), 1.0, (0.0, resp.t_end + 1.0))
 
 
-class TestModeDisplacement:
-    def test_zero_force(self, resonant03):
-        bath, resp = resonant03
-        assert mode_displacement(resp, fc.constant(0.0), bath.modes[0], 1.0,
-                                 (0.0, 1.0)) == 0.0
-
-    def test_zero_coupling(self, resonant03):
-        bath, resp = resonant03
-        mode = BathMode(0.0, 1.0, 0.0)
-        assert mode_displacement(resp, fc.constant(1.0), mode, 1.0,
-                                 (0.0, 1.0)) == 0.0
-
-    def test_refined_self_oracle(self, resonant03):
-        bath, resp = resonant03
-        coarse = mode_displacement(resp, fc.constant(1.0), bath.modes[0], 1.0,
-                                   (0.0, 0.8), rel_tol=1e-5)
-        fine = mode_displacement(resp, fc.constant(1.0), bath.modes[0], 1.0,
-                                 (0.0, 0.8), rel_tol=1e-9)
-        assert coarse == pytest.approx(fine, abs=1e-6)
-
-
 class TestMean:
     def test_zero_everything(self, noiseless_response):
         vac = GaussianProbeInit.vacuum()
@@ -195,6 +173,16 @@ class TestVariance:
         bath0 = DiscreteBath.empty(1.0)
         resp0 = solve_response(bath0, TimeGrid(0.0, 4.0, 256))
         assert noise_term(resp0, bath0, (0.0, 2.0)) == 0.0
+
+    def test_vacuum_unitarity_against_marched_response(self):
+        # modal n_B against the marched G: a vacuum bath conserves the
+        # probe's amplitude, n_B = (1 - |G|^2) / 2, to the |G| tolerance
+        bath = discretize(ContinuousSpectrum("flat", scale=0.02, cutoff=2.0),
+                          64, 1.0)
+        resp = solve_response(bath, TimeGrid(0.0, 20.0, 2048))
+        for tau in (0.3, 1.1, 4.0, 9.7, 20.0):
+            n_b = noise_term(resp, bath, (0.0, tau))
+            assert abs(n_b + 0.5 * abs(resp.g(tau)) ** 2 - 0.5) <= 1e-6
 
 
 class TestSnapshot:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import step_noise_variance
 from nmqfi import force as fc
 from nmqfi.bath import DiscreteBath, moments
 from nmqfi.metrology import energy_for_script_e, qfi_best_state, script_e
@@ -10,7 +11,7 @@ from nmqfi.probe import noise_term
 from nmqfi.response import TimeGrid, solve_response
 from nmqfi.sequential import (SequentialScheme, default_tau_bounds, markov_seq,
                               optimize_tau, seq_qfi, seq_qfi_asymptotic,
-                              step_noise_variance, tau_opt_asymptotic, xi_and_c)
+                              tau_opt_asymptotic, xi_and_c)
 
 ZETA = fc.constant(1.0)
 # two detuned thermal modes: coupling_sq, frequency, occupation, omega0
