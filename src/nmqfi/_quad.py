@@ -21,30 +21,36 @@ def simpson_weights(n_panels: int) -> np.ndarray:
     return w / 3.0
 
 
-def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-9,
-                     abs_tol: float = 1e-13, min_panels: int = 8,
-                     max_panels: int = 1 << 16) -> complex:
+def adaptive_simpson(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 1e-13,
+                     min_panels: int = 8, max_panels: int = 1 << 16):
     """Integrate f over [a, b], doubling the node count until converged.
 
-    f takes an ndarray of nodes and returns values of the same shape
-    (complex allowed). Returns 0 for an empty interval; raises
-    ConvergenceError when max_panels panels do not reach the tolerance.
+    a and b are scalars or equal-shape arrays of ends, one integral per
+    entry; f maps nodes shaped like a plus a trailing node axis to values
+    of that shape, with optional extra leading axes. Each entry keeps its
+    first estimate within max(abs_tol, rel_tol |estimate|) of the one
+    before, as a scalar call would. Empty intervals (b <= a) give exactly
+    0; raises ConvergenceError when max_panels panels do not reach the
+    tolerance.
     """
-    if b <= a:
-        return 0.0 + 0.0j
+    a = np.asarray(a, dtype=float)
+    b = np.maximum(a, b)
     n = max(2, min_panels + (min_panels % 2))
-    span = b - a
-    x = np.linspace(a, b, n + 1)
-    value = complex(np.dot(simpson_weights(n), f(x)) * (span / n))
-    while n < max_panels:
-        n *= 2
-        x = np.linspace(a, b, n + 1)
-        refined = complex(np.dot(simpson_weights(n), f(x)) * (span / n))
-        if abs(refined - value) <= max(abs_tol, rel_tol * abs(refined)):
-            return refined
+    value, done = None, False
+    while True:
+        x = np.linspace(a, b, n + 1, axis=-1)
+        refined = np.where(b > a, (f(x) @ simpson_weights(n)) * ((b - a) / n), 0.0)
+        if value is not None:
+            moved = np.abs(refined - value)
+            refined = np.where(done, value, refined)
+            done = done | (moved <= np.maximum(abs_tol, rel_tol * np.abs(refined)))
+            if np.all(done):
+                return refined if refined.ndim else complex(refined)
+        if n >= max_panels:
+            raise ConvergenceError(f"Simpson quadrature on [{a.min()}, {b.max()}] "
+                                   f"not converged at {max_panels} panels")
         value = refined
-    raise ConvergenceError(f"Simpson quadrature on [{a}, {b}] not converged "
-                           f"at {max_panels} panels")
+        n *= 2
 
 
 adaptive_simpson_vector = retired("adaptive_simpson_vector")

@@ -234,6 +234,8 @@ def validate(raw: Any) -> ScenarioConfig:
             raise ConfigError("sequential.total_window must be > 0")
         if "tau" in seq and not 0 < seq["tau"] <= total:
             raise ConfigError("sequential.tau must satisfy 0 < tau <= total_window")
+        if not seq.get("optimize", True) and "tau" not in seq:
+            raise ConfigError("sequential.optimize false needs sequential.tau")
         lo, hi = seq.get("tau_bounds", (total, total))
         if "tau_bounds" in seq and not 0 < lo < hi <= total:
             raise ConfigError("sequential.tau_bounds must satisfy "

@@ -52,10 +52,10 @@ class ForceModulation:
         """d zeta/dt taken inside the support (zero outside)."""
         return self._masked(t, self._derivative_inside)
 
-    def clipped(self, t0: float, t1: float) -> tuple[float, float]:
-        """Intersection of [t0, t1] with the support (possibly empty)."""
+    def clipped(self, t0, t1) -> tuple[ArrayLike, ArrayLike]:
+        """Intersection with the support, clamped into [t0, t1] elementwise."""
         lo, hi = self.support
-        return max(t0, lo), min(t1, hi)
+        return np.clip(lo, t0, t1), np.clip(hi, t0, t1)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ _MIN_DET = 0.25 * (1.0 - 1e-9)
 
 
 def _check_window(window: Window) -> tuple[float, float]:
-    t0, t1 = float(window[0]), float(window[1])
-    if t1 < t0:
+    t0, t1 = (np.asarray(t, dtype=float)[()] for t in window)
+    if np.any(t1 < t0):
         raise ValueError("window must satisfy t0 <= t")
     return t0, t1
 
@@ -128,7 +128,7 @@ class GaussianProbeInit:
 
 @dataclass(frozen=True)
 class DisplacementCoefficient:
-    """Noise-dressed displacement induced by the force over a window."""
+    """Noise-dressed displacement over a window; arrays for a batch of windows."""
 
     value: complex
     window: Window
@@ -164,18 +164,17 @@ def displacement(response: ResponseFunction, force: ForceModulation,
     """Displacement coefficient omega0 * int zeta(u) e^{i omega0 (u-t0)} G(t-u) du.
 
     The integral runs over the window clipped to the force support; an
-    empty intersection gives zero.
+    empty intersection gives zero. Window ends that are equal-shape arrays
+    give one value per window, each integrated to the same tolerance.
     """
     t0, t1 = _check_window(window)
-    response.require_coverage(t1 - t0)
+    response.require_coverage(np.max(t1 - t0))
     lo, hi = force.clipped(t0, t1)
-    if hi <= lo:
-        return DisplacementCoefficient(0.0 + 0.0j, (t0, t1))
 
     def integrand(u):
-        return (np.asarray(force.value(u))
-                * np.exp(1j * omega0 * (u - t0))
-                * response.g(t1 - u))
+        return (force.value(u)
+                * np.exp(1j * omega0 * (u - t0[..., None]))
+                * response.g(t1[..., None] - u))
 
     val = omega0 * adaptive_simpson(integrand, lo, hi, rel_tol=rel_tol)
     return DisplacementCoefficient(val, (t0, t1))

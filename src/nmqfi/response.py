@@ -18,14 +18,14 @@ from typing import Union
 import numpy as np
 
 from .bath import ContinuousSpectrum, DiscreteBath, memory_kernel, moments
-from .errors import CoverageError, SolverInstabilityError
+from .errors import ConvergenceError, CoverageError, SolverInstabilityError
 
 _ABS_G_SLACK = 1e-6
 
 # Internal marching runs on a grid this many times finer than the requested
 # one; the scheme stays second order in the grid step while the error
 # constant drops by the square of the factor.
-_DEFAULT_REFINE = 4
+_REFINE = 4
 
 
 @dataclass(frozen=True)
@@ -129,24 +129,21 @@ class ResponseFunction:
             ang if abs(val) > 0.0 else 0.0)
 
 
-def solve_response(bath: DiscreteBath, grid: TimeGrid,
-                   refine: int = _DEFAULT_REFINE) -> ResponseFunction:
+def solve_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
     """March the response equation with an implicit product-trapezoid scheme.
 
     The memory integral at each step uses trapezoid weights with the kernel
     split per mode into running phase accumulators (cost scales with
     n_steps * n_modes, not n_steps**2); the step itself is the trapezoid
     rule on dG/dtau, solved in closed form for the implicit endpoint.
-    Marching runs on a grid `refine` times finer than requested and stores
-    every refine-th sample. Global error is O(h^2) in the requested step.
+    Marching runs on a grid _REFINE times finer than requested and stores
+    every _REFINE-th sample. Global error is O(h^2) in the requested step.
 
     Raises SolverInstabilityError when |G| leaves the unit disc by more
     than 1e-6, the signature of a step too coarse for the kernel.
     """
     if grid.t_start != 0.0:
         raise ValueError("response grids must start at 0")
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
     n_out = grid.n_steps
     g = np.empty(n_out + 1, dtype=complex)
     g_dot = np.empty(n_out + 1, dtype=complex)
@@ -158,8 +155,8 @@ def solve_response(bath: DiscreteBath, grid: TimeGrid,
         g[:], g_dot[:], g_ddot[:] = 1.0, 0.0, 0.0
         return ResponseFunction(grid, g, g_dot, g_ddot, bath)
 
-    h = grid.h / refine
-    n_int = n_out * refine
+    h = grid.h / _REFINE
+    n_int = n_out * _REFINE
     delta = bath.detunings
     c = bath.coupling_sq.astype(complex)
     c_dot = c * (1j * delta)          # kernel-derivative coefficients
@@ -189,8 +186,8 @@ def solve_response(bath: DiscreteBath, grid: TimeGrid,
                 raise SolverInstabilityError(
                     f"|G| reached {worst:.8f} at tau={j * h:g}; "
                     "refine the time grid for this kernel")
-        if j % refine == 0:
-            k = j // refine
+        if j % _REFINE == 0:
+            k = j // _REFINE
             g[k] = g_j
             g_dot[k] = gd_j
             g_ddot[k] = -ksq * g_j - h * (complex(np.dot(c_dot, hist))
@@ -358,12 +355,15 @@ def _dyson_single_mode(coupling_sq: float, delta: float, tau: float,
     return total
 
 
+_DYSON_MAX_INTERVALS = 1 << 13
+
+
 def _dyson_multi_mode(bath: DiscreteBath, tau: float, order: int,
                       tol: float = 1e-8) -> complex:
     """Grid iteration of the nested-integral terms, refined until stable."""
     value = None
     n = 256
-    while n <= (1 << 13):
+    while n <= _DYSON_MAX_INTERVALS:
         s = np.linspace(0.0, tau, n + 1)
         h = tau / n
         kernel = np.asarray(memory_kernel(bath, s))
@@ -383,7 +383,8 @@ def _dyson_multi_mode(bath: DiscreteBath, tau: float, order: int,
             return complex(total)
         value = total
         n *= 2
-    return complex(value)
+    raise ConvergenceError(f"Dyson grid iteration at tau={tau:g} not converged "
+                           f"on {_DYSON_MAX_INTERVALS} grid intervals")
 
 
 def dyson_series(bath: DiscreteBath, tau: float, order: int) -> complex:
@@ -391,7 +392,8 @@ def dyson_series(bath: DiscreteBath, tau: float, order: int) -> complex:
 
     Intended for K^2 tau^2 of order one or below. Single-mode baths use
     exact term-by-term integration; multi-mode baths fall back to a
-    refined grid iteration and are capped at order 4.
+    refined grid iteration, are capped at order 4 and raise
+    ConvergenceError when the iteration does not settle.
     """
     if order < 0:
         raise ValueError("order must be >= 0")

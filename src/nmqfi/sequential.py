@@ -18,7 +18,7 @@ import numpy as np
 from ._quad import adaptive_simpson
 from .bath import BathMoments, DiscreteBath
 from .errors import ConfigError, retired
-from .force import ConstantForce, ForceModulation
+from .force import ForceModulation
 from .metrology import script_e
 from .probe import displacement, noise_term
 from .response import ResponseFunction
@@ -44,7 +44,8 @@ class SequentialScheme:
     def repetitions(self) -> int:
         return int(math.floor(self.total_window / self.interval * (1.0 + 1e-12)))
 
-    def step_window(self, k: int) -> tuple[float, float]:
+    def step_window(self, k):
+        """Window of step k; an integer array k gives arrays of window ends."""
         t_k = self.start + k * self.interval
         return (t_k, t_k + self.interval)
 
@@ -76,14 +77,12 @@ def xi_and_c(force: ForceModulation, omega0: float, total_window: float,
     bare window integral.
     """
     lo, hi = force.clipped(t0, t0 + total_window)
-    if hi <= lo:
-        return ForceWindowIntegrals(0.0, 0.0)
-    xi = adaptive_simpson(lambda t: np.asarray(force.value(t)) ** 2,
-                          lo, hi, rel_tol=rel_tol).real
-    bulk = adaptive_simpson(
-        lambda t: (np.asarray(force.derivative(t)) ** 2
-                   + omega0 ** 2 * np.asarray(force.value(t)) ** 2),
-        lo, hi, rel_tol=rel_tol).real
+
+    def densities(t):
+        z2 = force.value(t) ** 2
+        return np.stack([z2, force.derivative(t) ** 2 + omega0 ** 2 * z2])
+
+    xi, bulk = adaptive_simpson(densities, lo, hi, rel_tol=rel_tol).real
     return ForceWindowIntegrals(float(xi), float(0.25 * bulk))
 
 
@@ -93,27 +92,16 @@ def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
     """Total Fisher information of the cadence with best-state re-preparation.
 
     The step denominator |G(tau)|^2 / (4 script_e) + n_B(tau) is computed
-    once; numerators are the per-step squared displacements. A constant
-    force on the uniform schedule makes every numerator identical, which
-    is exact (the displacement depends on the elapsed interval only).
+    once; numerators are the squared displacements of all steps, from one
+    batched displacement call.
     """
     tau = scheme.interval
     response.require_coverage(tau)
     se = script_e(energy)
     g_abs = abs(response.g(tau))
     denom = 0.25 * g_abs ** 2 / se + noise_term(response, bath, (0.0, tau))
-    nu = scheme.repetitions
-    uniform = (isinstance(force, ConstantForce)
-               and force.support[0] <= scheme.start
-               and force.support[1] >= scheme.start + nu * tau)
-    if uniform:
-        d0 = displacement(response, force, omega0, scheme.step_window(0))
-        numerators = np.full(nu, d0.magnitude ** 2)
-    else:
-        numerators = np.array([
-            displacement(response, force, omega0, scheme.step_window(k)).magnitude ** 2
-            for k in range(nu)])
-    per_step = numerators / denom
+    steps = scheme.step_window(np.arange(scheme.repetitions))
+    per_step = displacement(response, force, omega0, steps).magnitude ** 2 / denom
     return SeqResult(total_qfi=float(per_step.sum()),
                      per_step_qfi=tuple(float(v) for v in per_step),
                      tau_used=float(tau))

@@ -1,6 +1,7 @@
 """CLI: scenario execution, determinism, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -228,6 +229,9 @@ OUT_OF_RANGE = {
                                 _set("options", n_thermal=-0.5)),
     "n_thermal_negative": ("sequential_nonmarkov", "sequential",
                            _set("options", n_thermal=-2.0)),
+    "optimize_false_without_tau": ("sequential_nonmarkov", "sequential",
+                                   lambda raw: (raw["sequential"].pop("tau_bounds"),
+                                                raw["sequential"].update(optimize=False))),
 }
 
 
@@ -248,6 +252,16 @@ def test_overflowing_number_is_a_config_error(tmp_path, capsys):
     cfg.write_text(text.replace('"t": 1.7', '"t": 1e400'))
     assert run_cli(["qfi", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_pytest_runs_from_a_checkout_without_pythonpath():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                           "no:cacheprovider", "--collect-only",
+                           "tests/test_quad.py"],
+                          cwd=SCENARIO_DIR.parent, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_cli_import_loads_no_schema_library_or_thread_pool():

@@ -1,9 +1,12 @@
 """Fisher information forms, optimal state/measurement, estimation harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nmqfi import force as fc
+from nmqfi import metrology
 from nmqfi.bath import BathMode, DiscreteBath
 from nmqfi.errors import AlignmentError, EstimationError
 from nmqfi.metrology import (best_state, energy_for_script_e, fisher_quadrature,
@@ -251,6 +254,25 @@ class TestEstimation:
         b = simulate_estimation(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW,
                                 0.3, 100, seed=99, replications=100)
         assert a.empirical_mse == b.empirical_mse
+
+
+    def test_chunked_draws_match_one_array(self, noiseless, monkeypatch):
+        # 2000 x 2000 draws span four chunks of at most 2^20 draws; drawn
+        # as one array they are the same stream, so every row mean agrees
+        bath, resp = noiseless
+        vac = GaussianProbeInit.vacuum()
+        args = (vac, bath, resp, ZETA, OMEGA0, PI_WINDOW, 0.3, 2000)
+        tracemalloc.start()
+        try:
+            chunked = simulate_estimation(*args, seed=7, replications=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(metrology, "_MC_CHUNK_DRAWS", 2000 * 2000)
+        whole = simulate_estimation(*args, seed=7, replications=2000)
+        assert chunked.estimate == whole.estimate
+        assert chunked.empirical_mse == whole.empirical_mse
+        assert peak < 0.5 * 2000 * 2000 * 8   # half the one-array draws
 
 
 class TestShortTimeQfi:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import exact_single_mode_g
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, discretize,
                         moments)
-from nmqfi.errors import CoverageError
+from nmqfi.errors import ConvergenceError, CoverageError
 from nmqfi.response import (TimeGrid, default_grid, dyson_series,
                             first_order_asymptote, first_order_response,
                             long_time_first_order, markov_closed_form,
@@ -20,6 +20,12 @@ class TestSolver:
         resp = solve_response(DiscreteBath.empty(1.0), TimeGrid(0.0, 5.0, 64))
         assert_allclose(resp.g_samples, 1.0)
         assert_allclose(resp.g_dot_samples, 0.0)
+
+    def test_refinement_factor_is_fixed(self):
+        # the march always runs 4x finer than the requested grid
+        with pytest.raises(TypeError):
+            solve_response(DiscreteBath.empty(1.0), TimeGrid(0.0, 1.0, 8),
+                           refine=2)
 
     def test_initial_conditions_exact(self, resonant_response):
         assert resonant_response.g_samples[0] == 1.0
@@ -176,6 +182,14 @@ class TestDysonSeries:
     def test_multi_mode_order_cap(self, two_mode_bath):
         with pytest.raises(ValueError):
             dyson_series(two_mode_bath, 0.5, 5)
+
+    def test_multi_mode_grid_cap_raises(self):
+        # two far-detuned modes: the last doubling of the grid iteration
+        # still moves the order-2 sum by ~1e-5, far above its 1e-8 tolerance
+        bath = DiscreteBath.from_arrays([0.5, 0.5], [3001.0, 4001.0],
+                                        [0.0, 0.0], 1.0)
+        with pytest.raises(ConvergenceError):
+            dyson_series(bath, 1.0, 2)
 
 
 class TestFirstOrderTerm:

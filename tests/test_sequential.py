@@ -5,9 +5,10 @@ import pytest
 
 from conftest import step_noise_variance
 from nmqfi import force as fc
+from nmqfi import sequential
 from nmqfi.bath import DiscreteBath, moments
 from nmqfi.metrology import energy_for_script_e, qfi_best_state, script_e
-from nmqfi.probe import noise_term
+from nmqfi.probe import displacement, noise_term
 from nmqfi.response import TimeGrid, solve_response
 from nmqfi.sequential import (SequentialScheme, default_tau_bounds, markov_seq,
                               optimize_tau, seq_qfi, seq_qfi_asymptotic,
@@ -119,6 +120,45 @@ class TestSeqQfi:
         steps = np.array(r.per_step_qfi)
         assert steps[0] != pytest.approx(steps[-1])
         assert r.total_qfi == pytest.approx(steps.sum())
+
+    @pytest.mark.parametrize("force, total, zero_steps", [
+        (fc.constant(1.0, (0.0, 0.13)), 0.2, [3]),     # support ends in step 2
+        (fc.gaussian_pulse(0.05, 0.02, (0.0, 0.1)), 0.3, [2, 3, 4, 5]),
+    ])
+    def test_steps_match_single_windows(self, unit_weight_bath,
+                                        unit_weight_response, force, total,
+                                        zero_steps):
+        tau, energy = 0.05, 3.0
+        scheme = SequentialScheme(total, tau)
+        r = seq_qfi(scheme, energy, unit_weight_bath, unit_weight_response,
+                    force, 1.0)
+        denom = (0.25 * abs(unit_weight_response.g(tau)) ** 2 / script_e(energy)
+                 + noise_term(unit_weight_response, unit_weight_bath, (0.0, tau)))
+        for k, step in enumerate(r.per_step_qfi):
+            d = displacement(unit_weight_response, force, 1.0,
+                             scheme.step_window(k))
+            assert step == pytest.approx(d.magnitude ** 2 / denom, rel=1e-12)
+            assert (step == 0.0) == (k in zero_steps)
+
+    def test_one_displacement_and_one_quadrature_call(
+            self, unit_weight_bath, unit_weight_response, monkeypatch):
+        calls = {"displacement": 0, "adaptive_simpson": 0}
+
+        def counted(name):
+            fn = getattr(sequential, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sequential, name, counted(name))
+        pulse = fc.gaussian_pulse(0.05, 0.02, (0.0, 0.1))
+        seq_qfi(SequentialScheme(0.3, 0.05), 3.0, unit_weight_bath,
+                unit_weight_response, pulse, 1.0)
+        xi_and_c(pulse, 1.0, 0.3)
+        assert calls == {"displacement": 1, "adaptive_simpson": 1}
 
     def test_noiseless_linear_growth(self):
         # closed-form oracle: nu * 4 scriptE |D0(tau)|^2
