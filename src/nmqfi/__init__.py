@@ -29,8 +29,7 @@ from .probe import (CovarianceSnapshot, DisplacementCoefficient,
 from .response import (ResponseFunction, TimeGrid, default_grid, dyson_series,
                        first_order_asymptote, first_order_response,
                        long_time_first_order, markov_closed_form,
-                       markov_decay_rate, short_time_response, solve_response,
-                       solver_residual)
+                       markov_decay_rate, solve_response)
 from .sequential import (ForceWindowIntegrals, MarkovSeqResult, SeqResult,
                          SequentialScheme, TauOptimum, default_tau_bounds,
                          markov_seq, optimize_tau, seq_qfi,

@@ -72,14 +72,15 @@ def run_moments(cfg: ScenarioConfig, out: IO[str], fmt: str):
     t0, t1 = cfg.window()
     theta = float(cfg.options.get("theta", 0.0))
     amp = float(cfg.options.get("force_amplitude", 0.0))
-    force = cfg.force() if "force" in cfg.raw else None
+    times = _report_times(cfg, t0, t1)
+    if "force" in cfg.raw:
+        values = displacement(resp, cfg.force(), cfg.omega0, (t0, times)).value
+    else:
+        values = np.zeros(times.shape, dtype=complex)
     rows = []
-    for t in _report_times(cfg, t0, t1):
+    for t, value in zip(times, values):
         win = (t0, float(t))
-        if force is not None:
-            disp = displacement(resp, force, cfg.omega0, win)
-        else:
-            disp = DisplacementCoefficient(0.0 + 0.0j, win)
+        disp = DisplacementCoefficient(complex(value), win)
         mean = quadrature_mean(init, resp, disp, theta, amp, cfg.omega0, win)
         snap = covariance_snapshot(init, resp, bath, theta, cfg.omega0, win)
         rows.append((t, theta, mean, snap.var_x_theta, snap.var_p_theta,

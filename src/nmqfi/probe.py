@@ -23,6 +23,10 @@ Window = tuple[float, float]
 
 _MIN_DET = 0.25 * (1.0 - 1e-9)
 
+# Batched windows are integrated this many at a time, which bounds the
+# quadrature's node arrays however many windows a call carries.
+_WINDOW_CHUNK = 256
+
 
 def _check_window(window: Window) -> tuple[float, float]:
     t0, t1 = (np.asarray(t, dtype=float)[()] for t in window)
@@ -164,20 +168,40 @@ def displacement(response: ResponseFunction, force: ForceModulation,
     """Displacement coefficient omega0 * int zeta(u) e^{i omega0 (u-t0)} G(t-u) du.
 
     The integral runs over the window clipped to the force support; an
-    empty intersection gives zero. Window ends that are equal-shape arrays
-    give one value per window, each integrated to the same tolerance.
+    empty intersection gives zero. Window ends that are arrays (broadcast
+    together) give one value per window, each integrated to the same
+    tolerance; windows are integrated in groups of similar clipped length,
+    at most _WINDOW_CHUNK at a time.
     """
     t0, t1 = _check_window(window)
     response.require_coverage(np.max(t1 - t0))
+
+    def integral(s0, s1, lo, hi):
+        def integrand(u):
+            return (force.value(u)
+                    * np.exp(1j * omega0 * (u - s0[..., None]))
+                    * response.g(s1[..., None] - u))
+
+        return adaptive_simpson(integrand, lo, hi, rel_tol=rel_tol)
+
     lo, hi = force.clipped(t0, t1)
-
-    def integrand(u):
-        return (force.value(u)
-                * np.exp(1j * omega0 * (u - t0[..., None]))
-                * response.g(t1[..., None] - u))
-
-    val = omega0 * adaptive_simpson(integrand, lo, hi, rel_tol=rel_tol)
-    return DisplacementCoefficient(val, (t0, t1))
+    if np.ndim(t1) == 0:
+        return DisplacementCoefficient(omega0 * integral(t0, t1, lo, hi), (t0, t1))
+    starts, ends, lo, hi = (np.ravel(v)
+                            for v in np.broadcast_arrays(t0, t1, lo, hi))
+    val = np.zeros(ends.shape, dtype=complex)
+    # Windows within a factor of two in clipped length need about the same
+    # panel count, so they share quadrature passes; mixing them would refine
+    # every short window to the node count of the longest. Empty windows
+    # stay exactly zero.
+    live = hi > lo
+    octave = np.floor(np.log2(np.where(live, hi - lo, 1.0)))
+    for level in np.unique(octave[live]):
+        group = np.flatnonzero(live & (octave == level))
+        for i in range(0, group.size, _WINDOW_CHUNK):
+            rows = group[i:i + _WINDOW_CHUNK]
+            val[rows] = integral(starts[rows], ends[rows], lo[rows], hi[rows])
+    return DisplacementCoefficient(omega0 * val.reshape(np.shape(t1)), (t0, t1))
 
 
 def noise_term(response: ResponseFunction, bath: DiscreteBath,

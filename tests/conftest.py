@@ -5,8 +5,10 @@ import pytest
 
 from nmqfi._quad import adaptive_simpson, simpson_weights
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
-                        bare_correlation, discretize)
-from nmqfi.response import TimeGrid, solve_response
+                        bare_correlation, discretize, memory_kernel)
+from nmqfi.errors import SolverInstabilityError
+from nmqfi.response import (_ABS_G_SLACK, _REFINE, ResponseFunction, TimeGrid,
+                            solve_response)
 
 
 def exact_single_mode_g(coupling_sq: float, delta: float, tau):
@@ -19,6 +21,94 @@ def exact_single_mode_g(coupling_sq: float, delta: float, tau):
     mu = np.sqrt(0.25 * delta * delta + coupling_sq)
     return np.exp(0.5j * delta * tau) * (np.cos(mu * tau)
                                          - 1j * (0.5 * delta / mu) * np.sin(mu * tau))
+
+
+def short_time_response(bath: DiscreteBath, tau):
+    """Three-term expansion of G around zero elapsed time.
+
+    1 - (K^2/2) tau^2 + i (tau^3/6) sum(|K_n|^2 (omega_n - omega0)); valid
+    while tau stays well below every inverse moment frequency.
+    """
+    tau_arr = np.asarray(tau, dtype=float)
+    ksq = bath.k_squared
+    skew = -float(np.dot(bath.coupling_sq, bath.detunings)) if bath.n_modes else 0.0
+    return 1.0 - 0.5 * ksq * tau_arr ** 2 + 1j * (tau_arr ** 3 / 6.0) * skew
+
+
+def marched_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
+    """The response equation marched one inner step at a time.
+
+    The same implicit product-trapezoid scheme as solve_response, on the
+    same _REFINE-fold inner grid, with the memory sum kept as per-mode
+    running phase accumulators (phases refreshed exactly every 1024 steps).
+    """
+    if grid.t_start != 0.0:
+        raise ValueError("response grids must start at 0")
+    n_out = grid.n_steps
+    g = np.empty(n_out + 1, dtype=complex)
+    g_dot = np.empty(n_out + 1, dtype=complex)
+    g_ddot = np.empty(n_out + 1, dtype=complex)
+    ksq = bath.k_squared
+    g[0], g_dot[0], g_ddot[0] = 1.0, 0.0, -ksq
+
+    if ksq == 0.0:            # no mode carries weight: G is identically one
+        g[:], g_dot[:], g_ddot[:] = 1.0, 0.0, 0.0
+        return ResponseFunction(grid, g, g_dot, g_ddot, bath)
+
+    h = grid.h / _REFINE
+    n_int = n_out * _REFINE
+    delta = bath.detunings
+    c = bath.coupling_sq.astype(complex)
+    c_dot = c * (1j * delta)          # kernel-derivative coefficients
+    kdot0 = complex(c_dot.sum())
+    rot = np.exp(-1j * delta * h)
+    phases = np.ones(delta.shape[0], dtype=complex)   # exp(-i delta tau_j)
+    acc = np.zeros(delta.shape[0], dtype=complex)     # weighted history sums
+    implicit = 1.0 + 0.25 * h * h * ksq
+    g_prev = 1.0 + 0.0j
+    gd_prev = 0.0 + 0.0j
+    worst = 1.0
+
+    for j in range(1, n_int + 1):
+        acc += (0.5 if j == 1 else 1.0) * g_prev * phases
+        if j % 1024:
+            phases = phases * rot
+        else:
+            phases = np.exp(-1j * delta * (j * h))   # periodic exact refresh
+        hist = np.conj(phases) * acc
+        b = complex(np.dot(c, hist))
+        g_j = (g_prev + 0.5 * h * gd_prev - 0.5 * h * h * b) / implicit
+        gd_j = -h * (b + 0.5 * ksq * g_j)
+        mag = abs(g_j)
+        if mag > worst:
+            worst = mag
+            if worst > 1.0 + _ABS_G_SLACK:
+                raise SolverInstabilityError(
+                    f"|G| reached {worst:.8f} at tau={j * h:g}; "
+                    "refine the time grid for this kernel")
+        if j % _REFINE == 0:
+            k = j // _REFINE
+            g[k] = g_j
+            g_dot[k] = gd_j
+            g_ddot[k] = -ksq * g_j - h * (complex(np.dot(c_dot, hist))
+                                          + 0.5 * kdot0 * g_j)
+        g_prev, gd_prev = g_j, gd_j
+
+    return ResponseFunction(grid, g, g_dot, g_ddot, bath)
+
+
+def solver_residual(resp: ResponseFunction) -> float:
+    """Max trapezoid residual of the stored samples in the response equation."""
+    grid = resp.grid
+    tau = grid.times()
+    kernel = np.asarray(memory_kernel(resp.bath, tau))
+    worst = 0.0
+    g = resp.g_samples
+    for j in range(1, grid.n_steps + 1):
+        integrand = kernel[j::-1] * g[: j + 1]
+        integral = np.trapezoid(integrand, dx=grid.h)
+        worst = max(worst, abs(resp.g_dot_samples[j] + integral))
+    return worst
 
 
 def amplitude_drift(bath: DiscreteBath) -> np.ndarray:

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nmqfi import cli
 from nmqfi.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -288,3 +291,34 @@ def test_moments_csv_variance_identity(tmp_path):
         assert abs(vals[3] - 0.5) <= 5e-6     # vacuum-resonant variance
         assert abs(vals[5] - 0.25) <= 5e-6    # determinant stays pure
         assert vals[6] >= -1e-15              # noise term nonnegative
+
+
+def test_moments_makes_one_displacement_call(tmp_path, monkeypatch):
+    calls = []
+    real = cli.displacement
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "displacement", counted)
+    out = tmp_path / "moments.csv"
+    cfg = SCENARIO_DIR / "moments_detuned_coherent.json"
+    assert run_cli(["moments", "--config", cfg, "--out", out]) == 0
+    assert len(calls) == 1
+    n_rows = len(out.read_text().splitlines()) - 1
+    assert np.size(calls[0][1]) == n_rows       # one window per report time
+
+
+def test_moments_memory_stays_bounded(tmp_path):
+    # the 23 report windows run from 0 to 11 time units; refined together
+    # to the panel count of the longest one, they peaked near 15 MB
+    out = tmp_path / "moments.csv"
+    cfg = SCENARIO_DIR / "moments_resonant_vacuum.json"
+    tracemalloc.start()
+    try:
+        assert run_cli(["moments", "--config", cfg, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

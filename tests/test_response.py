@@ -1,21 +1,69 @@
 """Response solver: limits, expansions, convergence order, and invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import exact_single_mode_g
-from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, discretize,
-                        moments)
-from nmqfi.errors import ConvergenceError, CoverageError
+from conftest import (exact_single_mode_g, marched_response,
+                      short_time_response, solver_residual)
+from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
+                        discretize, moments)
+from nmqfi.errors import (ConvergenceError, CoverageError,
+                          SolverInstabilityError)
 from nmqfi.response import (TimeGrid, default_grid, dyson_series,
                             first_order_asymptote, first_order_response,
                             long_time_first_order, markov_closed_form,
-                            markov_decay_rate, short_time_response,
-                            solve_response, solver_residual)
+                            markov_decay_rate, solve_response)
+
+
+_FLAT_THERMAL = discretize(
+    ContinuousSpectrum("flat", scale=0.02, cutoff=2.0,
+                       occupation=OccupationModel.thermal(0.5)), 256, 1.0)
+_MIXED = DiscreteBath.from_arrays([0.0, 0.3, 0.0, 0.1], [1.0, 1.5, 0.2, 0.7],
+                                  [0.0, 0.0, 0.0, 0.0], 1.0)
+# (bath or fixture name, grid): inner step counts 8192, 4096, 4096, 4096, 148 and 8 cover
+# whole blocks, a partial last block and a grid shorter than one block.
+_MARCH_CASES = {
+    "detuned_mode": ("detuned_bath", TimeGrid(0.0, 10.0, 2048)),
+    "two_mode": ("two_mode_bath", TimeGrid(0.0, 10.0, 1024)),
+    "flat_thermal_256": (_FLAT_THERMAL, TimeGrid(0.0, 20.0, 1024)),
+    "zero_and_coupled": (_MIXED, TimeGrid(0.0, 8.0, 1024)),
+    "partial_block": ("two_mode_bath", TimeGrid(0.0, 3.0, 37)),
+    "shorter_than_block": ("two_mode_bath", TimeGrid(0.0, 0.5, 2)),
+}
 
 
 class TestSolver:
+    @pytest.mark.parametrize("case", sorted(_MARCH_CASES))
+    def test_blocked_march_matches_step_march(self, case, request):
+        bath, grid = _MARCH_CASES[case]
+        if isinstance(bath, str):
+            bath = request.getfixturevalue(bath)
+        got, want = solve_response(bath, grid), marched_response(bath, grid)
+        scale = max(1.0, bath.k_squared)
+        assert np.abs(got.g_samples - want.g_samples).max() <= 1e-11
+        assert np.abs(got.g_dot_samples - want.g_dot_samples).max() <= 1e-11
+        assert np.abs(got.g_ddot_samples
+                      - want.g_ddot_samples).max() <= 1e-11 * scale
+
+    def test_instability_names_first_offending_step(self):
+        # a negative weight pumps the probe (|G| = cosh-like growth); no
+        # DiscreteBath can hold it, so a stand-in carries the three arrays
+        # the solver reads. The first inner step past 1 + 1e-6 is the 200th,
+        # inside the fourth block.
+        c = np.array([-1.0, 0.5])
+        bath = SimpleNamespace(coupling_sq=c, detunings=np.array([0.0, 0.3]),
+                               k_squared=float(c.sum()))
+        grid = TimeGrid(0.0, 0.02, 500)
+        messages = []
+        for solver in (solve_response, marched_response):
+            with pytest.raises(SolverInstabilityError, match="at tau=0.002;") as err:
+                solver(bath, grid)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_empty_bath_identity(self):
         resp = solve_response(DiscreteBath.empty(1.0), TimeGrid(0.0, 5.0, 64))
         assert_allclose(resp.g_samples, 1.0)

@@ -1,11 +1,13 @@
 """Sequential cadence: totals, optimum search, closed-form asymptotics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import step_noise_variance
 from nmqfi import force as fc
-from nmqfi import sequential
+from nmqfi import probe, sequential
 from nmqfi.bath import DiscreteBath, moments
 from nmqfi.metrology import energy_for_script_e, qfi_best_state, script_e
 from nmqfi.probe import displacement, noise_term
@@ -159,6 +161,38 @@ class TestSeqQfi:
                 unit_weight_response, pulse, 1.0)
         xi_and_c(pulse, 1.0, 0.3)
         assert calls == {"displacement": 1, "adaptive_simpson": 1}
+
+    def test_chunked_windows_match_one_unchunked_call(
+            self, unit_weight_response, monkeypatch):
+        # 600 windows: two full chunks and a partial one
+        scheme = SequentialScheme(600 * 0.004, 0.004)
+        steps = scheme.step_window(np.arange(scheme.repetitions))
+        force = fc.sinusoid(1.0, 3.0, 0.0, (0.0, 2.0))
+        chunked = displacement(unit_weight_response, force, 1.0, steps).value
+        monkeypatch.setattr(probe, "_WINDOW_CHUNK", 10 ** 6, raising=False)
+        whole = displacement(unit_weight_response, force, 1.0, steps).value
+        assert chunked.shape == (600,)
+        # each window keeps its own first passing estimate; a BLAS
+        # matrix-vector product may round a row by its place in the batch,
+        # so equal means within two units in the last place
+        assert np.all(np.abs(chunked - whole) <= 2 * np.spacing(np.abs(whole)))
+        assert np.all(chunked[500:] == 0.0)      # windows past the support
+
+    def test_long_cadence_memory_is_bounded(self, unit_weight_bath,
+                                            unit_weight_response):
+        # 10^4 steps in one displacement call; unchunked, the quadrature's
+        # node arrays alone peak near 26 MB
+        tau, nu = 0.004, 10 ** 4
+        force = fc.sinusoid(1.0, 3.0, 0.0, (0.0, nu * tau))
+        tracemalloc.start()
+        try:
+            r = seq_qfi(SequentialScheme(nu * tau, tau), 3.0, unit_weight_bath,
+                        unit_weight_response, force, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(r.per_step_qfi) == nu
+        assert peak < 5e6
 
     def test_noiseless_linear_growth(self):
         # closed-form oracle: nu * 4 scriptE |D0(tau)|^2
