@@ -23,8 +23,9 @@ _FLAT_THERMAL = discretize(
                        occupation=OccupationModel.thermal(0.5)), 256, 1.0)
 _MIXED = DiscreteBath.from_arrays([0.0, 0.3, 0.0, 0.1], [1.0, 1.5, 0.2, 0.7],
                                   [0.0, 0.0, 0.0, 0.0], 1.0)
-# (bath or fixture name, grid): inner step counts 8192, 4096, 4096, 4096, 148 and 8 cover
-# whole blocks, a partial last block and a grid shorter than one block.
+# (bath or fixture name, grid): inner step counts 8192, 4096, 4096, 4096,
+# 148 and 8 cover whole blocks, a partial last block and a grid shorter
+# than one block.
 _MARCH_CASES = {
     "detuned_mode": ("detuned_bath", TimeGrid(0.0, 10.0, 2048)),
     "two_mode": ("two_mode_bath", TimeGrid(0.0, 10.0, 1024)),

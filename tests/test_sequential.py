@@ -164,7 +164,7 @@ class TestSeqQfi:
 
     def test_chunked_windows_match_one_unchunked_call(
             self, unit_weight_response, monkeypatch):
-        # 600 windows: two full chunks and a partial one
+        # 600 windows, 500 inside the support: a full chunk and a partial one
         scheme = SequentialScheme(600 * 0.004, 0.004)
         steps = scheme.step_window(np.arange(scheme.repetitions))
         force = fc.sinusoid(1.0, 3.0, 0.0, (0.0, 2.0))
