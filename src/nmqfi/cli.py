@@ -162,7 +162,13 @@ def run_estimate(cfg: ScenarioConfig, out: IO[str], fmt: str, seed_override):
     })
 
 
-def _sequential_point(cfg: ScenarioConfig, bath, resp, force, energy: float):
+def _sequential_point(cfg: ScenarioConfig, bath, resp, force,
+                      energies: list[float]) -> list[dict]:
+    """One cadence report per energy, from one optimize_tau call for all.
+
+    The window integrals xi and C over all of T are energy-independent and
+    computed once; the reported ones cover each optimum's own steps.
+    """
     block = cfg.block("sequential")
     total = float(block["total_window"])
     m = moments(bath)
@@ -172,43 +178,46 @@ def _sequential_point(cfg: ScenarioConfig, bath, resp, force, energy: float):
             bounds = tuple(float(v) for v in block["tau_bounds"])
         else:
             bounds = sequential.default_tau_bounds(resp, total, m)
-        opt = sequential.optimize_tau(total, energy, bath, resp, force,
-                                      cfg.omega0, bounds)
-        tau_numeric, seq, hit = opt.tau_opt, opt.seq, opt.hit_bound
+        found = [(opt.seq, opt.hit_bound) for opt in sequential.optimize_tau(
+            total, energies, bath, resp, force, cfg.omega0, bounds)]
     else:
-        tau_numeric = float(block["tau"])
-        seq = sequential.seq_qfi(sequential.SequentialScheme(total, tau_numeric),
-                                 energy, bath, resp, force, cfg.omega0)
-        hit = False
+        terms = sequential.interval_terms(
+            sequential.SequentialScheme(total, float(block["tau"])),
+            bath, resp, force, cfg.omega0)
+        found = [(terms.result(energy), False) for energy in energies]
     ints = sequential.xi_and_c(force, cfg.omega0, total)
-    tau_asym = (sequential.tau_opt_asymptotic(energy, m, ints.xi, ints.c_coeff)
-                if m.script_n > 0 else None)
-    fasym = (sequential.seq_qfi_asymptotic(energy, m, ints.xi, ints.c_coeff,
-                                           cfg.omega0, prefactor)
-             if m.script_n > 0 else None)
-    # the reported xi and C cover the steps that fit, nu * tau, not all of T
-    steps = sequential.xi_and_c(force, cfg.omega0,
-                                len(seq.per_step_qfi) * seq.tau_used)
     gamma = _gamma_for(cfg)
-    markov = None
-    if gamma is not None and gamma > 0:
-        markov = sequential.markov_seq(
-            total, energy, gamma, float(cfg.options.get("n_thermal", 0.0)),
-            ints.xi, cfg.omega0, prefactor)
     fastest = max(m.fastest_rate, cfg.omega0)
-    return {
-        "tau_opt_numeric": tau_numeric,
-        "tau_opt_asymptotic": tau_asym,
-        "total_qfi": seq.total_qfi,
-        "total_qfi_asymptotic": fasym,
-        "markov_bound": None if markov is None else markov.total_qfi_bound,
-        "xi": steps.xi,
-        "c_coeff": steps.c_coeff,
-        "regime_flags": {
-            "hit_bound": hit,
-            "short_time_valid": bool(tau_numeric * fastest <= 0.1),
-        },
-    }
+    points = []
+    for energy, (seq, hit) in zip(energies, found):
+        tau_asym = (sequential.tau_opt_asymptotic(energy, m, ints.xi,
+                                                  ints.c_coeff)
+                    if m.script_n > 0 else None)
+        fasym = (sequential.seq_qfi_asymptotic(energy, m, ints.xi, ints.c_coeff,
+                                               cfg.omega0, prefactor)
+                 if m.script_n > 0 else None)
+        # the reported xi and C cover the steps that fit, nu * tau, not all of T
+        steps = sequential.xi_and_c(force, cfg.omega0,
+                                    len(seq.per_step_qfi) * seq.tau_used)
+        markov = None
+        if gamma is not None and gamma > 0:
+            markov = sequential.markov_seq(
+                total, energy, gamma, float(cfg.options.get("n_thermal", 0.0)),
+                ints.xi, cfg.omega0, prefactor)
+        points.append({
+            "tau_opt_numeric": seq.tau_used,
+            "tau_opt_asymptotic": tau_asym,
+            "total_qfi": seq.total_qfi,
+            "total_qfi_asymptotic": fasym,
+            "markov_bound": None if markov is None else markov.total_qfi_bound,
+            "xi": steps.xi,
+            "c_coeff": steps.c_coeff,
+            "regime_flags": {
+                "hit_bound": hit,
+                "short_time_valid": bool(seq.tau_used * fastest <= 0.1),
+            },
+        })
+    return points
 
 
 def run_sequential(cfg: ScenarioConfig, out: IO[str], fmt: str):
@@ -233,8 +242,7 @@ def run_sequential(cfg: ScenarioConfig, out: IO[str], fmt: str):
             rows.append((tau, seq.total_qfi))
         _write_csv(out, ["tau", "total_qfi"], rows)
         return
-    payload = _sequential_point(cfg, bath, resp, force, energy)
-    _write_json(out, payload)
+    _write_json(out, _sequential_point(cfg, bath, resp, force, [energy])[0])
 
 
 def run_sweep(cfg: ScenarioConfig, out: IO[str], fmt: str):
@@ -245,14 +253,15 @@ def run_sweep(cfg: ScenarioConfig, out: IO[str], fmt: str):
     if not sweep:
         raise ConfigError("sweep subcommand needs options.energy_sweep "
                           "(list of script-E values)")
-    rows = []
-    for se in map(float, sweep):
-        row = _sequential_point(cfg, bath, resp, force, energy_for_script_e(se))
-        rows.append((se, row["tau_opt_numeric"], row["total_qfi"],
-                     row["tau_opt_asymptotic"] or float("nan"),
-                     row["total_qfi_asymptotic"] or float("nan"),
-                     row["markov_bound"] if row["markov_bound"] is not None
-                     else float("nan")))
+    script_es = [float(se) for se in sweep]
+    points = _sequential_point(cfg, bath, resp, force,
+                               [energy_for_script_e(se) for se in script_es])
+    rows = [(se, row["tau_opt_numeric"], row["total_qfi"],
+             row["tau_opt_asymptotic"] or float("nan"),
+             row["total_qfi_asymptotic"] or float("nan"),
+             row["markov_bound"] if row["markov_bound"] is not None
+             else float("nan"))
+            for se, row in zip(script_es, points)]
     _write_csv(out, ["script_e", "tau_opt", "total_qfi", "tau_opt_asymptotic",
                      "total_qfi_asymptotic", "markov_bound"], rows)
 

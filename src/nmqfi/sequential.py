@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -86,25 +87,56 @@ def xi_and_c(force: ForceModulation, omega0: float, total_window: float,
     return ForceWindowIntegrals(float(xi), float(0.25 * bulk))
 
 
+@dataclass(frozen=True, eq=False)
+class IntervalTerms:
+    """Energy-independent parts of the cadence total at one interval.
+
+    The total is sum_k |D_k|^2 / (|G(tau)|^2 / (4 script_e) + n_B(tau));
+    only the 1/(4 script_e) term depends on the probe energy, so one
+    table of these terms serves every energy.
+    """
+
+    tau: float
+    disp_sq: np.ndarray     # |D_k|^2 of every step
+    g_abs_sq: float
+    n_b: float
+
+    def per_step(self, energy: float) -> np.ndarray:
+        return self.disp_sq / (0.25 * self.g_abs_sq / script_e(energy) + self.n_b)
+
+    def total(self, energy: float) -> float:
+        return float(self.per_step(energy).sum())
+
+    def result(self, energy: float) -> SeqResult:
+        per_step = self.per_step(energy)
+        return SeqResult(total_qfi=float(per_step.sum()),
+                         per_step_qfi=tuple(float(v) for v in per_step),
+                         tau_used=self.tau)
+
+
+def interval_terms(scheme: SequentialScheme, bath: DiscreteBath,
+                   response: ResponseFunction, force: ForceModulation,
+                   omega0: float) -> IntervalTerms:
+    """|D_k|^2 of all steps (one batched displacement call), |G(tau)|^2, n_B(tau)."""
+    tau = scheme.interval
+    response.require_coverage(tau)
+    steps = scheme.step_window(np.arange(scheme.repetitions))
+    disp = displacement(response, force, omega0, steps)
+    return IntervalTerms(tau=float(tau), disp_sq=disp.magnitude ** 2,
+                         g_abs_sq=abs(response.g(tau)) ** 2,
+                         n_b=noise_term(response, bath, (0.0, tau)))
+
+
 def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
             response: ResponseFunction, force: ForceModulation,
             omega0: float) -> SeqResult:
     """Total Fisher information of the cadence with best-state re-preparation.
 
-    The step denominator |G(tau)|^2 / (4 script_e) + n_B(tau) is computed
-    once; numerators are the squared displacements of all steps, from one
-    batched displacement call.
+    The interval's energy-independent terms, then the energy step: the
+    squared displacements of all steps over the step-independent
+    denominator |G(tau)|^2 / (4 script_e) + n_B(tau).
     """
-    tau = scheme.interval
-    response.require_coverage(tau)
-    se = script_e(energy)
-    g_abs = abs(response.g(tau))
-    denom = 0.25 * g_abs ** 2 / se + noise_term(response, bath, (0.0, tau))
-    steps = scheme.step_window(np.arange(scheme.repetitions))
-    per_step = displacement(response, force, omega0, steps).magnitude ** 2 / denom
-    return SeqResult(total_qfi=float(per_step.sum()),
-                     per_step_qfi=tuple(float(v) for v in per_step),
-                     tau_used=float(tau))
+    return interval_terms(scheme, bath, response, force, omega0).result(energy)
 
 
 @dataclass(frozen=True)
@@ -130,10 +162,11 @@ def default_tau_bounds(response: ResponseFunction, total_window: float,
     return lower, upper
 
 
-def optimize_tau(total_window: float, energy: float, bath: DiscreteBath,
-                 response: ResponseFunction, force: ForceModulation,
-                 omega0: float, tau_bounds: tuple[float, float],
-                 grid_points: int = 64) -> TauOptimum:
+def optimize_tau(total_window: float, energy: float | Sequence[float],
+                 bath: DiscreteBath, response: ResponseFunction,
+                 force: ForceModulation, omega0: float,
+                 tau_bounds: tuple[float, float],
+                 grid_points: int = 64) -> TauOptimum | list[TauOptimum]:
     """Maximize the cadence total over the repetition lattice and the bracket ends.
 
     The total sum_k |D_k|^2 / denominator over nu = floor(T / tau) steps
@@ -145,47 +178,63 @@ def optimize_tau(total_window: float, energy: float, bath: DiscreteBath,
     scan winner's neighbours, and compares the winner with the two ends.
     A maximum landing on the first or last scan point or on an end sets
     hit_bound so the caller can widen the bracket.
+
+    A sequence of energies gives one TauOptimum per energy. The energies
+    share one table of interval_terms keyed by interval, so each interval
+    any of their searches visits costs one displacement call.
     """
     lo, hi = tau_bounds
     if not (0.0 < lo < hi):
         raise ValueError("tau_bounds must satisfy 0 < lower < upper")
+    table: dict[float, IntervalTerms] = {}
 
-    def seq_at(tau: float) -> SeqResult:
-        scheme = SequentialScheme(total_window, tau)
-        return seq_qfi(scheme, energy, bath, response, force, omega0)
+    def terms(tau: float) -> IntervalTerms:
+        if tau not in table:
+            table[tau] = interval_terms(SequentialScheme(total_window, tau),
+                                        bath, response, force, omega0)
+        return table[tau]
 
-    ends = [seq_at(hi), seq_at(lo)]
-    best, hit_bound = None, True
     nu_min = math.ceil(total_window / hi * (1.0 - 1e-12))
     nu_max = math.floor(total_window / lo * (1.0 + 1e-12))
-    if nu_min <= nu_max:
-        teeth: dict[int, SeqResult] = {}
+    if nu_max - nu_min < grid_points:
+        scan = list(range(nu_min, nu_max + 1))
+    else:
+        scan = sorted({int(v) for v in np.rint(np.geomspace(
+            nu_min, nu_max, grid_points))})
 
-        def total(nu: int) -> float:
-            if nu not in teeth:
-                teeth[nu] = seq_at(total_window / nu)
-            return teeth[nu].total_qfi
+    def search(energy: float) -> TauOptimum:
+        totals: dict[float, float] = {}
 
-        if nu_max - nu_min < grid_points:
-            scan = list(range(nu_min, nu_max + 1))
-        else:
-            scan = sorted({int(v) for v in np.rint(np.geomspace(
-                nu_min, nu_max, grid_points))})
-        winner = max(range(len(scan)), key=lambda i: total(scan[i]))
-        hit_bound = winner in (0, len(scan) - 1)
-        a, b = scan[max(winner - 1, 0)], scan[min(winner + 1, len(scan) - 1)]
-        while b - a > 2:
-            c = b - round(_GOLDEN * (b - a))
-            d = max(a + round(_GOLDEN * (b - a)), c + 1)
-            if total(c) >= total(d):
-                b = d
-            else:
-                a = c
-        best = teeth[max(range(a, b + 1), key=total)]
-    for seq in ends:
-        if best is None or seq.total_qfi > best.total_qfi:
-            best, hit_bound = seq, True
-    return TauOptimum(tau_opt=best.tau_used, seq=best, hit_bound=hit_bound)
+        def total(tau: float) -> float:
+            if tau not in totals:
+                totals[tau] = terms(tau).total(energy)
+            return totals[tau]
+
+        def tooth(nu: int) -> float:
+            return total(total_window / nu)
+
+        best, hit_bound = None, True
+        if scan:
+            winner = max(range(len(scan)), key=lambda i: tooth(scan[i]))
+            hit_bound = winner in (0, len(scan) - 1)
+            a, b = scan[max(winner - 1, 0)], scan[min(winner + 1, len(scan) - 1)]
+            while b - a > 2:
+                c = b - round(_GOLDEN * (b - a))
+                d = max(a + round(_GOLDEN * (b - a)), c + 1)
+                if tooth(c) >= tooth(d):
+                    b = d
+                else:
+                    a = c
+            best = total_window / max(range(a, b + 1), key=tooth)
+        for tau in (hi, lo):
+            if best is None or total(tau) > total(best):
+                best, hit_bound = tau, True
+        seq = table[best].result(energy)
+        return TauOptimum(tau_opt=seq.tau_used, seq=seq, hit_bound=hit_bound)
+
+    if np.ndim(energy) == 0:
+        return search(float(energy))
+    return [search(float(e)) for e in energy]
 
 
 def tau_opt_asymptotic(energy: float, moments: BathMoments, xi: float,

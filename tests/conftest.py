@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nmqfi._quad import adaptive_simpson, simpson_weights
+from nmqfi._quad import adaptive_simpson
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         bare_correlation, discretize, memory_kernel)
 from nmqfi.errors import SolverInstabilityError
@@ -33,6 +33,20 @@ def short_time_response(bath: DiscreteBath, tau):
     ksq = bath.k_squared
     skew = -float(np.dot(bath.coupling_sq, bath.detunings)) if bath.n_modes else 0.0
     return 1.0 - 0.5 * ksq * tau_arr ** 2 + 1j * (tau_arr ** 3 / 6.0) * skew
+
+
+def simpson_weights(n_panels: int) -> np.ndarray:
+    """Weights for composite Simpson on n_panels (even) uniform panels.
+
+    The returned array has n_panels + 1 entries and already carries the
+    1/3 factor; multiply by the step to get quadrature weights.
+    """
+    if n_panels < 2 or n_panels % 2:
+        raise ValueError("Simpson rule needs an even, positive panel count")
+    w = np.ones(n_panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w / 3.0
 
 
 def marched_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:

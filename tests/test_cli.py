@@ -186,6 +186,56 @@ def test_sweep_csv_scaling_slope(tmp_path):
     assert len(bounds) == 1   # Markov ceiling constant across the sweep
 
 
+def test_sweep_shares_one_search_and_one_window_integral(tmp_path,
+                                                        monkeypatch):
+    from nmqfi import sequential
+
+    calls = {"optimize_tau": [], "xi_and_c": []}
+
+    def counted(name):
+        fn = getattr(sequential, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sequential, name, counted(name))
+    cfg = SCENARIO_DIR / "sweep_scaling.json"
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "s.csv"]) == 0
+    n_energies = len(json.loads(cfg.read_text())["options"]["energy_sweep"])
+    assert len(calls["optimize_tau"]) == 1
+    assert len(calls["optimize_tau"][0][1]) == n_energies
+    # xi and C over all of T once, then over each optimum's own steps
+    windows = [args[2] for args in calls["xi_and_c"]]
+    assert len(windows) == 1 + n_energies and windows[0] == 1.0
+
+
+def test_fixed_tau_sweep_reports_seq_qfi_per_energy(tmp_path):
+    from nmqfi import sequential
+    from nmqfi.config import load_config
+    from nmqfi.metrology import energy_for_script_e
+    from nmqfi.response import solve_response
+
+    raw = json.loads((SCENARIO_DIR / "sweep_scaling.json").read_text())
+    raw["sequential"] = {"total_window": 1.0, "optimize": False, "tau": 0.05}
+    cfg_path = tmp_path / "fixed.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "fixed.csv"
+    assert run_cli(["sweep", "--config", cfg_path, "--out", out]) == 0
+    cfg = load_config(cfg_path)
+    bath = cfg.bath()
+    resp = solve_response(bath, cfg.grid(bath))
+    scheme = sequential.SequentialScheme(1.0, 0.05)
+    for line in out.read_text().splitlines()[1:]:
+        se, tau, total = (float(v) for v in line.split(",")[:3])
+        want = sequential.seq_qfi(scheme, energy_for_script_e(se), bath, resp,
+                                  cfg.force(), cfg.omega0)
+        assert tau == 0.05
+        assert total == want.total_qfi
+
+
 def test_energy_and_init_conflict_rejected(tmp_path):
     cfg = tmp_path / "conflict.json"
     cfg.write_text(json.dumps({

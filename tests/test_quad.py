@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import simpson_weights
 from nmqfi._quad import adaptive_simpson
 from nmqfi.errors import ConvergenceError, NmqfiError
 
@@ -55,3 +56,33 @@ def test_one_unresolved_entry_raises():
     got = adaptive_simpson(lambda x: x ** powers[:1, None], np.zeros(1),
                            np.ones(1), rel_tol=1e-6, max_panels=64)
     assert got[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def _recording(f):
+    nodes = []
+
+    def integrand(x):
+        nodes.append(np.array(x))
+        return f(x)
+    return integrand, nodes
+
+
+def test_matches_weighted_composite_rule_at_its_final_panel_count():
+    integrand, nodes = _recording(_wave)
+    got = adaptive_simpson(integrand, 0.3, 2.9, rel_tol=1e-12)
+    n = sum(x.size for x in nodes) - 1
+    assert n > 8                       # at least one doubling happened
+    x = np.linspace(0.3, 2.9, n + 1)
+    want = (_wave(x) @ simpson_weights(n)) * (2.6 / n)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_scalar_call_evaluates_each_node_once():
+    integrand, nodes = _recording(np.cos)
+    adaptive_simpson(integrand, 0.0, 1.0, rel_tol=1e-12)
+    assert len(nodes) > 2
+    seen = np.concatenate(nodes)
+    n = seen.size - 1
+    assert np.unique(seen).size == seen.size
+    assert np.allclose(np.sort(seen), np.linspace(0.0, 1.0, n + 1),
+                       rtol=0.0, atol=1e-15)

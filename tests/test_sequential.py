@@ -178,6 +178,24 @@ class TestSeqQfi:
         assert np.all(np.abs(chunked - whole) <= 2 * np.spacing(np.abs(whole)))
         assert np.all(chunked[500:] == 0.0)      # windows past the support
 
+    @pytest.mark.parametrize("force", [
+        fc.sinusoid(1.0, 3.0, 0.0, (0.0, 2.0)),
+        fc.gaussian_pulse(1.0, 0.3, (0.0, 2.0)),
+        fc.constant(1.0),
+    ], ids=["sinusoid", "gaussian_pulse", "constant"])
+    def test_batched_value_does_not_depend_on_its_batch(
+            self, unit_weight_response, force):
+        # each window's Simpson sums run over its own nodes only, so sub-
+        # batches of 37 windows reproduce one 600-window call bit for bit
+        scheme = SequentialScheme(600 * 0.004, 0.004)
+        t0, t1 = scheme.step_window(np.arange(scheme.repetitions))
+        whole = displacement(unit_weight_response, force, 1.0, (t0, t1)).value
+        parts = np.concatenate([
+            displacement(unit_weight_response, force, 1.0,
+                         (t0[i:i + 37], t1[i:i + 37])).value
+            for i in range(0, t0.size, 37)])
+        assert np.array_equal(parts, whole)
+
     def test_long_cadence_memory_is_bounded(self, unit_weight_bath,
                                             unit_weight_response):
         # 10^4 steps in one displacement call; unchunked, the quadrature's
@@ -280,6 +298,54 @@ class TestOptimize:
         resp = solve_response(bath, TimeGrid(0.0, 0.5, 512))
         res = optimize_tau(0.4, 5.0, bath, resp, ZETA, 1.0, (0.001, 0.4))
         assert res.hit_bound
+
+    @pytest.mark.parametrize("force", [
+        ZETA, fc.gaussian_pulse(0.5, 0.1, (0.0, 1.0))],
+        ids=["constant", "gaussian_pulse"])
+    def test_energy_list_matches_scalar_calls(self, unit_weight_bath,
+                                              unit_weight_response, force):
+        energies = [energy_for_script_e(se) for se in (30.0, 300.0, 3e3, 3e4)]
+        args = (unit_weight_bath, unit_weight_response, force, 1.0,
+                (0.005, 0.3))
+        shared = optimize_tau(1.0, energies, *args)
+        assert len(shared) == len(energies)
+        for energy, got in zip(energies, shared):
+            want = optimize_tau(1.0, energy, *args)
+            assert got.tau_opt == want.tau_opt
+            assert got.seq.total_qfi == pytest.approx(want.seq.total_qfi,
+                                                      rel=1e-12)
+            assert got.hit_bound == want.hit_bound
+
+    def test_energies_share_one_displacement_per_interval(
+            self, unit_weight_bath, unit_weight_response, monkeypatch):
+        taus, disp_calls = [], []
+
+        def counted(name, log):
+            fn = getattr(sequential, name)
+
+            def wrapper(*args, **kwargs):
+                log.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sequential, "noise_term",
+                            counted("noise_term", taus))
+        monkeypatch.setattr(sequential, "displacement",
+                            counted("displacement", disp_calls))
+        energies = [energy_for_script_e(se)
+                    for se in (1e2, 3e2, 1e3, 3e3, 1e4, 3e4)]
+        args = (unit_weight_bath, unit_weight_response, ZETA, 1.0,
+                (0.002, 0.3))
+        optimize_tau(1.0, energies, *args)
+        intervals = {call[2][1] for call in taus}      # noise window (0, tau)
+        assert len(disp_calls) == len(taus) == len(intervals)
+        # one search per energy visits more intervals than they share
+        per_energy = 0
+        for energy in energies:
+            taus.clear()
+            optimize_tau(1.0, energy, *args)
+            per_energy += len(taus)
+        assert per_energy > len(intervals)
 
     def test_default_bounds(self, unit_weight_bath, unit_weight_response):
         m = moments(unit_weight_bath)
