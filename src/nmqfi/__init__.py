@@ -9,8 +9,7 @@ the optimal cadence of a repeated prepare-sense-measure protocol.
 from .bath import (BathMode, BathMoments, ContinuousSpectrum, DiscreteBath,
                    OccupationModel, bare_correlation, discretize,
                    memory_kernel, moments)
-from .correlation import (CorrelationResult, bath_correlation,
-                          correlation_timescale_check)
+from .correlation import CorrelationResult, bath_correlation
 from .errors import (AlignmentError, ConfigError, ConsistencyError,
                      ConvergenceError, CoverageError, EstimationError,
                      NmqfiError, SolverInstabilityError)
@@ -26,10 +25,8 @@ from .probe import (CovarianceSnapshot, DisplacementCoefficient,
                     GaussianProbeInit, covariance_snapshot, displacement,
                     noise_term, quadrature_mean, quadrature_variance,
                     rotated_max_variance_angle, variance_p)
-from .response import (ResponseFunction, TimeGrid, default_grid, dyson_series,
-                       first_order_asymptote, first_order_response,
-                       long_time_first_order, markov_closed_form,
-                       markov_decay_rate, solve_response)
+from .response import (ResponseFunction, TimeGrid, default_grid,
+                       markov_closed_form, markov_decay_rate, solve_response)
 from .sequential import (ForceWindowIntegrals, MarkovSeqResult, SeqResult,
                          SequentialScheme, TauOptimum, default_tau_bounds,
                          markov_seq, optimize_tau, seq_qfi,

@@ -88,9 +88,6 @@ class DiscreteBath:
     def script_n(self) -> float:
         return float(np.dot(self.coupling_sq, self.occupations + 0.5))
 
-    def with_extra_mode(self, mode: BathMode) -> "DiscreteBath":
-        return DiscreteBath(self.modes + (mode,), self.probe_frequency)
-
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and vectors of the probe-plus-bath amplitude generator.

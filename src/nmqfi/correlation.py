@@ -1,4 +1,4 @@
-"""Two-time bath correlation function and its memory-timescale diagnostic.
+"""Two-time bath correlation function.
 
 The correlation of the collective bath coupling splits into a free (Born)
 part, set entirely by the bare bath, and an interaction part carrying the
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import DiscreteBath, bare_correlation, moments
+from .bath import DiscreteBath, bare_correlation
 from .errors import retired
 from .response import ResponseFunction
 
@@ -57,45 +57,3 @@ def bath_correlation(bath: DiscreteBath, response: ResponseFunction,
 
 _double_term = retired("_double_term")
 equal_start_correlation = retired("equal_start_correlation")
-
-
-@dataclass(frozen=True)
-class TimescaleCheck:
-    """Observed decay scale of |C| against the moment-frequency prediction."""
-
-    decay_scale: float
-    predicted: float
-    decayed: bool    # False when |C| never dropped inside the grid
-
-    @property
-    def ratio(self) -> float:
-        return self.decay_scale / self.predicted
-
-
-def correlation_timescale_check(bath: DiscreteBath, response: ResponseFunction,
-                                n_samples: int = 512) -> TimescaleCheck:
-    """Compare the e-folding scale of |C(t, t0 | t0, t0)| with moment rates.
-
-    The scale is the first time |C| falls below |C(0)|/e; the prediction
-    is min(1/Omega_2, 1/|chi_2|). Order-of-magnitude agreement only; the
-    ratio is reported, not clamped.
-    """
-    m = moments(bath, 2)
-    if m.script_n <= 0:
-        raise ValueError("timescale check needs a bath with noise weight")
-    rates = [m.omega(2)]
-    if m.chi_defined and m.chi(2) > 0:
-        rates.append(m.chi(2))
-    predicted = 1.0 / max(rates) if max(rates) > 0 else np.inf
-    times = np.linspace(0.0, response.t_end, n_samples + 1)[1:]
-    # at t' = 0 beta_0 vanishes, so the probe fluctuation drops out
-    mags = np.array([abs(bath_correlation(bath, response, 0.5, float(t), 0.0,
-                                          bath.probe_frequency).total)
-                     for t in times])
-    threshold = m.script_n / np.e
-    below = np.nonzero(mags <= threshold)[0]
-    if below.size == 0:
-        return TimescaleCheck(decay_scale=float(response.t_end),
-                              predicted=float(predicted), decayed=False)
-    return TimescaleCheck(decay_scale=float(times[below[0]]),
-                          predicted=float(predicted), decayed=True)

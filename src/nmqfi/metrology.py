@@ -54,10 +54,6 @@ class BestStateSpec:
         return 0.25 / self.script_e
 
     @property
-    def max_variance(self) -> float:
-        return self.script_e
-
-    @property
     def axis_angle(self) -> float:
         """Angle of the anti-squeezed (max variance) quadrature."""
         return 0.5 * self.squeeze_phase

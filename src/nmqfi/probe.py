@@ -27,6 +27,8 @@ _MIN_DET = 0.25 * (1.0 - 1e-9)
 # quadrature's node arrays however many windows a call carries.
 _WINDOW_CHUNK = 256
 
+_DISPLACEMENT_REL_TOL = 1e-10
+
 
 def _check_window(window: Window) -> tuple[float, float]:
     t0, t1 = (np.asarray(t, dtype=float)[()] for t in window)
@@ -163,8 +165,7 @@ class CovarianceSnapshot:
 
 
 def displacement(response: ResponseFunction, force: ForceModulation,
-                 omega0: float, window: Window,
-                 rel_tol: float = 1e-10) -> DisplacementCoefficient:
+                 omega0: float, window: Window) -> DisplacementCoefficient:
     """Displacement coefficient omega0 * int zeta(u) e^{i omega0 (u-t0)} G(t-u) du.
 
     The integral runs over the window clipped to the force support; an
@@ -182,7 +183,7 @@ def displacement(response: ResponseFunction, force: ForceModulation,
                     * np.exp(1j * omega0 * (u - s0[..., None]))
                     * response.g(s1[..., None] - u))
 
-        return adaptive_simpson(integrand, lo, hi, rel_tol=rel_tol)
+        return adaptive_simpson(integrand, lo, hi, rel_tol=_DISPLACEMENT_REL_TOL)
 
     lo, hi = force.clipped(t0, t1)
     if np.ndim(t1) == 0:

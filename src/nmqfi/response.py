@@ -1,4 +1,4 @@
-"""Bath response function: Volterra solver, series expansions, closed-form limits.
+"""Bath response function: Volterra solver and closed-form limits.
 
 The response G(tau) is the complex amplitude multiplying the initial probe
 quadratures after tracing out the bath. It solves
@@ -17,8 +17,8 @@ from typing import Union
 
 import numpy as np
 
-from .bath import ContinuousSpectrum, DiscreteBath, memory_kernel, moments
-from .errors import ConvergenceError, CoverageError, SolverInstabilityError
+from .bath import ContinuousSpectrum, DiscreteBath, moments
+from .errors import CoverageError, SolverInstabilityError
 
 _ABS_G_SLACK = 1e-6
 
@@ -29,6 +29,9 @@ _REFINE = 4
 
 # Inner steps the march advances per block (a multiple of _REFINE).
 _BLOCK = 64
+
+# Fewest steps default_grid gives, however slow the probe and kernel rates.
+_FLOOR_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -53,13 +56,13 @@ class TimeGrid:
         return self.t_start + self.h * np.arange(self.n_steps + 1)
 
 
-def default_grid(bath: DiscreteBath, t_end: float, floor_steps: int = 1024) -> TimeGrid:
+def default_grid(bath: DiscreteBath, t_end: float) -> TimeGrid:
     """Grid sized so the step resolves both the probe and the kernel rates.
 
     Targets h * max(Omega_2, omega0) <= 0.02 with a floor on the step count.
     """
     rate = max(moments(bath, 2).omega(2), bath.probe_frequency)
-    n = max(floor_steps, int(np.ceil(t_end * rate / 0.02)))
+    n = max(_FLOOR_STEPS, int(np.ceil(t_end * rate / 0.02)))
     return TimeGrid(0.0, float(t_end), n)
 
 
@@ -120,9 +123,6 @@ class ResponseFunction:
     def g_dot(self, tau) -> Union[complex, np.ndarray]:
         """dG/dtau at elapsed time tau."""
         return self._eval(tau, self.g_dot_samples, self.g_ddot_samples)
-
-    def magnitude(self, tau) -> Union[float, np.ndarray]:
-        return np.abs(self.g(tau))
 
     def phase(self, tau) -> Union[float, np.ndarray]:
         """arg G in [0, 2pi); zero by convention where G vanishes."""
@@ -246,185 +246,3 @@ def markov_decay_rate(spectrum: ContinuousSpectrum, probe_frequency: float) -> f
     2 pi * density(omega0).
     """
     return float(2.0 * np.pi * spectrum.density(probe_frequency))
-
-
-# Detunings below this fraction of Omega_2 take the removable-singularity
-# limit of the first-order bracket.
-_RESONANT_FRACTION = 1e-6
-
-
-def first_order_response(bath: DiscreteBath, tau: float) -> complex:
-    """First (single-kernel) term of the response series at elapsed time tau.
-
-    Per mode with detuning d = omega_n - omega0 the term is
-    -|K|^2 [(1 - cos(d tau))/d^2 - i tau/d + i sin(d tau)/d^2]; the
-    resonant limit of the bracket is tau^2/2.
-    """
-    if bath.n_modes == 0 or bath.k_squared == 0.0:
-        return 0.0 + 0.0j
-    d = -bath.detunings          # omega_n - omega0
-    c = bath.coupling_sq
-    omega2 = moments(bath, 2).omega(2)
-    cut = _RESONANT_FRACTION * omega2
-    resonant = np.abs(d) <= cut
-    safe = np.where(resonant, 1.0, d)
-    bracket = ((1.0 - np.cos(safe * tau)) / safe ** 2
-               - 1j * tau / safe
-               + 1j * np.sin(safe * tau) / safe ** 2)
-    bracket = np.where(resonant, 0.5 * tau ** 2 + 0.0j, bracket)
-    return complex(-np.dot(c, bracket))
-
-
-def first_order_asymptote(spectrum: ContinuousSpectrum, tau: float,
-                          probe_frequency: float) -> float:
-    """Late-time slope form of the first-order real part for a continuum.
-
-    Returns -(pi/2) tau times the coupling density at the probe frequency.
-    """
-    return float(-0.5 * np.pi * tau * spectrum.density(probe_frequency))
-
-
-def long_time_first_order(bath_or_spectrum, tau: float,
-                          probe_frequency: float | None = None):
-    """First-order response term; continua produce the late-time asymptote."""
-    if isinstance(bath_or_spectrum, DiscreteBath):
-        return first_order_response(bath_or_spectrum, tau)
-    if probe_frequency is None:
-        raise ValueError("probe_frequency required for a continuous spectrum")
-    return first_order_asymptote(bath_or_spectrum, tau, probe_frequency)
-
-
-class _ExpPoly:
-    """Finite sum of terms poly(t) * exp(i m delta t) on integer lattice m.
-
-    Supports exactly what the single-mode series recursion needs: shift of
-    the lattice index, scaling, and integration from zero.
-    """
-
-    def __init__(self, terms: dict[int, np.ndarray], delta: float):
-        self.delta = delta
-        self.terms = {m: np.asarray(p, dtype=complex) for m, p in terms.items()}
-
-    @classmethod
-    def one(cls, delta: float) -> "_ExpPoly":
-        return cls({0: np.array([1.0 + 0.0j])}, delta)
-
-    def scaled(self, factor: complex) -> "_ExpPoly":
-        return _ExpPoly({m: p * factor for m, p in self.terms.items()}, self.delta)
-
-    def shifted(self, dm: int) -> "_ExpPoly":
-        return _ExpPoly({m + dm: p for m, p in self.terms.items()}, self.delta)
-
-    def integral_from_zero(self) -> "_ExpPoly":
-        """Antiderivative vanishing at t = 0."""
-        out: dict[int, np.ndarray] = {}
-
-        def add(m: int, poly: np.ndarray):
-            if m in out:
-                a, b = out[m], poly
-                if a.shape[0] < b.shape[0]:
-                    a, b = b, a
-                a = a.copy()
-                a[: b.shape[0]] += b
-                out[m] = a
-            else:
-                out[m] = poly.astype(complex)
-
-        for m, p in self.terms.items():
-            alpha = 1j * m * self.delta
-            if m == 0 or alpha == 0:
-                ip = np.zeros(p.shape[0] + 1, dtype=complex)
-                ip[1:] = p / np.arange(1, p.shape[0] + 1)
-                add(0, ip)
-                continue
-            # integrate t^k exp(alpha t) by parts; collect the constant
-            res = np.zeros(p.shape[0], dtype=complex)
-            const = 0.0 + 0.0j
-            for k in range(p.shape[0]):
-                coeff = p[k]
-                fac = 1.0 + 0.0j
-                for j in range(k + 1):
-                    # term t^(k-j) exp(alpha t) * (-1)^j k!/(k-j)! / alpha^(j+1)
-                    term = coeff * fac * (-1.0) ** j / alpha ** (j + 1)
-                    res[k - j] += term
-                    if j < k:
-                        fac *= (k - j)
-                const -= coeff * fac * (-1.0) ** k / alpha ** (k + 1)
-            add(m, res)
-            add(0, np.array([const], dtype=complex))
-        return _ExpPoly(out, self.delta)
-
-    def eval(self, t: float) -> complex:
-        total = 0.0 + 0.0j
-        for m, p in self.terms.items():
-            val = 0.0 + 0.0j
-            for k in range(p.shape[0] - 1, -1, -1):
-                val = val * t + p[k]
-            total += val * np.exp(1j * m * self.delta * t)
-        return complex(total)
-
-
-def _dyson_single_mode(coupling_sq: float, delta: float, tau: float,
-                       order: int) -> complex:
-    """Closed-form partial sum for one mode via repeated integration."""
-    total = 1.0 + 0.0j
-    term = _ExpPoly.one(delta)
-    for _ in range(order):
-        inner = term.shifted(-1).integral_from_zero()       # e^{-i d s} f(s)
-        outer = inner.shifted(1).scaled(-coupling_sq)       # -c e^{+i d u} (...)
-        term = outer.integral_from_zero()
-        total += term.eval(tau)
-    return total
-
-
-_DYSON_MAX_INTERVALS = 1 << 13
-
-
-def _dyson_multi_mode(bath: DiscreteBath, tau: float, order: int,
-                      tol: float = 1e-8) -> complex:
-    """Grid iteration of the nested-integral terms, refined until stable."""
-    value = None
-    n = 256
-    while n <= _DYSON_MAX_INTERVALS:
-        s = np.linspace(0.0, tau, n + 1)
-        h = tau / n
-        kernel = np.asarray(memory_kernel(bath, s))
-        term = np.ones(n + 1, dtype=complex)
-        total = 1.0 + 0.0j
-        for _ in range(order):
-            half = term.copy()
-            half[0] *= 0.5
-            conv = np.convolve(kernel, half)[: n + 1]
-            inner = h * (conv - 0.5 * kernel[0] * term)
-            inner[0] = 0.0
-            # cumulative trapezoid of inner, negated
-            steps = 0.5 * h * (inner[1:] + inner[:-1])
-            term = np.concatenate(([0.0], -np.cumsum(steps)))
-            total += term[-1]
-        if value is not None and abs(total - value) <= max(1e-14, tol * abs(total)):
-            return complex(total)
-        value = total
-        n *= 2
-    raise ConvergenceError(f"Dyson grid iteration at tau={tau:g} not converged "
-                           f"on {_DYSON_MAX_INTERVALS} grid intervals")
-
-
-def dyson_series(bath: DiscreteBath, tau: float, order: int) -> complex:
-    """Partial sum of the response's nested-integral series up to `order`.
-
-    Intended for K^2 tau^2 of order one or below. Single-mode baths use
-    exact term-by-term integration; multi-mode baths fall back to a
-    refined grid iteration, are capped at order 4 and raise
-    ConvergenceError when the iteration does not settle.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order == 0 or bath.n_modes == 0:
-        return 1.0 + 0.0j
-    if bath.n_modes == 1:
-        return _dyson_single_mode(float(bath.coupling_sq[0]),
-                                  float(bath.detunings[0]), tau, order)
-    if order > 4:
-        raise ValueError("orders above 4 are unsupported for multi-mode baths; "
-                         "use solve_response instead")
-    return _dyson_multi_mode(bath, tau, order)

@@ -26,6 +26,11 @@ from .response import ResponseFunction
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Most repetition counts the tau search scans before its golden refinement.
+_SCAN_POINTS = 64
+
+_WINDOW_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SequentialScheme:
@@ -33,7 +38,6 @@ class SequentialScheme:
 
     total_window: float
     interval: float
-    start: float = 0.0
 
     def __post_init__(self):
         if self.interval <= 0:
@@ -47,7 +51,7 @@ class SequentialScheme:
 
     def step_window(self, k):
         """Window of step k; an integer array k gives arrays of window ends."""
-        t_k = self.start + k * self.interval
+        t_k = k * self.interval
         return (t_k, t_k + self.interval)
 
 
@@ -68,22 +72,22 @@ class ForceWindowIntegrals:
     c_coeff: float   # (1/4) integral of (zeta'^2 + omega0^2 zeta^2)
 
 
-def xi_and_c(force: ForceModulation, omega0: float, total_window: float,
-             t0: float = 0.0, rel_tol: float = 1e-9) -> ForceWindowIntegrals:
-    """Integrals xi and C over [t0, t0 + T].
+def xi_and_c(force: ForceModulation, omega0: float,
+             total_window: float) -> ForceWindowIntegrals:
+    """Integrals xi and C over [0, T].
 
     C carries no boundary term: summed over the steps of a cadence, the
     [zeta zeta'] edge terms of the per-step displacements cancel to the
     order the two-term asymptotics keep, so C enters the optimum as the
     bare window integral.
     """
-    lo, hi = force.clipped(t0, t0 + total_window)
+    lo, hi = force.clipped(0.0, total_window)
 
     def densities(t):
         z2 = force.value(t) ** 2
         return np.stack([z2, force.derivative(t) ** 2 + omega0 ** 2 * z2])
 
-    xi, bulk = adaptive_simpson(densities, lo, hi, rel_tol=rel_tol).real
+    xi, bulk = adaptive_simpson(densities, lo, hi, rel_tol=_WINDOW_REL_TOL).real
     return ForceWindowIntegrals(float(xi), float(0.25 * bulk))
 
 
@@ -165,15 +169,14 @@ def default_tau_bounds(response: ResponseFunction, total_window: float,
 def optimize_tau(total_window: float, energy: float | Sequence[float],
                  bath: DiscreteBath, response: ResponseFunction,
                  force: ForceModulation, omega0: float,
-                 tau_bounds: tuple[float, float],
-                 grid_points: int = 64) -> TauOptimum | list[TauOptimum]:
+                 tau_bounds: tuple[float, float]) -> TauOptimum | list[TauOptimum]:
     """Maximize the cadence total over the repetition lattice and the bracket ends.
 
     The total sum_k |D_k|^2 / denominator over nu = floor(T / tau) steps
     jumps where a step is gained, at the teeth tau = T / nu, and changes
     smoothly in between. Where it is monotone within each cell, its
     maximum over the bracket lies on a tooth or on a bracket end. The
-    search scans at most `grid_points` log-spaced counts nu whose interval
+    search scans at most _SCAN_POINTS log-spaced counts nu whose interval
     lies in the bracket, refines by integer golden section between the
     scan winner's neighbours, and compares the winner with the two ends.
     A maximum landing on the first or last scan point or on an end sets
@@ -196,11 +199,11 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
 
     nu_min = math.ceil(total_window / hi * (1.0 - 1e-12))
     nu_max = math.floor(total_window / lo * (1.0 + 1e-12))
-    if nu_max - nu_min < grid_points:
+    if nu_max - nu_min < _SCAN_POINTS:
         scan = list(range(nu_min, nu_max + 1))
     else:
         scan = sorted({int(v) for v in np.rint(np.geomspace(
-            nu_min, nu_max, grid_points))})
+            nu_min, nu_max, _SCAN_POINTS))})
 
     def search(energy: float) -> TauOptimum:
         totals: dict[float, float] = {}

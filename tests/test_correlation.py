@@ -1,4 +1,4 @@
-"""Bath correlation function: decomposition, reduced form, timescales."""
+"""Bath correlation function: decomposition and reduced form."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from conftest import equal_start_correlation, four_term_correlation
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, bare_correlation,
                         discretize)
-from nmqfi.correlation import bath_correlation, correlation_timescale_check
+from nmqfi.correlation import bath_correlation
 from nmqfi.response import TimeGrid, solve_response
 
 
@@ -86,44 +86,6 @@ class TestCouplingScaling:
         k = np.sqrt(scales * 2.0)
         slope = np.polyfit(np.log(k), np.log(ratios), 1)[0]
         assert 1.8 <= slope <= 2.2
-
-
-class TestTimescale:
-    def test_resonant_mode_never_decays(self):
-        # zero detuning: |C| = script_n |G|, constant Born magnitude; with
-        # |K| t_end below the first response zero nothing crosses 1/e
-        bath = DiscreteBath.from_arrays([0.0025], [1.0], [0.0], 1.0)
-        resp = solve_response(bath, TimeGrid(0.0, 10.0, 1024))
-        check = correlation_timescale_check(bath, resp, n_samples=128)
-        assert not check.decayed
-        assert check.decay_scale == pytest.approx(resp.t_end)
-
-    def test_flat_band_order_one_ratio(self, flat_band):
-        # sinc-kernel oracle: the bare correlation of a flat band decays
-        # on the inverse half-width
-        bath, resp = flat_band
-        check = correlation_timescale_check(bath, resp, n_samples=256)
-        assert check.decayed
-        width = 1.0
-        assert 0.5 <= check.decay_scale * width <= 5.0
-
-    def test_weak_coupling_scale_set_by_detunings(self):
-        # shrinking the coupling leaves the (Born-dominated) scale in place
-        scales = (0.02, 0.002)
-        got = []
-        for sc in scales:
-            bath = discretize(ContinuousSpectrum("flat", scale=sc, cutoff=2.0),
-                              64, 1.0)
-            resp = solve_response(bath, TimeGrid(0.0, 20.0, 1024))
-            got.append(correlation_timescale_check(bath, resp,
-                                                   n_samples=256).decay_scale)
-        assert got[0] == pytest.approx(got[1], rel=0.1)
-
-    def test_weightless_bath_rejected(self):
-        bath = DiscreteBath.from_arrays([0.0], [1.0], [0.0], 1.0)
-        resp = solve_response(bath, TimeGrid(0.0, 5.0, 64))
-        with pytest.raises(ValueError):
-            correlation_timescale_check(bath, resp)
 
 
 class TestSymplecticOracle:

@@ -7,7 +7,7 @@ import pytest
 
 from nmqfi import force as fc
 from nmqfi import metrology
-from nmqfi.bath import BathMode, DiscreteBath
+from nmqfi.bath import DiscreteBath
 from nmqfi.errors import AlignmentError, EstimationError
 from nmqfi.metrology import (best_state, energy_for_script_e, fisher_quadrature,
                              markov_qfi, optimal_angle, qfi_aligned,
@@ -176,7 +176,8 @@ class TestBestStateQfi:
         grown = DiscreteBath.from_arrays([0.16], [1.1], [0.3], OMEGA0)
         resp1 = solve_response(grown, TimeGrid(0.0, 4.0, 2048))
         one = qfi_aligned(vac, grown, resp1, ZETA, OMEGA0, win).value
-        more = grown.with_extra_mode(BathMode(0.2, 0.6, 0.0))
+        more = DiscreteBath.from_arrays([0.16, 0.2], [1.1, 0.6], [0.3, 0.0],
+                                        OMEGA0)
         resp2 = solve_response(more, TimeGrid(0.0, 4.0, 2048))
         two = qfi_aligned(vac, more, resp2, ZETA, OMEGA0, win).value
         assert one < base

@@ -10,11 +10,8 @@ from conftest import (exact_single_mode_g, marched_response,
                       short_time_response, solver_residual)
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         discretize, moments)
-from nmqfi.errors import (ConvergenceError, CoverageError,
-                          SolverInstabilityError)
-from nmqfi.response import (TimeGrid, default_grid, dyson_series,
-                            first_order_asymptote, first_order_response,
-                            long_time_first_order, markov_closed_form,
+from nmqfi.errors import CoverageError, SolverInstabilityError
+from nmqfi.response import (TimeGrid, default_grid, markov_closed_form,
                             markov_decay_rate, solve_response)
 
 
@@ -195,99 +192,3 @@ class TestShortTime:
                        - np.asarray(short_time_response(two_mode_bath, taus)))
         slope = np.polyfit(np.log(taus), np.log(resid), 1)[0]
         assert 3.7 <= slope <= 4.3
-
-
-class TestDysonSeries:
-    def test_order_zero(self, two_mode_bath):
-        assert dyson_series(two_mode_bath, 3.0, 0) == 1.0
-
-    def test_resonant_partial_sums_are_cosine_taylor(self, resonant_bath):
-        # oracle: cosine Taylor partial sum at |K| tau = 0.5
-        tau, k = 1.0, 0.5
-        partial = 1 - (k * tau) ** 2 / 2 + (k * tau) ** 4 / 24 - (k * tau) ** 6 / 720
-        val = dyson_series(resonant_bath, tau, 3)
-        assert val.real == pytest.approx(partial, abs=1e-12)
-        assert abs(val - np.cos(k * tau)) <= 1e-5
-
-    def test_single_detuned_converges_to_exact(self, detuned_bath):
-        tau = 0.8
-        exact = exact_single_mode_g(0.25, 1.0, tau)
-        val = dyson_series(detuned_bath, tau, 8)
-        assert abs(val - exact) <= 1e-8
-
-    def test_multi_mode_matches_solver(self, two_mode_bath):
-        tau = 0.6
-        resp = solve_response(two_mode_bath, TimeGrid(0.0, 1.0, 4096))
-        val = dyson_series(two_mode_bath, tau, 4)
-        assert abs(val - resp.g(tau)) <= 1e-6
-
-    def test_symmetric_pair_first_order_matches_short_time(self):
-        bath = DiscreteBath.from_arrays([1.0, 1.0], [1.0, 3.0], [0.0, 0.0], 2.0)
-        for tau in (0.02, 0.04):
-            d1 = dyson_series(bath, tau, 1)
-            st_ = short_time_response(bath, tau)
-            assert abs(d1 - st_) <= 5.0 * tau ** 4
-
-    def test_multi_mode_order_cap(self, two_mode_bath):
-        with pytest.raises(ValueError):
-            dyson_series(two_mode_bath, 0.5, 5)
-
-    def test_multi_mode_grid_cap_raises(self):
-        # two far-detuned modes: the last doubling of the grid iteration
-        # still moves the order-2 sum by ~1e-5, far above its 1e-8 tolerance
-        bath = DiscreteBath.from_arrays([0.5, 0.5], [3001.0, 4001.0],
-                                        [0.0, 0.0], 1.0)
-        with pytest.raises(ConvergenceError):
-            dyson_series(bath, 1.0, 2)
-
-
-class TestFirstOrderTerm:
-    def test_tau_zero(self, two_mode_bath):
-        assert first_order_response(two_mode_bath, 0.0) == 0.0
-
-    def test_resonant_limit(self, resonant_bath):
-        # analytic limit of the bracket at zero detuning: -|K|^2 tau^2 / 2
-        val = first_order_response(resonant_bath, 2.0)
-        assert val == pytest.approx(-0.5)
-        # against a finite-detuning evaluation at delta = 1e-4
-        near = DiscreteBath.from_arrays([0.25], [1.0 - 1e-4], [0.0], 1.0)
-        assert abs(first_order_response(near, 2.0) - val) <= 1e-4
-
-    def test_matches_dyson_order_one(self, two_mode_bath):
-        tau = 0.7
-        assert first_order_response(two_mode_bath, tau) == pytest.approx(
-            dyson_series(two_mode_bath, tau, 1) - 1.0, abs=1e-8)
-
-    def test_flat_band_reaches_asymptote(self):
-        # band supported on [omega0, omega0 + W]: the edge-delta form applies
-        omega0, width, c = 1.0, 1.0, 0.01
-        n = 4096
-        freqs = omega0 + (np.arange(n) + 0.5) * width / n
-        bath = DiscreteBath.from_arrays(np.full(n, c * width / n), freqs,
-                                        np.zeros(n), omega0)
-        spec = ContinuousSpectrum("flat", scale=c, cutoff=3.0)
-        tau = 25.0  # tau * width >= 20
-        got = first_order_response(bath, tau).real
-        want = first_order_asymptote(spec, tau, omega0)
-        assert abs(got - want) <= 0.05 * abs(want)
-
-    def test_symmetric_spectrum_imaginary_part_cancels(self):
-        bath = DiscreteBath.from_arrays([0.3, 0.3], [1.2, 2.8], [0.0, 0.0], 2.0)
-        for tau in (0.5, 3.0, 12.0):
-            assert abs(first_order_response(bath, tau).imag) <= 1e-12
-
-    def test_dispatch(self, two_mode_bath):
-        spec = ContinuousSpectrum("flat", scale=0.01, cutoff=3.0)
-        assert long_time_first_order(two_mode_bath, 1.0) == \
-            first_order_response(two_mode_bath, 1.0)
-        assert long_time_first_order(spec, 10.0, probe_frequency=1.0) == \
-            first_order_asymptote(spec, 10.0, 1.0)
-        with pytest.raises(ValueError):
-            long_time_first_order(spec, 10.0)
-
-    def test_zero_coupling_modes_are_inert(self):
-        bath = DiscreteBath.from_arrays([0.0, 0.25], [1.0, 1.0], [0.0, 0.0], 1.0)
-        val = first_order_response(bath, 2.0)
-        assert val == pytest.approx(-0.5)
-        weightless = DiscreteBath.from_arrays([0.0], [1.0], [0.0], 1.0)
-        assert first_order_response(weightless, 2.0) == 0.0

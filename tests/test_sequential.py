@@ -70,9 +70,9 @@ class TestScheme:
             SequentialScheme(0.1, 0.2)
 
     def test_step_windows(self):
-        s = SequentialScheme(1.0, 0.25, start=2.0)
-        assert s.step_window(0) == (2.0, 2.25)
-        assert s.step_window(3) == (2.75, 3.0)
+        s = SequentialScheme(1.0, 0.25)
+        assert s.step_window(0) == (0.0, 0.25)
+        assert s.step_window(3) == (0.75, 1.0)
 
 
 class TestStepNoise:
@@ -172,10 +172,7 @@ class TestSeqQfi:
         monkeypatch.setattr(probe, "_WINDOW_CHUNK", 10 ** 6, raising=False)
         whole = displacement(unit_weight_response, force, 1.0, steps).value
         assert chunked.shape == (600,)
-        # each window keeps its own first passing estimate; a BLAS
-        # matrix-vector product may round a row by its place in the batch,
-        # so equal means within two units in the last place
-        assert np.all(np.abs(chunked - whole) <= 2 * np.spacing(np.abs(whole)))
+        assert np.array_equal(chunked, whole)
         assert np.all(chunked[500:] == 0.0)      # windows past the support
 
     @pytest.mark.parametrize("force", [
