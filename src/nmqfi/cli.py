@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -26,14 +26,22 @@ from .probe import (DisplacementCoefficient, covariance_snapshot, displacement,
 from .response import markov_closed_form, markov_decay_rate, solve_response
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+# Rows formatted per `%` operation; bounds the transient text of a table.
+_CSV_BLOCK_ROWS = 1024
 
 
-def _write_csv(out: IO[str], header: Iterable[str], rows: Iterable[Iterable[float]]):
+def _write_csv(out: IO[str], header: list[str], rows):
+    """Write a header and rows (a 2-D array or a list of tuples) as CSV.
+
+    Each cell is '%.17g', the same text as format(float(v), '.17g');
+    a block of rows is formatted by one `%` operation on a row template.
+    """
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    table = np.asarray(rows, dtype=float)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(out: IO[str], payload: dict):
@@ -59,9 +67,9 @@ def run_response(cfg: ScenarioConfig, out: IO[str], fmt: str):
     bath = cfg.bath()
     resp = solve_response(bath, cfg.grid(bath))
     taus = resp.grid.times()
-    rows = zip(taus, resp.g_samples.real, resp.g_samples.imag,
-               np.abs(resp.g_samples), resp.g_dot_samples.real,
-               resp.g_dot_samples.imag)
+    rows = np.column_stack((taus, resp.g_samples.real, resp.g_samples.imag,
+                            np.abs(resp.g_samples), resp.g_dot_samples.real,
+                            resp.g_dot_samples.imag))
     _write_csv(out, ["tau", "re_g", "im_g", "abs_g", "re_gdot", "im_gdot"], rows)
 
 
@@ -291,9 +299,9 @@ def run_limits(cfg: ScenarioConfig, out: IO[str], fmt: str):
                           "continuum bath block")
     omega2 = moments(bath, 2).omega(2)
     taus = resp.grid.times()
-    rows = zip(taus, resp.g_samples.real, resp.g_samples.imag,
-               np.abs(resp.g_samples), np.cos(omega2 * taus),
-               markov_closed_form(gamma, taus))
+    rows = np.column_stack((taus, resp.g_samples.real, resp.g_samples.imag,
+                            np.abs(resp.g_samples), np.cos(omega2 * taus),
+                            markov_closed_form(gamma, taus)))
     _write_csv(out, ["tau", "re_exact", "im_exact", "abs_exact",
                      "narrowband", "markov"], rows)
 

@@ -22,9 +22,6 @@ from .response import ResponseFunction
 
 _ALIGNMENT_TOL = 1e-6
 
-# Monte-Carlo outcomes are drawn in row chunks of at most this many draws.
-_MC_CHUNK_DRAWS = 1 << 20
-
 
 def script_e(energy: float) -> float:
     """Squeezing-enhanced energy factor E + sqrt(E^2 - 1/4)."""
@@ -206,9 +203,11 @@ def simulate_estimation(init: GaussianProbeInit, bath: DiscreteBath,
     The outcome of P(optimal angle) is Gaussian with mean linear in the
     amplitude (slope |D|) and amplitude-independent variance, so the
     maximum-likelihood estimator is the sample mean mapped through the
-    line. Streams come from a counter-based Philox generator keyed on
-    `seed`, so replications are reproducible and splittable; drawing them
-    in row chunks changes neither the stream nor any row's mean.
+    line. The mean of nu outcomes N(mu, var) is exactly N(mu, var / nu),
+    so each replication's sample mean is drawn directly: work and memory
+    are O(replications), whatever nu. Streams come from a counter-based
+    Philox generator keyed on `seed`, so replications are reproducible
+    and splittable.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -222,11 +221,8 @@ def simulate_estimation(init: GaussianProbeInit, bath: DiscreteBath,
     var = variance_p(init, response, bath, theta, omega0, window)
     qfi = slope ** 2 / var
     rng = np.random.Generator(np.random.Philox(seed))
-    rows = max(1, _MC_CHUNK_DRAWS // nu)
-    means = np.concatenate([
-        rng.normal(loc=intercept + slope * f_true, scale=np.sqrt(var),
-                   size=(min(rows, replications - r), nu)).mean(axis=1)
-        for r in range(0, replications, rows)])
+    means = rng.normal(loc=intercept + slope * f_true,
+                       scale=np.sqrt(var / nu), size=replications)
     estimates = (means - intercept) / slope
     mse = float(np.mean((estimates - f_true) ** 2))
     crb = 1.0 / (nu * qfi)

@@ -7,6 +7,8 @@ from nmqfi._quad import adaptive_simpson
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         bare_correlation, discretize, memory_kernel)
 from nmqfi.errors import SolverInstabilityError
+from nmqfi.metrology import optimal_angle
+from nmqfi.probe import displacement, quadrature_mean, variance_p
 from nmqfi.response import (_ABS_G_SLACK, _REFINE, ResponseFunction, TimeGrid,
                             solve_response)
 
@@ -268,6 +270,26 @@ def equal_start_correlation(bath: DiscreteBath, response, t: float,
         * np.asarray(response.g_dot(t - s)),
         0.0, t, rel_tol=rel_tol)
     return complex(np.exp(-1j * omega0 * t) * (bare_correlation(bath, t) + tail))
+
+
+# Monte-Carlo oracle: every outcome drawn, each replication's row averaged.
+# The engine draws the sample means directly from their exact law.
+
+def per_outcome_estimation_mse(init, bath: DiscreteBath, response, force,
+                               omega0: float, window, f_true: float, nu: int,
+                               seed: int, replications: int) -> float:
+    """Empirical MSE of the sample-mean estimator from nu outcomes per row."""
+    disp = displacement(response, force, omega0, window)
+    theta = optimal_angle(disp, omega0, window)
+    slope = disp.magnitude
+    intercept = quadrature_mean(init, response, disp, theta + 0.5 * np.pi,
+                                0.0, omega0, window)
+    var = variance_p(init, response, bath, theta, omega0, window)
+    rng = np.random.Generator(np.random.Philox(seed))
+    outcomes = rng.normal(loc=intercept + slope * f_true, scale=np.sqrt(var),
+                          size=(replications, nu))
+    estimates = (outcomes.mean(axis=1) - intercept) / slope
+    return float(np.mean((estimates - f_true) ** 2))
 
 
 @pytest.fixture(scope="session")

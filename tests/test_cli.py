@@ -1,5 +1,6 @@
 """CLI: scenario execution, determinism, formats, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -372,3 +373,27 @@ def test_moments_memory_stays_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "tuples"])
+def test_csv_writer_matches_per_cell_format(as_array):
+    # 2500 rows cross the 1024-row block twice and end in a partial block
+    rng = np.random.default_rng(8)
+    table = rng.normal(size=(2500, 5)) * 10.0 ** rng.integers(-300, 301,
+                                                               (2500, 5))
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308,
+               0.0, 7.0, -3.0, 2.0 ** 60]
+    table.ravel()[rng.choice(table.size, 400, replace=False)] = np.resize(
+        special, 400)
+    rows = [tuple(int(v) if float(v).is_integer() and 1 <= abs(v) < 2 ** 63
+                  else v for v in row) for row in table]
+    assert any(isinstance(v, int) for row in rows for v in row)
+    header = ["a", "b", "c", "d", "e"]
+    buf = io.StringIO()
+    cli._write_csv(buf, header, table if as_array else rows)
+    want = [",".join(header)] + [",".join(format(float(v), ".17g")
+                                         for v in row) for row in rows]
+    got = buf.getvalue().split("\n")
+    assert got[-1] == ""                        # every line ends in \n
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) + 1 and not bad, bad[:3]

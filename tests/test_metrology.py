@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import per_outcome_estimation_mse
 from nmqfi import force as fc
-from nmqfi import metrology
 from nmqfi.bath import DiscreteBath
 from nmqfi.errors import AlignmentError, EstimationError
 from nmqfi.metrology import (best_state, energy_for_script_e, fisher_quadrature,
@@ -256,24 +256,31 @@ class TestEstimation:
                                 0.3, 100, seed=99, replications=100)
         assert a.empirical_mse == b.empirical_mse
 
-
-    def test_chunked_draws_match_one_array(self, noiseless, monkeypatch):
-        # 2000 x 2000 draws span four chunks of at most 2^20 draws; drawn
-        # as one array they are the same stream, so every row mean agrees
+    def test_memory_is_independent_of_nu(self, noiseless):
+        # 10^8 outcomes per replication would need 800 MB as one row; only
+        # the replications' sample means are drawn
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        args = (vac, bath, resp, ZETA, OMEGA0, PI_WINDOW, 0.3, 2000)
         tracemalloc.start()
         try:
-            chunked = simulate_estimation(*args, seed=7, replications=2000)
+            res = simulate_estimation(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW,
+                                      0.3, 10 ** 8, seed=3, replications=1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(metrology, "_MC_CHUNK_DRAWS", 2000 * 2000)
-        whole = simulate_estimation(*args, seed=7, replications=2000)
-        assert chunked.estimate == whole.estimate
-        assert chunked.empirical_mse == whole.empirical_mse
-        assert peak < 0.5 * 2000 * 2000 * 8   # half the one-array draws
+        assert peak < 1e6
+        assert np.isfinite(res.ratio_to_crb)
+
+    def test_sample_means_match_per_outcome_oracle(self, single_mode):
+        # each MSE has relative spread sqrt(2/R); their difference sqrt(4/R)
+        bath, resp = single_mode
+        vac = GaussianProbeInit.vacuum()
+        args = (vac, bath, resp, ZETA, OMEGA0, PI_WINDOW, 0.3, 50)
+        reps = 20000
+        engine = simulate_estimation(*args, seed=41, replications=reps)
+        oracle = per_outcome_estimation_mse(*args, seed=42, replications=reps)
+        assert engine.empirical_mse == pytest.approx(
+            oracle, rel=5.0 * np.sqrt(4.0 / reps))
 
 
 class TestShortTimeQfi:
