@@ -6,7 +6,7 @@ together with the optimal probe state, optimal quadrature measurement, and
 the optimal cadence of a repeated prepare-sense-measure protocol.
 """
 
-from .bath import (BathMode, BathMoments, ContinuousSpectrum, DiscreteBath,
+from .bath import (BathMoments, ContinuousSpectrum, DiscreteBath,
                    OccupationModel, bare_correlation, discretize,
                    memory_kernel, moments)
 from .correlation import CorrelationResult, bath_correlation

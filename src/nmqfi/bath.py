@@ -8,72 +8,47 @@ phases are never represented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class BathMode:
-    """One harmonic mode of the environment."""
-
-    coupling_sq: float        # |K|^2 >= 0
-    frequency: float          # omega >= 0, rad/time
-    occupation: float = 0.0   # mean excitation N >= 0
-
-    def __post_init__(self):
-        if self.coupling_sq < 0:
-            raise ValueError("coupling_sq must be >= 0")
-        if self.frequency < 0:
-            raise ValueError("frequency must be >= 0")
-        if self.occupation < 0:
-            raise ValueError("occupation must be >= 0")
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteBath:
-    """Ordered collection of bath modes plus the probe frequency.
+    """Bath modes as three read-only arrays plus the probe frequency.
 
-    Immutable after construction; an empty mode list is the noiseless
-    limit (zero kernel, response identically one).
+    coupling_sq |K_n|^2, frequencies omega_n and occupations N_n are 1-D,
+    of one length and >= 0. The arrays are copied and set read-only, so
+    the type is immutable and its cached eigensystem never goes stale; an
+    empty mode list is the noiseless limit (zero kernel, response
+    identically one).
     """
 
-    modes: tuple[BathMode, ...]
+    coupling_sq: np.ndarray
+    frequencies: np.ndarray
+    occupations: np.ndarray
     probe_frequency: float
 
     def __post_init__(self):
+        for name in ("coupling_sq", "frequencies", "occupations"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D array")
+            if (arr < 0).any():
+                raise ValueError(f"{name} must be >= 0")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if not self.coupling_sq.size == self.frequencies.size == self.occupations.size:
+            raise ValueError("coupling_sq, frequencies and occupations differ in length")
         if self.probe_frequency <= 0:
             raise ValueError("probe_frequency must be > 0")
-        object.__setattr__(self, "modes", tuple(self.modes))
-
-    @classmethod
-    def from_arrays(cls, coupling_sq: Iterable[float], frequency: Iterable[float],
-                    occupation: Iterable[float], probe_frequency: float) -> "DiscreteBath":
-        modes = tuple(BathMode(float(c), float(w), float(n))
-                      for c, w, n in zip(coupling_sq, frequency, occupation, strict=True))
-        return cls(modes, float(probe_frequency))
-
-    @classmethod
-    def empty(cls, probe_frequency: float) -> "DiscreteBath":
-        return cls((), float(probe_frequency))
+        object.__setattr__(self, "probe_frequency", float(self.probe_frequency))
 
     @property
     def n_modes(self) -> int:
-        return len(self.modes)
-
-    @cached_property
-    def coupling_sq(self) -> np.ndarray:
-        return np.array([m.coupling_sq for m in self.modes], dtype=float)
-
-    @cached_property
-    def frequencies(self) -> np.ndarray:
-        return np.array([m.frequency for m in self.modes], dtype=float)
-
-    @cached_property
-    def occupations(self) -> np.ndarray:
-        return np.array([m.occupation for m in self.modes], dtype=float)
+        return self.coupling_sq.size
 
     @cached_property
     def detunings(self) -> np.ndarray:
@@ -128,18 +103,6 @@ class OccupationModel:
         if self.kind == "constant" and self.value < 0:
             raise ValueError("constant occupation must be >= 0")
 
-    @classmethod
-    def zero(cls) -> "OccupationModel":
-        return cls("zero")
-
-    @classmethod
-    def thermal(cls, temperature: float) -> "OccupationModel":
-        return cls("thermal", temperature=float(temperature))
-
-    @classmethod
-    def constant(cls, value: float) -> "OccupationModel":
-        return cls("constant", value=float(value))
-
     def occupation(self, omega: np.ndarray) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
         if self.kind == "zero":
@@ -167,7 +130,7 @@ class ContinuousSpectrum:
     cutoff: float                   # omega_c, rad/time
     exponent: float = 1.0           # ohmic family only
     cutoff_shape: str = "hard"      # "hard" | "exponential"
-    occupation: OccupationModel = field(default_factory=OccupationModel.zero)
+    occupation: OccupationModel = OccupationModel("zero")
 
     def __post_init__(self):
         if self.family not in ("flat", "ohmic"):
@@ -214,7 +177,7 @@ def discretize(spectrum: ContinuousSpectrum, n_modes: int,
     mids = (np.arange(n_modes) + 0.5) * width
     coupling = spectrum.density(mids) * width
     occ = spectrum.occupation.occupation(mids)
-    return DiscreteBath.from_arrays(coupling, mids, occ, probe_frequency)
+    return DiscreteBath(coupling, mids, occ, probe_frequency)
 
 
 def _weighted_phase_sum(bath: DiscreteBath, tau, weights: np.ndarray):
@@ -238,35 +201,34 @@ def bare_correlation(bath: DiscreteBath, tau) -> Union[complex, np.ndarray]:
     return _weighted_phase_sum(bath, tau, bath.coupling_sq * (bath.occupations + 0.5))
 
 
+# Highest moment order: Omega_p for p = 2 .. 6, chi_q for q = 1 .. 6.
+_MAX_ORDER = 6
+
+
 @dataclass(frozen=True)
 class BathMoments:
     """Moment frequencies of the coupling spectrum.
 
-    omega_p holds the unweighted moments for p = 2 .. p_max; chi_q holds
-    the occupation-weighted moment magnitudes for q = 1 .. p_max and is
-    empty when the bath carries no noise weight (script_n == 0).
+    omega_p holds the unweighted moments for p = 2 .. 6; chi_q holds the
+    occupation-weighted moment magnitudes for q = 1 .. 6 and is empty when
+    the bath carries no noise weight (script_n == 0).
     """
 
     k_squared: float
     script_n: float
     omega_p: tuple[float, ...]
     chi_q: tuple[float, ...]
-    p_max: int
-
-    @property
-    def chi_defined(self) -> bool:
-        return len(self.chi_q) > 0
 
     def omega(self, p: int) -> float:
-        if p < 2 or p > self.p_max:
-            raise IndexError(f"omega_p defined for 2 <= p <= {self.p_max}")
+        if p < 2 or p > _MAX_ORDER:
+            raise IndexError(f"omega_p defined for 2 <= p <= {_MAX_ORDER}")
         return self.omega_p[p - 2]
 
     def chi(self, q: int) -> float:
-        if not self.chi_defined:
+        if not self.chi_q:
             raise ValueError("chi moments undefined for a weightless bath")
-        if q < 1 or q > self.p_max:
-            raise IndexError(f"chi_q defined for 1 <= q <= {self.p_max}")
+        if q < 1 or q > _MAX_ORDER:
+            raise IndexError(f"chi_q defined for 1 <= q <= {_MAX_ORDER}")
         return self.chi_q[q - 1]
 
     @property
@@ -276,23 +238,20 @@ class BathMoments:
         return max(rates) if rates else 0.0
 
 
-def moments(bath: DiscreteBath, p_max: int = 6) -> BathMoments:
-    """Moment frequencies Omega_p (p = 2..p_max) and chi_q (q = 1..p_max)."""
-    if p_max < 2:
-        raise ValueError("p_max must be >= 2")
+def moments(bath: DiscreteBath) -> BathMoments:
+    """Moment frequencies Omega_p (p = 2..6) and chi_q (q = 1..6)."""
     ksq = bath.k_squared
     script_n = bath.script_n
     if bath.n_modes == 0 or ksq == 0.0:
-        omega_p = tuple(0.0 for _ in range(2, p_max + 1))
-        return BathMoments(ksq, script_n, omega_p, (), p_max)
+        return BathMoments(ksq, script_n, (0.0,) * (_MAX_ORDER - 1), ())
     det = bath.detunings
     c = bath.coupling_sq
     omega_p = tuple(abs(float(np.dot(c, det ** (p - 2)))) ** (1.0 / p)
-                    for p in range(2, p_max + 1))
+                    for p in range(2, _MAX_ORDER + 1))
     if script_n > 0.0:
         w = c * (bath.occupations + 0.5) / script_n
         chi_q = tuple(abs(float(np.dot(w, det ** q))) ** (1.0 / q)
-                      for q in range(1, p_max + 1))
+                      for q in range(1, _MAX_ORDER + 1))
     else:
         chi_q = ()
-    return BathMoments(ksq, script_n, omega_p, chi_q, p_max)
+    return BathMoments(ksq, script_n, omega_p, chi_q)

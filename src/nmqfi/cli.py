@@ -19,7 +19,7 @@ from . import correlation as corr_mod
 from . import metrology, sequential
 from .bath import moments
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, NmqfiError
+from .errors import AlignmentError, ConfigError, NmqfiError
 from .metrology import energy_for_script_e, script_e
 from .probe import (DisplacementCoefficient, covariance_snapshot, displacement,
                     quadrature_mean)
@@ -88,7 +88,7 @@ def run_moments(cfg: ScenarioConfig, out: IO[str], fmt: str):
     rows = []
     for t, value in zip(times, values):
         win = (t0, float(t))
-        disp = DisplacementCoefficient(complex(value), win)
+        disp = DisplacementCoefficient(complex(value))
         mean = quadrature_mean(init, resp, disp, theta, amp, cfg.omega0, win)
         snap = covariance_snapshot(init, resp, bath, theta, cfg.omega0, win)
         rows.append((t, theta, mean, snap.var_x_theta, snap.var_p_theta,
@@ -116,7 +116,7 @@ def run_qfi(cfg: ScenarioConfig, out: IO[str], fmt: str):
         try:
             result = metrology.qfi_aligned(init, bath, resp, force,
                                            cfg.omega0, window)
-        except NmqfiError:
+        except AlignmentError:
             result = metrology.qfi_general(init, bath, resp, force,
                                            cfg.omega0, window)
     snap = covariance_snapshot(init, resp, bath, 0.0, cfg.omega0, window)
@@ -170,6 +170,14 @@ def run_estimate(cfg: ScenarioConfig, out: IO[str], fmt: str, seed_override):
     })
 
 
+def _tau_bounds(block: dict, resp, total: float, m) -> tuple[float, float]:
+    """The cadence interval bracket: sequential.tau_bounds or the default."""
+    if "tau_bounds" in block:
+        lo, hi = block["tau_bounds"]
+        return float(lo), float(hi)
+    return sequential.default_tau_bounds(resp, total, m)
+
+
 def _sequential_point(cfg: ScenarioConfig, bath, resp, force,
                       energies: list[float]) -> list[dict]:
     """One cadence report per energy, from one optimize_tau call for all.
@@ -180,14 +188,10 @@ def _sequential_point(cfg: ScenarioConfig, bath, resp, force,
     block = cfg.block("sequential")
     total = float(block["total_window"])
     m = moments(bath)
-    prefactor = bool(cfg.options.get("omega0_prefactor", True))
     if block.get("optimize", "tau" not in block):
-        if "tau_bounds" in block:
-            bounds = tuple(float(v) for v in block["tau_bounds"])
-        else:
-            bounds = sequential.default_tau_bounds(resp, total, m)
         found = [(opt.seq, opt.hit_bound) for opt in sequential.optimize_tau(
-            total, energies, bath, resp, force, cfg.omega0, bounds)]
+            total, energies, bath, resp, force, cfg.omega0,
+            _tau_bounds(block, resp, total, m))]
     else:
         terms = sequential.interval_terms(
             sequential.SequentialScheme(total, float(block["tau"])),
@@ -202,7 +206,7 @@ def _sequential_point(cfg: ScenarioConfig, bath, resp, force,
                                                   ints.c_coeff)
                     if m.script_n > 0 else None)
         fasym = (sequential.seq_qfi_asymptotic(energy, m, ints.xi, ints.c_coeff,
-                                               cfg.omega0, prefactor)
+                                               cfg.omega0)
                  if m.script_n > 0 else None)
         # the reported xi and C cover the steps that fit, nu * tau, not all of T
         steps = sequential.xi_and_c(force, cfg.omega0,
@@ -210,8 +214,8 @@ def _sequential_point(cfg: ScenarioConfig, bath, resp, force,
         markov = None
         if gamma is not None and gamma > 0:
             markov = sequential.markov_seq(
-                total, energy, gamma, float(cfg.options.get("n_thermal", 0.0)),
-                ints.xi, cfg.omega0, prefactor)
+                energy, gamma, float(cfg.options.get("n_thermal", 0.0)),
+                ints.xi, cfg.omega0)
         points.append({
             "tau_opt_numeric": seq.tau_used,
             "tau_opt_asymptotic": tau_asym,
@@ -238,11 +242,7 @@ def run_sequential(cfg: ScenarioConfig, out: IO[str], fmt: str):
     if fmt == "csv":
         block = cfg.block("sequential")
         total = float(block["total_window"])
-        m = moments(bath)
-        if "tau_bounds" in block:
-            lo, hi = (float(v) for v in block["tau_bounds"])
-        else:
-            lo, hi = sequential.default_tau_bounds(resp, total, m)
+        lo, hi = _tau_bounds(block, resp, total, moments(bath))
         rows = []
         for tau in np.geomspace(lo, hi, int(cfg.options.get("report_points", 33))):
             seq = sequential.seq_qfi(sequential.SequentialScheme(total, float(tau)),
@@ -297,7 +297,7 @@ def run_limits(cfg: ScenarioConfig, out: IO[str], fmt: str):
     if gamma is None:
         raise ConfigError("limits subcommand needs options.gamma or a "
                           "continuum bath block")
-    omega2 = moments(bath, 2).omega(2)
+    omega2 = moments(bath).omega(2)
     taus = resp.grid.times()
     rows = np.column_stack((taus, resp.g_samples.real, resp.g_samples.imag,
                             np.abs(resp.g_samples), np.cos(omega2 * taus),

@@ -61,9 +61,8 @@ KEYS = _Block(
     sequential=_Block(("total_window",), total_window=NUM, tau=NUM,
                       optimize=BOOL, tau_bounds=_PAIR),
     options=_Block(seed=_Int(), replications=_Int(2), nu=_Int(1),
-                   force_amplitude=NUM, theta=NUM, omega0_prefactor=BOOL,
-                   energy_sweep=[NUM, 1, None], gamma=NUM, n_thermal=NUM,
-                   report_points=_Int(2), t_prime=NUM))
+                   force_amplitude=NUM, theta=NUM, energy_sweep=[NUM, 1, None],
+                   gamma=NUM, n_thermal=NUM, report_points=_Int(2), t_prime=NUM))
 
 
 def _check(value: Any, rule: Any, path: str = "") -> None:
@@ -153,7 +152,7 @@ class ScenarioConfig:
             return discretize(self.spectrum(), int(block["continuum"]["n_modes"]),
                               self.omega0)
         arr = np.asarray(block["modes"], dtype=float).reshape(-1, 3)
-        return DiscreteBath.from_arrays(arr[:, 0], arr[:, 1], arr[:, 2], self.omega0)
+        return DiscreteBath(arr[:, 0], arr[:, 1], arr[:, 2], self.omega0)
 
     @_builder
     def force(self) -> ForceModulation:

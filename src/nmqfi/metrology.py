@@ -41,7 +41,6 @@ def energy_for_script_e(se: float) -> float:
 class BestStateSpec:
     """Optimal squeezed probe state for a given window and mean energy."""
 
-    energy: float
     script_e: float
     squeeze_r: float
     squeeze_phase: float    # argument of the squeezing parameter, in [0, 2pi)
@@ -88,8 +87,7 @@ def best_state(energy: float, disp: DisplacementCoefficient,
     t0, t1 = window
     phase_g = float(response.phase(t1 - t0))
     axis = disp.phase - phase_g
-    return BestStateSpec(energy=float(energy), script_e=se,
-                         squeeze_r=0.5 * np.log(2.0 * se),
+    return BestStateSpec(script_e=se, squeeze_r=0.5 * np.log(2.0 * se),
                          squeeze_phase=float(np.mod(2.0 * axis, 2.0 * np.pi)))
 
 

@@ -137,7 +137,6 @@ class DisplacementCoefficient:
     """Noise-dressed displacement over a window; arrays for a batch of windows."""
 
     value: complex
-    window: Window
 
     @property
     def magnitude(self) -> float:
@@ -155,13 +154,11 @@ class DisplacementCoefficient:
 class CovarianceSnapshot:
     """Evolved second moments at one window, in the frame of angle theta."""
 
-    theta: float
     var_x_theta: float
     var_p_theta: float
     cross: float
     det_sigma: float
     noise_term: float
-    g_abs_sq: float
 
 
 def displacement(response: ResponseFunction, force: ForceModulation,
@@ -187,7 +184,7 @@ def displacement(response: ResponseFunction, force: ForceModulation,
 
     lo, hi = force.clipped(t0, t1)
     if np.ndim(t1) == 0:
-        return DisplacementCoefficient(omega0 * integral(t0, t1, lo, hi), (t0, t1))
+        return DisplacementCoefficient(omega0 * integral(t0, t1, lo, hi))
     starts, ends, lo, hi = (np.ravel(v)
                             for v in np.broadcast_arrays(t0, t1, lo, hi))
     val = np.zeros(ends.shape, dtype=complex)
@@ -202,7 +199,7 @@ def displacement(response: ResponseFunction, force: ForceModulation,
         for i in range(0, group.size, _WINDOW_CHUNK):
             rows = group[i:i + _WINDOW_CHUNK]
             val[rows] = integral(starts[rows], ends[rows], lo[rows], hi[rows])
-    return DisplacementCoefficient(omega0 * val.reshape(np.shape(t1)), (t0, t1))
+    return DisplacementCoefficient(omega0 * val.reshape(np.shape(t1)))
 
 
 def noise_term(response: ResponseFunction, bath: DiscreteBath,
@@ -289,10 +286,9 @@ def covariance_snapshot(init: GaussianProbeInit, response: ResponseFunction,
     if abs(det_matrix - det_closed) > 1e-8 * scale:
         raise ConsistencyError(
             f"determinant routes disagree: {det_matrix!r} vs {det_closed!r}")
-    return CovarianceSnapshot(theta=float(theta), var_x_theta=float(var_t),
-                              var_p_theta=float(var_p), cross=float(cross),
-                              det_sigma=float(det_closed), noise_term=float(n_b),
-                              g_abs_sq=float(g2))
+    return CovarianceSnapshot(var_x_theta=float(var_t), var_p_theta=float(var_p),
+                              cross=float(cross), det_sigma=float(det_closed),
+                              noise_term=float(n_b))
 
 
 def rotated_max_variance_angle(theta_m0: float, response: ResponseFunction,

@@ -61,7 +61,7 @@ def default_grid(bath: DiscreteBath, t_end: float) -> TimeGrid:
 
     Targets h * max(Omega_2, omega0) <= 0.02 with a floor on the step count.
     """
-    rate = max(moments(bath, 2).omega(2), bath.probe_frequency)
+    rate = max(moments(bath).omega(2), bath.probe_frequency)
     n = max(_FLOOR_STEPS, int(np.ceil(t_end * rate / 0.02)))
     return TimeGrid(0.0, float(t_end), n)
 
@@ -96,6 +96,10 @@ class ResponseFunction:
     g_dot_samples: np.ndarray
     g_ddot_samples: np.ndarray
     bath: DiscreteBath
+
+    def __post_init__(self):
+        for samples in (self.g_samples, self.g_dot_samples, self.g_ddot_samples):
+            samples.setflags(write=False)
 
     @property
     def t_end(self) -> float:

@@ -270,16 +270,15 @@ def tau_opt_asymptotic(energy: float, moments: BathMoments, xi: float,
 
 
 def seq_qfi_asymptotic(energy: float, moments: BathMoments, xi: float,
-                       c_coeff: float, omega0: float = 1.0,
-                       include_omega0_prefactor: bool = True) -> float:
+                       c_coeff: float, omega0: float = 1.0) -> float:
     """Two-term closed-form cadence total at the asymptotic optimum.
 
     xi / sqrt(N) E^{1/2}
     + (8 K^2 xi + chi_2^2 xi - 8 C) / (96 N^{3/2}) E^{-1/2}, the implemented
-    total (expanded as in tau_opt_asymptotic) at its maximizer, optionally
-    scaled by omega0^2 to stay dimensionally consistent with the exact
-    totals. The paper's sqrt(3) xi / (2 sqrt(N)) E^{1/2} is the total at
-    its interval 1/(2 sqrt(3 N E)), a factor 2/sqrt(3) below the maximum.
+    total (expanded as in tau_opt_asymptotic) at its maximizer, scaled by
+    omega0^2 to stay dimensionally consistent with the exact totals. The
+    paper's sqrt(3) xi / (2 sqrt(N)) E^{1/2} is the total at its interval
+    1/(2 sqrt(3 N E)), a factor 2/sqrt(3) below the maximum.
     """
     if moments.script_n <= 0:
         raise ValueError("noiseless bath: the cadence total is unbounded")
@@ -289,8 +288,7 @@ def seq_qfi_asymptotic(energy: float, moments: BathMoments, xi: float,
     lead = xi / math.sqrt(n_w) * se ** 0.5
     second = ((8.0 * ksq * xi + chi2sq * xi - 8.0 * c_coeff)
               / (96.0 * n_w ** 1.5) * se ** -0.5)
-    prefactor = omega0 ** 2 if include_omega0_prefactor else 1.0
-    return prefactor * (lead + second)
+    return omega0 ** 2 * (lead + second)
 
 
 @dataclass(frozen=True)
@@ -302,13 +300,12 @@ class MarkovSeqResult:
     noiseless: bool
 
 
-def markov_seq(total_window: float, energy: float, gamma: float,
-               n_thermal: float, xi: float, omega0: float = 1.0,
-               include_omega0_prefactor: bool = True) -> MarkovSeqResult:
+def markov_seq(energy: float, gamma: float, n_thermal: float, xi: float,
+               omega0: float = 1.0) -> MarkovSeqResult:
     """Closed-form cadence under Markovian noise: bounded total information.
 
     With A = gamma (n_thermal + 1/2): tau_opt = E^{-1/2} / (8 A) and the
-    energy-independent ceiling xi / (3 A). gamma = 0 returns the noiseless
+    energy-independent ceiling omega0^2 xi / (3 A). gamma = 0 returns the noiseless
     flag instead of dividing by zero.
     """
     if gamma < 0:
@@ -318,9 +315,8 @@ def markov_seq(total_window: float, energy: float, gamma: float,
                                noiseless=True)
     a = gamma * (n_thermal + 0.5)
     se = script_e(energy)
-    prefactor = omega0 ** 2 if include_omega0_prefactor else 1.0
     return MarkovSeqResult(tau_opt=se ** -0.5 / (8.0 * a),
-                           total_qfi_bound=prefactor * xi / (3.0 * a),
+                           total_qfi_bound=omega0 ** 2 * xi / (3.0 * a),
                            noiseless=False)
 
 

@@ -295,7 +295,7 @@ def per_outcome_estimation_mse(init, bath: DiscreteBath, response, force,
 @pytest.fixture(scope="session")
 def resonant_bath():
     """Single resonant mode |K|^2 = 0.25 at the probe frequency."""
-    return DiscreteBath.from_arrays([0.25], [1.0], [0.0], 1.0)
+    return DiscreteBath([0.25], [1.0], [0.0], 1.0)
 
 
 @pytest.fixture(scope="session")
@@ -306,19 +306,19 @@ def resonant_response(resonant_bath):
 @pytest.fixture(scope="session")
 def detuned_bath():
     """Single mode |K| = 0.5 with detuning omega0 - omega_n = 1.0."""
-    return DiscreteBath.from_arrays([0.25], [1.0], [0.0], 2.0)
+    return DiscreteBath([0.25], [1.0], [0.0], 2.0)
 
 
 @pytest.fixture(scope="session")
 def two_mode_bath():
-    return DiscreteBath.from_arrays([0.3, 0.2], [1.9, 0.3], [0.0, 0.4], 1.0)
+    return DiscreteBath([0.3, 0.2], [1.9, 0.3], [0.0, 0.4], 1.0)
 
 
 @pytest.fixture(scope="session")
 def ohmic_bath():
     spec = ContinuousSpectrum("ohmic", scale=0.05, cutoff=2.0, exponent=1.0,
                               cutoff_shape="exponential",
-                              occupation=OccupationModel.thermal(0.8))
+                              occupation=OccupationModel("thermal", 0.8))
     return discretize(spec, 32, 1.0)
 
 

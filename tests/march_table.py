@@ -43,7 +43,7 @@ def timed(solver, bath, grid):
 
 def main():
     spec = ContinuousSpectrum("flat", scale=0.02, cutoff=2.0,
-                              occupation=OccupationModel.thermal(0.5))
+                              occupation=OccupationModel("thermal", 0.5))
     rows = []
     for n_modes in MODES:
         bath = discretize(spec, n_modes, 1.0)

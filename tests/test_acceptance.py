@@ -81,7 +81,7 @@ def test_criterion_03_solver_order(detuned_bath, two_mode_bath):
 
 
 def test_criterion_04_short_time_qfi_slope():
-    bath = DiscreteBath.from_arrays([1.0], [2.0], [0.0], 1.0)   # Omega_2 = 1
+    bath = DiscreteBath([1.0], [2.0], [0.0], 1.0)   # Omega_2 = 1
     resp = solve_response(bath, TimeGrid(0.0, 0.12, 4096))
     taus = np.geomspace(1e-3, 1e-1, 9)
     resid = []
@@ -119,7 +119,7 @@ def test_criterion_05_markov_third_order_contrast():
 @pytest.fixture(scope="module")
 def cadence_sweep():
     """optimize_tau over script-E in {1e2, 1e3, 1e4} on a unit-weight bath."""
-    bath = DiscreteBath.from_arrays([2.0], [1.0], [0.0], 1.0)
+    bath = DiscreteBath([2.0], [1.0], [0.0], 1.0)
     resp = solve_response(bath, TimeGrid(0.0, 0.4, 8192))
     m = moments(bath)
     ints = xi_and_c(ZETA, 1.0, 1.0)
@@ -156,8 +156,8 @@ def test_criterion_07_scaling_dichotomy(cadence_sweep):
     totals = np.array([r[2] for r in rows])
     slope = float(np.polyfit(np.log(ses), np.log(totals), 1)[0])
     slope_ok = 0.4 <= slope <= 0.6
-    bounds = [markov_seq(1.0, energy_for_script_e(se), 0.1, 0.0,
-                         ints.xi).total_qfi_bound for se in ses]
+    bounds = [markov_seq(energy_for_script_e(se), 0.1, 0.0, ints.xi).total_qfi_bound
+              for se in ses]
     flat_ok = max(bounds) - min(bounds) <= 1e-9
     want = ints.xi / (3.0 * 0.05)
     value_ok = abs(bounds[0] - want) <= 1e-9
@@ -167,7 +167,7 @@ def test_criterion_07_scaling_dichotomy(cadence_sweep):
 
 
 def test_criterion_08_noiseless_heisenberg_limit():
-    bath = DiscreteBath.empty(1.0)
+    bath = DiscreteBath([], [], [], 1.0)
     resp = solve_response(bath, TimeGrid(0.0, 4.0, 1024))
     ratios = np.array([
         qfi_best_state(energy_for_script_e(se), bath, resp, ZETA, 1.0,
@@ -179,7 +179,7 @@ def test_criterion_08_noiseless_heisenberg_limit():
 
 
 def test_criterion_09_best_measurement_optimality():
-    bath = DiscreteBath.from_arrays([0.09], [0.7], [0.0], 1.0)
+    bath = DiscreteBath([0.09], [0.7], [0.0], 1.0)
     resp = solve_response(bath, TimeGrid(0.0, 2.0, 2048))
     win = (0.0, 1.3)
     disp = displacement(resp, ZETA, 1.0, win)
@@ -203,7 +203,7 @@ def test_criterion_09_best_measurement_optimality():
 
 
 def test_criterion_10_cramer_rao_saturation():
-    bath = DiscreteBath.empty(1.0)
+    bath = DiscreteBath([], [], [], 1.0)
     resp = solve_response(bath, TimeGrid(0.0, 4.0, 1024))
     res = simulate_estimation(VACUUM, bath, resp, ZETA, 1.0, (0.0, np.pi),
                               f_true=0.3, nu=100, seed=20240901,
@@ -217,9 +217,9 @@ def _invariant_scenarios():
     families = [("flat", None), ("ohmic", 1.0), ("ohmic", 0.5), ("ohmic", 2.0)]
     cases = []
     for family, s in families:
-        for occupation, on_resonance in ((OccupationModel.zero(), True),
-                                         (OccupationModel.thermal(0.8), True),
-                                         (OccupationModel.thermal(0.8), False)):
+        for occupation, on_resonance in ((OccupationModel("zero"), True),
+                                         (OccupationModel("thermal", 0.8), True),
+                                         (OccupationModel("thermal", 0.8), False)):
             kwargs = dict(family=family, scale=0.03, cutoff=2.0,
                           cutoff_shape="hard", occupation=occupation)
             if s is not None:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nmqfi.bath import (BathMode, ContinuousSpectrum, DiscreteBath,
-                        OccupationModel, bare_correlation, discretize,
-                        memory_kernel, moments)
+from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
+                        bare_correlation, discretize, memory_kernel, moments)
+from nmqfi.response import TimeGrid, solve_response
 
 
 class TestDiscretize:
@@ -58,7 +58,7 @@ class TestDiscretize:
 
     def test_thermal_occupations(self):
         spec = ContinuousSpectrum("flat", scale=1.0, cutoff=2.0,
-                                  occupation=OccupationModel.thermal(1.0))
+                                  occupation=OccupationModel("thermal", 1.0))
         bath = discretize(spec, 4, 1.0)
         assert_allclose(bath.occupations, 1.0 / np.expm1(bath.frequencies))
 
@@ -73,32 +73,32 @@ class TestKernel:
             assert memory_kernel(resonant_bath, tau) == pytest.approx(0.25)
 
     def test_empty_bath_zero(self):
-        bath = DiscreteBath.empty(1.0)
+        bath = DiscreteBath([], [], [], 1.0)
         assert memory_kernel(bath, 2.0) == 0.0
         assert bare_correlation(bath, 2.0) == 0.0
 
     def test_symmetric_pair_cosine(self):
         # direct-summation oracle: 2 cos(tau) at |K|^2 = 1, detunings +-1
-        bath = DiscreteBath.from_arrays([1.0, 1.0], [1.0, 3.0], [0.0, 0.0], 2.0)
+        bath = DiscreteBath([1.0, 1.0], [1.0, 3.0], [0.0, 0.0], 2.0)
         val = memory_kernel(bath, np.pi / 2)
         assert abs(val - 2.0 * np.cos(np.pi / 2)) < 1e-14
 
     def test_bare_correlation_resonant_vacuum(self):
-        bath = DiscreteBath.from_arrays([1.0], [1.0], [0.0], 1.0)
+        bath = DiscreteBath([1.0], [1.0], [0.0], 1.0)
         assert bare_correlation(bath, 5.0) == pytest.approx(0.5)
 
     def test_bare_correlation_matches_direct_sum(self, two_mode_bath):
         tau = 1.0
-        direct = sum(m.coupling_sq * (m.occupation + 0.5)
-                     * np.exp(1j * (two_mode_bath.probe_frequency - m.frequency) * tau)
-                     for m in two_mode_bath.modes)
+        b = two_mode_bath
+        direct = sum(c * (n + 0.5) * np.exp(1j * (b.probe_frequency - w) * tau)
+                     for c, w, n in zip(b.coupling_sq, b.frequencies, b.occupations))
         assert bare_correlation(two_mode_bath, tau) == pytest.approx(direct)
 
     @settings(max_examples=60, deadline=None)
     @given(tau=st.floats(-30.0, 30.0, allow_nan=False))
     def test_hermitian_symmetry(self, tau):
-        bath = DiscreteBath.from_arrays([0.3, 0.1, 0.25], [0.4, 1.1, 2.3],
-                                        [0.0, 1.0, 0.2], 1.0)
+        bath = DiscreteBath([0.3, 0.1, 0.25], [0.4, 1.1, 2.3],
+                            [0.0, 1.0, 0.2], 1.0)
         assert memory_kernel(bath, -tau) == pytest.approx(
             np.conj(memory_kernel(bath, tau)))
         assert bare_correlation(bath, -tau) == pytest.approx(
@@ -107,7 +107,7 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(tau=st.floats(-50.0, 50.0, allow_nan=False))
     def test_correlation_peak_at_zero(self, tau):
-        bath = DiscreteBath.from_arrays([0.3, 0.1], [0.4, 1.7], [0.5, 0.0], 1.0)
+        bath = DiscreteBath([0.3, 0.1], [0.4, 1.7], [0.5, 0.0], 1.0)
         assert abs(bare_correlation(bath, tau)) <= bath.script_n + 1e-12
 
     def test_kernel_zero_equals_k_squared(self, two_mode_bath):
@@ -118,25 +118,31 @@ class TestKernel:
 
 class TestMoments:
     def test_resonant_mode(self, resonant_bath):
-        m = moments(resonant_bath, 6)
+        m = moments(resonant_bath)
         assert m.omega(2) == pytest.approx(0.5)
         for p in range(3, 7):
             assert m.omega(p) == 0.0
-        assert m.chi_defined
+        assert m.chi_q
         for q in range(1, 7):
             assert m.chi(q) == 0.0
+        with pytest.raises(IndexError):
+            m.omega(1)
+        with pytest.raises(IndexError):
+            m.omega(7)
+        with pytest.raises(IndexError):
+            m.chi(0)
 
     def test_empty_bath(self):
-        m = moments(DiscreteBath.empty(1.0))
+        m = moments(DiscreteBath([], [], [], 1.0))
         assert m.k_squared == 0.0
         assert m.script_n == 0.0
         assert all(v == 0.0 for v in m.omega_p)
-        assert not m.chi_defined
+        assert not m.chi_q
 
     def test_symmetric_pair_values(self):
         # direct-summation oracle for |K|^2 = 1 at detunings +-1, vacuum
-        bath = DiscreteBath.from_arrays([1.0, 1.0], [1.0, 3.0], [0.0, 0.0], 2.0)
-        m = moments(bath, 4)
+        bath = DiscreteBath([1.0, 1.0], [1.0, 3.0], [0.0, 0.0], 2.0)
+        m = moments(bath)
         assert m.k_squared == pytest.approx(2.0)
         assert m.script_n == pytest.approx(1.0)
         assert m.omega(2) == pytest.approx(np.sqrt(2.0))
@@ -150,9 +156,9 @@ class TestMoments:
         assert m.omega(2) == pytest.approx(np.sqrt(m.k_squared), rel=1e-12)
 
     def test_weightless_sets_flag(self):
-        bath = DiscreteBath.from_arrays([0.0, 0.0], [1.0, 2.0], [0.3, 0.0], 1.0)
+        bath = DiscreteBath([0.0, 0.0], [1.0, 2.0], [0.3, 0.0], 1.0)
         m = moments(bath)
-        assert not m.chi_defined
+        assert not m.chi_q
         with pytest.raises(ValueError):
             m.chi(2)
 
@@ -160,12 +166,37 @@ class TestMoments:
 class TestValidation:
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
-            BathMode(-1.0, 1.0)
+            DiscreteBath([-1.0], [1.0], [0.0], 1.0)
 
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
-            BathMode(1.0, 1.0, -0.5)
+            DiscreteBath([1.0], [1.0], [-0.5], 1.0)
 
     def test_bad_probe_frequency(self):
         with pytest.raises(ValueError):
-            DiscreteBath.empty(0.0)
+            DiscreteBath([], [], [], 0.0)
+
+    # negative couplings and occupations and probe_frequency 0 are the tests above
+    @pytest.mark.parametrize("arrays", [
+        ([1.0], [-1.0], [0.0], 1.0),
+        ([1.0, 0.5], [1.0], [0.0, 0.0], 1.0),
+        ([[1.0]], [[1.0]], [[0.0]], 1.0),
+    ], ids=["frequency", "lengths", "two_d"])
+    def test_constructor_rejects(self, arrays):
+        with pytest.raises(ValueError):
+            DiscreteBath(*arrays)
+
+    @pytest.mark.parametrize("name", ["coupling_sq", "frequencies", "occupations",
+                                      "g_samples", "g_dot_samples", "g_ddot_samples"])
+    def test_arrays_are_read_only(self, name):
+        resp = solve_response(DiscreteBath([0.25], [1.0], [0.0], 1.0),
+                              TimeGrid(0.0, 1.0, 8))
+        owner = resp if name.startswith("g_") else resp.bath
+        with pytest.raises(ValueError):
+            getattr(owner, name)[0] = 5.0
+
+    def test_inputs_are_copied(self):
+        coupling = np.array([0.3])
+        bath = DiscreteBath(coupling, [1.0], [0.0], 1.0)
+        coupling[0] = 5.0
+        assert bath.k_squared == 0.3

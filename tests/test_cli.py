@@ -162,17 +162,6 @@ def test_console_entry_point_runs():
     assert '"value"' in proc.stdout
 
 
-def test_sweep_thread_cap_is_deterministic(tmp_path, monkeypatch):
-    cfg = SCENARIO_DIR / "sweep_scaling.json"
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    monkeypatch.setenv("NMQFI_THREADS", "1")
-    run_cli(["sweep", "--config", cfg, "--out", out_a])
-    monkeypatch.setenv("NMQFI_THREADS", "3")
-    run_cli(["sweep", "--config", cfg, "--out", out_b])
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
 def test_sweep_csv_scaling_slope(tmp_path):
     import numpy as np
     out = tmp_path / "sweep.csv"

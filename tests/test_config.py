@@ -157,7 +157,6 @@ SCHEMA = {
                 "nu": {"type": "integer", "minimum": 1},
                 "force_amplitude": _NUMBER,
                 "theta": _NUMBER,
-                "omega0_prefactor": {"type": "boolean"},
                 "energy_sweep": {"type": "array", "items": _NUMBER,
                                  "minItems": 1},
                 "gamma": _NUMBER,

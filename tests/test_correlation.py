@@ -20,7 +20,7 @@ def flat_band():
 
 class TestDecomposition:
     def test_empty_bath_zero(self):
-        bath = DiscreteBath.empty(1.0)
+        bath = DiscreteBath([], [], [], 1.0)
         resp = solve_response(bath, TimeGrid(0.0, 5.0, 64))
         r = bath_correlation(bath, resp, 0.5, 2.0, 0.5, 1.0)
         assert r.total == 0.0
@@ -64,8 +64,7 @@ class TestDecomposition:
 
     def test_thermal_modes_match_four_term_assembly(self):
         omega0 = 1.3
-        bath = DiscreteBath.from_arrays([0.16, 0.09], [1.0, 1.9], [0.0, 0.7],
-                                        omega0)
+        bath = DiscreteBath([0.16, 0.09], [1.0, 1.9], [0.0, 0.7], omega0)
         resp = solve_response(bath, TimeGrid(0.0, 4.0, 4096))
         for t, tp in ((2.1, 0.9), (0.8, 3.0)):
             got = bath_correlation(bath, resp, 0.8, t, tp, omega0).total
@@ -97,8 +96,7 @@ class TestSymplecticOracle:
         from nmqfi.probe import GaussianProbeInit
 
         omega0 = 1.3
-        bath = DiscreteBath.from_arrays([0.16, 0.09], [1.0, 1.9], [0.0, 0.7],
-                                        omega0)
+        bath = DiscreteBath([0.16, 0.09], [1.0, 1.9], [0.0, 0.7], omega0)
         resp = solve_response(bath, TimeGrid(0.0, 4.0, 4096))
         init = GaussianProbeInit.squeezed(0.5, axis_angle=0.4,
                                           mean_amplitude=0.6 - 0.2j)

@@ -23,13 +23,13 @@ ZETA = fc.constant(1.0)
 
 @pytest.fixture(scope="module")
 def noiseless():
-    bath = DiscreteBath.empty(OMEGA0)
+    bath = DiscreteBath([], [], [], OMEGA0)
     return bath, solve_response(bath, TimeGrid(0.0, 4.0, 1024))
 
 
 @pytest.fixture(scope="module")
 def single_mode():
-    bath = DiscreteBath.from_arrays([0.09], [0.7], [0.0], OMEGA0)
+    bath = DiscreteBath([0.09], [0.7], [0.0], OMEGA0)
     return bath, solve_response(bath, TimeGrid(0.0, 4.0, 2048))
 
 
@@ -173,11 +173,10 @@ class TestBestStateQfi:
         vac = GaussianProbeInit.vacuum()
         win = (0.0, 1.2)
         base = qfi_aligned(vac, bath0, resp0, ZETA, OMEGA0, win).value
-        grown = DiscreteBath.from_arrays([0.16], [1.1], [0.3], OMEGA0)
+        grown = DiscreteBath([0.16], [1.1], [0.3], OMEGA0)
         resp1 = solve_response(grown, TimeGrid(0.0, 4.0, 2048))
         one = qfi_aligned(vac, grown, resp1, ZETA, OMEGA0, win).value
-        more = DiscreteBath.from_arrays([0.16, 0.2], [1.1, 0.6], [0.3, 0.0],
-                                        OMEGA0)
+        more = DiscreteBath([0.16, 0.2], [1.1, 0.6], [0.3, 0.0], OMEGA0)
         resp2 = solve_response(more, TimeGrid(0.0, 4.0, 2048))
         two = qfi_aligned(vac, more, resp2, ZETA, OMEGA0, win).value
         assert one < base

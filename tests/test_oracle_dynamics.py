@@ -29,8 +29,7 @@ T_FINAL = 2.1
 
 @pytest.fixture(scope="module")
 def bath():
-    return DiscreteBath.from_arrays([0.16, 0.09], [1.0, 1.9], [0.0, 0.7],
-                                    OMEGA0)
+    return DiscreteBath([0.16, 0.09], [1.0, 1.9], [0.0, 0.7], OMEGA0)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +132,7 @@ class TestSolverAgainstRandomBaths:
             coupling_sq = rng.uniform(0.01, 0.5, n)
             freqs = rng.uniform(0.1, 4.0, n)
             occs = rng.uniform(0.0, 1.5, n)
-            bath = DiscreteBath.from_arrays(coupling_sq, freqs, occs, omega0)
+            bath = DiscreteBath(coupling_sq, freqs, occs, omega0)
             resp = solve_response(bath, TimeGrid(0.0, 6.0, 2048))
             drift = amplitude_drift(bath)
             for tau in (0.9, 3.3, 6.0):

@@ -15,13 +15,13 @@ from nmqfi.response import TimeGrid, solve_response
 
 @pytest.fixture(scope="module")
 def noiseless_response():
-    return solve_response(DiscreteBath.empty(1.0), TimeGrid(0.0, 8.0, 512))
+    return solve_response(DiscreteBath([], [], [], 1.0), TimeGrid(0.0, 8.0, 512))
 
 
 @pytest.fixture(scope="module")
 def resonant03():
     """|K| = 0.3 resonant mode and its response, for displacement oracles."""
-    bath = DiscreteBath.from_arrays([0.09], [1.0], [0.0], 1.0)
+    bath = DiscreteBath([0.09], [1.0], [0.0], 1.0)
     return bath, solve_response(bath, TimeGrid(0.0, 4.0, 2048))
 
 
@@ -130,7 +130,7 @@ class TestMean:
 class TestVariance:
     def test_noiseless_vacuum_half(self, noiseless_response):
         vac = GaussianProbeInit.vacuum()
-        bath = DiscreteBath.empty(1.0)
+        bath = DiscreteBath([], [], [], 1.0)
         for theta in (0.0, 1.0):
             v = quadrature_variance(vac, noiseless_response, bath, theta, 1.0,
                                     (0.0, 3.0))
@@ -146,7 +146,7 @@ class TestVariance:
 
     def test_squeezed_noiseless(self, noiseless_response):
         init = GaussianProbeInit.squeezed(1.0, axis_angle=0.0)
-        bath = DiscreteBath.empty(1.0)
+        bath = DiscreteBath([], [], [], 1.0)
         # the squeezed axis rotates with the free evolution
         tau = 0.9
         v = quadrature_variance(init, noiseless_response, bath,
@@ -170,7 +170,7 @@ class TestVariance:
         assert noise_term(ohmic_response, ohmic_bath, (0.0, 0.0)) == 0.0
         n1 = noise_term(ohmic_response, ohmic_bath, (0.0, 1.0))
         assert n1 > 0.0
-        bath0 = DiscreteBath.empty(1.0)
+        bath0 = DiscreteBath([], [], [], 1.0)
         resp0 = solve_response(bath0, TimeGrid(0.0, 4.0, 256))
         assert noise_term(resp0, bath0, (0.0, 2.0)) == 0.0
 
@@ -188,7 +188,7 @@ class TestVariance:
 class TestSnapshot:
     def test_pure_noiseless_det(self, noiseless_response):
         vac = GaussianProbeInit.vacuum()
-        bath = DiscreteBath.empty(1.0)
+        bath = DiscreteBath([], [], [], 1.0)
         snap = covariance_snapshot(vac, noiseless_response, bath, 0.1, 1.0,
                                    (0.0, 2.0))
         assert snap.det_sigma == pytest.approx(0.25, abs=1e-12)
@@ -200,7 +200,7 @@ class TestSnapshot:
         assert snap.det_sigma == pytest.approx(0.25, abs=1e-5)
 
     def test_thermal_bath_det_grows(self):
-        bath = DiscreteBath.from_arrays([0.09], [1.0], [1.0], 1.0)
+        bath = DiscreteBath([0.09], [1.0], [1.0], 1.0)
         resp = solve_response(bath, TimeGrid(0.0, 6.0, 2048))
         vac = GaussianProbeInit.vacuum()
         snap = covariance_snapshot(vac, resp, bath, 0.0, 1.0, (0.0, 5.0))
@@ -215,7 +215,7 @@ class TestSnapshot:
 
     def test_noiseless_equals_rotated_initial(self, noiseless_response):
         init = GaussianProbeInit.squeezed(0.7, axis_angle=0.4)
-        bath = DiscreteBath.empty(1.0)
+        bath = DiscreteBath([], [], [], 1.0)
         tau, theta = 1.7, 0.25
         snap = covariance_snapshot(init, noiseless_response, bath, theta, 1.0,
                                    (0.0, tau))

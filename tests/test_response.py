@@ -17,9 +17,9 @@ from nmqfi.response import (TimeGrid, default_grid, markov_closed_form,
 
 _FLAT_THERMAL = discretize(
     ContinuousSpectrum("flat", scale=0.02, cutoff=2.0,
-                       occupation=OccupationModel.thermal(0.5)), 256, 1.0)
-_MIXED = DiscreteBath.from_arrays([0.0, 0.3, 0.0, 0.1], [1.0, 1.5, 0.2, 0.7],
-                                  [0.0, 0.0, 0.0, 0.0], 1.0)
+                       occupation=OccupationModel("thermal", 0.5)), 256, 1.0)
+_MIXED = DiscreteBath([0.0, 0.3, 0.0, 0.1], [1.0, 1.5, 0.2, 0.7],
+                      [0.0, 0.0, 0.0, 0.0], 1.0)
 # (bath or fixture name, grid): inner step counts 8192, 4096, 4096, 4096,
 # 148 and 8 cover whole blocks, a partial last block and a grid shorter
 # than one block.
@@ -63,14 +63,14 @@ class TestSolver:
         assert messages[0] == messages[1]
 
     def test_empty_bath_identity(self):
-        resp = solve_response(DiscreteBath.empty(1.0), TimeGrid(0.0, 5.0, 64))
+        resp = solve_response(DiscreteBath([], [], [], 1.0), TimeGrid(0.0, 5.0, 64))
         assert_allclose(resp.g_samples, 1.0)
         assert_allclose(resp.g_dot_samples, 0.0)
 
     def test_refinement_factor_is_fixed(self):
         # the march always runs 4x finer than the requested grid
         with pytest.raises(TypeError):
-            solve_response(DiscreteBath.empty(1.0), TimeGrid(0.0, 1.0, 8),
+            solve_response(DiscreteBath([], [], [], 1.0), TimeGrid(0.0, 1.0, 8),
                            refine=2)
 
     def test_initial_conditions_exact(self, resonant_response):
@@ -116,9 +116,8 @@ class TestSolver:
         assert solver_residual(resp) <= bound
 
     def test_symmetric_spectrum_response_is_real(self):
-        bath = DiscreteBath.from_arrays([0.4, 0.4, 0.2, 0.2],
-                                        [1.5, 2.5, 1.0, 3.0],
-                                        [0.0, 0.0, 0.0, 0.0], 2.0)
+        bath = DiscreteBath([0.4, 0.4, 0.2, 0.2], [1.5, 2.5, 1.0, 3.0],
+                            [0.0, 0.0, 0.0, 0.0], 2.0)
         resp = solve_response(bath, TimeGrid(0.0, 12.0, 4096))
         assert np.abs(resp.g_samples.imag).max() <= 1e-8
 
@@ -142,7 +141,7 @@ class TestSolver:
 
     def test_default_grid_resolution(self, detuned_bath):
         grid = default_grid(detuned_bath, 5.0)
-        m = moments(detuned_bath, 2)
+        m = moments(detuned_bath)
         assert grid.h * max(m.omega(2), detuned_bath.probe_frequency) <= 0.02
         assert grid.n_steps >= 1024
 
@@ -180,7 +179,7 @@ class TestShortTime:
 
     def test_detuned_third_order(self):
         # |K|^2 = 1, omega_n - omega0 = 2, tau = 0.1
-        bath = DiscreteBath.from_arrays([1.0], [3.0], [0.0], 1.0)
+        bath = DiscreteBath([1.0], [3.0], [0.0], 1.0)
         val = short_time_response(bath, 0.1)
         assert val.real == pytest.approx(1.0 - 0.005)
         assert val.imag == pytest.approx(2.0 * 0.1 ** 3 / 6.0)

@@ -50,7 +50,7 @@ def _golden_max(f, a, b, rel_width=1e-12):
 @pytest.fixture(scope="module")
 def unit_weight_bath():
     """Resonant mode with script_n = 1 (|K|^2 = 2, vacuum)."""
-    return DiscreteBath.from_arrays([2.0], [1.0], [0.0], 1.0)
+    return DiscreteBath([2.0], [1.0], [0.0], 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ class TestStepNoise:
             assert a == pytest.approx(b, rel=1e-7)
 
     def test_empty_bath_zero(self):
-        bath = DiscreteBath.empty(1.0)
+        bath = DiscreteBath([], [], [], 1.0)
         resp = solve_response(bath, TimeGrid(0.0, 1.0, 64))
         assert step_noise_variance(resp, bath, 0.5) == 0.0
 
@@ -211,7 +211,7 @@ class TestSeqQfi:
 
     def test_noiseless_linear_growth(self):
         # closed-form oracle: nu * 4 scriptE |D0(tau)|^2
-        bath = DiscreteBath.empty(1.0)
+        bath = DiscreteBath([], [], [], 1.0)
         resp = solve_response(bath, TimeGrid(0.0, 0.5, 512))
         tau, total = 0.02, 0.4
         r = seq_qfi(SequentialScheme(total, tau), 5.0, bath, resp, ZETA, 1.0)
@@ -291,7 +291,7 @@ class TestOptimize:
         assert res.hit_bound
 
     def test_noiseless_hits_upper_bound(self):
-        bath = DiscreteBath.empty(1.0)
+        bath = DiscreteBath([], [], [], 1.0)
         resp = solve_response(bath, TimeGrid(0.0, 0.5, 512))
         res = optimize_tau(0.4, 5.0, bath, resp, ZETA, 1.0, (0.001, 0.4))
         assert res.hit_bound
@@ -391,15 +391,14 @@ class TestAsymptotics:
         want = 10.0 + 7.0 / 480.0
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_omega0_prefactor_switch(self, unit_weight_bath):
+    def test_omega0_squared_prefactor(self, unit_weight_bath):
         m = moments(unit_weight_bath)
-        on = seq_qfi_asymptotic(5.0, m, 1.0, 0.25, omega0=2.0)
-        off = seq_qfi_asymptotic(5.0, m, 1.0, 0.25, omega0=2.0,
-                                 include_omega0_prefactor=False)
-        assert on == pytest.approx(4.0 * off)
+        doubled = seq_qfi_asymptotic(5.0, m, 1.0, 0.25, omega0=2.0)
+        unit = seq_qfi_asymptotic(5.0, m, 1.0, 0.25, omega0=1.0)
+        assert doubled == pytest.approx(4.0 * unit)
 
     def test_noiseless_rejected(self):
-        m = moments(DiscreteBath.empty(1.0))
+        m = moments(DiscreteBath([], [], [], 1.0))
         with pytest.raises(ValueError):
             tau_opt_asymptotic(5.0, m, 1.0, 0.25)
         with pytest.raises(ValueError):
@@ -413,7 +412,7 @@ class TestClosedFormOracle:
                                         DETUNED_THERMAL],
                              ids=["unit_weight", "detuned_thermal"])
     def test_second_order_matches_engine_maximum(self, arrays):
-        bath = DiscreteBath.from_arrays(*arrays)
+        bath = DiscreteBath(*arrays)
         omega0 = arrays[3]
         resp = solve_response(bath, TimeGrid(0.0, 0.4, 8192))
         m = moments(bath)
@@ -524,16 +523,16 @@ class TestForceIntegrals:
 
 class TestMarkovSeq:
     def test_example_values(self):
-        r = markov_seq(1.0, energy_for_script_e(100.0), 0.1, 0.0, 1.0)
+        r = markov_seq(energy_for_script_e(100.0), 0.1, 0.0, 1.0)
         assert r.total_qfi_bound == pytest.approx(1.0 / 0.15)
         assert r.tau_opt == pytest.approx(0.25)
 
     def test_bound_energy_independent(self):
-        a = markov_seq(1.0, energy_for_script_e(100.0), 0.1, 0.0, 2.5)
-        b = markov_seq(1.0, energy_for_script_e(1e4), 0.1, 0.0, 2.5)
+        a = markov_seq(energy_for_script_e(100.0), 0.1, 0.0, 2.5)
+        b = markov_seq(energy_for_script_e(1e4), 0.1, 0.0, 2.5)
         assert a.total_qfi_bound == b.total_qfi_bound
 
     def test_noiseless_flag(self):
-        r = markov_seq(1.0, 5.0, 0.0, 0.0, 1.0)
+        r = markov_seq(5.0, 0.0, 0.0, 1.0)
         assert r.noiseless
         assert np.isinf(r.total_qfi_bound)
