@@ -17,14 +17,14 @@ from .force import (ConstantForce, ForceModulation, GaussianPulseForce,
                     SinusoidForce, TabulatedForce, constant, gaussian_pulse,
                     sinusoid)
 from .metrology import (BestStateSpec, EstimationResult, QfiResult,
-                        best_state, energy_for_script_e, fisher_quadrature,
-                        markov_qfi, optimal_angle, qfi_aligned, qfi_best_state,
-                        qfi_general, script_e, short_time_qfi,
-                        simulate_estimation)
-from .probe import (CovarianceSnapshot, DisplacementCoefficient,
-                    GaussianProbeInit, covariance_snapshot, displacement,
-                    noise_term, quadrature_mean, quadrature_variance,
-                    rotated_max_variance_angle, variance_p)
+                        best_state, best_state_variance, energy_for_script_e,
+                        fisher_quadrature, markov_qfi, optimal_angle,
+                        qfi_aligned, qfi_best_state, qfi_general, script_e,
+                        short_time_qfi, simulate_estimation)
+from .probe import (CovarianceSnapshot, GaussianProbeInit, WindowTerms,
+                    covariance_snapshot, displacement, noise_term,
+                    quadrature_mean, quadrature_variance,
+                    rotated_max_variance_angle, variance_p, window_terms)
 from .response import (ResponseFunction, TimeGrid, default_grid,
                        markov_closed_form, markov_decay_rate, solve_response)
 from .sequential import (ForceWindowIntegrals, MarkovSeqResult, SeqResult,

@@ -15,15 +15,20 @@ from typing import Union
 import numpy as np
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteBath:
     """Bath modes as three read-only arrays plus the probe frequency.
 
     coupling_sq |K_n|^2, frequencies omega_n and occupations N_n are 1-D,
-    of one length and >= 0. The arrays are copied and set read-only, so
-    the type is immutable and its cached eigensystem never goes stale; an
-    empty mode list is the noiseless limit (zero kernel, response
-    identically one).
+    of one length and >= 0. The arrays are copied and set read-only, as
+    are the cached detunings and eigensystem, so the type is immutable and
+    no cached array can fall out of step with the modes; an empty mode
+    list is the noiseless limit (zero kernel, response identically one).
     """
 
     coupling_sq: np.ndarray
@@ -38,8 +43,7 @@ class DiscreteBath:
                 raise ValueError(f"{name} must be a 1-D array")
             if (arr < 0).any():
                 raise ValueError(f"{name} must be >= 0")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
         if not self.coupling_sq.size == self.frequencies.size == self.occupations.size:
             raise ValueError("coupling_sq, frequencies and occupations differ in length")
         if self.probe_frequency <= 0:
@@ -53,7 +57,7 @@ class DiscreteBath:
     @cached_property
     def detunings(self) -> np.ndarray:
         """probe_frequency - mode frequency, the rotating-frame rates."""
-        return self.probe_frequency - self.frequencies
+        return _read_only(self.probe_frequency - self.frequencies)
 
     @property
     def k_squared(self) -> float:
@@ -73,7 +77,8 @@ class DiscreteBath:
         """
         h = np.diag(np.concatenate(([self.probe_frequency], self.frequencies)))
         h[0, 1:] = h[1:, 0] = np.sqrt(self.coupling_sq)
-        return np.linalg.eigh(h)
+        lam, vec = np.linalg.eigh(h)
+        return _read_only(lam), _read_only(vec)
 
     def propagate(self, w, tau) -> np.ndarray:
         """Row w^T U(tau) of the amplitude propagator U = V e^{-i Lambda tau} V^T.

@@ -21,8 +21,8 @@ from .bath import moments
 from .config import ScenarioConfig, load_config
 from .errors import AlignmentError, ConfigError, NmqfiError
 from .metrology import energy_for_script_e, script_e
-from .probe import (DisplacementCoefficient, covariance_snapshot, displacement,
-                    quadrature_mean)
+from .probe import (covariance_snapshot, displacement, quadrature_mean,
+                    window_terms)
 from .response import markov_closed_form, markov_decay_rate, solve_response
 
 
@@ -82,44 +82,46 @@ def run_moments(cfg: ScenarioConfig, out: IO[str], fmt: str):
     amp = float(cfg.options.get("force_amplitude", 0.0))
     times = _report_times(cfg, t0, t1)
     if "force" in cfg.raw:
-        values = displacement(resp, cfg.force(), cfg.omega0, (t0, times)).value
+        values = displacement(resp, cfg.force(), cfg.omega0, (t0, times))
     else:
         values = np.zeros(times.shape, dtype=complex)
     rows = []
     for t, value in zip(times, values):
-        win = (t0, float(t))
-        disp = DisplacementCoefficient(complex(value))
-        mean = quadrature_mean(init, resp, disp, theta, amp, cfg.omega0, win)
-        snap = covariance_snapshot(init, resp, bath, theta, cfg.omega0, win)
+        w = window_terms(resp, bath, cfg.omega0, (t0, float(t)), complex(value))
+        mean = quadrature_mean(init, w, theta, amp)
+        snap = covariance_snapshot(init, w, theta)
         rows.append((t, theta, mean, snap.var_x_theta, snap.var_p_theta,
-                     snap.det_sigma, snap.noise_term))
+                     snap.det_sigma, w.n_b))
     _write_csv(out, ["t", "theta", "mean", "var_x", "var_p", "det_sigma", "n_b"],
                rows)
+
+
+def _window_and_state(cfg: ScenarioConfig, bath, resp):
+    """The window's terms, from one displacement call, and the probe state."""
+    force = cfg.force()
+    window = cfg.window()
+    energy = cfg.energy()
+    init = cfg.init_state() if energy is None else None
+    w = window_terms(resp, bath, cfg.omega0, window,
+                     displacement(resp, force, cfg.omega0, window))
+    if energy is not None:
+        init = metrology.best_state(energy, w).to_init()
+    return w, init
 
 
 def run_qfi(cfg: ScenarioConfig, out: IO[str], fmt: str):
     bath = cfg.bath()
     resp = solve_response(bath, cfg.grid(bath))
-    force = cfg.force()
-    window = cfg.window()
+    w, init = _window_and_state(cfg, bath, resp)
     energy = cfg.energy()
     if energy is not None:
-        result = metrology.qfi_best_state(energy, bath, resp, force,
-                                          cfg.omega0, window)
-        se = script_e(energy)
-        init = metrology.best_state(
-            energy, displacement(resp, force, cfg.omega0, window),
-            resp, window).to_init()
+        result = metrology.qfi_best_state(energy, w)
     else:
-        init = cfg.init_state()
-        se = None
         try:
-            result = metrology.qfi_aligned(init, bath, resp, force,
-                                           cfg.omega0, window)
+            result = metrology.qfi_aligned(init, w)
         except AlignmentError:
-            result = metrology.qfi_general(init, bath, resp, force,
-                                           cfg.omega0, window)
-    snap = covariance_snapshot(init, resp, bath, 0.0, cfg.omega0, window)
+            result = metrology.qfi_general(init, w)
+    snap = covariance_snapshot(init, w, 0.0)
     m = moments(bath)
     payload = {
         "form": result.form,
@@ -127,7 +129,7 @@ def run_qfi(cfg: ScenarioConfig, out: IO[str], fmt: str):
         "abs_d": float(np.sqrt(result.numerator_abs_d_sq)),
         "variance": result.denominator_variance_or_det,
         "det_sigma": snap.det_sigma,
-        "window": list(window),
+        "window": list(cfg.window()),
         "bath_moments": {
             "k_squared": m.k_squared,
             "script_n": m.script_n,
@@ -135,27 +137,19 @@ def run_qfi(cfg: ScenarioConfig, out: IO[str], fmt: str):
             "chi_q": list(m.chi_q),
         },
     }
-    if se is not None:
-        payload["script_e"] = se
+    if energy is not None:
+        payload["script_e"] = script_e(energy)
     _write_json(out, payload)
 
 
 def run_estimate(cfg: ScenarioConfig, out: IO[str], fmt: str, seed_override):
     bath = cfg.bath()
     resp = solve_response(bath, cfg.grid(bath))
-    force = cfg.force()
-    window = cfg.window()
-    energy = cfg.energy()
-    if energy is not None:
-        init = metrology.best_state(
-            energy, displacement(resp, force, cfg.omega0, window),
-            resp, window).to_init()
-    else:
-        init = cfg.init_state()
+    w, init = _window_and_state(cfg, bath, resp)
     seed = int(seed_override if seed_override is not None
                else cfg.options.get("seed", 0))
     result = metrology.simulate_estimation(
-        init, bath, resp, force, cfg.omega0, window,
+        init, w,
         f_true=float(cfg.options.get("force_amplitude", 0.0)),
         nu=int(cfg.options.get("nu", 100)), seed=seed,
         replications=int(cfg.options.get("replications", 2000)))
@@ -196,7 +190,8 @@ def _sequential_point(cfg: ScenarioConfig, bath, resp, force,
         terms = sequential.interval_terms(
             sequential.SequentialScheme(total, float(block["tau"])),
             bath, resp, force, cfg.omega0)
-        found = [(terms.result(energy), False) for energy in energies]
+        found = [(sequential.seq_result(terms, energy), False)
+                 for energy in energies]
     ints = sequential.xi_and_c(force, cfg.omega0, total)
     gamma = _gamma_for(cfg)
     fastest = max(m.fastest_rate, cfg.omega0)

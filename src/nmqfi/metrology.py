@@ -12,13 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .bath import DiscreteBath
 from .errors import AlignmentError, EstimationError
 from .force import ForceModulation
-from .probe import (DisplacementCoefficient, GaussianProbeInit, Window,
-                    covariance_snapshot, displacement, noise_term,
-                    quadrature_mean, rotated_max_variance_angle, variance_p)
-from .response import ResponseFunction
+from .probe import (GaussianProbeInit, Window, WindowTerms,
+                    covariance_snapshot, phase, quadrature_mean,
+                    rotated_max_variance_angle, variance_p)
 
 _ALIGNMENT_TOL = 1e-6
 
@@ -68,15 +66,12 @@ class QfiResult:
     form: str    # "general" | "aligned" | "best_state" | "markov"
 
 
-def optimal_angle(disp: DisplacementCoefficient, omega0: float,
-                  window: Window) -> float:
+def optimal_angle(w: WindowTerms) -> float:
     """Measurement angle phase(D) - omega0 (t - t0) of the best quadrature."""
-    t0, t1 = window
-    return float(disp.phase - omega0 * (t1 - t0))
+    return float(phase(w.disp) - w.omega0 * w.tau)
 
 
-def best_state(energy: float, disp: DisplacementCoefficient,
-               response: ResponseFunction, window: Window) -> BestStateSpec:
+def best_state(energy: float, w: WindowTerms) -> BestStateSpec:
     """Squeezed state maximizing the window's Fisher information at fixed energy.
 
     Squeeze magnitude r = ln(2 script_e)/2 with the squeezing argument
@@ -84,99 +79,73 @@ def best_state(energy: float, disp: DisplacementCoefficient,
     quadrature at angle phase(D) - phase(G).
     """
     se = script_e(energy)
-    t0, t1 = window
-    phase_g = float(response.phase(t1 - t0))
-    axis = disp.phase - phase_g
+    axis = phase(w.disp) - phase(w.g)
     return BestStateSpec(script_e=se, squeeze_r=0.5 * np.log(2.0 * se),
                          squeeze_phase=float(np.mod(2.0 * axis, 2.0 * np.pi)))
 
 
-def _is_aligned(init: GaussianProbeInit, disp: DisplacementCoefficient,
-                response: ResponseFunction, omega0: float,
-                window: Window) -> bool:
-    if init.is_isotropic:
-        return True
-    t0, t1 = window
-    target = np.mod(optimal_angle(disp, omega0, window), np.pi)
-    evolved = rotated_max_variance_angle(init.max_variance_angle(), response,
-                                         omega0, window)
-    diff = abs(evolved - target) % np.pi
-    return min(diff, np.pi - diff) <= _ALIGNMENT_TOL
+def best_state_variance(energy: float, w: WindowTerms) -> float:
+    """P variance |G|^2 / (4 script_e) + n_B of the window's best state.
+
+    The denominator of the best-state Fisher information; a cadence's
+    steps share it, so for a cadence record it divides every |D_k|^2.
+    """
+    return abs(w.g) ** 2 * 0.25 / script_e(energy) + w.n_b
 
 
-def qfi_general(init: GaussianProbeInit, bath: DiscreteBath,
-                response: ResponseFunction, force: ForceModulation,
-                omega0: float, window: Window) -> QfiResult:
+def _qfi(w: WindowTerms, variance: float, form: str) -> QfiResult:
+    """|D|^2 over the variance of the measured quadrature."""
+    return QfiResult(value=float(abs(w.disp) ** 2 / variance),
+                     numerator_abs_d_sq=abs(w.disp) ** 2,
+                     denominator_variance_or_det=float(variance), form=form)
+
+
+def qfi_general(init: GaussianProbeInit, w: WindowTerms) -> QfiResult:
     """QFI for any Gaussian initial state.
 
     |D|^2 / det Sigma times the evolved variance of X at the optimal
     angle; the recorded denominator det/var is the effective conjugate
     variance (equal to the P variance when the state is aligned).
     """
-    disp = displacement(response, force, omega0, window)
-    theta = optimal_angle(disp, omega0, window)
-    snap = covariance_snapshot(init, response, bath, theta, omega0, window)
-    effective = snap.det_sigma / snap.var_x_theta
-    value = disp.magnitude ** 2 / effective
-    return QfiResult(value=float(value),
-                     numerator_abs_d_sq=disp.magnitude ** 2,
-                     denominator_variance_or_det=float(effective),
-                     form="general")
+    snap = covariance_snapshot(init, w, optimal_angle(w))
+    return _qfi(w, snap.det_sigma / snap.var_x_theta, "general")
 
 
-def qfi_aligned(init: GaussianProbeInit, bath: DiscreteBath,
-                response: ResponseFunction, force: ForceModulation,
-                omega0: float, window: Window) -> QfiResult:
+def qfi_aligned(init: GaussianProbeInit, w: WindowTerms) -> QfiResult:
     """QFI |D|^2 / <Delta^2 P(optimal angle)> for aligned initial states.
 
     Valid when the evolved maximal-variance angle matches the optimal
     measurement angle (isotropic states always qualify); raises
     AlignmentError otherwise, in which case qfi_general applies.
     """
-    disp = displacement(response, force, omega0, window)
-    if disp.magnitude > 0.0 and not _is_aligned(init, disp, response, omega0,
-                                                window):
-        raise AlignmentError("initial state is not variance-aligned for this window")
-    theta = optimal_angle(disp, omega0, window)
-    var = variance_p(init, response, bath, theta, omega0, window)
-    return QfiResult(value=float(disp.magnitude ** 2 / var),
-                     numerator_abs_d_sq=disp.magnitude ** 2,
-                     denominator_variance_or_det=float(var),
-                     form="aligned")
+    if abs(w.disp) > 0.0 and not init.is_isotropic:
+        target = np.mod(optimal_angle(w), np.pi)
+        evolved = rotated_max_variance_angle(init.max_variance_angle(), w)
+        diff = abs(evolved - target) % np.pi
+        if min(diff, np.pi - diff) > _ALIGNMENT_TOL:
+            raise AlignmentError("initial state is not variance-aligned for this window")
+    return _qfi(w, variance_p(init, w, optimal_angle(w)), "aligned")
 
 
-def qfi_best_state(energy: float, bath: DiscreteBath,
-                   response: ResponseFunction, force: ForceModulation,
-                   omega0: float, window: Window) -> QfiResult:
+def qfi_best_state(energy: float, w: WindowTerms) -> QfiResult:
     """QFI reached by the optimal squeezed state of the given mean energy.
 
     Denominator |G|^2 / (4 script_e) + n_B; noiseless baths reduce it to
     1/(4 script_e), the Heisenberg-limit line linear in script_e.
     """
-    se = script_e(energy)
-    disp = displacement(response, force, omega0, window)
-    t0, t1 = window
-    g_abs = abs(response.g(t1 - t0))
-    denom = g_abs ** 2 * 0.25 / se + noise_term(response, bath, window)
-    return QfiResult(value=float(disp.magnitude ** 2 / denom),
-                     numerator_abs_d_sq=disp.magnitude ** 2,
-                     denominator_variance_or_det=float(denom),
-                     form="best_state")
+    return _qfi(w, best_state_variance(energy, w), "best_state")
 
 
-def fisher_quadrature(theta: float, init: GaussianProbeInit, bath: DiscreteBath,
-                      response: ResponseFunction, force: ForceModulation,
-                      omega0: float, window: Window) -> float:
+def fisher_quadrature(theta: float, init: GaussianProbeInit,
+                      w: WindowTerms) -> float:
     """Classical Fisher information of the P(theta) quadrature record.
 
     |D|^2 cos^2(theta + omega0 (t-t0) - phase(D)) / <Delta^2 P(theta)>;
     maximal at the optimal angle where the cosine is one.
     """
-    disp = displacement(response, force, omega0, window)
-    t0, t1 = window
-    rotation = theta + omega0 * (t1 - t0) - disp.phase
-    var = variance_p(init, response, bath, theta, omega0, window)
-    return float(disp.magnitude ** 2 * np.cos(rotation) ** 2 / var)
+    rotation = theta + w.omega0 * w.tau - phase(w.disp)
+    var = variance_p(init, w, theta)
+    return float(abs(w.disp) ** 2 * np.cos(rotation) ** 2 / var)
 
 
 @dataclass(frozen=True)
@@ -191,10 +160,8 @@ class EstimationResult:
     nu: int
 
 
-def simulate_estimation(init: GaussianProbeInit, bath: DiscreteBath,
-                        response: ResponseFunction, force: ForceModulation,
-                        omega0: float, window: Window, f_true: float,
-                        nu: int, seed: int,
+def simulate_estimation(init: GaussianProbeInit, w: WindowTerms,
+                        f_true: float, nu: int, seed: int,
                         replications: int = 2000) -> EstimationResult:
     """Simulate nu best-quadrature measurements and average the outcomes.
 
@@ -209,14 +176,12 @@ def simulate_estimation(init: GaussianProbeInit, bath: DiscreteBath,
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    disp = displacement(response, force, omega0, window)
-    if disp.magnitude == 0.0:
+    slope = abs(w.disp)
+    if slope == 0.0:
         raise EstimationError("zero displacement: the force leaves no signature")
-    theta = optimal_angle(disp, omega0, window)
-    slope = disp.magnitude
-    intercept = quadrature_mean(init, response, disp, theta + 0.5 * np.pi,
-                                0.0, omega0, window)
-    var = variance_p(init, response, bath, theta, omega0, window)
+    theta = optimal_angle(w)
+    intercept = quadrature_mean(init, w, theta + 0.5 * np.pi, 0.0)
+    var = variance_p(init, w, theta)
     qfi = slope ** 2 / var
     rng = np.random.Generator(np.random.Philox(seed))
     means = rng.normal(loc=intercept + slope * f_true,
@@ -244,8 +209,7 @@ def short_time_qfi(init: GaussianProbeInit, force: ForceModulation,
     d0 = omega0 * adaptive_simpson(
         lambda u: np.asarray(force.value(u)) * np.exp(1j * omega0 * (u - t0)),
         t0, t0 + tau, rel_tol=1e-11)
-    phase_d0 = float(np.mod(np.angle(d0), 2.0 * np.pi)) if d0 != 0 else 0.0
-    var0 = init.variance(phase_d0 + 0.5 * np.pi)
+    var0 = init.variance(phase(d0) + 0.5 * np.pi)
     return float(omega0 ** 2 * tau ** 2 * (z * z + z * zdot * tau) / var0)
 
 
@@ -269,8 +233,7 @@ def markov_qfi(init: GaussianProbeInit, gamma: float, n_thermal: float,
                    * np.exp(-0.5 * gamma * (t1 - u))),
         lo, hi, rel_tol=rel_tol)
     num = omega0 ** 2 * abs(integral) ** 2
-    phase_d = float(np.mod(np.angle(integral), 2.0 * np.pi)) if integral != 0 else 0.0
     decay = np.exp(-gamma * (t1 - t0))
-    denom = decay * init.variance(phase_d + 0.5 * np.pi) \
+    denom = decay * init.variance(phase(integral) + 0.5 * np.pi) \
         + (n_thermal + 0.5) * (1.0 - decay)
     return float(num / denom)

@@ -132,22 +132,11 @@ class GaussianProbeInit:
         return float(np.mod(ang, np.pi))
 
 
-@dataclass(frozen=True)
-class DisplacementCoefficient:
-    """Noise-dressed displacement over a window; arrays for a batch of windows."""
-
-    value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-    @property
-    def phase(self) -> float:
-        """arg(value) in [0, 2pi); zero by convention when value vanishes."""
-        if self.value == 0:
-            return 0.0
-        return float(np.mod(np.angle(self.value), 2.0 * np.pi))
+def phase(z) -> float:
+    """arg z in [0, 2pi); zero by convention where z vanishes."""
+    if z == 0:
+        return 0.0
+    return float(np.mod(np.angle(z), 2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -158,18 +147,17 @@ class CovarianceSnapshot:
     var_p_theta: float
     cross: float
     det_sigma: float
-    noise_term: float
 
 
 def displacement(response: ResponseFunction, force: ForceModulation,
-                 omega0: float, window: Window) -> DisplacementCoefficient:
+                 omega0: float, window: Window) -> Union[complex, np.ndarray]:
     """Displacement coefficient omega0 * int zeta(u) e^{i omega0 (u-t0)} G(t-u) du.
 
     The integral runs over the window clipped to the force support; an
     empty intersection gives zero. Window ends that are arrays (broadcast
     together) give one value per window, each integrated to the same
-    tolerance; windows are integrated in groups of similar clipped length,
-    at most _WINDOW_CHUNK at a time.
+    tolerance; a scalar window is a batch of one. Windows are integrated in
+    groups of similar clipped length, at most _WINDOW_CHUNK at a time.
     """
     t0, t1 = _check_window(window)
     response.require_coverage(np.max(t1 - t0))
@@ -183,8 +171,6 @@ def displacement(response: ResponseFunction, force: ForceModulation,
         return adaptive_simpson(integrand, lo, hi, rel_tol=_DISPLACEMENT_REL_TOL)
 
     lo, hi = force.clipped(t0, t1)
-    if np.ndim(t1) == 0:
-        return DisplacementCoefficient(omega0 * integral(t0, t1, lo, hi))
     starts, ends, lo, hi = (np.ravel(v)
                             for v in np.broadcast_arrays(t0, t1, lo, hi))
     val = np.zeros(ends.shape, dtype=complex)
@@ -199,7 +185,7 @@ def displacement(response: ResponseFunction, force: ForceModulation,
         for i in range(0, group.size, _WINDOW_CHUNK):
             rows = group[i:i + _WINDOW_CHUNK]
             val[rows] = integral(starts[rows], ends[rows], lo[rows], hi[rows])
-    return DisplacementCoefficient(omega0 * val.reshape(np.shape(t1)))
+    return omega0 * val.reshape(np.shape(t1))
 
 
 def noise_term(response: ResponseFunction, bath: DiscreteBath,
@@ -219,50 +205,66 @@ def noise_term(response: ResponseFunction, bath: DiscreteBath,
     return float(np.abs(bath_amps) ** 2 @ (bath.occupations + 0.5))
 
 
-def quadrature_mean(init: GaussianProbeInit, response: ResponseFunction,
-                    disp: DisplacementCoefficient, theta: float,
-                    force_amplitude: float, omega0: float,
-                    window: Window) -> float:
+@dataclass(frozen=True, eq=False)
+class WindowTerms:
+    """Everything a sensing window contributes: G(tau), n_B(tau) and D.
+
+    tau = t - t0 is the elapsed time. For a cadence, disp holds the
+    displacement of every step; the steps share tau, so g and n_b stay
+    scalars.
+    """
+
+    tau: float
+    g: complex
+    n_b: float
+    disp: Union[complex, np.ndarray]
+    omega0: float
+
+
+def window_terms(response: ResponseFunction, bath: DiscreteBath,
+                 omega0: float, window: Window, disp=0j) -> WindowTerms:
+    """G and n_B of the window, with the displacement the caller computed.
+
+    The only place a window's G(tau) and n_B are evaluated; every moment,
+    Fisher and cadence formula reads them from the returned record.
+    """
+    t0, t1 = _check_window(window)
+    tau = t1 - t0
+    return WindowTerms(tau=float(tau), g=response.g(tau),
+                       n_b=noise_term(response, bath, window), disp=disp,
+                       omega0=omega0)
+
+
+def quadrature_mean(init: GaussianProbeInit, w: WindowTerms, theta: float,
+                    force_amplitude: float) -> float:
     """Mean of X(theta) after the window.
 
     |G| <X[theta + omega0 (t-t0) - phase(G)]>_0
     + F |D| sin[theta + omega0 (t-t0) - phase(D)].
     """
-    t0, t1 = _check_window(window)
-    tau = t1 - t0
-    gval = response.g(tau)
-    rotation = theta + omega0 * tau
-    free = abs(gval) * init.mean_x(rotation - np.angle(gval))
-    driven = force_amplitude * disp.magnitude * np.sin(rotation - disp.phase)
+    rotation = theta + w.omega0 * w.tau
+    free = abs(w.g) * init.mean_x(rotation - np.angle(w.g))
+    driven = force_amplitude * abs(w.disp) * np.sin(rotation - phase(w.disp))
     return float(free + driven)
 
 
-def quadrature_variance(init: GaussianProbeInit, response: ResponseFunction,
-                        bath: DiscreteBath, theta: float, omega0: float,
-                        window: Window) -> float:
+def quadrature_variance(init: GaussianProbeInit, w: WindowTerms,
+                        theta: float) -> float:
     """Variance of X(theta) after the window.
 
     |G|^2 <Delta^2 X[theta + omega0 (t-t0) - phase(G)]>_0 + n_B(t, t0).
     """
-    t0, t1 = _check_window(window)
-    tau = t1 - t0
-    gval = response.g(tau)
-    rotated = theta + omega0 * tau - np.angle(gval)
-    return (abs(gval) ** 2 * init.variance(rotated)
-            + noise_term(response, bath, window))
+    rotated = theta + w.omega0 * w.tau - np.angle(w.g)
+    return abs(w.g) ** 2 * init.variance(rotated) + w.n_b
 
 
-def variance_p(init: GaussianProbeInit, response: ResponseFunction,
-               bath: DiscreteBath, theta: float, omega0: float,
-               window: Window) -> float:
+def variance_p(init: GaussianProbeInit, w: WindowTerms, theta: float) -> float:
     """Variance of P(theta) = X(theta + pi/2) after the window."""
-    return quadrature_variance(init, response, bath, theta + 0.5 * np.pi,
-                               omega0, window)
+    return quadrature_variance(init, w, theta + 0.5 * np.pi)
 
 
-def covariance_snapshot(init: GaussianProbeInit, response: ResponseFunction,
-                        bath: DiscreteBath, theta: float, omega0: float,
-                        window: Window) -> CovarianceSnapshot:
+def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
+                        theta: float) -> CovarianceSnapshot:
     """Full second-moment snapshot in the theta frame.
 
     The cross term comes from the variance at theta + pi/4; the covariance
@@ -270,12 +272,8 @@ def covariance_snapshot(init: GaussianProbeInit, response: ResponseFunction,
     combination |G|^4 det0 + |G|^2 tr0 n_B + n_B^2, which must agree to
     1e-8 relative.
     """
-    t0, t1 = _check_window(window)
-    tau = t1 - t0
-    gval = response.g(tau)
-    g2 = abs(gval) ** 2
-    n_b = noise_term(response, bath, window)
-    rot = theta + omega0 * tau - np.angle(gval)
+    g2, n_b = abs(w.g) ** 2, w.n_b
+    rot = theta + w.omega0 * w.tau - np.angle(w.g)
     var_t = g2 * init.variance(rot) + n_b
     var_p = g2 * init.variance(rot + 0.5 * np.pi) + n_b
     var_d = g2 * init.variance(rot + 0.25 * np.pi) + n_b
@@ -287,20 +285,15 @@ def covariance_snapshot(init: GaussianProbeInit, response: ResponseFunction,
         raise ConsistencyError(
             f"determinant routes disagree: {det_matrix!r} vs {det_closed!r}")
     return CovarianceSnapshot(var_x_theta=float(var_t), var_p_theta=float(var_p),
-                              cross=float(cross), det_sigma=float(det_closed),
-                              noise_term=float(n_b))
+                              cross=float(cross), det_sigma=float(det_closed))
 
 
-def rotated_max_variance_angle(theta_m0: float, response: ResponseFunction,
-                               omega0: float, window: Window) -> float:
+def rotated_max_variance_angle(theta_m0: float, w: WindowTerms) -> float:
     """Angle of maximal variance after the window, reduced mod pi.
 
     The affine map theta_m0 + phase(G) - omega0 (t - t0).
     """
-    t0, t1 = _check_window(window)
-    tau = t1 - t0
-    gval = response.g(tau)
-    return float(np.mod(theta_m0 + np.angle(gval) - omega0 * tau, np.pi))
+    return float(np.mod(theta_m0 + np.angle(w.g) - w.omega0 * w.tau, np.pi))
 
 
 mode_displacement = retired("mode_displacement")

@@ -67,12 +67,20 @@ def default_grid(bath: DiscreteBath, t_end: float) -> TimeGrid:
 
 
 def _hermite_eval(query: np.ndarray, h: float, y: np.ndarray,
-                  dy: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolation of samples y with derivatives dy."""
+                  dy: np.ndarray, slope: bool = False) -> np.ndarray:
+    """Cubic Hermite interpolation of samples y with derivatives dy.
+
+    slope=True gives the interpolant's derivative in query instead.
+    """
     n = y.shape[0] - 1
     idx = np.clip(np.floor(query / h).astype(int), 0, n - 1)
     s = query / h - idx
     s2 = s * s
+    if slope:
+        d00 = 6.0 * (s2 - s)          # d h00/ds; d h01/ds is its negative
+        return (d00 * (y[idx] - y[idx + 1]) / h
+                + (3.0 * s2 - 4.0 * s + 1.0) * dy[idx]
+                + (3.0 * s2 - 2.0 * s) * dy[idx + 1])
     s3 = s2 * s
     h00 = 2.0 * s3 - 3.0 * s2 + 1.0
     h10 = s3 - 2.0 * s2 + s
@@ -87,18 +95,17 @@ class ResponseFunction:
     """Sampled response G and its derivative on a uniform grid from 0.
 
     Off-grid queries use cubic Hermite interpolation built from the stored
-    derivative (and, for the derivative itself, from the stored second
-    derivative). Immutable; safe for concurrent reads.
+    derivative; g_dot is the derivative of that same interpolant.
+    Immutable; safe for concurrent reads.
     """
 
     grid: TimeGrid
     g_samples: np.ndarray
     g_dot_samples: np.ndarray
-    g_ddot_samples: np.ndarray
     bath: DiscreteBath
 
     def __post_init__(self):
-        for samples in (self.g_samples, self.g_dot_samples, self.g_ddot_samples):
+        for samples in (self.g_samples, self.g_dot_samples):
             samples.setflags(write=False)
 
     @property
@@ -110,30 +117,24 @@ class ResponseFunction:
             raise CoverageError(
                 f"response solved on [0, {self.t_end:g}] cannot cover tau={tau:g}")
 
-    def _eval(self, tau, y, dy) -> Union[complex, np.ndarray]:
+    def _eval(self, tau, slope: bool) -> Union[complex, np.ndarray]:
         arr = np.atleast_1d(np.asarray(tau, dtype=float))
         if arr.size:
             lo, hi = float(arr.min()), float(arr.max())
             self.require_coverage(lo)
             self.require_coverage(hi)
         clipped = np.clip(arr, 0.0, self.t_end)
-        out = _hermite_eval(clipped, self.grid.h, y, dy)
+        out = _hermite_eval(clipped, self.grid.h, self.g_samples,
+                            self.g_dot_samples, slope)
         return out[0] if np.ndim(tau) == 0 else out
 
     def g(self, tau) -> Union[complex, np.ndarray]:
         """G at elapsed time tau (scalar or array)."""
-        return self._eval(tau, self.g_samples, self.g_dot_samples)
+        return self._eval(tau, slope=False)
 
     def g_dot(self, tau) -> Union[complex, np.ndarray]:
-        """dG/dtau at elapsed time tau."""
-        return self._eval(tau, self.g_dot_samples, self.g_ddot_samples)
-
-    def phase(self, tau) -> Union[float, np.ndarray]:
-        """arg G in [0, 2pi); zero by convention where G vanishes."""
-        val = self.g(tau)
-        ang = np.mod(np.angle(val), 2.0 * np.pi)
-        return np.where(np.abs(val) > 0.0, ang, 0.0) if np.ndim(tau) else (
-            ang if abs(val) > 0.0 else 0.0)
+        """dG/dtau at elapsed time tau: the derivative of the g interpolant."""
+        return self._eval(tau, slope=True)
 
 
 def solve_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
@@ -164,34 +165,29 @@ def solve_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
     n_out = grid.n_steps
     g = np.empty(n_out + 1, dtype=complex)
     g_dot = np.empty(n_out + 1, dtype=complex)
-    g_ddot = np.empty(n_out + 1, dtype=complex)
     ksq = bath.k_squared
-    g[0], g_dot[0], g_ddot[0] = 1.0, 0.0, -ksq
+    g[0], g_dot[0] = 1.0, 0.0
 
     if ksq == 0.0:            # no mode carries weight: G is identically one
-        g[:], g_dot[:], g_ddot[:] = 1.0, 0.0, 0.0
-        return ResponseFunction(grid, g, g_dot, g_ddot, bath)
+        g[:], g_dot[:] = 1.0, 0.0
+        return ResponseFunction(grid, g, g_dot, bath)
 
     h = grid.h / _REFINE
     n_int = n_out * _REFINE
     delta = bath.detunings
     i_delta = 1j * delta
-    kdot0 = complex(bath.coupling_sq @ i_delta)
     # ahead[p, n] = e^{i delta_n (B-p) h} carries step p of a block to the
     # block end; its rows reversed are the kernel phases of lags 1..B.
     ahead = np.exp(np.outer(np.arange(_BLOCK, 0, -1) * h, i_delta))
     lagged = bath.coupling_sq * ahead[::-1]          # E[m-1, n] = c_n e^{i delta_n m h}
     kern = lagged.sum(axis=1)                        # k_1 .. k_B
-    kern_dot = lagged @ i_delta                      # dk/dtau at lags 1 .. B
     store = slice(_REFINE - 1, None, _REFINE)        # block rows kept as samples
-    lagged_dot = lagged[store] * i_delta
 
     # In-block memory: b = E a_J + toeplitz(k) x with x_q = w g at step q.
     lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
     causal = lag >= 0
     toep = np.where(causal, kern[lag], 0.0)
     toep_kept = toep[store]
-    toep_dot = np.where(causal, kern_dot[lag], 0.0)[store]
     # The B steps as one system M u = e_0 (g_0 + h/2 gd_0) - H (p + x_0 k)
     # in u = (g_1 .. g_B), with p = E a_J: M = D + H S, D the implicit
     # step, H the trapezoid pair and S the strictly lower memory matrix.
@@ -223,16 +219,14 @@ def solve_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
         kept = u[store]
         n_kept = kept.shape[0]
         b = past[store] + toep_kept[:n_kept, :r] @ x
-        b_dot = lagged_dot[:n_kept] @ state + toep_dot[:n_kept, :r] @ x
         out = slice(start // _REFINE + 1, start // _REFINE + 1 + n_kept)
         g[out] = kept
         g_dot[out] = -h * (b + 0.5 * ksq * kept)
-        g_ddot[out] = -ksq * kept - h * (b_dot + 0.5 * kdot0 * kept)
         if r == _BLOCK:
             state = ahead[0] * state + x @ ahead
         g_prev, gd_prev, w_prev = u[-1], g_dot[out.stop - 1], 1.0
 
-    return ResponseFunction(grid, g, g_dot, g_ddot, bath)
+    return ResponseFunction(grid, g, g_dot, bath)
 
 
 def markov_closed_form(gamma: float, tau) -> Union[float, np.ndarray]:

@@ -20,8 +20,8 @@ from ._quad import adaptive_simpson
 from .bath import BathMoments, DiscreteBath
 from .errors import ConfigError, retired
 from .force import ForceModulation
-from .metrology import script_e
-from .probe import displacement, noise_term
+from .metrology import best_state_variance, script_e
+from .probe import WindowTerms, displacement, window_terms
 from .response import ResponseFunction
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -91,44 +91,33 @@ def xi_and_c(force: ForceModulation, omega0: float,
     return ForceWindowIntegrals(float(xi), float(0.25 * bulk))
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalTerms:
-    """Energy-independent parts of the cadence total at one interval.
-
-    The total is sum_k |D_k|^2 / (|G(tau)|^2 / (4 script_e) + n_B(tau));
-    only the 1/(4 script_e) term depends on the probe energy, so one
-    table of these terms serves every energy.
-    """
-
-    tau: float
-    disp_sq: np.ndarray     # |D_k|^2 of every step
-    g_abs_sq: float
-    n_b: float
-
-    def per_step(self, energy: float) -> np.ndarray:
-        return self.disp_sq / (0.25 * self.g_abs_sq / script_e(energy) + self.n_b)
-
-    def total(self, energy: float) -> float:
-        return float(self.per_step(energy).sum())
-
-    def result(self, energy: float) -> SeqResult:
-        per_step = self.per_step(energy)
-        return SeqResult(total_qfi=float(per_step.sum()),
-                         per_step_qfi=tuple(float(v) for v in per_step),
-                         tau_used=self.tau)
-
-
 def interval_terms(scheme: SequentialScheme, bath: DiscreteBath,
                    response: ResponseFunction, force: ForceModulation,
-                   omega0: float) -> IntervalTerms:
-    """|D_k|^2 of all steps (one batched displacement call), |G(tau)|^2, n_B(tau)."""
+                   omega0: float) -> WindowTerms:
+    """G(tau), n_B(tau) and every step's D_k (one batched displacement call).
+
+    The energy-independent parts of the cadence total: step k carries
+    |D_k|^2 / best_state_variance, and only the 1/(4 script_e) term of
+    that denominator depends on the probe energy, so one record serves
+    every energy.
+    """
     tau = scheme.interval
     response.require_coverage(tau)
     steps = scheme.step_window(np.arange(scheme.repetitions))
-    disp = displacement(response, force, omega0, steps)
-    return IntervalTerms(tau=float(tau), disp_sq=disp.magnitude ** 2,
-                         g_abs_sq=abs(response.g(tau)) ** 2,
-                         n_b=noise_term(response, bath, (0.0, tau)))
+    return window_terms(response, bath, omega0, (0.0, tau),
+                        displacement(response, force, omega0, steps))
+
+
+def _per_step(w: WindowTerms, energy: float) -> np.ndarray:
+    return abs(w.disp) ** 2 / best_state_variance(energy, w)
+
+
+def seq_result(w: WindowTerms, energy: float) -> SeqResult:
+    """The cadence total at one energy from an interval_terms record."""
+    per_step = _per_step(w, energy)
+    return SeqResult(total_qfi=float(per_step.sum()),
+                     per_step_qfi=tuple(float(v) for v in per_step),
+                     tau_used=w.tau)
 
 
 def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
@@ -140,7 +129,7 @@ def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
     squared displacements of all steps over the step-independent
     denominator |G(tau)|^2 / (4 script_e) + n_B(tau).
     """
-    return interval_terms(scheme, bath, response, force, omega0).result(energy)
+    return seq_result(interval_terms(scheme, bath, response, force, omega0), energy)
 
 
 @dataclass(frozen=True)
@@ -189,9 +178,9 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     lo, hi = tau_bounds
     if not (0.0 < lo < hi):
         raise ValueError("tau_bounds must satisfy 0 < lower < upper")
-    table: dict[float, IntervalTerms] = {}
+    table: dict[float, WindowTerms] = {}
 
-    def terms(tau: float) -> IntervalTerms:
+    def terms(tau: float) -> WindowTerms:
         if tau not in table:
             table[tau] = interval_terms(SequentialScheme(total_window, tau),
                                         bath, response, force, omega0)
@@ -210,7 +199,7 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
 
         def total(tau: float) -> float:
             if tau not in totals:
-                totals[tau] = terms(tau).total(energy)
+                totals[tau] = float(_per_step(terms(tau), energy).sum())
             return totals[tau]
 
         def tooth(nu: int) -> float:
@@ -232,7 +221,7 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
         for tau in (hi, lo):
             if best is None or total(tau) > total(best):
                 best, hit_bound = tau, True
-        seq = table[best].result(energy)
+        seq = seq_result(table[best], energy)
         return TauOptimum(tau_opt=seq.tau_used, seq=seq, hit_bound=hit_bound)
 
     if np.ndim(energy) == 0:

@@ -8,7 +8,7 @@ from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         bare_correlation, discretize, memory_kernel)
 from nmqfi.errors import SolverInstabilityError
 from nmqfi.metrology import optimal_angle
-from nmqfi.probe import displacement, quadrature_mean, variance_p
+from nmqfi.probe import displacement, quadrature_mean, variance_p, window_terms
 from nmqfi.response import (_ABS_G_SLACK, _REFINE, ResponseFunction, TimeGrid,
                             solve_response)
 
@@ -63,20 +63,17 @@ def marched_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
     n_out = grid.n_steps
     g = np.empty(n_out + 1, dtype=complex)
     g_dot = np.empty(n_out + 1, dtype=complex)
-    g_ddot = np.empty(n_out + 1, dtype=complex)
     ksq = bath.k_squared
-    g[0], g_dot[0], g_ddot[0] = 1.0, 0.0, -ksq
+    g[0], g_dot[0] = 1.0, 0.0
 
     if ksq == 0.0:            # no mode carries weight: G is identically one
-        g[:], g_dot[:], g_ddot[:] = 1.0, 0.0, 0.0
-        return ResponseFunction(grid, g, g_dot, g_ddot, bath)
+        g[:], g_dot[:] = 1.0, 0.0
+        return ResponseFunction(grid, g, g_dot, bath)
 
     h = grid.h / _REFINE
     n_int = n_out * _REFINE
     delta = bath.detunings
     c = bath.coupling_sq.astype(complex)
-    c_dot = c * (1j * delta)          # kernel-derivative coefficients
-    kdot0 = complex(c_dot.sum())
     rot = np.exp(-1j * delta * h)
     phases = np.ones(delta.shape[0], dtype=complex)   # exp(-i delta tau_j)
     acc = np.zeros(delta.shape[0], dtype=complex)     # weighted history sums
@@ -106,11 +103,15 @@ def marched_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
             k = j // _REFINE
             g[k] = g_j
             g_dot[k] = gd_j
-            g_ddot[k] = -ksq * g_j - h * (complex(np.dot(c_dot, hist))
-                                          + 0.5 * kdot0 * g_j)
         g_prev, gd_prev = g_j, gd_j
 
-    return ResponseFunction(grid, g, g_dot, g_ddot, bath)
+    return ResponseFunction(grid, g, g_dot, bath)
+
+
+def forced_window(bath: DiscreteBath, response, force, omega0: float, window):
+    """The window's terms with the displacement of force over it."""
+    return window_terms(response, bath, omega0, window,
+                        displacement(response, force, omega0, window))
 
 
 def solver_residual(resp: ResponseFunction) -> float:
@@ -275,16 +276,13 @@ def equal_start_correlation(bath: DiscreteBath, response, t: float,
 # Monte-Carlo oracle: every outcome drawn, each replication's row averaged.
 # The engine draws the sample means directly from their exact law.
 
-def per_outcome_estimation_mse(init, bath: DiscreteBath, response, force,
-                               omega0: float, window, f_true: float, nu: int,
-                               seed: int, replications: int) -> float:
+def per_outcome_estimation_mse(init, w, f_true: float, nu: int, seed: int,
+                               replications: int) -> float:
     """Empirical MSE of the sample-mean estimator from nu outcomes per row."""
-    disp = displacement(response, force, omega0, window)
-    theta = optimal_angle(disp, omega0, window)
-    slope = disp.magnitude
-    intercept = quadrature_mean(init, response, disp, theta + 0.5 * np.pi,
-                                0.0, omega0, window)
-    var = variance_p(init, response, bath, theta, omega0, window)
+    theta = optimal_angle(w)
+    slope = abs(w.disp)
+    intercept = quadrature_mean(init, w, theta + 0.5 * np.pi, 0.0)
+    var = variance_p(init, w, theta)
     rng = np.random.Generator(np.random.Philox(seed))
     outcomes = rng.normal(loc=intercept + slope * f_true, scale=np.sqrt(var),
                           size=(replications, nu))

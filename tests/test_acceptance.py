@@ -11,7 +11,7 @@ test_sequential.py).
 import numpy as np
 import pytest
 
-from conftest import exact_single_mode_g
+from conftest import exact_single_mode_g, forced_window
 from nmqfi import force as fc
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         discretize, moments)
@@ -19,8 +19,8 @@ from nmqfi.correlation import bath_correlation
 from nmqfi.metrology import (energy_for_script_e, fisher_quadrature, markov_qfi,
                              optimal_angle, qfi_aligned, qfi_best_state,
                              qfi_general, short_time_qfi, simulate_estimation)
-from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
-                         quadrature_variance)
+from nmqfi.probe import (GaussianProbeInit, covariance_snapshot,
+                         quadrature_variance, window_terms)
 from nmqfi.response import TimeGrid, default_grid, markov_closed_form, solve_response
 from nmqfi.sequential import markov_seq, optimize_tau, tau_opt_asymptotic, xi_and_c
 
@@ -86,7 +86,8 @@ def test_criterion_04_short_time_qfi_slope():
     taus = np.geomspace(1e-3, 1e-1, 9)
     resid = []
     for tau in taus:
-        exact = qfi_aligned(VACUUM, bath, resp, ZETA, 1.0, (0.0, tau)).value
+        exact = qfi_aligned(
+            VACUUM, forced_window(bath, resp, ZETA, 1.0, (0.0, tau))).value
         approx = short_time_qfi(VACUUM, ZETA, 1.0, 0.0, tau)
         resid.append(abs(exact - approx))
     slope = float(np.polyfit(np.log(taus), np.log(resid), 1)[0])
@@ -169,9 +170,9 @@ def test_criterion_07_scaling_dichotomy(cadence_sweep):
 def test_criterion_08_noiseless_heisenberg_limit():
     bath = DiscreteBath([], [], [], 1.0)
     resp = solve_response(bath, TimeGrid(0.0, 4.0, 1024))
+    w = forced_window(bath, resp, ZETA, 1.0, (0.0, np.pi))
     ratios = np.array([
-        qfi_best_state(energy_for_script_e(se), bath, resp, ZETA, 1.0,
-                       (0.0, np.pi)).value / se
+        qfi_best_state(energy_for_script_e(se), w).value / se
         for se in (1.0, 10.0, 100.0)])
     spread = float(np.ptp(ratios) / ratios[0])
     _report(8, "Heisenberg line, linear in script-E", spread <= 1e-9,
@@ -181,19 +182,17 @@ def test_criterion_08_noiseless_heisenberg_limit():
 def test_criterion_09_best_measurement_optimality():
     bath = DiscreteBath([0.09], [0.7], [0.0], 1.0)
     resp = solve_response(bath, TimeGrid(0.0, 2.0, 2048))
-    win = (0.0, 1.3)
-    disp = displacement(resp, ZETA, 1.0, win)
-    theta_star = optimal_angle(disp, 1.0, win)
-    aligned = qfi_aligned(VACUUM, bath, resp, ZETA, 1.0, win).value
-    general = qfi_general(VACUUM, bath, resp, ZETA, 1.0, win).value
+    w = forced_window(bath, resp, ZETA, 1.0, (0.0, 1.3))
+    theta_star = optimal_angle(w)
+    aligned = qfi_aligned(VACUUM, w).value
+    general = qfi_general(VACUUM, w).value
     grid = np.linspace(0.0, np.pi, 720, endpoint=False)
-    values = np.array([fisher_quadrature(t, VACUUM, bath, resp, ZETA, 1.0, win)
-                       for t in grid])
+    values = np.array([fisher_quadrature(t, VACUUM, w) for t in grid])
     best = grid[int(np.argmax(values))]
     dist = abs(best - theta_star) % np.pi
     dist = min(dist, np.pi - dist)
     loc_ok = dist <= np.pi / 720 + 1e-12
-    peak = fisher_quadrature(theta_star, VACUUM, bath, resp, ZETA, 1.0, win)
+    peak = fisher_quadrature(theta_star, VACUUM, w)
     val_ok = abs(peak - aligned) <= 1e-6 * aligned
     bound_ok = values.max() <= general * (1.0 + 1e-6)
     _report(9, "best quadrature measurement", loc_ok and val_ok and bound_ok,
@@ -205,7 +204,8 @@ def test_criterion_09_best_measurement_optimality():
 def test_criterion_10_cramer_rao_saturation():
     bath = DiscreteBath([], [], [], 1.0)
     resp = solve_response(bath, TimeGrid(0.0, 4.0, 1024))
-    res = simulate_estimation(VACUUM, bath, resp, ZETA, 1.0, (0.0, np.pi),
+    res = simulate_estimation(VACUUM,
+                              forced_window(bath, resp, ZETA, 1.0, (0.0, np.pi)),
                               f_true=0.3, nu=100, seed=20240901,
                               replications=2000)
     ratio = res.empirical_mse * 100 * 8.0
@@ -236,13 +236,14 @@ def test_criterion_11_invariant_suite(resonant_bath, resonant_response):
         resp = solve_response(bath, default_grid(bath, 6.0))
         if np.abs(resp.g_samples).max() > 1.0 + 1e-6:
             failures.append(f"scenario {idx}: |G| above unity")
-        snap0 = covariance_snapshot(VACUUM, resp, bath, 0.3, omega0, (0.0, 0.0))
+        snap0 = covariance_snapshot(
+            VACUUM, window_terms(resp, bath, omega0, (0.0, 0.0)), 0.3)
         if abs(snap0.det_sigma - 0.25) > 1e-12:
             failures.append(f"scenario {idx}: initial pure det != 1/4")
         for tau in (2.4, 4.8):
-            win = (0.0, tau)
-            a = covariance_snapshot(VACUUM, resp, bath, 0.3, omega0, win)
-            b = covariance_snapshot(VACUUM, resp, bath, 1.0, omega0, win)
+            w = window_terms(resp, bath, omega0, (0.0, tau))
+            a = covariance_snapshot(VACUUM, w, 0.3)
+            b = covariance_snapshot(VACUUM, w, 1.0)
             if a.det_sigma < 0.25 - 1e-9:
                 failures.append(f"scenario {idx}: det below 1/4 at tau={tau}")
             if abs(a.det_sigma - b.det_sigma) > 1e-8 * a.det_sigma:
@@ -253,8 +254,9 @@ def test_criterion_11_invariant_suite(resonant_bath, resonant_response):
                 failures.append(f"scenario {idx}: theta sum rule broken")
     # resonant-mode variance identity: vacuum stays at 1/2 for all windows
     for tau in (0.5, 2.0, 6.0, 12.0):
-        v = quadrature_variance(VACUUM, resonant_response, resonant_bath, 0.9,
-                                1.0, (0.0, tau))
+        v = quadrature_variance(
+            VACUUM, window_terms(resonant_response, resonant_bath, 1.0, (0.0, tau)),
+            0.9)
         if abs(v - 0.5) > 5e-6:
             failures.append(f"resonant identity off by {abs(v - 0.5):.2e}")
     _report(11, "invariant suite on the 12-scenario grid", not failures,

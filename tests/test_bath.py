@@ -187,13 +187,18 @@ class TestValidation:
             DiscreteBath(*arrays)
 
     @pytest.mark.parametrize("name", ["coupling_sq", "frequencies", "occupations",
-                                      "g_samples", "g_dot_samples", "g_ddot_samples"])
+                                      "detunings", "eigenvalues", "eigenvectors",
+                                      "g_samples", "g_dot_samples"])
     def test_arrays_are_read_only(self, name):
         resp = solve_response(DiscreteBath([0.25], [1.0], [0.0], 1.0),
                               TimeGrid(0.0, 1.0, 8))
-        owner = resp if name.startswith("g_") else resp.bath
+        eigen = dict(zip(("eigenvalues", "eigenvectors"), resp.bath.eigensystem))
+        if name in eigen:
+            array = eigen[name]
+        else:
+            array = getattr(resp if name.startswith("g_") else resp.bath, name)
         with pytest.raises(ValueError):
-            getattr(owner, name)[0] = 5.0
+            array[0] = 5.0
 
     def test_inputs_are_copied(self):
         coupling = np.array([0.3])

@@ -350,6 +350,45 @@ def test_moments_makes_one_displacement_call(tmp_path, monkeypatch):
     assert np.size(calls[0][1]) == n_rows       # one window per report time
 
 
+def _misaligned(raw):
+    del raw["probe"]["energy"]
+    raw["probe"]["init"] = {"kind": "squeezed", "r": 0.6, "axis_angle": 1.2}
+
+
+# (base scenario, subcommand, edit): each run reads one window
+WINDOW_RUNS = {
+    "qfi_energy": ("qfi_best_state_resonant", "qfi", lambda raw: None),
+    "qfi_misaligned": ("qfi_best_state_resonant", "qfi", _misaligned),
+    "estimate_energy": ("estimate_cramer_rao", "estimate",
+                        _set("probe", energy=3.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_RUNS))
+def test_window_terms_are_computed_once(case, tmp_path, monkeypatch):
+    base, sub, edit = WINDOW_RUNS[case]
+    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
+    edit(raw)
+    cfg = tmp_path / "window.json"
+    cfg.write_text(json.dumps(raw))
+    calls = {"displacement": 0, "noise_term": 0}
+    for name in calls:
+        real = getattr(sys.modules["nmqfi.probe"], name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("nmqfi.") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    out = tmp_path / "out.json"
+    assert run_cli([sub, "--config", cfg, "--out", out]) == 0
+    assert calls == {"displacement": 1, "noise_term": 1}
+    if case == "qfi_misaligned":
+        assert json.loads(out.read_text())["form"] == "general"
+
+
 def test_moments_memory_stays_bounded(tmp_path):
     # the 23 report windows run from 0 to 11 time units; refined together
     # to the panel count of the longest one, they peaked near 15 MB

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import per_outcome_estimation_mse
+from conftest import forced_window, per_outcome_estimation_mse
 from nmqfi import force as fc
 from nmqfi.bath import DiscreteBath
 from nmqfi.errors import AlignmentError, EstimationError
@@ -13,7 +13,7 @@ from nmqfi.metrology import (best_state, energy_for_script_e, fisher_quadrature,
                              markov_qfi, optimal_angle, qfi_aligned,
                              qfi_best_state, qfi_general, script_e,
                              short_time_qfi, simulate_estimation)
-from nmqfi.probe import GaussianProbeInit, displacement
+from nmqfi.probe import GaussianProbeInit
 from nmqfi.response import TimeGrid, solve_response
 
 OMEGA0 = 1.0
@@ -54,62 +54,62 @@ class TestQfiForms:
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
         z0 = fc.constant(0.0)
-        assert qfi_general(vac, bath, resp, z0, OMEGA0, PI_WINDOW).value == 0.0
-        assert qfi_aligned(vac, bath, resp, z0, OMEGA0, PI_WINDOW).value == 0.0
+        w = forced_window(bath, resp, z0, OMEGA0, PI_WINDOW)
+        assert qfi_general(vac, w).value == 0.0
+        assert qfi_aligned(vac, w).value == 0.0
 
     def test_noiseless_vacuum_eight(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        r = qfi_aligned(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        r = qfi_aligned(vac, w)
         assert r.value == pytest.approx(8.0, abs=1e-9)
-        g = qfi_general(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        g = qfi_general(vac, w)
         assert g.value == pytest.approx(8.0, abs=1e-9)
 
     def test_result_bookkeeping(self, single_mode):
         bath, resp = single_mode
         vac = GaussianProbeInit.vacuum()
-        r = qfi_aligned(vac, bath, resp, ZETA, OMEGA0, (0.0, 1.7))
+        r = qfi_aligned(vac, forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.7)))
         assert r.value == pytest.approx(
             r.numerator_abs_d_sq / r.denominator_variance_or_det)
 
     def test_coherent_matches_aligned(self, single_mode):
         bath, resp = single_mode
         init = GaussianProbeInit.coherent(0.7 + 0.2j)
-        win = (0.0, 1.3)
-        a = qfi_aligned(init, bath, resp, ZETA, OMEGA0, win)
-        g = qfi_general(init, bath, resp, ZETA, OMEGA0, win)
+        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.3))
+        a = qfi_aligned(init, w)
+        g = qfi_general(init, w)
         assert a.value == pytest.approx(g.value, rel=1e-10)
 
     def test_misaligned_squeezed_raises(self, single_mode):
         bath, resp = single_mode
         init = GaussianProbeInit.squeezed(0.8, axis_angle=1.2)
+        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.3))
         with pytest.raises(AlignmentError):
-            qfi_aligned(init, bath, resp, ZETA, OMEGA0, (0.0, 1.3))
+            qfi_aligned(init, w)
         # the general form still evaluates and is below the best state
-        g = qfi_general(init, bath, resp, ZETA, OMEGA0, (0.0, 1.3))
-        b = qfi_best_state(init.mean_energy, bath, resp, ZETA, OMEGA0, (0.0, 1.3))
+        g = qfi_general(init, w)
+        b = qfi_best_state(init.mean_energy, w)
         assert g.value <= b.value * (1.0 + 1e-9)
 
 
 class TestBestState:
     def test_vacuum_energy(self, noiseless):
         bath, resp = noiseless
-        d = displacement(resp, ZETA, OMEGA0, PI_WINDOW)
-        spec = best_state(0.5, d, resp, PI_WINDOW)
+        spec = best_state(0.5, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
         assert spec.squeeze_r == 0.0
         assert spec.script_e == 0.5
 
     def test_energy_one(self, noiseless):
         bath, resp = noiseless
-        d = displacement(resp, ZETA, OMEGA0, PI_WINDOW)
-        spec = best_state(1.0, d, resp, PI_WINDOW)
+        spec = best_state(1.0, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
         assert spec.script_e == pytest.approx(1.0 + np.sqrt(0.75))
         assert spec.squeeze_r == pytest.approx(0.5 * np.log(2 * (1 + np.sqrt(0.75))))
 
     def test_energy_five_min_variance(self, noiseless):
         bath, resp = noiseless
-        d = displacement(resp, ZETA, OMEGA0, PI_WINDOW)
-        spec = best_state(5.0, d, resp, PI_WINDOW)
+        spec = best_state(5.0, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
         assert spec.min_variance == pytest.approx(0.25 / (5 + np.sqrt(24.75)))
         init = spec.to_init()
         assert init.mean_energy == pytest.approx(5.0)
@@ -117,46 +117,46 @@ class TestBestState:
 
     def test_induced_state_is_aligned(self, single_mode):
         bath, resp = single_mode
-        win = (0.0, 1.7)
-        d = displacement(resp, ZETA, OMEGA0, win)
-        init = best_state(3.0, d, resp, win).to_init()
-        a = qfi_aligned(init, bath, resp, ZETA, OMEGA0, win)
-        b = qfi_best_state(3.0, bath, resp, ZETA, OMEGA0, win)
+        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.7))
+        init = best_state(3.0, w).to_init()
+        a = qfi_aligned(init, w)
+        b = qfi_best_state(3.0, w)
         assert a.value == pytest.approx(b.value, rel=1e-9)
 
     def test_below_vacuum_rejected(self, noiseless):
         bath, resp = noiseless
-        d = displacement(resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
         with pytest.raises(ValueError):
-            best_state(0.3, d, resp, PI_WINDOW)
+            best_state(0.3, w)
 
 
 class TestBestStateQfi:
     def test_vacuum_consistency(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        b = qfi_best_state(0.5, bath, resp, ZETA, OMEGA0, PI_WINDOW)
-        a = qfi_aligned(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        b = qfi_best_state(0.5, w)
+        a = qfi_aligned(vac, w)
         assert b.value == pytest.approx(a.value, rel=1e-12)
 
     def test_heisenberg_scaling(self, noiseless):
         bath, resp = noiseless
-        vals = [qfi_best_state(energy_for_script_e(se), bath, resp, ZETA,
-                               OMEGA0, PI_WINDOW).value / se
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        vals = [qfi_best_state(energy_for_script_e(se), w).value / se
                 for se in (1.0, 10.0, 100.0)]
         assert np.ptp(vals) <= 1e-9 * vals[0]
 
     def test_example_value(self, noiseless):
         bath, resp = noiseless
-        r = qfi_best_state(5.0, bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        r = qfi_best_state(5.0, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
         assert r.value == pytest.approx(4.0 * script_e(5.0) * 4.0, rel=1e-10)
 
     def test_optimal_over_random_same_energy_states(self, single_mode):
         # 50 random pure states at fixed energy never beat the best state
         bath, resp = single_mode
-        win = (0.0, 1.3)
+        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.3))
         energy = 4.0
-        top = qfi_best_state(energy, bath, resp, ZETA, OMEGA0, win).value
+        top = qfi_best_state(energy, w).value
         rng = np.random.default_rng(7)
         r_max = np.arcsinh(np.sqrt(energy - 0.5))
         for _ in range(50):
@@ -165,20 +165,20 @@ class TestBestStateQfi:
             rest = energy - 0.5 - np.sinh(r) ** 2
             alpha = np.sqrt(max(rest, 0.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             init = GaussianProbeInit.squeezed(r, axis, mean_amplitude=alpha)
-            val = qfi_general(init, bath, resp, ZETA, OMEGA0, win).value
+            val = qfi_general(init, w).value
             assert val <= top * (1.0 + 1e-9)
 
     def test_monotone_noise_damage(self, noiseless):
         bath0, resp0 = noiseless
         vac = GaussianProbeInit.vacuum()
         win = (0.0, 1.2)
-        base = qfi_aligned(vac, bath0, resp0, ZETA, OMEGA0, win).value
+        base = qfi_aligned(vac, forced_window(bath0, resp0, ZETA, OMEGA0, win)).value
         grown = DiscreteBath([0.16], [1.1], [0.3], OMEGA0)
         resp1 = solve_response(grown, TimeGrid(0.0, 4.0, 2048))
-        one = qfi_aligned(vac, grown, resp1, ZETA, OMEGA0, win).value
+        one = qfi_aligned(vac, forced_window(grown, resp1, ZETA, OMEGA0, win)).value
         more = DiscreteBath([0.16, 0.2], [1.1, 0.6], [0.3, 0.0], OMEGA0)
         resp2 = solve_response(more, TimeGrid(0.0, 4.0, 2048))
-        two = qfi_aligned(vac, more, resp2, ZETA, OMEGA0, win).value
+        two = qfi_aligned(vac, forced_window(more, resp2, ZETA, OMEGA0, win)).value
         assert one < base
         assert two < one
 
@@ -187,27 +187,22 @@ class TestFisherQuadrature:
     def test_quarter_turn_kills_information(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        d = displacement(resp, ZETA, OMEGA0, PI_WINDOW)
-        theta = optimal_angle(d, OMEGA0, PI_WINDOW)
-        val = fisher_quadrature(theta + np.pi / 2, vac, bath, resp, ZETA,
-                                OMEGA0, PI_WINDOW)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        val = fisher_quadrature(optimal_angle(w) + np.pi / 2, vac, w)
         assert val == pytest.approx(0.0, abs=1e-20)
 
     def test_optimum_equals_qfi(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        d = displacement(resp, ZETA, OMEGA0, PI_WINDOW)
-        theta = optimal_angle(d, OMEGA0, PI_WINDOW)
-        val = fisher_quadrature(theta, vac, bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        val = fisher_quadrature(optimal_angle(w), vac, w)
         assert val == pytest.approx(8.0, abs=1e-9)
 
     def test_eighth_turn_halves_for_isotropic(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        d = displacement(resp, ZETA, OMEGA0, PI_WINDOW)
-        theta = optimal_angle(d, OMEGA0, PI_WINDOW)
-        val = fisher_quadrature(theta + np.pi / 4, vac, bath, resp, ZETA,
-                                OMEGA0, PI_WINDOW)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        val = fisher_quadrature(optimal_angle(w) + np.pi / 4, vac, w)
         assert val == pytest.approx(4.0, abs=1e-9)
 
 
@@ -215,44 +210,44 @@ class TestEstimation:
     def test_cramer_rao_saturation(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        res = simulate_estimation(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW,
-                                  f_true=0.3, nu=100, seed=20240901)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        res = simulate_estimation(vac, w, f_true=0.3, nu=100, seed=20240901)
         assert res.crb == pytest.approx(1.0 / (100 * 8.0), rel=1e-9)
         assert 0.9 <= res.ratio_to_crb <= 1.1
 
     def test_mse_halves_with_doubled_nu(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        a = simulate_estimation(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW,
-                                f_true=0.3, nu=100, seed=5, replications=4000)
-        b = simulate_estimation(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW,
-                                f_true=0.3, nu=200, seed=6, replications=4000)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        a = simulate_estimation(vac, w, f_true=0.3, nu=100, seed=5,
+                                replications=4000)
+        b = simulate_estimation(vac, w, f_true=0.3, nu=200, seed=6,
+                                replications=4000)
         assert b.empirical_mse / a.empirical_mse == pytest.approx(0.5, abs=0.08)
 
     def test_tiny_variance_recovers_truth(self, noiseless):
         # degenerate-Gaussian limit: huge aligned squeezing pins the estimate
         bath, resp = noiseless
-        d = displacement(resp, ZETA, OMEGA0, PI_WINDOW)
-        init = best_state(energy_for_script_e(0.5e12), d, resp,
-                          PI_WINDOW).to_init()
-        res = simulate_estimation(init, bath, resp, ZETA, OMEGA0, PI_WINDOW,
-                                  f_true=0.42, nu=50, seed=11, replications=200)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        init = best_state(energy_for_script_e(0.5e12), w).to_init()
+        res = simulate_estimation(init, w, f_true=0.42, nu=50, seed=11,
+                                  replications=200)
         assert res.estimate == pytest.approx(0.42, abs=1e-6)
 
     def test_zero_displacement_impossible(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
         with pytest.raises(EstimationError):
-            simulate_estimation(vac, bath, resp, fc.constant(0.0), OMEGA0,
-                                PI_WINDOW, 0.1, 10, seed=1)
+            simulate_estimation(
+                vac, forced_window(bath, resp, fc.constant(0.0), OMEGA0, PI_WINDOW),
+                0.1, 10, seed=1)
 
     def test_reproducible_streams(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        a = simulate_estimation(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW,
-                                0.3, 100, seed=99, replications=100)
-        b = simulate_estimation(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW,
-                                0.3, 100, seed=99, replications=100)
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        a = simulate_estimation(vac, w, 0.3, 100, seed=99, replications=100)
+        b = simulate_estimation(vac, w, 0.3, 100, seed=99, replications=100)
         assert a.empirical_mse == b.empirical_mse
 
     def test_memory_is_independent_of_nu(self, noiseless):
@@ -260,10 +255,11 @@ class TestEstimation:
         # the replications' sample means are drawn
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
+        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
         tracemalloc.start()
         try:
-            res = simulate_estimation(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW,
-                                      0.3, 10 ** 8, seed=3, replications=1000)
+            res = simulate_estimation(vac, w, 0.3, 10 ** 8, seed=3,
+                                      replications=1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,7 +270,7 @@ class TestEstimation:
         # each MSE has relative spread sqrt(2/R); their difference sqrt(4/R)
         bath, resp = single_mode
         vac = GaussianProbeInit.vacuum()
-        args = (vac, bath, resp, ZETA, OMEGA0, PI_WINDOW, 0.3, 50)
+        args = (vac, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW), 0.3, 50)
         reps = 20000
         engine = simulate_estimation(*args, seed=41, replications=reps)
         oracle = per_outcome_estimation_mse(*args, seed=42, replications=reps)
@@ -300,7 +296,8 @@ class TestShortTimeQfi:
         taus = np.geomspace(1e-3, 1e-1, 10)
         resid = []
         for tau in taus:
-            exact = qfi_aligned(vac, bath, resp, ZETA, OMEGA0, (0.0, tau)).value
+            exact = qfi_aligned(
+                vac, forced_window(bath, resp, ZETA, OMEGA0, (0.0, tau))).value
             approx = short_time_qfi(vac, ZETA, OMEGA0, 0.0, tau)
             resid.append(abs(exact - approx))
         slope = np.polyfit(np.log(taus), np.log(resid), 1)[0]
@@ -311,7 +308,7 @@ class TestMarkovQfi:
     def test_gamma_zero_reduces_to_noiseless(self, noiseless):
         bath, resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        a = qfi_aligned(vac, bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        a = qfi_aligned(vac, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
         m = markov_qfi(vac, 0.0, 0.0, ZETA, OMEGA0, PI_WINDOW)
         assert m == pytest.approx(a.value, rel=1e-9)
 
@@ -344,15 +341,14 @@ class TestAgainstGaussianInformationIdentity:
         bath, resp = single_mode
         init = GaussianProbeInit.squeezed(0.7, axis_angle=1.1,
                                           mean_amplitude=0.3 + 0.1j)
-        win = (0.0, 1.45)
-        d = displacement(resp, ZETA, OMEGA0, win)
+        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.45))
         v = np.array([
-            quadrature_mean(init, resp, d, theta, 1.0, OMEGA0, win)
-            - quadrature_mean(init, resp, d, theta, 0.0, OMEGA0, win)
+            quadrature_mean(init, w, theta, 1.0)
+            - quadrature_mean(init, w, theta, 0.0)
             for theta in (0.0, np.pi / 2)])
-        snap = covariance_snapshot(init, resp, bath, 0.0, OMEGA0, win)
+        snap = covariance_snapshot(init, w, 0.0)
         sigma = np.array([[snap.var_x_theta, snap.cross],
                           [snap.cross, snap.var_p_theta]])
         want = float(v @ np.linalg.solve(sigma, v))
-        got = qfi_general(init, bath, resp, ZETA, OMEGA0, win).value
+        got = qfi_general(init, w).value
         assert got == pytest.approx(want, rel=1e-9)

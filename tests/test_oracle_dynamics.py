@@ -13,12 +13,13 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from conftest import (amplitude_drift, initial_joint_covariance,
+from conftest import (amplitude_drift, forced_window, initial_joint_covariance,
                       quadrature_drift_propagator)
 from nmqfi import force as fc
 from nmqfi.bath import DiscreteBath
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
-                         noise_term, quadrature_mean, quadrature_variance)
+                         noise_term, phase, quadrature_mean,
+                         quadrature_variance, window_terms)
 from nmqfi.response import TimeGrid, solve_response
 
 OMEGA0 = 1.3
@@ -81,10 +82,9 @@ class TestAgainstSymplecticOracle:
             assert response.g(tau) == pytest.approx(g_oracle, abs=5e-8)
 
     def test_quadrature_means(self, bath, response, init):
-        disp = displacement(response, FORCE, OMEGA0, (0.0, T_FINAL))
+        w = forced_window(bath, response, FORCE, OMEGA0, (0.0, T_FINAL))
         for theta in (0.0, 0.7, 2.4):
-            got = quadrature_mean(init, response, disp, theta, AMPLITUDE,
-                                  OMEGA0, (0.0, T_FINAL))
+            got = quadrature_mean(init, w, theta, AMPLITUDE)
             want = _oracle_mean_x(bath, theta, init, AMPLITUDE, T_FINAL)
             assert got == pytest.approx(want, abs=2e-7)
 
@@ -94,23 +94,23 @@ class TestAgainstSymplecticOracle:
         for theta in (0.2, 1.1):
             shift = (_oracle_mean_x(bath, theta, init, AMPLITUDE, T_FINAL)
                      - _oracle_mean_x(bath, theta, init, 0.0, T_FINAL)) / AMPLITUDE
-            want = disp.magnitude * np.sin(theta + OMEGA0 * T_FINAL - disp.phase)
+            want = abs(disp) * np.sin(theta + OMEGA0 * T_FINAL - phase(disp))
             assert shift == pytest.approx(want, abs=2e-7)
 
     def test_quadrature_variances(self, bath, response, init):
         sigma = _evolved_covariance(bath, init, T_FINAL)
+        w = window_terms(response, bath, OMEGA0, (0.0, T_FINAL))
         for theta in (0.0, 0.9, 1.8):
             v = np.array([np.cos(theta), np.sin(theta)])
             want = float(v @ sigma[:2, :2] @ v)
-            got = quadrature_variance(init, response, bath, theta, OMEGA0,
-                                      (0.0, T_FINAL))
+            got = quadrature_variance(init, w, theta)
             assert got == pytest.approx(want, abs=2e-7)
 
     def test_covariance_determinant(self, bath, response, init):
         sigma = _evolved_covariance(bath, init, T_FINAL)
         want = float(np.linalg.det(sigma[:2, :2]))
-        snap = covariance_snapshot(init, response, bath, 0.4, OMEGA0,
-                                   (0.0, T_FINAL))
+        snap = covariance_snapshot(
+            init, window_terms(response, bath, OMEGA0, (0.0, T_FINAL)), 0.4)
         assert snap.det_sigma == pytest.approx(want, rel=1e-6)
 
     def test_noise_term_from_vacuum_probe(self, bath, response):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import exact_single_mode_g
+from conftest import exact_single_mode_g, forced_window
 from nmqfi import force as fc
 from nmqfi.bath import ContinuousSpectrum, DiscreteBath, discretize
 from nmqfi.errors import CoverageError
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
-                         noise_term, quadrature_mean, quadrature_variance,
-                         rotated_max_variance_angle, variance_p)
+                         noise_term, phase, quadrature_mean,
+                         quadrature_variance, rotated_max_variance_angle,
+                         variance_p, window_terms)
 from nmqfi.response import TimeGrid, solve_response
 
 
@@ -57,22 +58,22 @@ class TestInit:
 class TestDisplacement:
     def test_zero_force(self, noiseless_response):
         d = displacement(noiseless_response, fc.constant(0.0), 1.0, (0.0, 2.0))
-        assert d.value == 0.0
-        assert d.phase == 0.0
+        assert d == 0.0
+        assert phase(d) == 0.0
 
     def test_support_outside_window(self, noiseless_response):
         z = fc.constant(1.0, (5.0, 6.0))
         d = displacement(noiseless_response, z, 1.0, (0.0, 2.0))
-        assert d.value == 0.0
+        assert d == 0.0
 
     def test_noiseless_closed_form(self, noiseless_response):
         # oracle: D0 = -i (e^{i w0 tau} - 1), |D0| = 2 sin(w0 tau / 2)
         for tau in (0.7, np.pi, 2.2):
             d = displacement(noiseless_response, fc.constant(1.0), 1.0, (0.0, tau))
             want = -1j * (np.exp(1j * tau) - 1.0)
-            assert d.value == pytest.approx(want, abs=1e-10)
+            assert d == pytest.approx(want, abs=1e-10)
         d = displacement(noiseless_response, fc.constant(1.0), 1.0, (0.0, np.pi))
-        assert d.magnitude == pytest.approx(2.0)
+        assert abs(d) == pytest.approx(2.0)
 
     def test_resonant_mode_against_fine_grid_oracle(self, resonant03):
         bath, resp = resonant03
@@ -82,14 +83,14 @@ class TestDisplacement:
         u = np.linspace(0.0, tau, 100001)
         vals = np.exp(1j * u) * exact_single_mode_g(0.09, 0.0, tau - u)
         oracle = np.trapezoid(vals, u)
-        assert d.value == pytest.approx(oracle, abs=1e-7)
+        assert d == pytest.approx(oracle, abs=1e-7)
 
     def test_window_start_sets_phase_reference(self, noiseless_response):
         # shifting the window start rotates the phase, not the magnitude
         z = fc.constant(1.0)
         d0 = displacement(noiseless_response, z, 1.0, (0.0, 1.3))
         d1 = displacement(noiseless_response, z, 1.0, (2.0, 3.3))
-        assert d1.magnitude == pytest.approx(d0.magnitude, rel=1e-10)
+        assert abs(d1) == pytest.approx(abs(d0), rel=1e-10)
 
     def test_coverage_error(self, resonant03):
         bath, resp = resonant03
@@ -100,30 +101,32 @@ class TestDisplacement:
 class TestMean:
     def test_zero_everything(self, noiseless_response):
         vac = GaussianProbeInit.vacuum()
-        d = displacement(noiseless_response, fc.constant(1.0), 1.0, (0.0, 1.0))
-        assert quadrature_mean(vac, noiseless_response, d, 0.3, 0.0, 1.0,
-                               (0.0, 1.0)) == 0.0
+        w = forced_window(noiseless_response.bath, noiseless_response,
+                          fc.constant(1.0), 1.0, (0.0, 1.0))
+        assert quadrature_mean(vac, w, 0.3, 0.0) == 0.0
 
     def test_driven_peak(self, noiseless_response):
         # angle that puts the sine at one reads off F |D|
         vac = GaussianProbeInit.vacuum()
         tau = 1.1
-        d = displacement(noiseless_response, fc.constant(1.0), 1.0, (0.0, tau))
-        theta = d.phase - tau + np.pi / 2
-        got = quadrature_mean(vac, noiseless_response, d, theta, 2.0, 1.0, (0.0, tau))
-        assert got == pytest.approx(2.0 * d.magnitude)
+        w = forced_window(noiseless_response.bath, noiseless_response,
+                          fc.constant(1.0), 1.0, (0.0, tau))
+        theta = phase(w.disp) - tau + np.pi / 2
+        got = quadrature_mean(vac, w, theta, 2.0)
+        assert got == pytest.approx(2.0 * abs(w.disp))
 
     def test_coherent_term_by_term(self, resonant03):
         bath, resp = resonant03
         init = GaussianProbeInit.coherent(1.0 + 0.0j)
         tau, theta, amp = 1.3, 0.4, 2.0
         d = displacement(resp, fc.constant(1.0), 1.0, (0.0, tau))
-        got = quadrature_mean(init, resp, d, theta, amp, 1.0, (0.0, tau))
+        got = quadrature_mean(init, window_terms(resp, bath, 1.0, (0.0, tau), d),
+                              theta, amp)
         gval = exact_single_mode_g(0.09, 0.0, tau)
         rot = theta + tau
         want = (abs(gval) * np.sqrt(2.0)
                 * np.real(np.exp(-1j * (rot - np.angle(gval))))
-                + amp * d.magnitude * np.sin(rot - d.phase))
+                + amp * abs(d) * np.sin(rot - phase(d)))
         assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -131,17 +134,17 @@ class TestVariance:
     def test_noiseless_vacuum_half(self, noiseless_response):
         vac = GaussianProbeInit.vacuum()
         bath = DiscreteBath([], [], [], 1.0)
+        w = window_terms(noiseless_response, bath, 1.0, (0.0, 3.0))
         for theta in (0.0, 1.0):
-            v = quadrature_variance(vac, noiseless_response, bath, theta, 1.0,
-                                    (0.0, 3.0))
+            v = quadrature_variance(vac, w, theta)
             assert v == pytest.approx(0.5, abs=1e-12)
 
     def test_resonant_vacuum_identity(self, resonant_bath, resonant_response):
         # closed-form oracle: cos^2/2 + sin^2/2 = 1/2 at every elapsed time
         vac = GaussianProbeInit.vacuum()
         for tau in (0.5, 2.0, 6.0, 12.0):
-            v = quadrature_variance(vac, resonant_response, resonant_bath,
-                                    0.9, 1.0, (0.0, tau))
+            w = window_terms(resonant_response, resonant_bath, 1.0, (0.0, tau))
+            v = quadrature_variance(vac, w, 0.9)
             assert v == pytest.approx(0.5, abs=5e-6)
 
     def test_squeezed_noiseless(self, noiseless_response):
@@ -149,19 +152,17 @@ class TestVariance:
         bath = DiscreteBath([], [], [], 1.0)
         # the squeezed axis rotates with the free evolution
         tau = 0.9
-        v = quadrature_variance(init, noiseless_response, bath,
-                                np.pi / 2 - tau, 1.0, (0.0, tau))
+        w = window_terms(noiseless_response, bath, 1.0, (0.0, tau))
+        v = quadrature_variance(init, w, np.pi / 2 - tau)
         assert v == pytest.approx(np.exp(-2.0) / 2.0, abs=1e-12)
 
     def test_theta_sum_rule(self, ohmic_bath, ohmic_response):
         init = GaussianProbeInit.squeezed(0.6, axis_angle=1.0)
-        win = (0.0, 2.5)
+        w = window_terms(ohmic_response, ohmic_bath, 1.0, (0.0, 2.5))
         totals = []
         for theta in np.linspace(0.0, np.pi, 7):
-            a = quadrature_variance(init, ohmic_response, ohmic_bath, theta,
-                                    1.0, win)
-            b = quadrature_variance(init, ohmic_response, ohmic_bath,
-                                    theta + np.pi / 2, 1.0, win)
+            a = quadrature_variance(init, w, theta)
+            b = quadrature_variance(init, w, theta + np.pi / 2)
             totals.append(a + b)
         totals = np.array(totals)
         assert np.ptp(totals) <= 1e-8 * totals.mean()
@@ -189,59 +190,61 @@ class TestSnapshot:
     def test_pure_noiseless_det(self, noiseless_response):
         vac = GaussianProbeInit.vacuum()
         bath = DiscreteBath([], [], [], 1.0)
-        snap = covariance_snapshot(vac, noiseless_response, bath, 0.1, 1.0,
-                                   (0.0, 2.0))
+        snap = covariance_snapshot(
+            vac, window_terms(noiseless_response, bath, 1.0, (0.0, 2.0)), 0.1)
         assert snap.det_sigma == pytest.approx(0.25, abs=1e-12)
 
     def test_resonant_vacuum_det_quarter(self, resonant_bath, resonant_response):
         vac = GaussianProbeInit.vacuum()
-        snap = covariance_snapshot(vac, resonant_response, resonant_bath, 0.4,
-                                   1.0, (0.0, 3.0))
+        snap = covariance_snapshot(
+            vac, window_terms(resonant_response, resonant_bath, 1.0, (0.0, 3.0)),
+            0.4)
         assert snap.det_sigma == pytest.approx(0.25, abs=1e-5)
 
     def test_thermal_bath_det_grows(self):
         bath = DiscreteBath([0.09], [1.0], [1.0], 1.0)
         resp = solve_response(bath, TimeGrid(0.0, 6.0, 2048))
         vac = GaussianProbeInit.vacuum()
-        snap = covariance_snapshot(vac, resp, bath, 0.0, 1.0, (0.0, 5.0))
+        snap = covariance_snapshot(vac, window_terms(resp, bath, 1.0, (0.0, 5.0)),
+                                   0.0)
         assert snap.det_sigma > 0.25 + 1e-3
 
     def test_det_theta_independent(self, ohmic_bath, ohmic_response):
         init = GaussianProbeInit.squeezed(0.5, axis_angle=0.2)
-        win = (0.0, 2.0)
-        a = covariance_snapshot(init, ohmic_response, ohmic_bath, 0.3, 1.0, win)
-        b = covariance_snapshot(init, ohmic_response, ohmic_bath, 1.0, 1.0, win)
+        w = window_terms(ohmic_response, ohmic_bath, 1.0, (0.0, 2.0))
+        a = covariance_snapshot(init, w, 0.3)
+        b = covariance_snapshot(init, w, 1.0)
         assert a.det_sigma == pytest.approx(b.det_sigma, rel=1e-8)
 
     def test_noiseless_equals_rotated_initial(self, noiseless_response):
         init = GaussianProbeInit.squeezed(0.7, axis_angle=0.4)
         bath = DiscreteBath([], [], [], 1.0)
         tau, theta = 1.7, 0.25
-        snap = covariance_snapshot(init, noiseless_response, bath, theta, 1.0,
-                                   (0.0, tau))
+        w = window_terms(noiseless_response, bath, 1.0, (0.0, tau))
+        snap = covariance_snapshot(init, w, theta)
         assert snap.var_x_theta == pytest.approx(init.variance(theta + tau),
                                                  abs=1e-12)
-        assert snap.noise_term == 0.0
+        assert w.n_b == 0.0
 
 
 class TestMaxVarianceAngle:
-    def test_identity_window(self, ohmic_response):
-        assert rotated_max_variance_angle(0.8, ohmic_response, 1.0,
-                                          (0.0, 0.0)) == pytest.approx(0.8)
+    def test_identity_window(self, ohmic_bath, ohmic_response):
+        w = window_terms(ohmic_response, ohmic_bath, 1.0, (0.0, 0.0))
+        assert rotated_max_variance_angle(0.8, w) == pytest.approx(0.8)
 
     def test_free_rotation(self, noiseless_response):
-        got = rotated_max_variance_angle(0.3, noiseless_response, 1.0,
-                                         (0.0, np.pi / 2))
+        w = window_terms(noiseless_response, noiseless_response.bath, 1.0,
+                         (0.0, np.pi / 2))
+        got = rotated_max_variance_angle(0.3, w)
         assert got == pytest.approx((0.3 - np.pi / 2) % np.pi)
 
     def test_matches_argmax_scan(self, detuned_bath):
         resp = solve_response(detuned_bath, TimeGrid(0.0, 4.0, 2048))
         init = GaussianProbeInit.squeezed(0.6, axis_angle=0.9)
-        win = (0.0, 1.8)
-        predicted = rotated_max_variance_angle(0.9, resp, 2.0, win)
+        w = window_terms(resp, detuned_bath, 2.0, (0.0, 1.8))
+        predicted = rotated_max_variance_angle(0.9, w)
         thetas = np.linspace(0.0, np.pi, 720, endpoint=False)
-        vals = [quadrature_variance(init, resp, detuned_bath, t, 2.0, win)
-                for t in thetas]
+        vals = [quadrature_variance(init, w, t) for t in thetas]
         best = thetas[int(np.argmax(vals))]
         diff = abs(best - predicted) % np.pi
         assert min(diff, np.pi - diff) <= np.pi / 720 + 1e-12
@@ -256,10 +259,10 @@ class TestWindowExtension:
         tight = (0.5, 1.5)
         padded = (0.0, 2.5)
         for win_a, win_b in ((tight, padded),):
-            d = displacement(resp, z, 1.0, win_b)
-            theta_b = d.phase - 1.0 * (win_b[1] - win_b[0])
-            d2 = displacement(resp, z, 1.0, win_a)
-            theta_a = d2.phase - 1.0 * (win_a[1] - win_a[0])
-            va = variance_p(vac, resp, bath, theta_a, 1.0, win_a)
-            vb = variance_p(vac, resp, bath, theta_b, 1.0, win_b)
+            w_b = forced_window(bath, resp, z, 1.0, win_b)
+            theta_b = phase(w_b.disp) - 1.0 * (win_b[1] - win_b[0])
+            w_a = forced_window(bath, resp, z, 1.0, win_a)
+            theta_a = phase(w_a.disp) - 1.0 * (win_a[1] - win_a[0])
+            va = variance_p(vac, w_a, theta_a)
+            vb = variance_p(vac, w_b, theta_b)
             assert vb >= va - 1e-12
