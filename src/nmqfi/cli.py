@@ -23,7 +23,8 @@ from .errors import AlignmentError, ConfigError, NmqfiError
 from .metrology import energy_for_script_e, script_e
 from .probe import (covariance_snapshot, displacement, quadrature_mean,
                     window_terms)
-from .response import markov_closed_form, markov_decay_rate, solve_response
+from .response import (ResponseFunction, markov_closed_form, markov_decay_rate,
+                       solve_response)
 
 
 # Rows formatted per `%` operation; bounds the transient text of a table.
@@ -63,9 +64,14 @@ def _gamma_for(cfg: ScenarioConfig) -> float | None:
     return None
 
 
-def run_response(cfg: ScenarioConfig, out: IO[str], fmt: str):
+def _response(cfg: ScenarioConfig) -> ResponseFunction:
+    """The scenario's bath solved on its grid; the response carries the bath."""
     bath = cfg.bath()
-    resp = solve_response(bath, cfg.grid(bath))
+    return solve_response(bath, cfg.grid(bath))
+
+
+def run_response(cfg: ScenarioConfig, out: IO[str], fmt: str):
+    resp = _response(cfg)
     taus = resp.grid.times()
     rows = np.column_stack((taus, resp.g_samples.real, resp.g_samples.imag,
                             np.abs(resp.g_samples), resp.g_dot_samples.real,
@@ -74,20 +80,19 @@ def run_response(cfg: ScenarioConfig, out: IO[str], fmt: str):
 
 
 def run_moments(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    bath = cfg.bath()
-    resp = solve_response(bath, cfg.grid(bath))
+    resp = _response(cfg)
     init = cfg.init_state()
     t0, t1 = cfg.window()
     theta = float(cfg.options.get("theta", 0.0))
     amp = float(cfg.options.get("force_amplitude", 0.0))
     times = _report_times(cfg, t0, t1)
     if "force" in cfg.raw:
-        values = displacement(resp, cfg.force(), cfg.omega0, (t0, times))
+        values = displacement(resp, cfg.force(), (t0, times))
     else:
         values = np.zeros(times.shape, dtype=complex)
     rows = []
     for t, value in zip(times, values):
-        w = window_terms(resp, bath, cfg.omega0, (t0, float(t)), complex(value))
+        w = window_terms(resp, (t0, float(t)), complex(value))
         mean = quadrature_mean(init, w, theta, amp)
         snap = covariance_snapshot(init, w, theta)
         rows.append((t, theta, mean, snap.var_x_theta, snap.var_p_theta,
@@ -96,23 +101,21 @@ def run_moments(cfg: ScenarioConfig, out: IO[str], fmt: str):
                rows)
 
 
-def _window_and_state(cfg: ScenarioConfig, bath, resp):
+def _window_and_state(cfg: ScenarioConfig, resp):
     """The window's terms, from one displacement call, and the probe state."""
     force = cfg.force()
     window = cfg.window()
     energy = cfg.energy()
     init = cfg.init_state() if energy is None else None
-    w = window_terms(resp, bath, cfg.omega0, window,
-                     displacement(resp, force, cfg.omega0, window))
+    w = window_terms(resp, window, displacement(resp, force, window))
     if energy is not None:
         init = metrology.best_state(energy, w).to_init()
     return w, init
 
 
 def run_qfi(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    bath = cfg.bath()
-    resp = solve_response(bath, cfg.grid(bath))
-    w, init = _window_and_state(cfg, bath, resp)
+    resp = _response(cfg)
+    w, init = _window_and_state(cfg, resp)
     energy = cfg.energy()
     if energy is not None:
         result = metrology.qfi_best_state(energy, w)
@@ -122,7 +125,7 @@ def run_qfi(cfg: ScenarioConfig, out: IO[str], fmt: str):
         except AlignmentError:
             result = metrology.qfi_general(init, w)
     snap = covariance_snapshot(init, w, 0.0)
-    m = moments(bath)
+    m = moments(resp.bath)
     payload = {
         "form": result.form,
         "value": result.value,
@@ -143,9 +146,8 @@ def run_qfi(cfg: ScenarioConfig, out: IO[str], fmt: str):
 
 
 def run_estimate(cfg: ScenarioConfig, out: IO[str], fmt: str, seed_override):
-    bath = cfg.bath()
-    resp = solve_response(bath, cfg.grid(bath))
-    w, init = _window_and_state(cfg, bath, resp)
+    resp = _response(cfg)
+    w, init = _window_and_state(cfg, resp)
     seed = int(seed_override if seed_override is not None
                else cfg.options.get("seed", 0))
     result = metrology.simulate_estimation(
@@ -172,45 +174,47 @@ def _tau_bounds(block: dict, resp, total: float, m) -> tuple[float, float]:
     return sequential.default_tau_bounds(resp, total, m)
 
 
-def _sequential_point(cfg: ScenarioConfig, bath, resp, force,
+def _sequential_point(cfg: ScenarioConfig, resp, force,
                       energies: list[float]) -> list[dict]:
     """One cadence report per energy, from one optimize_tau call for all.
 
     The window integrals xi and C over all of T are energy-independent and
-    computed once; the reported ones cover each optimum's own steps.
+    computed once; the reported ones cover each optimum's own steps, nu * tau,
+    once per distinct span.
     """
     block = cfg.block("sequential")
     total = float(block["total_window"])
-    m = moments(bath)
+    m = moments(resp.bath)
+    omega0 = resp.bath.probe_frequency
     if block.get("optimize", "tau" not in block):
         found = [(opt.seq, opt.hit_bound) for opt in sequential.optimize_tau(
-            total, energies, bath, resp, force, cfg.omega0,
-            _tau_bounds(block, resp, total, m))]
+            total, energies, resp, force, _tau_bounds(block, resp, total, m))]
     else:
         terms = sequential.interval_terms(
-            sequential.SequentialScheme(total, float(block["tau"])),
-            bath, resp, force, cfg.omega0)
+            sequential.SequentialScheme(total, float(block["tau"])), resp, force)
         found = [(sequential.seq_result(terms, energy), False)
                  for energy in energies]
-    ints = sequential.xi_and_c(force, cfg.omega0, total)
+    ints = sequential.xi_and_c(force, omega0, total)
+    spans = {}
     gamma = _gamma_for(cfg)
-    fastest = max(m.fastest_rate, cfg.omega0)
+    fastest = max(m.fastest_rate, omega0)
     points = []
     for energy, (seq, hit) in zip(energies, found):
         tau_asym = (sequential.tau_opt_asymptotic(energy, m, ints.xi,
                                                   ints.c_coeff)
                     if m.script_n > 0 else None)
         fasym = (sequential.seq_qfi_asymptotic(energy, m, ints.xi, ints.c_coeff,
-                                               cfg.omega0)
+                                               omega0)
                  if m.script_n > 0 else None)
-        # the reported xi and C cover the steps that fit, nu * tau, not all of T
-        steps = sequential.xi_and_c(force, cfg.omega0,
-                                    len(seq.per_step_qfi) * seq.tau_used)
+        span = len(seq.per_step_qfi) * seq.tau_used
+        if span not in spans:
+            spans[span] = sequential.xi_and_c(force, omega0, span)
+        steps = spans[span]
         markov = None
         if gamma is not None and gamma > 0:
             markov = sequential.markov_seq(
                 energy, gamma, float(cfg.options.get("n_thermal", 0.0)),
-                ints.xi, cfg.omega0)
+                ints.xi, omega0)
         points.append({
             "tau_opt_numeric": seq.tau_used,
             "tau_opt_asymptotic": tau_asym,
@@ -228,8 +232,7 @@ def _sequential_point(cfg: ScenarioConfig, bath, resp, force,
 
 
 def run_sequential(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    bath = cfg.bath()
-    resp = solve_response(bath, cfg.grid(bath))
+    resp = _response(cfg)
     force = cfg.force()
     energy = cfg.energy()
     if energy is None:
@@ -237,27 +240,26 @@ def run_sequential(cfg: ScenarioConfig, out: IO[str], fmt: str):
     if fmt == "csv":
         block = cfg.block("sequential")
         total = float(block["total_window"])
-        lo, hi = _tau_bounds(block, resp, total, moments(bath))
+        lo, hi = _tau_bounds(block, resp, total, moments(resp.bath))
         rows = []
         for tau in np.geomspace(lo, hi, int(cfg.options.get("report_points", 33))):
-            seq = sequential.seq_qfi(sequential.SequentialScheme(total, float(tau)),
-                                     energy, bath, resp, force, cfg.omega0)
-            rows.append((tau, seq.total_qfi))
+            terms = sequential.interval_terms(
+                sequential.SequentialScheme(total, float(tau)), resp, force)
+            rows.append((tau, sequential.seq_result(terms, energy).total_qfi))
         _write_csv(out, ["tau", "total_qfi"], rows)
         return
-    _write_json(out, _sequential_point(cfg, bath, resp, force, [energy])[0])
+    _write_json(out, _sequential_point(cfg, resp, force, [energy])[0])
 
 
 def run_sweep(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    bath = cfg.bath()
-    resp = solve_response(bath, cfg.grid(bath))
+    resp = _response(cfg)
     force = cfg.force()
     sweep = cfg.options.get("energy_sweep")
     if not sweep:
         raise ConfigError("sweep subcommand needs options.energy_sweep "
                           "(list of script-E values)")
     script_es = [float(se) for se in sweep]
-    points = _sequential_point(cfg, bath, resp, force,
+    points = _sequential_point(cfg, resp, force,
                                [energy_for_script_e(se) for se in script_es])
     rows = [(se, row["tau_opt_numeric"], row["total_qfi"],
              row["tau_opt_asymptotic"] or float("nan"),
@@ -270,15 +272,13 @@ def run_sweep(cfg: ScenarioConfig, out: IO[str], fmt: str):
 
 
 def run_correlation(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    bath = cfg.bath()
-    resp = solve_response(bath, cfg.grid(bath))
+    resp = _response(cfg)
     init = cfg.init_state()
     fluct = 0.5 * init.trace
     t_prime = float(cfg.options.get("t_prime", 0.0))
     rows = []
     for t in _report_times(cfg, t_prime, resp.t_end):
-        r = corr_mod.bath_correlation(bath, resp, fluct, float(t), t_prime,
-                                      cfg.omega0)
+        r = corr_mod.bath_correlation(resp, fluct, float(t), t_prime)
         rows.append((t - t_prime, r.total.real, r.total.imag,
                      r.born.real, r.born.imag, abs(r.interaction)))
     _write_csv(out, ["t_minus_tprime", "re_total", "im_total", "re_born",
@@ -286,13 +286,12 @@ def run_correlation(cfg: ScenarioConfig, out: IO[str], fmt: str):
 
 
 def run_limits(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    bath = cfg.bath()
-    resp = solve_response(bath, cfg.grid(bath))
+    resp = _response(cfg)
     gamma = _gamma_for(cfg)
     if gamma is None:
         raise ConfigError("limits subcommand needs options.gamma or a "
                           "continuum bath block")
-    omega2 = moments(bath).omega(2)
+    omega2 = moments(resp.bath).omega(2)
     taus = resp.grid.times()
     rows = np.column_stack((taus, resp.g_samples.real, resp.g_samples.imag,
                             np.abs(resp.g_samples), np.cos(omega2 * taus),

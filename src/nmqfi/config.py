@@ -201,7 +201,7 @@ class ScenarioConfig:
         block = self.block("grid")
         t_end = float(block["t_end"])
         if "n_steps" in block:
-            return TimeGrid(0.0, t_end, int(block["n_steps"]))
+            return TimeGrid(t_end, int(block["n_steps"]))
         return default_grid(bath, t_end)
 
     def window(self) -> tuple[float, float]:

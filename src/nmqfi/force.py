@@ -27,10 +27,6 @@ class ForceModulation:
             raise ValueError("support must satisfy t_i <= t_f")
         object.__setattr__(self, "support", (float(lo), float(hi)))
 
-    @property
-    def kind(self) -> str:
-        return type(self).__name__
-
     def _value_inside(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

@@ -14,7 +14,6 @@ from typing import Union
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .bath import DiscreteBath
 from .errors import ConsistencyError, retired
 from .force import ForceModulation
 from .response import ResponseFunction
@@ -150,17 +149,19 @@ class CovarianceSnapshot:
 
 
 def displacement(response: ResponseFunction, force: ForceModulation,
-                 omega0: float, window: Window) -> Union[complex, np.ndarray]:
+                 window: Window) -> Union[complex, np.ndarray]:
     """Displacement coefficient omega0 * int zeta(u) e^{i omega0 (u-t0)} G(t-u) du.
 
-    The integral runs over the window clipped to the force support; an
-    empty intersection gives zero. Window ends that are arrays (broadcast
+    omega0 is the probe frequency of the response's bath. The integral
+    runs over the window clipped to the force support; an empty
+    intersection gives zero. Window ends that are arrays (broadcast
     together) give one value per window, each integrated to the same
     tolerance; a scalar window is a batch of one. Windows are integrated in
     groups of similar clipped length, at most _WINDOW_CHUNK at a time.
     """
     t0, t1 = _check_window(window)
     response.require_coverage(np.max(t1 - t0))
+    omega0 = response.bath.probe_frequency
 
     def integral(s0, s1, lo, hi):
         def integrand(u):
@@ -188,16 +189,16 @@ def displacement(response: ResponseFunction, force: ForceModulation,
     return omega0 * val.reshape(np.shape(t1))
 
 
-def noise_term(response: ResponseFunction, bath: DiscreteBath,
-               window: Window) -> float:
+def noise_term(response: ResponseFunction, window: Window) -> float:
     """Bath-injected quadrature noise n_B, identical for every angle.
 
     sum_n (N_n + 1/2) |U_0n(tau)|^2 over the bath amplitudes of the modal
-    propagator (DiscreteBath.propagate), tau = t - t0; zero exactly for an
-    empty bath or a zero-length window.
+    propagator of the response's bath (DiscreteBath.propagate), tau = t - t0;
+    zero exactly for an empty bath or a zero-length window.
     """
     t0, t1 = _check_window(window)
     response.require_coverage(t1 - t0)
+    bath = response.bath
     if bath.n_modes == 0 or t1 == t0:
         return 0.0
     probe_row = np.eye(1, bath.n_modes + 1)[0]
@@ -221,8 +222,8 @@ class WindowTerms:
     omega0: float
 
 
-def window_terms(response: ResponseFunction, bath: DiscreteBath,
-                 omega0: float, window: Window, disp=0j) -> WindowTerms:
+def window_terms(response: ResponseFunction, window: Window,
+                 disp=0j) -> WindowTerms:
     """G and n_B of the window, with the displacement the caller computed.
 
     The only place a window's G(tau) and n_B are evaluated; every moment,
@@ -231,8 +232,8 @@ def window_terms(response: ResponseFunction, bath: DiscreteBath,
     t0, t1 = _check_window(window)
     tau = t1 - t0
     return WindowTerms(tau=float(tau), g=response.g(tau),
-                       n_b=noise_term(response, bath, window), disp=disp,
-                       omega0=omega0)
+                       n_b=noise_term(response, window), disp=disp,
+                       omega0=response.bath.probe_frequency)
 
 
 def quadrature_mean(init: GaussianProbeInit, w: WindowTerms, theta: float,

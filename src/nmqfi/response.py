@@ -36,24 +36,23 @@ _FLOOR_STEPS = 1024
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [t_start, t_end] with n_steps intervals."""
+    """Uniform grid on [0, t_end] with n_steps intervals."""
 
-    t_start: float
     t_end: float
     n_steps: int
 
     def __post_init__(self):
         if self.n_steps < 2:
             raise ValueError("n_steps must be >= 2")
-        if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        if not self.t_end > 0:
+            raise ValueError("t_end must be > 0")
 
     @property
     def h(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
+        return self.t_end / self.n_steps
 
     def times(self) -> np.ndarray:
-        return self.t_start + self.h * np.arange(self.n_steps + 1)
+        return self.h * np.arange(self.n_steps + 1)
 
 
 def default_grid(bath: DiscreteBath, t_end: float) -> TimeGrid:
@@ -63,7 +62,7 @@ def default_grid(bath: DiscreteBath, t_end: float) -> TimeGrid:
     """
     rate = max(moments(bath).omega(2), bath.probe_frequency)
     n = max(_FLOOR_STEPS, int(np.ceil(t_end * rate / 0.02)))
-    return TimeGrid(0.0, float(t_end), n)
+    return TimeGrid(float(t_end), n)
 
 
 def _hermite_eval(query: np.ndarray, h: float, y: np.ndarray,
@@ -95,7 +94,8 @@ class ResponseFunction:
     """Sampled response G and its derivative on a uniform grid from 0.
 
     Off-grid queries use cubic Hermite interpolation built from the stored
-    derivative; g_dot is the derivative of that same interpolant.
+    derivative; g_dot is the derivative of that same interpolant. The
+    solved bath, with its probe frequency, travels with the response.
     Immutable; safe for concurrent reads.
     """
 
@@ -160,8 +160,6 @@ def solve_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
     unit disc by more than 1e-6, the signature of a step too coarse for
     the kernel.
     """
-    if grid.t_start != 0.0:
-        raise ValueError("response grids must start at 0")
     n_out = grid.n_steps
     g = np.empty(n_out + 1, dtype=complex)
     g_dot = np.empty(n_out + 1, dtype=complex)

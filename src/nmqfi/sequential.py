@@ -91,9 +91,8 @@ def xi_and_c(force: ForceModulation, omega0: float,
     return ForceWindowIntegrals(float(xi), float(0.25 * bulk))
 
 
-def interval_terms(scheme: SequentialScheme, bath: DiscreteBath,
-                   response: ResponseFunction, force: ForceModulation,
-                   omega0: float) -> WindowTerms:
+def interval_terms(scheme: SequentialScheme, response: ResponseFunction,
+                   force: ForceModulation) -> WindowTerms:
     """G(tau), n_B(tau) and every step's D_k (one batched displacement call).
 
     The energy-independent parts of the cadence total: step k carries
@@ -104,8 +103,8 @@ def interval_terms(scheme: SequentialScheme, bath: DiscreteBath,
     tau = scheme.interval
     response.require_coverage(tau)
     steps = scheme.step_window(np.arange(scheme.repetitions))
-    return window_terms(response, bath, omega0, (0.0, tau),
-                        displacement(response, force, omega0, steps))
+    return window_terms(response, (0.0, tau),
+                        displacement(response, force, steps))
 
 
 def _per_step(w: WindowTerms, energy: float) -> np.ndarray:
@@ -128,8 +127,14 @@ def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
     The interval's energy-independent terms, then the energy step: the
     squared displacements of all steps over the step-independent
     denominator |G(tau)|^2 / (4 script_e) + n_B(tau).
+
+    bath must be response.bath and omega0 its probe_frequency, else
+    ValueError; ROADMAP item 1 drops both arguments.
     """
-    return seq_result(interval_terms(scheme, bath, response, force, omega0), energy)
+    if bath is not response.bath or omega0 != bath.probe_frequency:
+        raise ValueError("seq_qfi needs bath = response.bath and "
+                         "omega0 = bath.probe_frequency")
+    return seq_result(interval_terms(scheme, response, force), energy)
 
 
 @dataclass(frozen=True)
@@ -156,8 +161,7 @@ def default_tau_bounds(response: ResponseFunction, total_window: float,
 
 
 def optimize_tau(total_window: float, energy: float | Sequence[float],
-                 bath: DiscreteBath, response: ResponseFunction,
-                 force: ForceModulation, omega0: float,
+                 response: ResponseFunction, force: ForceModulation,
                  tau_bounds: tuple[float, float]) -> TauOptimum | list[TauOptimum]:
     """Maximize the cadence total over the repetition lattice and the bracket ends.
 
@@ -183,7 +187,7 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     def terms(tau: float) -> WindowTerms:
         if tau not in table:
             table[tau] = interval_terms(SequentialScheme(total_window, tau),
-                                        bath, response, force, omega0)
+                                        response, force)
         return table[tau]
 
     nu_min = math.ceil(total_window / hi * (1.0 - 1e-12))

@@ -50,7 +50,7 @@ def main():
         oracle = ModalOracle(bath.coupling_sq, bath.frequencies,
                              bath.occupations, bath.probe_frequency)
         for n_steps in STEPS:
-            grid = TimeGrid(0.0, 20.0, n_steps)
+            grid = TimeGrid(20.0, n_steps)
             exact = oracle.g(grid.times())
             row = {"n_modes": n_modes, "n_steps": n_steps}
             for label, solver in (("step", marched_response),

@@ -191,7 +191,7 @@ class TestValidation:
                                       "g_samples", "g_dot_samples"])
     def test_arrays_are_read_only(self, name):
         resp = solve_response(DiscreteBath([0.25], [1.0], [0.0], 1.0),
-                              TimeGrid(0.0, 1.0, 8))
+                              TimeGrid(1.0, 8))
         eigen = dict(zip(("eigenvalues", "eigenvectors"), resp.bath.eigensystem))
         if name in eigen:
             array = eigen[name]

@@ -181,13 +181,17 @@ def test_sweep_shares_one_search_and_one_window_integral(tmp_path,
     from nmqfi import sequential
 
     calls = {"optimize_tau": [], "xi_and_c": []}
+    optima = []
 
     def counted(name):
         fn = getattr(sequential, name)
 
         def wrapper(*args, **kwargs):
             calls[name].append(args)
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name == "optimize_tau":
+                optima.extend(out)
+            return out
         return wrapper
 
     for name in calls:
@@ -197,9 +201,11 @@ def test_sweep_shares_one_search_and_one_window_integral(tmp_path,
     n_energies = len(json.loads(cfg.read_text())["options"]["energy_sweep"])
     assert len(calls["optimize_tau"]) == 1
     assert len(calls["optimize_tau"][0][1]) == n_energies
-    # xi and C over all of T once, then over each optimum's own steps
+    # xi and C over all of T once, then once per distinct span nu * tau
+    spans = {len(opt.seq.per_step_qfi) * opt.seq.tau_used for opt in optima}
     windows = [args[2] for args in calls["xi_and_c"]]
-    assert len(windows) == 1 + n_energies and windows[0] == 1.0
+    assert len(windows) == 1 + len(spans) and windows[0] == 1.0
+    assert set(windows[1:]) == spans
 
 
 def test_fixed_tau_sweep_reports_seq_qfi_per_energy(tmp_path):
@@ -338,7 +344,7 @@ def test_moments_makes_one_displacement_call(tmp_path, monkeypatch):
     real = cli.displacement
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[2])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "displacement", counted)

@@ -23,14 +23,13 @@ ZETA = fc.constant(1.0)
 
 @pytest.fixture(scope="module")
 def noiseless():
-    bath = DiscreteBath([], [], [], OMEGA0)
-    return bath, solve_response(bath, TimeGrid(0.0, 4.0, 1024))
+    return solve_response(DiscreteBath([], [], [], OMEGA0), TimeGrid(4.0, 1024))
 
 
 @pytest.fixture(scope="module")
 def single_mode():
-    bath = DiscreteBath([0.09], [0.7], [0.0], OMEGA0)
-    return bath, solve_response(bath, TimeGrid(0.0, 4.0, 2048))
+    return solve_response(DiscreteBath([0.09], [0.7], [0.0], OMEGA0),
+                          TimeGrid(4.0, 2048))
 
 
 class TestScriptE:
@@ -51,41 +50,41 @@ class TestScriptE:
 
 class TestQfiForms:
     def test_zero_force_zero_qfi(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
         z0 = fc.constant(0.0)
-        w = forced_window(bath, resp, z0, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, z0, PI_WINDOW)
         assert qfi_general(vac, w).value == 0.0
         assert qfi_aligned(vac, w).value == 0.0
 
     def test_noiseless_vacuum_eight(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         r = qfi_aligned(vac, w)
         assert r.value == pytest.approx(8.0, abs=1e-9)
         g = qfi_general(vac, w)
         assert g.value == pytest.approx(8.0, abs=1e-9)
 
     def test_result_bookkeeping(self, single_mode):
-        bath, resp = single_mode
+        resp = single_mode
         vac = GaussianProbeInit.vacuum()
-        r = qfi_aligned(vac, forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.7)))
+        r = qfi_aligned(vac, forced_window(resp, ZETA, (0.0, 1.7)))
         assert r.value == pytest.approx(
             r.numerator_abs_d_sq / r.denominator_variance_or_det)
 
     def test_coherent_matches_aligned(self, single_mode):
-        bath, resp = single_mode
+        resp = single_mode
         init = GaussianProbeInit.coherent(0.7 + 0.2j)
-        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.3))
+        w = forced_window(resp, ZETA, (0.0, 1.3))
         a = qfi_aligned(init, w)
         g = qfi_general(init, w)
         assert a.value == pytest.approx(g.value, rel=1e-10)
 
     def test_misaligned_squeezed_raises(self, single_mode):
-        bath, resp = single_mode
+        resp = single_mode
         init = GaussianProbeInit.squeezed(0.8, axis_angle=1.2)
-        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.3))
+        w = forced_window(resp, ZETA, (0.0, 1.3))
         with pytest.raises(AlignmentError):
             qfi_aligned(init, w)
         # the general form still evaluates and is below the best state
@@ -96,65 +95,65 @@ class TestQfiForms:
 
 class TestBestState:
     def test_vacuum_energy(self, noiseless):
-        bath, resp = noiseless
-        spec = best_state(0.5, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
+        resp = noiseless
+        spec = best_state(0.5, forced_window(resp, ZETA, PI_WINDOW))
         assert spec.squeeze_r == 0.0
         assert spec.script_e == 0.5
 
     def test_energy_one(self, noiseless):
-        bath, resp = noiseless
-        spec = best_state(1.0, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
+        resp = noiseless
+        spec = best_state(1.0, forced_window(resp, ZETA, PI_WINDOW))
         assert spec.script_e == pytest.approx(1.0 + np.sqrt(0.75))
         assert spec.squeeze_r == pytest.approx(0.5 * np.log(2 * (1 + np.sqrt(0.75))))
 
     def test_energy_five_min_variance(self, noiseless):
-        bath, resp = noiseless
-        spec = best_state(5.0, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
+        resp = noiseless
+        spec = best_state(5.0, forced_window(resp, ZETA, PI_WINDOW))
         assert spec.min_variance == pytest.approx(0.25 / (5 + np.sqrt(24.75)))
         init = spec.to_init()
         assert init.mean_energy == pytest.approx(5.0)
         assert init.is_pure
 
     def test_induced_state_is_aligned(self, single_mode):
-        bath, resp = single_mode
-        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.7))
+        resp = single_mode
+        w = forced_window(resp, ZETA, (0.0, 1.7))
         init = best_state(3.0, w).to_init()
         a = qfi_aligned(init, w)
         b = qfi_best_state(3.0, w)
         assert a.value == pytest.approx(b.value, rel=1e-9)
 
     def test_below_vacuum_rejected(self, noiseless):
-        bath, resp = noiseless
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        resp = noiseless
+        w = forced_window(resp, ZETA, PI_WINDOW)
         with pytest.raises(ValueError):
             best_state(0.3, w)
 
 
 class TestBestStateQfi:
     def test_vacuum_consistency(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         b = qfi_best_state(0.5, w)
         a = qfi_aligned(vac, w)
         assert b.value == pytest.approx(a.value, rel=1e-12)
 
     def test_heisenberg_scaling(self, noiseless):
-        bath, resp = noiseless
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        resp = noiseless
+        w = forced_window(resp, ZETA, PI_WINDOW)
         vals = [qfi_best_state(energy_for_script_e(se), w).value / se
                 for se in (1.0, 10.0, 100.0)]
         assert np.ptp(vals) <= 1e-9 * vals[0]
 
     def test_example_value(self, noiseless):
-        bath, resp = noiseless
-        r = qfi_best_state(5.0, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
+        resp = noiseless
+        r = qfi_best_state(5.0, forced_window(resp, ZETA, PI_WINDOW))
         assert r.value == pytest.approx(4.0 * script_e(5.0) * 4.0, rel=1e-10)
 
     def test_optimal_over_random_same_energy_states(self, single_mode):
         # 50 random pure states at fixed energy never beat the best state
-        bath, resp = single_mode
-        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.3))
+        resp = single_mode
+        w = forced_window(resp, ZETA, (0.0, 1.3))
         energy = 4.0
         top = qfi_best_state(energy, w).value
         rng = np.random.default_rng(7)
@@ -169,56 +168,56 @@ class TestBestStateQfi:
             assert val <= top * (1.0 + 1e-9)
 
     def test_monotone_noise_damage(self, noiseless):
-        bath0, resp0 = noiseless
+        resp0 = noiseless
         vac = GaussianProbeInit.vacuum()
         win = (0.0, 1.2)
-        base = qfi_aligned(vac, forced_window(bath0, resp0, ZETA, OMEGA0, win)).value
+        base = qfi_aligned(vac, forced_window(resp0, ZETA, win)).value
         grown = DiscreteBath([0.16], [1.1], [0.3], OMEGA0)
-        resp1 = solve_response(grown, TimeGrid(0.0, 4.0, 2048))
-        one = qfi_aligned(vac, forced_window(grown, resp1, ZETA, OMEGA0, win)).value
+        resp1 = solve_response(grown, TimeGrid(4.0, 2048))
+        one = qfi_aligned(vac, forced_window(resp1, ZETA, win)).value
         more = DiscreteBath([0.16, 0.2], [1.1, 0.6], [0.3, 0.0], OMEGA0)
-        resp2 = solve_response(more, TimeGrid(0.0, 4.0, 2048))
-        two = qfi_aligned(vac, forced_window(more, resp2, ZETA, OMEGA0, win)).value
+        resp2 = solve_response(more, TimeGrid(4.0, 2048))
+        two = qfi_aligned(vac, forced_window(resp2, ZETA, win)).value
         assert one < base
         assert two < one
 
 
 class TestFisherQuadrature:
     def test_quarter_turn_kills_information(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         val = fisher_quadrature(optimal_angle(w) + np.pi / 2, vac, w)
         assert val == pytest.approx(0.0, abs=1e-20)
 
     def test_optimum_equals_qfi(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         val = fisher_quadrature(optimal_angle(w), vac, w)
         assert val == pytest.approx(8.0, abs=1e-9)
 
     def test_eighth_turn_halves_for_isotropic(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         val = fisher_quadrature(optimal_angle(w) + np.pi / 4, vac, w)
         assert val == pytest.approx(4.0, abs=1e-9)
 
 
 class TestEstimation:
     def test_cramer_rao_saturation(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         res = simulate_estimation(vac, w, f_true=0.3, nu=100, seed=20240901)
         assert res.crb == pytest.approx(1.0 / (100 * 8.0), rel=1e-9)
         assert 0.9 <= res.ratio_to_crb <= 1.1
 
     def test_mse_halves_with_doubled_nu(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         a = simulate_estimation(vac, w, f_true=0.3, nu=100, seed=5,
                                 replications=4000)
         b = simulate_estimation(vac, w, f_true=0.3, nu=200, seed=6,
@@ -227,25 +226,25 @@ class TestEstimation:
 
     def test_tiny_variance_recovers_truth(self, noiseless):
         # degenerate-Gaussian limit: huge aligned squeezing pins the estimate
-        bath, resp = noiseless
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        resp = noiseless
+        w = forced_window(resp, ZETA, PI_WINDOW)
         init = best_state(energy_for_script_e(0.5e12), w).to_init()
         res = simulate_estimation(init, w, f_true=0.42, nu=50, seed=11,
                                   replications=200)
         assert res.estimate == pytest.approx(0.42, abs=1e-6)
 
     def test_zero_displacement_impossible(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
         with pytest.raises(EstimationError):
             simulate_estimation(
-                vac, forced_window(bath, resp, fc.constant(0.0), OMEGA0, PI_WINDOW),
+                vac, forced_window(resp, fc.constant(0.0), PI_WINDOW),
                 0.1, 10, seed=1)
 
     def test_reproducible_streams(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         a = simulate_estimation(vac, w, 0.3, 100, seed=99, replications=100)
         b = simulate_estimation(vac, w, 0.3, 100, seed=99, replications=100)
         assert a.empirical_mse == b.empirical_mse
@@ -253,9 +252,9 @@ class TestEstimation:
     def test_memory_is_independent_of_nu(self, noiseless):
         # 10^8 outcomes per replication would need 800 MB as one row; only
         # the replications' sample means are drawn
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         tracemalloc.start()
         try:
             res = simulate_estimation(vac, w, 0.3, 10 ** 8, seed=3,
@@ -268,9 +267,9 @@ class TestEstimation:
 
     def test_sample_means_match_per_outcome_oracle(self, single_mode):
         # each MSE has relative spread sqrt(2/R); their difference sqrt(4/R)
-        bath, resp = single_mode
+        resp = single_mode
         vac = GaussianProbeInit.vacuum()
-        args = (vac, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW), 0.3, 50)
+        args = (vac, forced_window(resp, ZETA, PI_WINDOW), 0.3, 50)
         reps = 20000
         engine = simulate_estimation(*args, seed=41, replications=reps)
         oracle = per_outcome_estimation_mse(*args, seed=42, replications=reps)
@@ -290,14 +289,13 @@ class TestShortTimeQfi:
             2.0 * OMEGA0 ** 2 * 0.02 ** 2)
 
     def test_residual_fourth_order(self, single_mode):
-        bath, _ = single_mode
-        resp = solve_response(bath, TimeGrid(0.0, 0.12, 4096))
+        resp = solve_response(single_mode.bath, TimeGrid(0.12, 4096))
         vac = GaussianProbeInit.vacuum()
         taus = np.geomspace(1e-3, 1e-1, 10)
         resid = []
         for tau in taus:
             exact = qfi_aligned(
-                vac, forced_window(bath, resp, ZETA, OMEGA0, (0.0, tau))).value
+                vac, forced_window(resp, ZETA, (0.0, tau))).value
             approx = short_time_qfi(vac, ZETA, OMEGA0, 0.0, tau)
             resid.append(abs(exact - approx))
         slope = np.polyfit(np.log(taus), np.log(resid), 1)[0]
@@ -306,9 +304,9 @@ class TestShortTimeQfi:
 
 class TestMarkovQfi:
     def test_gamma_zero_reduces_to_noiseless(self, noiseless):
-        bath, resp = noiseless
+        resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        a = qfi_aligned(vac, forced_window(bath, resp, ZETA, OMEGA0, PI_WINDOW))
+        a = qfi_aligned(vac, forced_window(resp, ZETA, PI_WINDOW))
         m = markov_qfi(vac, 0.0, 0.0, ZETA, OMEGA0, PI_WINDOW)
         assert m == pytest.approx(a.value, rel=1e-9)
 
@@ -338,10 +336,10 @@ class TestAgainstGaussianInformationIdentity:
         import numpy as np
         from nmqfi.probe import covariance_snapshot, quadrature_mean
 
-        bath, resp = single_mode
+        resp = single_mode
         init = GaussianProbeInit.squeezed(0.7, axis_angle=1.1,
                                           mean_amplitude=0.3 + 0.1j)
-        w = forced_window(bath, resp, ZETA, OMEGA0, (0.0, 1.45))
+        w = forced_window(resp, ZETA, (0.0, 1.45))
         v = np.array([
             quadrature_mean(init, w, theta, 1.0)
             - quadrature_mean(init, w, theta, 0.0)

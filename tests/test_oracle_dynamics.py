@@ -35,7 +35,7 @@ def bath():
 
 @pytest.fixture(scope="module")
 def response(bath):
-    return solve_response(bath, TimeGrid(0.0, 4.0, 4096))
+    return solve_response(bath, TimeGrid(4.0, 4096))
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ class TestAgainstSymplecticOracle:
             assert response.g(tau) == pytest.approx(g_oracle, abs=5e-8)
 
     def test_quadrature_means(self, bath, response, init):
-        w = forced_window(bath, response, FORCE, OMEGA0, (0.0, T_FINAL))
+        w = forced_window(response, FORCE, (0.0, T_FINAL))
         for theta in (0.0, 0.7, 2.4):
             got = quadrature_mean(init, w, theta, AMPLITUDE)
             want = _oracle_mean_x(bath, theta, init, AMPLITUDE, T_FINAL)
@@ -90,7 +90,7 @@ class TestAgainstSymplecticOracle:
 
     def test_displacement_magnitude_and_phase(self, bath, response, init):
         # mean shift per unit amplitude is |D| sin(theta + w0 t - arg D)
-        disp = displacement(response, FORCE, OMEGA0, (0.0, T_FINAL))
+        disp = displacement(response, FORCE, (0.0, T_FINAL))
         for theta in (0.2, 1.1):
             shift = (_oracle_mean_x(bath, theta, init, AMPLITUDE, T_FINAL)
                      - _oracle_mean_x(bath, theta, init, 0.0, T_FINAL)) / AMPLITUDE
@@ -99,7 +99,7 @@ class TestAgainstSymplecticOracle:
 
     def test_quadrature_variances(self, bath, response, init):
         sigma = _evolved_covariance(bath, init, T_FINAL)
-        w = window_terms(response, bath, OMEGA0, (0.0, T_FINAL))
+        w = window_terms(response, (0.0, T_FINAL))
         for theta in (0.0, 0.9, 1.8):
             v = np.array([np.cos(theta), np.sin(theta)])
             want = float(v @ sigma[:2, :2] @ v)
@@ -110,7 +110,7 @@ class TestAgainstSymplecticOracle:
         sigma = _evolved_covariance(bath, init, T_FINAL)
         want = float(np.linalg.det(sigma[:2, :2]))
         snap = covariance_snapshot(
-            init, window_terms(response, bath, OMEGA0, (0.0, T_FINAL)), 0.4)
+            init, window_terms(response, (0.0, T_FINAL)), 0.4)
         assert snap.det_sigma == pytest.approx(want, rel=1e-6)
 
     def test_noise_term_from_vacuum_probe(self, bath, response):
@@ -119,7 +119,7 @@ class TestAgainstSymplecticOracle:
         sigma = _evolved_covariance(bath, vac, T_FINAL)
         want = 0.5 * float(np.trace(sigma[:2, :2]))
         g_abs = abs(response.g(T_FINAL))
-        got = 0.5 * (g_abs ** 2) + noise_term(response, bath, (0.0, T_FINAL))
+        got = 0.5 * (g_abs ** 2) + noise_term(response, (0.0, T_FINAL))
         assert got == pytest.approx(want, abs=2e-7)
 
 
@@ -133,7 +133,7 @@ class TestSolverAgainstRandomBaths:
             freqs = rng.uniform(0.1, 4.0, n)
             occs = rng.uniform(0.0, 1.5, n)
             bath = DiscreteBath(coupling_sq, freqs, occs, omega0)
-            resp = solve_response(bath, TimeGrid(0.0, 6.0, 2048))
+            resp = solve_response(bath, TimeGrid(6.0, 2048))
             drift = amplitude_drift(bath)
             for tau in (0.9, 3.3, 6.0):
                 want = expm(drift * tau)[0, 0] * np.exp(1j * omega0 * tau)

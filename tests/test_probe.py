@@ -16,14 +16,14 @@ from nmqfi.response import TimeGrid, solve_response
 
 @pytest.fixture(scope="module")
 def noiseless_response():
-    return solve_response(DiscreteBath([], [], [], 1.0), TimeGrid(0.0, 8.0, 512))
+    return solve_response(DiscreteBath([], [], [], 1.0), TimeGrid(8.0, 512))
 
 
 @pytest.fixture(scope="module")
 def resonant03():
     """|K| = 0.3 resonant mode and its response, for displacement oracles."""
     bath = DiscreteBath([0.09], [1.0], [0.0], 1.0)
-    return bath, solve_response(bath, TimeGrid(0.0, 4.0, 2048))
+    return bath, solve_response(bath, TimeGrid(4.0, 2048))
 
 
 class TestInit:
@@ -57,28 +57,28 @@ class TestInit:
 
 class TestDisplacement:
     def test_zero_force(self, noiseless_response):
-        d = displacement(noiseless_response, fc.constant(0.0), 1.0, (0.0, 2.0))
+        d = displacement(noiseless_response, fc.constant(0.0), (0.0, 2.0))
         assert d == 0.0
         assert phase(d) == 0.0
 
     def test_support_outside_window(self, noiseless_response):
         z = fc.constant(1.0, (5.0, 6.0))
-        d = displacement(noiseless_response, z, 1.0, (0.0, 2.0))
+        d = displacement(noiseless_response, z, (0.0, 2.0))
         assert d == 0.0
 
     def test_noiseless_closed_form(self, noiseless_response):
         # oracle: D0 = -i (e^{i w0 tau} - 1), |D0| = 2 sin(w0 tau / 2)
         for tau in (0.7, np.pi, 2.2):
-            d = displacement(noiseless_response, fc.constant(1.0), 1.0, (0.0, tau))
+            d = displacement(noiseless_response, fc.constant(1.0), (0.0, tau))
             want = -1j * (np.exp(1j * tau) - 1.0)
             assert d == pytest.approx(want, abs=1e-10)
-        d = displacement(noiseless_response, fc.constant(1.0), 1.0, (0.0, np.pi))
+        d = displacement(noiseless_response, fc.constant(1.0), (0.0, np.pi))
         assert abs(d) == pytest.approx(2.0)
 
     def test_resonant_mode_against_fine_grid_oracle(self, resonant03):
         bath, resp = resonant03
         tau = 1.0
-        d = displacement(resp, fc.constant(1.0), 1.0, (0.0, tau))
+        d = displacement(resp, fc.constant(1.0), (0.0, tau))
         # brute-force quadrature at 1e5 nodes with the exact response
         u = np.linspace(0.0, tau, 100001)
         vals = np.exp(1j * u) * exact_single_mode_g(0.09, 0.0, tau - u)
@@ -88,29 +88,27 @@ class TestDisplacement:
     def test_window_start_sets_phase_reference(self, noiseless_response):
         # shifting the window start rotates the phase, not the magnitude
         z = fc.constant(1.0)
-        d0 = displacement(noiseless_response, z, 1.0, (0.0, 1.3))
-        d1 = displacement(noiseless_response, z, 1.0, (2.0, 3.3))
+        d0 = displacement(noiseless_response, z, (0.0, 1.3))
+        d1 = displacement(noiseless_response, z, (2.0, 3.3))
         assert abs(d1) == pytest.approx(abs(d0), rel=1e-10)
 
     def test_coverage_error(self, resonant03):
         bath, resp = resonant03
         with pytest.raises(CoverageError):
-            displacement(resp, fc.constant(1.0), 1.0, (0.0, resp.t_end + 1.0))
+            displacement(resp, fc.constant(1.0), (0.0, resp.t_end + 1.0))
 
 
 class TestMean:
     def test_zero_everything(self, noiseless_response):
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(noiseless_response.bath, noiseless_response,
-                          fc.constant(1.0), 1.0, (0.0, 1.0))
+        w = forced_window(noiseless_response, fc.constant(1.0), (0.0, 1.0))
         assert quadrature_mean(vac, w, 0.3, 0.0) == 0.0
 
     def test_driven_peak(self, noiseless_response):
         # angle that puts the sine at one reads off F |D|
         vac = GaussianProbeInit.vacuum()
         tau = 1.1
-        w = forced_window(noiseless_response.bath, noiseless_response,
-                          fc.constant(1.0), 1.0, (0.0, tau))
+        w = forced_window(noiseless_response, fc.constant(1.0), (0.0, tau))
         theta = phase(w.disp) - tau + np.pi / 2
         got = quadrature_mean(vac, w, theta, 2.0)
         assert got == pytest.approx(2.0 * abs(w.disp))
@@ -119,8 +117,8 @@ class TestMean:
         bath, resp = resonant03
         init = GaussianProbeInit.coherent(1.0 + 0.0j)
         tau, theta, amp = 1.3, 0.4, 2.0
-        d = displacement(resp, fc.constant(1.0), 1.0, (0.0, tau))
-        got = quadrature_mean(init, window_terms(resp, bath, 1.0, (0.0, tau), d),
+        d = displacement(resp, fc.constant(1.0), (0.0, tau))
+        got = quadrature_mean(init, window_terms(resp, (0.0, tau), d),
                               theta, amp)
         gval = exact_single_mode_g(0.09, 0.0, tau)
         rot = theta + tau
@@ -133,32 +131,30 @@ class TestMean:
 class TestVariance:
     def test_noiseless_vacuum_half(self, noiseless_response):
         vac = GaussianProbeInit.vacuum()
-        bath = DiscreteBath([], [], [], 1.0)
-        w = window_terms(noiseless_response, bath, 1.0, (0.0, 3.0))
+        w = window_terms(noiseless_response, (0.0, 3.0))
         for theta in (0.0, 1.0):
             v = quadrature_variance(vac, w, theta)
             assert v == pytest.approx(0.5, abs=1e-12)
 
-    def test_resonant_vacuum_identity(self, resonant_bath, resonant_response):
+    def test_resonant_vacuum_identity(self, resonant_response):
         # closed-form oracle: cos^2/2 + sin^2/2 = 1/2 at every elapsed time
         vac = GaussianProbeInit.vacuum()
         for tau in (0.5, 2.0, 6.0, 12.0):
-            w = window_terms(resonant_response, resonant_bath, 1.0, (0.0, tau))
+            w = window_terms(resonant_response, (0.0, tau))
             v = quadrature_variance(vac, w, 0.9)
             assert v == pytest.approx(0.5, abs=5e-6)
 
     def test_squeezed_noiseless(self, noiseless_response):
         init = GaussianProbeInit.squeezed(1.0, axis_angle=0.0)
-        bath = DiscreteBath([], [], [], 1.0)
         # the squeezed axis rotates with the free evolution
         tau = 0.9
-        w = window_terms(noiseless_response, bath, 1.0, (0.0, tau))
+        w = window_terms(noiseless_response, (0.0, tau))
         v = quadrature_variance(init, w, np.pi / 2 - tau)
         assert v == pytest.approx(np.exp(-2.0) / 2.0, abs=1e-12)
 
-    def test_theta_sum_rule(self, ohmic_bath, ohmic_response):
+    def test_theta_sum_rule(self, ohmic_response):
         init = GaussianProbeInit.squeezed(0.6, axis_angle=1.0)
-        w = window_terms(ohmic_response, ohmic_bath, 1.0, (0.0, 2.5))
+        w = window_terms(ohmic_response, (0.0, 2.5))
         totals = []
         for theta in np.linspace(0.0, np.pi, 7):
             a = quadrature_variance(init, w, theta)
@@ -167,60 +163,58 @@ class TestVariance:
         totals = np.array(totals)
         assert np.ptp(totals) <= 1e-8 * totals.mean()
 
-    def test_noise_term_properties(self, ohmic_bath, ohmic_response):
-        assert noise_term(ohmic_response, ohmic_bath, (0.0, 0.0)) == 0.0
-        n1 = noise_term(ohmic_response, ohmic_bath, (0.0, 1.0))
+    def test_noise_term_properties(self, ohmic_response):
+        assert noise_term(ohmic_response, (0.0, 0.0)) == 0.0
+        n1 = noise_term(ohmic_response, (0.0, 1.0))
         assert n1 > 0.0
         bath0 = DiscreteBath([], [], [], 1.0)
-        resp0 = solve_response(bath0, TimeGrid(0.0, 4.0, 256))
-        assert noise_term(resp0, bath0, (0.0, 2.0)) == 0.0
+        resp0 = solve_response(bath0, TimeGrid(4.0, 256))
+        assert noise_term(resp0, (0.0, 2.0)) == 0.0
 
     def test_vacuum_unitarity_against_marched_response(self):
         # modal n_B against the marched G: a vacuum bath conserves the
         # probe's amplitude, n_B = (1 - |G|^2) / 2, to the |G| tolerance
         bath = discretize(ContinuousSpectrum("flat", scale=0.02, cutoff=2.0),
                           64, 1.0)
-        resp = solve_response(bath, TimeGrid(0.0, 20.0, 2048))
+        resp = solve_response(bath, TimeGrid(20.0, 2048))
         for tau in (0.3, 1.1, 4.0, 9.7, 20.0):
-            n_b = noise_term(resp, bath, (0.0, tau))
+            n_b = noise_term(resp, (0.0, tau))
             assert abs(n_b + 0.5 * abs(resp.g(tau)) ** 2 - 0.5) <= 1e-6
 
 
 class TestSnapshot:
     def test_pure_noiseless_det(self, noiseless_response):
         vac = GaussianProbeInit.vacuum()
-        bath = DiscreteBath([], [], [], 1.0)
         snap = covariance_snapshot(
-            vac, window_terms(noiseless_response, bath, 1.0, (0.0, 2.0)), 0.1)
+            vac, window_terms(noiseless_response, (0.0, 2.0)), 0.1)
         assert snap.det_sigma == pytest.approx(0.25, abs=1e-12)
 
-    def test_resonant_vacuum_det_quarter(self, resonant_bath, resonant_response):
+    def test_resonant_vacuum_det_quarter(self, resonant_response):
         vac = GaussianProbeInit.vacuum()
         snap = covariance_snapshot(
-            vac, window_terms(resonant_response, resonant_bath, 1.0, (0.0, 3.0)),
+            vac, window_terms(resonant_response, (0.0, 3.0)),
             0.4)
         assert snap.det_sigma == pytest.approx(0.25, abs=1e-5)
 
     def test_thermal_bath_det_grows(self):
         bath = DiscreteBath([0.09], [1.0], [1.0], 1.0)
-        resp = solve_response(bath, TimeGrid(0.0, 6.0, 2048))
+        resp = solve_response(bath, TimeGrid(6.0, 2048))
         vac = GaussianProbeInit.vacuum()
-        snap = covariance_snapshot(vac, window_terms(resp, bath, 1.0, (0.0, 5.0)),
+        snap = covariance_snapshot(vac, window_terms(resp, (0.0, 5.0)),
                                    0.0)
         assert snap.det_sigma > 0.25 + 1e-3
 
-    def test_det_theta_independent(self, ohmic_bath, ohmic_response):
+    def test_det_theta_independent(self, ohmic_response):
         init = GaussianProbeInit.squeezed(0.5, axis_angle=0.2)
-        w = window_terms(ohmic_response, ohmic_bath, 1.0, (0.0, 2.0))
+        w = window_terms(ohmic_response, (0.0, 2.0))
         a = covariance_snapshot(init, w, 0.3)
         b = covariance_snapshot(init, w, 1.0)
         assert a.det_sigma == pytest.approx(b.det_sigma, rel=1e-8)
 
     def test_noiseless_equals_rotated_initial(self, noiseless_response):
         init = GaussianProbeInit.squeezed(0.7, axis_angle=0.4)
-        bath = DiscreteBath([], [], [], 1.0)
         tau, theta = 1.7, 0.25
-        w = window_terms(noiseless_response, bath, 1.0, (0.0, tau))
+        w = window_terms(noiseless_response, (0.0, tau))
         snap = covariance_snapshot(init, w, theta)
         assert snap.var_x_theta == pytest.approx(init.variance(theta + tau),
                                                  abs=1e-12)
@@ -228,20 +222,20 @@ class TestSnapshot:
 
 
 class TestMaxVarianceAngle:
-    def test_identity_window(self, ohmic_bath, ohmic_response):
-        w = window_terms(ohmic_response, ohmic_bath, 1.0, (0.0, 0.0))
+    def test_identity_window(self, ohmic_response):
+        w = window_terms(ohmic_response, (0.0, 0.0))
         assert rotated_max_variance_angle(0.8, w) == pytest.approx(0.8)
 
     def test_free_rotation(self, noiseless_response):
-        w = window_terms(noiseless_response, noiseless_response.bath, 1.0,
+        w = window_terms(noiseless_response,
                          (0.0, np.pi / 2))
         got = rotated_max_variance_angle(0.3, w)
         assert got == pytest.approx((0.3 - np.pi / 2) % np.pi)
 
     def test_matches_argmax_scan(self, detuned_bath):
-        resp = solve_response(detuned_bath, TimeGrid(0.0, 4.0, 2048))
+        resp = solve_response(detuned_bath, TimeGrid(4.0, 2048))
         init = GaussianProbeInit.squeezed(0.6, axis_angle=0.9)
-        w = window_terms(resp, detuned_bath, 2.0, (0.0, 1.8))
+        w = window_terms(resp, (0.0, 1.8))
         predicted = rotated_max_variance_angle(0.9, w)
         thetas = np.linspace(0.0, np.pi, 720, endpoint=False)
         vals = [quadrature_variance(init, w, t) for t in thetas]
@@ -259,9 +253,9 @@ class TestWindowExtension:
         tight = (0.5, 1.5)
         padded = (0.0, 2.5)
         for win_a, win_b in ((tight, padded),):
-            w_b = forced_window(bath, resp, z, 1.0, win_b)
+            w_b = forced_window(resp, z, win_b)
             theta_b = phase(w_b.disp) - 1.0 * (win_b[1] - win_b[0])
-            w_a = forced_window(bath, resp, z, 1.0, win_a)
+            w_a = forced_window(resp, z, win_a)
             theta_a = phase(w_a.disp) - 1.0 * (win_a[1] - win_a[0])
             va = variance_p(vac, w_a, theta_a)
             vb = variance_p(vac, w_b, theta_b)

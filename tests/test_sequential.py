@@ -55,7 +55,7 @@ def unit_weight_bath():
 
 @pytest.fixture(scope="module")
 def unit_weight_response(unit_weight_bath):
-    return solve_response(unit_weight_bath, TimeGrid(0.0, 0.4, 8192))
+    return solve_response(unit_weight_bath, TimeGrid(0.4, 8192))
 
 
 class TestScheme:
@@ -80,12 +80,12 @@ class TestStepNoise:
         # independent double-quadrature route vs the mode-sum noise term
         for tau in (0.05, 0.11, 0.3):
             a = step_noise_variance(unit_weight_response, unit_weight_bath, tau)
-            b = noise_term(unit_weight_response, unit_weight_bath, (0.0, tau))
+            b = noise_term(unit_weight_response, (0.0, tau))
             assert a == pytest.approx(b, rel=1e-7)
 
     def test_empty_bath_zero(self):
         bath = DiscreteBath([], [], [], 1.0)
-        resp = solve_response(bath, TimeGrid(0.0, 1.0, 64))
+        resp = solve_response(bath, TimeGrid(1.0, 64))
         assert step_noise_variance(resp, bath, 0.5) == 0.0
 
 
@@ -95,13 +95,22 @@ class TestSeqQfi:
                     unit_weight_response, fc.constant(0.0), 1.0)
         assert r.total_qfi == 0.0
 
+    def test_rejects_a_bath_or_omega0_the_response_does_not_carry(
+            self, unit_weight_bath, unit_weight_response):
+        scheme = SequentialScheme(0.3, 0.1)
+        twin = DiscreteBath([2.0], [1.0], [0.0], 1.0)   # equal, but not response.bath
+        with pytest.raises(ValueError, match="response.bath"):
+            seq_qfi(scheme, 5.0, twin, unit_weight_response, ZETA, 1.0)
+        with pytest.raises(ValueError, match="probe_frequency"):
+            seq_qfi(scheme, 5.0, unit_weight_bath, unit_weight_response, ZETA,
+                    1.3)
+
     def test_single_step_equals_best_state(self, unit_weight_bath,
                                            unit_weight_response):
         tau = 0.11
         r = seq_qfi(SequentialScheme(tau, tau), 5.0, unit_weight_bath,
                     unit_weight_response, ZETA, 1.0)
-        b = qfi_best_state(5.0, forced_window(unit_weight_bath,
-                                              unit_weight_response, ZETA, 1.0,
+        b = qfi_best_state(5.0, forced_window(unit_weight_response, ZETA,
                                               (0.0, tau)))
         assert r.total_qfi == pytest.approx(b.value, rel=1e-7)
         assert len(r.per_step_qfi) == 1
@@ -136,9 +145,9 @@ class TestSeqQfi:
         r = seq_qfi(scheme, energy, unit_weight_bath, unit_weight_response,
                     force, 1.0)
         denom = (0.25 * abs(unit_weight_response.g(tau)) ** 2 / script_e(energy)
-                 + noise_term(unit_weight_response, unit_weight_bath, (0.0, tau)))
+                 + noise_term(unit_weight_response, (0.0, tau)))
         for k, step in enumerate(r.per_step_qfi):
-            d = displacement(unit_weight_response, force, 1.0,
+            d = displacement(unit_weight_response, force,
                              scheme.step_window(k))
             assert step == pytest.approx(abs(d) ** 2 / denom, rel=1e-12)
             assert (step == 0.0) == (k in zero_steps)
@@ -169,9 +178,9 @@ class TestSeqQfi:
         scheme = SequentialScheme(600 * 0.004, 0.004)
         steps = scheme.step_window(np.arange(scheme.repetitions))
         force = fc.sinusoid(1.0, 3.0, 0.0, (0.0, 2.0))
-        chunked = displacement(unit_weight_response, force, 1.0, steps)
+        chunked = displacement(unit_weight_response, force, steps)
         monkeypatch.setattr(probe, "_WINDOW_CHUNK", 10 ** 6, raising=False)
-        whole = displacement(unit_weight_response, force, 1.0, steps)
+        whole = displacement(unit_weight_response, force, steps)
         assert chunked.shape == (600,)
         assert np.array_equal(chunked, whole)
         assert np.all(chunked[500:] == 0.0)      # windows past the support
@@ -187,9 +196,9 @@ class TestSeqQfi:
         # batches of 37 windows reproduce one 600-window call bit for bit
         scheme = SequentialScheme(600 * 0.004, 0.004)
         t0, t1 = scheme.step_window(np.arange(scheme.repetitions))
-        whole = displacement(unit_weight_response, force, 1.0, (t0, t1))
+        whole = displacement(unit_weight_response, force, (t0, t1))
         parts = np.concatenate([
-            displacement(unit_weight_response, force, 1.0,
+            displacement(unit_weight_response, force,
                          (t0[i:i + 37], t1[i:i + 37]))
             for i in range(0, t0.size, 37)])
         assert np.array_equal(parts, whole)
@@ -213,7 +222,7 @@ class TestSeqQfi:
     def test_noiseless_linear_growth(self):
         # closed-form oracle: nu * 4 scriptE |D0(tau)|^2
         bath = DiscreteBath([], [], [], 1.0)
-        resp = solve_response(bath, TimeGrid(0.0, 0.5, 512))
+        resp = solve_response(bath, TimeGrid(0.5, 512))
         tau, total = 0.02, 0.4
         r = seq_qfi(SequentialScheme(total, tau), 5.0, bath, resp, ZETA, 1.0)
         nu = int(total / tau)
@@ -226,8 +235,8 @@ class TestOptimize:
     def test_unimodal_around_optimum(self, unit_weight_bath,
                                      unit_weight_response):
         energy = energy_for_script_e(300.0)
-        res = optimize_tau(1.0, energy, unit_weight_bath, unit_weight_response,
-                           ZETA, 1.0, (0.005, 0.3))
+        res = optimize_tau(1.0, energy, unit_weight_response,
+                           ZETA, (0.005, 0.3))
         assert not res.hit_bound
         t = res.tau_opt
 
@@ -244,8 +253,8 @@ class TestOptimize:
         # the repetition count floor(T/tau) makes the total a fine sawtooth,
         # so the oracle compares achieved values and coarse location
         energy = energy_for_script_e(300.0)
-        res = optimize_tau(1.0, energy, unit_weight_bath, unit_weight_response,
-                           ZETA, 1.0, (0.005, 0.3))
+        res = optimize_tau(1.0, energy, unit_weight_response,
+                           ZETA, (0.005, 0.3))
         taus = np.geomspace(0.005, 0.3, 1500)
         vals = [seq_qfi(SequentialScheme(1.0, float(t)), energy,
                         unit_weight_bath, unit_weight_response, ZETA,
@@ -261,8 +270,8 @@ class TestOptimize:
         energy = energy_for_script_e(se)
         guess = 0.5 * se ** -0.5
         lo, hi = guess / 8.0, min(12.0 * guess, 0.3)
-        res = optimize_tau(1.0, energy, unit_weight_bath, unit_weight_response,
-                           ZETA, 1.0, (lo, hi))
+        res = optimize_tau(1.0, energy, unit_weight_response,
+                           ZETA, (lo, hi))
         nus = np.arange(int(np.ceil(1.0 / hi)), int(1.0 / lo) + 1)
         vals = [seq_qfi(SequentialScheme(1.0, 1.0 / nu), energy,
                         unit_weight_bath, unit_weight_response, ZETA,
@@ -271,40 +280,37 @@ class TestOptimize:
         assert res.tau_opt == 1.0 / nus[best]
         assert res.seq.total_qfi == vals[best]
 
-    def test_bracket_end_beats_lattice(self, unit_weight_bath,
-                                       unit_weight_response):
+    def test_bracket_end_beats_lattice(self, unit_weight_response):
         # a pulse well inside the window adds no information when a step
         # is gained, so the total falls smoothly with tau and the lower
         # end of the bracket, not the tooth T/nu above it, is the maximum
         pulse = fc.gaussian_pulse(0.5, 0.1, (0.0, 1.0))
         energy = energy_for_script_e(1e3)
-        res = optimize_tau(1.0, energy, unit_weight_bath, unit_weight_response,
-                           pulse, 1.0, (0.06, 0.3))
+        res = optimize_tau(1.0, energy, unit_weight_response,
+                           pulse, (0.06, 0.3))
         assert res.tau_opt == 0.06
         assert res.hit_bound
 
-    def test_narrow_bracket_without_lattice_point(self, unit_weight_bath,
-                                                  unit_weight_response):
+    def test_narrow_bracket_without_lattice_point(self, unit_weight_response):
         # floor(T/tau) = 3 across the bracket: the total rises with tau
-        res = optimize_tau(1.0, 5.0, unit_weight_bath, unit_weight_response,
-                           ZETA, 1.0, (0.26, 0.32))
+        res = optimize_tau(1.0, 5.0, unit_weight_response,
+                           ZETA, (0.26, 0.32))
         assert res.tau_opt == 0.32
         assert res.hit_bound
 
     def test_noiseless_hits_upper_bound(self):
         bath = DiscreteBath([], [], [], 1.0)
-        resp = solve_response(bath, TimeGrid(0.0, 0.5, 512))
-        res = optimize_tau(0.4, 5.0, bath, resp, ZETA, 1.0, (0.001, 0.4))
+        resp = solve_response(bath, TimeGrid(0.5, 512))
+        res = optimize_tau(0.4, 5.0, resp, ZETA, (0.001, 0.4))
         assert res.hit_bound
 
     @pytest.mark.parametrize("force", [
         ZETA, fc.gaussian_pulse(0.5, 0.1, (0.0, 1.0))],
         ids=["constant", "gaussian_pulse"])
-    def test_energy_list_matches_scalar_calls(self, unit_weight_bath,
-                                              unit_weight_response, force):
+    def test_energy_list_matches_scalar_calls(self, unit_weight_response,
+                                              force):
         energies = [energy_for_script_e(se) for se in (30.0, 300.0, 3e3, 3e4)]
-        args = (unit_weight_bath, unit_weight_response, force, 1.0,
-                (0.005, 0.3))
+        args = (unit_weight_response, force, (0.005, 0.3))
         shared = optimize_tau(1.0, energies, *args)
         assert len(shared) == len(energies)
         for energy, got in zip(energies, shared):
@@ -315,7 +321,7 @@ class TestOptimize:
             assert got.hit_bound == want.hit_bound
 
     def test_energies_share_one_displacement_per_interval(
-            self, unit_weight_bath, unit_weight_response, monkeypatch):
+            self, unit_weight_response, monkeypatch):
         taus, disp_calls = [], []
 
         def counted(module, name, log):
@@ -332,10 +338,9 @@ class TestOptimize:
                             counted(sequential, "displacement", disp_calls))
         energies = [energy_for_script_e(se)
                     for se in (1e2, 3e2, 1e3, 3e3, 1e4, 3e4)]
-        args = (unit_weight_bath, unit_weight_response, ZETA, 1.0,
-                (0.002, 0.3))
+        args = (unit_weight_response, ZETA, (0.002, 0.3))
         optimize_tau(1.0, energies, *args)
-        intervals = {call[2][1] for call in taus}      # noise window (0, tau)
+        intervals = {call[1][1] for call in taus}      # noise window (0, tau)
         assert len(disp_calls) == len(taus) == len(intervals)
         # one search per energy visits more intervals than they share
         per_energy = 0
@@ -415,7 +420,7 @@ class TestClosedFormOracle:
     def test_second_order_matches_engine_maximum(self, arrays):
         bath = DiscreteBath(*arrays)
         omega0 = arrays[3]
-        resp = solve_response(bath, TimeGrid(0.0, 0.4, 8192))
+        resp = solve_response(bath, TimeGrid(0.4, 8192))
         m = moments(bath)
         ints = xi_and_c(ZETA, omega0, 1.0)
         se = 300.0
