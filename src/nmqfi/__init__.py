@@ -16,8 +16,8 @@ from .errors import (AlignmentError, ConfigError, ConsistencyError,
 from .force import (ConstantForce, ForceModulation, GaussianPulseForce,
                     SinusoidForce, TabulatedForce, constant, gaussian_pulse,
                     sinusoid)
-from .metrology import (BestStateSpec, EstimationResult, QfiResult,
-                        best_state, best_state_variance, energy_for_script_e,
+from .metrology import (EstimationResult, QfiResult, best_state,
+                        best_state_variance, energy_for_script_e,
                         fisher_quadrature, markov_qfi, optimal_angle,
                         qfi_aligned, qfi_best_state, qfi_general, script_e,
                         short_time_qfi, simulate_estimation)
@@ -28,8 +28,8 @@ from .probe import (CovarianceSnapshot, GaussianProbeInit, WindowTerms,
 from .response import (ResponseFunction, TimeGrid, default_grid,
                        markov_closed_form, markov_decay_rate, solve_response)
 from .sequential import (ForceWindowIntegrals, MarkovSeqResult, SeqResult,
-                         SequentialScheme, TauOptimum, default_tau_bounds,
-                         markov_seq, optimize_tau, seq_qfi,
-                         seq_qfi_asymptotic, tau_opt_asymptotic, xi_and_c)
+                         SequentialScheme, default_tau_bounds, markov_seq,
+                         optimize_tau, seq_qfi, seq_qfi_asymptotic,
+                         tau_opt_asymptotic, xi_and_c)
 
 __version__ = "0.1.0"

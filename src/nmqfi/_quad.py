@@ -6,15 +6,18 @@ import numpy as np
 
 from .errors import ConvergenceError, retired
 
+# Absolute floor of the convergence test; panel count (even) of the first pass.
+_ABS_TOL = 1e-13
+_MIN_PANELS = 8
 
-def adaptive_simpson(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 1e-13,
-                     min_panels: int = 8, max_panels: int = 1 << 16):
+
+def adaptive_simpson(f, a, b, rel_tol: float = 1e-9, max_panels: int = 1 << 16):
     """Integrate f over [a, b], doubling the node count until converged.
 
     a and b are scalars or equal-shape arrays of ends, one integral per
     entry; f maps nodes shaped like a plus a trailing node axis to values
     of that shape, with optional extra leading axes. Each entry keeps its
-    first estimate within max(abs_tol, rel_tol |estimate|) of the one
+    first estimate within max(_ABS_TOL, rel_tol |estimate|) of the one
     before, as a scalar call would. Empty intervals (b <= a) give exactly
     0; raises ConvergenceError when max_panels panels do not reach the
     tolerance.
@@ -28,7 +31,7 @@ def adaptive_simpson(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 1e-13,
     a = np.asarray(a, dtype=float)
     b = np.maximum(a, b)
     width = (b - a)[..., None]
-    n = max(2, min_panels + (min_panels % 2))
+    n = _MIN_PANELS
     x = a[..., None] + np.arange(n + 1) * (width / n)
     x[..., -1] = b
     fx = f(x)
@@ -42,7 +45,7 @@ def adaptive_simpson(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 1e-13,
         if value is not None:
             moved = np.abs(refined - value)
             refined = np.where(done, value, refined)
-            done = done | (moved <= np.maximum(abs_tol, rel_tol * np.abs(refined)))
+            done = done | (moved <= np.maximum(_ABS_TOL, rel_tol * np.abs(refined)))
             if np.all(done):
                 return refined if refined.ndim else complex(refined)
         if n >= max_panels:

@@ -30,6 +30,10 @@ from .response import (ResponseFunction, markov_closed_form, markov_decay_rate,
 # Rows formatted per `%` operation; bounds the transient text of a table.
 _CSV_BLOCK_ROWS = 1024
 
+# Most steps a cadence may have; 10^6 steps already cost tens of seconds
+# and hundreds of MB.
+_MAX_STEPS = 10 ** 6
+
 
 def _write_csv(out: IO[str], header: list[str], rows):
     """Write a header and rows (a 2-D array or a list of tuples) as CSV.
@@ -46,8 +50,13 @@ def _write_csv(out: IO[str], header: list[str], rows):
 
 
 def _write_json(out: IO[str], payload: dict):
-    out.write(json.dumps(payload, sort_keys=True, indent=2,
-                         default=lambda v: float(v)) + "\n")
+    """Write payload as JSON; a NaN or infinite value is a numerical error."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                          default=lambda v: float(v))
+    except ValueError as exc:
+        raise NmqfiError(f"non-finite value in the JSON output: {exc}") from exc
+    out.write(text + "\n")
 
 
 def _report_times(cfg: ScenarioConfig, t0: float, t1: float) -> np.ndarray:
@@ -109,7 +118,10 @@ def _window_and_state(cfg: ScenarioConfig, resp):
     init = cfg.init_state() if energy is None else None
     w = window_terms(resp, window, displacement(resp, force, window))
     if energy is not None:
-        init = metrology.best_state(energy, w).to_init()
+        try:
+            init = metrology.best_state(energy, w)
+        except ValueError as exc:
+            raise ConfigError(f"probe.energy {energy!r}: {exc}") from exc
     return w, init
 
 
@@ -166,12 +178,21 @@ def run_estimate(cfg: ScenarioConfig, out: IO[str], fmt: str, seed_override):
     })
 
 
+def _check_steps(total: float, tau: float):
+    """ConfigError when intervals tau fit more than _MAX_STEPS steps into total."""
+    if sequential.SequentialScheme(total, tau).repetitions > _MAX_STEPS:
+        raise ConfigError(f"a cadence of interval {tau!r} has more than "
+                          f"{_MAX_STEPS} steps in total_window {total!r}")
+
+
 def _tau_bounds(block: dict, resp, total: float, m) -> tuple[float, float]:
     """The cadence interval bracket: sequential.tau_bounds or the default."""
     if "tau_bounds" in block:
-        lo, hi = block["tau_bounds"]
-        return float(lo), float(hi)
-    return sequential.default_tau_bounds(resp, total, m)
+        lo, hi = (float(v) for v in block["tau_bounds"])
+    else:
+        lo, hi = sequential.default_tau_bounds(resp, total, m)
+    _check_steps(total, lo)
+    return lo, hi
 
 
 def _sequential_point(cfg: ScenarioConfig, resp, force,
@@ -186,27 +207,28 @@ def _sequential_point(cfg: ScenarioConfig, resp, force,
     total = float(block["total_window"])
     m = moments(resp.bath)
     omega0 = resp.bath.probe_frequency
-    if block.get("optimize", "tau" not in block):
-        found = [(opt.seq, opt.hit_bound) for opt in sequential.optimize_tau(
-            total, energies, resp, force, _tau_bounds(block, resp, total, m))]
-    else:
+    if "tau" in block:
+        tau = float(block["tau"])
+        _check_steps(total, tau)
         terms = sequential.interval_terms(
-            sequential.SequentialScheme(total, float(block["tau"])), resp, force)
-        found = [(sequential.seq_result(terms, energy), False)
-                 for energy in energies]
+            sequential.SequentialScheme(total, tau), resp, force)
+        found = [sequential.seq_result(terms, energy) for energy in energies]
+    else:
+        found = sequential.optimize_tau(total, energies, resp, force,
+                                        _tau_bounds(block, resp, total, m))
     ints = sequential.xi_and_c(force, omega0, total)
     spans = {}
     gamma = _gamma_for(cfg)
     fastest = max(m.fastest_rate, omega0)
     points = []
-    for energy, (seq, hit) in zip(energies, found):
+    for energy, seq in zip(energies, found):
         tau_asym = (sequential.tau_opt_asymptotic(energy, m, ints.xi,
                                                   ints.c_coeff)
                     if m.script_n > 0 else None)
         fasym = (sequential.seq_qfi_asymptotic(energy, m, ints.xi, ints.c_coeff,
                                                omega0)
                  if m.script_n > 0 else None)
-        span = len(seq.per_step_qfi) * seq.tau_used
+        span = seq.repetitions * seq.tau_used
         if span not in spans:
             spans[span] = sequential.xi_and_c(force, omega0, span)
         steps = spans[span]
@@ -224,7 +246,7 @@ def _sequential_point(cfg: ScenarioConfig, resp, force,
             "xi": steps.xi,
             "c_coeff": steps.c_coeff,
             "regime_flags": {
-                "hit_bound": hit,
+                "hit_bound": seq.hit_bound,
                 "short_time_valid": bool(seq.tau_used * fastest <= 0.1),
             },
         })
@@ -262,10 +284,9 @@ def run_sweep(cfg: ScenarioConfig, out: IO[str], fmt: str):
     points = _sequential_point(cfg, resp, force,
                                [energy_for_script_e(se) for se in script_es])
     rows = [(se, row["tau_opt_numeric"], row["total_qfi"],
-             row["tau_opt_asymptotic"] or float("nan"),
-             row["total_qfi_asymptotic"] or float("nan"),
-             row["markov_bound"] if row["markov_bound"] is not None
-             else float("nan"))
+             *(float("nan") if row[key] is None else row[key]
+               for key in ("tau_opt_asymptotic", "total_qfi_asymptotic",
+                           "markov_bound")))
             for se, row in zip(script_es, points)]
     _write_csv(out, ["script_e", "tau_opt", "total_qfi", "tau_opt_asymptotic",
                      "total_qfi_asymptotic", "markov_bound"], rows)

@@ -223,7 +223,7 @@ def validate(raw: Any) -> ScenarioConfig:
     energies = [probe.get("energy", 0.5), *options.get("energy_sweep", [])]
     if not all(e >= 0.5 for e in energies):
         raise ConfigError("probe.energy and options.energy_sweep values must be >= 1/2")
-    for key in ("gamma", "n_thermal"):
+    for key in ("gamma", "n_thermal", "t_prime"):
         if options.get(key, 0.0) < 0:
             raise ConfigError(f"options.{key} must be >= 0")
     seq = raw.get("sequential")
@@ -233,8 +233,10 @@ def validate(raw: Any) -> ScenarioConfig:
             raise ConfigError("sequential.total_window must be > 0")
         if "tau" in seq and not 0 < seq["tau"] <= total:
             raise ConfigError("sequential.tau must satisfy 0 < tau <= total_window")
-        if not seq.get("optimize", True) and "tau" not in seq:
+        if seq.get("optimize") is False and "tau" not in seq:
             raise ConfigError("sequential.optimize false needs sequential.tau")
+        if seq.get("optimize") is True and "tau" in seq:
+            raise ConfigError("sequential.optimize true takes no sequential.tau")
         lo, hi = seq.get("tau_bounds", (total, total))
         if "tau_bounds" in seq and not 0 < lo < hi <= total:
             raise ConfigError("sequential.tau_bounds must satisfy "

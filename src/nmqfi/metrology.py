@@ -36,27 +36,6 @@ def energy_for_script_e(se: float) -> float:
 
 
 @dataclass(frozen=True)
-class BestStateSpec:
-    """Optimal squeezed probe state for a given window and mean energy."""
-
-    script_e: float
-    squeeze_r: float
-    squeeze_phase: float    # argument of the squeezing parameter, in [0, 2pi)
-
-    @property
-    def min_variance(self) -> float:
-        return 0.25 / self.script_e
-
-    @property
-    def axis_angle(self) -> float:
-        """Angle of the anti-squeezed (max variance) quadrature."""
-        return 0.5 * self.squeeze_phase
-
-    def to_init(self) -> GaussianProbeInit:
-        return GaussianProbeInit.squeezed(self.squeeze_r, self.axis_angle)
-
-
-@dataclass(frozen=True)
 class QfiResult:
     """One Fisher-information evaluation with its assembled pieces."""
 
@@ -71,17 +50,17 @@ def optimal_angle(w: WindowTerms) -> float:
     return float(phase(w.disp) - w.omega0 * w.tau)
 
 
-def best_state(energy: float, w: WindowTerms) -> BestStateSpec:
+def best_state(energy: float, w: WindowTerms) -> GaussianProbeInit:
     """Squeezed state maximizing the window's Fisher information at fixed energy.
 
-    Squeeze magnitude r = ln(2 script_e)/2 with the squeezing argument
-    2 (phase(D) - phase(G)); the minimum-variance quadrature is the P
-    quadrature at angle phase(D) - phase(G).
+    Squeeze magnitude r = ln(2 script_e)/2 with the anti-squeezed axis at
+    phase(D) - phase(G), reduced mod pi; the minimum-variance quadrature,
+    of variance 1/(4 script_e), is the P quadrature at that angle.
     """
-    se = script_e(energy)
     axis = phase(w.disp) - phase(w.g)
-    return BestStateSpec(script_e=se, squeeze_r=0.5 * np.log(2.0 * se),
-                         squeeze_phase=float(np.mod(2.0 * axis, 2.0 * np.pi)))
+    return GaussianProbeInit.squeezed(
+        0.5 * np.log(2.0 * script_e(energy)),
+        0.5 * float(np.mod(2.0 * axis, 2.0 * np.pi)))
 
 
 def best_state_variance(energy: float, w: WindowTerms) -> float:

@@ -48,12 +48,15 @@ class GaussianProbeInit:
     covariance: np.ndarray
 
     def __post_init__(self):
-        cov = np.array(self.covariance, dtype=float)
-        if cov.shape != (2, 2):
+        raw = np.array(self.covariance, dtype=float)
+        if raw.shape != (2, 2):
             raise ValueError("covariance must be 2x2")
-        if abs(cov[0, 1] - cov[1, 0]) > 1e-12 * (1.0 + abs(cov).max()):
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            cov = 0.5 * (raw + raw.T)
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariance entries must be finite")
+        if abs(raw[0, 1] - raw[1, 0]) > 1e-12 * (1.0 + abs(raw).max()):
             raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
         cov.setflags(write=False)
         if np.linalg.det(cov) < _MIN_DET or cov[0, 0] <= 0 or cov[1, 1] <= 0:
             raise ValueError("covariance violates the uncertainty bound det >= 1/4")
@@ -81,10 +84,12 @@ class GaussianProbeInit:
 
         Variances along/against the axis are e^{2r}/2 and e^{-2r}/2.
         """
-        big, small = 0.5 * np.exp(2.0 * r), 0.5 * np.exp(-2.0 * r)
         c, s = np.cos(axis_angle), np.sin(axis_angle)
         rot = np.array([[c, -s], [s, c]])
-        cov = rot @ np.diag([big, small]) @ rot.T
+        # a squeeze too large for floats leaves entries the constructor rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            big, small = 0.5 * np.exp(2.0 * r), 0.5 * np.exp(-2.0 * r)
+            cov = rot @ np.diag([big, small]) @ rot.T
         return cls(mean_amplitude, cov)
 
     def variance(self, theta: float) -> float:
@@ -144,7 +149,6 @@ class CovarianceSnapshot:
 
     var_x_theta: float
     var_p_theta: float
-    cross: float
     det_sigma: float
 
 
@@ -286,7 +290,7 @@ def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
         raise ConsistencyError(
             f"determinant routes disagree: {det_matrix!r} vs {det_closed!r}")
     return CovarianceSnapshot(var_x_theta=float(var_t), var_p_theta=float(var_p),
-                              cross=float(cross), det_sigma=float(det_closed))
+                              det_sigma=float(det_closed))
 
 
 def rotated_max_variance_angle(theta_m0: float, w: WindowTerms) -> float:

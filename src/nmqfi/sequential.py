@@ -11,7 +11,7 @@ of repetitions floor(T / tau).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -57,11 +57,16 @@ class SequentialScheme:
 
 @dataclass(frozen=True)
 class SeqResult:
-    """Total and per-step Fisher information for one cadence."""
+    """Total Fisher information of one cadence, its step count and interval.
+
+    hit_bound is set only by optimize_tau: its maximum lies on the first or
+    last scanned tooth or on a bracket end, so the bracket may be too narrow.
+    """
 
     total_qfi: float
-    per_step_qfi: tuple[float, ...]
+    repetitions: int
     tau_used: float
+    hit_bound: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,15 +112,10 @@ def interval_terms(scheme: SequentialScheme, response: ResponseFunction,
                         displacement(response, force, steps))
 
 
-def _per_step(w: WindowTerms, energy: float) -> np.ndarray:
-    return abs(w.disp) ** 2 / best_state_variance(energy, w)
-
-
 def seq_result(w: WindowTerms, energy: float) -> SeqResult:
     """The cadence total at one energy from an interval_terms record."""
-    per_step = _per_step(w, energy)
-    return SeqResult(total_qfi=float(per_step.sum()),
-                     per_step_qfi=tuple(float(v) for v in per_step),
+    total = (abs(w.disp) ** 2 / best_state_variance(energy, w)).sum()
+    return SeqResult(total_qfi=float(total), repetitions=len(w.disp),
                      tau_used=w.tau)
 
 
@@ -137,15 +137,6 @@ def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
     return seq_result(interval_terms(scheme, response, force), energy)
 
 
-@dataclass(frozen=True)
-class TauOptimum:
-    """Result of the cadence-interval search."""
-
-    tau_opt: float
-    seq: SeqResult
-    hit_bound: bool
-
-
 def default_tau_bounds(response: ResponseFunction, total_window: float,
                        moments: BathMoments) -> tuple[float, float]:
     """Search bracket [8 h, min(T, 5/Omega_2)] from the grid and kernel scales."""
@@ -162,7 +153,7 @@ def default_tau_bounds(response: ResponseFunction, total_window: float,
 
 def optimize_tau(total_window: float, energy: float | Sequence[float],
                  response: ResponseFunction, force: ForceModulation,
-                 tau_bounds: tuple[float, float]) -> TauOptimum | list[TauOptimum]:
+                 tau_bounds: tuple[float, float]) -> SeqResult | list[SeqResult]:
     """Maximize the cadence total over the repetition lattice and the bracket ends.
 
     The total sum_k |D_k|^2 / denominator over nu = floor(T / tau) steps
@@ -175,7 +166,7 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     A maximum landing on the first or last scan point or on an end sets
     hit_bound so the caller can widen the bracket.
 
-    A sequence of energies gives one TauOptimum per energy. The energies
+    A sequence of energies gives one SeqResult per energy. The energies
     share one table of interval_terms keyed by interval, so each interval
     any of their searches visits costs one displacement call.
     """
@@ -198,16 +189,9 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
         scan = sorted({int(v) for v in np.rint(np.geomspace(
             nu_min, nu_max, _SCAN_POINTS))})
 
-    def search(energy: float) -> TauOptimum:
-        totals: dict[float, float] = {}
-
-        def total(tau: float) -> float:
-            if tau not in totals:
-                totals[tau] = float(_per_step(terms(tau), energy).sum())
-            return totals[tau]
-
+    def search(energy: float) -> SeqResult:
         def tooth(nu: int) -> float:
-            return total(total_window / nu)
+            return seq_result(terms(total_window / nu), energy).total_qfi
 
         best, hit_bound = None, True
         if scan:
@@ -221,12 +205,13 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
                     b = d
                 else:
                     a = c
-            best = total_window / max(range(a, b + 1), key=tooth)
+            nu = max(range(a, b + 1), key=tooth)
+            best = seq_result(terms(total_window / nu), energy)
         for tau in (hi, lo):
-            if best is None or total(tau) > total(best):
-                best, hit_bound = tau, True
-        seq = seq_result(table[best], energy)
-        return TauOptimum(tau_opt=seq.tau_used, seq=seq, hit_bound=hit_bound)
+            end = seq_result(terms(tau), energy)
+            if best is None or end.total_qfi > best.total_qfi:
+                best, hit_bound = end, True
+        return replace(best, hit_bound=hit_bound)
 
     if np.ndim(energy) == 0:
         return search(float(energy))
@@ -290,7 +275,6 @@ class MarkovSeqResult:
 
     tau_opt: float
     total_qfi_bound: float
-    noiseless: bool
 
 
 def markov_seq(energy: float, gamma: float, n_thermal: float, xi: float,
@@ -298,19 +282,17 @@ def markov_seq(energy: float, gamma: float, n_thermal: float, xi: float,
     """Closed-form cadence under Markovian noise: bounded total information.
 
     With A = gamma (n_thermal + 1/2): tau_opt = E^{-1/2} / (8 A) and the
-    energy-independent ceiling omega0^2 xi / (3 A). gamma = 0 returns the noiseless
-    flag instead of dividing by zero.
+    energy-independent ceiling omega0^2 xi / (3 A). gamma = 0 (no noise) gives
+    tau_opt nan and an infinite ceiling instead of dividing by zero.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if gamma == 0.0:
-        return MarkovSeqResult(tau_opt=math.nan, total_qfi_bound=math.inf,
-                               noiseless=True)
+        return MarkovSeqResult(tau_opt=math.nan, total_qfi_bound=math.inf)
     a = gamma * (n_thermal + 0.5)
     se = script_e(energy)
     return MarkovSeqResult(tau_opt=se ** -0.5 / (8.0 * a),
-                           total_qfi_bound=omega0 ** 2 * xi / (3.0 * a),
-                           noiseless=False)
+                           total_qfi_bound=omega0 ** 2 * xi / (3.0 * a))
 
 
 step_noise_variance = retired("step_noise_variance")

@@ -132,7 +132,7 @@ def cadence_sweep():
                            (guess / 8.0, min(12.0 * guess, 0.3)))
         assert not res.hit_bound
         asym = tau_opt_asymptotic(energy, m, ints.xi, ints.c_coeff)
-        rows.append((se, res.tau_opt, res.seq.total_qfi, asym))
+        rows.append((se, res.tau_used, res.total_qfi, asym))
     return rows, ints
 
 

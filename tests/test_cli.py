@@ -202,7 +202,7 @@ def test_sweep_shares_one_search_and_one_window_integral(tmp_path,
     assert len(calls["optimize_tau"]) == 1
     assert len(calls["optimize_tau"][0][1]) == n_energies
     # xi and C over all of T once, then once per distinct span nu * tau
-    spans = {len(opt.seq.per_step_qfi) * opt.seq.tau_used for opt in optima}
+    spans = {opt.repetitions * opt.tau_used for opt in optima}
     windows = [args[2] for args in calls["xi_and_c"]]
     assert len(windows) == 1 + len(spans) and windows[0] == 1.0
     assert set(windows[1:]) == spans
@@ -244,8 +244,15 @@ def _set(block, **values):
     return lambda raw: raw[block].update(values)
 
 
-# Inputs that once escaped as a traceback (exit 1) or ran to exit 0 with a
-# NaN in the output: (base scenario, subcommand, edit of the parsed file).
+_SQUEEZED_OVERFLOW = _set("probe", init={"kind": "squeezed", "r": 400})
+# Intervals whose shortest one fits 10^6 + 1 steps into total_window 1.
+_PAST_STEP_CAP = [9.99999e-7, 1e-6]
+
+
+# Inputs that once escaped as a traceback (exit 1) or a numerical error
+# (exit 3), or ran to exit 0 with a NaN in the output, a key ignored or a
+# cadence too large to run: (base scenario, subcommand and its flags, edit
+# of the parsed file).
 OUT_OF_RANGE = {
     "omega0_zero": ("qfi_best_state_resonant", "qfi", _set("probe", omega0=0)),
     "omega0_nan_literal": ("qfi_best_state_resonant", "qfi",
@@ -281,6 +288,36 @@ OUT_OF_RANGE = {
     "optimize_false_without_tau": ("sequential_nonmarkov", "sequential",
                                    lambda raw: (raw["sequential"].pop("tau_bounds"),
                                                 raw["sequential"].update(optimize=False))),
+    "optimize_true_with_tau": ("sequential_nonmarkov", "sequential",
+                               _set("sequential", optimize=True, tau=0.1)),
+    "t_prime_negative": ("correlation_flatband", "correlation",
+                         _set("options", t_prime=-0.5)),
+    # probe states whose covariance is too large for floats
+    "qfi_squeezed_overflow": ("qfi_noiseless_pi", "qfi", _SQUEEZED_OVERFLOW),
+    "estimate_squeezed_overflow": ("estimate_cramer_rao", "estimate",
+                                   _SQUEEZED_OVERFLOW),
+    "moments_squeezed_overflow": ("moments_resonant_vacuum", "moments",
+                                  _SQUEEZED_OVERFLOW),
+    "thermal_overflow": ("qfi_noiseless_pi", "qfi",
+                         _set("probe", init={"kind": "thermal", "nbar": 1e308})),
+    "energy_1e100": ("qfi_best_state_resonant", "qfi", _set("probe", energy=1e100)),
+    "energy_1e200": ("qfi_best_state_resonant", "qfi", _set("probe", energy=1e200)),
+    # cadences past 10^6 steps, on every path that builds one
+    "steps_sequential_json": ("sequential_nonmarkov", "sequential",
+                              _set("sequential", tau_bounds=_PAST_STEP_CAP)),
+    "steps_sequential_csv": ("sequential_nonmarkov", "sequential --format csv",
+                             lambda raw: (raw["sequential"].update(
+                                 tau_bounds=_PAST_STEP_CAP),
+                                 raw["options"].update(report_points=2))),
+    "steps_sweep": ("sweep_scaling", "sweep",
+                    _set("sequential", tau_bounds=_PAST_STEP_CAP)),
+    "steps_fixed_tau": ("sequential_nonmarkov", "sequential",
+                        lambda raw: raw.update(sequential={
+                            "total_window": 1.0, "tau": _PAST_STEP_CAP[0]})),
+    # the default lower bound 8 h = 3.90625e-4 fits 1,024,000 steps into 400
+    "steps_default_bracket": ("sequential_nonmarkov", "sequential",
+                              lambda raw: raw.update(sequential={
+                                  "total_window": 400.0})),
 }
 
 
@@ -291,7 +328,7 @@ def test_out_of_range_input_is_a_config_error(case, tmp_path, capsys):
     edit(raw)
     cfg = tmp_path / "probe.json"
     cfg.write_text(json.dumps(raw))
-    assert run_cli([sub, "--config", cfg]) == 2
+    assert run_cli([*sub.split(), "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -301,6 +338,34 @@ def test_overflowing_number_is_a_config_error(tmp_path, capsys):
     cfg.write_text(text.replace('"t": 1.7', '"t": 1e400'))
     assert run_cli(["qfi", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_json_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
+    # a finite thermal state whose det_sigma overflows: exit 3, no Infinity
+    raw = json.loads((SCENARIO_DIR / "qfi_best_state_resonant.json").read_text())
+    raw["probe"] = {"omega0": 1.0, "init": {"kind": "thermal", "nbar": 1e200}}
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli(["qfi", "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical error:")
+
+
+def test_sweep_keeps_a_zero_asymptotic_total(tmp_path, capsys):
+    # a force outside the total window has xi = C = 0: the asymptotic total
+    # is exactly 0.0, which sweep must print as 0, not as an absent value
+    raw = json.loads((SCENARIO_DIR / "sweep_scaling.json").read_text())
+    raw["force"]["support"] = [5.0, 6.0]
+    raw["sequential"]["total_window"] = 2.0
+    cfg = tmp_path / "outside.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli(["sequential", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["total_qfi_asymptotic"] == 0.0
+    assert run_cli(["sweep", "--config", cfg]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    column = header.split(",").index("total_qfi_asymptotic")
+    assert rows and all(row.split(",")[column] == "0" for row in rows)
 
 
 def test_pytest_runs_from_a_checkout_without_pythonpath():

@@ -13,7 +13,7 @@ from nmqfi.metrology import (best_state, energy_for_script_e, fisher_quadrature,
                              markov_qfi, optimal_angle, qfi_aligned,
                              qfi_best_state, qfi_general, script_e,
                              short_time_qfi, simulate_estimation)
-from nmqfi.probe import GaussianProbeInit
+from nmqfi.probe import GaussianProbeInit, phase
 from nmqfi.response import TimeGrid, solve_response
 
 OMEGA0 = 1.0
@@ -93,31 +93,46 @@ class TestQfiForms:
         assert g.value <= b.value * (1.0 + 1e-9)
 
 
+def assert_squeezed(init, w, se):
+    """Eigenvalues e^{+-2r}/2 with r = ln(2 se)/2, and the minimum variance
+    1/(4 se) along P(phase(D) - phase(G))."""
+    r = 0.5 * np.log(2.0 * se)
+    np.testing.assert_allclose(np.linalg.eigvalsh(init.covariance),
+                               [0.5 * np.exp(-2.0 * r), 0.5 * np.exp(2.0 * r)],
+                               rtol=1e-12)
+    axis = phase(w.disp) - phase(w.g)
+    assert init.variance(axis + 0.5 * np.pi) == pytest.approx(0.25 / se,
+                                                              rel=1e-12)
+
+
 class TestBestState:
     def test_vacuum_energy(self, noiseless):
         resp = noiseless
-        spec = best_state(0.5, forced_window(resp, ZETA, PI_WINDOW))
-        assert spec.squeeze_r == 0.0
-        assert spec.script_e == 0.5
+        w = forced_window(resp, ZETA, PI_WINDOW)
+        init = best_state(0.5, w)
+        assert_squeezed(init, w, 0.5)
+        np.testing.assert_allclose(np.linalg.eigvalsh(init.covariance),
+                                   [0.5, 0.5], rtol=1e-15)
 
     def test_energy_one(self, noiseless):
         resp = noiseless
-        spec = best_state(1.0, forced_window(resp, ZETA, PI_WINDOW))
-        assert spec.script_e == pytest.approx(1.0 + np.sqrt(0.75))
-        assert spec.squeeze_r == pytest.approx(0.5 * np.log(2 * (1 + np.sqrt(0.75))))
+        w = forced_window(resp, ZETA, PI_WINDOW)
+        assert_squeezed(best_state(1.0, w), w, 1.0 + np.sqrt(0.75))
 
     def test_energy_five_min_variance(self, noiseless):
         resp = noiseless
-        spec = best_state(5.0, forced_window(resp, ZETA, PI_WINDOW))
-        assert spec.min_variance == pytest.approx(0.25 / (5 + np.sqrt(24.75)))
-        init = spec.to_init()
+        w = forced_window(resp, ZETA, PI_WINDOW)
+        init = best_state(5.0, w)
+        assert_squeezed(init, w, 5 + np.sqrt(24.75))
         assert init.mean_energy == pytest.approx(5.0)
         assert init.is_pure
 
     def test_induced_state_is_aligned(self, single_mode):
         resp = single_mode
         w = forced_window(resp, ZETA, (0.0, 1.7))
-        init = best_state(3.0, w).to_init()
+        init = best_state(3.0, w)
+        assert phase(w.g) != 0.0 and phase(w.disp) != 0.0
+        assert_squeezed(init, w, script_e(3.0))
         a = qfi_aligned(init, w)
         b = qfi_best_state(3.0, w)
         assert a.value == pytest.approx(b.value, rel=1e-9)
@@ -228,7 +243,7 @@ class TestEstimation:
         # degenerate-Gaussian limit: huge aligned squeezing pins the estimate
         resp = noiseless
         w = forced_window(resp, ZETA, PI_WINDOW)
-        init = best_state(energy_for_script_e(0.5e12), w).to_init()
+        init = best_state(energy_for_script_e(0.5e12), w)
         res = simulate_estimation(init, w, f_true=0.42, nu=50, seed=11,
                                   replications=200)
         assert res.estimate == pytest.approx(0.42, abs=1e-6)
@@ -334,7 +349,8 @@ class TestAgainstGaussianInformationIdentity:
         # not depend on the amplitude, the information is v^T Sigma^-1 v
         # with v the amplitude-sensitivity of the mean vector
         import numpy as np
-        from nmqfi.probe import covariance_snapshot, quadrature_mean
+        from nmqfi.probe import (covariance_snapshot, quadrature_mean,
+                                 quadrature_variance)
 
         resp = single_mode
         init = GaussianProbeInit.squeezed(0.7, axis_angle=1.1,
@@ -345,8 +361,10 @@ class TestAgainstGaussianInformationIdentity:
             - quadrature_mean(init, w, theta, 0.0)
             for theta in (0.0, np.pi / 2)])
         snap = covariance_snapshot(init, w, 0.0)
-        sigma = np.array([[snap.var_x_theta, snap.cross],
-                          [snap.cross, snap.var_p_theta]])
+        cross = (quadrature_variance(init, w, 0.25 * np.pi)
+                 - 0.5 * (snap.var_x_theta + snap.var_p_theta))
+        sigma = np.array([[snap.var_x_theta, cross],
+                          [cross, snap.var_p_theta]])
         want = float(v @ np.linalg.solve(sigma, v))
         got = qfi_general(init, w).value
         assert got == pytest.approx(want, rel=1e-9)

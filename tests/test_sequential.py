@@ -9,12 +9,13 @@ from conftest import forced_window, step_noise_variance
 from nmqfi import force as fc
 from nmqfi import probe, sequential
 from nmqfi.bath import DiscreteBath, moments
-from nmqfi.metrology import energy_for_script_e, qfi_best_state, script_e
+from nmqfi.metrology import (best_state_variance, energy_for_script_e,
+                             qfi_best_state, script_e)
 from nmqfi.probe import displacement, noise_term
 from nmqfi.response import TimeGrid, solve_response
-from nmqfi.sequential import (SequentialScheme, default_tau_bounds, markov_seq,
-                              optimize_tau, seq_qfi, seq_qfi_asymptotic,
-                              tau_opt_asymptotic, xi_and_c)
+from nmqfi.sequential import (SequentialScheme, default_tau_bounds,
+                              interval_terms, markov_seq, optimize_tau, seq_qfi,
+                              seq_qfi_asymptotic, tau_opt_asymptotic, xi_and_c)
 
 ZETA = fc.constant(1.0)
 # two detuned thermal modes: coupling_sq, frequency, occupation, omega0
@@ -113,7 +114,7 @@ class TestSeqQfi:
         b = qfi_best_state(5.0, forced_window(unit_weight_response, ZETA,
                                               (0.0, tau)))
         assert r.total_qfi == pytest.approx(b.value, rel=1e-7)
-        assert len(r.per_step_qfi) == 1
+        assert r.repetitions == 1
 
     def test_additivity_constant_force(self, unit_weight_bath,
                                        unit_weight_response):
@@ -127,9 +128,11 @@ class TestSeqQfi:
     def test_nonuniform_force_steps_differ(self, unit_weight_bath,
                                            unit_weight_response):
         pulse = fc.gaussian_pulse(0.05, 0.03, (0.0, 0.2))
-        r = seq_qfi(SequentialScheme(0.2, 0.05), 3.0, unit_weight_bath,
-                    unit_weight_response, pulse, 1.0)
-        steps = np.array(r.per_step_qfi)
+        scheme = SequentialScheme(0.2, 0.05)
+        r = seq_qfi(scheme, 3.0, unit_weight_bath, unit_weight_response, pulse,
+                    1.0)
+        terms = interval_terms(scheme, unit_weight_response, pulse)
+        steps = abs(terms.disp) ** 2 / best_state_variance(3.0, terms)
         assert steps[0] != pytest.approx(steps[-1])
         assert r.total_qfi == pytest.approx(steps.sum())
 
@@ -146,7 +149,13 @@ class TestSeqQfi:
                     force, 1.0)
         denom = (0.25 * abs(unit_weight_response.g(tau)) ** 2 / script_e(energy)
                  + noise_term(unit_weight_response, (0.0, tau)))
-        for k, step in enumerate(r.per_step_qfi):
+        terms = interval_terms(scheme, unit_weight_response, force)
+        assert best_state_variance(energy, terms) == pytest.approx(denom,
+                                                                   rel=1e-12)
+        steps = abs(terms.disp) ** 2 / best_state_variance(energy, terms)
+        assert r.repetitions == len(steps)
+        assert r.total_qfi == steps.sum()
+        for k, step in enumerate(steps):
             d = displacement(unit_weight_response, force,
                              scheme.step_window(k))
             assert step == pytest.approx(abs(d) ** 2 / denom, rel=1e-12)
@@ -216,7 +225,7 @@ class TestSeqQfi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(r.per_step_qfi) == nu
+        assert r.repetitions == nu
         assert peak < 5e6
 
     def test_noiseless_linear_growth(self):
@@ -238,7 +247,7 @@ class TestOptimize:
         res = optimize_tau(1.0, energy, unit_weight_response,
                            ZETA, (0.005, 0.3))
         assert not res.hit_bound
-        t = res.tau_opt
+        t = res.tau_used
 
         def total(tau):
             return seq_qfi(SequentialScheme(1.0, tau), energy,
@@ -260,8 +269,8 @@ class TestOptimize:
                         unit_weight_bath, unit_weight_response, ZETA,
                         1.0).total_qfi for t in taus]
         best_tau = taus[int(np.argmax(vals))]
-        assert res.seq.total_qfi >= 0.995 * max(vals)
-        assert res.tau_opt == pytest.approx(best_tau, rel=0.15)
+        assert res.total_qfi >= 0.995 * max(vals)
+        assert res.tau_used == pytest.approx(best_tau, rel=0.15)
 
     @pytest.mark.parametrize("se", [1e2, 1e3, 1e4])
     def test_returns_best_lattice_tooth(self, unit_weight_bath,
@@ -277,8 +286,8 @@ class TestOptimize:
                         unit_weight_bath, unit_weight_response, ZETA,
                         1.0).total_qfi for nu in nus]
         best = int(np.argmax(vals))
-        assert res.tau_opt == 1.0 / nus[best]
-        assert res.seq.total_qfi == vals[best]
+        assert res.tau_used == 1.0 / nus[best]
+        assert res.total_qfi == vals[best]
 
     def test_bracket_end_beats_lattice(self, unit_weight_response):
         # a pulse well inside the window adds no information when a step
@@ -288,14 +297,14 @@ class TestOptimize:
         energy = energy_for_script_e(1e3)
         res = optimize_tau(1.0, energy, unit_weight_response,
                            pulse, (0.06, 0.3))
-        assert res.tau_opt == 0.06
+        assert res.tau_used == 0.06
         assert res.hit_bound
 
     def test_narrow_bracket_without_lattice_point(self, unit_weight_response):
         # floor(T/tau) = 3 across the bracket: the total rises with tau
         res = optimize_tau(1.0, 5.0, unit_weight_response,
                            ZETA, (0.26, 0.32))
-        assert res.tau_opt == 0.32
+        assert res.tau_used == 0.32
         assert res.hit_bound
 
     def test_noiseless_hits_upper_bound(self):
@@ -315,9 +324,8 @@ class TestOptimize:
         assert len(shared) == len(energies)
         for energy, got in zip(energies, shared):
             want = optimize_tau(1.0, energy, *args)
-            assert got.tau_opt == want.tau_opt
-            assert got.seq.total_qfi == pytest.approx(want.seq.total_qfi,
-                                                      rel=1e-12)
+            assert got.tau_used == want.tau_used
+            assert got.total_qfi == pytest.approx(want.total_qfi, rel=1e-12)
             assert got.hit_bound == want.hit_bound
 
     def test_energies_share_one_displacement_per_interval(
@@ -540,5 +548,5 @@ class TestMarkovSeq:
 
     def test_noiseless_flag(self):
         r = markov_seq(5.0, 0.0, 0.0, 1.0)
-        assert r.noiseless
+        assert np.isnan(r.tau_opt)
         assert np.isinf(r.total_qfi_bound)
