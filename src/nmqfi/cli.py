@@ -3,12 +3,15 @@
 Exit status: 0 on success, 2 for configuration problems, 3 for numerical
 failures inside the engine. Floats are emitted with 17 significant digits
 and JSON keys are sorted, so identical configs (and seeds) reproduce
-byte-identical outputs.
+byte-identical outputs. Each (subcommand, format) has one runner, which
+returns its result; `main` writes that result only once every value in it
+is finite, so a run that fails writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from typing import IO
@@ -18,7 +21,7 @@ import numpy as np
 from . import correlation as corr_mod
 from . import metrology, sequential
 from .bath import moments
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, load_config, validate
 from .errors import AlignmentError, ConfigError, NmqfiError
 from .metrology import energy_for_script_e, script_e
 from .probe import (covariance_snapshot, displacement, quadrature_mean,
@@ -27,7 +30,7 @@ from .response import (ResponseFunction, markov_closed_form, markov_decay_rate,
                        solve_response)
 
 
-# Rows formatted per `%` operation; bounds the transient text of a table.
+# Rows formatted per `%` operation; bounds the Python floats held at once.
 _CSV_BLOCK_ROWS = 1024
 
 # Most steps a cadence may have; 10^6 steps already cost tens of seconds
@@ -49,6 +52,17 @@ def _write_csv(out: IO[str], header: list[str], rows):
         out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _cells(rows) -> np.ndarray:
+    """The rows as a float table, None read as nan; any other non-finite
+    cell is a numerical error."""
+    table = np.asarray(rows, dtype=float)
+    for i, j in zip(*np.nonzero(~np.isfinite(table))):
+        if rows[i][j] is not None:
+            raise NmqfiError(f"non-finite value in the CSV output "
+                             f"(row {i + 1}, column {j + 1})")
+    return table
+
+
 def _write_json(out: IO[str], payload: dict):
     """Write payload as JSON; a NaN or infinite value is a numerical error."""
     try:
@@ -59,46 +73,32 @@ def _write_json(out: IO[str], payload: dict):
     out.write(text + "\n")
 
 
-def _report_times(cfg: ScenarioConfig, t0: float, t1: float) -> np.ndarray:
-    n = int(cfg.options.get("report_points", 33))
-    return np.linspace(t0, t1, n)
+def _report_points(cfg: ScenarioConfig) -> int:
+    return int(cfg.options.get("report_points", 33))
 
 
 def _gamma_for(cfg: ScenarioConfig) -> float | None:
     if "gamma" in cfg.options:
         return float(cfg.options["gamma"])
     spectrum = cfg.spectrum()
-    if spectrum is not None:
-        return markov_decay_rate(spectrum, cfg.omega0)
-    return None
+    return None if spectrum is None else markov_decay_rate(spectrum, cfg.omega0)
 
 
-def _response(cfg: ScenarioConfig) -> ResponseFunction:
-    """The scenario's bath solved on its grid; the response carries the bath."""
-    bath = cfg.bath()
-    return solve_response(bath, cfg.grid(bath))
+def run_response(cfg: ScenarioConfig, resp: ResponseFunction):
+    g, g_dot = resp.g_samples, resp.g_dot_samples
+    return (["tau", "re_g", "im_g", "abs_g", "re_gdot", "im_gdot"],
+            np.column_stack((resp.grid.times(), g.real, g.imag, np.abs(g),
+                             g_dot.real, g_dot.imag)))
 
 
-def run_response(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    resp = _response(cfg)
-    taus = resp.grid.times()
-    rows = np.column_stack((taus, resp.g_samples.real, resp.g_samples.imag,
-                            np.abs(resp.g_samples), resp.g_dot_samples.real,
-                            resp.g_dot_samples.imag))
-    _write_csv(out, ["tau", "re_g", "im_g", "abs_g", "re_gdot", "im_gdot"], rows)
-
-
-def run_moments(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    resp = _response(cfg)
+def run_moments(cfg: ScenarioConfig, resp: ResponseFunction):
     init = cfg.init_state()
     t0, t1 = cfg.window()
     theta = float(cfg.options.get("theta", 0.0))
     amp = float(cfg.options.get("force_amplitude", 0.0))
-    times = _report_times(cfg, t0, t1)
-    if "force" in cfg.raw:
-        values = displacement(resp, cfg.force(), (t0, times))
-    else:
-        values = np.zeros(times.shape, dtype=complex)
+    times = np.linspace(t0, t1, _report_points(cfg))
+    values = (displacement(resp, cfg.force(), (t0, times)) if "force" in cfg.raw
+              else np.zeros(times.shape, dtype=complex))
     rows = []
     for t, value in zip(times, values):
         w = window_terms(resp, (t0, float(t)), complex(value))
@@ -106,8 +106,7 @@ def run_moments(cfg: ScenarioConfig, out: IO[str], fmt: str):
         snap = covariance_snapshot(init, w, theta)
         rows.append((t, theta, mean, snap.var_x_theta, snap.var_p_theta,
                      snap.det_sigma, w.n_b))
-    _write_csv(out, ["t", "theta", "mean", "var_x", "var_p", "det_sigma", "n_b"],
-               rows)
+    return ["t", "theta", "mean", "var_x", "var_p", "det_sigma", "n_b"], rows
 
 
 def _window_and_state(cfg: ScenarioConfig, resp):
@@ -125,8 +124,7 @@ def _window_and_state(cfg: ScenarioConfig, resp):
     return w, init
 
 
-def run_qfi(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    resp = _response(cfg)
+def run_qfi(cfg: ScenarioConfig, resp: ResponseFunction):
     w, init = _window_and_state(cfg, resp)
     energy = cfg.energy()
     if energy is not None:
@@ -154,20 +152,18 @@ def run_qfi(cfg: ScenarioConfig, out: IO[str], fmt: str):
     }
     if energy is not None:
         payload["script_e"] = script_e(energy)
-    _write_json(out, payload)
+    return payload
 
 
-def run_estimate(cfg: ScenarioConfig, out: IO[str], fmt: str, seed_override):
-    resp = _response(cfg)
+def run_estimate(cfg: ScenarioConfig, resp: ResponseFunction):
     w, init = _window_and_state(cfg, resp)
-    seed = int(seed_override if seed_override is not None
-               else cfg.options.get("seed", 0))
+    seed = int(cfg.options.get("seed", 0))
     result = metrology.simulate_estimation(
         init, w,
         f_true=float(cfg.options.get("force_amplitude", 0.0)),
         nu=int(cfg.options.get("nu", 100)), seed=seed,
         replications=int(cfg.options.get("replications", 2000)))
-    _write_json(out, {
+    return {
         "estimate": result.estimate,
         "empirical_mse": result.empirical_mse,
         "crb": result.crb,
@@ -175,7 +171,7 @@ def run_estimate(cfg: ScenarioConfig, out: IO[str], fmt: str, seed_override):
         "nu": result.nu,
         "replications": result.replications,
         "seed": seed,
-    })
+    }
 
 
 def _check_steps(total: float, tau: float):
@@ -185,17 +181,24 @@ def _check_steps(total: float, tau: float):
                           f"{_MAX_STEPS} steps in total_window {total!r}")
 
 
-def _tau_bounds(block: dict, resp, total: float, m) -> tuple[float, float]:
+def _tau_bounds(block: dict, resp, total: float) -> tuple[float, float]:
     """The cadence interval bracket: sequential.tau_bounds or the default."""
     if "tau_bounds" in block:
         lo, hi = (float(v) for v in block["tau_bounds"])
     else:
-        lo, hi = sequential.default_tau_bounds(resp, total, m)
+        lo, hi = sequential.default_tau_bounds(resp, total, moments(resp.bath))
     _check_steps(total, lo)
     return lo, hi
 
 
-def _sequential_point(cfg: ScenarioConfig, resp, force,
+def _energy(cfg: ScenarioConfig) -> float:
+    energy = cfg.energy()
+    if energy is None:
+        raise ConfigError("sequential subcommand needs probe.energy")
+    return energy
+
+
+def _sequential_point(cfg: ScenarioConfig, resp,
                       energies: list[float]) -> list[dict]:
     """One cadence report per energy, from one optimize_tau call for all.
 
@@ -203,6 +206,7 @@ def _sequential_point(cfg: ScenarioConfig, resp, force,
     computed once; the reported ones cover each optimum's own steps, nu * tau,
     once per distinct span.
     """
+    force = cfg.force()
     block = cfg.block("sequential")
     total = float(block["total_window"])
     m = moments(resp.bath)
@@ -215,34 +219,33 @@ def _sequential_point(cfg: ScenarioConfig, resp, force,
         found = [sequential.seq_result(terms, energy) for energy in energies]
     else:
         found = sequential.optimize_tau(total, energies, resp, force,
-                                        _tau_bounds(block, resp, total, m))
+                                        _tau_bounds(block, resp, total))
     ints = sequential.xi_and_c(force, omega0, total)
     spans = {}
     gamma = _gamma_for(cfg)
+    n_thermal = float(cfg.options.get("n_thermal", 0.0))
     fastest = max(m.fastest_rate, omega0)
     points = []
     for energy, seq in zip(energies, found):
-        tau_asym = (sequential.tau_opt_asymptotic(energy, m, ints.xi,
-                                                  ints.c_coeff)
-                    if m.script_n > 0 else None)
-        fasym = (sequential.seq_qfi_asymptotic(energy, m, ints.xi, ints.c_coeff,
-                                               omega0)
-                 if m.script_n > 0 else None)
+        tau_asym = fasym = markov = None
+        if m.script_n > 0:
+            tau_asym = sequential.tau_opt_asymptotic(energy, m, ints.xi,
+                                                     ints.c_coeff)
+            fasym = sequential.seq_qfi_asymptotic(energy, m, ints.xi,
+                                                  ints.c_coeff, omega0)
+        if gamma is not None and gamma > 0:
+            markov = sequential.markov_seq(energy, gamma, n_thermal, ints.xi,
+                                           omega0).total_qfi_bound
         span = seq.repetitions * seq.tau_used
         if span not in spans:
             spans[span] = sequential.xi_and_c(force, omega0, span)
         steps = spans[span]
-        markov = None
-        if gamma is not None and gamma > 0:
-            markov = sequential.markov_seq(
-                energy, gamma, float(cfg.options.get("n_thermal", 0.0)),
-                ints.xi, omega0)
         points.append({
             "tau_opt_numeric": seq.tau_used,
             "tau_opt_asymptotic": tau_asym,
             "total_qfi": seq.total_qfi,
             "total_qfi_asymptotic": fasym,
-            "markov_bound": None if markov is None else markov.total_qfi_bound,
+            "markov_bound": markov,
             "xi": steps.xi,
             "c_coeff": steps.c_coeff,
             "regime_flags": {
@@ -253,133 +256,124 @@ def _sequential_point(cfg: ScenarioConfig, resp, force,
     return points
 
 
-def run_sequential(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    resp = _response(cfg)
-    force = cfg.force()
-    energy = cfg.energy()
-    if energy is None:
-        raise ConfigError("sequential subcommand needs probe.energy")
-    if fmt == "csv":
-        block = cfg.block("sequential")
-        total = float(block["total_window"])
-        lo, hi = _tau_bounds(block, resp, total, moments(resp.bath))
-        rows = []
-        for tau in np.geomspace(lo, hi, int(cfg.options.get("report_points", 33))):
-            terms = sequential.interval_terms(
-                sequential.SequentialScheme(total, float(tau)), resp, force)
-            rows.append((tau, sequential.seq_result(terms, energy).total_qfi))
-        _write_csv(out, ["tau", "total_qfi"], rows)
-        return
-    _write_json(out, _sequential_point(cfg, resp, force, [energy])[0])
+def run_sequential(cfg: ScenarioConfig, resp: ResponseFunction):
+    return _sequential_point(cfg, resp, [_energy(cfg)])[0]
 
 
-def run_sweep(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    resp = _response(cfg)
+def run_sequential_scan(cfg: ScenarioConfig, resp: ResponseFunction):
+    """The cadence total at report_points intervals spaced geometrically."""
     force = cfg.force()
+    energy = _energy(cfg)
+    block = cfg.block("sequential")
+    total = float(block["total_window"])
+    lo, hi = _tau_bounds(block, resp, total)
+    rows = []
+    for tau in np.geomspace(lo, hi, _report_points(cfg)):
+        terms = sequential.interval_terms(
+            sequential.SequentialScheme(total, float(tau)), resp, force)
+        rows.append((tau, sequential.seq_result(terms, energy).total_qfi))
+    return ["tau", "total_qfi"], rows
+
+
+def run_sweep(cfg: ScenarioConfig, resp: ResponseFunction):
     sweep = cfg.options.get("energy_sweep")
     if not sweep:
         raise ConfigError("sweep subcommand needs options.energy_sweep "
                           "(list of script-E values)")
     script_es = [float(se) for se in sweep]
-    points = _sequential_point(cfg, resp, force,
+    points = _sequential_point(cfg, resp,
                                [energy_for_script_e(se) for se in script_es])
-    rows = [(se, row["tau_opt_numeric"], row["total_qfi"],
-             *(float("nan") if row[key] is None else row[key]
-               for key in ("tau_opt_asymptotic", "total_qfi_asymptotic",
-                           "markov_bound")))
-            for se, row in zip(script_es, points)]
-    _write_csv(out, ["script_e", "tau_opt", "total_qfi", "tau_opt_asymptotic",
-                     "total_qfi_asymptotic", "markov_bound"], rows)
+    keys = ("tau_opt_numeric", "total_qfi", "tau_opt_asymptotic",
+            "total_qfi_asymptotic", "markov_bound")
+    return (["script_e", "tau_opt", "total_qfi", "tau_opt_asymptotic",
+             "total_qfi_asymptotic", "markov_bound"],
+            [(se, *(row[key] for key in keys))
+             for se, row in zip(script_es, points)])
 
 
-def run_correlation(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    resp = _response(cfg)
-    init = cfg.init_state()
-    fluct = 0.5 * init.trace
+def run_correlation(cfg: ScenarioConfig, resp: ResponseFunction):
+    fluct = 0.5 * cfg.init_state().trace
     t_prime = float(cfg.options.get("t_prime", 0.0))
     rows = []
-    for t in _report_times(cfg, t_prime, resp.t_end):
+    for t in np.linspace(t_prime, resp.t_end, _report_points(cfg)):
         r = corr_mod.bath_correlation(resp, fluct, float(t), t_prime)
         rows.append((t - t_prime, r.total.real, r.total.imag,
                      r.born.real, r.born.imag, abs(r.interaction)))
-    _write_csv(out, ["t_minus_tprime", "re_total", "im_total", "re_born",
-                     "im_born", "abs_interaction"], rows)
+    return (["t_minus_tprime", "re_total", "im_total", "re_born", "im_born",
+             "abs_interaction"], rows)
 
 
-def run_limits(cfg: ScenarioConfig, out: IO[str], fmt: str):
-    resp = _response(cfg)
+def run_limits(cfg: ScenarioConfig, resp: ResponseFunction):
     gamma = _gamma_for(cfg)
     if gamma is None:
         raise ConfigError("limits subcommand needs options.gamma or a "
                           "continuum bath block")
     omega2 = moments(resp.bath).omega(2)
     taus = resp.grid.times()
-    rows = np.column_stack((taus, resp.g_samples.real, resp.g_samples.imag,
-                            np.abs(resp.g_samples), np.cos(omega2 * taus),
-                            markov_closed_form(gamma, taus)))
-    _write_csv(out, ["tau", "re_exact", "im_exact", "abs_exact",
-                     "narrowband", "markov"], rows)
+    return (["tau", "re_exact", "im_exact", "abs_exact", "narrowband",
+             "markov"],
+            np.column_stack((taus, resp.g_samples.real, resp.g_samples.imag,
+                             np.abs(resp.g_samples), np.cos(omega2 * taus),
+                             markov_closed_form(gamma, taus))))
 
 
-_RUNNERS = {
-    "response": run_response,
-    "moments": run_moments,
-    "qfi": run_qfi,
-    "sequential": run_sequential,
-    "sweep": run_sweep,
-    "correlation": run_correlation,
-    "limits": run_limits,
+# The runner of each (subcommand, format): a CSV runner returns (header,
+# rows), a JSON runner its payload. A subcommand's first format is its
+# default.
+_SUBCOMMANDS = {
+    ("response", "csv"): run_response,
+    ("moments", "csv"): run_moments,
+    ("qfi", "json"): run_qfi,
+    ("estimate", "json"): run_estimate,
+    ("sequential", "json"): run_sequential,
+    ("sequential", "csv"): run_sequential_scan,
+    ("sweep", "csv"): run_sweep,
+    ("correlation", "csv"): run_correlation,
+    ("limits", "csv"): run_limits,
 }
 
 
-def make_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nmqfi",
         description="Force-estimation engine for an oscillator probe in a "
                     "Gaussian bath")
     parser.add_argument("subcommand",
-                        choices=sorted(list(_RUNNERS) + ["estimate"]))
+                        choices=sorted({sub for sub, _ in _SUBCOMMANDS}))
     parser.add_argument("--config", required=True, help="scenario JSON file")
     parser.add_argument("--out", default=None,
                         help="output path (default: stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--seed", type=int, default=None,
                         help="override options.seed")
-    return parser
-
-
-_FORMATS = {
-    "response": ("csv",),
-    "moments": ("csv",),
-    "correlation": ("csv",),
-    "limits": ("csv",),
-    "sweep": ("csv",),
-    "qfi": ("json",),
-    "estimate": ("json",),
-    "sequential": ("json", "csv"),
-}
-
-
-def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = parser.parse_args(argv)
+    formats = [fmt for sub, fmt in _SUBCOMMANDS if sub == args.subcommand]
+    fmt = args.format or formats[0]
     try:
         cfg = load_config(args.config)
-        fmt = args.format or _FORMATS[args.subcommand][0]
-        if fmt not in _FORMATS[args.subcommand]:
+        if args.seed is not None:
+            cfg = validate({**cfg.raw,
+                            "options": {**cfg.options, "seed": args.seed}})
+        if fmt not in formats:
             raise ConfigError(f"subcommand {args.subcommand} emits "
-                              f"{'/'.join(_FORMATS[args.subcommand])} only")
-        if args.out:
-            handle = open(args.out, "w", encoding="utf-8", newline="\n")
+                              f"{'/'.join(formats)} only")
+        bath = cfg.bath()
+        result = _SUBCOMMANDS[args.subcommand, fmt](
+            cfg, solve_response(bath, cfg.grid(bath)))
+        text = io.StringIO()
+        if fmt == "csv":
+            _write_csv(text, result[0], _cells(result[1]))
         else:
-            handle = sys.stdout
-        try:
-            if args.subcommand == "estimate":
-                run_estimate(cfg, handle, fmt, args.seed)
-            else:
-                _RUNNERS[args.subcommand](cfg, handle, fmt)
-        finally:
-            if args.out:
-                handle.close()
+            _write_json(text, result)
+        if not args.out:
+            sys.stdout.write(text.getvalue())
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8",
+                          newline="\n") as handle:
+                    handle.write(text.getvalue())
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

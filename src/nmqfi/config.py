@@ -223,9 +223,12 @@ def validate(raw: Any) -> ScenarioConfig:
     energies = [probe.get("energy", 0.5), *options.get("energy_sweep", [])]
     if not all(e >= 0.5 for e in energies):
         raise ConfigError("probe.energy and options.energy_sweep values must be >= 1/2")
-    for key in ("gamma", "n_thermal", "t_prime"):
-        if options.get(key, 0.0) < 0:
+    for key in ("seed", "gamma", "n_thermal", "t_prime"):
+        if options.get(key, 0) < 0:
             raise ConfigError(f"options.{key} must be >= 0")
+    if "t_prime" in options and "grid" in raw \
+            and options["t_prime"] >= raw["grid"]["t_end"]:
+        raise ConfigError("options.t_prime must be < grid.t_end")
     seq = raw.get("sequential")
     if seq is not None:
         total = seq["total_window"]

@@ -19,6 +19,9 @@ from .probe import (GaussianProbeInit, Window, WindowTerms,
                     rotated_max_variance_angle, variance_p)
 
 _ALIGNMENT_TOL = 1e-6
+# Relative tolerance of markov_qfi's envelope integral; a window of 120
+# periods needs 2^17 panels to reach it, past adaptive_simpson's default.
+_MARKOV_REL_TOL, _MARKOV_MAX_PANELS = 1e-12, 1 << 18
 
 
 def script_e(energy: float) -> float:
@@ -193,8 +196,7 @@ def short_time_qfi(init: GaussianProbeInit, force: ForceModulation,
 
 
 def markov_qfi(init: GaussianProbeInit, gamma: float, n_thermal: float,
-               force: ForceModulation, omega0: float, window: Window,
-               rel_tol: float = 1e-10) -> float:
+               force: ForceModulation, omega0: float, window: Window) -> float:
     """Closed-form QFI under an exponential response envelope.
 
     Numerator omega0^2 |int zeta(u) e^{i omega0 (u-t0)} e^{-gamma (t-u)/2} du|^2;
@@ -210,7 +212,7 @@ def markov_qfi(init: GaussianProbeInit, gamma: float, n_thermal: float,
     integral = adaptive_simpson(
         lambda u: (np.asarray(force.value(u)) * np.exp(1j * omega0 * (u - t0))
                    * np.exp(-0.5 * gamma * (t1 - u))),
-        lo, hi, rel_tol=rel_tol)
+        lo, hi, rel_tol=_MARKOV_REL_TOL, max_panels=_MARKOV_MAX_PANELS)
     num = omega0 ** 2 * abs(integral) ** 2
     decay = np.exp(-gamma * (t1 - t0))
     denom = decay * init.variance(phase(integral) + 0.5 * np.pi) \

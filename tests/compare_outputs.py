@@ -6,7 +6,8 @@ Runs every file in scenarios/ (the union of both checkouts' file names,
 each checkout reading its own copy) through `python -m nmqfi.cli` of each
 checkout, with the default format, `--format csv` and `--format json`.
 The subcommand is the file-name prefix: `qfi_noiseless_pi.json` runs
-`qfi`. Then runs the single_shot and cadence benchmark jobs that
+`qfi`. Each `estimate_*` scenario also runs once with `--seed 3`. Then
+runs the single_shot and cadence benchmark jobs that
 perfbench/jobs.py (of this file's checkout) generates for seeds 5 and 7,
 each job's config through both checkouts. Compares stdout bytes and exit
 codes, prints one line per difference, and exits 1 if there is any, else
@@ -23,15 +24,18 @@ import tempfile
 from pathlib import Path
 
 FORMATS = (None, "csv", "json")
+SEED = 3   # the --seed of the extra run of each estimate_* scenario
 GENERATED_WORKLOADS = ("single_shot", "cadence")
 GENERATED_SEEDS = (5, 7)
 
 
-def run(checkout: Path, subcommand: str, config: Path, fmt):
+def run(checkout: Path, subcommand: str, config: Path, fmt, seed=None):
     """(exit code, stdout bytes) of one CLI run of the checkout."""
     args = [sys.executable, "-m", "nmqfi.cli", subcommand, "--config", str(config)]
     if fmt:
         args += ["--format", fmt]
+    if seed is not None:
+        args += ["--seed", str(seed)]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(args, cwd=checkout, env=env, capture_output=True,
@@ -51,15 +55,21 @@ def difference(old, new):
 
 
 def scenario_runs(parent: Path, change: Path):
-    """(label, parent run, change run) for every scenario and format."""
+    """(label, parent run, change run) for every scenario and format, and
+    for every estimate scenario with --seed."""
     names = sorted({p.name for root in (parent, change)
                     for p in (root / "scenarios").glob("*.json")})
     for name in names:
-        for fmt in FORMATS:
-            old, new = ((run(root, name.split("_")[0], root / "scenarios" / name, fmt)
+        subcommand = name.split("_")[0]
+        variants = [(fmt, None) for fmt in FORMATS]
+        if subcommand == "estimate":
+            variants.append((None, SEED))
+        for fmt, seed in variants:
+            old, new = ((run(root, subcommand, root / "scenarios" / name, fmt, seed)
                          if (root / "scenarios" / name).is_file() else None)
                         for root in (parent, change))
-            yield f"{name} --format {fmt or 'default'}", old, new
+            label = f"{name} --format {fmt or 'default'}"
+            yield label + ("" if seed is None else f" --seed {seed}"), old, new
 
 
 def generated_runs(parent: Path, change: Path, scratch: Path):

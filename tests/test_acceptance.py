@@ -102,8 +102,7 @@ def test_criterion_05_markov_third_order_contrast():
     results = []
     for n_t in (0.0, 1.0):
         def cubic_coefficient(tau: float) -> float:
-            val = markov_qfi(VACUUM, gamma, n_t, ramp, omega0, (0.0, tau),
-                             rel_tol=1e-12)
+            val = markov_qfi(VACUUM, gamma, n_t, ramp, omega0, (0.0, tau))
             return (val * var0 / omega0 ** 2 - z0 ** 2 * tau ** 2) / tau ** 3
 
         coarse, fine = cubic_coefficient(1e-2), cubic_coefficient(5e-3)

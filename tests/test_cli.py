@@ -13,6 +13,7 @@ import pytest
 
 from nmqfi import cli
 from nmqfi.cli import main
+from nmqfi.errors import NmqfiError
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
@@ -292,6 +293,15 @@ OUT_OF_RANGE = {
                                _set("sequential", optimize=True, tau=0.1)),
     "t_prime_negative": ("correlation_flatband", "correlation",
                          _set("options", t_prime=-0.5)),
+    # t_end is 12: a lag past it, or one with no room left, has no rows
+    "t_prime_past_t_end": ("correlation_flatband", "correlation",
+                           _set("options", t_prime=20.0)),
+    "t_prime_at_t_end": ("correlation_flatband", "correlation",
+                         _set("options", t_prime=12.0)),
+    "seed_negative": ("estimate_cramer_rao", "estimate",
+                      _set("options", seed=-1)),
+    "seed_flag_negative": ("estimate_cramer_rao", "estimate --seed -1",
+                           lambda raw: None),
     # probe states whose covariance is too large for floats
     "qfi_squeezed_overflow": ("qfi_noiseless_pi", "qfi", _SQUEEZED_OVERFLOW),
     "estimate_squeezed_overflow": ("estimate_cramer_rao", "estimate",
@@ -350,6 +360,74 @@ def test_json_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
     assert run_cli(["qfi", "--config", cfg]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical error:")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_csv_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
+    # the same state's det_sigma column: exit 3, no inf cell, no file
+    raw = json.loads((SCENARIO_DIR / "qfi_best_state_resonant.json").read_text())
+    raw["probe"] = {"omega0": 1.0, "init": {"kind": "thermal", "nbar": 1e200}}
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli(["moments", "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical error:")
+    assert run_cli(["moments", "--config", cfg, "--out", tmp_path / "m.csv"]) == 3
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_csv_cells_read_none_as_nan_and_reject_other_non_finite_values():
+    table = cli._cells([(1.0, None), (2.0, 3.0)])
+    assert np.isnan(table[0, 1]) and table[1].tolist() == [2.0, 3.0]
+    for rows in ([(1.0, float("inf"))], [(float("nan"), None)],
+                 np.array([[1.0, np.nan]])):
+        with pytest.raises(NmqfiError):
+            cli._cells(rows)
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    cfg = SCENARIO_DIR / "qfi_noiseless_pi.json"
+    assert run_cli(["qfi", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write")
+    assert not out.parent.exists()
+
+
+# Runs of qfi_noiseless_pi that fail: (edit of the parsed file, exit code)
+FAILING_RUNS = {
+    "config_error": (_set("probe", omega0=0), 2),
+    "numerical_error": (_set("window", t=5.0), 3),   # past t_end 4
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_RUNS))
+def test_failed_run_creates_no_out_file_and_keeps_an_existing_one(case,
+                                                                  tmp_path):
+    edit, code = FAILING_RUNS[case]
+    raw = json.loads((SCENARIO_DIR / "qfi_noiseless_pi.json").read_text())
+    edit(raw)
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("earlier output\n")
+    assert run_cli(["qfi", "--config", cfg, "--out", fresh]) == code
+    assert run_cli(["qfi", "--config", cfg, "--out", kept]) == code
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier output\n"
+
+
+def test_seed_flag_is_the_seed_option(tmp_path):
+    raw = json.loads((SCENARIO_DIR / "estimate_cramer_rao.json").read_text())
+    raw["options"]["seed"] = 3
+    cfg = tmp_path / "seeded.json"
+    cfg.write_text(json.dumps(raw))
+    by_flag, by_option = tmp_path / "flag.json", tmp_path / "option.json"
+    base = SCENARIO_DIR / "estimate_cramer_rao.json"
+    assert run_cli(["estimate", "--config", base, "--seed", "3",
+                    "--out", by_flag]) == 0
+    assert run_cli(["estimate", "--config", cfg, "--out", by_option]) == 0
+    assert by_flag.read_bytes() == by_option.read_bytes()
+    assert json.loads(by_flag.read_text())["seed"] == 3
 
 
 def test_sweep_keeps_a_zero_asymptotic_total(tmp_path, capsys):
