@@ -221,7 +221,7 @@ def _sequential_point(cfg: ScenarioConfig, resp,
         found = sequential.optimize_tau(total, energies, resp, force,
                                         _tau_bounds(block, resp, total))
     ints = sequential.xi_and_c(force, omega0, total)
-    spans = {}
+    spans = {total: ints}
     gamma = _gamma_for(cfg)
     n_thermal = float(cfg.options.get("n_thermal", 0.0))
     fastest = max(m.fastest_rate, omega0)

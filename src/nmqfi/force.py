@@ -48,10 +48,20 @@ class ForceModulation:
         """d zeta/dt taken inside the support (zero outside)."""
         return self._masked(t, self._derivative_inside)
 
-    def clipped(self, t0, t1) -> tuple[ArrayLike, ArrayLike]:
-        """Intersection with the support, clamped into [t0, t1] elementwise."""
-        lo, hi = self.support
-        return np.clip(lo, t0, t1), np.clip(hi, t0, t1)
+    def _knots(self) -> tuple[float, ...]:
+        """Support ends and the kinks between them, increasing."""
+        return self.support
+
+    def pieces(self, t0, t1) -> list[tuple[ArrayLike, ArrayLike]]:
+        """The window [t0, t1] inside the support, cut at every kink.
+
+        One (lo, hi) pair, clamped into [t0, t1] elementwise, per interval
+        between knots; zeta is smooth on each, so a quadrature over each
+        converges at its smooth rate. An empty piece has hi <= lo.
+        """
+        knots = self._knots()
+        return [(np.clip(a, t0, t1), np.clip(b, t0, t1))
+                for a, b in zip(knots, knots[1:])]
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,10 @@ class TabulatedForce(ForceModulation):
     def from_samples(cls, times, values) -> "TabulatedForce":
         times = tuple(float(t) for t in times)
         return cls(support=(times[0], times[-1]), times=times, values=values)
+
+    def _knots(self):
+        lo, hi = self.support
+        return (lo, *(t for t in self.times if lo < t < hi), hi)
 
     def _value_inside(self, t):
         return np.interp(t, self.times, self.values)

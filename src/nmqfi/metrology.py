@@ -199,20 +199,22 @@ def markov_qfi(init: GaussianProbeInit, gamma: float, n_thermal: float,
                force: ForceModulation, omega0: float, window: Window) -> float:
     """Closed-form QFI under an exponential response envelope.
 
-    Numerator omega0^2 |int zeta(u) e^{i omega0 (u-t0)} e^{-gamma (t-u)/2} du|^2;
+    Numerator omega0^2 |int zeta(u) e^{i omega0 (u-t0)} e^{-gamma (t-u)/2} du|^2,
+    the integral summed over the force's smooth pieces of the window;
     denominator e^{-gamma (t-t0)} <Delta^2 P(phase(D))>_0
     + (n_thermal + 1/2)(1 - e^{-gamma (t-t0)}).
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     t0, t1 = window
-    lo, hi = force.clipped(t0, t1)
-    if hi <= lo:
-        return 0.0
-    integral = adaptive_simpson(
-        lambda u: (np.asarray(force.value(u)) * np.exp(1j * omega0 * (u - t0))
-                   * np.exp(-0.5 * gamma * (t1 - u))),
-        lo, hi, rel_tol=_MARKOV_REL_TOL, max_panels=_MARKOV_MAX_PANELS)
+
+    def envelope(u):
+        return (np.asarray(force.value(u)) * np.exp(1j * omega0 * (u - t0))
+                * np.exp(-0.5 * gamma * (t1 - u)))
+
+    integral = sum(adaptive_simpson(envelope, lo, hi, rel_tol=_MARKOV_REL_TOL,
+                                    max_panels=_MARKOV_MAX_PANELS)
+                   for lo, hi in force.pieces(t0, t1))
     num = omega0 ** 2 * abs(integral) ** 2
     decay = np.exp(-gamma * (t1 - t0))
     denom = decay * init.variance(phase(integral) + 0.5 * np.pi) \

@@ -58,9 +58,9 @@ class GaussianProbeInit:
         if abs(raw[0, 1] - raw[1, 0]) > 1e-12 * (1.0 + abs(raw).max()):
             raise ValueError("covariance must be symmetric")
         cov.setflags(write=False)
-        if np.linalg.det(cov) < _MIN_DET or cov[0, 0] <= 0 or cov[1, 1] <= 0:
-            raise ValueError("covariance violates the uncertainty bound det >= 1/4")
         object.__setattr__(self, "covariance", cov)
+        if self.det < _MIN_DET or cov[0, 0] <= 0 or cov[1, 1] <= 0:
+            raise ValueError("covariance violates the uncertainty bound det >= 1/4")
         object.__setattr__(self, "mean_amplitude", complex(self.mean_amplitude))
 
     @classmethod
@@ -106,6 +106,7 @@ class GaussianProbeInit:
         return float(np.trace(self.covariance))
 
     @property
+    @np.errstate(over="ignore")   # a finite state's det may be inf
     def det(self) -> float:
         return float(np.linalg.det(self.covariance))
 
@@ -157,14 +158,14 @@ def displacement(response: ResponseFunction, force: ForceModulation,
     """Displacement coefficient omega0 * int zeta(u) e^{i omega0 (u-t0)} G(t-u) du.
 
     omega0 is the probe frequency of the response's bath. The integral
-    runs over the window clipped to the force support; an empty
-    intersection gives zero. Window ends that are arrays (broadcast
-    together) give one value per window, each integrated to the same
-    tolerance; a scalar window is a batch of one. Windows are integrated in
-    groups of similar clipped length, at most _WINDOW_CHUNK at a time.
+    sums the force's smooth pieces of the window (ForceModulation.pieces);
+    none gives zero. Window ends that are arrays (broadcast together) give
+    one value per window, each integrated to the same tolerance; a scalar
+    window is a batch of one. Pieces are integrated in groups of similar
+    length, at most _WINDOW_CHUNK at a time.
     """
     t0, t1 = _check_window(window)
-    response.require_coverage(np.max(t1 - t0))
+    response.require_coverage(np.max(t1 - t0, initial=0.0))
     omega0 = response.bath.probe_frequency
 
     def integral(s0, s1, lo, hi):
@@ -175,39 +176,45 @@ def displacement(response: ResponseFunction, force: ForceModulation,
 
         return adaptive_simpson(integrand, lo, hi, rel_tol=_DISPLACEMENT_REL_TOL)
 
-    lo, hi = force.clipped(t0, t1)
-    starts, ends, lo, hi = (np.ravel(v)
-                            for v in np.broadcast_arrays(t0, t1, lo, hi))
+    starts, ends = (np.ravel(v) for v in np.broadcast_arrays(t0, t1))
     val = np.zeros(ends.shape, dtype=complex)
-    # Windows within a factor of two in clipped length need about the same
-    # panel count, so they share quadrature passes; mixing them would refine
-    # every short window to the node count of the longest. Empty windows
-    # stay exactly zero.
-    live = hi > lo
-    octave = np.floor(np.log2(np.where(live, hi - lo, 1.0)))
-    for level in np.unique(octave[live]):
-        group = np.flatnonzero(live & (octave == level))
-        for i in range(0, group.size, _WINDOW_CHUNK):
-            rows = group[i:i + _WINDOW_CHUNK]
-            val[rows] = integral(starts[rows], ends[rows], lo[rows], hi[rows])
+    # Pieces within a factor of two in length need about the same panel
+    # count, so they share quadrature passes; mixing them would refine
+    # every short piece to the node count of the longest. Empty pieces
+    # add exactly zero.
+    for lo, hi in force.pieces(starts, ends):
+        live = hi > lo
+        octave = np.floor(np.log2(np.where(live, hi - lo, 1.0)))
+        for level in np.unique(octave[live]):
+            group = np.flatnonzero(live & (octave == level))
+            for i in range(0, group.size, _WINDOW_CHUNK):
+                rows = group[i:i + _WINDOW_CHUNK]
+                val[rows] += integral(starts[rows], ends[rows], lo[rows],
+                                      hi[rows])
     return omega0 * val.reshape(np.shape(t1))
 
 
-def noise_term(response: ResponseFunction, window: Window) -> float:
+def noise_term(response: ResponseFunction,
+               window: Window) -> Union[float, np.ndarray]:
     """Bath-injected quadrature noise n_B, identical for every angle.
 
     sum_n (N_n + 1/2) |U_0n(tau)|^2 over the bath amplitudes of the modal
     propagator of the response's bath (DiscreteBath.propagate), tau = t - t0;
-    zero exactly for an empty bath or a zero-length window.
+    zero exactly for an empty bath or a zero-length window. Array window
+    ends give each window its scalar call's value, _WINDOW_CHUNK at a time.
     """
     t0, t1 = _check_window(window)
-    response.require_coverage(t1 - t0)
+    tau = np.asarray(t1 - t0, dtype=float)
+    response.require_coverage(tau.max(initial=0.0))
     bath = response.bath
-    if bath.n_modes == 0 or t1 == t0:
-        return 0.0
     probe_row = np.eye(1, bath.n_modes + 1)[0]
-    bath_amps = bath.propagate(probe_row, t1 - t0)[1:]
-    return float(np.abs(bath_amps) ** 2 @ (bath.occupations + 0.5))
+    taus, n_b = tau.reshape(-1, 1), np.zeros(tau.size)
+    for i in range(0, tau.size, _WINDOW_CHUNK):
+        rows = slice(i, i + _WINDOW_CHUNK)
+        bath_amps = bath.propagate(probe_row, taus[rows])[..., 1:]
+        n_b[rows] = (np.abs(bath_amps) ** 2 @ (bath.occupations + 0.5))[:, 0]
+    n_b = np.where(tau > 0, n_b.reshape(tau.shape), 0.0)
+    return n_b if tau.ndim else float(n_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,12 +223,12 @@ class WindowTerms:
 
     tau = t - t0 is the elapsed time. For a cadence, disp holds the
     displacement of every step; the steps share tau, so g and n_b stay
-    scalars.
+    scalars. A record of array windows holds arrays of tau, g and n_b.
     """
 
-    tau: float
-    g: complex
-    n_b: float
+    tau: Union[float, np.ndarray]
+    g: Union[complex, np.ndarray]
+    n_b: Union[float, np.ndarray]
     disp: Union[complex, np.ndarray]
     omega0: float
 
@@ -231,11 +238,13 @@ def window_terms(response: ResponseFunction, window: Window,
     """G and n_B of the window, with the displacement the caller computed.
 
     The only place a window's G(tau) and n_B are evaluated; every moment,
-    Fisher and cadence formula reads them from the returned record.
+    Fisher and cadence formula reads them from the returned record; array
+    window ends give a record of arrays from one g and one noise_term call.
     """
     t0, t1 = _check_window(window)
     tau = t1 - t0
-    return WindowTerms(tau=float(tau), g=response.g(tau),
+    return WindowTerms(tau=tau if np.ndim(tau) else float(tau),
+                       g=response.g(tau),
                        n_b=noise_term(response, window), disp=disp,
                        omega0=response.bath.probe_frequency)
 
@@ -268,6 +277,7 @@ def variance_p(init: GaussianProbeInit, w: WindowTerms, theta: float) -> float:
     return quadrature_variance(init, w, theta + 0.5 * np.pi)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
                         theta: float) -> CovarianceSnapshot:
     """Full second-moment snapshot in the theta frame.
@@ -275,7 +285,7 @@ def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
     The cross term comes from the variance at theta + pi/4; the covariance
     determinant is computed both from the 2x2 matrix and from the closed
     combination |G|^4 det0 + |G|^2 tr0 n_B + n_B^2, which must agree to
-    1e-8 relative.
+    1e-8 relative; a state whose moments overflow fails the check.
     """
     g2, n_b = abs(w.g) ** 2, w.n_b
     rot = theta + w.omega0 * w.tau - np.angle(w.g)
@@ -286,7 +296,7 @@ def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
     det_matrix = var_t * var_p - cross * cross
     det_closed = (g2 * g2 * init.det + g2 * init.trace * n_b + n_b * n_b)
     scale = max(abs(det_closed), 0.25)
-    if abs(det_matrix - det_closed) > 1e-8 * scale:
+    if not abs(det_matrix - det_closed) <= 1e-8 * scale:
         raise ConsistencyError(
             f"determinant routes disagree: {det_matrix!r} vs {det_closed!r}")
     return CovarianceSnapshot(var_x_theta=float(var_t), var_p_theta=float(var_p),

@@ -18,18 +18,18 @@ import numpy as np
 
 from ._quad import adaptive_simpson
 from .bath import BathMoments, DiscreteBath
-from .errors import ConfigError, retired
+from .errors import ConfigError, ConsistencyError, retired
 from .force import ForceModulation
 from .metrology import best_state_variance, script_e
 from .probe import WindowTerms, displacement, window_terms
 from .response import ResponseFunction
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Most repetition counts the tau search scans before its golden refinement.
-_SCAN_POINTS = 64
-
 _WINDOW_REL_TOL = 1e-9
+
+# Relative slack of the bound sum_k |D_k|^2 <= omega0^2 tau xi, which assumes
+# |G| <= 1. The solver admits |G| <= 1 + 1e-6 (|D_k|^2 up to 2e-6 more), and the
+# xi and D_k quadratures (rel_tol 1e-9, 1e-10) add ~1e-9: 1e-5 covers both 4x.
+_BOUND_SLACK = 1e-5
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class SeqResult:
     """Total Fisher information of one cadence, its step count and interval.
 
     hit_bound is set only by optimize_tau: its maximum lies on the first or
-    last scanned tooth or on a bracket end, so the bracket may be too narrow.
+    last tooth or on a bracket end, so the bracket may be too narrow.
     """
 
     total_qfi: float
@@ -86,13 +86,12 @@ def xi_and_c(force: ForceModulation, omega0: float,
     order the two-term asymptotics keep, so C enters the optimum as the
     bare window integral.
     """
-    lo, hi = force.clipped(0.0, total_window)
-
     def densities(t):
         z2 = force.value(t) ** 2
         return np.stack([z2, force.derivative(t) ** 2 + omega0 ** 2 * z2])
 
-    xi, bulk = adaptive_simpson(densities, lo, hi, rel_tol=_WINDOW_REL_TOL).real
+    xi, bulk = sum(adaptive_simpson(densities, lo, hi, rel_tol=_WINDOW_REL_TOL)
+                   for lo, hi in force.pieces(0.0, total_window)).real
     return ForceWindowIntegrals(float(xi), float(0.25 * bulk))
 
 
@@ -157,61 +156,55 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     """Maximize the cadence total over the repetition lattice and the bracket ends.
 
     The total sum_k |D_k|^2 / denominator over nu = floor(T / tau) steps
-    jumps where a step is gained, at the teeth tau = T / nu, and changes
-    smoothly in between. Where it is monotone within each cell, its
-    maximum over the bracket lies on a tooth or on a bracket end. The
-    search scans at most _SCAN_POINTS log-spaced counts nu whose interval
-    lies in the bracket, refines by integer golden section between the
-    scan winner's neighbours, and compares the winner with the two ends.
-    A maximum landing on the first or last scan point or on an end sets
-    hit_bound so the caller can widen the bracket.
+    jumps where a step is gained, at the teeth tau = T / nu; the result is
+    the best of every tooth in the bracket and both ends, a tooth winning a
+    tie. By Cauchy-Schwarz and |G| <= 1, summed |D_k|^2 <= omega0^2 tau xi
+    with xi the integral of zeta^2 over [0, T], so a tooth's total is at
+    most B = omega0^2 tau xi / denominator. After the ends, teeth are
+    evaluated in decreasing B until B falls below the best total; an
+    interval above its bound raises ConsistencyError. A maximum on the
+    first or last tooth or on an end sets hit_bound.
 
     A sequence of energies gives one SeqResult per energy. The energies
-    share one table of interval_terms keyed by interval, so each interval
+    share one table of interval terms keyed by interval, so each interval
     any of their searches visits costs one displacement call.
     """
     lo, hi = tau_bounds
     if not (0.0 < lo < hi):
         raise ValueError("tau_bounds must satisfy 0 < lower < upper")
+    xi = sum(adaptive_simpson(lambda t: force.value(t) ** 2, a, b,
+                              rel_tol=_WINDOW_REL_TOL)
+             for a, b in force.pieces(0.0, total_window)).real
+    ceiling = response.bath.probe_frequency ** 2 * xi * (1.0 + _BOUND_SLACK)
     table: dict[float, WindowTerms] = {}
 
     def terms(tau: float) -> WindowTerms:
         if tau not in table:
-            table[tau] = interval_terms(SequentialScheme(total_window, tau),
-                                        response, force)
+            w = interval_terms(SequentialScheme(total_window, tau), response,
+                               force)
+            if not (abs(w.disp) ** 2).sum() <= ceiling * tau:
+                raise ConsistencyError(
+                    f"cadence interval {tau!r} exceeds its bound")
+            table[tau] = w
         return table[tau]
 
     nu_min = math.ceil(total_window / hi * (1.0 - 1e-12))
     nu_max = math.floor(total_window / lo * (1.0 + 1e-12))
-    if nu_max - nu_min < _SCAN_POINTS:
-        scan = list(range(nu_min, nu_max + 1))
-    else:
-        scan = sorted({int(v) for v in np.rint(np.geomspace(
-            nu_min, nu_max, _SCAN_POINTS))})
+    nus = np.arange(nu_min, nu_max + 1)
+    teeth = window_terms(response, (0.0, total_window / nus))
 
     def search(energy: float) -> SeqResult:
-        def tooth(nu: int) -> float:
-            return seq_result(terms(total_window / nu), energy).total_qfi
-
-        best, hit_bound = None, True
-        if scan:
-            winner = max(range(len(scan)), key=lambda i: tooth(scan[i]))
-            hit_bound = winner in (0, len(scan) - 1)
-            a, b = scan[max(winner - 1, 0)], scan[min(winner + 1, len(scan) - 1)]
-            while b - a > 2:
-                c = b - round(_GOLDEN * (b - a))
-                d = max(a + round(_GOLDEN * (b - a)), c + 1)
-                if tooth(c) >= tooth(d):
-                    b = d
-                else:
-                    a = c
-            nu = max(range(a, b + 1), key=tooth)
-            best = seq_result(terms(total_window / nu), energy)
-        for tau in (hi, lo):
-            end = seq_result(terms(tau), energy)
-            if best is None or end.total_qfi > best.total_qfi:
-                best, hit_bound = end, True
-        return replace(best, hit_bound=hit_bound)
+        best = max((seq_result(terms(tau), energy) for tau in (hi, lo)),
+                   key=lambda r: r.total_qfi)
+        key, winner = (best.total_qfi, False), None
+        bound = ceiling * teeth.tau / best_state_variance(energy, teeth)
+        for i in np.argsort(-bound, kind="stable"):
+            if (bound[i], True) <= key:
+                break
+            found = seq_result(terms(float(teeth.tau[i])), energy)
+            if (found.total_qfi, True) > key:
+                best, key, winner = found, (found.total_qfi, True), i
+        return replace(best, hit_bound=winner in (None, 0, teeth.tau.size - 1))
 
     if np.ndim(energy) == 0:
         return search(float(energy))

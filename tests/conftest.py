@@ -25,6 +25,25 @@ def exact_single_mode_g(coupling_sq: float, delta: float, tau):
                                          - 1j * (0.5 * delta / mu) * np.sin(mu * tau))
 
 
+def noiseless_table_displacement(times, values, window, omega0=1.0):
+    """D of a piecewise-linear force under G = 1, exact segment by segment.
+
+    On a segment zeta = a + b u, the integral of zeta e^{i omega0 u} has the
+    antiderivative e^{i omega0 u} [(a + b u) / (i omega0) + b / omega0^2].
+    """
+    t0, t1 = window
+    total = 0j
+    for (ta, tb), (va, vb) in zip(zip(times, times[1:]), zip(values, values[1:])):
+        lo, hi = max(ta, t0), min(tb, t1)
+        if hi > lo:
+            b = (vb - va) / (tb - ta)
+            a = va - b * ta
+            total += sum(sign * np.exp(1j * omega0 * u)
+                         * ((a + b * u) / (1j * omega0) + b / omega0 ** 2)
+                         for sign, u in ((1.0, hi), (-1.0, lo)))
+    return omega0 * np.exp(-1j * omega0 * t0) * total
+
+
 def short_time_response(bath: DiscreteBath, tau):
     """Three-term expansion of G around zero elapsed time.
 

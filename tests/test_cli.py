@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import noiseless_table_displacement
 from nmqfi import cli
 from nmqfi.cli import main
 from nmqfi.errors import NmqfiError
@@ -202,11 +203,11 @@ def test_sweep_shares_one_search_and_one_window_integral(tmp_path,
     n_energies = len(json.loads(cfg.read_text())["options"]["energy_sweep"])
     assert len(calls["optimize_tau"]) == 1
     assert len(calls["optimize_tau"][0][1]) == n_energies
-    # xi and C over all of T once, then once per distinct span nu * tau
+    # xi and C over all of T once, then once per other distinct span nu * tau
     spans = {opt.repetitions * opt.tau_used for opt in optima}
     windows = [args[2] for args in calls["xi_and_c"]]
-    assert len(windows) == 1 + len(spans) and windows[0] == 1.0
-    assert set(windows[1:]) == spans
+    assert windows.count(1.0) == 1
+    assert sorted(windows) == sorted(spans | {1.0})
 
 
 def test_fixed_tau_sweep_reports_seq_qfi_per_energy(tmp_path):
@@ -350,9 +351,10 @@ def test_overflowing_number_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_json_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
-    # a finite thermal state whose det_sigma overflows: exit 3, no Infinity
+    # a finite thermal state whose det_sigma overflows: exit 3, no Infinity,
+    # and the one error line is all of stderr (pytest turns a numpy
+    # RuntimeWarning into an error)
     raw = json.loads((SCENARIO_DIR / "qfi_best_state_resonant.json").read_text())
     raw["probe"] = {"omega0": 1.0, "init": {"kind": "thermal", "nbar": 1e200}}
     cfg = tmp_path / "probe.json"
@@ -360,9 +362,9 @@ def test_json_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
     assert run_cli(["qfi", "--config", cfg]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical error:")
+    assert len(err.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_csv_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
     # the same state's det_sigma column: exit 3, no inf cell, no file
     raw = json.loads((SCENARIO_DIR / "qfi_best_state_resonant.json").read_text())
@@ -372,8 +374,41 @@ def test_csv_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
     assert run_cli(["moments", "--config", cfg]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical error:")
+    assert len(err.splitlines()) == 1
     assert run_cli(["moments", "--config", cfg, "--out", tmp_path / "m.csv"]) == 3
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_table_force_with_interior_knots(tmp_path):
+    # kinks at 0.3 and 0.7 inside the window [0, pi] of a noiseless probe:
+    # |D| against the segment-by-segment closed form
+    times, values = [0.0, 0.3, 0.7, 4.0], [0.0, 2.0, -1.0, 0.5]
+    raw = json.loads((SCENARIO_DIR / "qfi_noiseless_pi.json").read_text())
+    raw["force"] = {"kind": "table", "times": times, "values": values}
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "qfi.json"
+    assert run_cli(["qfi", "--config", cfg, "--out", out]) == 0
+    want = abs(noiseless_table_displacement(times, values, (0.0, np.pi)))
+    assert json.loads(out.read_text())["abs_d"] == pytest.approx(want, rel=1e-9)
+    assert run_cli(["moments", "--config", cfg, "--out", tmp_path / "m.csv"]) == 0
+
+
+@pytest.mark.parametrize("cadence", [
+    {"optimize": False, "tau": 1e-7}, {"tau_bounds": [1e-7, 0.3]}],
+    ids=["tau", "tau_bounds"])
+def test_cadence_config_error_precedes_the_window_integrals(tmp_path, capsys,
+                                                            cadence):
+    # xi and C of a table force with a knot inside T do not converge (exit
+    # 3); a cadence of more than 10^6 steps is rejected before they are tried
+    raw = json.loads((SCENARIO_DIR / "sequential_nonmarkov.json").read_text())
+    raw["force"] = {"kind": "table", "times": [0.0, 0.3, 0.7, 4.0],
+                    "values": [0.0, 2.0, -1.0, 0.5]}
+    raw["sequential"] = {"total_window": 1.0, **cadence}
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli(["sequential", "--config", cfg]) == 2
+    assert "more than 1000000 steps" in capsys.readouterr().err
 
 
 def test_csv_cells_read_none_as_nan_and_reject_other_non_finite_values():

@@ -55,12 +55,21 @@ def test_table_validation():
         fc.TabulatedForce.from_samples([0.0], [1.0])
 
 
-def test_clipped_window():
+def test_window_pieces():
+    # a smooth force is one piece: the window clipped to the support
     f = fc.constant(1.0, (1.0, 5.0))
-    assert f.clipped(0.0, 3.0) == (1.0, 3.0)
-    assert f.clipped(2.0, 9.0) == (2.0, 5.0)
-    lo, hi = f.clipped(6.0, 9.0)
+    assert f.pieces(0.0, 3.0) == [(1.0, 3.0)]
+    assert f.pieces(2.0, 9.0) == [(2.0, 5.0)]
+    [(lo, hi)] = f.pieces(6.0, 9.0)
     assert hi <= lo
+    # a table is cut at each sample time inside its support
+    table = fc.TabulatedForce(support=(0.5, 4.0), times=(0.0, 0.3, 0.7, 4.0),
+                              values=(0.0, 2.0, -1.0, 0.5))
+    assert table.pieces(0.0, 2.0) == [(0.5, 0.7), (0.7, 2.0)]
+    (lo, hi), (lo2, hi2) = table.pieces(np.array([0.0, 1.0]),
+                                        np.array([0.6, 2.0]))
+    assert lo.tolist() == [0.5, 1.0] and hi.tolist() == [0.6, 1.0]
+    assert lo2.tolist() == [0.6, 1.0] and hi2.tolist() == [0.6, 2.0]
 
 
 def test_invalid_support_rejected():

@@ -1,12 +1,16 @@
 """Probe moments: displacement coefficients, means, variances, snapshots."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import exact_single_mode_g, forced_window
+from conftest import (exact_single_mode_g, forced_window,
+                      noiseless_table_displacement)
 from nmqfi import force as fc
 from nmqfi.bath import ContinuousSpectrum, DiscreteBath, discretize
 from nmqfi.errors import CoverageError
+from nmqfi.metrology import markov_qfi
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
                          noise_term, phase, quadrature_mean,
                          quadrature_variance, rotated_max_variance_angle,
@@ -65,6 +69,24 @@ class TestDisplacement:
         z = fc.constant(1.0, (5.0, 6.0))
         d = displacement(noiseless_response, z, (0.0, 2.0))
         assert d == 0.0
+
+    def test_table_force_closed_form(self, noiseless_response):
+        # kinks at 0.3 and 0.7 inside the windows: each segment is
+        # integrated on its own, to the quadrature tolerance
+        times, values = (0.0, 0.3, 0.7, 4.0), (0.0, 2.0, -1.0, 0.5)
+        table = fc.TabulatedForce.from_samples(times, values)
+        windows = [(0.0, np.pi), (0.1, 0.5), (0.5, 3.9), (0.3, 0.7)]
+        want = [noiseless_table_displacement(times, values, w)
+                for w in windows]
+        for window, d in zip(windows, want):
+            got = displacement(noiseless_response, table, window)
+            assert abs(got - d) <= 1e-9 * abs(d)
+            assert markov_qfi(GaussianProbeInit.vacuum(), 0.0, 0.0, table,
+                              1.0, window) == pytest.approx(2 * abs(d) ** 2,
+                                                            rel=1e-9)
+        t0, t1 = np.array(windows).T
+        batch = displacement(noiseless_response, table, (t0, t1))
+        assert np.all(np.abs(batch - want) <= 1e-9 * np.abs(want))
 
     def test_noiseless_closed_form(self, noiseless_response):
         # oracle: D0 = -i (e^{i w0 tau} - 1), |D0| = 2 sin(w0 tau / 2)
@@ -170,6 +192,40 @@ class TestVariance:
         bath0 = DiscreteBath([], [], [], 1.0)
         resp0 = solve_response(bath0, TimeGrid(4.0, 256))
         assert noise_term(resp0, (0.0, 2.0)) == 0.0
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 16, 129])
+    def test_noise_term_of_array_windows_is_bit_identical(self, n_modes):
+        # 600 windows span three blocks; the first three have zero length
+        rng = np.random.default_rng(n_modes)
+        bath = DiscreteBath(rng.uniform(0.0, 0.1, n_modes),
+                            rng.uniform(0.5, 2.0, n_modes),
+                            rng.uniform(0.0, 2.0, n_modes), 1.0)
+        resp = solve_response(bath, TimeGrid(4.0, 256))
+        t0 = rng.uniform(0.0, 1.0, 600)
+        t1 = t0 + rng.uniform(0.0, 3.0, 600)
+        t1[:3] = t0[:3]
+        got = noise_term(resp, (t0, t1))
+        assert got.tolist() == [noise_term(resp, (a, b))
+                                for a, b in zip(t0, t1)]
+        assert noise_term(resp, (0.0, t1.reshape(20, 30))).shape == (20, 30)
+
+    def test_noise_term_memory_is_bounded_by_its_blocks(self):
+        # one amplitude array for 20,000 windows on 128 modes would hold
+        # 20,000 x 129 complex values, 41 MB
+        rng = np.random.default_rng(3)
+        bath = DiscreteBath(rng.uniform(0.0, 0.01, 128),
+                            rng.uniform(0.5, 2.0, 128), np.zeros(128), 1.0)
+        resp = solve_response(bath, TimeGrid(2.0, 64))
+        taus = np.linspace(0.0, 2.0, 20_000)
+        noise_term(resp, (0.0, 1.0))    # caches the eigensystem
+        tracemalloc.start()
+        try:
+            n_b = noise_term(resp, (0.0, taus))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_b.shape == taus.shape
+        assert peak < 8e6
 
     def test_vacuum_unitarity_against_marched_response(self):
         # modal n_B against the marched G: a vacuum bath conserves the

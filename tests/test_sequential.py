@@ -9,13 +9,16 @@ from conftest import forced_window, step_noise_variance
 from nmqfi import force as fc
 from nmqfi import probe, sequential
 from nmqfi.bath import DiscreteBath, moments
+from nmqfi.config import validate
+from nmqfi.errors import ConsistencyError
 from nmqfi.metrology import (best_state_variance, energy_for_script_e,
                              qfi_best_state, script_e)
 from nmqfi.probe import displacement, noise_term
 from nmqfi.response import TimeGrid, solve_response
 from nmqfi.sequential import (SequentialScheme, default_tau_bounds,
                               interval_terms, markov_seq, optimize_tau, seq_qfi,
-                              seq_qfi_asymptotic, tau_opt_asymptotic, xi_and_c)
+                              seq_qfi_asymptotic, seq_result,
+                              tau_opt_asymptotic, xi_and_c)
 
 ZETA = fc.constant(1.0)
 # two detuned thermal modes: coupling_sq, frequency, occupation, omega0
@@ -330,7 +333,7 @@ class TestOptimize:
 
     def test_energies_share_one_displacement_per_interval(
             self, unit_weight_response, monkeypatch):
-        taus, disp_calls = [], []
+        noise_calls, disp_calls = [], []
 
         def counted(module, name, log):
             fn = getattr(module, name)
@@ -341,21 +344,24 @@ class TestOptimize:
             return wrapper
 
         monkeypatch.setattr(probe, "noise_term",
-                            counted(probe, "noise_term", taus))
+                            counted(probe, "noise_term", noise_calls))
         monkeypatch.setattr(sequential, "displacement",
                             counted(sequential, "displacement", disp_calls))
         energies = [energy_for_script_e(se)
                     for se in (1e2, 3e2, 1e3, 3e3, 1e4, 3e4)]
         args = (unit_weight_response, ZETA, (0.002, 0.3))
         optimize_tau(1.0, energies, *args)
-        intervals = {call[1][1] for call in taus}      # noise window (0, tau)
-        assert len(disp_calls) == len(taus) == len(intervals)
+        # one noise_term call covers the lattice, then one per interval
+        # evaluated; a displacement call's first step window is (0, tau)
+        assert [np.ndim(call[1][1]) for call in noise_calls].count(1) == 1
+        intervals = {float(call[2][1][0]) for call in disp_calls}
+        assert len(disp_calls) == len(intervals) == len(noise_calls) - 1
         # one search per energy visits more intervals than they share
         per_energy = 0
         for energy in energies:
-            taus.clear()
+            disp_calls.clear()
             optimize_tau(1.0, energy, *args)
-            per_energy += len(taus)
+            per_energy += len(disp_calls)
         assert per_energy > len(intervals)
 
     def test_default_bounds(self, unit_weight_bath, unit_weight_response):
@@ -363,6 +369,120 @@ class TestOptimize:
         lo, hi = default_tau_bounds(unit_weight_response, 10.0, m)
         assert lo == pytest.approx(8.0 * unit_weight_response.grid.h)
         assert hi == pytest.approx(unit_weight_response.t_end)
+
+
+def _cadence_case(frequency):
+    """The cadence benchmark's sinusoid shape: 8 thermal flat-band modes,
+    energy 50, T = 2, bracket (0.01, 0.5)."""
+    cfg = validate({
+        "probe": {"omega0": 1.0, "energy": 50.0},
+        "grid": {"t_end": 1.0, "n_steps": 2048},
+        "bath": {"continuum": {"family": "flat", "scale": 0.125,
+                               "cutoff": 2.0, "n_modes": 8,
+                               "cutoff_shape": "hard",
+                               "occupation": {"model": "thermal",
+                                              "temperature": 0.8}}},
+        "force": {"kind": "sinusoid", "amplitude": 1.0,
+                  "frequency": frequency, "phase": 0.4,
+                  "support": [0.0, 100.0]},
+        "sequential": {"total_window": 2.0, "tau_bounds": [0.01, 0.5]}})
+    bath = cfg.bath()
+    return (2.0, cfg.energy(), solve_response(bath, cfg.grid(bath)),
+            cfg.force(), (0.01, 0.5))
+
+
+def _exact_case(name, unit):
+    """(T, energy, response, force, bracket) of one every-tooth case; unit
+    is the unit-weight bath's response."""
+    if name.startswith("sinus_"):
+        return _cadence_case(float(name[len("sinus_"):]))
+    if name == "noiseless":
+        empty = DiscreteBath([], [], [], 1.0)
+        return (0.4, 5.0, solve_response(empty, TimeGrid(0.5, 512)), ZETA,
+                (0.004, 0.4))
+    return {
+        "unit_constant": (1.0, energy_for_script_e(100.0), unit, ZETA,
+                          (0.01, 0.3)),
+        "pulse": (1.0, energy_for_script_e(1e3), unit,
+                  fc.gaussian_pulse(0.5, 0.1, (0.0, 1.0)), (0.02, 0.3)),
+        "ramp_table": (1.0, energy_for_script_e(300.0), unit,
+                       fc.TabulatedForce.from_samples([0.0, 1.0], [0.0, 1.0]),
+                       (0.01, 0.3)),
+    }[name]
+
+
+_EXACT_CASES = ["unit_constant", "sinus_3", "sinus_100", "pulse",
+                "ramp_table", "noiseless"]
+
+
+@pytest.fixture(scope="module", params=_EXACT_CASES)
+def every_tooth(request, unit_weight_response):
+    """A case, its xi, and the interval terms of every tooth and both ends."""
+    total, energy, resp, force, (lo, hi) = _exact_case(request.param,
+                                                       unit_weight_response)
+    nus = range(int(np.ceil(total / hi)), int(total / lo) + 1)
+    teeth = [interval_terms(SequentialScheme(total, total / nu), resp, force)
+             for nu in nus]
+    ends = [interval_terms(SequentialScheme(total, tau), resp, force)
+            for tau in (hi, lo)]
+    return ((total, energy, resp, force, (lo, hi)),
+            xi_and_c(force, 1.0, total).xi, teeth, ends)
+
+
+class TestExactSearch:
+    def test_equals_the_best_of_every_tooth_and_both_ends(self, every_tooth):
+        (total, energy, *args), _, teeth, ends = every_tooth
+        res = optimize_tau(total, energy, *args)
+        tooth_totals = [seq_result(w, energy).total_qfi for w in teeth]
+        end_totals = [seq_result(w, energy).total_qfi for w in ends]
+        best = int(np.argmax(tooth_totals))
+        if tooth_totals[best] >= max(end_totals):   # a tooth wins a tie
+            assert res.tau_used == teeth[best].tau
+            assert res.hit_bound == (best in (0, len(teeth) - 1))
+        else:
+            assert res.tau_used == ends[int(np.argmax(end_totals))].tau
+            assert res.hit_bound
+        assert res.total_qfi == max(tooth_totals + end_totals)
+
+    def test_bound_holds_on_every_tooth(self, every_tooth):
+        (total, energy, resp, *_), xi, teeth, ends = every_tooth
+        omega0 = resp.bath.probe_frequency
+        for w in teeth + ends:
+            bound = omega0 ** 2 * w.tau * xi / best_state_variance(energy, w)
+            assert seq_result(w, energy).total_qfi <= bound
+
+    def test_faster_force_finds_the_tooth_the_scan_missed(self):
+        # a log scan with golden refinement returned tau = 2/91, total 5.3947
+        total, energy, resp, force, bounds = _cadence_case(100.0)
+        res = optimize_tau(total, energy, resp, force, bounds)
+        assert res.tau_used == 0.03125 and not res.hit_bound
+        assert res.total_qfi == pytest.approx(7.8683427164, rel=1e-6)
+
+    def test_total_above_its_bound_is_a_consistency_error(
+            self, unit_weight_response, monkeypatch):
+        # halving the search's integral of zeta^2 halves every bound, so the
+        # first interval evaluated exceeds its own
+        simpson = sequential.adaptive_simpson
+        monkeypatch.setattr(sequential, "adaptive_simpson",
+                            lambda *args, **kw: 0.5 * simpson(*args, **kw))
+        with pytest.raises(ConsistencyError, match="exceeds its bound"):
+            optimize_tau(1.0, energy_for_script_e(100.0), unit_weight_response,
+                         ZETA, (0.01, 0.3))
+
+    def test_hit_bound_on_first_tooth(self):
+        # noiseless: the total grows with tau; tau = 1/4 (4 steps) beats the
+        # upper end 0.26 (3 steps)
+        empty = DiscreteBath([], [], [], 1.0)
+        resp = solve_response(empty, TimeGrid(0.5, 512))
+        res = optimize_tau(1.0, 5.0, resp, ZETA, (0.05, 0.26))
+        assert res.tau_used == 0.25 and res.hit_bound
+
+    def test_hit_bound_on_last_tooth(self, unit_weight_response):
+        # the optimum 0.005 lies below the bracket; tau = 1/20 beats the
+        # lower end 0.049, which fits the same 20 steps
+        res = optimize_tau(1.0, energy_for_script_e(1e4), unit_weight_response,
+                           ZETA, (0.049, 0.3))
+        assert res.tau_used == 0.05 and res.hit_bound
 
 
 class TestAsymptotics:
