@@ -18,9 +18,9 @@ from .force import (ConstantForce, ForceModulation, GaussianPulseForce,
                     sinusoid)
 from .metrology import (EstimationResult, QfiResult, best_state,
                         best_state_variance, energy_for_script_e,
-                        fisher_quadrature, markov_qfi, optimal_angle,
-                        qfi_aligned, qfi_best_state, qfi_general, script_e,
-                        short_time_qfi, simulate_estimation)
+                        fisher_quadrature, optimal_angle, qfi_aligned,
+                        qfi_best_state, qfi_general, script_e,
+                        simulate_estimation)
 from .probe import (CovarianceSnapshot, GaussianProbeInit, WindowTerms,
                     covariance_snapshot, displacement, noise_term,
                     quadrature_mean, quadrature_variance,

@@ -24,8 +24,8 @@ from .bath import moments
 from .config import ScenarioConfig, load_config, validate
 from .errors import AlignmentError, ConfigError, NmqfiError
 from .metrology import energy_for_script_e, script_e
-from .probe import (covariance_snapshot, displacement, quadrature_mean,
-                    window_terms)
+from .probe import (WindowTerms, covariance_snapshot, displacement,
+                    quadrature_mean, window_terms)
 from .response import (ResponseFunction, markov_closed_form, markov_decay_rate,
                        solve_response)
 
@@ -99,9 +99,12 @@ def run_moments(cfg: ScenarioConfig, resp: ResponseFunction):
     times = np.linspace(t0, t1, _report_points(cfg))
     values = (displacement(resp, cfg.force(), (t0, times)) if "force" in cfg.raw
               else np.zeros(times.shape, dtype=complex))
+    batch = window_terms(resp, (t0, times), values)
     rows = []
-    for t, value in zip(times, values):
-        w = window_terms(resp, (t0, float(t)), complex(value))
+    for t, tau, g, n_b, disp in zip(times, batch.tau, batch.g, batch.n_b,
+                                    batch.disp):
+        w = WindowTerms(float(tau), complex(g), float(n_b), complex(disp),
+                        batch.omega0)
         mean = quadrature_mean(init, w, theta, amp)
         snap = covariance_snapshot(init, w, theta)
         rows.append((t, theta, mean, snap.var_x_theta, snap.var_p_theta,
@@ -202,9 +205,8 @@ def _sequential_point(cfg: ScenarioConfig, resp,
                       energies: list[float]) -> list[dict]:
     """One cadence report per energy, from one optimize_tau call for all.
 
-    The window integrals xi and C over all of T are energy-independent and
-    computed once; the reported ones cover each optimum's own steps, nu * tau,
-    once per distinct span.
+    The asymptotics read the window integrals xi and C over all of T; the
+    reported ones cover each optimum's own steps, nu * tau.
     """
     force = cfg.force()
     block = cfg.block("sequential")
@@ -221,7 +223,6 @@ def _sequential_point(cfg: ScenarioConfig, resp,
         found = sequential.optimize_tau(total, energies, resp, force,
                                         _tau_bounds(block, resp, total))
     ints = sequential.xi_and_c(force, omega0, total)
-    spans = {total: ints}
     gamma = _gamma_for(cfg)
     n_thermal = float(cfg.options.get("n_thermal", 0.0))
     fastest = max(m.fastest_rate, omega0)
@@ -236,10 +237,8 @@ def _sequential_point(cfg: ScenarioConfig, resp,
         if gamma is not None and gamma > 0:
             markov = sequential.markov_seq(energy, gamma, n_thermal, ints.xi,
                                            omega0).total_qfi_bound
-        span = seq.repetitions * seq.tau_used
-        if span not in spans:
-            spans[span] = sequential.xi_and_c(force, omega0, span)
-        steps = spans[span]
+        steps = sequential.xi_and_c(force, omega0,
+                                    seq.repetitions * seq.tau_used)
         points.append({
             "tau_opt_numeric": seq.tau_used,
             "tau_opt_asymptotic": tau_asym,

@@ -1,12 +1,14 @@
 """Known time profiles of the sensed force.
 
 A modulation is a scalar profile zeta(t) with a hard support window
-[t_i, t_f]; outside the window the profile and its derivative are zero.
-All profiles are immutable and evaluate on scalars or arrays.
+[t_i, t_f]; outside the window the profile is zero. All profiles are
+immutable and evaluate on scalars or arrays; each kind also integrates
+zeta^2 and zeta'^2 over a window in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -17,7 +19,8 @@ ArrayLike = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class ForceModulation:
-    """Base class; concrete kinds override the inside-support evaluations."""
+    """Base class; each kind gives zeta inside its support and the square
+    integrals of one smooth piece."""
 
     support: tuple[float, float]
 
@@ -30,23 +33,16 @@ class ForceModulation:
     def _value_inside(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _derivative_inside(self, t: np.ndarray) -> np.ndarray:
+    def _squares(self, lo: float, hi: float) -> tuple[float, float]:
+        """(int zeta^2, int zeta'^2) over one nonempty smooth piece."""
         raise NotImplementedError
-
-    def _masked(self, t, inner) -> ArrayLike:
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.support
-        mask = (arr >= lo) & (arr <= hi)
-        out = np.where(mask, inner(arr), 0.0)
-        return float(out[0]) if np.ndim(t) == 0 else out
 
     def value(self, t) -> ArrayLike:
         """zeta(t), zero outside the support window."""
-        return self._masked(t, self._value_inside)
-
-    def derivative(self, t) -> ArrayLike:
-        """d zeta/dt taken inside the support (zero outside)."""
-        return self._masked(t, self._derivative_inside)
+        arr = np.atleast_1d(np.asarray(t, dtype=float))
+        lo, hi = self.support
+        out = np.where((arr >= lo) & (arr <= hi), self._value_inside(arr), 0.0)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def _knots(self) -> tuple[float, ...]:
         """Support ends and the kinks between them, increasing."""
@@ -63,6 +59,19 @@ class ForceModulation:
         return [(np.clip(a, t0, t1), np.clip(b, t0, t1))
                 for a, b in zip(knots, knots[1:])]
 
+    def square_integrals(self, t0: float, t1: float) -> tuple[float, float]:
+        """(int zeta^2, int zeta'^2) over the window [t0, t1], exactly.
+
+        One closed form per smooth piece of the window, summed; an empty
+        window gives zeros.
+        """
+        z2 = dz2 = 0.0
+        for lo, hi in self.pieces(t0, t1):
+            if hi > lo:
+                a, b = self._squares(float(lo), float(hi))
+                z2, dz2 = z2 + a, dz2 + b
+        return z2, dz2
+
 
 @dataclass(frozen=True)
 class ConstantForce(ForceModulation):
@@ -71,8 +80,8 @@ class ConstantForce(ForceModulation):
     def _value_inside(self, t):
         return np.full_like(t, self.amplitude)
 
-    def _derivative_inside(self, t):
-        return np.zeros_like(t)
+    def _squares(self, lo, hi):
+        return self.amplitude ** 2 * (hi - lo), 0.0
 
 
 @dataclass(frozen=True)
@@ -86,9 +95,15 @@ class SinusoidForce(ForceModulation):
     def _value_inside(self, t):
         return self.amplitude * np.sin(self.angular_frequency * t + self.phase)
 
-    def _derivative_inside(self, t):
-        return (self.amplitude * self.angular_frequency
-                * np.cos(self.angular_frequency * t + self.phase))
+    def _squares(self, lo, hi):
+        # sin^2 and cos^2 of Omega t + phi integrate to L/2 -/+ swing with
+        # swing = cos(Omega (lo + hi) + 2 phi) sin(Omega L) / (2 Omega),
+        # written through sinc so that Omega = 0 needs no division
+        w, half = self.angular_frequency, 0.5 * (hi - lo)
+        swing = (math.cos(w * (lo + hi) + 2.0 * self.phase) * half
+                 * float(np.sinc(w * (hi - lo) / np.pi)))
+        a2 = self.amplitude ** 2
+        return a2 * (half - swing), a2 * w * w * (half + swing)
 
 
 @dataclass(frozen=True)
@@ -107,17 +122,34 @@ class GaussianPulseForce(ForceModulation):
         x = (t - self.center) / self.width
         return np.exp(-0.5 * x * x)
 
-    def _derivative_inside(self, t):
-        x = (t - self.center) / self.width
-        return -x / self.width * np.exp(-0.5 * x * x)
+    def _squares(self, lo, hi):
+        # with x = (t - center) / width: int e^{-x^2} dx is the erf mass
+        # below and int x^2 e^{-x^2} dx = mass / 2 - [x e^{-x^2}] / 2
+        a, b = ((t - self.center) / self.width for t in (lo, hi))
+        mass = 0.5 * math.sqrt(math.pi) * _erf_gap(a, b)
+        edge = 0.5 * (a * math.exp(-a * a) - b * math.exp(-b * b))
+        return self.width * mass, (0.5 * mass + edge) / self.width
+
+
+def _erf_gap(a: float, b: float) -> float:
+    """erf(b) - erf(a) for a <= b.
+
+    A window on one side of zero is an erfc difference, which keeps its
+    digits in the far tail, where both erf values round to +-1.
+    """
+    if a >= 0.0:
+        return math.erfc(a) - math.erfc(b)
+    if b <= 0.0:
+        return math.erfc(-b) - math.erfc(-a)
+    return math.erf(b) - math.erf(a)
 
 
 @dataclass(frozen=True)
 class TabulatedForce(ForceModulation):
     """Piecewise-linear profile through (times, values) samples.
 
-    The derivative is the segment secant; at interior nodes the right
-    segment's slope is used. Support defaults to the sample range.
+    Each sample time inside the support is a knot of pieces; outside the
+    sample range the end values hold. Support defaults to the sample range.
     """
 
     times: tuple[float, ...] = ()
@@ -146,12 +178,10 @@ class TabulatedForce(ForceModulation):
     def _value_inside(self, t):
         return np.interp(t, self.times, self.values)
 
-    def _derivative_inside(self, t):
-        ts = np.asarray(self.times)
-        vs = np.asarray(self.values)
-        slopes = np.diff(vs) / np.diff(ts)
-        seg = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, slopes.size - 1)
-        return slopes[seg]
+    def _squares(self, lo, hi):
+        # a piece is one linear segment from a to b
+        a, b = np.interp((lo, hi), self.times, self.values).tolist()
+        return (hi - lo) * (a * a + a * b + b * b) / 3.0, (b - a) ** 2 / (hi - lo)
 
 
 def constant(amplitude: float = 1.0, support: tuple[float, float] = (0.0, np.inf)) -> ConstantForce:

@@ -11,17 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_simpson
 from .errors import AlignmentError, EstimationError
-from .force import ForceModulation
-from .probe import (GaussianProbeInit, Window, WindowTerms,
-                    covariance_snapshot, phase, quadrature_mean,
-                    rotated_max_variance_angle, variance_p)
+from .probe import (GaussianProbeInit, WindowTerms, covariance_snapshot, phase,
+                    quadrature_mean, rotated_max_variance_angle, variance_p)
 
 _ALIGNMENT_TOL = 1e-6
-# Relative tolerance of markov_qfi's envelope integral; a window of 120
-# periods needs 2^17 panels to reach it, past adaptive_simpson's default.
-_MARKOV_REL_TOL, _MARKOV_MAX_PANELS = 1e-12, 1 << 18
 
 
 def script_e(energy: float) -> float:
@@ -174,49 +168,3 @@ def simulate_estimation(init: GaussianProbeInit, w: WindowTerms,
     return EstimationResult(estimate=float(estimates[0]), empirical_mse=mse,
                             crb=crb, ratio_to_crb=mse / crb,
                             replications=replications, nu=nu)
-
-
-def short_time_qfi(init: GaussianProbeInit, force: ForceModulation,
-                   omega0: float, t0: float, tau: float) -> float:
-    """Two-term small-window expansion of the aligned QFI.
-
-    omega0^2 tau^2 [zeta(t0)^2 + zeta(t0) zeta'(t0) tau] over the initial
-    P variance at the noiseless displacement angle. The bath enters only
-    at fourth order in tau, so no bath argument appears.
-    """
-    z = float(force.value(t0))
-    zdot = float(force.derivative(t0))
-    if z == 0.0:
-        return 0.0
-    d0 = omega0 * adaptive_simpson(
-        lambda u: np.asarray(force.value(u)) * np.exp(1j * omega0 * (u - t0)),
-        t0, t0 + tau, rel_tol=1e-11)
-    var0 = init.variance(phase(d0) + 0.5 * np.pi)
-    return float(omega0 ** 2 * tau ** 2 * (z * z + z * zdot * tau) / var0)
-
-
-def markov_qfi(init: GaussianProbeInit, gamma: float, n_thermal: float,
-               force: ForceModulation, omega0: float, window: Window) -> float:
-    """Closed-form QFI under an exponential response envelope.
-
-    Numerator omega0^2 |int zeta(u) e^{i omega0 (u-t0)} e^{-gamma (t-u)/2} du|^2,
-    the integral summed over the force's smooth pieces of the window;
-    denominator e^{-gamma (t-t0)} <Delta^2 P(phase(D))>_0
-    + (n_thermal + 1/2)(1 - e^{-gamma (t-t0)}).
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    t0, t1 = window
-
-    def envelope(u):
-        return (np.asarray(force.value(u)) * np.exp(1j * omega0 * (u - t0))
-                * np.exp(-0.5 * gamma * (t1 - u)))
-
-    integral = sum(adaptive_simpson(envelope, lo, hi, rel_tol=_MARKOV_REL_TOL,
-                                    max_panels=_MARKOV_MAX_PANELS)
-                   for lo, hi in force.pieces(t0, t1))
-    num = omega0 ** 2 * abs(integral) ** 2
-    decay = np.exp(-gamma * (t1 - t0))
-    denom = decay * init.variance(phase(integral) + 0.5 * np.pi) \
-        + (n_thermal + 0.5) * (1.0 - decay)
-    return float(num / denom)

@@ -111,15 +111,6 @@ class GaussianProbeInit:
         return float(np.linalg.det(self.covariance))
 
     @property
-    def is_pure(self) -> bool:
-        return abs(self.det - 0.25) <= 1e-9
-
-    @property
-    def mean_energy(self) -> float:
-        """<a^dag a> + 1/2 in units of the probe quantum."""
-        return 0.5 * self.trace + abs(self.mean_amplitude) ** 2
-
-    @property
     def is_isotropic(self) -> bool:
         c = self.covariance
         tol = 1e-9 * self.trace

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._quad import adaptive_simpson
 from .bath import BathMoments, DiscreteBath
 from .errors import ConfigError, ConsistencyError, retired
 from .force import ForceModulation
@@ -24,11 +23,10 @@ from .metrology import best_state_variance, script_e
 from .probe import WindowTerms, displacement, window_terms
 from .response import ResponseFunction
 
-_WINDOW_REL_TOL = 1e-9
-
 # Relative slack of the bound sum_k |D_k|^2 <= omega0^2 tau xi, which assumes
-# |G| <= 1. The solver admits |G| <= 1 + 1e-6 (|D_k|^2 up to 2e-6 more), and the
-# xi and D_k quadratures (rel_tol 1e-9, 1e-10) add ~1e-9: 1e-5 covers both 4x.
+# |G| <= 1. The solver admits |G| <= 1 + 1e-6 (|D_k|^2 up to 2e-6 more) and the
+# D_k quadrature (rel_tol 1e-10) adds ~1e-10; xi is exact to rounding. 1e-5
+# covers their sum 4x.
 _BOUND_SLACK = 1e-5
 
 
@@ -84,15 +82,10 @@ def xi_and_c(force: ForceModulation, omega0: float,
     C carries no boundary term: summed over the steps of a cadence, the
     [zeta zeta'] edge terms of the per-step displacements cancel to the
     order the two-term asymptotics keep, so C enters the optimum as the
-    bare window integral.
+    bare window integral. Both are exact (ForceModulation.square_integrals).
     """
-    def densities(t):
-        z2 = force.value(t) ** 2
-        return np.stack([z2, force.derivative(t) ** 2 + omega0 ** 2 * z2])
-
-    xi, bulk = sum(adaptive_simpson(densities, lo, hi, rel_tol=_WINDOW_REL_TOL)
-                   for lo, hi in force.pieces(0.0, total_window)).real
-    return ForceWindowIntegrals(float(xi), float(0.25 * bulk))
+    xi, slope_sq = force.square_integrals(0.0, total_window)
+    return ForceWindowIntegrals(xi, 0.25 * (slope_sq + omega0 ** 2 * xi))
 
 
 def interval_terms(scheme: SequentialScheme, response: ResponseFunction,
@@ -172,9 +165,7 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     lo, hi = tau_bounds
     if not (0.0 < lo < hi):
         raise ValueError("tau_bounds must satisfy 0 < lower < upper")
-    xi = sum(adaptive_simpson(lambda t: force.value(t) ** 2, a, b,
-                              rel_tol=_WINDOW_REL_TOL)
-             for a, b in force.pieces(0.0, total_window)).real
+    xi = force.square_integrals(0.0, total_window)[0]
     ceiling = response.bath.probe_frequency ** 2 * xi * (1.0 + _BOUND_SLACK)
     table: dict[float, WindowTerms] = {}
 

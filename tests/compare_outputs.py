@@ -6,7 +6,11 @@ Runs every file in scenarios/ (the union of both checkouts' file names,
 each checkout reading its own copy) through `python -m nmqfi.cli` of each
 checkout, with the default format, `--format csv` and `--format json`.
 The subcommand is the file-name prefix: `qfi_noiseless_pi.json` runs
-`qfi`. Each `estimate_*` scenario also runs once with `--seed 3`. Then
+`qfi`. Each `estimate_*` scenario also runs once with `--seed 3`. The
+two shipped cadence scenarios also run with each force kind they do not
+ship (a table with knots inside the window, a sinusoid, a pulse):
+`sequential_nonmarkov` through `sequential` in json and csv,
+`sweep_scaling` through `sweep`. Then
 runs the single_shot and cadence benchmark jobs that
 perfbench/jobs.py (of this file's checkout) generates for seeds 5 and 7,
 each job's config through both checkouts. Compares stdout bytes and exit
@@ -27,6 +31,18 @@ FORMATS = (None, "csv", "json")
 SEED = 3   # the --seed of the extra run of each estimate_* scenario
 GENERATED_WORKLOADS = ("single_shot", "cadence")
 GENERATED_SEEDS = (5, 7)
+# Cadence scenarios rerun with other force kinds: (file, subcommand, formats).
+FORCE_VARIANT_RUNS = (("sequential_nonmarkov.json", "sequential", ("json", "csv")),
+                      ("sweep_scaling.json", "sweep", (None,)))
+FORCE_VARIANTS = {
+    "table": {"kind": "table", "times": [0.0, 0.3, 0.7, 4.0],
+              "values": [0.0, 2.0, -1.0, 0.5]},
+    "sinusoid": {"kind": "sinusoid", "amplitude": 1.0,
+                 "frequency": 3.0, "phase": 0.4,
+                 "support": [0.0, 100.0]},
+    "pulse": {"kind": "gaussian_pulse", "center": 0.5, "width": 0.15,
+              "support": [0.0, 1.0]},
+}
 
 
 def run(checkout: Path, subcommand: str, config: Path, fmt, seed=None):
@@ -72,6 +88,19 @@ def scenario_runs(parent: Path, change: Path):
             yield label + ("" if seed is None else f" --seed {seed}"), old, new
 
 
+def force_variant_runs(parent: Path, change: Path, scratch: Path):
+    """(label, parent run, change run) for every cadence force variant."""
+    for name, subcommand, formats in FORCE_VARIANT_RUNS:
+        raw = json.loads((change / "scenarios" / name).read_text())
+        for kind, force in FORCE_VARIANTS.items():
+            config = scratch / f"{kind}_{name}"
+            config.write_text(json.dumps({**raw, "force": force}))
+            for fmt in formats:
+                yield (f"{name} force {kind} --format {fmt or 'default'}",
+                       *(run(root, subcommand, config, fmt)
+                         for root in (parent, change)))
+
+
 def generated_runs(parent: Path, change: Path, scratch: Path):
     """(label, parent run, change run) for every generated benchmark job."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -96,6 +125,8 @@ def main(argv) -> int:
     counts = {}
     with tempfile.TemporaryDirectory() as scratch:
         for kind, runs in (("scenario runs", scenario_runs(parent, change)),
+                           ("force variant runs",
+                            force_variant_runs(parent, change, Path(scratch))),
                            ("generated jobs",
                             generated_runs(parent, change, Path(scratch)))):
             total = differences = 0

@@ -8,7 +8,8 @@ from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         bare_correlation, discretize, memory_kernel)
 from nmqfi.errors import SolverInstabilityError
 from nmqfi.metrology import optimal_angle
-from nmqfi.probe import displacement, quadrature_mean, variance_p, window_terms
+from nmqfi.probe import (displacement, phase, quadrature_mean, variance_p,
+                         window_terms)
 from nmqfi.response import (_ABS_G_SLACK, _REFINE, ResponseFunction, TimeGrid,
                             solve_response)
 
@@ -287,6 +288,71 @@ def equal_start_correlation(bath: DiscreteBath, response, t: float,
         * np.asarray(response.g_dot(t - s)),
         0.0, t, rel_tol=rel_tol)
     return complex(np.exp(-1j * omega0 * t) * (bare_correlation(bath, t) + tail))
+
+
+# Closed-form Fisher oracles of the paper's limits: the small-window
+# expansion and the Markovian (exponential-envelope) QFI. The engine reaches
+# neither; the acceptance criteria check the exact QFI against them.
+
+# Relative tolerance of markov_qfi's envelope integral; a window of 120
+# periods needs 2^17 panels to reach it, past adaptive_simpson's default.
+_MARKOV_REL_TOL, _MARKOV_MAX_PANELS = 1e-12, 1 << 18
+
+
+def short_time_qfi(init, force, omega0: float, t0: float, tau: float,
+                   zdot: float) -> float:
+    """Two-term small-window expansion of the aligned QFI.
+
+    omega0^2 tau^2 [zeta(t0)^2 + zeta(t0) zeta'(t0) tau] over the initial
+    P variance at the noiseless displacement angle, with zdot = zeta'(t0)
+    given by the caller. The bath enters only at fourth order in tau, so no
+    bath argument appears.
+    """
+    z = float(force.value(t0))
+    if z == 0.0:
+        return 0.0
+    d0 = omega0 * adaptive_simpson(
+        lambda u: np.asarray(force.value(u)) * np.exp(1j * omega0 * (u - t0)),
+        t0, t0 + tau, rel_tol=1e-11)
+    var0 = init.variance(phase(d0) + 0.5 * np.pi)
+    return float(omega0 ** 2 * tau ** 2 * (z * z + z * zdot * tau) / var0)
+
+
+def markov_qfi(init, gamma: float, n_thermal: float, force, omega0: float,
+               window) -> float:
+    """Closed-form QFI under an exponential response envelope.
+
+    Numerator omega0^2 |int zeta(u) e^{i omega0 (u-t0)} e^{-gamma (t-u)/2} du|^2,
+    the integral summed over the force's smooth pieces of the window;
+    denominator e^{-gamma (t-t0)} <Delta^2 P(phase(D))>_0
+    + (n_thermal + 1/2)(1 - e^{-gamma (t-t0)}).
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    t0, t1 = window
+
+    def envelope(u):
+        return (np.asarray(force.value(u)) * np.exp(1j * omega0 * (u - t0))
+                * np.exp(-0.5 * gamma * (t1 - u)))
+
+    integral = sum(adaptive_simpson(envelope, lo, hi, rel_tol=_MARKOV_REL_TOL,
+                                    max_panels=_MARKOV_MAX_PANELS)
+                   for lo, hi in force.pieces(t0, t1))
+    num = omega0 ** 2 * abs(integral) ** 2
+    decay = np.exp(-gamma * (t1 - t0))
+    denom = decay * init.variance(phase(integral) + 0.5 * np.pi) \
+        + (n_thermal + 0.5) * (1.0 - decay)
+    return float(num / denom)
+
+
+def is_pure(init) -> bool:
+    """Whether a Gaussian probe state saturates det Sigma = 1/4."""
+    return abs(init.det - 0.25) <= 1e-9
+
+
+def mean_energy(init) -> float:
+    """<a^dag a> + 1/2 of a Gaussian probe state, in probe quanta."""
+    return 0.5 * init.trace + abs(init.mean_amplitude) ** 2
 
 
 # Monte-Carlo oracle: every outcome drawn, each replication's row averaged.

@@ -11,14 +11,15 @@ test_sequential.py).
 import numpy as np
 import pytest
 
-from conftest import exact_single_mode_g, forced_window
+from conftest import (exact_single_mode_g, forced_window, markov_qfi,
+                      short_time_qfi)
 from nmqfi import force as fc
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         discretize, moments)
 from nmqfi.correlation import bath_correlation
-from nmqfi.metrology import (energy_for_script_e, fisher_quadrature, markov_qfi,
+from nmqfi.metrology import (energy_for_script_e, fisher_quadrature,
                              optimal_angle, qfi_aligned, qfi_best_state,
-                             qfi_general, short_time_qfi, simulate_estimation)
+                             qfi_general, simulate_estimation)
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot,
                          quadrature_variance, window_terms)
 from nmqfi.response import TimeGrid, default_grid, markov_closed_form, solve_response
@@ -88,7 +89,7 @@ def test_criterion_04_short_time_qfi_slope():
     for tau in taus:
         exact = qfi_aligned(
             VACUUM, forced_window(resp, ZETA, (0.0, tau))).value
-        approx = short_time_qfi(VACUUM, ZETA, 1.0, 0.0, tau)
+        approx = short_time_qfi(VACUUM, ZETA, 1.0, 0.0, tau, 0.0)
         resid.append(abs(exact - approx))
     slope = float(np.polyfit(np.log(taus), np.log(resid), 1)[0])
     _report(4, "bath enters the QFI at fourth order", 3.6 <= slope <= 4.4,

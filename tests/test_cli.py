@@ -178,36 +178,22 @@ def test_sweep_csv_scaling_slope(tmp_path):
     assert len(bounds) == 1   # Markov ceiling constant across the sweep
 
 
-def test_sweep_shares_one_search_and_one_window_integral(tmp_path,
-                                                        monkeypatch):
+def test_sweep_shares_one_search(tmp_path, monkeypatch):
     from nmqfi import sequential
 
-    calls = {"optimize_tau": [], "xi_and_c": []}
-    optima = []
+    calls = []
+    real = sequential.optimize_tau
 
-    def counted(name):
-        fn = getattr(sequential, name)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name].append(args)
-            out = fn(*args, **kwargs)
-            if name == "optimize_tau":
-                optima.extend(out)
-            return out
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(sequential, name, counted(name))
+    monkeypatch.setattr(sequential, "optimize_tau", counted)
     cfg = SCENARIO_DIR / "sweep_scaling.json"
     assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "s.csv"]) == 0
     n_energies = len(json.loads(cfg.read_text())["options"]["energy_sweep"])
-    assert len(calls["optimize_tau"]) == 1
-    assert len(calls["optimize_tau"][0][1]) == n_energies
-    # xi and C over all of T once, then once per other distinct span nu * tau
-    spans = {opt.repetitions * opt.tau_used for opt in optima}
-    windows = [args[2] for args in calls["xi_and_c"]]
-    assert windows.count(1.0) == 1
-    assert sorted(windows) == sorted(spans | {1.0})
+    assert len(calls) == 1
+    assert len(calls[0][1]) == n_energies
 
 
 def test_fixed_tau_sweep_reports_seq_qfi_per_energy(tmp_path):
@@ -394,13 +380,29 @@ def test_table_force_with_interior_knots(tmp_path):
     assert run_cli(["moments", "--config", cfg, "--out", tmp_path / "m.csv"]) == 0
 
 
+@pytest.mark.parametrize("base,sub", [("sequential_nonmarkov", "sequential"),
+                                      ("sweep_scaling", "sweep")])
+def test_table_force_with_interior_knots_runs_a_cadence(base, sub, tmp_path):
+    # the slope jumps at the knots 0.3 and 0.7 inside T; xi and C are
+    # exact per segment, so the run exits 0
+    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
+    raw["force"] = {"kind": "table", "times": [0.0, 0.3, 0.7, 4.0],
+                    "values": [0.0, 2.0, -1.0, 0.5]}
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli([sub, "--config", cfg, "--out", out]) == 0
+    if sub == "sequential":
+        assert json.loads(out.read_text())["xi"] > 0.0
+
+
 @pytest.mark.parametrize("cadence", [
     {"optimize": False, "tau": 1e-7}, {"tau_bounds": [1e-7, 0.3]}],
     ids=["tau", "tau_bounds"])
 def test_cadence_config_error_precedes_the_window_integrals(tmp_path, capsys,
                                                             cadence):
-    # xi and C of a table force with a knot inside T do not converge (exit
-    # 3); a cadence of more than 10^6 steps is rejected before they are tried
+    # a cadence of more than 10^6 steps is rejected before any step or
+    # window integral of the table force is computed
     raw = json.loads((SCENARIO_DIR / "sequential_nonmarkov.json").read_text())
     raw["force"] = {"kind": "table", "times": [0.0, 0.3, 0.7, 4.0],
                     "values": [0.0, 2.0, -1.0, 0.5]}
@@ -539,12 +541,15 @@ def _misaligned(raw):
     raw["probe"]["init"] = {"kind": "squeezed", "r": 0.6, "axis_angle": 1.2}
 
 
-# (base scenario, subcommand, edit): each run reads one window
+# (base scenario, subcommand, edit): each run reads one window record, the
+# moments run one record of all its report times
 WINDOW_RUNS = {
     "qfi_energy": ("qfi_best_state_resonant", "qfi", lambda raw: None),
     "qfi_misaligned": ("qfi_best_state_resonant", "qfi", _misaligned),
     "estimate_energy": ("estimate_cramer_rao", "estimate",
                         _set("probe", energy=3.0)),
+    "moments_every_report_time": ("moments_detuned_coherent", "moments",
+                                  lambda raw: None),
 }
 
 

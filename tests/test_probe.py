@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (exact_single_mode_g, forced_window,
-                      noiseless_table_displacement)
+from conftest import (exact_single_mode_g, forced_window, is_pure, markov_qfi,
+                      mean_energy, noiseless_table_displacement)
 from nmqfi import force as fc
 from nmqfi.bath import ContinuousSpectrum, DiscreteBath, discretize
 from nmqfi.errors import CoverageError
-from nmqfi.metrology import markov_qfi
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
                          noise_term, phase, quadrature_mean,
                          quadrature_variance, rotated_max_variance_angle,
@@ -35,8 +34,8 @@ class TestInit:
         v = GaussianProbeInit.vacuum()
         assert v.variance(0.77) == pytest.approx(0.5)
         assert v.det == pytest.approx(0.25)
-        assert v.is_pure and v.is_isotropic
-        assert v.mean_energy == pytest.approx(0.5)
+        assert is_pure(v) and v.is_isotropic
+        assert mean_energy(v) == pytest.approx(0.5)
 
     def test_squeezed_axes(self):
         s = GaussianProbeInit.squeezed(0.8, axis_angle=0.3)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from conftest import forced_window, step_noise_variance
 from nmqfi import force as fc
@@ -164,25 +165,22 @@ class TestSeqQfi:
             assert step == pytest.approx(abs(d) ** 2 / denom, rel=1e-12)
             assert (step == 0.0) == (k in zero_steps)
 
-    def test_one_displacement_and_one_quadrature_call(
+    def test_one_displacement_call(
             self, unit_weight_bath, unit_weight_response, monkeypatch):
-        calls = {"displacement": 0, "adaptive_simpson": 0}
+        # every step in one batched call; xi and C are closed forms
+        calls = []
+        real = sequential.displacement
 
-        def counted(name):
-            fn = getattr(sequential, name)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(sequential, name, counted(name))
+        monkeypatch.setattr(sequential, "displacement", counted)
         pulse = fc.gaussian_pulse(0.05, 0.02, (0.0, 0.1))
         seq_qfi(SequentialScheme(0.3, 0.05), 3.0, unit_weight_bath,
                 unit_weight_response, pulse, 1.0)
         xi_and_c(pulse, 1.0, 0.3)
-        assert calls == {"displacement": 1, "adaptive_simpson": 1}
+        assert len(calls) == 1
 
     def test_chunked_windows_match_one_unchunked_call(
             self, unit_weight_response, monkeypatch):
@@ -462,9 +460,9 @@ class TestExactSearch:
             self, unit_weight_response, monkeypatch):
         # halving the search's integral of zeta^2 halves every bound, so the
         # first interval evaluated exceeds its own
-        simpson = sequential.adaptive_simpson
-        monkeypatch.setattr(sequential, "adaptive_simpson",
-                            lambda *args, **kw: 0.5 * simpson(*args, **kw))
+        exact = fc.ConstantForce.square_integrals
+        monkeypatch.setattr(fc.ConstantForce, "square_integrals",
+                            lambda *args: tuple(0.5 * v for v in exact(*args)))
         with pytest.raises(ConsistencyError, match="exceeds its bound"):
             optimize_tau(1.0, energy_for_script_e(100.0), unit_weight_response,
                          ZETA, (0.01, 0.3))
@@ -653,6 +651,34 @@ class TestForceIntegrals:
         r = xi_and_c(ramp, 1.0, 1.0)
         assert r.xi == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert r.c_coeff == pytest.approx(0.25 * (1.0 + 1.0 / 3.0), rel=1e-9)
+
+    def test_table_with_interior_knots_is_segment_exact(self):
+        # knots at 0.3 and 0.7 inside [0, 1], where the slope jumps. Per
+        # segment from a to b of length L: zeta^2 gives L (a^2 + ab + b^2) / 3,
+        # zeta'^2 (b - a)^2 / L
+        table = fc.TabulatedForce.from_samples([0.0, 0.3, 0.7, 4.0],
+                                               [0.0, 2.0, -1.0, 0.5])
+        end = -1.0 + 0.3 * 1.5 / 3.3                  # zeta(1)
+        xi = 0.3 * 4.0 / 3.0 + 0.4 * 3.0 / 3.0 + 0.1 * (1.0 - end + end * end)
+        slope_sq = 4.0 / 0.3 + 9.0 / 0.4 + (1.0 + end) ** 2 / 0.3
+        r = xi_and_c(table, 2.0, 1.0)
+        assert r.xi == pytest.approx(1.0609504132231404, rel=1e-12)
+        assert r.xi == pytest.approx(xi, rel=1e-12)
+        assert 4.0 * r.c_coeff - 4.0 * r.xi == pytest.approx(
+            35.89531680440771, rel=1e-12)
+        assert 4.0 * r.c_coeff - 4.0 * r.xi == pytest.approx(slope_sq,
+                                                             rel=1e-12)
+
+    def test_far_tail_pulse_keeps_a_positive_xi(self, unit_weight_response):
+        # support [0, 1] lies 10 to 11 widths past the centre: an erf
+        # difference rounds xi to 0, and the search's ceiling omega0^2 tau xi
+        # would then reject every interval
+        pulse = fc.gaussian_pulse(-10.0, 1.0, (0.0, 1.0))
+        xi = xi_and_c(pulse, 1.0, 1.0).xi
+        want = 0.5 * np.sqrt(np.pi) * (special.erfc(10.0) - special.erfc(11.0))
+        assert xi == pytest.approx(want, rel=1e-12)
+        res = optimize_tau(1.0, 5.0, unit_weight_response, pulse, (0.01, 0.3))
+        assert res.total_qfi > 0.0
 
 
 class TestMarkovSeq:
