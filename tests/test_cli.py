@@ -178,22 +178,30 @@ def test_sweep_csv_scaling_slope(tmp_path):
     assert len(bounds) == 1   # Markov ceiling constant across the sweep
 
 
-def test_sweep_shares_one_search(tmp_path, monkeypatch):
+def test_sweep_shares_one_search_and_one_window_integral(tmp_path,
+                                                        monkeypatch):
     from nmqfi import sequential
 
-    calls = []
-    real = sequential.optimize_tau
+    calls = {"optimize_tau": [], "interval_terms": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(name):
+        fn = getattr(sequential, name)
 
-    monkeypatch.setattr(sequential, "optimize_tau", counted)
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sequential, name, counted(name))
     cfg = SCENARIO_DIR / "sweep_scaling.json"
     assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "s.csv"]) == 0
     n_energies = len(json.loads(cfg.read_text())["options"]["energy_sweep"])
-    assert len(calls) == 1
-    assert len(calls[0][1]) == n_energies
+    assert len(calls["optimize_tau"]) == 1
+    assert len(calls["optimize_tau"][0][1]) == n_energies
+    # the energies' searches integrate each visited interval once
+    taus = [args[0].interval for args in calls["interval_terms"]]
+    assert taus and len(taus) == len(set(taus))
 
 
 def test_fixed_tau_sweep_reports_seq_qfi_per_energy(tmp_path):

@@ -24,10 +24,16 @@ def test_support_endpoints_inclusive():
     assert f.value(2.0) == 1.0
 
 
-def test_sinusoid_value_and_square_integrals():
+def test_sinusoid_value_and_derivative():
     f = fc.sinusoid(2.0, 3.0, 0.4, (0.0, 10.0))
     t = np.array([0.3, 1.7])
     assert_allclose(f.value(t), 2.0 * np.sin(3.0 * t + 0.4))
+    # a short window centred on t averages zeta'^2 to zeta'(t)^2 + O(h^2)
+    h = 1e-4
+    for ti in t:
+        _, dz2 = f.square_integrals(ti - h, ti + h)
+        zdot = 6.0 * np.cos(3.0 * ti + 0.4)
+        assert dz2 / (2.0 * h) == pytest.approx(zdot ** 2, rel=1e-6)
     # over a whole period zeta^2 averages A^2 / 2, zeta'^2 A^2 Omega^2 / 2
     z2, dz2 = f.square_integrals(1.0, 1.0 + 2.0 * np.pi / 3.0)
     assert z2 == pytest.approx(4.0 * np.pi / 3.0, rel=1e-13)
@@ -45,7 +51,7 @@ def test_gaussian_pulse():
     assert dz2 == pytest.approx(np.sqrt(np.pi), rel=1e-14)
 
 
-def test_table_interpolation_and_segment_squares():
+def test_table_interpolation_and_secant_derivative():
     f = fc.TabulatedForce.from_samples([0.0, 1.0, 3.0], [0.0, 2.0, 0.0])
     assert f.support == (0.0, 3.0)
     assert f.value(0.5) == pytest.approx(1.0)
@@ -54,6 +60,11 @@ def test_table_interpolation_and_segment_squares():
     # slopes 2 and -1 on segments of length 1 and 2
     assert f.square_integrals(-1.0, 4.0) == pytest.approx((4.0, 6.0),
                                                           rel=1e-15)
+    # inside one segment zeta' is its secant slope, up to the knot
+    assert f.square_integrals(0.25, 1.0)[1] == pytest.approx(4.0 * 0.75,
+                                                             rel=1e-15)
+    assert f.square_integrals(1.0, 2.5)[1] == pytest.approx(1.0 * 1.5,
+                                                            rel=1e-15)
 
 
 def test_table_validation():

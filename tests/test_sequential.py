@@ -165,22 +165,27 @@ class TestSeqQfi:
             assert step == pytest.approx(abs(d) ** 2 / denom, rel=1e-12)
             assert (step == 0.0) == (k in zero_steps)
 
-    def test_one_displacement_call(
+    def test_one_displacement_and_one_quadrature_call(
             self, unit_weight_bath, unit_weight_response, monkeypatch):
-        # every step in one batched call; xi and C are closed forms
-        calls = []
-        real = sequential.displacement
+        # every step in one batched call, that call's one quadrature the
+        # only one: xi and C are closed forms
+        calls = {"displacement": 0, "adaptive_simpson": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(module, name):
+            fn = getattr(module, name)
 
-        monkeypatch.setattr(sequential, "displacement", counted)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(sequential, "displacement")
+        counted(probe, "adaptive_simpson")
         pulse = fc.gaussian_pulse(0.05, 0.02, (0.0, 0.1))
         seq_qfi(SequentialScheme(0.3, 0.05), 3.0, unit_weight_bath,
                 unit_weight_response, pulse, 1.0)
         xi_and_c(pulse, 1.0, 0.3)
-        assert len(calls) == 1
+        assert calls == {"displacement": 1, "adaptive_simpson": 1}
 
     def test_chunked_windows_match_one_unchunked_call(
             self, unit_weight_response, monkeypatch):
