@@ -8,11 +8,12 @@ phases are never represented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
+
+from .errors import Frozen
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -20,8 +21,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteBath:
+class DiscreteBath(Frozen):
     """Bath modes as three read-only arrays plus the probe frequency.
 
     coupling_sq |K_n|^2, frequencies omega_n and occupations N_n are 1-D,
@@ -31,24 +31,22 @@ class DiscreteBath:
     list is the noiseless limit (zero kernel, response identically one).
     """
 
-    coupling_sq: np.ndarray
-    frequencies: np.ndarray
-    occupations: np.ndarray
-    probe_frequency: float
-
-    def __post_init__(self):
-        for name in ("coupling_sq", "frequencies", "occupations"):
-            arr = np.array(getattr(self, name), dtype=float)
+    def __init__(self, coupling_sq: np.ndarray, frequencies: np.ndarray,
+                 occupations: np.ndarray, probe_frequency: float):
+        arrays = dict(coupling_sq=coupling_sq, frequencies=frequencies,
+                      occupations=occupations)
+        for name, values in arrays.items():
+            arr = np.array(values, dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be a 1-D array")
             if (arr < 0).any():
                 raise ValueError(f"{name} must be >= 0")
-            object.__setattr__(self, name, _read_only(arr))
-        if not self.coupling_sq.size == self.frequencies.size == self.occupations.size:
+            arrays[name] = _read_only(arr)
+        if len({arr.size for arr in arrays.values()}) != 1:
             raise ValueError("coupling_sq, frequencies and occupations differ in length")
-        if self.probe_frequency <= 0:
+        if probe_frequency <= 0:
             raise ValueError("probe_frequency must be > 0")
-        object.__setattr__(self, "probe_frequency", float(self.probe_frequency))
+        vars(self).update(arrays, probe_frequency=float(probe_frequency))
 
     @property
     def n_modes(self) -> int:
@@ -92,21 +90,19 @@ class DiscreteBath:
         return (phases * (np.asarray(w, dtype=float) @ vec)) @ vec.T
 
 
-@dataclass(frozen=True)
-class OccupationModel:
+class OccupationModel(Frozen):
     """How mode occupations are assigned when discretizing a continuum."""
 
-    kind: str                   # "zero" | "thermal" | "constant"
-    temperature: float = 0.0    # rad/time, thermal kind only
-    value: float = 0.0          # constant kind only
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "thermal", "constant"):
-            raise ValueError(f"unknown occupation model {self.kind!r}")
-        if self.kind == "thermal" and self.temperature <= 0:
+    def __init__(self, kind: str,             # "zero" | "thermal" | "constant"
+                 temperature: float = 0.0,    # rad/time, thermal kind only
+                 value: float = 0.0):         # constant kind only
+        if kind not in ("zero", "thermal", "constant"):
+            raise ValueError(f"unknown occupation model {kind!r}")
+        if kind == "thermal" and temperature <= 0:
             raise ValueError("thermal occupation needs temperature > 0")
-        if self.kind == "constant" and self.value < 0:
+        if kind == "constant" and value < 0:
             raise ValueError("constant occupation must be >= 0")
+        vars(self).update(kind=kind, temperature=temperature, value=value)
 
     def occupation(self, omega: np.ndarray) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
@@ -114,7 +110,9 @@ class OccupationModel:
             return np.zeros_like(omega)
         if self.kind == "constant":
             return np.full_like(omega, self.value)
-        return 1.0 / np.expm1(omega / self.temperature)
+        # a temperature far below omega overflows to the exact limit 1/inf = 0
+        with np.errstate(over="ignore"):
+            return 1.0 / np.expm1(omega / self.temperature)
 
 
 # Support of an exponentially cut spectrum is truncated here, in units of
@@ -122,32 +120,32 @@ class OccupationModel:
 _EXPONENTIAL_SUPPORT = 8.0
 
 
-@dataclass(frozen=True)
-class ContinuousSpectrum:
+class ContinuousSpectrum(Frozen):
     """Coupling density g(omega)|K(omega)|^2 of a standard spectral family.
 
     family "flat" is a constant density on [0, cutoff]; family "ohmic"
     scales as omega**exponent (sub-ohmic below 1, super-ohmic above).
     """
 
-    family: str                     # "flat" | "ohmic"
-    scale: float                    # density prefactor
-    cutoff: float                   # omega_c, rad/time
-    exponent: float = 1.0           # ohmic family only
-    cutoff_shape: str = "hard"      # "hard" | "exponential"
-    occupation: OccupationModel = OccupationModel("zero")
-
-    def __post_init__(self):
-        if self.family not in ("flat", "ohmic"):
-            raise ValueError(f"unknown spectral family {self.family!r}")
-        if self.cutoff_shape not in ("hard", "exponential"):
-            raise ValueError(f"unknown cutoff shape {self.cutoff_shape!r}")
-        if self.scale < 0:
+    def __init__(self, family: str,           # "flat" | "ohmic"
+                 scale: float,                # density prefactor
+                 cutoff: float,               # omega_c, rad/time
+                 exponent: float = 1.0,       # ohmic family only
+                 cutoff_shape: str = "hard",  # "hard" | "exponential"
+                 occupation: OccupationModel = OccupationModel("zero")):
+        if family not in ("flat", "ohmic"):
+            raise ValueError(f"unknown spectral family {family!r}")
+        if cutoff_shape not in ("hard", "exponential"):
+            raise ValueError(f"unknown cutoff shape {cutoff_shape!r}")
+        if scale < 0:
             raise ValueError("scale must be >= 0")
-        if self.cutoff <= 0:
+        if cutoff <= 0:
             raise ValueError("cutoff must be > 0")
-        if self.family == "ohmic" and self.exponent <= 0:
+        if family == "ohmic" and exponent <= 0:
             raise ValueError("ohmic exponent must be > 0")
+        vars(self).update(family=family, scale=scale, cutoff=cutoff,
+                          exponent=exponent, cutoff_shape=cutoff_shape,
+                          occupation=occupation)
 
     @property
     def support_limit(self) -> float:
@@ -210,8 +208,7 @@ def bare_correlation(bath: DiscreteBath, tau) -> Union[complex, np.ndarray]:
 _MAX_ORDER = 6
 
 
-@dataclass(frozen=True)
-class BathMoments:
+class BathMoments(NamedTuple):
     """Moment frequencies of the coupling spectrum.
 
     omega_p holds the unweighted moments for p = 2 .. 6; chi_q holds the

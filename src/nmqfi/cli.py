@@ -1,11 +1,12 @@
 """Command-line front end: scenario files in, deterministic CSV/JSON out.
 
-Exit status: 0 on success, 2 for configuration problems, 3 for numerical
-failures inside the engine. Floats are emitted with 17 significant digits
-and JSON keys are sorted, so identical configs (and seeds) reproduce
-byte-identical outputs. Each (subcommand, format) has one runner, which
-returns its result; `main` writes that result only once every value in it
-is finite, so a run that fails writes nothing.
+Exit status: 0 on success, 2 for configuration problems (a problem too
+large to allocate among them), 3 for numerical failures inside the engine.
+Floats are emitted with 17 significant digits and JSON keys are sorted, so
+identical configs (and seeds) reproduce byte-identical outputs. Each
+(subcommand, format) has one runner, which returns its result; `main`
+writes that result only once every value in it is finite, so a run that
+fails writes nothing.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
                     handle.write(text.getvalue())
             except OSError as exc:
                 raise ConfigError(f"cannot write {args.out}: {exc}") from exc
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NmqfiError as exc:

@@ -11,14 +11,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
 from . import force as force_mod
 from .bath import ContinuousSpectrum, DiscreteBath, OccupationModel, discretize
-from .errors import ConfigError
+from .errors import ConfigError, Frozen
 from .force import ForceModulation
 from .probe import GaussianProbeInit
 from .response import TimeGrid, default_grid
@@ -111,11 +110,11 @@ def _builder(build):
     return checked
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Frozen):
     """Validated scenario with lazily built domain objects."""
 
-    raw: dict
+    def __init__(self, raw: dict):
+        vars(self).update(raw=raw)
 
     @property
     def omega0(self) -> float:

@@ -13,7 +13,7 @@ in closed form from the bath's modal propagator, with no time quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .errors import retired
 from .response import ResponseFunction
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """Two-time correlation split into free and interaction parts."""
 
     total: complex

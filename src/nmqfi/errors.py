@@ -1,4 +1,4 @@
-"""Exception types shared across the engine."""
+"""Exception types and the immutable-record base shared across the engine."""
 
 
 class NmqfiError(Exception):
@@ -43,3 +43,19 @@ def retired(name: str):
     def stub(*args, max_panels=None, **kwargs):
         raise NotImplementedError(f"{name} was removed from nmqfi")
     return stub
+
+
+class Frozen:
+    """Base of the validating records: immutable after construction.
+
+    __init__ checks its arguments and stores the fields with
+    vars(self).update; assigning or deleting any attribute afterwards
+    raises AttributeError. A cached_property still fills the instance
+    __dict__ directly.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

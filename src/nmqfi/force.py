@@ -9,26 +9,24 @@ zeta^2 and zeta'^2 over a window in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from .errors import Frozen
+
 ArrayLike = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class ForceModulation:
+class ForceModulation(Frozen):
     """Base class; each kind gives zeta inside its support and the square
     integrals of one smooth piece."""
 
-    support: tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.support
+    def __init__(self, support: tuple[float, float]):
+        lo, hi = support
         if not hi >= lo:
             raise ValueError("support must satisfy t_i <= t_f")
-        object.__setattr__(self, "support", (float(lo), float(hi)))
+        vars(self).update(support=(float(lo), float(hi)))
 
     def _value_inside(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -73,9 +71,10 @@ class ForceModulation:
         return z2, dz2
 
 
-@dataclass(frozen=True)
 class ConstantForce(ForceModulation):
-    amplitude: float = 1.0
+    def __init__(self, support: tuple[float, float], amplitude: float = 1.0):
+        super().__init__(support)
+        vars(self).update(amplitude=amplitude)
 
     def _value_inside(self, t):
         return np.full_like(t, self.amplitude)
@@ -84,13 +83,14 @@ class ConstantForce(ForceModulation):
         return self.amplitude ** 2 * (hi - lo), 0.0
 
 
-@dataclass(frozen=True)
 class SinusoidForce(ForceModulation):
     """amplitude * sin(angular_frequency * t + phase)."""
 
-    amplitude: float = 1.0
-    angular_frequency: float = 1.0
-    phase: float = 0.0
+    def __init__(self, support: tuple[float, float], amplitude: float = 1.0,
+                 angular_frequency: float = 1.0, phase: float = 0.0):
+        super().__init__(support)
+        vars(self).update(amplitude=amplitude,
+                          angular_frequency=angular_frequency, phase=phase)
 
     def _value_inside(self, t):
         return self.amplitude * np.sin(self.angular_frequency * t + self.phase)
@@ -106,17 +106,15 @@ class SinusoidForce(ForceModulation):
         return a2 * (half - swing), a2 * w * w * (half + swing)
 
 
-@dataclass(frozen=True)
 class GaussianPulseForce(ForceModulation):
     """Unit-peak Gaussian pulse exp(-(t - center)^2 / (2 width^2))."""
 
-    center: float = 0.0
-    width: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.width <= 0:
+    def __init__(self, support: tuple[float, float], center: float = 0.0,
+                 width: float = 1.0):
+        super().__init__(support)
+        if width <= 0:
             raise ValueError("width must be > 0")
+        vars(self).update(center=center, width=width)
 
     def _value_inside(self, t):
         x = (t - self.center) / self.width
@@ -144,7 +142,6 @@ def _erf_gap(a: float, b: float) -> float:
     return math.erf(b) - math.erf(a)
 
 
-@dataclass(frozen=True)
 class TabulatedForce(ForceModulation):
     """Piecewise-linear profile through (times, values) samples.
 
@@ -152,19 +149,16 @@ class TabulatedForce(ForceModulation):
     sample range the end values hold. Support defaults to the sample range.
     """
 
-    times: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
+    def __init__(self, support: tuple[float, float],
+                 times: tuple[float, ...] = (), values: tuple[float, ...] = ()):
+        super().__init__(support)
+        times = tuple(float(t) for t in times)
+        values = tuple(float(v) for v in values)
         if len(times) < 2 or len(times) != len(values):
             raise ValueError("table needs matching times/values with >= 2 samples")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("table times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        vars(self).update(times=times, values=values)
 
     @classmethod
     def from_samples(cls, times, values) -> "TabulatedForce":

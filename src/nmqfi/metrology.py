@@ -7,7 +7,7 @@ probe-frequency normalization of the coupling absorbed in the modulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ def energy_for_script_e(se: float) -> float:
     return 0.5 * (se + 0.25 / se)
 
 
-@dataclass(frozen=True)
-class QfiResult:
+class QfiResult(NamedTuple):
     """One Fisher-information evaluation with its assembled pieces."""
 
     value: float
@@ -124,8 +123,7 @@ def fisher_quadrature(theta: float, init: GaussianProbeInit,
     return float(abs(w.disp) ** 2 * np.cos(rotation) ** 2 / var)
 
 
-@dataclass(frozen=True)
-class EstimationResult:
+class EstimationResult(NamedTuple):
     """Monte-Carlo estimation summary over independent replications."""
 
     estimate: float          # first replication's maximum-likelihood estimate

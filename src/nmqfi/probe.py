@@ -8,13 +8,12 @@ with operators evolved over a window [t0, t].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .errors import ConsistencyError, retired
+from .errors import ConsistencyError, Frozen, retired
 from .force import ForceModulation
 from .response import ResponseFunction
 
@@ -36,19 +35,15 @@ def _check_window(window: Window) -> tuple[float, float]:
     return t0, t1
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianProbeInit:
+class GaussianProbeInit(Frozen):
     """Initial Gaussian probe state: mean amplitude and 2x2 covariance.
 
     The covariance is over (X, P) at theta = 0 and must satisfy the
     uncertainty bound det >= 1/4, with equality exactly for pure states.
     """
 
-    mean_amplitude: complex
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        raw = np.array(self.covariance, dtype=float)
+    def __init__(self, mean_amplitude: complex, covariance: np.ndarray):
+        raw = np.array(covariance, dtype=float)
         if raw.shape != (2, 2):
             raise ValueError("covariance must be 2x2")
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
@@ -58,10 +53,10 @@ class GaussianProbeInit:
         if abs(raw[0, 1] - raw[1, 0]) > 1e-12 * (1.0 + abs(raw).max()):
             raise ValueError("covariance must be symmetric")
         cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
+        vars(self).update(covariance=cov)
         if self.det < _MIN_DET or cov[0, 0] <= 0 or cov[1, 1] <= 0:
             raise ValueError("covariance violates the uncertainty bound det >= 1/4")
-        object.__setattr__(self, "mean_amplitude", complex(self.mean_amplitude))
+        vars(self).update(mean_amplitude=complex(mean_amplitude))
 
     @classmethod
     def vacuum(cls) -> "GaussianProbeInit":
@@ -135,8 +130,7 @@ def phase(z) -> float:
     return float(np.mod(np.angle(z), 2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class CovarianceSnapshot:
+class CovarianceSnapshot(NamedTuple):
     """Evolved second moments at one window, in the frame of angle theta."""
 
     var_x_theta: float
@@ -208,8 +202,7 @@ def noise_term(response: ResponseFunction,
     return n_b if tau.ndim else float(n_b)
 
 
-@dataclass(frozen=True, eq=False)
-class WindowTerms:
+class WindowTerms(NamedTuple):
     """Everything a sensing window contributes: G(tau), n_B(tau) and D.
 
     tau = t - t0 is the elapsed time. For a cadence, disp holds the
@@ -289,7 +282,8 @@ def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
     scale = max(abs(det_closed), 0.25)
     if not abs(det_matrix - det_closed) <= 1e-8 * scale:
         raise ConsistencyError(
-            f"determinant routes disagree: {det_matrix!r} vs {det_closed!r}")
+            f"determinant routes disagree: {float(det_matrix)!r} vs "
+            f"{float(det_closed)!r}")
     return CovarianceSnapshot(var_x_theta=float(var_t), var_p_theta=float(var_p),
                               det_sigma=float(det_closed))
 

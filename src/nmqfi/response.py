@@ -12,13 +12,12 @@ flat band approaches an exponential envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .bath import ContinuousSpectrum, DiscreteBath, moments
-from .errors import CoverageError, SolverInstabilityError
+from .errors import CoverageError, Frozen, SolverInstabilityError
 
 _ABS_G_SLACK = 1e-6
 
@@ -34,18 +33,15 @@ _BLOCK = 64
 _FLOOR_STEPS = 1024
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Frozen):
     """Uniform grid on [0, t_end] with n_steps intervals."""
 
-    t_end: float
-    n_steps: int
-
-    def __post_init__(self):
-        if self.n_steps < 2:
+    def __init__(self, t_end: float, n_steps: int):
+        if n_steps < 2:
             raise ValueError("n_steps must be >= 2")
-        if not self.t_end > 0:
+        if not t_end > 0:
             raise ValueError("t_end must be > 0")
+        vars(self).update(t_end=t_end, n_steps=n_steps)
 
     @property
     def h(self) -> float:
@@ -89,8 +85,7 @@ def _hermite_eval(query: np.ndarray, h: float, y: np.ndarray,
             + h01 * y[idx + 1] + (h11 * h) * dy[idx + 1])
 
 
-@dataclass(frozen=True, eq=False)
-class ResponseFunction:
+class ResponseFunction(Frozen):
     """Sampled response G and its derivative on a uniform grid from 0.
 
     Off-grid queries use cubic Hermite interpolation built from the stored
@@ -99,14 +94,12 @@ class ResponseFunction:
     Immutable; safe for concurrent reads.
     """
 
-    grid: TimeGrid
-    g_samples: np.ndarray
-    g_dot_samples: np.ndarray
-    bath: DiscreteBath
-
-    def __post_init__(self):
-        for samples in (self.g_samples, self.g_dot_samples):
+    def __init__(self, grid: TimeGrid, g_samples: np.ndarray,
+                 g_dot_samples: np.ndarray, bath: DiscreteBath):
+        for samples in (g_samples, g_dot_samples):
             samples.setflags(write=False)
+        vars(self).update(grid=grid, g_samples=g_samples,
+                          g_dot_samples=g_dot_samples, bath=bath)
 
     @property
     def t_end(self) -> float:

@@ -11,13 +11,12 @@ of repetitions floor(T / tau).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bath import BathMoments, DiscreteBath
-from .errors import ConfigError, ConsistencyError, retired
+from .errors import ConfigError, ConsistencyError, Frozen, retired
 from .force import ForceModulation
 from .metrology import best_state_variance, script_e
 from .probe import WindowTerms, displacement, window_terms
@@ -30,16 +29,13 @@ from .response import ResponseFunction
 _BOUND_SLACK = 1e-5
 
 
-@dataclass(frozen=True)
-class SequentialScheme:
+class SequentialScheme(Frozen):
     """Cadence: total window, step interval, and the implied repetitions."""
 
-    total_window: float
-    interval: float
-
-    def __post_init__(self):
-        if self.interval <= 0:
+    def __init__(self, total_window: float, interval: float):
+        if interval <= 0:
             raise ValueError("interval must be > 0")
+        vars(self).update(total_window=total_window, interval=interval)
         if self.repetitions < 1:
             raise ValueError("total window shorter than one interval")
 
@@ -53,8 +49,7 @@ class SequentialScheme:
         return (t_k, t_k + self.interval)
 
 
-@dataclass(frozen=True)
-class SeqResult:
+class SeqResult(NamedTuple):
     """Total Fisher information of one cadence, its step count and interval.
 
     hit_bound is set only by optimize_tau: its maximum lies on the first or
@@ -67,8 +62,7 @@ class SeqResult:
     hit_bound: bool = False
 
 
-@dataclass(frozen=True)
-class ForceWindowIntegrals:
+class ForceWindowIntegrals(NamedTuple):
     """Window integrals of the modulation entering the asymptotics."""
 
     xi: float        # integral of zeta^2
@@ -195,7 +189,7 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
             found = seq_result(terms(float(teeth.tau[i])), energy)
             if (found.total_qfi, True) > key:
                 best, key, winner = found, (found.total_qfi, True), i
-        return replace(best, hit_bound=winner in (None, 0, teeth.tau.size - 1))
+        return best._replace(hit_bound=winner in (None, 0, teeth.tau.size - 1))
 
     if np.ndim(energy) == 0:
         return search(float(energy))
@@ -253,8 +247,7 @@ def seq_qfi_asymptotic(energy: float, moments: BathMoments, xi: float,
     return omega0 ** 2 * (lead + second)
 
 
-@dataclass(frozen=True)
-class MarkovSeqResult:
+class MarkovSeqResult(NamedTuple):
     """Cadence optimum and ceiling under an exponential-envelope bath."""
 
     tau_opt: float

@@ -241,6 +241,15 @@ def _set(block, **values):
 
 
 _SQUEEZED_OVERFLOW = _set("probe", init={"kind": "squeezed", "r": 400})
+# Terabytes of response samples or bath modes: numpy refuses them at once.
+# Never test with a size the OS might grant.
+_TOO_MANY_STEPS = _set("grid", n_steps=10 ** 12)
+
+
+def _too_many_modes(raw):
+    raw["bath"]["continuum"].update(n_modes=10 ** 12)
+
+
 # Intervals whose shortest one fits 10^6 + 1 steps into total_window 1.
 _PAST_STEP_CAP = [9.99999e-7, 1e-6]
 
@@ -323,6 +332,11 @@ OUT_OF_RANGE = {
     "steps_default_bracket": ("sequential_nonmarkov", "sequential",
                               lambda raw: raw.update(sequential={
                                   "total_window": 400.0})),
+    # arrays too large to allocate, in the response grid or the bath
+    "n_steps_1e12_qfi": ("qfi_ohmic_thermal", "qfi", _TOO_MANY_STEPS),
+    "n_steps_1e12_response": ("qfi_ohmic_thermal", "response", _TOO_MANY_STEPS),
+    "n_modes_1e12_qfi": ("qfi_ohmic_thermal", "qfi", _too_many_modes),
+    "n_modes_1e12_response": ("qfi_ohmic_thermal", "response", _too_many_modes),
 }
 
 
@@ -334,7 +348,9 @@ def test_out_of_range_input_is_a_config_error(case, tmp_path, capsys):
     cfg = tmp_path / "probe.json"
     cfg.write_text(json.dumps(raw))
     assert run_cli([*sub.split(), "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_overflowing_number_is_a_config_error(tmp_path, capsys):
@@ -357,6 +373,31 @@ def test_json_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical error:")
     assert len(err.splitlines()) == 1
+
+
+def _thermal_qfi_run(tmp_path, occupation):
+    raw = json.loads((SCENARIO_DIR / "qfi_ohmic_thermal.json").read_text())
+    raw["bath"]["continuum"]["occupation"] = occupation
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
+    return run_cli(["qfi", "--config", cfg])
+
+
+def test_near_zero_temperature_is_the_zero_temperature_limit(tmp_path, capsys):
+    # 1/expm1(omega/T) overflows to the exact limit 0 without a warning on
+    # stderr (pytest turns a numpy RuntimeWarning into an error)
+    assert _thermal_qfi_run(tmp_path, {"model": "zero"}) == 0
+    zero = capsys.readouterr().out
+    assert _thermal_qfi_run(tmp_path, {"model": "thermal",
+                                       "temperature": 1e-300}) == 0
+    assert capsys.readouterr() == (zero, "")
+
+
+def test_determinant_check_reports_plain_numbers(tmp_path, capsys):
+    assert _thermal_qfi_run(tmp_path, {"model": "thermal",
+                                       "temperature": 1e300}) == 3
+    assert capsys.readouterr() == (
+        "", "numerical error: determinant routes disagree: inf vs inf\n")
 
 
 def test_csv_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
@@ -442,6 +483,7 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
 FAILING_RUNS = {
     "config_error": (_set("probe", omega0=0), 2),
     "numerical_error": (_set("window", t=5.0), 3),   # past t_end 4
+    "too_large_to_allocate": (_TOO_MANY_STEPS, 2),
 }
 
 
