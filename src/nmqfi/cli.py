@@ -1,12 +1,12 @@
 """Command-line front end: scenario files in, deterministic CSV/JSON out.
 
 Exit status: 0 on success, 2 for configuration problems (a problem too
-large to allocate among them), 3 for numerical failures inside the engine.
-Floats are emitted with 17 significant digits and JSON keys are sorted, so
-identical configs (and seeds) reproduce byte-identical outputs. Each
-(subcommand, format) has one runner, which returns its result; `main`
-writes that result only once every value in it is finite, so a run that
-fails writes nothing.
+large to allocate among them), 3 for numerical failures inside the engine
+(an arithmetic overflow among them). Floats are emitted with 17 significant
+digits and JSON keys are sorted, so identical configs (and seeds) reproduce
+byte-identical outputs. Each (subcommand, format) has one runner, which
+returns its result; `main` writes that result only once every value in it
+is finite, so a run that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .bath import moments
 from .config import ScenarioConfig, load_config, validate
 from .errors import AlignmentError, ConfigError, NmqfiError
 from .metrology import energy_for_script_e, script_e
-from .probe import (WindowTerms, covariance_snapshot, displacement,
-                    quadrature_mean, window_terms)
+from .probe import (covariance_snapshot, displacement, quadrature_mean,
+                    window_terms)
 from .response import (ResponseFunction, markov_closed_form, markov_decay_rate,
                        solve_response)
 
@@ -100,17 +100,13 @@ def run_moments(cfg: ScenarioConfig, resp: ResponseFunction):
     times = np.linspace(t0, t1, _report_points(cfg))
     values = (displacement(resp, cfg.force(), (t0, times)) if "force" in cfg.raw
               else np.zeros(times.shape, dtype=complex))
-    batch = window_terms(resp, (t0, times), values)
-    rows = []
-    for t, tau, g, n_b, disp in zip(times, batch.tau, batch.g, batch.n_b,
-                                    batch.disp):
-        w = WindowTerms(float(tau), complex(g), float(n_b), complex(disp),
-                        batch.omega0)
-        mean = quadrature_mean(init, w, theta, amp)
-        snap = covariance_snapshot(init, w, theta)
-        rows.append((t, theta, mean, snap.var_x_theta, snap.var_p_theta,
-                     snap.det_sigma, w.n_b))
-    return ["t", "theta", "mean", "var_x", "var_p", "det_sigma", "n_b"], rows
+    w = window_terms(resp, (t0, times), values)
+    snap = covariance_snapshot(init, w, theta)
+    return (["t", "theta", "mean", "var_x", "var_p", "det_sigma", "n_b"],
+            np.column_stack((times, np.full(times.shape, theta),
+                             quadrature_mean(init, w, theta, amp),
+                             snap.var_x_theta, snap.var_p_theta,
+                             snap.det_sigma, w.n_b)))
 
 
 def _window_and_state(cfg: ScenarioConfig, resp):
@@ -294,13 +290,12 @@ def run_sweep(cfg: ScenarioConfig, resp: ResponseFunction):
 def run_correlation(cfg: ScenarioConfig, resp: ResponseFunction):
     fluct = 0.5 * cfg.init_state().trace
     t_prime = float(cfg.options.get("t_prime", 0.0))
-    rows = []
-    for t in np.linspace(t_prime, resp.t_end, _report_points(cfg)):
-        r = corr_mod.bath_correlation(resp, fluct, float(t), t_prime)
-        rows.append((t - t_prime, r.total.real, r.total.imag,
-                     r.born.real, r.born.imag, abs(r.interaction)))
+    times = np.linspace(t_prime, resp.t_end, _report_points(cfg))
+    r = corr_mod.bath_correlation(resp, fluct, times, t_prime)
     return (["t_minus_tprime", "re_total", "im_total", "re_born", "im_born",
-             "abs_interaction"], rows)
+             "abs_interaction"],
+            np.column_stack((times - t_prime, r.total.real, r.total.imag,
+                             r.born.real, r.born.imag, np.abs(r.interaction))))
 
 
 def run_limits(cfg: ScenarioConfig, resp: ResponseFunction):
@@ -377,7 +372,7 @@ def main(argv=None) -> int:
     except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NmqfiError as exc:
+    except (NmqfiError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -13,7 +13,7 @@ in closed form from the bath's modal propagator, with no time quadrature.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -23,15 +23,16 @@ from .response import ResponseFunction
 
 
 class CorrelationResult(NamedTuple):
-    """Two-time correlation split into free and interaction parts."""
+    """Two-time correlation split into free and interaction parts:
+    complex numbers for one time t, arrays shaped like an array t."""
 
-    total: complex
-    born: complex
-    interaction: complex
+    total: Union[complex, np.ndarray]
+    born: Union[complex, np.ndarray]
+    interaction: Union[complex, np.ndarray]
 
 
 def bath_correlation(response: ResponseFunction, probe_fluctuation: float,
-                     t: float, t_prime: float) -> CorrelationResult:
+                     t, t_prime: float) -> CorrelationResult:
     """Correlation of the collective coupling between times t and t_prime.
 
     probe_fluctuation is the centered symmetric second moment of the
@@ -41,17 +42,20 @@ def bath_correlation(response: ResponseFunction, probe_fluctuation: float,
     where occ_0 is the probe fluctuation and occ_n = N_n + 1/2, for the
     response's bath. The Born part is e^{-i omega0 (t - t')} C0(t - t')
     at the bath's probe frequency omega0; the interaction part is the rest.
+    An array t gives every time from one propagate call over all of t and
+    t_prime, and one bare_correlation call.
     """
-    response.require_coverage(max(t, t_prime))
+    t = np.asarray(t, dtype=float)
+    response.require_coverage(np.max(t, initial=t_prime))
     bath = response.bath
     born = (np.exp(-1j * bath.probe_frequency * (t - t_prime))
             * bare_correlation(bath, t - t_prime))
     couplings = np.concatenate(([0.0], np.sqrt(bath.coupling_sq)))
-    beta, beta_prime = bath.propagate(couplings, [t, t_prime])
+    beta = bath.propagate(couplings, np.append(t, t_prime))
     occ = np.concatenate(([probe_fluctuation], bath.occupations + 0.5))
-    total = (beta * np.conj(beta_prime)) @ occ
-    return CorrelationResult(total=complex(total), born=complex(born),
-                             interaction=complex(total - born))
+    total = ((beta[:-1] * np.conj(beta[-1])) @ occ).reshape(t.shape)
+    return CorrelationResult(*(v if t.ndim else complex(v)
+                               for v in (total, born, total - born)))
 
 
 _double_term = retired("_double_term")

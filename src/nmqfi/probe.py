@@ -87,10 +87,11 @@ class GaussianProbeInit(Frozen):
             cov = rot @ np.diag([big, small]) @ rot.T
         return cls(mean_amplitude, cov)
 
-    def variance(self, theta: float) -> float:
-        """Initial variance of X(theta)."""
-        v = np.array([np.cos(theta), np.sin(theta)])
-        return float(v @ self.covariance @ v)
+    def variance(self, theta) -> Union[float, np.ndarray]:
+        """Initial variance of X(theta), elementwise over an array theta."""
+        v = np.stack((np.cos(theta), np.sin(theta)), axis=-1)
+        var = (v[..., None, :] @ self.covariance @ v[..., :, None])[..., 0, 0]
+        return var if var.ndim else float(var)
 
     def mean_x(self, theta) -> Union[float, np.ndarray]:
         """Initial mean of X(theta) = sqrt(2) Re(<a> e^{-i theta})."""
@@ -123,19 +124,18 @@ class GaussianProbeInit(Frozen):
         return float(np.mod(ang, np.pi))
 
 
-def phase(z) -> float:
-    """arg z in [0, 2pi); zero by convention where z vanishes."""
-    if z == 0:
-        return 0.0
-    return float(np.mod(np.angle(z), 2.0 * np.pi))
+def phase(z) -> Union[float, np.ndarray]:
+    """arg z in [0, 2pi), elementwise; zero by convention where z vanishes."""
+    arg = np.where(np.equal(z, 0), 0.0, np.mod(np.angle(z), 2.0 * np.pi))
+    return arg if arg.ndim else float(arg)
 
 
 class CovarianceSnapshot(NamedTuple):
-    """Evolved second moments at one window, in the frame of angle theta."""
+    """Evolved second moments in the frame of angle theta, per window."""
 
-    var_x_theta: float
-    var_p_theta: float
-    det_sigma: float
+    var_x_theta: Union[float, np.ndarray]
+    var_p_theta: Union[float, np.ndarray]
+    det_sigma: Union[float, np.ndarray]
 
 
 def displacement(response: ResponseFunction, force: ForceModulation,
@@ -146,8 +146,8 @@ def displacement(response: ResponseFunction, force: ForceModulation,
     sums the force's smooth pieces of the window (ForceModulation.pieces);
     none gives zero. Window ends that are arrays (broadcast together) give
     one value per window, each integrated to the same tolerance; a scalar
-    window is a batch of one. Pieces are integrated in groups of similar
-    length, at most _WINDOW_CHUNK at a time.
+    window is a batch of one. Each piece integrates its nonempty windows,
+    whatever their lengths, _WINDOW_CHUNK at a time.
     """
     t0, t1 = _check_window(window)
     response.require_coverage(np.max(t1 - t0, initial=0.0))
@@ -163,19 +163,12 @@ def displacement(response: ResponseFunction, force: ForceModulation,
 
     starts, ends = (np.ravel(v) for v in np.broadcast_arrays(t0, t1))
     val = np.zeros(ends.shape, dtype=complex)
-    # Pieces within a factor of two in length need about the same panel
-    # count, so they share quadrature passes; mixing them would refine
-    # every short piece to the node count of the longest. Empty pieces
-    # add exactly zero.
+    # An empty piece adds exactly zero; under a table force most are empty.
     for lo, hi in force.pieces(starts, ends):
-        live = hi > lo
-        octave = np.floor(np.log2(np.where(live, hi - lo, 1.0)))
-        for level in np.unique(octave[live]):
-            group = np.flatnonzero(live & (octave == level))
-            for i in range(0, group.size, _WINDOW_CHUNK):
-                rows = group[i:i + _WINDOW_CHUNK]
-                val[rows] += integral(starts[rows], ends[rows], lo[rows],
-                                      hi[rows])
+        live = np.flatnonzero(hi > lo)
+        for i in range(0, live.size, _WINDOW_CHUNK):
+            rows = live[i:i + _WINDOW_CHUNK]
+            val[rows] += integral(starts[rows], ends[rows], lo[rows], hi[rows])
     return omega0 * val.reshape(np.shape(t1))
 
 
@@ -234,8 +227,8 @@ def window_terms(response: ResponseFunction, window: Window,
 
 
 def quadrature_mean(init: GaussianProbeInit, w: WindowTerms, theta: float,
-                    force_amplitude: float) -> float:
-    """Mean of X(theta) after the window.
+                    force_amplitude: float) -> Union[float, np.ndarray]:
+    """Mean of X(theta) after the window, one per window of an array record.
 
     |G| <X[theta + omega0 (t-t0) - phase(G)]>_0
     + F |D| sin[theta + omega0 (t-t0) - phase(D)].
@@ -243,11 +236,12 @@ def quadrature_mean(init: GaussianProbeInit, w: WindowTerms, theta: float,
     rotation = theta + w.omega0 * w.tau
     free = abs(w.g) * init.mean_x(rotation - np.angle(w.g))
     driven = force_amplitude * abs(w.disp) * np.sin(rotation - phase(w.disp))
-    return float(free + driven)
+    mean = free + driven
+    return mean if np.ndim(mean) else float(mean)
 
 
 def quadrature_variance(init: GaussianProbeInit, w: WindowTerms,
-                        theta: float) -> float:
+                        theta: float) -> Union[float, np.ndarray]:
     """Variance of X(theta) after the window.
 
     |G|^2 <Delta^2 X[theta + omega0 (t-t0) - phase(G)]>_0 + n_B(t, t0).
@@ -264,12 +258,13 @@ def variance_p(init: GaussianProbeInit, w: WindowTerms, theta: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
                         theta: float) -> CovarianceSnapshot:
-    """Full second-moment snapshot in the theta frame.
+    """Full second-moment snapshot in the theta frame, per window.
 
     The cross term comes from the variance at theta + pi/4; the covariance
     determinant is computed both from the 2x2 matrix and from the closed
     combination |G|^4 det0 + |G|^2 tr0 n_B + n_B^2, which must agree to
-    1e-8 relative; a state whose moments overflow fails the check.
+    1e-8 relative in every window; a state whose moments overflow fails
+    the check, which names the first failing row of an array record.
     """
     g2, n_b = abs(w.g) ** 2, w.n_b
     rot = theta + w.omega0 * w.tau - np.angle(w.g)
@@ -279,13 +274,17 @@ def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
     cross = var_d - 0.5 * (var_t + var_p)
     det_matrix = var_t * var_p - cross * cross
     det_closed = (g2 * g2 * init.det + g2 * init.trace * n_b + n_b * n_b)
-    scale = max(abs(det_closed), 0.25)
-    if not abs(det_matrix - det_closed) <= 1e-8 * scale:
+    bad = ~(abs(det_matrix - det_closed)
+            <= 1e-8 * np.maximum(abs(det_closed), 0.25))
+    if np.any(bad):
+        i = np.argmax(bad)
+        row = f" at row {i + 1}" if np.ndim(bad) else ""
         raise ConsistencyError(
-            f"determinant routes disagree: {float(det_matrix)!r} vs "
-            f"{float(det_closed)!r}")
-    return CovarianceSnapshot(var_x_theta=float(var_t), var_p_theta=float(var_p),
-                              det_sigma=float(det_closed))
+            f"determinant routes disagree{row}: "
+            f"{float(np.ravel(det_matrix)[i])!r} vs "
+            f"{float(np.ravel(det_closed)[i])!r}")
+    return CovarianceSnapshot(*(v if np.ndim(v) else float(v)
+                                for v in (var_t, var_p, det_closed)))
 
 
 def rotated_max_variance_angle(theta_m0: float, w: WindowTerms) -> float:

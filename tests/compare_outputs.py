@@ -15,11 +15,16 @@ runs the single_shot and cadence benchmark jobs that
 perfbench/jobs.py (of this file's checkout) generates for seeds 5 and 7,
 each job's config through both checkouts. Compares stdout bytes and exit
 codes, prints one line per difference, and exits 1 if there is any, else
-0. BLAS runs on one thread so reruns are deterministic. pytest does not
-collect this file.
+0. When both outputs of a differing run parse as CSV or JSON with the same
+columns (JSON: the leaf keys, a list's items sharing their key), the line
+also sizes the change: the columns that moved, the cells moved, the
+largest absolute difference, and the largest difference relative to its
+column's largest magnitude, each with its column. BLAS runs on one thread
+so reruns are deterministic. pytest does not collect this file.
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -59,6 +64,76 @@ def run(checkout: Path, subcommand: str, config: Path, fmt, seed=None):
     return proc.returncode, proc.stdout
 
 
+def columns(text: bytes):
+    """{column: [cells]} of a CSV or JSON output, or None if it is neither."""
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        lines = text.decode().splitlines()
+        if len(lines) < 2:
+            return None
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        if any(len(row) != len(header) for row in rows):
+            return None
+        try:
+            return {name: [float(row[j]) for row in rows]
+                    for j, name in enumerate(header)}
+        except ValueError:
+            return None
+    table = {}
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}/{key}" if path else key)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, path)
+        else:
+            table.setdefault(path, []).append(value)
+
+    walk(payload, "")
+    return table
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def size(old: bytes, new: bytes):
+    """How far the cells of two outputs with the same columns moved, or None.
+
+    Each moved column is listed with its count of moved cells and its
+    largest shift relative to the column's largest magnitude.
+    """
+    a, b = columns(old), columns(new)
+    if a is None or b is None or a.keys() != b.keys() or any(
+            len(a[k]) != len(b[k]) for k in a):
+        return None
+    moved, worst_abs, worst_rel = [], (0.0, ""), (0.0, "")
+    for name in a:
+        pairs = [(x, y) for x, y in zip(a[name], b[name])
+                 if x != y and not (_number(x) and _number(y)
+                                    and math.isnan(x) and math.isnan(y))]
+        if not pairs:
+            continue
+        if not all(_number(x) and _number(y) for x, y in pairs):
+            return f"non-numeric change in {name}"
+        scale = max((abs(v) for v in a[name] + b[name]
+                     if _number(v) and not math.isnan(v)), default=0.0)
+        # a cell that turns nan (or stops being nan) moves without bound
+        shift = max(math.inf if math.isnan(x - y) else abs(x - y)
+                    for x, y in pairs)
+        rel = shift / scale if scale else math.inf
+        moved.append(f"{name} x{len(pairs)} (rel {rel:.2g})")
+        worst_abs = max(worst_abs, (shift, name))
+        worst_rel = max(worst_rel, (rel, name))
+    return (f"moved {', '.join(moved)}; largest absolute {worst_abs[0]:.2g} "
+            f"({worst_abs[1]}), largest relative {worst_rel[0]:.2g} "
+            f"({worst_rel[1]})")
+
+
 def difference(old, new):
     """One line describing how two runs differ, or None if they agree."""
     if old is None or new is None:
@@ -66,7 +141,9 @@ def difference(old, new):
     if old[0] != new[0]:
         return f"exit code {old[0]} -> {new[0]}"
     if old[1] != new[1]:
-        return f"stdout differs ({len(old[1])} -> {len(new[1])} bytes)"
+        sized = size(old[1], new[1])
+        return (f"stdout differs ({len(old[1])} -> {len(new[1])} bytes)"
+                + (f": {sized}" if sized else ""))
     return None
 
 

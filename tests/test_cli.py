@@ -400,6 +400,45 @@ def test_determinant_check_reports_plain_numbers(tmp_path, capsys):
         "", "numerical error: determinant routes disagree: inf vs inf\n")
 
 
+def _flat_continuum(raw):
+    # the noise weight N is about 1e-299 > 0, and N ** 1.5 underflows to 0
+    raw["bath"] = {"continuum": {
+        "family": "flat", "scale": 2.7, "cutoff": 1e-300, "n_modes": 11,
+        "occupation": {"model": "constant", "value": 2.4}}}
+
+
+# Python float arithmetic that fails inside the engine: (base scenario,
+# subcommand, edit of the parsed file).
+ARITHMETIC_FAILURES = {
+    "constant_force_squared_overflows": (
+        "sequential_nonmarkov", "sequential", _set("force", value=1e200)),
+    "sinusoid_amplitude_squared_overflows": (
+        "sequential_nonmarkov", "sequential",
+        _set("force", kind="sinusoid", amplitude=1e300)),
+    "table_value_squared_overflows": (
+        "sequential_nonmarkov", "sequential",
+        lambda raw: raw.update(force={"kind": "table", "times": [0, 0.5, 1],
+                                      "values": [0, 1e300, 0]})),
+    "asymptotic_noise_power_underflows_sweep": (
+        "sweep_scaling", "sweep", _flat_continuum),
+    "asymptotic_noise_power_underflows_sequential": (
+        "sequential_nonmarkov", "sequential", _flat_continuum),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARITHMETIC_FAILURES))
+def test_arithmetic_failure_is_a_numerical_error(case, tmp_path, capsys):
+    base, sub, edit = ARITHMETIC_FAILURES[case]
+    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
+    edit(raw)
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli([sub, "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical error:")
+    assert len(err.splitlines()) == 1
+
+
 def test_csv_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
     # the same state's det_sigma column: exit 3, no inf cell, no file
     raw = json.loads((SCENARIO_DIR / "qfi_best_state_resonant.json").read_text())
@@ -549,6 +588,21 @@ def test_cli_import_loads_no_schema_library_or_thread_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_force_jobs_do_not_import_numpy_ma():
+    # numpy.ma costs about 15 ms to import; no engine path needs it
+    qfi, cadence = (str(SCENARIO_DIR / name) for name in (
+        "qfi_noiseless_pi.json", "sequential_nonmarkov.json"))
+    code = ("import sys; from nmqfi.cli import main; "
+            f"main(['qfi', '--config', {qfi!r}]); "
+            f"main(['sequential', '--config', {cadence!r}]); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SCENARIO_DIR.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert '"form": "aligned"' in proc.stdout and '"total_qfi"' in proc.stdout
 
 
 def test_format_mismatch_rejected():

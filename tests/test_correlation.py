@@ -62,6 +62,22 @@ class TestDecomposition:
             want = four_term_correlation(bath, resp, fluct, t, tp, 1.0)
             assert abs(got - want) <= 1e-7
 
+    def test_array_times_match_scalar_calls(self, flat_band):
+        # one propagate call over every time: numpy's batched sums and
+        # complex products round differently from the scalar call's, so
+        # each part agrees to 1e-13 of its column's largest magnitude
+        bath, resp = flat_band
+        times = np.linspace(0.9, 20.0, 33)
+        got = bath_correlation(resp, 0.5, times, 0.9)
+        want = [bath_correlation(resp, 0.5, float(t), 0.9) for t in times]
+        for part, scalars in zip(got, zip(*want)):
+            for got_col, want_col in ((part.real, np.real(scalars)),
+                                      (part.imag, np.imag(scalars))):
+                assert np.all(np.abs(got_col - want_col)
+                              <= 1e-13 * np.abs(want_col).max())
+        grid = bath_correlation(resp, 0.5, times.reshape(3, 11), 0.9)
+        assert grid.total.shape == (3, 11)
+
     def test_thermal_modes_match_four_term_assembly(self):
         omega0 = 1.3
         bath = DiscreteBath([0.16, 0.09], [1.0, 1.9], [0.0, 0.7], omega0)

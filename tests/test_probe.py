@@ -9,7 +9,7 @@ from conftest import (exact_single_mode_g, forced_window, is_pure, markov_qfi,
                       mean_energy, noiseless_table_displacement)
 from nmqfi import force as fc
 from nmqfi.bath import ContinuousSpectrum, DiscreteBath, discretize
-from nmqfi.errors import CoverageError
+from nmqfi.errors import ConsistencyError, CoverageError
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
                          noise_term, phase, quadrature_mean,
                          quadrature_variance, rotated_max_variance_angle,
@@ -117,6 +117,18 @@ class TestDisplacement:
         bath, resp = resonant03
         with pytest.raises(CoverageError):
             displacement(resp, fc.constant(1.0), (0.0, resp.t_end + 1.0))
+
+    def test_mixed_length_windows_match_scalar_calls_bit_for_bit(
+            self, ohmic_response):
+        # the 33 report windows of `moments`, of lengths 0 to 3.9, share
+        # each table segment's quadrature passes; every window's Simpson
+        # sums run over its own nodes, so each keeps its scalar value
+        table = fc.TabulatedForce.from_samples((0.0, 0.3, 0.7, 4.0),
+                                               (0.0, 2.0, -1.0, 0.5))
+        times = np.linspace(0.0, 3.9, 33)
+        batch = displacement(ohmic_response, table, (0.0, times))
+        assert batch.tolist() == [displacement(ohmic_response, table, (0.0, t))
+                                  for t in times]
 
 
 class TestMean:
@@ -274,6 +286,37 @@ class TestSnapshot:
         assert snap.var_x_theta == pytest.approx(init.variance(theta + tau),
                                                  abs=1e-12)
         assert w.n_b == 0.0
+
+
+class TestArrayWindows:
+    def test_rows_match_scalar_windows(self, ohmic_response):
+        # numpy's abs and complex product round differently from Python's
+        # scalar ones in the last bit: rows agree to 1e-13 of each column's
+        # largest magnitude; the first window is empty
+        init = GaussianProbeInit.squeezed(0.5, axis_angle=0.2,
+                                          mean_amplitude=0.8 - 0.3j)
+        force = fc.sinusoid(1.0, 1.3, 0.2)
+        times = np.linspace(0.5, 7.5, 33)
+        w = forced_window(ohmic_response, force, (0.5, times))
+        got = np.column_stack((quadrature_mean(init, w, 0.4, 1.5),
+                               *covariance_snapshot(init, w, 0.4)))
+        want = []
+        for t in times:
+            one = forced_window(ohmic_response, force, (0.5, float(t)))
+            want.append((quadrature_mean(init, one, 0.4, 1.5),
+                         *covariance_snapshot(init, one, 0.4)))
+        want = np.array(want)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0))
+
+    def test_determinant_check_names_the_first_failing_row(self,
+                                                           ohmic_response):
+        w = window_terms(ohmic_response, (0.0, np.linspace(0.0, 2.0, 5)))
+        n_b = w.n_b.copy()
+        n_b[[2, 4]] = np.inf
+        with pytest.raises(ConsistencyError, match=r"^determinant routes "
+                           r"disagree at row 3: nan vs inf$"):
+            covariance_snapshot(GaussianProbeInit.vacuum(),
+                                w._replace(n_b=n_b), 0.0)
 
 
 class TestMaxVarianceAngle:
