@@ -15,20 +15,19 @@ import argparse
 import io
 import json
 import sys
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
+from . import bath as bath_mod
+from . import config, metrology, probe, sequential
 from . import correlation as corr_mod
-from . import metrology, sequential
-from .bath import moments
-from .config import ScenarioConfig, load_config, validate
+from . import response as response_mod
 from .errors import AlignmentError, ConfigError, NmqfiError
-from .metrology import energy_for_script_e, script_e
-from .probe import (covariance_snapshot, displacement, quadrature_mean,
-                    window_terms)
-from .response import (ResponseFunction, markov_closed_form, markov_decay_rate,
-                       solve_response)
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
+    from .response import ResponseFunction
 
 
 # Rows formatted per `%` operation; bounds the Python floats held at once.
@@ -82,7 +81,8 @@ def _gamma_for(cfg: ScenarioConfig) -> float | None:
     if "gamma" in cfg.options:
         return float(cfg.options["gamma"])
     spectrum = cfg.spectrum()
-    return None if spectrum is None else markov_decay_rate(spectrum, cfg.omega0)
+    return (None if spectrum is None
+            else response_mod.markov_decay_rate(spectrum, cfg.omega0))
 
 
 def run_response(cfg: ScenarioConfig, resp: ResponseFunction):
@@ -98,13 +98,13 @@ def run_moments(cfg: ScenarioConfig, resp: ResponseFunction):
     theta = float(cfg.options.get("theta", 0.0))
     amp = float(cfg.options.get("force_amplitude", 0.0))
     times = np.linspace(t0, t1, _report_points(cfg))
-    values = (displacement(resp, cfg.force(), (t0, times)) if "force" in cfg.raw
-              else np.zeros(times.shape, dtype=complex))
-    w = window_terms(resp, (t0, times), values)
-    snap = covariance_snapshot(init, w, theta)
+    values = (probe.displacement(resp, cfg.force(), (t0, times))
+              if "force" in cfg.raw else np.zeros(times.shape, dtype=complex))
+    w = probe.window_terms(resp, (t0, times), values)
+    snap = probe.covariance_snapshot(init, w, theta)
     return (["t", "theta", "mean", "var_x", "var_p", "det_sigma", "n_b"],
             np.column_stack((times, np.full(times.shape, theta),
-                             quadrature_mean(init, w, theta, amp),
+                             probe.quadrature_mean(init, w, theta, amp),
                              snap.var_x_theta, snap.var_p_theta,
                              snap.det_sigma, w.n_b)))
 
@@ -115,7 +115,8 @@ def _window_and_state(cfg: ScenarioConfig, resp):
     window = cfg.window()
     energy = cfg.energy()
     init = cfg.init_state() if energy is None else None
-    w = window_terms(resp, window, displacement(resp, force, window))
+    w = probe.window_terms(resp, window,
+                           probe.displacement(resp, force, window))
     if energy is not None:
         try:
             init = metrology.best_state(energy, w)
@@ -134,8 +135,8 @@ def run_qfi(cfg: ScenarioConfig, resp: ResponseFunction):
             result = metrology.qfi_aligned(init, w)
         except AlignmentError:
             result = metrology.qfi_general(init, w)
-    snap = covariance_snapshot(init, w, 0.0)
-    m = moments(resp.bath)
+    snap = probe.covariance_snapshot(init, w, 0.0)
+    m = bath_mod.moments(resp.bath)
     payload = {
         "form": result.form,
         "value": result.value,
@@ -151,7 +152,7 @@ def run_qfi(cfg: ScenarioConfig, resp: ResponseFunction):
         },
     }
     if energy is not None:
-        payload["script_e"] = script_e(energy)
+        payload["script_e"] = metrology.script_e(energy)
     return payload
 
 
@@ -186,7 +187,8 @@ def _tau_bounds(block: dict, resp, total: float) -> tuple[float, float]:
     if "tau_bounds" in block:
         lo, hi = (float(v) for v in block["tau_bounds"])
     else:
-        lo, hi = sequential.default_tau_bounds(resp, total, moments(resp.bath))
+        lo, hi = sequential.default_tau_bounds(resp, total,
+                                               bath_mod.moments(resp.bath))
     _check_steps(total, lo)
     return lo, hi
 
@@ -208,7 +210,7 @@ def _sequential_point(cfg: ScenarioConfig, resp,
     force = cfg.force()
     block = cfg.block("sequential")
     total = float(block["total_window"])
-    m = moments(resp.bath)
+    m = bath_mod.moments(resp.bath)
     omega0 = resp.bath.probe_frequency
     if "tau" in block:
         tau = float(block["tau"])
@@ -277,8 +279,8 @@ def run_sweep(cfg: ScenarioConfig, resp: ResponseFunction):
         raise ConfigError("sweep subcommand needs options.energy_sweep "
                           "(list of script-E values)")
     script_es = [float(se) for se in sweep]
-    points = _sequential_point(cfg, resp,
-                               [energy_for_script_e(se) for se in script_es])
+    points = _sequential_point(
+        cfg, resp, [metrology.energy_for_script_e(se) for se in script_es])
     keys = ("tau_opt_numeric", "total_qfi", "tau_opt_asymptotic",
             "total_qfi_asymptotic", "markov_bound")
     return (["script_e", "tau_opt", "total_qfi", "tau_opt_asymptotic",
@@ -303,13 +305,13 @@ def run_limits(cfg: ScenarioConfig, resp: ResponseFunction):
     if gamma is None:
         raise ConfigError("limits subcommand needs options.gamma or a "
                           "continuum bath block")
-    omega2 = moments(resp.bath).omega(2)
+    omega2 = bath_mod.moments(resp.bath).omega(2)
     taus = resp.grid.times()
     return (["tau", "re_exact", "im_exact", "abs_exact", "narrowband",
              "markov"],
             np.column_stack((taus, resp.g_samples.real, resp.g_samples.imag,
                              np.abs(resp.g_samples), np.cos(omega2 * taus),
-                             markov_closed_form(gamma, taus))))
+                             response_mod.markov_closed_form(gamma, taus))))
 
 
 # The runner of each (subcommand, format): a CSV runner returns (header,
@@ -345,16 +347,16 @@ def main(argv=None) -> int:
     formats = [fmt for sub, fmt in _SUBCOMMANDS if sub == args.subcommand]
     fmt = args.format or formats[0]
     try:
-        cfg = load_config(args.config)
+        cfg = config.load_config(args.config)
         if args.seed is not None:
-            cfg = validate({**cfg.raw,
-                            "options": {**cfg.options, "seed": args.seed}})
+            cfg = config.validate({**cfg.raw, "options": {**cfg.options,
+                                                          "seed": args.seed}})
         if fmt not in formats:
             raise ConfigError(f"subcommand {args.subcommand} emits "
                               f"{'/'.join(formats)} only")
         bath = cfg.bath()
         result = _SUBCOMMANDS[args.subcommand, fmt](
-            cfg, solve_response(bath, cfg.grid(bath)))
+            cfg, response_mod.solve_response(bath, cfg.grid(bath)))
         text = io.StringIO()
         if fmt == "csv":
             _write_csv(text, result[0], _cells(result[1]))

@@ -11,16 +11,21 @@ from __future__ import annotations
 import functools
 import json
 import math
-from typing import Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 import numpy as np
 
+from . import bath as bath_mod
 from . import force as force_mod
-from .bath import ContinuousSpectrum, DiscreteBath, OccupationModel, discretize
+from . import probe as probe_mod
+from . import response as response_mod
 from .errors import ConfigError, Frozen
-from .force import ForceModulation
-from .probe import GaussianProbeInit
-from .response import TimeGrid, default_grid
+
+if TYPE_CHECKING:
+    from .bath import ContinuousSpectrum, DiscreteBath
+    from .force import ForceModulation
+    from .probe import GaussianProbeInit
+    from .response import TimeGrid
 
 # One rule per scenario key: NUM (any JSON number but a boolean), BOOL, an
 # _Int (an integer, 1.0 included, at least its minimum), a set of allowed
@@ -135,9 +140,10 @@ class ScenarioConfig(Frozen):
         if c is None:
             return None
         occ = c.get("occupation", {"model": "zero"})
-        model = OccupationModel(occ["model"], float(occ.get("temperature", 0.0)),
-                                float(occ.get("value", 0.0)))
-        return ContinuousSpectrum(
+        model = bath_mod.OccupationModel(occ["model"],
+                                         float(occ.get("temperature", 0.0)),
+                                         float(occ.get("value", 0.0)))
+        return bath_mod.ContinuousSpectrum(
             family=c["family"], scale=float(c["scale"]), cutoff=float(c["cutoff"]),
             exponent=float(c.get("s", 1.0)),
             cutoff_shape=c.get("cutoff_shape", "hard"), occupation=model)
@@ -148,10 +154,12 @@ class ScenarioConfig(Frozen):
         if ("modes" in block) == ("continuum" in block):
             raise ConfigError("bath block must give either 'modes' or 'continuum'")
         if "continuum" in block:
-            return discretize(self.spectrum(), int(block["continuum"]["n_modes"]),
-                              self.omega0)
+            return bath_mod.discretize(self.spectrum(),
+                                       int(block["continuum"]["n_modes"]),
+                                       self.omega0)
         arr = np.asarray(block["modes"], dtype=float).reshape(-1, 3)
-        return DiscreteBath(arr[:, 0], arr[:, 1], arr[:, 2], self.omega0)
+        return bath_mod.DiscreteBath(arr[:, 0], arr[:, 1], arr[:, 2],
+                                     self.omega0)
 
     @_builder
     def force(self) -> ForceModulation:
@@ -176,20 +184,21 @@ class ScenarioConfig(Frozen):
             if "energy" in probe:
                 raise ConfigError("probe gives an energy: build the state per "
                                   "window with the best-state form instead")
-            return GaussianProbeInit.vacuum()
+            return probe_mod.GaussianProbeInit.vacuum()
         kind = init["kind"]
         if kind == "vacuum":
-            return GaussianProbeInit.vacuum()
+            return probe_mod.GaussianProbeInit.vacuum()
         if kind == "coherent":
-            return GaussianProbeInit.coherent(
+            return probe_mod.GaussianProbeInit.coherent(
                 complex(init.get("alpha_re", 0.0), init.get("alpha_im", 0.0)))
         if kind == "squeezed":
-            return GaussianProbeInit.squeezed(init.get("r", 0.0),
-                                              init.get("axis_angle", 0.0))
+            return probe_mod.GaussianProbeInit.squeezed(
+                init.get("r", 0.0), init.get("axis_angle", 0.0))
         if kind == "thermal":
-            return GaussianProbeInit.thermal(init.get("nbar", 0.0))
+            return probe_mod.GaussianProbeInit.thermal(init.get("nbar", 0.0))
         mean = complex(init.get("mean_re", 0.0), init.get("mean_im", 0.0))
-        return GaussianProbeInit(mean, np.asarray(init["cov"], dtype=float))
+        return probe_mod.GaussianProbeInit(mean, np.asarray(init["cov"],
+                                                            dtype=float))
 
     def energy(self) -> Optional[float]:
         val = self.raw["probe"].get("energy")
@@ -200,8 +209,8 @@ class ScenarioConfig(Frozen):
         block = self.block("grid")
         t_end = float(block["t_end"])
         if "n_steps" in block:
-            return TimeGrid(t_end, int(block["n_steps"]))
-        return default_grid(bath, t_end)
+            return response_mod.TimeGrid(t_end, int(block["n_steps"]))
+        return response_mod.default_grid(bath, t_end)
 
     def window(self) -> tuple[float, float]:
         block = self.block("window")

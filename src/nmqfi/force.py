@@ -61,12 +61,18 @@ class ForceModulation(Frozen):
         """(int zeta^2, int zeta'^2) over the window [t0, t1], exactly.
 
         One closed form per smooth piece of the window, summed; an empty
-        window gives zeros.
+        window gives zeros. A square too large for a float raises
+        OverflowError naming the force amplitude.
         """
         z2 = dz2 = 0.0
         for lo, hi in self.pieces(t0, t1):
             if hi > lo:
-                a, b = self._squares(float(lo), float(hi))
+                try:
+                    a, b = self._squares(float(lo), float(hi))
+                except OverflowError as exc:
+                    raise OverflowError(
+                        f"force amplitude too large: its square overflows "
+                        f"on [{float(lo)!r}, {float(hi)!r}]") from exc
                 z2, dz2 = z2 + a, dz2 + b
         return z2, dz2
 

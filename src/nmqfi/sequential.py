@@ -16,7 +16,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bath import BathMoments, DiscreteBath
-from .errors import ConfigError, ConsistencyError, Frozen, retired
+from .errors import (ConfigError, ConsistencyError, Frozen, NmqfiError,
+                     retired)
 from .force import ForceModulation
 from .metrology import best_state_variance, script_e
 from .probe import WindowTerms, displacement, window_terms
@@ -149,8 +150,10 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     with xi the integral of zeta^2 over [0, T], so a tooth's total is at
     most B = omega0^2 tau xi / denominator. After the ends, teeth are
     evaluated in decreasing B until B falls below the best total; an
-    interval above its bound raises ConsistencyError. A maximum on the
-    first or last tooth or on an end sets hit_bound.
+    interval above its bound raises ConsistencyError, and a nan total at
+    an end or a nan B (0 / 0 where the force and the best-state variance
+    both vanish) raises NmqfiError before any tooth is evaluated. A
+    maximum on the first or last tooth or on an end sets hit_bound.
 
     A sequence of energies gives one SeqResult per energy. The energies
     share one table of interval terms keyed by interval, so each interval
@@ -179,10 +182,16 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     teeth = window_terms(response, (0.0, total_window / nus))
 
     def search(energy: float) -> SeqResult:
-        best = max((seq_result(terms(tau), energy) for tau in (hi, lo)),
-                   key=lambda r: r.total_qfi)
+        ends = [terms(tau) for tau in (hi, lo)]
+        with np.errstate(invalid="ignore"):     # a nan is raised below
+            found = [seq_result(w, energy) for w in ends]
+            bound = ceiling * teeth.tau / best_state_variance(energy, teeth)
+        if np.isnan([r.total_qfi for r in found]).any() \
+                or np.isnan(bound).any():
+            raise NmqfiError(f"cadence total or its bound is nan at energy "
+                             f"{energy!r}")
+        best = max(found, key=lambda r: r.total_qfi)
         key, winner = (best.total_qfi, False), None
-        bound = ceiling * teeth.tau / best_state_variance(energy, teeth)
         for i in np.argsort(-bound, kind="stable"):
             if (bound[i], True) <= key:
                 break
@@ -210,7 +219,8 @@ def tau_opt_asymptotic(energy: float, moments: BathMoments, xi: float,
     coefficient 1/(2 sqrt(3 N)): that maximizes the first-order truncation
     (tau/a)(1 - N tau^2/a), a = 1/(4 E), which fails at the optimum where
     N tau^2/a = 1; the total tau/(a + N tau^2) peaks at sqrt(a/N).
-    Requires a noisy bath.
+    Requires a noisy bath; an N whose 3/2 power underflows to zero or
+    overflows raises the ArithmeticError with N in its message.
     """
     if moments.script_n <= 0:
         raise ValueError("noiseless bath: the cadence interval has no finite optimum")
@@ -220,8 +230,12 @@ def tau_opt_asymptotic(energy: float, moments: BathMoments, xi: float,
     if xi == 0:
         return lead
     ksq, chi2sq = moments.k_squared, moments.chi(2) ** 2
-    second = ((8.0 * ksq * xi + 3.0 * chi2sq * xi - 16.0 * c_coeff)
-              / (192.0 * n_w ** 1.5 * xi) * se ** -1.5)
+    try:
+        second = ((8.0 * ksq * xi + 3.0 * chi2sq * xi - 16.0 * c_coeff)
+                  / (192.0 * n_w ** 1.5 * xi) * se ** -1.5)
+    except ArithmeticError as exc:    # N^{3/2} underflows or overflows
+        raise type(exc)(f"second-order cadence interval at noise weight "
+                        f"N = {n_w!r}, xi = {xi!r}: {exc}") from exc
     return lead + second
 
 

@@ -408,27 +408,29 @@ def _flat_continuum(raw):
 
 
 # Python float arithmetic that fails inside the engine: (base scenario,
-# subcommand, edit of the parsed file).
+# subcommand, edit of the parsed file, the quantity the message names).
 ARITHMETIC_FAILURES = {
     "constant_force_squared_overflows": (
-        "sequential_nonmarkov", "sequential", _set("force", value=1e200)),
+        "sequential_nonmarkov", "sequential", _set("force", value=1e200),
+        "force amplitude"),
     "sinusoid_amplitude_squared_overflows": (
         "sequential_nonmarkov", "sequential",
-        _set("force", kind="sinusoid", amplitude=1e300)),
+        _set("force", kind="sinusoid", amplitude=1e300), "force amplitude"),
     "table_value_squared_overflows": (
         "sequential_nonmarkov", "sequential",
         lambda raw: raw.update(force={"kind": "table", "times": [0, 0.5, 1],
-                                      "values": [0, 1e300, 0]})),
+                                      "values": [0, 1e300, 0]}),
+        "force amplitude"),
     "asymptotic_noise_power_underflows_sweep": (
-        "sweep_scaling", "sweep", _flat_continuum),
+        "sweep_scaling", "sweep", _flat_continuum, "noise weight"),
     "asymptotic_noise_power_underflows_sequential": (
-        "sequential_nonmarkov", "sequential", _flat_continuum),
+        "sequential_nonmarkov", "sequential", _flat_continuum, "noise weight"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ARITHMETIC_FAILURES))
 def test_arithmetic_failure_is_a_numerical_error(case, tmp_path, capsys):
-    base, sub, edit = ARITHMETIC_FAILURES[case]
+    base, sub, edit, quantity = ARITHMETIC_FAILURES[case]
     raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
     edit(raw)
     cfg = tmp_path / "probe.json"
@@ -437,6 +439,34 @@ def test_arithmetic_failure_is_a_numerical_error(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical error:")
     assert len(err.splitlines()) == 1
+    assert quantity in err
+
+
+def test_nan_cadence_bound_stops_before_the_teeth(tmp_path, capsys,
+                                                  monkeypatch):
+    # an empty bath and an overflowing energy make the best-state variance
+    # 0, and a zero force makes every total and bound 0 / 0
+    from nmqfi import sequential
+
+    raw = json.loads((SCENARIO_DIR / "sequential_nonmarkov.json").read_text())
+    raw["bath"] = {"modes": []}
+    raw["probe"]["energy"] = 1e300
+    raw["force"]["value"] = 0
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps(raw))
+    intervals = []
+    real = sequential.interval_terms
+
+    def counted(scheme, *args):
+        intervals.append(scheme.interval)
+        return real(scheme, *args)
+
+    monkeypatch.setattr(sequential, "interval_terms", counted)
+    assert run_cli(["sequential", "--config", cfg]) == 3
+    assert capsys.readouterr() == (
+        "", "numerical error: cadence total or its bound is nan at energy "
+            "1e+300\n")
+    assert intervals == [0.3, 0.004]       # the bracket ends only
 
 
 def test_csv_output_that_overflows_is_a_numerical_error(tmp_path, capsys):
@@ -625,13 +655,13 @@ def test_moments_csv_variance_identity(tmp_path):
 
 def test_moments_makes_one_displacement_call(tmp_path, monkeypatch):
     calls = []
-    real = cli.displacement
+    real = cli.probe.displacement
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "displacement", counted)
+    monkeypatch.setattr(cli.probe, "displacement", counted)
     out = tmp_path / "moments.csv"
     cfg = SCENARIO_DIR / "moments_detuned_coherent.json"
     assert run_cli(["moments", "--config", cfg, "--out", out]) == 0

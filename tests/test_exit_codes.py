@@ -9,7 +9,7 @@ energies, probe states); couplings, frequencies and times stay moderate or
 tiny, so no window needs more quadrature panels than a small example
 affords.
 Every example is small: at most 8 modes, 512 grid steps, 9 report points
-and 100 cadence steps.
+and 1000 cadence steps.
 """
 
 import contextlib
@@ -42,10 +42,10 @@ POSITIVE = st.one_of(st.floats(1e-3, 10.0),
                      st.sampled_from([1e-300, 1e-30, 1e30, 1e300]))
 ENERGY = st.one_of(st.floats(0.5, 100.0), st.sampled_from([1e30, 1e300]))
 FRACTION = st.floats(0.0, 1.0)
-# Most steps of a cadence. A search may evaluate every tooth T / nu, about
-# MAX_STEPS^2 / 2 step windows in all, when its bound is nan (FOUND in
-# CHANGES.md), so the cap stays far below the engine's own.
-MAX_STEPS = 100
+# Most steps of a cadence. A search whose bound prunes nothing evaluates
+# every tooth T / nu, about MAX_STEPS^2 / 2 step windows in all, so the cap
+# stays far below the engine's own.
+MAX_STEPS = 1000
 
 
 def _usually(draw) -> bool:
