@@ -44,6 +44,8 @@ class DiscreteBath(Frozen):
             arrays[name] = _read_only(arr)
         if len({arr.size for arr in arrays.values()}) != 1:
             raise ValueError("coupling_sq, frequencies and occupations differ in length")
+        if (arrays["occupations"] > 1.34e154).any():   # n_B <= N + 1/2
+            raise ValueError("occupations above 1.34e154 overflow (N + 1/2)^2")
         if probe_frequency <= 0:
             raise ValueError("probe_frequency must be > 0")
         vars(self).update(arrays, probe_frequency=float(probe_frequency))

@@ -118,10 +118,7 @@ def _window_and_state(cfg: ScenarioConfig, resp):
     w = probe.window_terms(resp, window,
                            probe.displacement(resp, force, window))
     if energy is not None:
-        try:
-            init = metrology.best_state(energy, w)
-        except ValueError as exc:
-            raise ConfigError(f"probe.energy {energy!r}: {exc}") from exc
+        init = metrology.best_state(energy, w)
     return w, init
 
 
@@ -163,7 +160,8 @@ def run_estimate(cfg: ScenarioConfig, resp: ResponseFunction):
         init, w,
         f_true=float(cfg.options.get("force_amplitude", 0.0)),
         nu=int(cfg.options.get("nu", 100)), seed=seed,
-        replications=int(cfg.options.get("replications", 2000)))
+        replications=int(cfg.options.get("replications", 2000)),
+        energy=cfg.energy())
     return {
         "estimate": result.estimate,
         "empirical_mse": result.empirical_mse,

@@ -197,8 +197,7 @@ class ScenarioConfig(Frozen):
         if kind == "thermal":
             return probe_mod.GaussianProbeInit.thermal(init.get("nbar", 0.0))
         mean = complex(init.get("mean_re", 0.0), init.get("mean_im", 0.0))
-        return probe_mod.GaussianProbeInit(mean, np.asarray(init["cov"],
-                                                            dtype=float))
+        return probe_mod.GaussianProbeInit.from_covariance(mean, init["cov"])
 
     def energy(self) -> Optional[float]:
         val = self.raw["probe"].get("energy")
@@ -229,8 +228,10 @@ def validate(raw: Any) -> ScenarioConfig:
                           "the energy selects the best squeezed state")
     options = raw.get("options", {})
     energies = [probe.get("energy", 0.5), *options.get("energy_sweep", [])]
-    if not all(e >= 0.5 for e in energies):
-        raise ConfigError("probe.energy and options.energy_sweep values must be >= 1/2")
+    # keeps E^2 and script_e(E) finite; a sweep value, script_e itself, by 2x
+    if not all(0.5 <= e <= 1.34e154 for e in energies):
+        raise ConfigError("probe.energy and options.energy_sweep values must be "
+                          ">= 1/2 and below 1.34e154, where script_e overflows")
     for key in ("seed", "gamma", "n_thermal", "t_prime"):
         if options.get(key, 0) < 0:
             raise ConfigError(f"options.{key} must be >= 0")

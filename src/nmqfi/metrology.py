@@ -53,10 +53,8 @@ def best_state(energy: float, w: WindowTerms) -> GaussianProbeInit:
     phase(D) - phase(G), reduced mod pi; the minimum-variance quadrature,
     of variance 1/(4 script_e), is the P quadrature at that angle.
     """
-    axis = phase(w.disp) - phase(w.g)
-    return GaussianProbeInit.squeezed(
-        0.5 * np.log(2.0 * script_e(energy)),
-        0.5 * float(np.mod(2.0 * axis, 2.0 * np.pi)))
+    return GaussianProbeInit.squeezed(0.5 * np.log(2.0 * script_e(energy)),
+                                      phase(w.disp) - phase(w.g))
 
 
 def best_state_variance(energy: float, w: WindowTerms) -> float:
@@ -136,7 +134,8 @@ class EstimationResult(NamedTuple):
 
 def simulate_estimation(init: GaussianProbeInit, w: WindowTerms,
                         f_true: float, nu: int, seed: int,
-                        replications: int = 2000) -> EstimationResult:
+                        replications: int = 2000,
+                        energy: float | None = None) -> EstimationResult:
     """Simulate nu best-quadrature measurements and average the outcomes.
 
     The outcome of P(optimal angle) is Gaussian with mean linear in the
@@ -146,23 +145,27 @@ def simulate_estimation(init: GaussianProbeInit, w: WindowTerms,
     so each replication's sample mean is drawn directly: work and memory
     are O(replications), whatever nu. Streams come from a counter-based
     Philox generator keyed on `seed`, so replications are reproducible
-    and splittable.
+    and splittable. Given the energy of the best state init, the variance
+    is the qfi_best_state denominator. A bound 1 / (nu qfi) that is not
+    finite and positive raises EstimationError.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     slope = abs(w.disp)
-    if slope == 0.0:
-        raise EstimationError("zero displacement: the force leaves no signature")
     theta = optimal_angle(w)
     intercept = quadrature_mean(init, w, theta + 0.5 * np.pi, 0.0)
-    var = variance_p(init, w, theta)
-    qfi = slope ** 2 / var
+    var = variance_p(init, w, theta) if energy is None else best_state_variance(energy, w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        qfi = slope * slope / var
+        crb = 1.0 / (nu * qfi)
+    if not 0.0 < crb < np.inf:
+        raise EstimationError(f"Fisher information {float(qfi)!r} of {nu} "
+                              f"measurements has no finite positive bound")
     rng = np.random.Generator(np.random.Philox(seed))
     means = rng.normal(loc=intercept + slope * f_true,
                        scale=np.sqrt(var / nu), size=replications)
     estimates = (means - intercept) / slope
     mse = float(np.mean((estimates - f_true) ** 2))
-    crb = 1.0 / (nu * qfi)
     return EstimationResult(estimate=float(estimates[0]), empirical_mse=mse,
                             crb=crb, ratio_to_crb=mse / crb,
                             replications=replications, nu=nu)

@@ -13,13 +13,13 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ._quad import adaptive_simpson
-from .errors import ConsistencyError, Frozen, retired
+from .errors import Frozen, retired
 from .force import ForceModulation
 from .response import ResponseFunction
 
 Window = tuple[float, float]
 
-_MIN_DET = 0.25 * (1.0 - 1e-9)
+_EPS = np.finfo(float).eps
 
 # Batched windows are integrated this many at a time, which bounds the
 # quadrature's node arrays however many windows a call carries.
@@ -36,61 +36,81 @@ def _check_window(window: Window) -> tuple[float, float]:
 
 
 class GaussianProbeInit(Frozen):
-    """Initial Gaussian probe state: mean amplitude and 2x2 covariance.
+    """Initial Gaussian probe state in Williamson form.
 
-    The covariance is over (X, P) at theta = 0 and must satisfy the
-    uncertainty bound det >= 1/4, with equality exactly for pure states.
+    Mean amplitude, occupation nbar >= 0, squeeze r and axis: the covariance
+    over (X, P) at theta = 0 is (nbar + 1/2) R(axis) diag(e^{2r}, e^{-2r})
+    R(axis)^T, of det (nbar + 1/2)^2 (1/4 exactly for pure states) and
+    finite trace (2 nbar + 1) cosh 2r. A negative r is stored as -r about
+    the axis turned by pi/2, so X(axis), axis in [0, pi), has most variance.
     """
 
-    def __init__(self, mean_amplitude: complex, covariance: np.ndarray):
-        raw = np.array(covariance, dtype=float)
-        if raw.shape != (2, 2):
-            raise ValueError("covariance must be 2x2")
+    def __init__(self, mean_amplitude: complex, nbar: float = 0.0,
+                 r: float = 0.0, axis: float = 0.0):
+        if r < 0:
+            r, axis = -r, axis + 0.5 * np.pi
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            cov = 0.5 * (raw + raw.T)
-        if not np.all(np.isfinite(cov)):
-            raise ValueError("covariance entries must be finite")
-        if abs(raw[0, 1] - raw[1, 0]) > 1e-12 * (1.0 + abs(raw).max()):
-            raise ValueError("covariance must be symmetric")
-        cov.setflags(write=False)
-        vars(self).update(covariance=cov)
-        if self.det < _MIN_DET or cov[0, 0] <= 0 or cov[1, 1] <= 0:
-            raise ValueError("covariance violates the uncertainty bound det >= 1/4")
-        vars(self).update(mean_amplitude=complex(mean_amplitude))
+            vars(self).update(mean_amplitude=complex(mean_amplitude),
+                              nbar=float(nbar), r=float(r),
+                              axis=float(np.mod(axis, np.pi)))
+            finite = np.isfinite(self.trace + self.axis)
+        if not (nbar >= 0 and finite):
+            raise ValueError("a state needs nbar >= 0, a finite axis and a "
+                             "finite trace (2 nbar + 1) cosh 2r")
 
     @classmethod
     def vacuum(cls) -> "GaussianProbeInit":
-        return cls(0.0, 0.5 * np.eye(2))
+        return cls(0.0)
 
     @classmethod
     def coherent(cls, alpha: complex) -> "GaussianProbeInit":
-        return cls(alpha, 0.5 * np.eye(2))
+        return cls(alpha)
 
     @classmethod
     def thermal(cls, nbar: float) -> "GaussianProbeInit":
-        if nbar < 0:
-            raise ValueError("nbar must be >= 0")
-        return cls(0.0, (nbar + 0.5) * np.eye(2))
+        return cls(0.0, nbar)
 
     @classmethod
     def squeezed(cls, r: float, axis_angle: float = 0.0,
                  mean_amplitude: complex = 0.0) -> "GaussianProbeInit":
-        """Pure squeezed state with max-variance quadrature X(axis_angle).
+        """Pure state of variance e^{2r}/2 along X(axis_angle), e^{-2r}/2 across."""
+        return cls(mean_amplitude, 0.0, r, axis_angle)
 
-        Variances along/against the axis are e^{2r}/2 and e^{-2r}/2.
+    @classmethod
+    def from_covariance(cls, mean_amplitude: complex,
+                        covariance) -> "GaussianProbeInit":
+        """The state of a symmetric 2x2 covariance over (X, P).
+
+        The engine's one eigen-decomposition: the larger eigenvalue
+        top = tr/2 + hypot((c00 - c11)/2, c01) lies along the axis
+        atan2(2 c01, c00 - c11)/2, nbar + 1/2 = sqrt(det) and
+        e^{2r} = top / (nbar + 1/2). det = c00 (c11 - c01^2 / c00), which
+        cannot overflow, must reach 1/4 (1 - 1e-9) less its rounding
+        8 eps (c00 c11 + c01^2); a det below 1/4 reads as 1/4.
         """
-        c, s = np.cos(axis_angle), np.sin(axis_angle)
-        rot = np.array([[c, -s], [s, c]])
-        # a squeeze too large for floats leaves entries the constructor rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            big, small = 0.5 * np.exp(2.0 * r), 0.5 * np.exp(-2.0 * r)
-            cov = rot @ np.diag([big, small]) @ rot.T
-        return cls(mean_amplitude, cov)
+        raw = np.array(covariance, dtype=float)
+        if raw.shape != (2, 2) or not (np.isfinite(raw).all() and abs(
+                raw[0, 1] - raw[1, 0]) <= 1e-12 * (1.0 + abs(raw).max())):
+            raise ValueError("covariance must be a finite symmetric 2x2 matrix")
+        (c00, c01), (_, c11) = 0.5 * raw + 0.5 * raw.T
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lean = c01 * (c01 / c00)                   # c01^2 / c00
+            floor = lean * (1 - 8 * _EPS) + 0.25 * (1.0 - 1e-9) / c00
+        if not (c00 > 0 and c11 * (1 + 8 * _EPS) >= floor):
+            raise ValueError("covariance violates the uncertainty bound det >= 1/4")
+        half_diff = 0.5 * (c00 - c11)
+        top = 0.5 * c00 + 0.5 * c11 + np.hypot(half_diff, c01)
+        nu = max(0.5, np.sqrt(c00) * np.sqrt(max(c11 - lean, 0.0)))
+        return cls(mean_amplitude, nu - 0.5, max(0.5 * np.log(top / nu), 0.0),
+                   0.5 * np.arctan2(c01, half_diff))
 
     def variance(self, theta) -> Union[float, np.ndarray]:
-        """Initial variance of X(theta), elementwise over an array theta."""
-        v = np.stack((np.cos(theta), np.sin(theta)), axis=-1)
-        var = (v[..., None, :] @ self.covariance @ v[..., :, None])[..., 0, 0]
+        """Initial variance of X(theta), elementwise over an array theta:
+        (nbar + 1/2)(e^{2r} cos^2(theta - axis) + e^{-2r} sin^2(theta - axis)),
+        two non-negative terms, so no squeeze makes it cancel."""
+        phi = np.asarray(theta, dtype=float) - self.axis
+        var = (self.nbar + 0.5) * (np.exp(2.0 * self.r) * np.cos(phi) ** 2
+                                   + np.exp(-2.0 * self.r) * np.sin(phi) ** 2)
         return var if var.ndim else float(var)
 
     def mean_x(self, theta) -> Union[float, np.ndarray]:
@@ -99,29 +119,24 @@ class GaussianProbeInit(Frozen):
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.covariance))
+        """(2 nbar + 1) cosh 2r: the sum of the two principal variances."""
+        return float((self.nbar + 0.5) * (np.exp(2 * self.r) + np.exp(-2 * self.r)))
 
     @property
-    @np.errstate(over="ignore")   # a finite state's det may be inf
     def det(self) -> float:
-        return float(np.linalg.det(self.covariance))
+        return (self.nbar + 0.5) * (self.nbar + 0.5)   # inf past 1.3e154
 
     @property
     def is_isotropic(self) -> bool:
-        c = self.covariance
-        tol = 1e-9 * self.trace
-        return abs(c[0, 0] - c[1, 1]) <= tol and abs(c[0, 1]) <= tol
+        """Both (2 nbar + 1) sinh 2r cos 2axis = c00 - c11 and
+        (nbar + 1/2) sinh 2r sin 2axis = c01 within 1e-9 of the trace."""
+        spread = np.tanh(2.0 * self.r)
+        return bool(spread * abs(np.cos(2.0 * self.axis)) <= 1e-9
+                    and spread * abs(np.sin(2.0 * self.axis)) <= 2e-9)
 
     def max_variance_angle(self) -> float:
-        """Angle in [0, pi) of the maximum-variance quadrature.
-
-        For an isotropic covariance every angle is extremal; returns 0.
-        """
-        if self.is_isotropic:
-            return 0.0
-        c = self.covariance
-        ang = 0.5 * np.arctan2(2.0 * c[0, 1], c[0, 0] - c[1, 1])
-        return float(np.mod(ang, np.pi))
+        """The axis; for an isotropic covariance every angle is extremal."""
+        return self.axis
 
 
 def phase(z) -> Union[float, np.ndarray]:
@@ -255,36 +270,16 @@ def variance_p(init: GaussianProbeInit, w: WindowTerms, theta: float) -> float:
     return quadrature_variance(init, w, theta + 0.5 * np.pi)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")   # overflow is reported inf
 def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
                         theta: float) -> CovarianceSnapshot:
-    """Full second-moment snapshot in the theta frame, per window.
-
-    The cross term comes from the variance at theta + pi/4; the covariance
-    determinant is computed both from the 2x2 matrix and from the closed
-    combination |G|^4 det0 + |G|^2 tr0 n_B + n_B^2, which must agree to
-    1e-8 relative in every window; a state whose moments overflow fails
-    the check, which names the first failing row of an array record.
-    """
+    """Variances of X(theta) and P(theta) and the covariance determinant
+    |G|^4 det0 + |G|^2 tr0 n_B + n_B^2, per window; a state whose moments
+    overflow reports them as inf."""
     g2, n_b = abs(w.g) ** 2, w.n_b
-    rot = theta + w.omega0 * w.tau - np.angle(w.g)
-    var_t = g2 * init.variance(rot) + n_b
-    var_p = g2 * init.variance(rot + 0.5 * np.pi) + n_b
-    var_d = g2 * init.variance(rot + 0.25 * np.pi) + n_b
-    cross = var_d - 0.5 * (var_t + var_p)
-    det_matrix = var_t * var_p - cross * cross
-    det_closed = (g2 * g2 * init.det + g2 * init.trace * n_b + n_b * n_b)
-    bad = ~(abs(det_matrix - det_closed)
-            <= 1e-8 * np.maximum(abs(det_closed), 0.25))
-    if np.any(bad):
-        i = np.argmax(bad)
-        row = f" at row {i + 1}" if np.ndim(bad) else ""
-        raise ConsistencyError(
-            f"determinant routes disagree{row}: "
-            f"{float(np.ravel(det_matrix)[i])!r} vs "
-            f"{float(np.ravel(det_closed)[i])!r}")
-    return CovarianceSnapshot(*(v if np.ndim(v) else float(v)
-                                for v in (var_t, var_p, det_closed)))
+    det = g2 * g2 * init.det + g2 * init.trace * n_b + n_b * n_b
+    return CovarianceSnapshot(*(v if np.ndim(v) else float(v) for v in (
+        quadrature_variance(init, w, theta), variance_p(init, w, theta), det)))
 
 
 def rotated_max_variance_angle(theta_m0: float, w: WindowTerms) -> float:

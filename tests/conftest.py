@@ -187,6 +187,15 @@ def quadrature_drift_propagator(bath: DiscreteBath, t: float) -> np.ndarray:
     return expm(omega @ m * t)
 
 
+def covariance_matrix(init) -> np.ndarray:
+    """The probe state's 2x2 covariance over (X, P) at theta = 0, built as
+    (nbar + 1/2) R(axis) diag(e^{2r}, e^{-2r}) R(axis)^T."""
+    c, s = np.cos(init.axis), np.sin(init.axis)
+    rot = np.array([[c, -s], [s, c]])
+    diag = np.diag([np.exp(2.0 * init.r), np.exp(-2.0 * init.r)])
+    return (init.nbar + 0.5) * rot @ diag @ rot.T
+
+
 def initial_joint_covariance(bath: DiscreteBath, probe_cov: np.ndarray) -> np.ndarray:
     """Block covariance of the uncorrelated probe (x) thermal-bath state."""
     n = bath.n_modes

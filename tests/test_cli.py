@@ -314,8 +314,18 @@ OUT_OF_RANGE = {
                                   _SQUEEZED_OVERFLOW),
     "thermal_overflow": ("qfi_noiseless_pi", "qfi",
                          _set("probe", init={"kind": "thermal", "nbar": 1e308})),
-    "energy_1e100": ("qfi_best_state_resonant", "qfi", _set("probe", energy=1e100)),
+    # energies whose script_e overflows, on every subcommand that reads one
     "energy_1e200": ("qfi_best_state_resonant", "qfi", _set("probe", energy=1e200)),
+    "energy_1e200_sequential": ("sequential_nonmarkov", "sequential",
+                                _set("probe", energy=1e200)),
+    "energy_sweep_1e200": ("sweep_scaling", "sweep",
+                           _set("options", energy_sweep=[100.0, 1e200])),
+    # a bath occupation N = 6e300 whose (N + 1/2)^2 overflows (its noise
+    # weight script_n = 6e298 is finite)
+    "occupation_overflow": ("qfi_ohmic_thermal", "qfi",
+                            lambda raw: raw["bath"]["continuum"].update(
+                                occupation={"model": "thermal",
+                                            "temperature": 1e300})),
     # cadences past 10^6 steps, on every path that builds one
     "steps_sequential_json": ("sequential_nonmarkov", "sequential",
                               _set("sequential", tau_bounds=_PAST_STEP_CAP)),
@@ -351,6 +361,79 @@ def test_out_of_range_input_is_a_config_error(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:")
     assert len(err.splitlines()) == 1
+
+
+def _run_json(tmp_path, capsys, base, sub, edit):
+    """The parsed stdout of a run of base edited by edit, which exits 0."""
+    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
+    edit(raw)
+    cfg = tmp_path / "edited.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli([sub, "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return json.loads(out)
+
+
+def test_energy_1e100_reaches_the_best_state_closed_form(tmp_path, capsys):
+    # value = |D|^2 / (|G|^2 / (4 script_e) + n_B), script_e = 2e100
+    from nmqfi.config import load_config
+    from nmqfi.probe import displacement, window_terms
+    from nmqfi.response import solve_response
+
+    got = _run_json(tmp_path, capsys, "qfi_best_state_resonant", "qfi",
+                    _set("probe", energy=1e100))
+    cfg = load_config(SCENARIO_DIR / "qfi_best_state_resonant.json")
+    bath = cfg.bath()
+    resp = solve_response(bath, cfg.grid(bath))
+    w = window_terms(resp, cfg.window())
+    d = displacement(resp, cfg.force(), cfg.window())
+    want = abs(d) ** 2 / (abs(w.g) ** 2 / (4.0 * 2e100) + w.n_b)
+    assert got["value"] == pytest.approx(want, rel=1e-12)
+
+
+def _empty_bath(raw):
+    raw["bath"] = {"modes": []}
+
+
+def _energy_probe(raw):
+    raw["probe"] = {"omega0": raw["probe"]["omega0"], "energy": 0.5}
+
+
+BEST_STATE_SCENARIOS = {
+    "resonant": ("qfi_best_state_resonant", _energy_probe),
+    "ohmic_thermal": ("qfi_ohmic_thermal", _energy_probe),
+    "empty_bath": ("qfi_best_state_resonant",
+                   lambda raw: (_energy_probe(raw), _empty_bath(raw))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEST_STATE_SCENARIOS))
+def test_best_state_runs_at_every_energy(case, tmp_path, capsys):
+    # qfi and estimate exit 0 from the vacuum energy to 1e30, and the
+    # Cramer-Rao bound of estimate is 1 / (nu QFI) of qfi
+    base, edit = BEST_STATE_SCENARIOS[case]
+    for energy in (0.5, 1e4, 1e5, 1e6, 1e10, 1e14, 1e30):
+        def at_energy(raw):
+            edit(raw)
+            raw["probe"]["energy"] = energy
+
+        qfi = _run_json(tmp_path, capsys, base, "qfi", at_energy)
+        est = _run_json(tmp_path, capsys, base, "estimate", at_energy)
+        assert est["crb"] == pytest.approx(1.0 / (est["nu"] * qfi["value"]),
+                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [6.0, 8.0])
+@pytest.mark.parametrize("sub", ["moments", "qfi"])
+def test_strongly_squeezed_init_runs(sub, r, tmp_path, capsys):
+    raw = json.loads((SCENARIO_DIR / "moments_detuned_coherent.json")
+                     .read_text())
+    raw["probe"]["init"] = {"kind": "squeezed", "r": r, "axis_angle": 0.3}
+    cfg = tmp_path / "squeezed.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli([sub, "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_overflowing_number_is_a_config_error(tmp_path, capsys):
@@ -393,13 +476,6 @@ def test_near_zero_temperature_is_the_zero_temperature_limit(tmp_path, capsys):
     assert capsys.readouterr() == (zero, "")
 
 
-def test_determinant_check_reports_plain_numbers(tmp_path, capsys):
-    assert _thermal_qfi_run(tmp_path, {"model": "thermal",
-                                       "temperature": 1e300}) == 3
-    assert capsys.readouterr() == (
-        "", "numerical error: determinant routes disagree: inf vs inf\n")
-
-
 def _flat_continuum(raw):
     # the noise weight N is about 1e-299 > 0, and N ** 1.5 underflows to 0
     raw["bath"] = {"continuum": {
@@ -407,9 +483,16 @@ def _flat_continuum(raw):
         "occupation": {"model": "constant", "value": 2.4}}}
 
 
-# Python float arithmetic that fails inside the engine: (base scenario,
+# Float arithmetic that fails inside the engine: (base scenario,
 # subcommand, edit of the parsed file, the quantity the message names).
 ARITHMETIC_FAILURES = {
+    # the pulse is 28 widths past the window: |D|^2 underflows to 0
+    "fisher_information_underflows_estimate": (
+        "estimate_cramer_rao", "estimate",
+        lambda raw: raw.update(force={"kind": "gaussian_pulse", "center": 4,
+                                      "width": 0.125},
+                               window={"t0": 0, "t": 0.5}),
+        "Fisher information"),
     "constant_force_squared_overflows": (
         "sequential_nonmarkov", "sequential", _set("force", value=1e200),
         "force amplitude"),
@@ -442,18 +525,16 @@ def test_arithmetic_failure_is_a_numerical_error(case, tmp_path, capsys):
     assert quantity in err
 
 
-def test_nan_cadence_bound_stops_before_the_teeth(tmp_path, capsys,
-                                                  monkeypatch):
+def test_nan_cadence_bound_stops_before_the_teeth(monkeypatch):
     # an empty bath and an overflowing energy make the best-state variance
-    # 0, and a zero force makes every total and bound 0 / 0
+    # 0, and a zero force makes every total and bound 0 / 0; a scenario
+    # file cannot give that energy (it exits 2), so optimize_tau is called
     from nmqfi import sequential
+    from nmqfi.bath import DiscreteBath
+    from nmqfi.force import constant
+    from nmqfi.response import TimeGrid, solve_response
 
-    raw = json.loads((SCENARIO_DIR / "sequential_nonmarkov.json").read_text())
-    raw["bath"] = {"modes": []}
-    raw["probe"]["energy"] = 1e300
-    raw["force"]["value"] = 0
-    cfg = tmp_path / "nan.json"
-    cfg.write_text(json.dumps(raw))
+    resp = solve_response(DiscreteBath([], [], [], 1.0), TimeGrid(0.4, 8192))
     intervals = []
     real = sequential.interval_terms
 
@@ -462,10 +543,10 @@ def test_nan_cadence_bound_stops_before_the_teeth(tmp_path, capsys,
         return real(scheme, *args)
 
     monkeypatch.setattr(sequential, "interval_terms", counted)
-    assert run_cli(["sequential", "--config", cfg]) == 3
-    assert capsys.readouterr() == (
-        "", "numerical error: cadence total or its bound is nan at energy "
-            "1e+300\n")
+    with pytest.raises(NmqfiError, match=r"^cadence total or its bound is "
+                                         r"nan at energy 1e\+300$"):
+        sequential.optimize_tau(1.0, 1e300, resp, constant(0.0, (0.0, 100.0)),
+                                (0.004, 0.3))
     assert intervals == [0.3, 0.004]       # the bracket ends only
 
 

@@ -107,7 +107,7 @@ class TestSymplecticOracle:
     def test_two_time_correlation_from_first_principles(self):
         # exact two-time symmetrized moments of the collective coupling,
         # from the symplectic propagator of the full probe + bath system
-        from conftest import (initial_joint_covariance,
+        from conftest import (covariance_matrix, initial_joint_covariance,
                               quadrature_drift_propagator)
         from nmqfi.probe import GaussianProbeInit
 
@@ -116,7 +116,7 @@ class TestSymplecticOracle:
         resp = solve_response(bath, TimeGrid(4.0, 4096))
         init = GaussianProbeInit.squeezed(0.5, axis_angle=0.4,
                                           mean_amplitude=0.6 - 0.2j)
-        sigma0 = initial_joint_covariance(bath, init.covariance)
+        sigma0 = initial_joint_covariance(bath, covariance_matrix(init))
         k = np.sqrt(bath.coupling_sq)
         dim = 2 * (bath.n_modes + 1)
         wx = np.zeros(dim)

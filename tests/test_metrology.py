@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (forced_window, is_pure, markov_qfi, mean_energy,
-                      per_outcome_estimation_mse, short_time_qfi)
+from conftest import (covariance_matrix, forced_window, is_pure, markov_qfi,
+                      mean_energy, per_outcome_estimation_mse, short_time_qfi)
 from nmqfi import force as fc
 from nmqfi.bath import DiscreteBath
 from nmqfi.errors import AlignmentError, EstimationError
@@ -97,7 +97,7 @@ def assert_squeezed(init, w, se):
     """Eigenvalues e^{+-2r}/2 with r = ln(2 se)/2, and the minimum variance
     1/(4 se) along P(phase(D) - phase(G))."""
     r = 0.5 * np.log(2.0 * se)
-    np.testing.assert_allclose(np.linalg.eigvalsh(init.covariance),
+    np.testing.assert_allclose(np.linalg.eigvalsh(covariance_matrix(init)),
                                [0.5 * np.exp(-2.0 * r), 0.5 * np.exp(2.0 * r)],
                                rtol=1e-12)
     axis = phase(w.disp) - phase(w.g)
@@ -111,7 +111,7 @@ class TestBestState:
         w = forced_window(resp, ZETA, PI_WINDOW)
         init = best_state(0.5, w)
         assert_squeezed(init, w, 0.5)
-        np.testing.assert_allclose(np.linalg.eigvalsh(init.covariance),
+        np.testing.assert_allclose(np.linalg.eigvalsh(covariance_matrix(init)),
                                    [0.5, 0.5], rtol=1e-15)
 
     def test_energy_one(self, noiseless):

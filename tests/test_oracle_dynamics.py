@@ -13,8 +13,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from conftest import (amplitude_drift, forced_window, initial_joint_covariance,
-                      quadrature_drift_propagator)
+from conftest import (amplitude_drift, covariance_matrix, forced_window,
+                      initial_joint_covariance, quadrature_drift_propagator)
 from nmqfi import force as fc
 from nmqfi.bath import DiscreteBath
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
@@ -63,7 +63,7 @@ def _evolve_means(bath, alpha0: complex, amplitude: float,
 
 def _evolved_covariance(bath, init: GaussianProbeInit,
                         t_final: float) -> np.ndarray:
-    sigma = initial_joint_covariance(bath, init.covariance)
+    sigma = initial_joint_covariance(bath, covariance_matrix(init))
     prop = quadrature_drift_propagator(bath, t_final)
     return prop @ sigma @ prop.T
 

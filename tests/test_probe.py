@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (exact_single_mode_g, forced_window, is_pure, markov_qfi,
-                      mean_energy, noiseless_table_displacement)
+from conftest import (covariance_matrix, exact_single_mode_g, forced_window,
+                      is_pure, markov_qfi, mean_energy,
+                      noiseless_table_displacement)
 from nmqfi import force as fc
 from nmqfi.bath import ContinuousSpectrum, DiscreteBath, discretize
-from nmqfi.errors import ConsistencyError, CoverageError
+from nmqfi.errors import CoverageError
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
                          noise_term, phase, quadrature_mean,
                          quadrature_variance, rotated_max_variance_angle,
@@ -51,11 +52,47 @@ class TestInit:
 
     def test_uncertainty_bound_enforced(self):
         with pytest.raises(ValueError):
-            GaussianProbeInit(0.0, np.diag([0.3, 0.3]))
+            GaussianProbeInit.from_covariance(0.0, np.diag([0.3, 0.3]))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            GaussianProbeInit(0.0, np.array([[0.5, 0.2], [0.1, 0.5]]))
+            GaussianProbeInit.from_covariance(
+                0.0, np.array([[0.5, 0.2], [0.1, 0.5]]))
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.4, 9.0])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 4.0, 12.0])
+    def test_covariance_round_trip(self, nbar, r):
+        # the matrix of a state converts back to the same matrix; its
+        # nbar, r and axis come back where the matrix's rounding allows
+        for axis in np.linspace(0.05, 3.1, 7):
+            state = GaussianProbeInit(0.3j, nbar, r, axis)
+            matrix = covariance_matrix(state)
+            back = GaussianProbeInit.from_covariance(0.3j, matrix)
+            assert back.mean_amplitude == 0.3j
+            assert np.abs(covariance_matrix(back) - matrix).max() \
+                <= 1e-14 * np.abs(matrix).max()
+            if r <= 0.3:
+                assert back.nbar == pytest.approx(nbar, abs=1e-13)
+                assert back.r == pytest.approx(r, abs=1e-13)
+            if r > 0:
+                assert back.axis == pytest.approx(axis, abs=1e-12)
+
+    def test_covariance_bound_at_the_floor(self):
+        # det = 1/4 (1 - 1e-9) passes and reads as pure; far below fails
+        floor = GaussianProbeInit.from_covariance(
+            0.0, np.sqrt(0.25 * (1.0 - 1e-9)) * np.eye(2))
+        assert floor.det == 0.25 and floor.is_isotropic
+        with pytest.raises(ValueError):
+            GaussianProbeInit.from_covariance(0.0, 0.4999 * np.eye(2))
+
+    def test_covariance_of_large_entries(self):
+        # a det past the float range: an isotropic matrix is a thermal state
+        # whose det reads inf, an indefinite one is rejected
+        hot = GaussianProbeInit.from_covariance(0.0, 1e200 * np.eye(2))
+        assert hot.nbar == pytest.approx(1e200) and hot.det == np.inf
+        with pytest.raises(ValueError):
+            GaussianProbeInit.from_covariance(
+                0.0, np.array([[1e200, 2e200], [2e200, 1e200]]))
 
 
 class TestDisplacement:
@@ -307,16 +344,6 @@ class TestArrayWindows:
                          *covariance_snapshot(init, one, 0.4)))
         want = np.array(want)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0))
-
-    def test_determinant_check_names_the_first_failing_row(self,
-                                                           ohmic_response):
-        w = window_terms(ohmic_response, (0.0, np.linspace(0.0, 2.0, 5)))
-        n_b = w.n_b.copy()
-        n_b[[2, 4]] = np.inf
-        with pytest.raises(ConsistencyError, match=r"^determinant routes "
-                           r"disagree at row 3: nan vs inf$"):
-            covariance_snapshot(GaussianProbeInit.vacuum(),
-                                w._replace(n_b=n_b), 0.0)
 
 
 class TestMaxVarianceAngle:

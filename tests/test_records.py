@@ -55,8 +55,8 @@ RECORDS = {
                            (_SUPPORT,)),
     "TabulatedForce": (["support", ("times", ()), ("values", ())],
                        (_SUPPORT, (0.0, 1.0), (0.0, 2.0))),
-    "GaussianProbeInit": (["mean_amplitude", "covariance"],
-                          (0.5, 0.5 * np.eye(2))),
+    "GaussianProbeInit": (["mean_amplitude", ("nbar", 0.0), ("r", 0.0),
+                           ("axis", 0.0)], (0.5, 0.2, 0.7, 1.1)),
     "TimeGrid": (["t_end", "n_steps"], (1.0, 8)),
     "ResponseFunction": (["grid", "g_samples", "g_dot_samples", "bath"],
                          (nmqfi.TimeGrid(1.0, 2), np.ones(3, complex),
@@ -98,8 +98,7 @@ def test_fields_cannot_be_assigned_or_deleted(name):
         record.extra = 1.0
 
 
-@pytest.mark.parametrize("name", ["DiscreteBath", "GaussianProbeInit",
-                                  "ResponseFunction"])
+@pytest.mark.parametrize("name", ["DiscreteBath", "ResponseFunction"])
 def test_held_arrays_are_read_only(name):
     record = _record(name)(*RECORDS[name][1])
     arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
