@@ -43,8 +43,8 @@ _EXPORTS = {
                   "simulate_estimation"),
     "probe": ("CovarianceSnapshot", "GaussianProbeInit", "WindowTerms",
               "covariance_snapshot", "displacement", "noise_term",
-              "quadrature_mean", "quadrature_variance",
-              "rotated_max_variance_angle", "variance_p", "window_terms"),
+              "quadrature_mean", "quadrature_variance", "variance_p",
+              "window_terms"),
     "response": ("ResponseFunction", "TimeGrid", "default_grid",
                  "markov_closed_form", "markov_decay_rate", "solve_response"),
     "sequential": ("ForceWindowIntegrals", "MarkovSeqResult", "SeqResult",

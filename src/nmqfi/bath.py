@@ -112,8 +112,10 @@ class OccupationModel(Frozen):
             return np.zeros_like(omega)
         if self.kind == "constant":
             return np.full_like(omega, self.value)
-        # a temperature far below omega overflows to the exact limit 1/inf = 0
-        with np.errstate(over="ignore"):
+        # a temperature far below omega overflows to the exact limit 1/inf = 0;
+        # one so far above omega that omega/T underflows gives inf, which
+        # the bath refuses as an overflowing occupation
+        with np.errstate(over="ignore", divide="ignore"):
             return 1.0 / np.expm1(omega / self.temperature)
 
 

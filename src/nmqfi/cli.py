@@ -23,7 +23,7 @@ from . import bath as bath_mod
 from . import config, metrology, probe, sequential
 from . import correlation as corr_mod
 from . import response as response_mod
-from .errors import AlignmentError, ConfigError, NmqfiError
+from .errors import ConfigError, NmqfiError
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -109,29 +109,22 @@ def run_moments(cfg: ScenarioConfig, resp: ResponseFunction):
                              snap.det_sigma, w.n_b)))
 
 
-def _window_and_state(cfg: ScenarioConfig, resp):
-    """The window's terms, from one displacement call, and the probe state."""
+def _window_qfi(cfg: ScenarioConfig, resp):
+    """The window's terms, from one displacement call, the probe state (the
+    best state of probe.energy, if given) and its QFI."""
     force = cfg.force()
     window = cfg.window()
     energy = cfg.energy()
     init = cfg.init_state() if energy is None else None
     w = probe.window_terms(resp, window,
                            probe.displacement(resp, force, window))
-    if energy is not None:
-        init = metrology.best_state(energy, w)
-    return w, init
+    if energy is None:
+        return w, init, metrology.qfi_general(init, w)
+    return w, metrology.best_state(energy, w), metrology.qfi_best_state(energy, w)
 
 
 def run_qfi(cfg: ScenarioConfig, resp: ResponseFunction):
-    w, init = _window_and_state(cfg, resp)
-    energy = cfg.energy()
-    if energy is not None:
-        result = metrology.qfi_best_state(energy, w)
-    else:
-        try:
-            result = metrology.qfi_aligned(init, w)
-        except AlignmentError:
-            result = metrology.qfi_general(init, w)
+    w, init, result = _window_qfi(cfg, resp)
     snap = probe.covariance_snapshot(init, w, 0.0)
     m = bath_mod.moments(resp.bath)
     payload = {
@@ -148,20 +141,19 @@ def run_qfi(cfg: ScenarioConfig, resp: ResponseFunction):
             "chi_q": list(m.chi_q),
         },
     }
+    energy = cfg.energy()
     if energy is not None:
         payload["script_e"] = metrology.script_e(energy)
     return payload
 
 
 def run_estimate(cfg: ScenarioConfig, resp: ResponseFunction):
-    w, init = _window_and_state(cfg, resp)
     seed = int(cfg.options.get("seed", 0))
     result = metrology.simulate_estimation(
-        init, w,
+        _window_qfi(cfg, resp)[2].value,
         f_true=float(cfg.options.get("force_amplitude", 0.0)),
         nu=int(cfg.options.get("nu", 100)), seed=seed,
-        replications=int(cfg.options.get("replications", 2000)),
-        energy=cfg.energy())
+        replications=int(cfg.options.get("replications", 2000)))
     return {
         "estimate": result.estimate,
         "empirical_mse": result.empirical_mse,

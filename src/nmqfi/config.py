@@ -69,6 +69,47 @@ KEYS = _Block(
                    gamma=NUM, n_thermal=NUM, report_points=_Int(2), t_prime=NUM))
 
 
+# The keys each kind of a block takes beside its selector, which ends the
+# path: (required, optional). A key that only another kind of the block
+# takes is refused; a key no kind lists (a force's support) is common.
+_KIND_KEYS = {
+    ("probe", "init", "kind"): {
+        "vacuum": ((), ()), "coherent": ((), ("alpha_re", "alpha_im")),
+        "squeezed": ((), ("r", "axis_angle")), "thermal": ((), ("nbar",)),
+        "matrix": (("cov",), ("mean_re", "mean_im"))},
+    ("force", "kind"): {
+        "constant": ((), ("value",)),
+        "sinusoid": ((), ("amplitude", "frequency", "phase")),
+        "gaussian_pulse": (("center", "width"), ()),
+        "table": (("times", "values"), ())},
+    ("bath", "continuum", "family"): {"flat": ((), ()), "ohmic": ((), ("s",))},
+    ("bath", "continuum", "occupation", "model"): {
+        "zero": ((), ()), "thermal": (("temperature",), ()),
+        "constant": ((), ("value",))},
+}
+
+
+def _check_kinds(raw: dict) -> None:
+    """Raise ConfigError where a kind lacks a required key or holds a key
+    of another kind of its block; raw has passed the key table."""
+    for (*path, selector), kinds in _KIND_KEYS.items():
+        block = raw
+        for key in path:
+            block = block.get(key, {})
+        if selector not in block:
+            continue
+        kind = block[selector]
+        required, optional = kinds[kind]
+        where = f"config invalid at {'/'.join(path)}: {selector} {kind!r}"
+        for key in required:
+            if key not in block:
+                raise ConfigError(f"{where} needs key '{key}'")
+        for key in block:
+            if key not in required and key not in optional and any(
+                    key in spec[0] + spec[1] for spec in kinds.values()):
+                raise ConfigError(f"{where} takes no key '{key}'")
+
+
 def _check(value: Any, rule: Any, path: str = "") -> None:
     """Raise ConfigError naming the first place where value breaks rule."""
     def fail(problem: str):
@@ -164,17 +205,18 @@ class ScenarioConfig(Frozen):
     @_builder
     def force(self) -> ForceModulation:
         block = self.block("force")
-        support = tuple(block.get("support", (0.0, float("inf"))))
         kind = block["kind"]
+        if kind == "table":
+            return force_mod.TabulatedForce.from_samples(
+                block["times"], block["values"], block.get("support"))
+        support = tuple(block.get("support", (0.0, float("inf"))))
         if kind == "constant":
             return force_mod.constant(block.get("value", 1.0), support)
         if kind == "sinusoid":
             return force_mod.sinusoid(block.get("amplitude", 1.0),
                                       block.get("frequency", 1.0),
                                       block.get("phase", 0.0), support)
-        if kind == "gaussian_pulse":
-            return force_mod.gaussian_pulse(block["center"], block["width"], support)
-        return force_mod.TabulatedForce.from_samples(block["times"], block["values"])
+        return force_mod.gaussian_pulse(block["center"], block["width"], support)
 
     @_builder
     def init_state(self) -> GaussianProbeInit:
@@ -220,8 +262,10 @@ class ScenarioConfig(Frozen):
 
 
 def validate(raw: Any) -> ScenarioConfig:
-    """Check raw against KEYS and the cross-key ranges; wrap it as a scenario."""
+    """Check raw against KEYS, each kind's own keys and the cross-key
+    ranges; wrap it as a scenario."""
     _check(raw, KEYS)
+    _check_kinds(raw)
     probe = raw.get("probe", {})
     if "energy" in probe and "init" in probe:
         raise ConfigError("probe.energy and probe.init are mutually exclusive: "

@@ -61,7 +61,7 @@ class ForceModulation(Frozen):
         """(int zeta^2, int zeta'^2) over the window [t0, t1], exactly.
 
         One closed form per smooth piece of the window, summed; an empty
-        window gives zeros. A square too large for a float raises
+        window gives zeros. An integral too large for a float raises
         OverflowError naming the force amplitude.
         """
         z2 = dz2 = 0.0
@@ -69,11 +69,14 @@ class ForceModulation(Frozen):
             if hi > lo:
                 try:
                     a, b = self._squares(float(lo), float(hi))
+                    z2, dz2 = z2 + a, dz2 + b
+                    if not math.isfinite(z2 + dz2):
+                        raise OverflowError("inf")
                 except OverflowError as exc:
                     raise OverflowError(
-                        f"force amplitude too large: its square overflows "
-                        f"on [{float(lo)!r}, {float(hi)!r}]") from exc
-                z2, dz2 = z2 + a, dz2 + b
+                        f"force amplitude too large: the integral of zeta^2 "
+                        f"or zeta'^2 overflows on [{float(lo)!r}, "
+                        f"{float(hi)!r}]") from exc
         return z2, dz2
 
 
@@ -123,8 +126,10 @@ class GaussianPulseForce(ForceModulation):
         vars(self).update(center=center, width=width)
 
     def _value_inside(self, t):
-        x = (t - self.center) / self.width
-        return np.exp(-0.5 * x * x)
+        # a node past 1e154 widths from the center squares to inf: exp gives 0
+        with np.errstate(over="ignore"):
+            x = (t - self.center) / self.width
+            return np.exp(-0.5 * x * x)
 
     def _squares(self, lo, hi):
         # with x = (t - center) / width: int e^{-x^2} dx is the erf mass
@@ -164,12 +169,18 @@ class TabulatedForce(ForceModulation):
             raise ValueError("table needs matching times/values with >= 2 samples")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("table times must be strictly increasing")
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            slopes = np.diff(values) / np.diff(times)
+        if not np.isfinite(slopes).all():
+            raise ValueError("a table slope between samples overflows")
         vars(self).update(times=times, values=values)
 
     @classmethod
-    def from_samples(cls, times, values) -> "TabulatedForce":
+    def from_samples(cls, times, values, support=None) -> "TabulatedForce":
+        """The table through the samples, by default supported on their range."""
         times = tuple(float(t) for t in times)
-        return cls(support=(times[0], times[-1]), times=times, values=values)
+        return cls(support=support or (times[0], times[-1]), times=times,
+                   values=values)
 
     def _knots(self):
         lo, hi = self.support

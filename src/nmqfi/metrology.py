@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import AlignmentError, EstimationError
 from .probe import (GaussianProbeInit, WindowTerms, covariance_snapshot, phase,
-                    quadrature_mean, rotated_max_variance_angle, variance_p)
+                    variance_p)
 
 _ALIGNMENT_TOL = 1e-6
 
@@ -38,7 +38,7 @@ class QfiResult(NamedTuple):
     value: float
     numerator_abs_d_sq: float
     denominator_variance_or_det: float
-    form: str    # "general" | "aligned" | "best_state" | "markov"
+    form: str    # "general" | "aligned" | "best_state"
 
 
 def optimal_angle(w: WindowTerms) -> float:
@@ -66,38 +66,40 @@ def best_state_variance(energy: float, w: WindowTerms) -> float:
     return abs(w.g) ** 2 * 0.25 / script_e(energy) + w.n_b
 
 
+@np.errstate(over="ignore")    # overflow is reported inf
 def _qfi(w: WindowTerms, variance: float, form: str) -> QfiResult:
     """|D|^2 over the variance of the measured quadrature."""
-    return QfiResult(value=float(abs(w.disp) ** 2 / variance),
-                     numerator_abs_d_sq=abs(w.disp) ** 2,
+    d_sq = abs(w.disp) ** 2
+    return QfiResult(value=float(d_sq / variance), numerator_abs_d_sq=d_sq,
                      denominator_variance_or_det=float(variance), form=form)
 
 
 def qfi_general(init: GaussianProbeInit, w: WindowTerms) -> QfiResult:
-    """QFI for any Gaussian initial state.
+    """QFI of any prepared Gaussian state: the mean-shift information.
 
-    |D|^2 / det Sigma times the evolved variance of X at the optimal
-    angle; the recorded denominator det/var is the effective conjugate
-    variance (equal to the P variance when the state is aligned).
+    |D|^2 Var X(theta*) / det Sigma at the optimal angle theta*, which the
+    homodyne quadrature along Sigma^-1 dmu/dF attains; the recorded
+    denominator det / Var X is the effective conjugate variance. Var X is
+    an aligned squeezed state's large variance, so no squeeze cancels
+    digits. The form is "aligned" when P(theta*) attains the QFI: D is
+    zero, the state is isotropic, or its axis lies within 1e-6 of
+    phase(D) - phase(G) mod pi, which the window turns onto theta*.
     """
     snap = covariance_snapshot(init, w, optimal_angle(w))
-    return _qfi(w, snap.det_sigma / snap.var_x_theta, "general")
+    offset = (init.axis - phase(w.disp) + phase(w.g)) % np.pi
+    aligned = (abs(w.disp) == 0.0 or init.is_isotropic
+               or min(offset, np.pi - offset) <= _ALIGNMENT_TOL)
+    return _qfi(w, snap.det_sigma / snap.var_x_theta,
+                "aligned" if aligned else "general")
 
 
 def qfi_aligned(init: GaussianProbeInit, w: WindowTerms) -> QfiResult:
-    """QFI |D|^2 / <Delta^2 P(optimal angle)> for aligned initial states.
-
-    Valid when the evolved maximal-variance angle matches the optimal
-    measurement angle (isotropic states always qualify); raises
-    AlignmentError otherwise, in which case qfi_general applies.
-    """
-    if abs(w.disp) > 0.0 and not init.is_isotropic:
-        target = np.mod(optimal_angle(w), np.pi)
-        evolved = rotated_max_variance_angle(init.max_variance_angle(), w)
-        diff = abs(evolved - target) % np.pi
-        if min(diff, np.pi - diff) > _ALIGNMENT_TOL:
-            raise AlignmentError("initial state is not variance-aligned for this window")
-    return _qfi(w, variance_p(init, w, optimal_angle(w)), "aligned")
+    """qfi_general's result for a state it labels "aligned", which the
+    P(theta*) quadrature measures at the QFI; AlignmentError otherwise."""
+    result = qfi_general(init, w)
+    if result.form != "aligned":
+        raise AlignmentError("initial state is not variance-aligned for this window")
+    return result
 
 
 def qfi_best_state(energy: float, w: WindowTerms) -> QfiResult:
@@ -126,46 +128,38 @@ class EstimationResult(NamedTuple):
 
     estimate: float          # first replication's maximum-likelihood estimate
     empirical_mse: float
-    crb: float               # 1 / (nu * qfi)
+    crb: float               # 1 / (nu * fisher)
     ratio_to_crb: float
     replications: int
     nu: int
 
 
-def simulate_estimation(init: GaussianProbeInit, w: WindowTerms,
-                        f_true: float, nu: int, seed: int,
-                        replications: int = 2000,
-                        energy: float | None = None) -> EstimationResult:
+def simulate_estimation(fisher: float, f_true: float, nu: int, seed: int,
+                        replications: int = 2000) -> EstimationResult:
     """Simulate nu best-quadrature measurements and average the outcomes.
 
-    The outcome of P(optimal angle) is Gaussian with mean linear in the
-    amplitude (slope |D|) and amplitude-independent variance, so the
-    maximum-likelihood estimator is the sample mean mapped through the
-    line. The mean of nu outcomes N(mu, var) is exactly N(mu, var / nu),
-    so each replication's sample mean is drawn directly: work and memory
-    are O(replications), whatever nu. Streams come from a counter-based
+    `fisher` is the information per measurement, the QFI of the state,
+    which the homodyne quadrature along Sigma^-1 dmu/dF attains. Its
+    outcome is Gaussian with mean linear in the amplitude and
+    amplitude-independent variance, so the maximum-likelihood estimate
+    from nu outcomes follows exactly N(f_true, 1 / (nu fisher)): each
+    replication's estimate is drawn directly, and work and memory are
+    O(replications), whatever nu. Streams come from a counter-based
     Philox generator keyed on `seed`, so replications are reproducible
-    and splittable. Given the energy of the best state init, the variance
-    is the qfi_best_state denominator. A bound 1 / (nu qfi) that is not
-    finite and positive raises EstimationError.
+    and splittable. A bound 1 / (nu fisher) that is not finite and
+    positive raises EstimationError.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    slope = abs(w.disp)
-    theta = optimal_angle(w)
-    intercept = quadrature_mean(init, w, theta + 0.5 * np.pi, 0.0)
-    var = variance_p(init, w, theta) if energy is None else best_state_variance(energy, w)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        qfi = slope * slope / var
-        crb = 1.0 / (nu * qfi)
+    with np.errstate(over="ignore", divide="ignore"):
+        crb = float(1.0 / (nu * np.float64(fisher)))
     if not 0.0 < crb < np.inf:
-        raise EstimationError(f"Fisher information {float(qfi)!r} of {nu} "
+        raise EstimationError(f"Fisher information {float(fisher)!r} of {nu} "
                               f"measurements has no finite positive bound")
     rng = np.random.Generator(np.random.Philox(seed))
-    means = rng.normal(loc=intercept + slope * f_true,
-                       scale=np.sqrt(var / nu), size=replications)
-    estimates = (means - intercept) / slope
-    mse = float(np.mean((estimates - f_true) ** 2))
+    estimates = rng.normal(loc=f_true, scale=np.sqrt(crb), size=replications)
+    with np.errstate(over="ignore"):    # an error past floats reads inf
+        mse = float(np.mean((estimates - f_true) ** 2))
     return EstimationResult(estimate=float(estimates[0]), empirical_mse=mse,
                             crb=crb, ratio_to_crb=mse / crb,
                             replications=replications, nu=nu)

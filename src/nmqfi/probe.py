@@ -43,6 +43,7 @@ class GaussianProbeInit(Frozen):
     R(axis)^T, of det (nbar + 1/2)^2 (1/4 exactly for pure states) and
     finite trace (2 nbar + 1) cosh 2r. A negative r is stored as -r about
     the axis turned by pi/2, so X(axis), axis in [0, pi), has most variance.
+    The largest mean quadrature sqrt(2) |mean amplitude| must be finite.
     """
 
     def __init__(self, mean_amplitude: complex, nbar: float = 0.0,
@@ -53,10 +54,13 @@ class GaussianProbeInit(Frozen):
             vars(self).update(mean_amplitude=complex(mean_amplitude),
                               nbar=float(nbar), r=float(r),
                               axis=float(np.mod(axis, np.pi)))
-            finite = np.isfinite(self.trace + self.axis)
+            mean = np.sqrt(2.0) * np.hypot(self.mean_amplitude.real,
+                                           self.mean_amplitude.imag)
+            finite = np.isfinite(self.trace + self.axis + mean)
         if not (nbar >= 0 and finite):
-            raise ValueError("a state needs nbar >= 0, a finite axis and a "
-                             "finite trace (2 nbar + 1) cosh 2r")
+            raise ValueError("a state needs nbar >= 0, a finite axis, a "
+                             "finite trace (2 nbar + 1) cosh 2r and a finite "
+                             "mean quadrature sqrt(2) |alpha|")
 
     @classmethod
     def vacuum(cls) -> "GaussianProbeInit":
@@ -133,10 +137,6 @@ class GaussianProbeInit(Frozen):
         spread = np.tanh(2.0 * self.r)
         return bool(spread * abs(np.cos(2.0 * self.axis)) <= 1e-9
                     and spread * abs(np.sin(2.0 * self.axis)) <= 2e-9)
-
-    def max_variance_angle(self) -> float:
-        """The axis; for an isotropic covariance every angle is extremal."""
-        return self.axis
 
 
 def phase(z) -> Union[float, np.ndarray]:
@@ -241,12 +241,14 @@ def window_terms(response: ResponseFunction, window: Window,
                        omega0=response.bath.probe_frequency)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow is reported inf
 def quadrature_mean(init: GaussianProbeInit, w: WindowTerms, theta: float,
                     force_amplitude: float) -> Union[float, np.ndarray]:
     """Mean of X(theta) after the window, one per window of an array record.
 
     |G| <X[theta + omega0 (t-t0) - phase(G)]>_0
-    + F |D| sin[theta + omega0 (t-t0) - phase(D)].
+    + F |D| sin[theta + omega0 (t-t0) - phase(D)]; a mean that overflows
+    reads inf (or nan).
     """
     rotation = theta + w.omega0 * w.tau
     free = abs(w.g) * init.mean_x(rotation - np.angle(w.g))
@@ -280,14 +282,6 @@ def covariance_snapshot(init: GaussianProbeInit, w: WindowTerms,
     det = g2 * g2 * init.det + g2 * init.trace * n_b + n_b * n_b
     return CovarianceSnapshot(*(v if np.ndim(v) else float(v) for v in (
         quadrature_variance(init, w, theta), variance_p(init, w, theta), det)))
-
-
-def rotated_max_variance_angle(theta_m0: float, w: WindowTerms) -> float:
-    """Angle of maximal variance after the window, reduced mod pi.
-
-    The affine map theta_m0 + phase(G) - omega0 (t - t0).
-    """
-    return float(np.mod(theta_m0 + np.angle(w.g) - w.omega0 * w.tau, np.pi))
 
 
 mode_displacement = retired("mode_displacement")

@@ -99,6 +99,7 @@ def interval_terms(scheme: SequentialScheme, response: ResponseFunction,
                         displacement(response, force, steps))
 
 
+@np.errstate(over="ignore")   # overflow is reported inf
 def seq_result(w: WindowTerms, energy: float) -> SeqResult:
     """The cadence total at one energy from an interval_terms record."""
     total = (abs(w.disp) ** 2 / best_state_variance(energy, w)).sum()
@@ -170,7 +171,9 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
         if tau not in table:
             w = interval_terms(SequentialScheme(total_window, tau), response,
                                force)
-            if not (abs(w.disp) ** 2).sum() <= ceiling * tau:
+            with np.errstate(over="ignore"):   # a sum past floats reads inf
+                d_sq = (abs(w.disp) ** 2).sum()
+            if not d_sq <= ceiling * tau:
                 raise ConsistencyError(
                     f"cadence interval {tau!r} exceeds its bound")
             table[tau] = w
@@ -268,6 +271,7 @@ class MarkovSeqResult(NamedTuple):
     total_qfi_bound: float
 
 
+@np.errstate(over="ignore")   # a ceiling past floats is reported inf
 def markov_seq(energy: float, gamma: float, n_thermal: float, xi: float,
                omega0: float = 1.0) -> MarkovSeqResult:
     """Closed-form cadence under Markovian noise: bounded total information.

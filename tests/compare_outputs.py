@@ -10,7 +10,11 @@ The subcommand is the file-name prefix: `qfi_noiseless_pi.json` runs
 two shipped cadence scenarios also run with each force kind they do not
 ship (a table with knots inside the window, a sinusoid, a pulse):
 `sequential_nonmarkov` through `sequential` in json and csv,
-`sweep_scaling` through `sweep`. Then
+`sweep_scaling` through `sweep`. Two single-shot scenarios also run with
+prepared states they do not ship (coherent, thermal, squeezed at r = 20 on
+the aligned axis, squeezed at r = 0.6 off it, a matrix):
+`qfi_noiseless_pi` through `qfi`, `estimate_cramer_rao` through
+`estimate`. Then
 runs the single_shot and cadence benchmark jobs that
 perfbench/jobs.py (of this file's checkout) generates for seeds 5 and 7,
 each job's config through both checkouts. Compares stdout bytes and exit
@@ -39,6 +43,19 @@ GENERATED_SEEDS = (5, 7)
 # Cadence scenarios rerun with other force kinds: (file, subcommand, formats).
 FORCE_VARIANT_RUNS = (("sequential_nonmarkov.json", "sequential", ("json", "csv")),
                       ("sweep_scaling.json", "sweep", (None,)))
+# Single-shot scenarios rerun with other prepared states: (file, subcommand).
+INIT_VARIANT_RUNS = (("qfi_noiseless_pi.json", "qfi"),
+                     ("estimate_cramer_rao.json", "estimate"))
+INIT_VARIANTS = {
+    "coherent": {"kind": "coherent", "alpha_re": 0.7, "alpha_im": -0.4},
+    "thermal": {"kind": "thermal", "nbar": 1.5},
+    # the window's phase(D) - phase(G) is pi/2
+    "squeezed_aligned_r20": {"kind": "squeezed", "r": 20.0,
+                             "axis_angle": math.pi / 2},
+    "squeezed_misaligned": {"kind": "squeezed", "r": 0.6, "axis_angle": 0.9},
+    "matrix": {"kind": "matrix", "cov": [[1.2, 0.3], [0.3, 0.9]],
+               "mean_re": 0.2},
+}
 FORCE_VARIANTS = {
     "table": {"kind": "table", "times": [0.0, 0.3, 0.7, 4.0],
               "values": [0.0, 2.0, -1.0, 0.5]},
@@ -178,6 +195,19 @@ def force_variant_runs(parent: Path, change: Path, scratch: Path):
                          for root in (parent, change)))
 
 
+def init_variant_runs(parent: Path, change: Path, scratch: Path):
+    """(label, parent run, change run) for every prepared-state variant."""
+    for name, subcommand in INIT_VARIANT_RUNS:
+        raw = json.loads((change / "scenarios" / name).read_text())
+        for label, init in INIT_VARIANTS.items():
+            config = scratch / f"{label}_{name}"
+            config.write_text(json.dumps(
+                {**raw, "probe": {**raw["probe"], "init": init}}))
+            yield (f"{name} init {label}",
+                   *(run(root, subcommand, config, None)
+                     for root in (parent, change)))
+
+
 def generated_runs(parent: Path, change: Path, scratch: Path):
     """(label, parent run, change run) for every generated benchmark job."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -204,6 +234,8 @@ def main(argv) -> int:
         for kind, runs in (("scenario runs", scenario_runs(parent, change)),
                            ("force variant runs",
                             force_variant_runs(parent, change, Path(scratch))),
+                           ("init variant runs",
+                            init_variant_runs(parent, change, Path(scratch))),
                            ("generated jobs",
                             generated_runs(parent, change, Path(scratch)))):
             total = differences = 0

@@ -354,6 +354,16 @@ def markov_qfi(init, gamma: float, n_thermal: float, force, omega0: float,
     return float(num / denom)
 
 
+def aligned_qfi(init, w) -> float:
+    """|D|^2 / <Delta^2 P(theta*)> at the optimal angle theta*.
+
+    The QFI of a state aligned with the window, whose P(theta*) quadrature
+    attains it; the engine computes every state's QFI as
+    |D|^2 Var X(theta*) / det Sigma instead.
+    """
+    return float(abs(w.disp) ** 2 / variance_p(init, w, optimal_angle(w)))
+
+
 def is_pure(init) -> bool:
     """Whether a Gaussian probe state saturates det Sigma = 1/4."""
     return abs(init.det - 0.25) <= 1e-9

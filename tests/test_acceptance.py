@@ -204,10 +204,9 @@ def test_criterion_09_best_measurement_optimality():
 def test_criterion_10_cramer_rao_saturation():
     bath = DiscreteBath([], [], [], 1.0)
     resp = solve_response(bath, TimeGrid(4.0, 1024))
-    res = simulate_estimation(VACUUM,
-                              forced_window(resp, ZETA, (0.0, np.pi)),
-                              f_true=0.3, nu=100, seed=20240901,
-                              replications=2000)
+    w = forced_window(resp, ZETA, (0.0, np.pi))
+    res = simulate_estimation(qfi_general(VACUUM, w).value, f_true=0.3,
+                              nu=100, seed=20240901, replications=2000)
     ratio = res.empirical_mse * 100 * 8.0
     _report(10, "Cramer-Rao saturation", 0.9 <= ratio <= 1.1,
             f"MSE * nu * QFI = {ratio:.4f} in [0.9, 1.1]")

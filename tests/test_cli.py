@@ -240,6 +240,10 @@ def _set(block, **values):
     return lambda raw: raw[block].update(values)
 
 
+def _force(**block):
+    return lambda raw: raw.update(force=block)
+
+
 _SQUEEZED_OVERFLOW = _set("probe", init={"kind": "squeezed", "r": 400})
 # Terabytes of response samples or bath modes: numpy refuses them at once.
 # Never test with a size the OS might grant.
@@ -347,6 +351,37 @@ OUT_OF_RANGE = {
     "n_steps_1e12_response": ("qfi_ohmic_thermal", "response", _TOO_MANY_STEPS),
     "n_modes_1e12_qfi": ("qfi_ohmic_thermal", "qfi", _too_many_modes),
     "n_modes_1e12_response": ("qfi_ohmic_thermal", "response", _too_many_modes),
+    # a kind without one of its required keys, or with a key that only
+    # another kind of its block takes
+    "pulse_without_center": ("qfi_noiseless_pi", "qfi", _force(
+        kind="gaussian_pulse", width=0.5)),
+    "pulse_without_width": ("qfi_noiseless_pi", "qfi", _force(
+        kind="gaussian_pulse", center=1.0)),
+    "table_without_times": ("qfi_noiseless_pi", "qfi", _force(
+        kind="table", values=[1.0, 1.0])),
+    "table_without_values": ("qfi_noiseless_pi", "qfi", _force(
+        kind="table", times=[0.0, 4.0])),
+    "matrix_without_cov": ("qfi_noiseless_pi", "qfi", _set(
+        "probe", init={"kind": "matrix", "mean_re": 0.5})),
+    "constant_with_amplitude": ("qfi_noiseless_pi", "qfi",
+                                _set("force", amplitude=5)),
+    "table_with_value": ("qfi_noiseless_pi", "qfi", _set(
+        "force", kind="table", times=[0.0, 4.0], values=[1.0, 1.0])),
+    "coherent_with_r_and_nbar": ("moments_detuned_coherent", "moments",
+                                 lambda raw: raw["probe"]["init"].update(
+                                     r=0.5, nbar=1.0)),
+    "vacuum_with_alpha": ("moments_resonant_vacuum", "moments",
+                          lambda raw: raw["probe"]["init"].update(
+                              alpha_re=1.0)),
+    "flat_with_s": ("correlation_flatband", "correlation",
+                    lambda raw: raw["bath"]["continuum"].update(s=2.0)),
+    "zero_occupation_with_temperature": (
+        "qfi_ohmic_thermal", "qfi",
+        lambda raw: raw["bath"]["continuum"].update(
+            occupation={"model": "zero", "temperature": 0.8})),
+    "thermal_occupation_with_value": (
+        "qfi_ohmic_thermal", "qfi",
+        lambda raw: raw["bath"]["continuum"]["occupation"].update(value=1.0)),
 }
 
 
@@ -424,6 +459,62 @@ def test_best_state_runs_at_every_energy(case, tmp_path, capsys):
                                            rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [10.0, 15.0, 20.0, 30.0])
+def test_aligned_squeezed_qfi_is_exact(r, tmp_path, capsys):
+    # the noiseless window has G = 1 and D = 2i, so the axis pi/2 is
+    # phase(D) - phase(G): the QFI is |D|^2 Var X(pi/2) / det = |D|^2 2 e^{2r}
+    got = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi", _set(
+        "probe", init={"kind": "squeezed", "r": r, "axis_angle": np.pi / 2}))
+    assert got["form"] == "aligned"
+    assert got["value"] == pytest.approx(
+        got["abs_d"] ** 2 * 2.0 * np.exp(2.0 * r), rel=1e-12)
+
+
+def _init(**state):
+    return _set("probe", init=state)
+
+
+# (base scenario, edit): prepared states on the noiseless window, the
+# misaligned squeezed state of qfi_ohmic_thermal, and a best state
+ESTIMATE_STATES = {
+    "vacuum": ("estimate_cramer_rao", lambda raw: None),
+    "coherent": ("estimate_cramer_rao",
+                 _init(kind="coherent", alpha_re=0.7, alpha_im=-0.4)),
+    "thermal": ("estimate_cramer_rao", _init(kind="thermal", nbar=1.5)),
+    "squeezed_aligned": ("estimate_cramer_rao", _init(
+        kind="squeezed", r=20.0, axis_angle=np.pi / 2)),
+    "squeezed_misaligned": ("qfi_ohmic_thermal", lambda raw: None),
+    "matrix": ("estimate_cramer_rao", _init(
+        kind="matrix", cov=[[1.2, 0.3], [0.3, 0.9]], mean_re=0.2)),
+    "energy": ("qfi_best_state_resonant", lambda raw: None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATE_STATES))
+def test_estimate_bound_is_the_qfi_of_its_state(case, tmp_path, capsys):
+    base, edit = ESTIMATE_STATES[case]
+    qfi = _run_json(tmp_path, capsys, base, "qfi", edit)
+    est = _run_json(tmp_path, capsys, base, "estimate", edit)
+    assert est["crb"] == pytest.approx(1.0 / (est["nu"] * qfi["value"]),
+                                       rel=1e-12)
+
+
+def test_table_support_is_honoured(tmp_path, capsys):
+    # a flat table of 1 cut to [0, pi/2] is the constant force of that
+    # support, and one held past its last sample to [0, pi] the constant
+    # force of the scenario
+    def table(support):
+        return _force(kind="table", times=[0.0, 1.0], values=[1.0, 1.0],
+                      support=support)
+
+    for support in ([0.0, np.pi / 2], [0.0, np.pi]):
+        got = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi",
+                        table(support))
+        want = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi", _set(
+            "force", support=support))
+        assert got["abs_d"] == pytest.approx(want["abs_d"], rel=1e-9)
+
+
 @pytest.mark.parametrize("r", [6.0, 8.0])
 @pytest.mark.parametrize("sub", ["moments", "qfi"])
 def test_strongly_squeezed_init_runs(sub, r, tmp_path, capsys):
@@ -498,7 +589,8 @@ ARITHMETIC_FAILURES = {
         "force amplitude"),
     "sinusoid_amplitude_squared_overflows": (
         "sequential_nonmarkov", "sequential",
-        _set("force", kind="sinusoid", amplitude=1e300), "force amplitude"),
+        _force(kind="sinusoid", amplitude=1e300, support=[0.0, 100.0]),
+        "force amplitude"),
     "table_value_squared_overflows": (
         "sequential_nonmarkov", "sequential",
         lambda raw: raw.update(force={"kind": "table", "times": [0, 0.5, 1],

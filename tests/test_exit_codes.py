@@ -1,7 +1,11 @@
 """Property: every config that passes the key table exits 0, 2 or 3.
 
-Configs are drawn from `config.KEYS` and run through `cli.main` in-process.
-A failed run writes nothing to stdout, and a run that exits 0 prints only
+Configs are drawn from `config.KEYS` and run through `cli.main` in-process;
+a probe state or a force mostly holds only its own kind's keys, and now and
+then lacks a required one or holds another kind's.
+A numpy RuntimeWarning fails the example: the engine reports overflow
+through its exit code, never through a warning. A failed run writes
+nothing to stdout, and a run that exits 0 prints only
 finite numbers, except the asymptotic and Markov columns of `sweep`, which
 read nan where the bath or the config gives none. Magnitudes range from
 1e-300 to 1e300 where an input scales a result (occupations, force values,
@@ -20,6 +24,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,22 +63,48 @@ def _optional(draw, block: dict, key: str, strategy):
         block[key] = draw(strategy)
 
 
+# The keys of each probe-state and force kind beside `kind`: (required,
+# optional). A block mostly holds its kind's own keys; one in ten drops a
+# required key or adds a key of another kind, which exits 2.
+INIT_KEYS = {"vacuum": ((), ()), "coherent": ((), ("alpha_re", "alpha_im")),
+             "squeezed": ((), ("r", "axis_angle")), "thermal": ((), ("nbar",)),
+             "matrix": (("cov",), ("mean_re", "mean_im"))}
+FORCE_KEYS = {"constant": ((), ("value",)),
+              "sinusoid": ((), ("amplitude", "frequency", "phase")),
+              "gaussian_pulse": (("center", "width"), ()),
+              "table": (("times", "values"), ())}
+
+
+def _kind_block(draw, kinds: dict, values: dict) -> dict:
+    """A block of a drawn kind, each key's value drawn from values[key]."""
+    kind = draw(st.sampled_from(sorted(kinds)))
+    required, optional = kinds[kind]
+    block = {"kind": kind, **{key: draw(values[key]) for key in required}}
+    for key in optional:
+        _optional(draw, block, key, values[key])
+    if not _usually(draw):
+        foreign = sorted({key for spec in kinds.values() for key in spec[0]
+                          + spec[1]} - {*required, *optional})
+        if required and draw(st.booleans()):
+            del block[draw(st.sampled_from(required))]
+        else:
+            key = draw(st.sampled_from(foreign))
+            block[key] = draw(values[key])
+    return block
+
+
 @st.composite
 def probes(draw, energy: bool):
     probe = {"omega0": draw(st.floats(0.01, 5.0))}
     if energy:
         probe["energy"] = draw(ENERGY)
     elif draw(st.booleans()):
-        init = {"kind": draw(st.sampled_from(
-            ["vacuum", "coherent", "squeezed", "thermal", "matrix"]))}
-        for key in ("alpha_re", "alpha_im", "r", "axis_angle", "nbar",
-                    "mean_re", "mean_im"):
-            _optional(draw, init, key, SIGNED)
-        if init["kind"] == "matrix":
-            init["cov"] = draw(st.lists(st.lists(SIGNED, min_size=2,
-                                                 max_size=2),
-                                        min_size=2, max_size=2))
-        probe["init"] = init
+        cov = st.lists(st.lists(SIGNED, min_size=2, max_size=2), min_size=2,
+                       max_size=2)
+        values = {key: SIGNED for key in ("alpha_re", "alpha_im", "r",
+                                          "axis_angle", "nbar", "mean_re",
+                                          "mean_im")}
+        probe["init"] = _kind_block(draw, INIT_KEYS, {**values, "cov": cov})
     return probe
 
 
@@ -100,21 +131,14 @@ def baths(draw):
 
 @st.composite
 def forces(draw):
-    kind = draw(st.sampled_from(["constant", "sinusoid", "gaussian_pulse",
-                                 "table"]))
-    force = {"kind": kind}
-    if kind == "table":
-        n = draw(st.integers(2, 5))
-        times = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
-        force["times"] = sorted(times) if _usually(draw) else times
-        force["values"] = draw(st.lists(SIGNED, min_size=n, max_size=n))
-    else:
-        _optional(draw, force, "value", SIGNED)
-        _optional(draw, force, "amplitude", SIGNED)
-        _optional(draw, force, "frequency", st.floats(-10.0, 10.0))
-        _optional(draw, force, "phase", st.floats(-10.0, 10.0))
-        force["center"] = draw(st.floats(-1.0, 5.0))
-        force["width"] = draw(st.floats(0.0, 2.0))
+    n = draw(st.integers(2, 5))
+    times = st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)
+    force = _kind_block(draw, FORCE_KEYS, {
+        "value": SIGNED, "amplitude": SIGNED,
+        "frequency": st.floats(-10.0, 10.0), "phase": st.floats(-10.0, 10.0),
+        "center": st.floats(-1.0, 5.0), "width": st.floats(0.0, 2.0),
+        "times": times.map(sorted) if _usually(draw) else times,
+        "values": st.lists(SIGNED, min_size=n, max_size=n)})
     if draw(st.booleans()):
         force["support"] = sorted(draw(st.lists(st.floats(0.0, 5.0),
                                                 min_size=2, max_size=2)))
@@ -201,23 +225,99 @@ def _check_finite(sub: str, fmt: str, text: str):
                 and math.isnan(value)), (name, row)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(run=runs())
-def test_every_valid_config_exits_cleanly(run):
-    sub, fmt, raw = run
+def _main(sub: str, fmt, raw: dict, action: str):
+    """(exit code, stdout, stderr) of cli.main on raw, with numpy's
+    RuntimeWarnings under the warnings filter action; stderr starts with
+    the warnings that production would print."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as scratch:
         config = Path(scratch) / "scenario.json"
         config.write_text(json.dumps(raw))
-        with warnings.catch_warnings():
-            # numpy's overflow warnings print, as in production
-            warnings.simplefilter("default", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter(action, RuntimeWarning)
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 code = cli.main([sub, "--config", str(config),
-                                 "--format", fmt])
-    assert code in (0, 2, 3), err.getvalue()
+                                 *(["--format", fmt] if fmt else [])])
+    printed = "".join(warnings.formatwarning(w.message, w.category, w.filename,
+                                             w.lineno) for w in shown)
+    return code, out.getvalue(), printed + err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(run=runs())
+def test_every_valid_config_exits_cleanly(run):
+    sub, fmt, raw = run
+    code, out, err = _main(sub, fmt, raw, "error")
+    assert code in (0, 2, 3), err
     if code:
-        assert out.getvalue() == "", (code, err.getvalue())
+        assert out == "", (code, err)
     else:
-        _check_finite(sub, fmt, out.getvalue())
+        _check_finite(sub, fmt, out)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _pulse(raw):
+    # 1e-200 wide, so every window node lies ~1e200 widths from its center
+    raw["force"] = {"kind": "gaussian_pulse", "center": 0.5, "width": 1e-200,
+                    "support": [0.0, 4.0]}
+
+
+def _driven_overflow(raw):
+    raw["force"] = {"kind": "table", "times": [0.0, 5.0],
+                    "values": [1e30, 1e30]}
+    raw["options"]["force_amplitude"] = 1e300
+
+
+# Inputs whose arithmetic once overflowed in numpy, which printed its
+# RuntimeWarning ahead of the one line of the exit code: (base scenario,
+# subcommand, edit of the parsed file, exit code).
+OVERFLOWS = {
+    "coherent_mean_past_float": (
+        "moments_detuned_coherent", "moments",
+        lambda raw: raw["probe"]["init"].update(alpha_re=1.7e308), 2),
+    "displacement_squared_qfi": (
+        "qfi_best_state_resonant", "qfi",
+        lambda raw: raw["force"].update(value=1e200), 3),
+    "displacement_squared_cadence": (
+        "sequential_nonmarkov", "sequential",
+        lambda raw: (raw["force"].update(value=1e200), raw.update(
+            sequential={"total_window": 1.0, "tau": 0.1})), 3),
+    "pulse_far_narrower_than_its_distance": (
+        "qfi_best_state_resonant", "qfi", _pulse, 0),
+    "driven_mean_past_float": (
+        "moments_detuned_coherent", "moments", _driven_overflow, 3),
+    # omega / T underflows to 0, so the occupation 1 / expm1(0) is inf
+    "occupation_past_float": (
+        "correlation_flatband", "correlation",
+        lambda raw: raw["bath"].update(continuum={
+            "family": "flat", "scale": 0.0, "cutoff": 1e-300, "n_modes": 1,
+            "occupation": {"model": "thermal", "temperature": 1e30}}), 2),
+    "table_slope_past_float": (
+        "qfi_best_state_resonant", "qfi",
+        lambda raw: raw.update(force={"kind": "table",
+                                      "times": [0.0, 1.6e-195, 1.0],
+                                      "values": [0.0, 1e200, 0.0]}), 2),
+    "table_square_cadence_search": (
+        "sequential_nonmarkov", "sequential",
+        lambda raw: raw.update(force={"kind": "table", "times": [0.0, 1.0],
+                                      "values": [1e200, 1e200]}), 3),
+    "markov_ceiling_past_float": (
+        "sequential_nonmarkov", "sequential",
+        lambda raw: raw["options"].update(gamma=2.2250738585e-313), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflow_prints_no_warning(case):
+    # the warnings print here, as in production; a failed run prints its
+    # one error line and nothing else
+    base, sub, edit, want = OVERFLOWS[case]
+    raw = json.loads((SCENARIOS / f"{base}.json").read_text())
+    edit(raw)
+    code, out, err = _main(sub, None, raw, "always")
+    assert code == want, err
+    assert len(err.splitlines()) == (code != 0) and "Warning" not in err
+    assert (out == "") == (code != 0)

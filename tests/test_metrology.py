@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (covariance_matrix, forced_window, is_pure, markov_qfi,
-                      mean_energy, per_outcome_estimation_mse, short_time_qfi)
+from conftest import (aligned_qfi, covariance_matrix, forced_window, is_pure,
+                      markov_qfi, mean_energy, per_outcome_estimation_mse,
+                      short_time_qfi)
 from nmqfi import force as fc
 from nmqfi.bath import DiscreteBath
 from nmqfi.errors import AlignmentError, EstimationError
@@ -77,9 +78,34 @@ class TestQfiForms:
         resp = single_mode
         init = GaussianProbeInit.coherent(0.7 + 0.2j)
         w = forced_window(resp, ZETA, (0.0, 1.3))
-        a = qfi_aligned(init, w)
         g = qfi_general(init, w)
-        assert a.value == pytest.approx(g.value, rel=1e-10)
+        assert g.form == "aligned"
+        assert g.value == pytest.approx(aligned_qfi(init, w), rel=1e-10)
+
+    def test_aligned_states_match_the_oracle(self, single_mode):
+        # P(theta*) attains the QFI of a state aligned with the window
+        w = forced_window(single_mode, ZETA, (0.0, 1.3))
+        axis = phase(w.disp) - phase(w.g)
+        for init in (GaussianProbeInit.vacuum(), GaussianProbeInit.thermal(2.0),
+                     GaussianProbeInit.squeezed(1.5, axis, 0.3 - 0.2j),
+                     GaussianProbeInit(0.1j, 0.7, 0.9, axis + np.pi),
+                     best_state(4.0, w)):
+            g = qfi_general(init, w)
+            assert g.form == "aligned"
+            assert g.value == pytest.approx(aligned_qfi(init, w), rel=1e-12)
+            assert qfi_aligned(init, w) == g
+
+    def test_alignment_label_follows_the_axis(self, single_mode):
+        # aligned within 1e-6 of phase(D) - phase(G) mod pi, or for D = 0
+        w = forced_window(single_mode, ZETA, (0.0, 1.3))
+        axis = phase(w.disp) - phase(w.g)
+        forms = [qfi_general(GaussianProbeInit.squeezed(0.8, axis + off),
+                             w).form
+                 for off in (5e-7, -5e-7, np.pi + 5e-7, 2e-6, -2e-6, 0.5)]
+        assert forms == ["aligned"] * 3 + ["general"] * 3
+        still = forced_window(single_mode, fc.constant(0.0), (0.0, 1.3))
+        assert qfi_general(GaussianProbeInit.squeezed(0.8, 0.5),
+                           still).form == "aligned"
 
     def test_misaligned_squeezed_raises(self, single_mode):
         resp = single_mode
@@ -89,6 +115,7 @@ class TestQfiForms:
             qfi_aligned(init, w)
         # the general form still evaluates and is below the best state
         g = qfi_general(init, w)
+        assert g.form == "general"
         b = qfi_best_state(mean_energy(init), w)
         assert g.value <= b.value * (1.0 + 1e-9)
 
@@ -225,17 +252,18 @@ class TestEstimation:
         resp = noiseless
         vac = GaussianProbeInit.vacuum()
         w = forced_window(resp, ZETA, PI_WINDOW)
-        res = simulate_estimation(vac, w, f_true=0.3, nu=100, seed=20240901)
+        res = simulate_estimation(qfi_general(vac, w).value, f_true=0.3,
+                                  nu=100, seed=20240901)
         assert res.crb == pytest.approx(1.0 / (100 * 8.0), rel=1e-9)
         assert 0.9 <= res.ratio_to_crb <= 1.1
 
     def test_mse_halves_with_doubled_nu(self, noiseless):
         resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(resp, ZETA, PI_WINDOW)
-        a = simulate_estimation(vac, w, f_true=0.3, nu=100, seed=5,
+        fisher = qfi_general(vac, forced_window(resp, ZETA, PI_WINDOW)).value
+        a = simulate_estimation(fisher, f_true=0.3, nu=100, seed=5,
                                 replications=4000)
-        b = simulate_estimation(vac, w, f_true=0.3, nu=200, seed=6,
+        b = simulate_estimation(fisher, f_true=0.3, nu=200, seed=6,
                                 replications=4000)
         assert b.empirical_mse / a.empirical_mse == pytest.approx(0.5, abs=0.08)
 
@@ -243,36 +271,42 @@ class TestEstimation:
         # degenerate-Gaussian limit: huge aligned squeezing pins the estimate
         resp = noiseless
         w = forced_window(resp, ZETA, PI_WINDOW)
-        init = best_state(energy_for_script_e(0.5e12), w)
-        res = simulate_estimation(init, w, f_true=0.42, nu=50, seed=11,
+        fisher = qfi_best_state(energy_for_script_e(0.5e12), w).value
+        res = simulate_estimation(fisher, f_true=0.42, nu=50, seed=11,
                                   replications=200)
         assert res.estimate == pytest.approx(0.42, abs=1e-6)
 
     def test_zero_displacement_impossible(self, noiseless):
         resp = noiseless
         vac = GaussianProbeInit.vacuum()
+        w = forced_window(resp, fc.constant(0.0), PI_WINDOW)
         with pytest.raises(EstimationError):
-            simulate_estimation(
-                vac, forced_window(resp, fc.constant(0.0), PI_WINDOW),
-                0.1, 10, seed=1)
+            simulate_estimation(qfi_general(vac, w).value, 0.1, 10, seed=1)
+
+    @pytest.mark.parametrize("fisher", [0.0, 5e-324, float("nan"),
+                                        float("inf")])
+    def test_fisher_information_without_a_bound_is_named(self, fisher):
+        # 1 / (nu fisher) is zero, infinite or nan: no Python float division
+        with pytest.raises(EstimationError, match="Fisher information"):
+            simulate_estimation(fisher, 0.1, 10, seed=1)
 
     def test_reproducible_streams(self, noiseless):
         resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(resp, ZETA, PI_WINDOW)
-        a = simulate_estimation(vac, w, 0.3, 100, seed=99, replications=100)
-        b = simulate_estimation(vac, w, 0.3, 100, seed=99, replications=100)
+        fisher = qfi_general(vac, forced_window(resp, ZETA, PI_WINDOW)).value
+        a = simulate_estimation(fisher, 0.3, 100, seed=99, replications=100)
+        b = simulate_estimation(fisher, 0.3, 100, seed=99, replications=100)
         assert a.empirical_mse == b.empirical_mse
 
     def test_memory_is_independent_of_nu(self, noiseless):
         # 10^8 outcomes per replication would need 800 MB as one row; only
-        # the replications' sample means are drawn
+        # the replications' estimates are drawn
         resp = noiseless
         vac = GaussianProbeInit.vacuum()
-        w = forced_window(resp, ZETA, PI_WINDOW)
+        fisher = qfi_general(vac, forced_window(resp, ZETA, PI_WINDOW)).value
         tracemalloc.start()
         try:
-            res = simulate_estimation(vac, w, 0.3, 10 ** 8, seed=3,
+            res = simulate_estimation(fisher, 0.3, 10 ** 8, seed=3,
                                       replications=1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -284,10 +318,12 @@ class TestEstimation:
         # each MSE has relative spread sqrt(2/R); their difference sqrt(4/R)
         resp = single_mode
         vac = GaussianProbeInit.vacuum()
-        args = (vac, forced_window(resp, ZETA, PI_WINDOW), 0.3, 50)
+        w = forced_window(resp, ZETA, PI_WINDOW)
         reps = 20000
-        engine = simulate_estimation(*args, seed=41, replications=reps)
-        oracle = per_outcome_estimation_mse(*args, seed=42, replications=reps)
+        engine = simulate_estimation(qfi_general(vac, w).value, 0.3, 50,
+                                     seed=41, replications=reps)
+        oracle = per_outcome_estimation_mse(vac, w, 0.3, 50, seed=42,
+                                            replications=reps)
         assert engine.empirical_mse == pytest.approx(
             oracle, rel=5.0 * np.sqrt(4.0 / reps))
 

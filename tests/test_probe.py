@@ -11,10 +11,10 @@ from conftest import (covariance_matrix, exact_single_mode_g, forced_window,
 from nmqfi import force as fc
 from nmqfi.bath import ContinuousSpectrum, DiscreteBath, discretize
 from nmqfi.errors import CoverageError
+from nmqfi.metrology import optimal_angle, qfi_general
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
                          noise_term, phase, quadrature_mean,
-                         quadrature_variance, rotated_max_variance_angle,
-                         variance_p, window_terms)
+                         quadrature_variance, variance_p, window_terms)
 from nmqfi.response import TimeGrid, solve_response
 
 
@@ -43,7 +43,7 @@ class TestInit:
         assert s.variance(0.3) == pytest.approx(0.5 * np.exp(1.6))
         assert s.variance(0.3 + np.pi / 2) == pytest.approx(0.5 * np.exp(-1.6))
         assert s.det == pytest.approx(0.25)
-        assert s.max_variance_angle() == pytest.approx(0.3)
+        assert s.axis == pytest.approx(0.3)
 
     def test_mean_quadrature(self):
         c = GaussianProbeInit.coherent(1.0 + 1.0j)
@@ -346,27 +346,44 @@ class TestArrayWindows:
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0))
 
 
+def _scan_max_angle(init, w) -> float:
+    """The angle of most variance after the window, on a 720-point scan."""
+    thetas = np.linspace(0.0, np.pi, 720, endpoint=False)
+    return float(thetas[int(np.argmax(quadrature_variance(init, w, thetas)))])
+
+
+def _mod_pi_gap(a: float, b: float) -> float:
+    diff = abs(a - b) % np.pi
+    return min(diff, np.pi - diff)
+
+
 class TestMaxVarianceAngle:
+    # the window turns the state's axis to axis + phase(G) - omega0 (t - t0)
+    # mod pi, and qfi_general labels a state "aligned" when that lands on
+    # the optimal angle phase(D) - omega0 (t - t0): the omega0 terms cancel,
+    # leaving axis = phase(D) - phase(G)
     def test_identity_window(self, ohmic_response):
         w = window_terms(ohmic_response, (0.0, 0.0))
-        assert rotated_max_variance_angle(0.8, w) == pytest.approx(0.8)
+        init = GaussianProbeInit.squeezed(0.6, axis_angle=0.8)
+        assert _mod_pi_gap(_scan_max_angle(init, w), 0.8) <= np.pi / 720
 
     def test_free_rotation(self, noiseless_response):
-        w = window_terms(noiseless_response,
-                         (0.0, np.pi / 2))
-        got = rotated_max_variance_angle(0.3, w)
-        assert got == pytest.approx((0.3 - np.pi / 2) % np.pi)
+        w = window_terms(noiseless_response, (0.0, np.pi / 2))
+        init = GaussianProbeInit.squeezed(0.6, axis_angle=0.3)
+        assert _mod_pi_gap(_scan_max_angle(init, w),
+                           0.3 - np.pi / 2) <= np.pi / 720
 
     def test_matches_argmax_scan(self, detuned_bath):
         resp = solve_response(detuned_bath, TimeGrid(4.0, 2048))
-        init = GaussianProbeInit.squeezed(0.6, axis_angle=0.9)
-        w = window_terms(resp, (0.0, 1.8))
-        predicted = rotated_max_variance_angle(0.9, w)
-        thetas = np.linspace(0.0, np.pi, 720, endpoint=False)
-        vals = [quadrature_variance(init, w, t) for t in thetas]
-        best = thetas[int(np.argmax(vals))]
-        diff = abs(best - predicted) % np.pi
-        assert min(diff, np.pi - diff) <= np.pi / 720 + 1e-12
+        w = forced_window(resp, fc.constant(1.0), (0.0, 1.8))
+        turn = phase(w.g) - w.omega0 * w.tau
+        for axis in (0.9, phase(w.disp) - phase(w.g)):
+            init = GaussianProbeInit.squeezed(0.6, axis_angle=axis)
+            best = _scan_max_angle(init, w)
+            assert _mod_pi_gap(best, axis + turn) <= np.pi / 720 + 1e-12
+            on_target = _mod_pi_gap(best, optimal_angle(w)) <= np.pi / 720
+            assert on_target == (qfi_general(init, w).form == "aligned")
+        assert on_target and _mod_pi_gap(0.9 + turn, optimal_angle(w)) > 0.1
 
 
 class TestWindowExtension:
