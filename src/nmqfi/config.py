@@ -27,15 +27,20 @@ if TYPE_CHECKING:
     from .probe import GaussianProbeInit
     from .response import TimeGrid
 
-# One rule per scenario key: NUM (any JSON number but a boolean), BOOL, an
-# _Int (an integer, 1.0 included, at least its minimum), a set of allowed
-# strings, [item rule, fewest, most or None] for an array, or a _Block: an
-# object allowing only its own keys and needing its required ones.
-NUM, BOOL = "number", "boolean"
+# One rule per scenario key: BOOL, a _Num, a set of allowed strings, [item
+# rule, fewest, most or None] for an array, a _Block (an object allowing
+# only its own keys and needing its required ones), or _Kinds (an object
+# whose selector key picks the _Block of that kind's keys).
+BOOL = "boolean"
 
 
-class _Int(NamedTuple):
-    minimum: float = -math.inf
+class _Num(NamedTuple):
+    """A JSON number, never a boolean, in [low, high], or (low, high] if
+    open; whole (1.0 included) if integer."""
+    integer: bool = False
+    low: float = -math.inf
+    high: float = math.inf
+    open: bool = False
 
 
 class _Block(dict):
@@ -44,70 +49,51 @@ class _Block(dict):
         self.required = required
 
 
-_PAIR = [NUM, 2, 2]
+class _Kinds(dict):
+    """Kind name -> the _Block of the selector, the keys every kind takes
+    (common) and the kind's own; a key only another kind takes is refused."""
+    def __init__(self, selector: str, common: _Block = _Block(), **kinds):
+        super().__init__({
+            name: _Block(common.required + own.required,
+                         **{selector: set(kinds)}, **common, **own)
+            for name, own in kinds.items()})
+        self.selector = selector
+
+
+NUM, _PAIR = _Num(), [_Num(), 2, 2]
+_NONNEGATIVE, _POSITIVE = _Num(low=0), _Num(low=0, open=True)
+# keeps E^2 and script_e(E) finite; a sweep value, script_e itself, by 2x
+_ENERGY = _Num(low=0.5, high=1.34e154)
+_COUNT = 2 ** 53   # the largest integer a JSON number holds exactly
+
 KEYS = _Block(
-    probe=_Block(("omega0",), omega0=NUM, energy=NUM, init=_Block(
-        ("kind",), kind={"vacuum", "coherent", "squeezed", "thermal", "matrix"},
-        alpha_re=NUM, alpha_im=NUM, r=NUM, axis_angle=NUM, nbar=NUM,
-        mean_re=NUM, mean_im=NUM, cov=[_PAIR, 2, 2])),
-    bath=_Block(modes=[[NUM, 3, 3], 0, None], continuum=_Block(
-        ("family", "scale", "cutoff", "n_modes"), family={"flat", "ohmic"},
-        s=NUM, scale=NUM, cutoff=NUM, cutoff_shape={"hard", "exponential"},
-        n_modes=_Int(1), occupation=_Block(
-            ("model",), model={"zero", "thermal", "constant"},
-            temperature=NUM, value=NUM))),
-    force=_Block(
-        ("kind",), kind={"constant", "sinusoid", "gaussian_pulse", "table"},
-        value=NUM, amplitude=NUM, frequency=NUM, phase=NUM, center=NUM,
-        width=NUM, times=[NUM, 2, None], values=[NUM, 2, None], support=_PAIR),
-    grid=_Block(("t_end",), t_end=NUM, n_steps=_Int(2)),
+    probe=_Block(("omega0",), omega0=NUM, energy=_ENERGY, init=_Kinds(
+        "kind", vacuum=_Block(), coherent=_Block(alpha_re=NUM, alpha_im=NUM),
+        squeezed=_Block(r=NUM, axis_angle=NUM), thermal=_Block(nbar=NUM),
+        matrix=_Block(("cov",), mean_re=NUM, mean_im=NUM, cov=[_PAIR, 2, 2]))),
+    bath=_Block(modes=[[NUM, 3, 3], 0, None], continuum=_Kinds(
+        "family", _Block(
+            ("scale", "cutoff", "n_modes"), scale=NUM, cutoff=NUM,
+            cutoff_shape={"hard", "exponential"},
+            n_modes=_Num(True, 1, _COUNT), occupation=_Kinds(
+                "model", zero=_Block(), constant=_Block(value=NUM),
+                thermal=_Block(("temperature",), temperature=NUM))),
+        flat=_Block(), ohmic=_Block(s=NUM))),
+    force=_Kinds(
+        "kind", _Block(support=_PAIR), constant=_Block(value=NUM),
+        sinusoid=_Block(amplitude=NUM, frequency=NUM, phase=NUM),
+        gaussian_pulse=_Block(("center", "width"), center=NUM, width=NUM),
+        table=_Block(("times", "values"), times=[NUM, 2, None],
+                     values=[NUM, 2, None])),
+    grid=_Block(("t_end",), t_end=NUM, n_steps=_Num(True, 2, _COUNT)),
     window=_Block(("t0", "t"), t0=NUM, t=NUM),
-    sequential=_Block(("total_window",), total_window=NUM, tau=NUM,
+    sequential=_Block(("total_window",), total_window=_POSITIVE, tau=_POSITIVE,
                       optimize=BOOL, tau_bounds=_PAIR),
-    options=_Block(seed=_Int(), replications=_Int(2), nu=_Int(1),
-                   force_amplitude=NUM, theta=NUM, energy_sweep=[NUM, 1, None],
-                   gamma=NUM, n_thermal=NUM, report_points=_Int(2), t_prime=NUM))
-
-
-# The keys each kind of a block takes beside its selector, which ends the
-# path: (required, optional). A key that only another kind of the block
-# takes is refused; a key no kind lists (a force's support) is common.
-_KIND_KEYS = {
-    ("probe", "init", "kind"): {
-        "vacuum": ((), ()), "coherent": ((), ("alpha_re", "alpha_im")),
-        "squeezed": ((), ("r", "axis_angle")), "thermal": ((), ("nbar",)),
-        "matrix": (("cov",), ("mean_re", "mean_im"))},
-    ("force", "kind"): {
-        "constant": ((), ("value",)),
-        "sinusoid": ((), ("amplitude", "frequency", "phase")),
-        "gaussian_pulse": (("center", "width"), ()),
-        "table": (("times", "values"), ())},
-    ("bath", "continuum", "family"): {"flat": ((), ()), "ohmic": ((), ("s",))},
-    ("bath", "continuum", "occupation", "model"): {
-        "zero": ((), ()), "thermal": (("temperature",), ()),
-        "constant": ((), ("value",))},
-}
-
-
-def _check_kinds(raw: dict) -> None:
-    """Raise ConfigError where a kind lacks a required key or holds a key
-    of another kind of its block; raw has passed the key table."""
-    for (*path, selector), kinds in _KIND_KEYS.items():
-        block = raw
-        for key in path:
-            block = block.get(key, {})
-        if selector not in block:
-            continue
-        kind = block[selector]
-        required, optional = kinds[kind]
-        where = f"config invalid at {'/'.join(path)}: {selector} {kind!r}"
-        for key in required:
-            if key not in block:
-                raise ConfigError(f"{where} needs key '{key}'")
-        for key in block:
-            if key not in required and key not in optional and any(
-                    key in spec[0] + spec[1] for spec in kinds.values()):
-                raise ConfigError(f"{where} takes no key '{key}'")
+    options=_Block(seed=_Num(True, 0), nu=_Num(True, 1),
+                   replications=_Num(True, 2, _COUNT),
+                   report_points=_Num(True, 2, _COUNT), force_amplitude=NUM,
+                   theta=NUM, energy_sweep=[_ENERGY, 1, None], gamma=_NONNEGATIVE,
+                   n_thermal=_NONNEGATIVE, t_prime=_NONNEGATIVE))
 
 
 def _check(value: Any, rule: Any, path: str = "") -> None:
@@ -116,7 +102,14 @@ def _check(value: Any, rule: Any, path: str = "") -> None:
         raise ConfigError(f"config invalid at {path or '<root>'}: {problem}")
 
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(rule, _Block):
+    if isinstance(rule, _Kinds):
+        if not isinstance(value, dict):
+            fail("expected an object")
+        if rule.selector not in value:
+            fail(f"missing required key '{rule.selector}'")
+        _check(value[rule.selector], set(rule), f"{path}/{rule.selector}")
+        _check(value, rule[value[rule.selector]], path)
+    elif isinstance(rule, _Block):
         if not isinstance(value, dict):
             fail("expected an object")
         for key in rule.required:
@@ -136,13 +129,16 @@ def _check(value: Any, rule: Any, path: str = "") -> None:
     elif isinstance(rule, set):
         if not (isinstance(value, str) and value in rule):
             fail(f"expected one of {', '.join(sorted(rule))}, got {value!r}")
-    elif isinstance(rule, _Int):
-        if not (number and (isinstance(value, int) or value.is_integer())):
-            fail(f"expected an integer, got {value!r}")
-        if value < rule.minimum:
-            fail(f"{value!r} is below the minimum {rule.minimum}")
-    elif not (isinstance(value, bool) if rule == BOOL else number):
-        fail(f"expected a {rule}, got {value!r}")
+    elif rule == BOOL:
+        if not isinstance(value, bool):
+            fail(f"expected a boolean, got {value!r}")
+    elif not (number and (not rule.integer or isinstance(value, int)
+                          or value.is_integer())):
+        fail(f"expected {'an integer' if rule.integer else 'a number'}, "
+             f"got {value!r}")
+    elif not rule.low <= value <= rule.high or rule.open and value == rule.low:
+        fail(f"{value!r} is outside {'(' if rule.open else '['}"
+             f"{rule.low}, {rule.high}]")
 
 
 def _builder(build):
@@ -262,33 +258,22 @@ class ScenarioConfig(Frozen):
 
 
 def validate(raw: Any) -> ScenarioConfig:
-    """Check raw against KEYS, each kind's own keys and the cross-key
-    ranges; wrap it as a scenario."""
+    """Check raw against KEYS and the rules that relate two keys; wrap it
+    as a scenario."""
     _check(raw, KEYS)
-    _check_kinds(raw)
     probe = raw.get("probe", {})
     if "energy" in probe and "init" in probe:
         raise ConfigError("probe.energy and probe.init are mutually exclusive: "
                           "the energy selects the best squeezed state")
     options = raw.get("options", {})
-    energies = [probe.get("energy", 0.5), *options.get("energy_sweep", [])]
-    # keeps E^2 and script_e(E) finite; a sweep value, script_e itself, by 2x
-    if not all(0.5 <= e <= 1.34e154 for e in energies):
-        raise ConfigError("probe.energy and options.energy_sweep values must be "
-                          ">= 1/2 and below 1.34e154, where script_e overflows")
-    for key in ("seed", "gamma", "n_thermal", "t_prime"):
-        if options.get(key, 0) < 0:
-            raise ConfigError(f"options.{key} must be >= 0")
     if "t_prime" in options and "grid" in raw \
             and options["t_prime"] >= raw["grid"]["t_end"]:
         raise ConfigError("options.t_prime must be < grid.t_end")
     seq = raw.get("sequential")
     if seq is not None:
         total = seq["total_window"]
-        if not total > 0:
-            raise ConfigError("sequential.total_window must be > 0")
-        if "tau" in seq and not 0 < seq["tau"] <= total:
-            raise ConfigError("sequential.tau must satisfy 0 < tau <= total_window")
+        if seq.get("tau", 0) > total:
+            raise ConfigError("sequential.tau must be <= total_window")
         if seq.get("optimize") is False and "tau" not in seq:
             raise ConfigError("sequential.optimize false needs sequential.tau")
         if seq.get("optimize") is True and "tau" in seq:
@@ -307,13 +292,25 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """An integer literal whose float is finite, which also keeps it within
+    int()'s 4,300-digit limit."""
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"integer of {len(text.lstrip('-'))} digits in "
+                          "config is beyond the float range")
+    return int(text)
+
+
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            raw = json.load(fh, parse_float=_finite, parse_int=_integer,
+                            parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON "
                           f"(line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested too deep
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return validate(raw)

@@ -256,12 +256,16 @@ def _too_many_modes(raw):
 
 # Intervals whose shortest one fits 10^6 + 1 steps into total_window 1.
 _PAST_STEP_CAP = [9.99999e-7, 1e-6]
+# An integer literal beyond the float range, and a count numpy refuses to
+# allocate at once (2^62 elements).
+_PAST_FLOAT_RANGE = 10 ** 400
+_TOO_BIG_COUNT = 2 ** 62
 
 
 # Inputs that once escaped as a traceback (exit 1) or a numerical error
 # (exit 3), or ran to exit 0 with a NaN in the output, a key ignored or a
 # cadence too large to run: (base scenario, subcommand and its flags, edit
-# of the parsed file).
+# of the parsed file; an edit that returns bytes gives the file's bytes).
 OUT_OF_RANGE = {
     "omega0_zero": ("qfi_best_state_resonant", "qfi", _set("probe", omega0=0)),
     "omega0_nan_literal": ("qfi_best_state_resonant", "qfi",
@@ -382,6 +386,51 @@ OUT_OF_RANGE = {
     "thermal_occupation_with_value": (
         "qfi_ohmic_thermal", "qfi",
         lambda raw: raw["bath"]["continuum"]["occupation"].update(value=1.0)),
+    "thermal_occupation_without_temperature": (
+        "qfi_ohmic_thermal", "qfi",
+        lambda raw: raw["bath"]["continuum"].update(
+            occupation={"model": "thermal"})),
+    # the exclusive and inclusive edges of single-key bounds
+    "tau_zero": ("sequential_nonmarkov", "sequential",
+                 _set("sequential", tau=0, optimize=False)),
+    "gamma_just_below_zero": ("limits_narrowband", "limits",
+                              _set("options", gamma=-1e-300)),
+    # files the JSON parser cannot read: not UTF-8, nested past its
+    # recursion limit, an integer past int()'s 4,300-digit limit
+    "not_utf8": ("qfi_noiseless_pi", "qfi", lambda raw: b"\xff\xfe{}"),
+    "nested_too_deep": ("qfi_noiseless_pi", "qfi",
+                        lambda raw: b"[" * 1500 + b"]" * 1500),
+    "integer_past_digit_limit": (
+        "qfi_noiseless_pi", "qfi", lambda raw: json.dumps(raw).replace(
+            '"t0": 0.0', '"t0": 1' + "0" * 5000).encode()),
+    # integer literals beyond the float range
+    "t_end_past_float_range": ("qfi_noiseless_pi", "qfi",
+                               _set("grid", t_end=_PAST_FLOAT_RANGE)),
+    "omega0_past_float_range": ("qfi_noiseless_pi", "qfi",
+                                _set("probe", omega0=_PAST_FLOAT_RANGE)),
+    "mode_past_float_range": ("response_narrowband", "response", _set(
+        "bath", modes=[[0.25, 1.0, _PAST_FLOAT_RANGE]])),
+    "total_window_past_float_range": (
+        "sequential_nonmarkov", "sequential",
+        _set("sequential", total_window=_PAST_FLOAT_RANGE)),
+    "force_amplitude_past_float_range": (
+        "estimate_cramer_rao", "estimate",
+        _set("options", force_amplitude=_PAST_FLOAT_RANGE)),
+    "nu_past_float_range": ("estimate_cramer_rao", "estimate",
+                            _set("options", nu=_PAST_FLOAT_RANGE)),
+    # counts past 2^53, which numpy refused with a traceback
+    "n_steps_2e62": ("moments_resonant_vacuum", "moments",
+                     _set("grid", n_steps=_TOO_BIG_COUNT)),
+    "replications_2e62": ("estimate_cramer_rao", "estimate",
+                          _set("options", replications=_TOO_BIG_COUNT)),
+    "report_points_2e62_moments": ("moments_resonant_vacuum", "moments",
+                                   _set("options", report_points=_TOO_BIG_COUNT)),
+    "report_points_2e62_correlation": (
+        "correlation_flatband", "correlation",
+        _set("options", report_points=_TOO_BIG_COUNT)),
+    "report_points_2e62_sequential_csv": (
+        "sequential_nonmarkov", "sequential --format csv",
+        _set("options", report_points=_TOO_BIG_COUNT)),
 }
 
 
@@ -389,9 +438,9 @@ OUT_OF_RANGE = {
 def test_out_of_range_input_is_a_config_error(case, tmp_path, capsys):
     base, sub, edit = OUT_OF_RANGE[case]
     raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
-    edit(raw)
+    text = edit(raw)
     cfg = tmp_path / "probe.json"
-    cfg.write_text(json.dumps(raw))
+    cfg.write_bytes(text if isinstance(text, bytes) else json.dumps(raw).encode())
     assert run_cli([*sub.split(), "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:")
@@ -445,8 +494,9 @@ BEST_STATE_SCENARIOS = {
 
 @pytest.mark.parametrize("case", sorted(BEST_STATE_SCENARIOS))
 def test_best_state_runs_at_every_energy(case, tmp_path, capsys):
-    # qfi and estimate exit 0 from the vacuum energy to 1e30, and the
-    # Cramer-Rao bound of estimate is 1 / (nu QFI) of qfi
+    # qfi and estimate exit 0 from the vacuum energy (the inclusive edge of
+    # probe.energy >= 1/2) to 1e30, and the Cramer-Rao bound of estimate is
+    # 1 / (nu QFI) of qfi
     base, edit = BEST_STATE_SCENARIOS[case]
     for energy in (0.5, 1e4, 1e5, 1e6, 1e10, 1e14, 1e30):
         def at_energy(raw):
@@ -746,17 +796,18 @@ def test_failed_run_creates_no_out_file_and_keeps_an_existing_one(case,
 
 
 def test_seed_flag_is_the_seed_option(tmp_path):
+    # seed 0 is the inclusive edge of options.seed >= 0
     raw = json.loads((SCENARIO_DIR / "estimate_cramer_rao.json").read_text())
-    raw["options"]["seed"] = 3
+    raw["options"]["seed"] = 0
     cfg = tmp_path / "seeded.json"
     cfg.write_text(json.dumps(raw))
     by_flag, by_option = tmp_path / "flag.json", tmp_path / "option.json"
     base = SCENARIO_DIR / "estimate_cramer_rao.json"
-    assert run_cli(["estimate", "--config", base, "--seed", "3",
+    assert run_cli(["estimate", "--config", base, "--seed", "0",
                     "--out", by_flag]) == 0
     assert run_cli(["estimate", "--config", cfg, "--out", by_option]) == 0
     assert by_flag.read_bytes() == by_option.read_bytes()
-    assert json.loads(by_flag.read_text())["seed"] == 3
+    assert json.loads(by_flag.read_text())["seed"] == 0
 
 
 def test_sweep_keeps_a_zero_asymptotic_total(tmp_path, capsys):

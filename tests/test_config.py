@@ -1,9 +1,12 @@
 """Scenario key table: differential check against a JSON-Schema oracle.
 
-SCHEMA is the JSON-Schema document the engine once validated scenarios
-with. It stays here as an independent oracle: on a seeded corpus of
-mutations of the shipped scenarios, `nmqfi.config`'s key table must accept
-and reject exactly the documents a Draft 2020-12 validator does.
+SCHEMA grew from the JSON-Schema document the engine once validated
+scenarios with, and states every rule of the key table: types, allowed
+strings, array lengths, each kind's own keys (one `if`/`then` per kind) and
+every single-key bound. It stays here as an independent oracle: on a
+seeded corpus of mutations of the shipped scenarios, `nmqfi.config`'s key
+table must accept and reject exactly the documents a Draft 2020-12
+validator does.
 """
 
 import copy
@@ -21,17 +24,38 @@ SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios")
                    .glob("*.json"))
 
 _NUMBER = {"type": "number"}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_ENERGY = {"type": "number", "minimum": 0.5, "maximum": 1.34e154}
 
-_OCCUPATION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["model"],
-    "properties": {
-        "model": {"enum": ["zero", "thermal", "constant"]},
-        "temperature": _NUMBER,
-        "value": _NUMBER,
-    },
-}
+
+def _count(minimum: int) -> dict:
+    return {"type": "integer", "minimum": minimum, "maximum": 2 ** 53}
+
+
+def _kinds(selector: str, kinds: dict, common: dict = None,
+           required: tuple = ()) -> dict:
+    """An object whose selector names one of kinds, {name: (required keys,
+    properties)}; each kind's `then` admits only the selector, the common
+    properties and its own."""
+    return {
+        "type": "object",
+        "required": [selector, *required],
+        "properties": {selector: {"enum": sorted(kinds)}},
+        "allOf": [{"if": {"properties": {selector: {"const": name}}},
+                   "then": {"additionalProperties": False,
+                            "required": list(own_required),
+                            "properties": {selector: True, **(common or {}),
+                                           **own}}}
+                  for name, (own_required, own) in kinds.items()],
+    }
+
+
+_OCCUPATION_SCHEMA = _kinds("model", {
+    "zero": ((), {}),
+    "thermal": (("temperature",), {"temperature": _NUMBER}),
+    "constant": ((), {"value": _NUMBER}),
+})
 
 _BATH_SCHEMA = {
     "type": "object",
@@ -46,34 +70,26 @@ _BATH_SCHEMA = {
                 "items": _NUMBER,
             },
         },
-        "continuum": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family", "scale", "cutoff", "n_modes"],
-            "properties": {
-                "family": {"enum": ["flat", "ohmic"]},
-                "s": _NUMBER,
+        "continuum": _kinds(
+            "family",
+            {"flat": ((), {}), "ohmic": ((), {"s": _NUMBER})},
+            common={
                 "scale": _NUMBER,
                 "cutoff": _NUMBER,
                 "cutoff_shape": {"enum": ["hard", "exponential"]},
-                "n_modes": {"type": "integer", "minimum": 1},
+                "n_modes": _count(1),
                 "occupation": _OCCUPATION_SCHEMA,
             },
-        },
+            required=("scale", "cutoff", "n_modes")),
     },
 }
 
-_INIT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["vacuum", "coherent", "squeezed", "thermal", "matrix"]},
-        "alpha_re": _NUMBER,
-        "alpha_im": _NUMBER,
-        "r": _NUMBER,
-        "axis_angle": _NUMBER,
-        "nbar": _NUMBER,
+_INIT_SCHEMA = _kinds("kind", {
+    "vacuum": ((), {}),
+    "coherent": ((), {"alpha_re": _NUMBER, "alpha_im": _NUMBER}),
+    "squeezed": ((), {"r": _NUMBER, "axis_angle": _NUMBER}),
+    "thermal": ((), {"nbar": _NUMBER}),
+    "matrix": (("cov",), {
         "mean_re": _NUMBER,
         "mean_im": _NUMBER,
         "cov": {
@@ -83,27 +99,21 @@ _INIT_SCHEMA = {
             "items": {"type": "array", "minItems": 2, "maxItems": 2,
                       "items": _NUMBER},
         },
-    },
-}
+    }),
+})
 
-_FORCE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["constant", "sinusoid", "gaussian_pulse", "table"]},
-        "value": _NUMBER,
-        "amplitude": _NUMBER,
-        "frequency": _NUMBER,
-        "phase": _NUMBER,
-        "center": _NUMBER,
-        "width": _NUMBER,
+_FORCE_SCHEMA = _kinds("kind", {
+    "constant": ((), {"value": _NUMBER}),
+    "sinusoid": ((), {"amplitude": _NUMBER, "frequency": _NUMBER,
+                      "phase": _NUMBER}),
+    "gaussian_pulse": (("center", "width"),
+                       {"center": _NUMBER, "width": _NUMBER}),
+    "table": (("times", "values"), {
         "times": {"type": "array", "items": _NUMBER, "minItems": 2},
         "values": {"type": "array", "items": _NUMBER, "minItems": 2},
-        "support": {"type": "array", "minItems": 2, "maxItems": 2,
-                    "items": _NUMBER},
-    },
-}
+    }),
+}, common={"support": {"type": "array", "minItems": 2, "maxItems": 2,
+                       "items": _NUMBER}})
 
 SCHEMA = {
     "type": "object",
@@ -115,7 +125,7 @@ SCHEMA = {
             "required": ["omega0"],
             "properties": {
                 "omega0": _NUMBER,
-                "energy": _NUMBER,
+                "energy": _ENERGY,
                 "init": _INIT_SCHEMA,
             },
         },
@@ -127,7 +137,7 @@ SCHEMA = {
             "required": ["t_end"],
             "properties": {
                 "t_end": _NUMBER,
-                "n_steps": {"type": "integer", "minimum": 2},
+                "n_steps": _count(2),
             },
         },
         "window": {
@@ -141,8 +151,8 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["total_window"],
             "properties": {
-                "total_window": _NUMBER,
-                "tau": _NUMBER,
+                "total_window": _POSITIVE,
+                "tau": _POSITIVE,
                 "optimize": {"type": "boolean"},
                 "tau_bounds": {"type": "array", "minItems": 2, "maxItems": 2,
                                "items": _NUMBER},
@@ -152,32 +162,26 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "seed": {"type": "integer"},
-                "replications": {"type": "integer", "minimum": 2},
+                "seed": {"type": "integer", "minimum": 0},
+                "replications": _count(2),
                 "nu": {"type": "integer", "minimum": 1},
                 "force_amplitude": _NUMBER,
                 "theta": _NUMBER,
-                "energy_sweep": {"type": "array", "items": _NUMBER,
+                "energy_sweep": {"type": "array", "items": _ENERGY,
                                  "minItems": 1},
-                "gamma": _NUMBER,
-                "n_thermal": _NUMBER,
-                "report_points": {"type": "integer", "minimum": 2},
-                "t_prime": _NUMBER,
+                "gamma": _NONNEGATIVE,
+                "n_thermal": _NONNEGATIVE,
+                "report_points": _count(2),
+                "t_prime": _NONNEGATIVE,
             },
         },
     },
 }
 
 
-
-
 def _property_names(schema) -> set:
-    names = set()
-    if isinstance(schema, dict):
-        names.update(schema.get("properties", {}))
-        for sub in schema.values():
-            names |= _property_names(sub)
-    return names
+    return {name for node in _subtrees(schema) if isinstance(node, dict)
+            for name in node.get("properties", {})}
 
 
 def _subtrees(doc):

@@ -1,7 +1,9 @@
 """Property: every config that passes the key table exits 0, 2 or 3.
 
-Configs are drawn from `config.KEYS` and run through `cli.main` in-process;
-a probe state or a force mostly holds only its own kind's keys, and now and
+Configs are built by the strategies below, which keep their own tables of
+each probe-state and force kind's keys (`INIT_KEYS`, `FORCE_KEYS`)
+independent of `config.KEYS`, and run through `cli.main` in-process; a
+probe state or a force mostly holds only its own kind's keys, and now and
 then lacks a required one or holds another kind's.
 A numpy RuntimeWarning fails the example: the engine reports overflow
 through its exit code, never through a warning. A failed run writes
