@@ -35,12 +35,11 @@ BOOL = "boolean"
 
 
 class _Num(NamedTuple):
-    """A JSON number, never a boolean, in [low, high], or (low, high] if
-    open; whole (1.0 included) if integer."""
+    """A JSON number, never a boolean, in [low, high]; whole (1.0 included)
+    if integer."""
     integer: bool = False
     low: float = -math.inf
     high: float = math.inf
-    open: bool = False
 
 
 class _Block(dict):
@@ -61,7 +60,8 @@ class _Kinds(dict):
 
 
 NUM, _PAIR = _Num(), [_Num(), 2, 2]
-_NONNEGATIVE, _POSITIVE = _Num(low=0), _Num(low=0, open=True)
+# > 0: math.ulp(0.0) = 5e-324 is the smallest positive float
+_NONNEGATIVE, _POSITIVE = _Num(low=0), _Num(low=math.ulp(0.0))
 # keeps E^2 and script_e(E) finite; a sweep value, script_e itself, by 2x
 _ENERGY = _Num(low=0.5, high=1.34e154)
 _COUNT = 2 ** 53   # the largest integer a JSON number holds exactly
@@ -136,9 +136,8 @@ def _check(value: Any, rule: Any, path: str = "") -> None:
                           or value.is_integer())):
         fail(f"expected {'an integer' if rule.integer else 'a number'}, "
              f"got {value!r}")
-    elif not rule.low <= value <= rule.high or rule.open and value == rule.low:
-        fail(f"{value!r} is outside {'(' if rule.open else '['}"
-             f"{rule.low}, {rule.high}]")
+    elif not rule.low <= value <= rule.high:
+        fail(f"{value!r} is outside [{rule.low}, {rule.high}]")
 
 
 def _builder(build):

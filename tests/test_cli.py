@@ -795,19 +795,27 @@ def test_failed_run_creates_no_out_file_and_keeps_an_existing_one(case,
     assert kept.read_text() == "earlier output\n"
 
 
-def test_seed_flag_is_the_seed_option(tmp_path):
-    # seed 0 is the inclusive edge of options.seed >= 0
+def _seed_flag_matches_option(tmp_path, seed):
     raw = json.loads((SCENARIO_DIR / "estimate_cramer_rao.json").read_text())
-    raw["options"]["seed"] = 0
+    raw["options"]["seed"] = seed
     cfg = tmp_path / "seeded.json"
     cfg.write_text(json.dumps(raw))
     by_flag, by_option = tmp_path / "flag.json", tmp_path / "option.json"
     base = SCENARIO_DIR / "estimate_cramer_rao.json"
-    assert run_cli(["estimate", "--config", base, "--seed", "0",
+    assert run_cli(["estimate", "--config", base, "--seed", str(seed),
                     "--out", by_flag]) == 0
     assert run_cli(["estimate", "--config", cfg, "--out", by_option]) == 0
     assert by_flag.read_bytes() == by_option.read_bytes()
-    assert json.loads(by_flag.read_text())["seed"] == 0
+    assert json.loads(by_flag.read_text())["seed"] == seed
+
+
+def test_seed_flag_is_the_seed_option(tmp_path):
+    _seed_flag_matches_option(tmp_path, 3)
+
+
+def test_seed_zero_runs(tmp_path):
+    # 0 is the inclusive edge of options.seed >= 0 (and the default seed)
+    _seed_flag_matches_option(tmp_path, 0)
 
 
 def test_sweep_keeps_a_zero_asymptotic_total(tmp_path, capsys):
