@@ -19,7 +19,7 @@ from . import bath as bath_mod
 from . import force as force_mod
 from . import probe as probe_mod
 from . import response as response_mod
-from .errors import ConfigError, Frozen
+from .errors import ConfigError, Frozen, covers
 
 if TYPE_CHECKING:
     from .bath import ContinuousSpectrum, DiscreteBath
@@ -250,10 +250,7 @@ class ScenarioConfig(Frozen):
 
     def window(self) -> tuple[float, float]:
         block = self.block("window")
-        t0, t1 = float(block["t0"]), float(block["t"])
-        if t1 < t0:
-            raise ConfigError("window must satisfy t0 <= t")
-        return t0, t1
+        return float(block["t0"]), float(block["t"])
 
 
 def validate(raw: Any) -> ScenarioConfig:
@@ -264,23 +261,31 @@ def validate(raw: Any) -> ScenarioConfig:
     if "energy" in probe and "init" in probe:
         raise ConfigError("probe.energy and probe.init are mutually exclusive: "
                           "the energy selects the best squeezed state")
-    options = raw.get("options", {})
-    if "t_prime" in options and "grid" in raw \
-            and options["t_prime"] >= raw["grid"]["t_end"]:
+    t_end = raw.get("grid", {}).get("t_end", math.inf)
+    if raw.get("options", {}).get("t_prime", -math.inf) >= t_end:
         raise ConfigError("options.t_prime must be < grid.t_end")
-    seq = raw.get("sequential")
-    if seq is not None:
+    window = raw.get("window", {"t0": 0, "t": 0})
+    if window["t"] < window["t0"]:
+        raise ConfigError("window must satisfy t0 <= t")
+    seq = raw.get("sequential", {})
+    lo, hi = seq.get("tau_bounds", (0, 0))
+    reach = {"window t - t0": window["t"] - window["t0"],
+             "sequential.tau": seq.get("tau", 0),
+             "sequential.tau_bounds upper end": hi}
+    if "sequential" in raw:
         total = seq["total_window"]
         if seq.get("tau", 0) > total:
             raise ConfigError("sequential.tau must be <= total_window")
-        if seq.get("optimize") is False and "tau" not in seq:
-            raise ConfigError("sequential.optimize false needs sequential.tau")
-        if seq.get("optimize") is True and "tau" in seq:
-            raise ConfigError("sequential.optimize true takes no sequential.tau")
-        lo, hi = seq.get("tau_bounds", (total, total))
+        if seq.get("optimize", "tau" not in seq) == ("tau" in seq):
+            raise ConfigError("sequential.optimize false needs sequential.tau "
+                              "and true takes none")
         if "tau_bounds" in seq and not 0 < lo < hi <= total:
             raise ConfigError("sequential.tau_bounds must satisfy "
                               "0 < lower < upper <= total_window")
+    for name, tau in reach.items():     # G is solved on [0, t_end] only
+        if not covers(t_end, tau):
+            raise ConfigError(f"{name} = {tau!r} is longer than "
+                              f"grid.t_end = {t_end!r}")
     return ScenarioConfig(raw)
 
 

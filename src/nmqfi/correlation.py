@@ -8,7 +8,8 @@ moment frequencies of the coupling spectrum. Windows are measured from
 t0 = 0, the start of the solved response grid. Evaluation is at zero force
 amplitude: the amplitude-dependent piece shifts only the mean of the
 collective coupling and the correlation subtracts means. Both parts come
-in closed form from the bath's modal propagator, with no time quadrature.
+from the bath's modal propagator, exact at any time: no quadrature and no
+response sample.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ def bath_correlation(response: ResponseFunction, probe_fluctuation: float,
     t_prime, and one bare_correlation call.
     """
     t = np.asarray(t, dtype=float)
-    response.require_coverage(np.max(t, initial=t_prime))
     bath = response.bath
     born = (np.exp(-1j * bath.probe_frequency * (t - t_prime))
             * bare_correlation(bath, t - t_prime))

@@ -13,6 +13,11 @@ class CoverageError(NmqfiError):
     """A requested window reaches beyond the solved response grid."""
 
 
+def covers(t_end: float, tau: float) -> bool:
+    """Whether a grid on [0, t_end] covers elapsed time tau, to rounding."""
+    return -1e-12 <= tau <= t_end * (1.0 + 1e-12) + 1e-15
+
+
 class SolverInstabilityError(NmqfiError):
     """Response solution left the physical |G| <= 1 region."""
 

@@ -67,13 +67,6 @@ def best_state_variance(energy: float, w: WindowTerms) -> float:
 
 
 @np.errstate(over="ignore")    # overflow is reported inf
-def _qfi(w: WindowTerms, variance: float, form: str) -> QfiResult:
-    """|D|^2 over the variance of the measured quadrature."""
-    d_sq = abs(w.disp) ** 2
-    return QfiResult(value=float(d_sq / variance), numerator_abs_d_sq=d_sq,
-                     denominator_variance_or_det=float(variance), form=form)
-
-
 def qfi_general(init: GaussianProbeInit, w: WindowTerms) -> QfiResult:
     """QFI of any prepared Gaussian state: the mean-shift information.
 
@@ -89,8 +82,10 @@ def qfi_general(init: GaussianProbeInit, w: WindowTerms) -> QfiResult:
     offset = (init.axis - phase(w.disp) + phase(w.g)) % np.pi
     aligned = (abs(w.disp) == 0.0 or init.is_isotropic
                or min(offset, np.pi - offset) <= _ALIGNMENT_TOL)
-    return _qfi(w, snap.det_sigma / snap.var_x_theta,
-                "aligned" if aligned else "general")
+    d_sq, variance = abs(w.disp) ** 2, snap.det_sigma / snap.var_x_theta
+    return QfiResult(value=float(d_sq / variance), numerator_abs_d_sq=d_sq,
+                     denominator_variance_or_det=float(variance),
+                     form="aligned" if aligned else "general")
 
 
 def qfi_aligned(init: GaussianProbeInit, w: WindowTerms) -> QfiResult:
@@ -103,12 +98,10 @@ def qfi_aligned(init: GaussianProbeInit, w: WindowTerms) -> QfiResult:
 
 
 def qfi_best_state(energy: float, w: WindowTerms) -> QfiResult:
-    """QFI reached by the optimal squeezed state of the given mean energy.
-
-    Denominator |G|^2 / (4 script_e) + n_B; noiseless baths reduce it to
-    1/(4 script_e), the Heisenberg-limit line linear in script_e.
-    """
-    return _qfi(w, best_state_variance(energy, w), "best_state")
+    """qfi_general of the best state of the mean energy, form "best_state":
+    its denominator is best_state_variance to rounding, 1/(4 script_e) in a
+    noiseless bath (the Heisenberg-limit line linear in script_e)."""
+    return qfi_general(best_state(energy, w), w)._replace(form="best_state")
 
 
 def fisher_quadrature(theta: float, init: GaussianProbeInit,
@@ -143,11 +136,12 @@ def simulate_estimation(fisher: float, f_true: float, nu: int, seed: int,
     outcome is Gaussian with mean linear in the amplitude and
     amplitude-independent variance, so the maximum-likelihood estimate
     from nu outcomes follows exactly N(f_true, 1 / (nu fisher)): each
-    replication's estimate is drawn directly, and work and memory are
-    O(replications), whatever nu. Streams come from a counter-based
-    Philox generator keyed on `seed`, so replications are reproducible
-    and splittable. A bound 1 / (nu fisher) that is not finite and
-    positive raises EstimationError.
+    replication's error sqrt(crb) z is drawn directly, and the MSE reads
+    the errors, so a force too large to resolve them keeps them; work and
+    memory are O(replications), whatever nu. Streams come from a
+    counter-based Philox generator keyed on `seed`, so replications are
+    reproducible and splittable. A bound 1 / (nu fisher) that is not
+    finite and positive raises EstimationError.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -157,9 +151,9 @@ def simulate_estimation(fisher: float, f_true: float, nu: int, seed: int,
         raise EstimationError(f"Fisher information {float(fisher)!r} of {nu} "
                               f"measurements has no finite positive bound")
     rng = np.random.Generator(np.random.Philox(seed))
-    estimates = rng.normal(loc=f_true, scale=np.sqrt(crb), size=replications)
+    errors = np.sqrt(crb) * rng.standard_normal(replications)
     with np.errstate(over="ignore"):    # an error past floats reads inf
-        mse = float(np.mean((estimates - f_true) ** 2))
-    return EstimationResult(estimate=float(estimates[0]), empirical_mse=mse,
-                            crb=crb, ratio_to_crb=mse / crb,
+        mse = float(np.mean(errors ** 2))
+    return EstimationResult(estimate=float(f_true + errors[0]),
+                            empirical_mse=mse, crb=crb, ratio_to_crb=mse / crb,
                             replications=replications, nu=nu)

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .bath import ContinuousSpectrum, DiscreteBath, moments
-from .errors import CoverageError, Frozen, SolverInstabilityError
+from .errors import CoverageError, Frozen, SolverInstabilityError, covers
 
 _ABS_G_SLACK = 1e-6
 
@@ -89,8 +89,9 @@ class ResponseFunction(Frozen):
     """Sampled response G and its derivative on a uniform grid from 0.
 
     Off-grid queries use cubic Hermite interpolation built from the stored
-    derivative; g_dot is the derivative of that same interpolant. The
-    solved bath, with its probe frequency, travels with the response.
+    derivative; g_dot is the derivative of that same interpolant. Both
+    raise CoverageError past the grid, the engine's one coverage guard.
+    The solved bath, with its probe frequency, travels with the response.
     Immutable; safe for concurrent reads.
     """
 
@@ -106,16 +107,15 @@ class ResponseFunction(Frozen):
         return self.grid.t_end
 
     def require_coverage(self, tau: float) -> None:
-        if tau < -1e-12 or tau > self.t_end * (1.0 + 1e-12) + 1e-15:
+        if not covers(self.t_end, tau):
             raise CoverageError(
                 f"response solved on [0, {self.t_end:g}] cannot cover tau={tau:g}")
 
     def _eval(self, tau, slope: bool) -> Union[complex, np.ndarray]:
         arr = np.atleast_1d(np.asarray(tau, dtype=float))
         if arr.size:
-            lo, hi = float(arr.min()), float(arr.max())
-            self.require_coverage(lo)
-            self.require_coverage(hi)
+            self.require_coverage(float(arr.min()))
+            self.require_coverage(float(arr.max()))
         clipped = np.clip(arr, 0.0, self.t_end)
         out = _hermite_eval(clipped, self.grid.h, self.g_samples,
                             self.g_dot_samples, slope)

@@ -92,10 +92,8 @@ def interval_terms(scheme: SequentialScheme, response: ResponseFunction,
     that denominator depends on the probe energy, so one record serves
     every energy.
     """
-    tau = scheme.interval
-    response.require_coverage(tau)
     steps = scheme.step_window(np.arange(scheme.repetitions))
-    return window_terms(response, (0.0, tau),
+    return window_terms(response, (0.0, scheme.interval),
                         displacement(response, force, steps))
 
 

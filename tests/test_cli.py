@@ -92,6 +92,15 @@ def test_estimate_ratio_near_one(tmp_path):
     assert payload["crb"] == pytest.approx(1.0 / 800.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("force", [1e16, 1e308])
+def test_estimate_error_is_kept_at_a_large_force(force, tmp_path, capsys):
+    # each error sqrt(crb) z lies far below the force's last digit, so the
+    # draw f + sqrt(crb) z rounds back to f; the MSE reads the errors
+    payload = _run_json(tmp_path, capsys, "estimate_cramer_rao", "estimate",
+                        _set("options", force_amplitude=force))
+    assert 0.9 <= payload["ratio_to_crb"] <= 1.1
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = SCENARIO_DIR / "estimate_cramer_rao.json"
     out_a = tmp_path / "a.json"
@@ -143,16 +152,14 @@ def test_malformed_json_rejected(tmp_path):
 
 
 def test_numerical_error_exit_code(tmp_path):
-    # window beyond the solved grid -> coverage error -> exit 3
-    cfg = tmp_path / "cov.json"
-    cfg.write_text(json.dumps({
-        "probe": {"omega0": 1.0},
-        "bath": {"modes": [[0.25, 1.0, 0.0]]},
-        "force": {"kind": "constant", "value": 1.0, "support": [0.0, 100.0]},
-        "grid": {"t_end": 1.0, "n_steps": 64},
-        "window": {"t0": 0.0, "t": 5.0},
-    }))
-    assert run_cli(["qfi", "--config", cfg]) == 3
+    # the pulse is 28 widths past the window: the Fisher information
+    # underflows to 0 inside the engine -> numerical error -> exit 3
+    raw = json.loads((SCENARIO_DIR / "estimate_cramer_rao.json").read_text())
+    raw.update(force={"kind": "gaussian_pulse", "center": 4, "width": 0.125},
+               window={"t0": 0, "t": 0.5})
+    cfg = tmp_path / "underflow.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli(["estimate", "--config", cfg]) == 3
 
 
 def test_console_entry_point_runs():
@@ -441,6 +448,58 @@ def test_out_of_range_input_is_a_config_error(case, tmp_path, capsys):
     text = edit(raw)
     cfg = tmp_path / "probe.json"
     cfg.write_bytes(text if isinstance(text, bytes) else json.dumps(raw).encode())
+    assert run_cli([*sub.split(), "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:")
+    assert len(err.splitlines()) == 1
+
+
+# Windows and cadence intervals longer than grid.t_end, and a window that
+# ends before it starts, which once exited 3 (or 2) only after the march:
+# (base scenario, subcommand and its flags, edit of the parsed file).
+PAST_THE_GRID = {
+    "qfi_window": ("qfi_ohmic_thermal", "qfi", _set("window", t=7.0)),
+    "moments_window": ("moments_detuned_coherent", "moments",
+                       _set("window", t=6.5)),
+    "estimate_window": ("estimate_cramer_rao", "estimate",
+                        _set("window", t=4.5)),
+    "qfi_window_single_mode": ("qfi_noiseless_pi", "qfi", lambda raw: (
+        raw.clear(), raw.update({
+            "probe": {"omega0": 1.0},
+            "bath": {"modes": [[0.25, 1.0, 0.0]]},
+            "force": {"kind": "constant", "value": 1.0,
+                      "support": [0.0, 100.0]},
+            "grid": {"t_end": 1.0, "n_steps": 64},
+            "window": {"t0": 0.0, "t": 5.0}}))),
+    "sequential_tau": ("sequential_nonmarkov", "sequential",
+                       lambda raw: raw.update(sequential={
+                           "total_window": 1.0, "tau": 0.45})),
+    "sequential_tau_bounds_json": ("sequential_nonmarkov", "sequential",
+                                   _set("grid", t_end=0.2)),
+    "sequential_tau_bounds_csv": ("sequential_nonmarkov",
+                                  "sequential --format csv",
+                                  _set("grid", t_end=0.2)),
+    "sweep_tau_bounds": ("sweep_scaling", "sweep",
+                         _set("sequential", tau_bounds=[0.01, 0.5])),
+    "window_reversed": ("qfi_noiseless_pi", "qfi",
+                        _set("window", t0=2.0, t=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_THE_GRID))
+def test_window_past_the_grid_is_refused_before_the_march(case, tmp_path,
+                                                         capsys, monkeypatch):
+    from nmqfi import response
+
+    def march(*args):
+        raise AssertionError("the response was solved")
+
+    monkeypatch.setattr(response, "solve_response", march)
+    base, sub, edit = PAST_THE_GRID[case]
+    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
+    edit(raw)
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
     assert run_cli([*sub.split(), "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:")
@@ -774,7 +833,8 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
 # Runs of qfi_noiseless_pi that fail: (edit of the parsed file, exit code)
 FAILING_RUNS = {
     "config_error": (_set("probe", omega0=0), 2),
-    "numerical_error": (_set("window", t=5.0), 3),   # past t_end 4
+    "numerical_error": (_set("probe", init={"kind": "thermal", "nbar": 1e200}),
+                        3),   # det_sigma overflows
     "too_large_to_allocate": (_TOO_MANY_STEPS, 2),
 }
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import equal_start_correlation, four_term_correlation
+from conftest import (equal_start_correlation, four_term_correlation,
+                      step_noise_variance)
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, bare_correlation,
                         discretize)
 from nmqfi.correlation import bath_correlation
+from nmqfi.probe import noise_term
 from nmqfi.response import TimeGrid, solve_response
 
 
@@ -86,6 +88,27 @@ class TestDecomposition:
             got = bath_correlation(resp, 0.8, t, tp).total
             want = four_term_correlation(bath, resp, 0.8, t, tp, omega0)
             assert abs(got - want) <= 1e-7
+
+
+class TestPastTheSolvedGrid:
+    def test_modal_routes_need_no_grid(self):
+        # n_B and the correlation come from the modal propagator, so a
+        # response solved on [0, 1] gives them past t_end exactly as one
+        # solved on [0, 4]; the quadrature oracles read the longer grid
+        omega0 = 1.3
+        bath = DiscreteBath([0.16, 0.09], [1.0, 1.9], [0.0, 0.7], omega0)
+        long = solve_response(bath, TimeGrid(4.0, 4096))
+        short = solve_response(bath, TimeGrid(1.0, 1024))
+        for tau in (2.0, 3.5):
+            got = noise_term(short, (0.0, tau))
+            assert got == noise_term(long, (0.0, tau))
+            assert got == pytest.approx(step_noise_variance(long, bath, tau),
+                                        rel=1e-7)
+        for t, tp in ((2.1, 0.9), (0.8, 3.0)):
+            got = bath_correlation(short, 0.8, t, tp)
+            assert got == bath_correlation(long, 0.8, t, tp)
+            want = four_term_correlation(bath, long, 0.8, t, tp, omega0)
+            assert abs(got.total - want) <= 1e-7
 
 
 class TestCouplingScaling:
