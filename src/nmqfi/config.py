@@ -1,9 +1,10 @@
 """Scenario configuration: key table, validation, and object building.
 
 A scenario file is one JSON object with blocks `probe`, `bath`, `force`,
-`grid`, `window`, `sequential`, and `options`; each subcommand requires a
-subset (see the CLI). Unknown keys are rejected everywhere so typos fail
-loudly before any computation runs.
+`grid`, `window`, `sequential`, and `options`. Every run reads `probe`,
+`bath` and `grid`, so `KEYS` requires them; a subcommand may need more
+(see the CLI). Unknown keys are rejected everywhere so typos fail loudly
+before any computation runs.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ _ENERGY = _Num(low=0.5, high=1.34e154)
 _COUNT = 2 ** 53   # the largest integer a JSON number holds exactly
 
 KEYS = _Block(
+    ("probe", "bath", "grid"),
     probe=_Block(("omega0",), omega0=NUM, energy=_ENERGY, init=_Kinds(
         "kind", vacuum=_Block(), coherent=_Block(alpha_re=NUM, alpha_im=NUM),
         squeezed=_Block(r=NUM, axis_angle=NUM), thermal=_Block(nbar=NUM),
@@ -140,6 +142,13 @@ def _check(value: Any, rule: Any, path: str = "") -> None:
         fail(f"{value!r} is outside [{rule.low}, {rule.high}]")
 
 
+def _kwargs(block: dict, skip: tuple, **renamed: str) -> dict:
+    """The block's keys but skip as keyword arguments, renamed[key] or the
+    key naming its parameter; an absent key keeps the parameter's default."""
+    return {renamed.get(key, key): value for key, value in block.items()
+            if key not in skip}
+
+
 def _builder(build):
     """Report a builder's ValueError (a value out of its domain) as ConfigError."""
     @functools.wraps(build)
@@ -172,69 +181,49 @@ class ScenarioConfig(Frozen):
         return self.raw[name]
 
     def spectrum(self) -> Optional[ContinuousSpectrum]:
-        c = self.raw.get("bath", {}).get("continuum")
+        c = self.raw["bath"].get("continuum")
         if c is None:
             return None
-        occ = c.get("occupation", {"model": "zero"})
-        model = bath_mod.OccupationModel(occ["model"],
-                                         float(occ.get("temperature", 0.0)),
-                                         float(occ.get("value", 0.0)))
-        return bath_mod.ContinuousSpectrum(
-            family=c["family"], scale=float(c["scale"]), cutoff=float(c["cutoff"]),
-            exponent=float(c.get("s", 1.0)),
-            cutoff_shape=c.get("cutoff_shape", "hard"), occupation=model)
+        shape = _kwargs(c, ("family", "scale", "cutoff", "n_modes",
+                            "occupation"), s="exponent")
+        if "occupation" in c:
+            shape["occupation"] = bath_mod.OccupationModel(
+                **_kwargs(c["occupation"], (), model="kind"))
+        return bath_mod.ContinuousSpectrum(c["family"], float(c["scale"]),
+                                           float(c["cutoff"]), **shape)
 
     @_builder
     def bath(self) -> DiscreteBath:
-        block = self.block("bath")
-        if ("modes" in block) == ("continuum" in block):
-            raise ConfigError("bath block must give either 'modes' or 'continuum'")
+        block = self.raw["bath"]
         if "continuum" in block:
             return bath_mod.discretize(self.spectrum(),
                                        int(block["continuum"]["n_modes"]),
                                        self.omega0)
         arr = np.asarray(block["modes"], dtype=float).reshape(-1, 3)
-        return bath_mod.DiscreteBath(arr[:, 0], arr[:, 1], arr[:, 2],
-                                     self.omega0)
+        return bath_mod.DiscreteBath(*arr.T, self.omega0)
 
     @_builder
     def force(self) -> ForceModulation:
         block = self.block("force")
-        kind = block["kind"]
-        if kind == "table":
-            return force_mod.TabulatedForce.from_samples(
-                block["times"], block["values"], block.get("support"))
-        support = tuple(block.get("support", (0.0, float("inf"))))
-        if kind == "constant":
-            return force_mod.constant(block.get("value", 1.0), support)
-        if kind == "sinusoid":
-            return force_mod.sinusoid(block.get("amplitude", 1.0),
-                                      block.get("frequency", 1.0),
-                                      block.get("phase", 0.0), support)
-        return force_mod.gaussian_pulse(block["center"], block["width"], support)
+        make = {"constant": force_mod.constant, "sinusoid": force_mod.sinusoid,
+                "gaussian_pulse": force_mod.gaussian_pulse,
+                "table": force_mod.TabulatedForce.from_samples}[block["kind"]]
+        return make(**_kwargs(block, ("kind",), value="amplitude",
+                              frequency="angular_frequency"))
 
     @_builder
     def init_state(self) -> GaussianProbeInit:
         probe = self.raw["probe"]
-        init = probe.get("init")
-        if init is None:
-            if "energy" in probe:
-                raise ConfigError("probe gives an energy: build the state per "
-                                  "window with the best-state form instead")
-            return probe_mod.GaussianProbeInit.vacuum()
-        kind = init["kind"]
-        if kind == "vacuum":
-            return probe_mod.GaussianProbeInit.vacuum()
-        if kind == "coherent":
-            return probe_mod.GaussianProbeInit.coherent(
-                complex(init.get("alpha_re", 0.0), init.get("alpha_im", 0.0)))
-        if kind == "squeezed":
-            return probe_mod.GaussianProbeInit.squeezed(
-                init.get("r", 0.0), init.get("axis_angle", 0.0))
-        if kind == "thermal":
-            return probe_mod.GaussianProbeInit.thermal(init.get("nbar", 0.0))
-        mean = complex(init.get("mean_re", 0.0), init.get("mean_im", 0.0))
-        return probe_mod.GaussianProbeInit.from_covariance(mean, init["cov"])
+        if "energy" in probe:
+            raise ConfigError("probe gives an energy: build the state per "
+                              "window with the best-state form instead")
+        init = probe.get("init", {})
+        if init.get("kind") == "matrix":
+            mean = complex(init.get("mean_re", 0.0), init.get("mean_im", 0.0))
+            return probe_mod.GaussianProbeInit.from_covariance(mean, init["cov"])
+        return probe_mod.GaussianProbeInit(
+            complex(init.get("alpha_re", 0.0), init.get("alpha_im", 0.0)),
+            **_kwargs(init, ("kind", "alpha_re", "alpha_im"), axis_angle="axis"))
 
     def energy(self) -> Optional[float]:
         val = self.raw["probe"].get("energy")
@@ -242,7 +231,7 @@ class ScenarioConfig(Frozen):
 
     @_builder
     def grid(self, bath: DiscreteBath) -> TimeGrid:
-        block = self.block("grid")
+        block = self.raw["grid"]
         t_end = float(block["t_end"])
         if "n_steps" in block:
             return response_mod.TimeGrid(t_end, int(block["n_steps"]))
@@ -257,11 +246,12 @@ def validate(raw: Any) -> ScenarioConfig:
     """Check raw against KEYS and the rules that relate two keys; wrap it
     as a scenario."""
     _check(raw, KEYS)
-    probe = raw.get("probe", {})
+    probe, bath, t_end = raw["probe"], raw["bath"], raw["grid"]["t_end"]
+    if ("modes" in bath) == ("continuum" in bath):
+        raise ConfigError("bath block must give either 'modes' or 'continuum'")
     if "energy" in probe and "init" in probe:
         raise ConfigError("probe.energy and probe.init are mutually exclusive: "
                           "the energy selects the best squeezed state")
-    t_end = raw.get("grid", {}).get("t_end", math.inf)
     if raw.get("options", {}).get("t_prime", -math.inf) >= t_end:
         raise ConfigError("options.t_prime must be < grid.t_end")
     window = raw.get("window", {"t0": 0, "t": 0})

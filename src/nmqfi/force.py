@@ -199,12 +199,12 @@ def constant(amplitude: float = 1.0, support: tuple[float, float] = (0.0, np.inf
     return ConstantForce(support=support, amplitude=amplitude)
 
 
-def sinusoid(amplitude: float, angular_frequency: float, phase: float = 0.0,
-             support: tuple[float, float] = (0.0, np.inf)) -> SinusoidForce:
+def sinusoid(amplitude: float = 1.0, angular_frequency: float = 1.0,
+             phase: float = 0.0, support: tuple[float, float] = (0.0, np.inf)) -> SinusoidForce:
     return SinusoidForce(support=support, amplitude=amplitude,
                          angular_frequency=angular_frequency, phase=phase)
 
 
 def gaussian_pulse(center: float, width: float,
-                   support: tuple[float, float]) -> GaussianPulseForce:
+                   support: tuple[float, float] = (0.0, np.inf)) -> GaussianPulseForce:
     return GaussianPulseForce(support=support, center=center, width=width)

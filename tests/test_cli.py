@@ -506,6 +506,33 @@ def test_window_past_the_grid_is_refused_before_the_march(case, tmp_path,
     assert len(err.splitlines()) == 1
 
 
+# The first shipped scenario of each subcommand.
+FIRST_SCENARIO = {subcommand_for(path): path for path in reversed(SCENARIOS)}
+
+
+@pytest.mark.parametrize("block", ["probe", "bath", "grid"])
+@pytest.mark.parametrize("sub", sorted(FIRST_SCENARIO))
+def test_scenario_without_a_root_block_is_refused_before_any_bath(
+        sub, block, tmp_path, capsys, monkeypatch):
+    # every run reads probe, bath and grid, so validate refuses a scenario
+    # without one before any bath is built
+    from nmqfi import config, response
+
+    def build(*args):
+        raise AssertionError("a bath was built")
+
+    monkeypatch.setattr(config.ScenarioConfig, "bath", build)
+    monkeypatch.setattr(response, "solve_response", build)
+    raw = json.loads(FIRST_SCENARIO[sub].read_text())
+    del raw[block]
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli([sub, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:")
+    assert len(err.splitlines()) == 1
+
+
 def _run_json(tmp_path, capsys, base, sub, edit):
     """The parsed stdout of a run of base edited by edit, which exits 0."""
     raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())

@@ -118,6 +118,7 @@ _FORCE_SCHEMA = _kinds("kind", {
 SCHEMA = {
     "type": "object",
     "additionalProperties": False,
+    "required": ["probe", "bath", "grid"],
     "properties": {
         "probe": {
             "type": "object",
@@ -268,6 +269,11 @@ def test_shipped_scenarios_pass_the_table(scenario):
     _check(json.loads(scenario.read_text()), KEYS)
 
 
+# The blocks every scenario holds, each valid, which a doc below overrides.
+_REQUIRED = {"probe": {"omega0": 1.0}, "bath": {"modes": []},
+             "grid": {"t_end": 1.0}}
+
+
 @pytest.mark.parametrize("doc, where", [
     ({"probe": {}}, "probe"),
     ({"grid": {"t_end": 1.0, "n_steps": 1}}, "grid/n_steps"),
@@ -279,4 +285,4 @@ def test_shipped_scenarios_pass_the_table(scenario):
 ])
 def test_rejection_names_the_offending_key(doc, where):
     with pytest.raises(ConfigError, match=f"config invalid at {where}:"):
-        _check(doc, KEYS)
+        _check({**_REQUIRED, **doc}, KEYS)

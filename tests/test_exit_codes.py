@@ -4,7 +4,8 @@ Configs are built by the strategies below, which keep their own tables of
 each probe-state and force kind's keys (`INIT_KEYS`, `FORCE_KEYS`)
 independent of `config.KEYS`, and run through `cli.main` in-process; a
 probe state or a force mostly holds only its own kind's keys, and now and
-then lacks a required one or holds another kind's.
+then lacks a required one or holds another kind's, and a config now and
+then lacks a whole block, `probe`, `bath` and `grid` included.
 A numpy RuntimeWarning fails the example: the engine reports overflow
 through its exit code, never through a warning. A failed run writes
 nothing to stdout, and a run that exits 0 prints only
@@ -49,6 +50,8 @@ POSITIVE = st.one_of(st.floats(1e-3, 10.0),
                      st.sampled_from([1e-300, 1e-30, 1e30, 1e300]))
 ENERGY = st.one_of(st.floats(0.5, 100.0), st.sampled_from([1e30, 1e300]))
 FRACTION = st.floats(0.0, 1.0)
+# The top-level blocks of a scenario, in the order of the README.
+BLOCKS = ("probe", "bath", "force", "grid", "window", "sequential", "options")
 # Most steps of a cadence. A search whose bound prunes nothing evaluates
 # every tooth T / nu, about MAX_STEPS^2 / 2 step windows in all, so the cap
 # stays far below the engine's own.
@@ -170,7 +173,10 @@ def sequential_blocks(draw, t_end: float, n_steps: int):
 @st.composite
 def runs(draw):
     """(subcommand, format, raw config), with the blocks the subcommand
-    reads nine times in ten and every other block or key at random."""
+    reads nine times in ten and every other block or key at random; one
+    config in ten then lacks one top-level block, if it drew that block."""
+    # drawn first: a draw at the end picks nearly always the same block
+    dropped = None if _usually(draw) else draw(st.sampled_from(BLOCKS))
     sub, fmt = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
     t_end, n_steps = draw(st.floats(0.01, 5.0)), draw(st.integers(2, 512))
     energy = sub in ("sequential", "sweep") or (
@@ -200,6 +206,7 @@ def runs(draw):
     _optional(draw, options, "t_prime",
               FRACTION.map(lambda f: 0.99 * f * t_end))
     raw["options"] = options
+    raw.pop(dropped, None)
     return sub, fmt, raw
 
 
