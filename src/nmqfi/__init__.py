@@ -34,8 +34,7 @@ _EXPORTS = {
              "memory_kernel", "moments"),
     "correlation": ("CorrelationResult", "bath_correlation"),
     "force": ("ConstantForce", "ForceModulation", "GaussianPulseForce",
-              "SinusoidForce", "TabulatedForce", "constant", "gaussian_pulse",
-              "sinusoid"),
+              "SinusoidForce", "TabulatedForce"),
     "metrology": ("EstimationResult", "QfiResult", "best_state",
                   "best_state_variance", "energy_for_script_e",
                   "fisher_quadrature", "optimal_angle", "qfi_aligned",

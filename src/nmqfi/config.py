@@ -205,9 +205,10 @@ class ScenarioConfig(Frozen):
     @_builder
     def force(self) -> ForceModulation:
         block = self.block("force")
-        make = {"constant": force_mod.constant, "sinusoid": force_mod.sinusoid,
-                "gaussian_pulse": force_mod.gaussian_pulse,
-                "table": force_mod.TabulatedForce.from_samples}[block["kind"]]
+        make = {"constant": force_mod.ConstantForce,
+                "sinusoid": force_mod.SinusoidForce,
+                "gaussian_pulse": force_mod.GaussianPulseForce,
+                "table": force_mod.TabulatedForce}[block["kind"]]
         return make(**_kwargs(block, ("kind",), value="amplitude",
                               frequency="angular_frequency"))
 

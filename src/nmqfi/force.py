@@ -9,7 +9,7 @@ zeta^2 and zeta'^2 over a window in closed form.
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -81,7 +81,8 @@ class ForceModulation(Frozen):
 
 
 class ConstantForce(ForceModulation):
-    def __init__(self, support: tuple[float, float], amplitude: float = 1.0):
+    def __init__(self, amplitude: float = 1.0,
+                 support: tuple[float, float] = (0.0, np.inf)):
         super().__init__(support)
         vars(self).update(amplitude=amplitude)
 
@@ -95,8 +96,9 @@ class ConstantForce(ForceModulation):
 class SinusoidForce(ForceModulation):
     """amplitude * sin(angular_frequency * t + phase)."""
 
-    def __init__(self, support: tuple[float, float], amplitude: float = 1.0,
-                 angular_frequency: float = 1.0, phase: float = 0.0):
+    def __init__(self, amplitude: float = 1.0, angular_frequency: float = 1.0,
+                 phase: float = 0.0,
+                 support: tuple[float, float] = (0.0, np.inf)):
         super().__init__(support)
         vars(self).update(amplitude=amplitude,
                           angular_frequency=angular_frequency, phase=phase)
@@ -118,8 +120,8 @@ class SinusoidForce(ForceModulation):
 class GaussianPulseForce(ForceModulation):
     """Unit-peak Gaussian pulse exp(-(t - center)^2 / (2 width^2))."""
 
-    def __init__(self, support: tuple[float, float], center: float = 0.0,
-                 width: float = 1.0):
+    def __init__(self, center: float, width: float,
+                 support: tuple[float, float] = (0.0, np.inf)):
         super().__init__(support)
         if width <= 0:
             raise ValueError("width must be > 0")
@@ -160,10 +162,10 @@ class TabulatedForce(ForceModulation):
     sample range the end values hold. Support defaults to the sample range.
     """
 
-    def __init__(self, support: tuple[float, float],
-                 times: tuple[float, ...] = (), values: tuple[float, ...] = ()):
-        super().__init__(support)
+    def __init__(self, times: tuple[float, ...], values: tuple[float, ...],
+                 support: Optional[tuple[float, float]] = None):
         times = tuple(float(t) for t in times)
+        super().__init__(support or (times[0], times[-1]))
         values = tuple(float(v) for v in values)
         if len(times) < 2 or len(times) != len(values):
             raise ValueError("table needs matching times/values with >= 2 samples")
@@ -174,13 +176,6 @@ class TabulatedForce(ForceModulation):
         if not np.isfinite(slopes).all():
             raise ValueError("a table slope between samples overflows")
         vars(self).update(times=times, values=values)
-
-    @classmethod
-    def from_samples(cls, times, values, support=None) -> "TabulatedForce":
-        """The table through the samples, by default supported on their range."""
-        times = tuple(float(t) for t in times)
-        return cls(support=support or (times[0], times[-1]), times=times,
-                   values=values)
 
     def _knots(self):
         lo, hi = self.support
@@ -193,18 +188,3 @@ class TabulatedForce(ForceModulation):
         # a piece is one linear segment from a to b
         a, b = np.interp((lo, hi), self.times, self.values).tolist()
         return (hi - lo) * (a * a + a * b + b * b) / 3.0, (b - a) ** 2 / (hi - lo)
-
-
-def constant(amplitude: float = 1.0, support: tuple[float, float] = (0.0, np.inf)) -> ConstantForce:
-    return ConstantForce(support=support, amplitude=amplitude)
-
-
-def sinusoid(amplitude: float = 1.0, angular_frequency: float = 1.0,
-             phase: float = 0.0, support: tuple[float, float] = (0.0, np.inf)) -> SinusoidForce:
-    return SinusoidForce(support=support, amplitude=amplitude,
-                         angular_frequency=angular_frequency, phase=phase)
-
-
-def gaussian_pulse(center: float, width: float,
-                   support: tuple[float, float] = (0.0, np.inf)) -> GaussianPulseForce:
-    return GaussianPulseForce(support=support, center=center, width=width)

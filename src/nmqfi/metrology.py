@@ -53,8 +53,8 @@ def best_state(energy: float, w: WindowTerms) -> GaussianProbeInit:
     phase(D) - phase(G), reduced mod pi; the minimum-variance quadrature,
     of variance 1/(4 script_e), is the P quadrature at that angle.
     """
-    return GaussianProbeInit.squeezed(0.5 * np.log(2.0 * script_e(energy)),
-                                      phase(w.disp) - phase(w.g))
+    return GaussianProbeInit(0.0, r=0.5 * np.log(2.0 * script_e(energy)),
+                             axis=phase(w.disp) - phase(w.g))
 
 
 def best_state_variance(energy: float, w: WindowTerms) -> float:

@@ -63,24 +63,6 @@ class GaussianProbeInit(Frozen):
                              "mean quadrature sqrt(2) |alpha|")
 
     @classmethod
-    def vacuum(cls) -> "GaussianProbeInit":
-        return cls(0.0)
-
-    @classmethod
-    def coherent(cls, alpha: complex) -> "GaussianProbeInit":
-        return cls(alpha)
-
-    @classmethod
-    def thermal(cls, nbar: float) -> "GaussianProbeInit":
-        return cls(0.0, nbar)
-
-    @classmethod
-    def squeezed(cls, r: float, axis_angle: float = 0.0,
-                 mean_amplitude: complex = 0.0) -> "GaussianProbeInit":
-        """Pure state of variance e^{2r}/2 along X(axis_angle), e^{-2r}/2 across."""
-        return cls(mean_amplitude, 0.0, r, axis_angle)
-
-    @classmethod
     def from_covariance(cls, mean_amplitude: complex,
                         covariance) -> "GaussianProbeInit":
         """The state of a symmetric 2x2 covariance over (X, P).

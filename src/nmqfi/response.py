@@ -12,6 +12,7 @@ flat band approaches an exponential envelope.
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
@@ -54,11 +55,16 @@ class TimeGrid(Frozen):
 def default_grid(bath: DiscreteBath, t_end: float) -> TimeGrid:
     """Grid sized so the step resolves both the probe and the kernel rates.
 
-    Targets h * max(Omega_2, omega0) <= 0.02 with a floor on the step count.
+    Targets h * max(Omega_2, omega0) <= 0.02 with a floor on the step count;
+    a count above 2^53, an infinite one included, raises ValueError.
     """
     rate = max(moments(bath).omega(2), bath.probe_frequency)
-    n = max(_FLOOR_STEPS, int(np.ceil(t_end * rate / 0.02)))
-    return TimeGrid(float(t_end), n)
+    # as Python floats, a product past the float range is inf, with no warning
+    steps = float(t_end) * float(rate) / 0.02
+    if not steps <= 2 ** 53:
+        raise ValueError(f"the default grid for grid.t_end {t_end!r} has more "
+                         f"than 2^53 steps: give grid.n_steps")
+    return TimeGrid(float(t_end), max(_FLOOR_STEPS, math.ceil(steps)))
 
 
 def _hermite_eval(query: np.ndarray, h: float, y: np.ndarray,

@@ -25,8 +25,8 @@ from nmqfi.probe import (GaussianProbeInit, covariance_snapshot,
 from nmqfi.response import TimeGrid, default_grid, markov_closed_form, solve_response
 from nmqfi.sequential import markov_seq, optimize_tau, tau_opt_asymptotic, xi_and_c
 
-ZETA = fc.constant(1.0)
-VACUUM = GaussianProbeInit.vacuum()
+ZETA = fc.ConstantForce(1.0)
+VACUUM = GaussianProbeInit(0.0)
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -97,7 +97,7 @@ def test_criterion_04_short_time_qfi_slope():
 
 
 def test_criterion_05_markov_third_order_contrast():
-    ramp = fc.TabulatedForce.from_samples([0.0, 10.0], [1.0, 6.0])
+    ramp = fc.TabulatedForce([0.0, 10.0], [1.0, 6.0])
     omega0, gamma = 1.0, 0.3
     z0, zdot0, var0 = 1.0, 0.5, 0.5
     results = []

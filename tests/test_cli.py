@@ -759,7 +759,7 @@ def test_nan_cadence_bound_stops_before_the_teeth(monkeypatch):
     # file cannot give that energy (it exits 2), so optimize_tau is called
     from nmqfi import sequential
     from nmqfi.bath import DiscreteBath
-    from nmqfi.force import constant
+    from nmqfi.force import ConstantForce
     from nmqfi.response import TimeGrid, solve_response
 
     resp = solve_response(DiscreteBath([], [], [], 1.0), TimeGrid(0.4, 8192))
@@ -773,8 +773,8 @@ def test_nan_cadence_bound_stops_before_the_teeth(monkeypatch):
     monkeypatch.setattr(sequential, "interval_terms", counted)
     with pytest.raises(NmqfiError, match=r"^cadence total or its bound is "
                                          r"nan at energy 1e\+300$"):
-        sequential.optimize_tau(1.0, 1e300, resp, constant(0.0, (0.0, 100.0)),
-                                (0.004, 0.3))
+        sequential.optimize_tau(1.0, 1e300, resp,
+                                ConstantForce(0.0, (0.0, 100.0)), (0.004, 0.3))
     assert intervals == [0.3, 0.004]       # the bracket ends only
 
 

@@ -137,8 +137,7 @@ class TestSymplecticOracle:
         omega0 = 1.3
         bath = DiscreteBath([0.16, 0.09], [1.0, 1.9], [0.0, 0.7], omega0)
         resp = solve_response(bath, TimeGrid(4.0, 4096))
-        init = GaussianProbeInit.squeezed(0.5, axis_angle=0.4,
-                                          mean_amplitude=0.6 - 0.2j)
+        init = GaussianProbeInit(0.6 - 0.2j, r=0.5, axis=0.4)
         sigma0 = initial_joint_covariance(bath, covariance_matrix(init))
         k = np.sqrt(bath.coupling_sq)
         dim = 2 * (bath.n_modes + 1)

@@ -280,8 +280,18 @@ def _driven_overflow(raw):
     raw["options"]["force_amplitude"] = 1e300
 
 
+def _default_grid(t_end, omega0=None):
+    """A grid without n_steps, so its count is the default grid's."""
+    def edit(raw):
+        raw["grid"] = {"t_end": t_end}
+        if omega0 is not None:
+            raw["probe"]["omega0"] = omega0
+    return edit
+
+
 # Inputs whose arithmetic once overflowed in numpy, which printed its
-# RuntimeWarning ahead of the one line of the exit code: (base scenario,
+# RuntimeWarning ahead of the one line of the exit code, or overflowed a
+# default grid's step count, which ended in a traceback: (base scenario,
 # subcommand, edit of the parsed file, exit code).
 OVERFLOWS = {
     "coherent_mean_past_float": (
@@ -313,6 +323,14 @@ OVERFLOWS = {
         "sequential_nonmarkov", "sequential",
         lambda raw: raw.update(force={"kind": "table", "times": [0.0, 1.0],
                                       "values": [1e200, 1e200]}), 3),
+    # default grid counts past numpy's array size, its dimension limit and
+    # the float range
+    "default_grid_past_array_size": (
+        "response_narrowband", "response", _default_grid(1e17), 2),
+    "default_grid_past_dimension_limit": (
+        "sequential_nonmarkov", "sequential", _default_grid(1e19), 2),
+    "default_grid_count_infinite": (
+        "qfi_best_state_resonant", "qfi", _default_grid(1e300, 1e10), 2),
     "markov_ceiling_past_float": (
         "sequential_nonmarkov", "sequential",
         lambda raw: raw["options"].update(gamma=2.2250738585e-313), 3),

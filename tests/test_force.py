@@ -11,7 +11,7 @@ from nmqfi import force as fc
 
 
 def test_constant_inside_and_outside_support():
-    f = fc.constant(2.5, (1.0, 3.0))
+    f = fc.ConstantForce(2.5, (1.0, 3.0))
     assert f.value(2.0) == 2.5
     assert f.value(0.5) == 0.0
     assert f.value(3.5) == 0.0
@@ -19,13 +19,13 @@ def test_constant_inside_and_outside_support():
 
 
 def test_support_endpoints_inclusive():
-    f = fc.constant(1.0, (0.0, 2.0))
+    f = fc.ConstantForce(1.0, (0.0, 2.0))
     assert f.value(0.0) == 1.0
     assert f.value(2.0) == 1.0
 
 
 def test_sinusoid_value_and_derivative():
-    f = fc.sinusoid(2.0, 3.0, 0.4, (0.0, 10.0))
+    f = fc.SinusoidForce(2.0, 3.0, 0.4, (0.0, 10.0))
     t = np.array([0.3, 1.7])
     assert_allclose(f.value(t), 2.0 * np.sin(3.0 * t + 0.4))
     # a short window centred on t averages zeta'^2 to zeta'(t)^2 + O(h^2)
@@ -41,18 +41,18 @@ def test_sinusoid_value_and_derivative():
 
 
 def test_gaussian_pulse():
-    f = fc.gaussian_pulse(2.0, 0.5, (0.0, 4.0))
+    f = fc.GaussianPulseForce(2.0, 0.5, (0.0, 4.0))
     assert f.value(2.0) == 1.0
     assert f.value(2.5) == pytest.approx(np.exp(-0.5))
     # over the whole line: int zeta^2 = w sqrt(pi), int zeta'^2 = sqrt(pi) / (2 w)
-    wide = fc.gaussian_pulse(2.0, 0.5, (-40.0, 40.0))
+    wide = fc.GaussianPulseForce(2.0, 0.5, (-40.0, 40.0))
     z2, dz2 = wide.square_integrals(-40.0, 40.0)
     assert z2 == pytest.approx(0.5 * np.sqrt(np.pi), rel=1e-14)
     assert dz2 == pytest.approx(np.sqrt(np.pi), rel=1e-14)
 
 
 def test_table_interpolation_and_secant_derivative():
-    f = fc.TabulatedForce.from_samples([0.0, 1.0, 3.0], [0.0, 2.0, 0.0])
+    f = fc.TabulatedForce([0.0, 1.0, 3.0], [0.0, 2.0, 0.0])
     assert f.support == (0.0, 3.0)
     assert f.value(0.5) == pytest.approx(1.0)
     assert f.value(2.0) == pytest.approx(1.0)
@@ -69,14 +69,14 @@ def test_table_interpolation_and_secant_derivative():
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        fc.TabulatedForce.from_samples([0.0, 0.0], [1.0, 2.0])
+        fc.TabulatedForce([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(ValueError):
-        fc.TabulatedForce.from_samples([0.0], [1.0])
+        fc.TabulatedForce([0.0], [1.0])
 
 
 def test_window_pieces():
     # a smooth force is one piece: the window clipped to the support
-    f = fc.constant(1.0, (1.0, 5.0))
+    f = fc.ConstantForce(1.0, (1.0, 5.0))
     assert f.pieces(0.0, 3.0) == [(1.0, 3.0)]
     assert f.pieces(2.0, 9.0) == [(2.0, 5.0)]
     [(lo, hi)] = f.pieces(6.0, 9.0)
@@ -93,11 +93,11 @@ def test_window_pieces():
 
 def test_invalid_support_rejected():
     with pytest.raises(ValueError):
-        fc.constant(1.0, (2.0, 1.0))
+        fc.ConstantForce(1.0, (2.0, 1.0))
 
 
 def test_vectorized_matches_scalar():
-    f = fc.sinusoid(1.0, 2.0, 0.0, (0.5, 4.0))
+    f = fc.SinusoidForce(1.0, 2.0, 0.0, (0.5, 4.0))
     ts = np.linspace(0.0, 5.0, 23)
     vec = f.value(ts)
     assert_allclose(vec, [f.value(float(t)) for t in ts])
@@ -161,14 +161,14 @@ def _forces(draw):
     hi = lo + draw(st.floats(0.0, 10.0))
     kind = draw(st.sampled_from(["constant", "sinusoid", "pulse", "table"]))
     if kind == "constant":
-        return fc.constant(draw(_AMPLITUDES), (lo, hi))
+        return fc.ConstantForce(draw(_AMPLITUDES), (lo, hi))
     if kind == "sinusoid":
         omega = draw(st.just(0.0) | st.floats(-100.0, 100.0))
-        return fc.sinusoid(draw(_AMPLITUDES), omega,
-                           draw(st.floats(-np.pi, np.pi)), (lo, hi))
+        return fc.SinusoidForce(draw(_AMPLITUDES), omega,
+                                draw(st.floats(-np.pi, np.pi)), (lo, hi))
     if kind == "pulse":
-        return fc.gaussian_pulse(draw(st.floats(lo - 3.0, hi + 3.0)),
-                                 draw(st.floats(0.05, 3.0)), (lo, hi))
+        return fc.GaussianPulseForce(draw(st.floats(lo - 3.0, hi + 3.0)),
+                                     draw(st.floats(0.05, 3.0)), (lo, hi))
     # samples on a grid of 40 cells over the support widened by 2 each way,
     # so the support may end inside or beyond the sampled range
     cells = sorted(draw(st.lists(st.integers(0, 40), min_size=2, max_size=6,
@@ -182,7 +182,7 @@ def _forces(draw):
 @settings(max_examples=120, deadline=None)
 @given(force=_forces(), start=st.floats(-8.0, 8.0),
        length=st.floats(-1.0, 15.0))
-@example(force=fc.constant(1.5, (1.0, 1.0000000000000002)), start=0.0,
+@example(force=fc.ConstantForce(1.5, (1.0, 1.0000000000000002)), start=0.0,
          length=2.0)     # a one-ulp piece
 def test_square_integrals_match_quadrature(force, start, length):
     # windows partly or wholly outside the support; length <= 0 is empty
@@ -196,7 +196,7 @@ def test_square_integrals_match_quadrature(force, start, length):
        phase=st.floats(-np.pi, np.pi), turn=st.integers(0, 30))
 def test_sinusoid_short_window_at_a_zero(amplitude, omega, phase, turn):
     zero = (turn * np.pi - phase) / omega
-    force = fc.sinusoid(amplitude, omega, phase, (-20.0, 20.0))
+    force = fc.SinusoidForce(amplitude, omega, phase, (-20.0, 20.0))
     _assert_matches_quad(force, zero, zero + 1e-5)
     _assert_matches_quad(force, zero - 0.5e-5, zero + 0.5e-5)
 
@@ -209,7 +209,8 @@ def test_pulse_far_tail(center, width, depth, length, side):
     # a window 6 or more widths into either tail keeps its digits: each
     # integral matches the quadrature to 1e-9 relative, however small
     ends = sorted(center + side * width * np.array([depth, depth + length]))
-    force = fc.gaussian_pulse(center, width, (ends[0] - 1.0, ends[1] + 1.0))
+    force = fc.GaussianPulseForce(center, width,
+                                  (ends[0] - 1.0, ends[1] + 1.0))
     got = force.square_integrals(*ends)
     want = _quad_squares(force, *ends, epsabs=0.0)
     assert all(w > 0.0 for w in want)

@@ -19,7 +19,7 @@ from nmqfi.response import TimeGrid, solve_response
 
 OMEGA0 = 1.0
 PI_WINDOW = (0.0, np.pi)
-ZETA = fc.constant(1.0)
+ZETA = fc.ConstantForce(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -52,15 +52,15 @@ class TestScriptE:
 class TestQfiForms:
     def test_zero_force_zero_qfi(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
-        z0 = fc.constant(0.0)
+        vac = GaussianProbeInit(0.0)
+        z0 = fc.ConstantForce(0.0)
         w = forced_window(resp, z0, PI_WINDOW)
         assert qfi_general(vac, w).value == 0.0
         assert qfi_aligned(vac, w).value == 0.0
 
     def test_noiseless_vacuum_eight(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         w = forced_window(resp, ZETA, PI_WINDOW)
         r = qfi_aligned(vac, w)
         assert r.value == pytest.approx(8.0, abs=1e-9)
@@ -69,14 +69,14 @@ class TestQfiForms:
 
     def test_result_bookkeeping(self, single_mode):
         resp = single_mode
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         r = qfi_aligned(vac, forced_window(resp, ZETA, (0.0, 1.7)))
         assert r.value == pytest.approx(
             r.numerator_abs_d_sq / r.denominator_variance_or_det)
 
     def test_coherent_matches_aligned(self, single_mode):
         resp = single_mode
-        init = GaussianProbeInit.coherent(0.7 + 0.2j)
+        init = GaussianProbeInit(0.7 + 0.2j)
         w = forced_window(resp, ZETA, (0.0, 1.3))
         g = qfi_general(init, w)
         assert g.form == "aligned"
@@ -86,8 +86,8 @@ class TestQfiForms:
         # P(theta*) attains the QFI of a state aligned with the window
         w = forced_window(single_mode, ZETA, (0.0, 1.3))
         axis = phase(w.disp) - phase(w.g)
-        for init in (GaussianProbeInit.vacuum(), GaussianProbeInit.thermal(2.0),
-                     GaussianProbeInit.squeezed(1.5, axis, 0.3 - 0.2j),
+        for init in (GaussianProbeInit(0.0), GaussianProbeInit(0.0, 2.0),
+                     GaussianProbeInit(0.3 - 0.2j, r=1.5, axis=axis),
                      GaussianProbeInit(0.1j, 0.7, 0.9, axis + np.pi),
                      best_state(4.0, w)):
             g = qfi_general(init, w)
@@ -99,17 +99,17 @@ class TestQfiForms:
         # aligned within 1e-6 of phase(D) - phase(G) mod pi, or for D = 0
         w = forced_window(single_mode, ZETA, (0.0, 1.3))
         axis = phase(w.disp) - phase(w.g)
-        forms = [qfi_general(GaussianProbeInit.squeezed(0.8, axis + off),
+        forms = [qfi_general(GaussianProbeInit(0.0, r=0.8, axis=axis + off),
                              w).form
                  for off in (5e-7, -5e-7, np.pi + 5e-7, 2e-6, -2e-6, 0.5)]
         assert forms == ["aligned"] * 3 + ["general"] * 3
-        still = forced_window(single_mode, fc.constant(0.0), (0.0, 1.3))
-        assert qfi_general(GaussianProbeInit.squeezed(0.8, 0.5),
+        still = forced_window(single_mode, fc.ConstantForce(0.0), (0.0, 1.3))
+        assert qfi_general(GaussianProbeInit(0.0, r=0.8, axis=0.5),
                            still).form == "aligned"
 
     def test_misaligned_squeezed_raises(self, single_mode):
         resp = single_mode
-        init = GaussianProbeInit.squeezed(0.8, axis_angle=1.2)
+        init = GaussianProbeInit(0.0, r=0.8, axis=1.2)
         w = forced_window(resp, ZETA, (0.0, 1.3))
         with pytest.raises(AlignmentError):
             qfi_aligned(init, w)
@@ -174,7 +174,7 @@ class TestBestState:
 class TestBestStateQfi:
     def test_vacuum_consistency(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         w = forced_window(resp, ZETA, PI_WINDOW)
         b = qfi_best_state(0.5, w)
         a = qfi_aligned(vac, w)
@@ -205,13 +205,13 @@ class TestBestStateQfi:
             axis = rng.uniform(0.0, np.pi)
             rest = energy - 0.5 - np.sinh(r) ** 2
             alpha = np.sqrt(max(rest, 0.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            init = GaussianProbeInit.squeezed(r, axis, mean_amplitude=alpha)
+            init = GaussianProbeInit(alpha, r=r, axis=axis)
             val = qfi_general(init, w).value
             assert val <= top * (1.0 + 1e-9)
 
     def test_monotone_noise_damage(self, noiseless):
         resp0 = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         win = (0.0, 1.2)
         base = qfi_aligned(vac, forced_window(resp0, ZETA, win)).value
         grown = DiscreteBath([0.16], [1.1], [0.3], OMEGA0)
@@ -227,21 +227,21 @@ class TestBestStateQfi:
 class TestFisherQuadrature:
     def test_quarter_turn_kills_information(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         w = forced_window(resp, ZETA, PI_WINDOW)
         val = fisher_quadrature(optimal_angle(w) + np.pi / 2, vac, w)
         assert val == pytest.approx(0.0, abs=1e-20)
 
     def test_optimum_equals_qfi(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         w = forced_window(resp, ZETA, PI_WINDOW)
         val = fisher_quadrature(optimal_angle(w), vac, w)
         assert val == pytest.approx(8.0, abs=1e-9)
 
     def test_eighth_turn_halves_for_isotropic(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         w = forced_window(resp, ZETA, PI_WINDOW)
         val = fisher_quadrature(optimal_angle(w) + np.pi / 4, vac, w)
         assert val == pytest.approx(4.0, abs=1e-9)
@@ -250,7 +250,7 @@ class TestFisherQuadrature:
 class TestEstimation:
     def test_cramer_rao_saturation(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         w = forced_window(resp, ZETA, PI_WINDOW)
         res = simulate_estimation(qfi_general(vac, w).value, f_true=0.3,
                                   nu=100, seed=20240901)
@@ -259,7 +259,7 @@ class TestEstimation:
 
     def test_mse_halves_with_doubled_nu(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         fisher = qfi_general(vac, forced_window(resp, ZETA, PI_WINDOW)).value
         a = simulate_estimation(fisher, f_true=0.3, nu=100, seed=5,
                                 replications=4000)
@@ -278,8 +278,8 @@ class TestEstimation:
 
     def test_zero_displacement_impossible(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
-        w = forced_window(resp, fc.constant(0.0), PI_WINDOW)
+        vac = GaussianProbeInit(0.0)
+        w = forced_window(resp, fc.ConstantForce(0.0), PI_WINDOW)
         with pytest.raises(EstimationError):
             simulate_estimation(qfi_general(vac, w).value, 0.1, 10, seed=1)
 
@@ -292,7 +292,7 @@ class TestEstimation:
 
     def test_reproducible_streams(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         fisher = qfi_general(vac, forced_window(resp, ZETA, PI_WINDOW)).value
         a = simulate_estimation(fisher, 0.3, 100, seed=99, replications=100)
         b = simulate_estimation(fisher, 0.3, 100, seed=99, replications=100)
@@ -302,7 +302,7 @@ class TestEstimation:
         # 10^8 outcomes per replication would need 800 MB as one row; only
         # the replications' estimates are drawn
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         fisher = qfi_general(vac, forced_window(resp, ZETA, PI_WINDOW)).value
         tracemalloc.start()
         try:
@@ -317,7 +317,7 @@ class TestEstimation:
     def test_sample_means_match_per_outcome_oracle(self, single_mode):
         # each MSE has relative spread sqrt(2/R); their difference sqrt(4/R)
         resp = single_mode
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         w = forced_window(resp, ZETA, PI_WINDOW)
         reps = 20000
         engine = simulate_estimation(qfi_general(vac, w).value, 0.3, 50,
@@ -330,18 +330,18 @@ class TestEstimation:
 
 class TestShortTimeQfi:
     def test_zero_force_value(self):
-        vac = GaussianProbeInit.vacuum()
-        z = fc.sinusoid(1.0, 1.0, 0.0, (0.0, 10.0))   # zeta(0) = 0
+        vac = GaussianProbeInit(0.0)
+        z = fc.SinusoidForce(1.0, 1.0, 0.0, (0.0, 10.0))   # zeta(0) = 0
         assert short_time_qfi(vac, z, OMEGA0, 0.0, 0.01, 1.0) == 0.0
 
     def test_vacuum_leading_term(self):
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         assert short_time_qfi(vac, ZETA, OMEGA0, 0.0, 0.02, 0.0) == pytest.approx(
             2.0 * OMEGA0 ** 2 * 0.02 ** 2)
 
     def test_residual_fourth_order(self, single_mode):
         resp = solve_response(single_mode.bath, TimeGrid(0.12, 4096))
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         taus = np.geomspace(1e-3, 1e-1, 10)
         resid = []
         for tau in taus:
@@ -356,20 +356,20 @@ class TestShortTimeQfi:
 class TestMarkovQfi:
     def test_gamma_zero_reduces_to_noiseless(self, noiseless):
         resp = noiseless
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         a = qfi_aligned(vac, forced_window(resp, ZETA, PI_WINDOW))
         m = markov_qfi(vac, 0.0, 0.0, ZETA, OMEGA0, PI_WINDOW)
         assert m == pytest.approx(a.value, rel=1e-9)
 
     def test_long_time_bounded(self):
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         vals = [markov_qfi(vac, 1.0, 0.5, ZETA, OMEGA0, (0.0, t))
                 for t in (20.0, 60.0, 120.0)]
         # denominator saturates at n + 1/2; numerator bounded
         assert abs(vals[-1] - vals[-2]) <= 1e-6 * vals[-1]
 
     def test_against_fine_grid_oracle(self):
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         gamma, tau = 0.1, 1.0
         got = markov_qfi(vac, gamma, 0.0, ZETA, OMEGA0, (0.0, tau))
         u = np.linspace(0.0, tau, 100001)
@@ -389,8 +389,7 @@ class TestAgainstGaussianInformationIdentity:
                                  quadrature_variance)
 
         resp = single_mode
-        init = GaussianProbeInit.squeezed(0.7, axis_angle=1.1,
-                                          mean_amplitude=0.3 + 0.1j)
+        init = GaussianProbeInit(0.3 + 0.1j, r=0.7, axis=1.1)
         w = forced_window(resp, ZETA, (0.0, 1.45))
         v = np.array([
             quadrature_mean(init, w, theta, 1.0)

@@ -23,7 +23,7 @@ from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, displacement,
 from nmqfi.response import TimeGrid, solve_response
 
 OMEGA0 = 1.3
-FORCE = fc.sinusoid(0.8, 0.9, 0.2, (0.0, 50.0))
+FORCE = fc.SinusoidForce(0.8, 0.9, 0.2, (0.0, 50.0))
 AMPLITUDE = 0.7
 T_FINAL = 2.1
 
@@ -40,8 +40,7 @@ def response(bath):
 
 @pytest.fixture(scope="module")
 def init():
-    return GaussianProbeInit.squeezed(0.5, axis_angle=0.4,
-                                      mean_amplitude=0.6 - 0.2j)
+    return GaussianProbeInit(0.6 - 0.2j, r=0.5, axis=0.4)
 
 
 def _evolve_means(bath, alpha0: complex, amplitude: float,
@@ -115,7 +114,7 @@ class TestAgainstSymplecticOracle:
 
     def test_noise_term_from_vacuum_probe(self, bath, response):
         # isotropic part of the evolved vacuum covariance is |G|^2/2 + n_B
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         sigma = _evolved_covariance(bath, vac, T_FINAL)
         want = 0.5 * float(np.trace(sigma[:2, :2]))
         g_abs = abs(response.g(T_FINAL))

@@ -32,21 +32,21 @@ def resonant03():
 
 class TestInit:
     def test_vacuum(self):
-        v = GaussianProbeInit.vacuum()
+        v = GaussianProbeInit(0.0)
         assert v.variance(0.77) == pytest.approx(0.5)
         assert v.det == pytest.approx(0.25)
         assert is_pure(v) and v.is_isotropic
         assert mean_energy(v) == pytest.approx(0.5)
 
     def test_squeezed_axes(self):
-        s = GaussianProbeInit.squeezed(0.8, axis_angle=0.3)
+        s = GaussianProbeInit(0.0, r=0.8, axis=0.3)
         assert s.variance(0.3) == pytest.approx(0.5 * np.exp(1.6))
         assert s.variance(0.3 + np.pi / 2) == pytest.approx(0.5 * np.exp(-1.6))
         assert s.det == pytest.approx(0.25)
         assert s.axis == pytest.approx(0.3)
 
     def test_mean_quadrature(self):
-        c = GaussianProbeInit.coherent(1.0 + 1.0j)
+        c = GaussianProbeInit(1.0 + 1.0j)
         assert c.mean_x(0.0) == pytest.approx(np.sqrt(2.0))
         assert c.mean_x(np.pi / 2) == pytest.approx(np.sqrt(2.0))
 
@@ -97,12 +97,12 @@ class TestInit:
 
 class TestDisplacement:
     def test_zero_force(self, noiseless_response):
-        d = displacement(noiseless_response, fc.constant(0.0), (0.0, 2.0))
+        d = displacement(noiseless_response, fc.ConstantForce(0.0), (0.0, 2.0))
         assert d == 0.0
         assert phase(d) == 0.0
 
     def test_support_outside_window(self, noiseless_response):
-        z = fc.constant(1.0, (5.0, 6.0))
+        z = fc.ConstantForce(1.0, (5.0, 6.0))
         d = displacement(noiseless_response, z, (0.0, 2.0))
         assert d == 0.0
 
@@ -110,14 +110,14 @@ class TestDisplacement:
         # kinks at 0.3 and 0.7 inside the windows: each segment is
         # integrated on its own, to the quadrature tolerance
         times, values = (0.0, 0.3, 0.7, 4.0), (0.0, 2.0, -1.0, 0.5)
-        table = fc.TabulatedForce.from_samples(times, values)
+        table = fc.TabulatedForce(times, values)
         windows = [(0.0, np.pi), (0.1, 0.5), (0.5, 3.9), (0.3, 0.7)]
         want = [noiseless_table_displacement(times, values, w)
                 for w in windows]
         for window, d in zip(windows, want):
             got = displacement(noiseless_response, table, window)
             assert abs(got - d) <= 1e-9 * abs(d)
-            assert markov_qfi(GaussianProbeInit.vacuum(), 0.0, 0.0, table,
+            assert markov_qfi(GaussianProbeInit(0.0), 0.0, 0.0, table,
                               1.0, window) == pytest.approx(2 * abs(d) ** 2,
                                                             rel=1e-9)
         t0, t1 = np.array(windows).T
@@ -127,16 +127,18 @@ class TestDisplacement:
     def test_noiseless_closed_form(self, noiseless_response):
         # oracle: D0 = -i (e^{i w0 tau} - 1), |D0| = 2 sin(w0 tau / 2)
         for tau in (0.7, np.pi, 2.2):
-            d = displacement(noiseless_response, fc.constant(1.0), (0.0, tau))
+            d = displacement(noiseless_response, fc.ConstantForce(1.0),
+                             (0.0, tau))
             want = -1j * (np.exp(1j * tau) - 1.0)
             assert d == pytest.approx(want, abs=1e-10)
-        d = displacement(noiseless_response, fc.constant(1.0), (0.0, np.pi))
+        d = displacement(noiseless_response, fc.ConstantForce(1.0),
+                         (0.0, np.pi))
         assert abs(d) == pytest.approx(2.0)
 
     def test_resonant_mode_against_fine_grid_oracle(self, resonant03):
         bath, resp = resonant03
         tau = 1.0
-        d = displacement(resp, fc.constant(1.0), (0.0, tau))
+        d = displacement(resp, fc.ConstantForce(1.0), (0.0, tau))
         # brute-force quadrature at 1e5 nodes with the exact response
         u = np.linspace(0.0, tau, 100001)
         vals = np.exp(1j * u) * exact_single_mode_g(0.09, 0.0, tau - u)
@@ -145,7 +147,7 @@ class TestDisplacement:
 
     def test_window_start_sets_phase_reference(self, noiseless_response):
         # shifting the window start rotates the phase, not the magnitude
-        z = fc.constant(1.0)
+        z = fc.ConstantForce(1.0)
         d0 = displacement(noiseless_response, z, (0.0, 1.3))
         d1 = displacement(noiseless_response, z, (2.0, 3.3))
         assert abs(d1) == pytest.approx(abs(d0), rel=1e-10)
@@ -153,15 +155,15 @@ class TestDisplacement:
     def test_coverage_error(self, resonant03):
         bath, resp = resonant03
         with pytest.raises(CoverageError):
-            displacement(resp, fc.constant(1.0), (0.0, resp.t_end + 1.0))
+            displacement(resp, fc.ConstantForce(1.0), (0.0, resp.t_end + 1.0))
 
     def test_mixed_length_windows_match_scalar_calls_bit_for_bit(
             self, ohmic_response):
         # the 33 report windows of `moments`, of lengths 0 to 3.9, share
         # each table segment's quadrature passes; every window's Simpson
         # sums run over its own nodes, so each keeps its scalar value
-        table = fc.TabulatedForce.from_samples((0.0, 0.3, 0.7, 4.0),
-                                               (0.0, 2.0, -1.0, 0.5))
+        table = fc.TabulatedForce((0.0, 0.3, 0.7, 4.0),
+                                  (0.0, 2.0, -1.0, 0.5))
         times = np.linspace(0.0, 3.9, 33)
         batch = displacement(ohmic_response, table, (0.0, times))
         assert batch.tolist() == [displacement(ohmic_response, table, (0.0, t))
@@ -170,24 +172,26 @@ class TestDisplacement:
 
 class TestMean:
     def test_zero_everything(self, noiseless_response):
-        vac = GaussianProbeInit.vacuum()
-        w = forced_window(noiseless_response, fc.constant(1.0), (0.0, 1.0))
+        vac = GaussianProbeInit(0.0)
+        w = forced_window(noiseless_response, fc.ConstantForce(1.0),
+                          (0.0, 1.0))
         assert quadrature_mean(vac, w, 0.3, 0.0) == 0.0
 
     def test_driven_peak(self, noiseless_response):
         # angle that puts the sine at one reads off F |D|
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         tau = 1.1
-        w = forced_window(noiseless_response, fc.constant(1.0), (0.0, tau))
+        w = forced_window(noiseless_response, fc.ConstantForce(1.0),
+                          (0.0, tau))
         theta = phase(w.disp) - tau + np.pi / 2
         got = quadrature_mean(vac, w, theta, 2.0)
         assert got == pytest.approx(2.0 * abs(w.disp))
 
     def test_coherent_term_by_term(self, resonant03):
         bath, resp = resonant03
-        init = GaussianProbeInit.coherent(1.0 + 0.0j)
+        init = GaussianProbeInit(1.0 + 0.0j)
         tau, theta, amp = 1.3, 0.4, 2.0
-        d = displacement(resp, fc.constant(1.0), (0.0, tau))
+        d = displacement(resp, fc.ConstantForce(1.0), (0.0, tau))
         got = quadrature_mean(init, window_terms(resp, (0.0, tau), d),
                               theta, amp)
         gval = exact_single_mode_g(0.09, 0.0, tau)
@@ -200,7 +204,7 @@ class TestMean:
 
 class TestVariance:
     def test_noiseless_vacuum_half(self, noiseless_response):
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         w = window_terms(noiseless_response, (0.0, 3.0))
         for theta in (0.0, 1.0):
             v = quadrature_variance(vac, w, theta)
@@ -208,14 +212,14 @@ class TestVariance:
 
     def test_resonant_vacuum_identity(self, resonant_response):
         # closed-form oracle: cos^2/2 + sin^2/2 = 1/2 at every elapsed time
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         for tau in (0.5, 2.0, 6.0, 12.0):
             w = window_terms(resonant_response, (0.0, tau))
             v = quadrature_variance(vac, w, 0.9)
             assert v == pytest.approx(0.5, abs=5e-6)
 
     def test_squeezed_noiseless(self, noiseless_response):
-        init = GaussianProbeInit.squeezed(1.0, axis_angle=0.0)
+        init = GaussianProbeInit(0.0, r=1.0, axis=0.0)
         # the squeezed axis rotates with the free evolution
         tau = 0.9
         w = window_terms(noiseless_response, (0.0, tau))
@@ -223,7 +227,7 @@ class TestVariance:
         assert v == pytest.approx(np.exp(-2.0) / 2.0, abs=1e-12)
 
     def test_theta_sum_rule(self, ohmic_response):
-        init = GaussianProbeInit.squeezed(0.6, axis_angle=1.0)
+        init = GaussianProbeInit(0.0, r=0.6, axis=1.0)
         w = window_terms(ohmic_response, (0.0, 2.5))
         totals = []
         for theta in np.linspace(0.0, np.pi, 7):
@@ -288,13 +292,13 @@ class TestVariance:
 
 class TestSnapshot:
     def test_pure_noiseless_det(self, noiseless_response):
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         snap = covariance_snapshot(
             vac, window_terms(noiseless_response, (0.0, 2.0)), 0.1)
         assert snap.det_sigma == pytest.approx(0.25, abs=1e-12)
 
     def test_resonant_vacuum_det_quarter(self, resonant_response):
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         snap = covariance_snapshot(
             vac, window_terms(resonant_response, (0.0, 3.0)),
             0.4)
@@ -303,20 +307,20 @@ class TestSnapshot:
     def test_thermal_bath_det_grows(self):
         bath = DiscreteBath([0.09], [1.0], [1.0], 1.0)
         resp = solve_response(bath, TimeGrid(6.0, 2048))
-        vac = GaussianProbeInit.vacuum()
+        vac = GaussianProbeInit(0.0)
         snap = covariance_snapshot(vac, window_terms(resp, (0.0, 5.0)),
                                    0.0)
         assert snap.det_sigma > 0.25 + 1e-3
 
     def test_det_theta_independent(self, ohmic_response):
-        init = GaussianProbeInit.squeezed(0.5, axis_angle=0.2)
+        init = GaussianProbeInit(0.0, r=0.5, axis=0.2)
         w = window_terms(ohmic_response, (0.0, 2.0))
         a = covariance_snapshot(init, w, 0.3)
         b = covariance_snapshot(init, w, 1.0)
         assert a.det_sigma == pytest.approx(b.det_sigma, rel=1e-8)
 
     def test_noiseless_equals_rotated_initial(self, noiseless_response):
-        init = GaussianProbeInit.squeezed(0.7, axis_angle=0.4)
+        init = GaussianProbeInit(0.0, r=0.7, axis=0.4)
         tau, theta = 1.7, 0.25
         w = window_terms(noiseless_response, (0.0, tau))
         snap = covariance_snapshot(init, w, theta)
@@ -330,9 +334,8 @@ class TestArrayWindows:
         # numpy's abs and complex product round differently from Python's
         # scalar ones in the last bit: rows agree to 1e-13 of each column's
         # largest magnitude; the first window is empty
-        init = GaussianProbeInit.squeezed(0.5, axis_angle=0.2,
-                                          mean_amplitude=0.8 - 0.3j)
-        force = fc.sinusoid(1.0, 1.3, 0.2)
+        init = GaussianProbeInit(0.8 - 0.3j, r=0.5, axis=0.2)
+        force = fc.SinusoidForce(1.0, 1.3, 0.2)
         times = np.linspace(0.5, 7.5, 33)
         w = forced_window(ohmic_response, force, (0.5, times))
         got = np.column_stack((quadrature_mean(init, w, 0.4, 1.5),
@@ -364,21 +367,21 @@ class TestMaxVarianceAngle:
     # leaving axis = phase(D) - phase(G)
     def test_identity_window(self, ohmic_response):
         w = window_terms(ohmic_response, (0.0, 0.0))
-        init = GaussianProbeInit.squeezed(0.6, axis_angle=0.8)
+        init = GaussianProbeInit(0.0, r=0.6, axis=0.8)
         assert _mod_pi_gap(_scan_max_angle(init, w), 0.8) <= np.pi / 720
 
     def test_free_rotation(self, noiseless_response):
         w = window_terms(noiseless_response, (0.0, np.pi / 2))
-        init = GaussianProbeInit.squeezed(0.6, axis_angle=0.3)
+        init = GaussianProbeInit(0.0, r=0.6, axis=0.3)
         assert _mod_pi_gap(_scan_max_angle(init, w),
                            0.3 - np.pi / 2) <= np.pi / 720
 
     def test_matches_argmax_scan(self, detuned_bath):
         resp = solve_response(detuned_bath, TimeGrid(4.0, 2048))
-        w = forced_window(resp, fc.constant(1.0), (0.0, 1.8))
+        w = forced_window(resp, fc.ConstantForce(1.0), (0.0, 1.8))
         turn = phase(w.g) - w.omega0 * w.tau
         for axis in (0.9, phase(w.disp) - phase(w.g)):
-            init = GaussianProbeInit.squeezed(0.6, axis_angle=axis)
+            init = GaussianProbeInit(0.0, r=0.6, axis=axis)
             best = _scan_max_angle(init, w)
             assert _mod_pi_gap(best, axis + turn) <= np.pi / 720 + 1e-12
             on_target = _mod_pi_gap(best, optimal_angle(w)) <= np.pi / 720
@@ -390,8 +393,8 @@ class TestWindowExtension:
     def test_padding_never_helps(self, resonant03):
         # sensing before the force starts and after it stops adds noise
         bath, resp = resonant03
-        z = fc.constant(1.0, (0.5, 1.5))
-        vac = GaussianProbeInit.vacuum()
+        z = fc.ConstantForce(1.0, (0.5, 1.5))
+        vac = GaussianProbeInit(0.0)
         tight = (0.5, 1.5)
         padded = (0.0, 2.5)
         for win_a, win_b in ((tight, padded),):

@@ -18,6 +18,7 @@ from nmqfi.config import ScenarioConfig
 
 _BATH = nmqfi.DiscreteBath([0.25], [1.0], [0.0], 1.0)
 _SUPPORT = (0.0, 1.0)
+_FOREVER = (0.0, np.inf)
 
 # Record name: (constructor parameters, a name alone when required and
 # (name, default) otherwise; the arguments of an example instance).
@@ -47,14 +48,15 @@ RECORDS = {
                             ("occupation", ("zero", 0.0, 0.0))],
                            ("flat", 0.1, 2.0)),
     "ForceModulation": (["support"], (_SUPPORT,)),
-    "ConstantForce": (["support", ("amplitude", 1.0)], (_SUPPORT,)),
-    "SinusoidForce": (["support", ("amplitude", 1.0),
-                       ("angular_frequency", 1.0), ("phase", 0.0)],
-                      (_SUPPORT,)),
-    "GaussianPulseForce": (["support", ("center", 0.0), ("width", 1.0)],
-                           (_SUPPORT,)),
-    "TabulatedForce": (["support", ("times", ()), ("values", ())],
-                       (_SUPPORT, (0.0, 1.0), (0.0, 2.0))),
+    "ConstantForce": ([("amplitude", 1.0), ("support", _FOREVER)],
+                      (2.0, _SUPPORT)),
+    "SinusoidForce": ([("amplitude", 1.0), ("angular_frequency", 1.0),
+                       ("phase", 0.0), ("support", _FOREVER)],
+                      (2.0, 3.0, 0.4, _SUPPORT)),
+    "GaussianPulseForce": (["center", "width", ("support", _FOREVER)],
+                           (0.5, 0.2, _SUPPORT)),
+    "TabulatedForce": (["times", "values", ("support", None)],
+                       ((0.0, 1.0), (0.0, 2.0), _SUPPORT)),
     "GaussianProbeInit": (["mean_amplitude", ("nbar", 0.0), ("r", 0.0),
                            ("axis", 0.0)], (0.5, 0.2, 0.7, 1.1)),
     "TimeGrid": (["t_end", "n_steps"], (1.0, 8)),

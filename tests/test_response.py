@@ -1,5 +1,6 @@
 """Response solver: limits, expansions, convergence order, and invariants."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,6 +142,14 @@ class TestSolver:
         m = moments(detuned_bath)
         assert grid.h * max(m.omega(2), detuned_bath.probe_frequency) <= 0.02
         assert grid.n_steps >= 1024
+
+    def test_default_grid_has_at_most_2_pow_53_steps(self):
+        # on an empty bath of omega0 = 1 the count is t_end / 0.02
+        empty = DiscreteBath([], [], [], 1.0)
+        t_end = 2 ** 53 * 0.02
+        assert default_grid(empty, t_end).n_steps == 2 ** 53
+        with pytest.raises(ValueError, match=r"give grid\.n_steps$"):
+            default_grid(empty, math.nextafter(t_end, math.inf))
 
 
 class TestMarkovLimit:

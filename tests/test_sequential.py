@@ -21,7 +21,7 @@ from nmqfi.sequential import (SequentialScheme, default_tau_bounds,
                               seq_qfi_asymptotic, seq_result,
                               tau_opt_asymptotic, xi_and_c)
 
-ZETA = fc.constant(1.0)
+ZETA = fc.ConstantForce(1.0)
 # two detuned thermal modes: coupling_sq, frequency, occupation, omega0
 DETUNED_THERMAL = ([0.5, 0.8], [1.0, 1.7], [0.4, 1.2], 1.3)
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -97,7 +97,7 @@ class TestStepNoise:
 class TestSeqQfi:
     def test_zero_force(self, unit_weight_bath, unit_weight_response):
         r = seq_qfi(SequentialScheme(0.3, 0.1), 5.0, unit_weight_bath,
-                    unit_weight_response, fc.constant(0.0), 1.0)
+                    unit_weight_response, fc.ConstantForce(0.0), 1.0)
         assert r.total_qfi == 0.0
 
     def test_rejects_a_bath_or_omega0_the_response_does_not_carry(
@@ -131,7 +131,7 @@ class TestSeqQfi:
 
     def test_nonuniform_force_steps_differ(self, unit_weight_bath,
                                            unit_weight_response):
-        pulse = fc.gaussian_pulse(0.05, 0.03, (0.0, 0.2))
+        pulse = fc.GaussianPulseForce(0.05, 0.03, (0.0, 0.2))
         scheme = SequentialScheme(0.2, 0.05)
         r = seq_qfi(scheme, 3.0, unit_weight_bath, unit_weight_response, pulse,
                     1.0)
@@ -141,8 +141,8 @@ class TestSeqQfi:
         assert r.total_qfi == pytest.approx(steps.sum())
 
     @pytest.mark.parametrize("force, total, zero_steps", [
-        (fc.constant(1.0, (0.0, 0.13)), 0.2, [3]),     # support ends in step 2
-        (fc.gaussian_pulse(0.05, 0.02, (0.0, 0.1)), 0.3, [2, 3, 4, 5]),
+        (fc.ConstantForce(1.0, (0.0, 0.13)), 0.2, [3]),  # support ends in step 2
+        (fc.GaussianPulseForce(0.05, 0.02, (0.0, 0.1)), 0.3, [2, 3, 4, 5]),
     ])
     def test_steps_match_single_windows(self, unit_weight_bath,
                                         unit_weight_response, force, total,
@@ -181,7 +181,7 @@ class TestSeqQfi:
 
         counted(sequential, "displacement")
         counted(probe, "adaptive_simpson")
-        pulse = fc.gaussian_pulse(0.05, 0.02, (0.0, 0.1))
+        pulse = fc.GaussianPulseForce(0.05, 0.02, (0.0, 0.1))
         seq_qfi(SequentialScheme(0.3, 0.05), 3.0, unit_weight_bath,
                 unit_weight_response, pulse, 1.0)
         xi_and_c(pulse, 1.0, 0.3)
@@ -192,7 +192,7 @@ class TestSeqQfi:
         # 600 windows, 500 inside the support: a full chunk and a partial one
         scheme = SequentialScheme(600 * 0.004, 0.004)
         steps = scheme.step_window(np.arange(scheme.repetitions))
-        force = fc.sinusoid(1.0, 3.0, 0.0, (0.0, 2.0))
+        force = fc.SinusoidForce(1.0, 3.0, 0.0, (0.0, 2.0))
         chunked = displacement(unit_weight_response, force, steps)
         monkeypatch.setattr(probe, "_WINDOW_CHUNK", 10 ** 6, raising=False)
         whole = displacement(unit_weight_response, force, steps)
@@ -201,9 +201,9 @@ class TestSeqQfi:
         assert np.all(chunked[500:] == 0.0)      # windows past the support
 
     @pytest.mark.parametrize("force", [
-        fc.sinusoid(1.0, 3.0, 0.0, (0.0, 2.0)),
-        fc.gaussian_pulse(1.0, 0.3, (0.0, 2.0)),
-        fc.constant(1.0),
+        fc.SinusoidForce(1.0, 3.0, 0.0, (0.0, 2.0)),
+        fc.GaussianPulseForce(1.0, 0.3, (0.0, 2.0)),
+        fc.ConstantForce(1.0),
     ], ids=["sinusoid", "gaussian_pulse", "constant"])
     def test_batched_value_does_not_depend_on_its_batch(
             self, unit_weight_response, force):
@@ -223,7 +223,7 @@ class TestSeqQfi:
         # 10^4 steps in one displacement call; unchunked, the quadrature's
         # node arrays alone peak near 26 MB
         tau, nu = 0.004, 10 ** 4
-        force = fc.sinusoid(1.0, 3.0, 0.0, (0.0, nu * tau))
+        force = fc.SinusoidForce(1.0, 3.0, 0.0, (0.0, nu * tau))
         tracemalloc.start()
         try:
             r = seq_qfi(SequentialScheme(nu * tau, tau), 3.0, unit_weight_bath,
@@ -299,7 +299,7 @@ class TestOptimize:
         # a pulse well inside the window adds no information when a step
         # is gained, so the total falls smoothly with tau and the lower
         # end of the bracket, not the tooth T/nu above it, is the maximum
-        pulse = fc.gaussian_pulse(0.5, 0.1, (0.0, 1.0))
+        pulse = fc.GaussianPulseForce(0.5, 0.1, (0.0, 1.0))
         energy = energy_for_script_e(1e3)
         res = optimize_tau(1.0, energy, unit_weight_response,
                            pulse, (0.06, 0.3))
@@ -320,7 +320,7 @@ class TestOptimize:
         assert res.hit_bound
 
     @pytest.mark.parametrize("force", [
-        ZETA, fc.gaussian_pulse(0.5, 0.1, (0.0, 1.0))],
+        ZETA, fc.GaussianPulseForce(0.5, 0.1, (0.0, 1.0))],
         ids=["constant", "gaussian_pulse"])
     def test_energy_list_matches_scalar_calls(self, unit_weight_response,
                                               force):
@@ -407,9 +407,9 @@ def _exact_case(name, unit):
         "unit_constant": (1.0, energy_for_script_e(100.0), unit, ZETA,
                           (0.01, 0.3)),
         "pulse": (1.0, energy_for_script_e(1e3), unit,
-                  fc.gaussian_pulse(0.5, 0.1, (0.0, 1.0)), (0.02, 0.3)),
+                  fc.GaussianPulseForce(0.5, 0.1, (0.0, 1.0)), (0.02, 0.3)),
         "ramp_table": (1.0, energy_for_script_e(300.0), unit,
-                       fc.TabulatedForce.from_samples([0.0, 1.0], [0.0, 1.0]),
+                       fc.TabulatedForce([0.0, 1.0], [0.0, 1.0]),
                        (0.01, 0.3)),
     }[name]
 
@@ -612,7 +612,7 @@ class TestClosedFormOracle:
         # interval coefficient is 0; the -(1/3)[zeta zeta'] edge term would
         # add 1/12. The engine's optimum is read off a polynomial fit of the
         # lattice totals around the leading-order interval.
-        ramp = fc.TabulatedForce.from_samples([0.0, 1.0], [0.0, 1.0])
+        ramp = fc.TabulatedForce([0.0, 1.0], [0.0, 1.0])
         m = moments(unit_weight_bath)
         ints = xi_and_c(ramp, 1.0, 1.0)
         se = 1e3
@@ -634,16 +634,16 @@ class TestClosedFormOracle:
 
 class TestForceIntegrals:
     def test_constant(self):
-        r = xi_and_c(fc.constant(1.0, (0.0, 100.0)), 1.0, 2.0)
+        r = xi_and_c(fc.ConstantForce(1.0, (0.0, 100.0)), 1.0, 2.0)
         assert r.xi == pytest.approx(2.0)
         assert r.c_coeff == pytest.approx(0.5)
 
     def test_zero_force(self):
-        r = xi_and_c(fc.constant(0.0), 1.0, 2.0)
+        r = xi_and_c(fc.ConstantForce(0.0), 1.0, 2.0)
         assert r.xi == 0.0 and r.c_coeff == 0.0
 
     def test_sine_closed_form(self):
-        r = xi_and_c(fc.sinusoid(1.0, 1.0, 0.0, (0.0, 2 * np.pi)), 1.0,
+        r = xi_and_c(fc.SinusoidForce(1.0, 1.0, 0.0, (0.0, 2 * np.pi)), 1.0,
                      2.0 * np.pi)
         assert r.xi == pytest.approx(np.pi, rel=1e-9)
         assert r.c_coeff == pytest.approx(np.pi / 2.0, rel=1e-9)
@@ -652,7 +652,7 @@ class TestForceIntegrals:
         # zeta = t on [0, 1]: xi = 1/3, C = (1/4)(1 + 1/3) with no
         # -(1/3)[zeta zeta'] edge term; TestClosedFormOracle's ramp check
         # shows the cadence optimum carries none
-        ramp = fc.TabulatedForce.from_samples([0.0, 1.0], [0.0, 1.0])
+        ramp = fc.TabulatedForce([0.0, 1.0], [0.0, 1.0])
         r = xi_and_c(ramp, 1.0, 1.0)
         assert r.xi == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert r.c_coeff == pytest.approx(0.25 * (1.0 + 1.0 / 3.0), rel=1e-9)
@@ -661,8 +661,8 @@ class TestForceIntegrals:
         # knots at 0.3 and 0.7 inside [0, 1], where the slope jumps. Per
         # segment from a to b of length L: zeta^2 gives L (a^2 + ab + b^2) / 3,
         # zeta'^2 (b - a)^2 / L
-        table = fc.TabulatedForce.from_samples([0.0, 0.3, 0.7, 4.0],
-                                               [0.0, 2.0, -1.0, 0.5])
+        table = fc.TabulatedForce([0.0, 0.3, 0.7, 4.0],
+                                  [0.0, 2.0, -1.0, 0.5])
         end = -1.0 + 0.3 * 1.5 / 3.3                  # zeta(1)
         xi = 0.3 * 4.0 / 3.0 + 0.4 * 3.0 / 3.0 + 0.1 * (1.0 - end + end * end)
         slope_sq = 4.0 / 0.3 + 9.0 / 0.4 + (1.0 + end) ** 2 / 0.3
@@ -678,7 +678,7 @@ class TestForceIntegrals:
         # support [0, 1] lies 10 to 11 widths past the centre: an erf
         # difference rounds xi to 0, and the search's ceiling omega0^2 tau xi
         # would then reject every interval
-        pulse = fc.gaussian_pulse(-10.0, 1.0, (0.0, 1.0))
+        pulse = fc.GaussianPulseForce(-10.0, 1.0, (0.0, 1.0))
         xi = xi_and_c(pulse, 1.0, 1.0).xi
         want = 0.5 * np.sqrt(np.pi) * (special.erfc(10.0) - special.erfc(11.0))
         assert xi == pytest.approx(want, rel=1e-12)

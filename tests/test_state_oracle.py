@@ -61,7 +61,7 @@ def _angles(rng, axis: float) -> np.ndarray:
 
 def _state(nbar: float, r: float, axis: float) -> GaussianProbeInit:
     if nbar == 0.0:
-        return GaussianProbeInit.squeezed(r, axis)
+        return GaussianProbeInit(0.0, r=r, axis=axis)
     return GaussianProbeInit(0.0, nbar, r, axis)
 
 
@@ -83,5 +83,5 @@ def test_squeezed_state_builds_at_every_angle_up_to_r_35():
     angles = np.linspace(0.0, np.pi, 200, endpoint=False)
     for r in np.linspace(0.0, 35.0, 71):
         for angle in angles:
-            state = GaussianProbeInit.squeezed(float(r), float(angle))
+            state = GaussianProbeInit(0.0, r=float(r), axis=float(angle))
             assert state.det == 0.25
