@@ -223,6 +223,8 @@ def _sequential_point(cfg: ScenarioConfig, resp,
                                                      ints.c_coeff)
             fasym = sequential.seq_qfi_asymptotic(energy, m, ints.xi,
                                                   ints.c_coeff, omega0)
+            if tau_asym <= 0 or fasym < 0:   # the expansion is out of range
+                tau_asym = fasym = None
         if gamma is not None and gamma > 0:
             markov = sequential.markov_seq(energy, gamma, n_thermal, ints.xi,
                                            omega0).total_qfi_bound

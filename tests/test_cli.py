@@ -921,6 +921,33 @@ def test_sweep_keeps_a_zero_asymptotic_total(tmp_path, capsys):
     assert rows and all(row.split(",")[column] == "0" for row in rows)
 
 
+def test_out_of_range_expansion_is_absent(tmp_path, capsys):
+    # at script-E 100 a fast sinusoid puts the two-term forms at
+    # tau* = -0.157 and F* = -10.7 (exact optimum 0.03125 and 6.61): both
+    # are absent; at script-E 1000 both are positive and stay
+    raw = json.loads((SCENARIO_DIR / "sequential_nonmarkov.json").read_text())
+    raw["force"] = {"kind": "sinusoid", "amplitude": 1, "frequency": 100,
+                    "phase": 0.4, "support": [0, 100]}
+    raw["sequential"] = {"total_window": 2, "optimize": True,
+                         "tau_bounds": [0.01, 0.5]}
+    raw["grid"] = {"t_end": 2, "n_steps": 8192}
+    raw["options"]["energy_sweep"] = [100, 1000]
+    cfg = tmp_path / "fast.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli(["sequential", "--config", cfg]) == 0
+    point = json.loads(capsys.readouterr().out)
+    assert point["tau_opt_asymptotic"] is None
+    assert point["total_qfi_asymptotic"] is None
+    assert point["total_qfi"] == pytest.approx(6.6129, rel=1e-4)
+    assert run_cli(["sweep", "--config", cfg]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    cols = [header.split(",").index(key)
+            for key in ("tau_opt_asymptotic", "total_qfi_asymptotic")]
+    cells = [[float(row.split(",")[c]) for c in cols] for row in rows]
+    assert np.isnan(cells[0]).all()
+    assert cells[1] == pytest.approx([0.0092806, 25.2005], rel=1e-4)
+
+
 def test_pytest_runs_from_a_checkout_without_pythonpath():
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",

@@ -23,6 +23,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -36,6 +37,13 @@ from nmqfi import cli
 # The sweep columns that read nan where an asymptotic or a rate is absent.
 SWEEP_NAN_COLUMNS = {"tau_opt_asymptotic", "total_qfi_asymptotic",
                      "markov_bound"}
+
+# The keys and columns that hold an information, a variance, a bound, an
+# interval or a modulus: none can be negative.
+NON_NEGATIVE = re.compile(
+    r"value|abs_d|variance|det_sigma|crb|empirical_mse|ratio_to_crb"
+    r"|tau_opt.*|total_qfi.*|markov_bound|xi|c_coeff|var_x|var_p|n_b"
+    r"|abs_g|abs_exact|abs_interaction")
 
 TINY = st.sampled_from([0.0, 1e-300, 1e-30])
 TINY_OR_HUGE = st.one_of(TINY, st.sampled_from([1e30, 1e200, 1e300]))
@@ -210,19 +218,24 @@ def runs(draw):
     return sub, fmt, raw
 
 
-def _numbers(value):
-    """Every number in a parsed JSON payload."""
+def _numbers(value, key=None):
+    """(key, number) for every number in a parsed JSON payload; a list's
+    numbers carry the list's key."""
     if isinstance(value, dict):
-        return [n for item in value.values() for n in _numbers(item)]
+        return [n for k, item in value.items() for n in _numbers(item, k)]
     if isinstance(value, list):
-        return [n for item in value for n in _numbers(item)]
-    return [value] if isinstance(value, float) else []
+        return [n for item in value for n in _numbers(item, key)]
+    return [(key, value)] if isinstance(value, float) else []
 
 
 def _check_finite(sub: str, fmt: str, text: str):
+    """Every number finite (sweep's absent values aside) and none negative
+    under a NON_NEGATIVE key or column."""
     if fmt == "json":
         payload = json.loads(text, parse_constant=float)
-        assert all(math.isfinite(v) for v in _numbers(payload)), text
+        for key, value in _numbers(payload):
+            assert math.isfinite(value), text
+            assert not (value < 0 and NON_NEGATIVE.fullmatch(key)), (key, text)
         return
     header, *rows = text.splitlines()
     names = header.split(",")
@@ -232,6 +245,8 @@ def _check_finite(sub: str, fmt: str, text: str):
             assert math.isfinite(value) or (
                 sub == "sweep" and name in SWEEP_NAN_COLUMNS
                 and math.isnan(value)), (name, row)
+            negative = value < 0 and NON_NEGATIVE.fullmatch(name)
+            assert not negative, (name, row)
 
 
 def _main(sub: str, fmt, raw: dict, action: str):

@@ -13,10 +13,19 @@ import sys
 import numpy as np
 import pytest
 
-import nmqfi
+from nmqfi.bath import (BathMoments, ContinuousSpectrum, DiscreteBath,
+                        OccupationModel)
 from nmqfi.config import ScenarioConfig
+from nmqfi.correlation import CorrelationResult
+from nmqfi.force import (ConstantForce, ForceModulation, GaussianPulseForce,
+                         SinusoidForce, TabulatedForce)
+from nmqfi.metrology import EstimationResult, QfiResult
+from nmqfi.probe import CovarianceSnapshot, GaussianProbeInit, WindowTerms
+from nmqfi.response import ResponseFunction, TimeGrid
+from nmqfi.sequential import (ForceWindowIntegrals, MarkovSeqResult,
+                              SeqResult, SequentialScheme)
 
-_BATH = nmqfi.DiscreteBath([0.25], [1.0], [0.0], 1.0)
+_BATH = DiscreteBath([0.25], [1.0], [0.0], 1.0)
 _SUPPORT = (0.0, 1.0)
 _FOREVER = (0.0, np.inf)
 
@@ -61,7 +70,7 @@ RECORDS = {
                            ("axis", 0.0)], (0.5, 0.2, 0.7, 1.1)),
     "TimeGrid": (["t_end", "n_steps"], (1.0, 8)),
     "ResponseFunction": (["grid", "g_samples", "g_dot_samples", "bath"],
-                         (nmqfi.TimeGrid(1.0, 2), np.ones(3, complex),
+                         (TimeGrid(1.0, 2), np.ones(3, complex),
                           np.zeros(3, complex), _BATH)),
     "SequentialScheme": (["total_window", "interval"], (1.0, 0.5)),
     "ScenarioConfig": (["raw"], ({},)),
@@ -69,12 +78,13 @@ RECORDS = {
 
 
 def _record(name):
-    return ScenarioConfig if name == "ScenarioConfig" else getattr(nmqfi, name)
+    """The record class, imported above from the module that defines it."""
+    return globals()[name]
 
 
 def _default(value):
     """A default as plain data: the occupation model by its fields."""
-    if isinstance(value, nmqfi.OccupationModel):
+    if isinstance(value, OccupationModel):
         return value.kind, value.temperature, value.value
     return value
 
