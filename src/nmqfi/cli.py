@@ -12,12 +12,11 @@ is finite, so a run that fails writes nothing.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import sys
 from typing import IO, TYPE_CHECKING
-
-import numpy as np
 
 from . import bath as bath_mod
 from . import config, metrology, probe, sequential
@@ -28,6 +27,18 @@ from .errors import ConfigError, NmqfiError
 if TYPE_CHECKING:
     from .config import ScenarioConfig
     from .response import ResponseFunction
+
+# numpy is registered lazily, as the package registers the engine modules:
+# parsing and validating a scenario, and every refusal, run none of it, and
+# it runs at the first engine call. A numpy already imported is kept, and
+# a missing one fails here with the plain import's ModuleNotFoundError.
+_spec = None if "numpy" in sys.modules else importlib.util.find_spec("numpy")
+if _spec is None:
+    import numpy as np
+else:
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 
 # Rows formatted per `%` operation; bounds the Python floats held at once.
@@ -214,7 +225,9 @@ def _sequential_point(cfg: ScenarioConfig, resp,
     ints = sequential.xi_and_c(force, omega0, total)
     gamma = _gamma_for(cfg)
     n_thermal = float(cfg.options.get("n_thermal", 0.0))
-    fastest = max(m.fastest_rate, omega0)
+    # a force varies at rate 2 sqrt(C / xi) (omega0 for a constant force)
+    force_rate = 2.0 * (ints.c_coeff / ints.xi) ** 0.5 if ints.xi > 0 else 0.0
+    fastest = max(m.fastest_rate, omega0, force_rate)
     points = []
     for energy, seq in zip(energies, found):
         tau_asym = fasym = markov = None

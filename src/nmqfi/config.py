@@ -14,8 +14,6 @@ import json
 import math
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
-import numpy as np
-
 from . import bath as bath_mod
 from . import force as force_mod
 from . import probe as probe_mod
@@ -199,8 +197,8 @@ class ScenarioConfig(Frozen):
             return bath_mod.discretize(self.spectrum(),
                                        int(block["continuum"]["n_modes"]),
                                        self.omega0)
-        arr = np.asarray(block["modes"], dtype=float).reshape(-1, 3)
-        return bath_mod.DiscreteBath(*arr.T, self.omega0)
+        columns = list(zip(*block["modes"])) or [(), (), ()]
+        return bath_mod.DiscreteBath(*columns, self.omega0)
 
     @_builder
     def force(self) -> ForceModulation:

@@ -1,5 +1,8 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,11 @@ from nmqfi.probe import (displacement, phase, quadrature_mean, variance_p,
                          window_terms)
 from nmqfi.response import (_ABS_G_SLACK, _REFINE, ResponseFunction, TimeGrid,
                             solve_response)
+
+# The environment of a child Python: it finds the package in a checkout
+# where the package is not installed.
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def exact_single_mode_g(coupling_sq: float, delta: float, tau):

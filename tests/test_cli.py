@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import noiseless_table_displacement
+from conftest import CHILD_ENV, noiseless_table_displacement
 from nmqfi import cli
 from nmqfi.cli import main
 from nmqfi.errors import NmqfiError
@@ -57,6 +57,10 @@ def test_noiseless_pi_scenario_value(tmp_path):
     assert payload["form"] == "aligned"
     assert abs(payload["value"] - 8.0) <= 1e-9
     assert abs(payload["abs_d"] - 2.0) <= 1e-9
+    # its empty modes table gives three empty float columns
+    bath = cli.config.load_config(cfg).bath()
+    for column in (bath.coupling_sq, bath.frequencies, bath.occupations):
+        assert column.shape == (0,) and column.dtype == float
 
 
 def test_response_csv_columns(tmp_path):
@@ -166,7 +170,7 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "nmqfi.cli", "qfi", "--config",
          str(SCENARIO_DIR / "qfi_noiseless_pi.json")],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False, env=CHILD_ENV)
     assert proc.returncode == 0
     assert '"value"' in proc.stdout
 
@@ -921,10 +925,9 @@ def test_sweep_keeps_a_zero_asymptotic_total(tmp_path, capsys):
     assert rows and all(row.split(",")[column] == "0" for row in rows)
 
 
-def test_out_of_range_expansion_is_absent(tmp_path, capsys):
-    # at script-E 100 a fast sinusoid puts the two-term forms at
-    # tau* = -0.157 and F* = -10.7 (exact optimum 0.03125 and 6.61): both
-    # are absent; at script-E 1000 both are positive and stay
+def _fast_sinusoid(tmp_path) -> Path:
+    """sequential_nonmarkov's one-mode bath with a sinusoid of frequency 100
+    over T = 2, bracket (0.01, 0.5)."""
     raw = json.loads((SCENARIO_DIR / "sequential_nonmarkov.json").read_text())
     raw["force"] = {"kind": "sinusoid", "amplitude": 1, "frequency": 100,
                     "phase": 0.4, "support": [0, 100]}
@@ -934,6 +937,14 @@ def test_out_of_range_expansion_is_absent(tmp_path, capsys):
     raw["options"]["energy_sweep"] = [100, 1000]
     cfg = tmp_path / "fast.json"
     cfg.write_text(json.dumps(raw))
+    return cfg
+
+
+def test_out_of_range_expansion_is_absent(tmp_path, capsys):
+    # at script-E 100 a fast sinusoid puts the two-term forms at
+    # tau* = -0.157 and F* = -10.7 (exact optimum 0.03125 and 6.61): both
+    # are absent; at script-E 1000 both are positive and stay
+    cfg = _fast_sinusoid(tmp_path)
     assert run_cli(["sequential", "--config", cfg]) == 0
     point = json.loads(capsys.readouterr().out)
     assert point["tau_opt_asymptotic"] is None
@@ -946,6 +957,27 @@ def test_out_of_range_expansion_is_absent(tmp_path, capsys):
     cells = [[float(row.split(",")[c]) for c in cols] for row in rows]
     assert np.isnan(cells[0]).all()
     assert cells[1] == pytest.approx([0.0092806, 25.2005], rel=1e-4)
+
+
+def test_short_time_flag_counts_the_force_rate(tmp_path, capsys):
+    # the sinusoid varies at 2 sqrt(C / xi) = 99.6 over T, far above
+    # omega0 = 1 and the bath's rates: tau* = 0.03125 times it is 3.1, so
+    # the optimum is not a short-time window
+    assert run_cli(["sequential", "--config", _fast_sinusoid(tmp_path)]) == 0
+    point = json.loads(capsys.readouterr().out)
+    assert point["tau_opt_numeric"] == pytest.approx(0.03125)
+    assert 2 * (point["c_coeff"] / point["xi"]) ** 0.5 > 0.1 / 0.03125
+    assert point["regime_flags"]["short_time_valid"] is False
+
+
+def test_short_time_flag_of_a_constant_force_reads_omega0(capsys):
+    # a constant force has 2 sqrt(C / xi) = omega0 = 1, which the flag
+    # already counted: tau* = 0.05 of sequential_nonmarkov stays short
+    cfg = SCENARIO_DIR / "sequential_nonmarkov.json"
+    assert run_cli(["sequential", "--config", cfg]) == 0
+    point = json.loads(capsys.readouterr().out)
+    assert 2 * (point["c_coeff"] / point["xi"]) ** 0.5 == pytest.approx(1.0)
+    assert point["regime_flags"]["short_time_valid"] is True
 
 
 def test_pytest_runs_from_a_checkout_without_pythonpath():
@@ -962,7 +994,7 @@ def test_cli_import_loads_no_schema_library_or_thread_pool():
     code = ("import sys, nmqfi.cli; print(sorted({'jsonschema', "
             "'concurrent.futures'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.strip() == "[]"
 
 
@@ -974,9 +1006,8 @@ def test_force_jobs_do_not_import_numpy_ma():
             f"main(['qfi', '--config', {qfi!r}]); "
             f"main(['sequential', '--config', {cadence!r}]); "
             "print('numpy.ma' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(SCENARIO_DIR.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
+                          text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.splitlines()[-1] == "False"
     assert '"form": "aligned"' in proc.stdout and '"total_qfi"' in proc.stdout
 

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import CHILD_ENV
 from nmqfi.bath import (BathMoments, ContinuousSpectrum, DiscreteBath,
                         OccupationModel)
 from nmqfi.config import ScenarioConfig
@@ -123,5 +124,5 @@ def test_held_arrays_are_read_only(name):
 def test_cli_import_loads_no_dataclasses():
     code = "import nmqfi.cli, sys; print('dataclasses' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.strip() == "False"
