@@ -12,6 +12,7 @@ is finite, so a run that fails writes nothing.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import io
 import json
@@ -194,13 +195,6 @@ def _tau_bounds(block: dict, resp, total: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _energy(cfg: ScenarioConfig) -> float:
-    energy = cfg.energy()
-    if energy is None:
-        raise ConfigError("sequential subcommand needs probe.energy")
-    return energy
-
-
 def _sequential_point(cfg: ScenarioConfig, resp,
                       energies: list[float]) -> list[dict]:
     """One cadence report per energy, from one optimize_tau call for all.
@@ -260,13 +254,13 @@ def _sequential_point(cfg: ScenarioConfig, resp,
 
 
 def run_sequential(cfg: ScenarioConfig, resp: ResponseFunction):
-    return _sequential_point(cfg, resp, [_energy(cfg)])[0]
+    return _sequential_point(cfg, resp, [cfg.energy()])[0]
 
 
 def run_sequential_scan(cfg: ScenarioConfig, resp: ResponseFunction):
     """The cadence total at report_points intervals spaced geometrically."""
     force = cfg.force()
-    energy = _energy(cfg)
+    energy = cfg.energy()
     block = cfg.block("sequential")
     total = float(block["total_window"])
     lo, hi = _tau_bounds(block, resp, total)
@@ -279,11 +273,7 @@ def run_sequential_scan(cfg: ScenarioConfig, resp: ResponseFunction):
 
 
 def run_sweep(cfg: ScenarioConfig, resp: ResponseFunction):
-    sweep = cfg.options.get("energy_sweep")
-    if not sweep:
-        raise ConfigError("sweep subcommand needs options.energy_sweep "
-                          "(list of script-E values)")
-    script_es = [float(se) for se in sweep]
+    script_es = [float(se) for se in cfg.options["energy_sweep"]]
     points = _sequential_point(
         cfg, resp, [metrology.energy_for_script_e(se) for se in script_es])
     keys = ("tau_opt_numeric", "total_qfi", "tau_opt_asymptotic",
@@ -307,9 +297,6 @@ def run_correlation(cfg: ScenarioConfig, resp: ResponseFunction):
 
 def run_limits(cfg: ScenarioConfig, resp: ResponseFunction):
     gamma = _gamma_for(cfg)
-    if gamma is None:
-        raise ConfigError("limits subcommand needs options.gamma or a "
-                          "continuum bath block")
     omega2 = bath_mod.moments(resp.bath).omega(2)
     taus = resp.grid.times()
     return (["tau", "re_exact", "im_exact", "abs_exact", "narrowband",
@@ -333,6 +320,34 @@ _SUBCOMMANDS = {
     ("correlation", "csv"): run_correlation,
     ("limits", "csv"): run_limits,
 }
+
+# The blocks each subcommand reads beyond probe, bath and grid, in the order
+# its runner reads them.
+_BLOCKS = {"moments": ("window",), "qfi": ("force", "window"),
+           "estimate": ("force", "window"),
+           "sequential": ("force", "sequential"),
+           "sweep": ("force", "sequential")}
+
+
+def _check_inputs(cfg: ScenarioConfig, subcommand: str):
+    """ConfigError when the scenario lacks an input the subcommand reads
+    beyond probe, bath and grid, or gives a probe.energy it cannot take;
+    main calls it before any bath is built."""
+    energy = cfg.energy()
+    if subcommand in ("moments", "correlation") and energy is not None:
+        raise ConfigError("probe gives an energy: build the state per "
+                          "window with the best-state form instead")
+    if subcommand == "sequential" and energy is None:
+        raise ConfigError("sequential subcommand needs probe.energy")
+    if subcommand == "sweep" and "energy_sweep" not in cfg.options:
+        raise ConfigError("sweep subcommand needs options.energy_sweep "
+                          "(list of script-E values)")
+    if (subcommand == "limits" and "gamma" not in cfg.options
+            and "continuum" not in cfg.raw["bath"]):
+        raise ConfigError("limits subcommand needs options.gamma or a "
+                          "continuum bath block")
+    for name in _BLOCKS.get(subcommand, ()):
+        cfg.block(name)
 
 
 def main(argv=None) -> int:
@@ -359,6 +374,7 @@ def main(argv=None) -> int:
         if fmt not in formats:
             raise ConfigError(f"subcommand {args.subcommand} emits "
                               f"{'/'.join(formats)} only")
+        _check_inputs(cfg, args.subcommand)
         bath = cfg.bath()
         result = _SUBCOMMANDS[args.subcommand, fmt](
             cfg, response_mod.solve_response(bath, cfg.grid(bath)))
@@ -385,5 +401,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """The `nmqfi` process: main without the cyclic garbage collector.
+
+    Numpy's import alone builds about 22k tracked objects, which the
+    collector would walk in some 30 young collections and once more in full
+    at shutdown. A run's garbage is freed by reference counting, and what
+    sits in a cycle waits for the process to end; the heap is frozen before
+    the interpreter exits, so shutdown walks none of it. main, the
+    in-process API, leaves the collector as it is.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -212,11 +212,7 @@ class ScenarioConfig(Frozen):
 
     @_builder
     def init_state(self) -> GaussianProbeInit:
-        probe = self.raw["probe"]
-        if "energy" in probe:
-            raise ConfigError("probe gives an energy: build the state per "
-                              "window with the best-state form instead")
-        init = probe.get("init", {})
+        init = self.raw["probe"].get("init", {})
         if init.get("kind") == "matrix":
             mean = complex(init.get("mean_re", 0.0), init.get("mean_im", 0.0))
             return probe_mod.GaussianProbeInit.from_covariance(mean, init["cov"])

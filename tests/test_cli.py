@@ -155,7 +155,7 @@ def test_malformed_json_rejected(tmp_path):
     assert run_cli(["qfi", "--config", cfg]) == 2
 
 
-def test_numerical_error_exit_code(tmp_path):
+def _underflow_config(tmp_path) -> Path:
     # the pulse is 28 widths past the window: the Fisher information
     # underflows to 0 inside the engine -> numerical error -> exit 3
     raw = json.loads((SCENARIO_DIR / "estimate_cramer_rao.json").read_text())
@@ -163,16 +163,75 @@ def test_numerical_error_exit_code(tmp_path):
                window={"t0": 0, "t": 0.5})
     cfg = tmp_path / "underflow.json"
     cfg.write_text(json.dumps(raw))
-    assert run_cli(["estimate", "--config", cfg]) == 3
+    return cfg
 
 
-def test_console_entry_point_runs():
+def test_numerical_error_exit_code(tmp_path):
+    assert run_cli(["estimate", "--config", _underflow_config(tmp_path)]) == 3
+
+
+def _console_script() -> tuple[str, str]:
+    """The module and function that pyproject's `nmqfi` script calls."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(SCENARIO_DIR.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["nmqfi"]
+    module, function = target.split(":")
+    return module, function
+
+
+def test_console_script_is_the_function_the_module_runs():
+    import ast
+    module, function = _console_script()
+    assert module == "nmqfi.cli"
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block) == (
+        f"if __name__ == '__main__':\n    sys.exit({function}())")
+
+
+@pytest.mark.parametrize("code", [0, 2, 3], ids=lambda c: f"exit_{c}")
+def test_console_script_runs_as_the_module_does(code, tmp_path):
+    module, function = _console_script()
+    config = {0: SCENARIO_DIR / "qfi_noiseless_pi.json",
+              2: tmp_path / "missing.json",
+              3: _underflow_config(tmp_path)}[code]
+    sub = "estimate" if code == 3 else "qfi"
+    runs = [subprocess.run(
+        [sys.executable, *launch, sub, "--config", str(config)],
+        capture_output=True, text=True, check=False, env=CHILD_ENV)
+        for launch in (["-m", "nmqfi.cli"], ["-c", (
+            f"import sys; from {module} import {function}; "
+            f"sys.exit({function}())")])]
+    module_run, script_run = [(r.returncode, r.stdout, r.stderr)
+                              for r in runs]
+    assert script_run == module_run
+    assert module_run[0] == code
+    assert ('"value"' in module_run[1]) == (code == 0)
+
+
+def test_entry_runs_main_without_the_collector_and_freezes_the_heap():
+    probe = ("import gc, sys; from nmqfi.cli import entry; code = entry(); "
+             "print(gc.isenabled(), gc.get_freeze_count() > 0, code, "
+             "file=sys.stderr)")
     proc = subprocess.run(
-        [sys.executable, "-m", "nmqfi.cli", "qfi", "--config",
+        [sys.executable, "-c", probe, "qfi", "--config",
          str(SCENARIO_DIR / "qfi_noiseless_pi.json")],
         capture_output=True, text=True, check=False, env=CHILD_ENV)
-    assert proc.returncode == 0
-    assert '"value"' in proc.stdout
+    assert proc.returncode == 0 and '"value"' in proc.stdout
+    assert proc.stderr == "False True 0\n"
+
+
+def test_main_leaves_the_collector_as_it_is(tmp_path, capsys):
+    import gc
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run_cli(["qfi", "--config",
+                    SCENARIO_DIR / "qfi_noiseless_pi.json"]) == 0
+    assert run_cli(["qfi", "--config", tmp_path / "missing.json"]) == 2
+    assert run_cli(["estimate", "--config", _underflow_config(tmp_path)]) == 3
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 def test_sweep_csv_scaling_slope(tmp_path):
@@ -507,6 +566,72 @@ def test_window_past_the_grid_is_refused_before_the_march(case, tmp_path,
     assert run_cli([*sub.split(), "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:")
+    assert len(err.splitlines()) == 1
+
+
+def _drop(block, key=None):
+    return lambda raw: raw.pop(block) if key is None else raw[block].pop(key)
+
+
+def _energy_for_init(raw):
+    del raw["probe"]["init"]
+    raw["probe"]["energy"] = 2.0
+
+
+# An input a subcommand reads beyond probe, bath and grid, missing (or a
+# probe.energy it cannot take), which once exited 2 only after the march:
+# (base scenario, subcommand and its flags, edit, part of the refusal).
+MISSING_INPUT = {
+    "sequential_energy": ("sequential_nonmarkov", "sequential",
+                          _drop("probe", "energy"), "needs probe.energy"),
+    "sequential_csv_energy": ("sequential_nonmarkov", "sequential --format csv",
+                              _drop("probe", "energy"), "needs probe.energy"),
+    "sequential_force": ("sequential_nonmarkov", "sequential", _drop("force"),
+                         "'force' block"),
+    "sequential_block": ("sequential_nonmarkov", "sequential --format csv",
+                         _drop("sequential"), "'sequential' block"),
+    "sweep_energy_sweep": ("sweep_scaling", "sweep",
+                           _drop("options", "energy_sweep"),
+                           "needs options.energy_sweep"),
+    "sweep_force": ("sweep_scaling", "sweep", _drop("force"), "'force' block"),
+    "sweep_block": ("sweep_scaling", "sweep", _drop("sequential"),
+                    "'sequential' block"),
+    "qfi_force": ("qfi_noiseless_pi", "qfi", _drop("force"), "'force' block"),
+    "qfi_window": ("qfi_ohmic_thermal", "qfi", _drop("window"),
+                   "'window' block"),
+    "estimate_force": ("estimate_cramer_rao", "estimate", _drop("force"),
+                       "'force' block"),
+    "estimate_window": ("estimate_cramer_rao", "estimate", _drop("window"),
+                        "'window' block"),
+    "moments_window": ("moments_resonant_vacuum", "moments", _drop("window"),
+                       "'window' block"),
+    "moments_energy": ("moments_resonant_vacuum", "moments", _energy_for_init,
+                       "probe gives an energy"),
+    "correlation_energy": ("correlation_flatband", "correlation",
+                           _set("probe", energy=2.0), "probe gives an energy"),
+    "limits_gamma": ("limits_narrowband", "limits", _drop("options", "gamma"),
+                     "needs options.gamma or a continuum"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUT))
+def test_missing_input_is_refused_before_the_march(case, tmp_path, capsys,
+                                                   monkeypatch):
+    from nmqfi import config, response
+
+    def build(*args):
+        raise AssertionError("a bath was built or the response solved")
+
+    monkeypatch.setattr(config.ScenarioConfig, "bath", build)
+    monkeypatch.setattr(response, "solve_response", build)
+    base, sub, edit, refusal = MISSING_INPUT[case]
+    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
+    edit(raw)
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli([*sub.split(), "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and refusal in err
     assert len(err.splitlines()) == 1
 
 
