@@ -5,8 +5,9 @@ large to allocate among them), 3 for numerical failures inside the engine
 (an arithmetic overflow among them). Floats are emitted with 17 significant
 digits and JSON keys are sorted, so identical configs (and seeds) reproduce
 byte-identical outputs. Each (subcommand, format) has one runner, which
-returns its result; `main` writes that result only once every value in it
-is finite, so a run that fails writes nothing.
+reads the scenario's inputs, builds its engine objects and solves, in that
+order, so every refusal precedes the march; `main` writes its result only
+once every value in it is finite, so a run that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -97,21 +98,30 @@ def _gamma_for(cfg: ScenarioConfig) -> float | None:
             else response_mod.markov_decay_rate(spectrum, cfg.omega0))
 
 
-def run_response(cfg: ScenarioConfig, resp: ResponseFunction):
+def _march(cfg: ScenarioConfig) -> ResponseFunction:
+    """The response solved on the scenario's bath and grid."""
+    bath = cfg.bath()
+    return response_mod.solve_response(bath, cfg.grid(bath))
+
+
+def run_response(cfg: ScenarioConfig):
+    resp = _march(cfg)
     g, g_dot = resp.g_samples, resp.g_dot_samples
     return (["tau", "re_g", "im_g", "abs_g", "re_gdot", "im_gdot"],
             np.column_stack((resp.grid.times(), g.real, g.imag, np.abs(g),
                              g_dot.real, g_dot.imag)))
 
 
-def run_moments(cfg: ScenarioConfig, resp: ResponseFunction):
-    init = cfg.init_state()
+def run_moments(cfg: ScenarioConfig):
     t0, t1 = cfg.window()
     theta = float(cfg.options.get("theta", 0.0))
     amp = float(cfg.options.get("force_amplitude", 0.0))
+    init = cfg.init_state()
+    force = cfg.force() if "force" in cfg.raw else None
+    resp = _march(cfg)
     times = np.linspace(t0, t1, _report_points(cfg))
-    values = (probe.displacement(resp, cfg.force(), (t0, times))
-              if "force" in cfg.raw else np.zeros(times.shape, dtype=complex))
+    values = (np.zeros(times.shape, dtype=complex) if force is None
+              else probe.displacement(resp, force, (t0, times)))
     w = probe.window_terms(resp, (t0, times), values)
     snap = probe.covariance_snapshot(init, w, theta)
     return (["t", "theta", "mean", "var_x", "var_p", "det_sigma", "n_b"],
@@ -121,22 +131,24 @@ def run_moments(cfg: ScenarioConfig, resp: ResponseFunction):
                              snap.det_sigma, w.n_b)))
 
 
-def _window_qfi(cfg: ScenarioConfig, resp):
-    """The window's terms, from one displacement call, the probe state (the
-    best state of probe.energy, if given) and its QFI."""
-    force = cfg.force()
+def _window_qfi(cfg: ScenarioConfig):
+    """The response, the window's terms from one displacement call, the
+    probe state (the best state of probe.energy, if given) and its QFI."""
     window = cfg.window()
     energy = cfg.energy()
+    force = cfg.force()
     init = cfg.init_state() if energy is None else None
+    resp = _march(cfg)
     w = probe.window_terms(resp, window,
                            probe.displacement(resp, force, window))
     if energy is None:
-        return w, init, metrology.qfi_general(init, w)
-    return w, metrology.best_state(energy, w), metrology.qfi_best_state(energy, w)
+        return resp, w, init, metrology.qfi_general(init, w)
+    return (resp, w, metrology.best_state(energy, w),
+            metrology.qfi_best_state(energy, w))
 
 
-def run_qfi(cfg: ScenarioConfig, resp: ResponseFunction):
-    w, init, result = _window_qfi(cfg, resp)
+def run_qfi(cfg: ScenarioConfig):
+    resp, w, init, result = _window_qfi(cfg)
     snap = probe.covariance_snapshot(init, w, 0.0)
     m = bath_mod.moments(resp.bath)
     payload = {
@@ -159,11 +171,11 @@ def run_qfi(cfg: ScenarioConfig, resp: ResponseFunction):
     return payload
 
 
-def run_estimate(cfg: ScenarioConfig, resp: ResponseFunction):
+def run_estimate(cfg: ScenarioConfig):
     seed = int(cfg.options.get("seed", 0))
+    qfi = _window_qfi(cfg)[3].value   # refusals before metrology runs numpy
     result = metrology.simulate_estimation(
-        _window_qfi(cfg, resp)[2].value,
-        f_true=float(cfg.options.get("force_amplitude", 0.0)),
+        qfi, f_true=float(cfg.options.get("force_amplitude", 0.0)),
         nu=int(cfg.options.get("nu", 100)), seed=seed,
         replications=int(cfg.options.get("replications", 2000)))
     return {
@@ -177,45 +189,46 @@ def run_estimate(cfg: ScenarioConfig, resp: ResponseFunction):
     }
 
 
-def _check_steps(total: float, tau: float):
-    """ConfigError when intervals tau fit more than _MAX_STEPS steps into total."""
-    if sequential.SequentialScheme(total, tau).repetitions > _MAX_STEPS:
-        raise ConfigError(f"a cadence of interval {tau!r} has more than "
-                          f"{_MAX_STEPS} steps in total_window {total!r}")
-
-
-def _tau_bounds(block: dict, resp, total: float) -> tuple[float, float]:
-    """The cadence interval bracket: sequential.tau_bounds or the default."""
-    if "tau_bounds" in block:
-        lo, hi = (float(v) for v in block["tau_bounds"])
+def _cadence(cfg: ScenarioConfig, fixed: bool):
+    """(total window, interval bracket, force, response) of the cadence,
+    read, built and solved in that order. The bracket is (tau, tau) if fixed
+    and the block gives a tau, else tau_bounds or the default; more than
+    _MAX_STEPS steps at its lower end is a ConfigError before the march."""
+    block = cfg.block("sequential")
+    total = float(block["total_window"])
+    force = cfg.force()
+    bath = cfg.bath()
+    grid = cfg.grid(bath)
+    if fixed and "tau" in block:
+        bracket = (float(block["tau"]),) * 2
+    elif "tau_bounds" in block:
+        bracket = tuple(float(v) for v in block["tau_bounds"])
     else:
-        lo, hi = sequential.default_tau_bounds(resp, total,
-                                               bath_mod.moments(resp.bath))
-    _check_steps(total, lo)
-    return lo, hi
+        bracket = sequential.default_tau_bounds(grid, total,
+                                                bath_mod.moments(bath))
+    if sequential.SequentialScheme(total, bracket[0]).repetitions > _MAX_STEPS:
+        raise ConfigError(f"a cadence of interval {bracket[0]!r} has more than "
+                          f"{_MAX_STEPS} steps in total_window {total!r}")
+    return total, bracket, force, response_mod.solve_response(bath, grid)
 
 
-def _sequential_point(cfg: ScenarioConfig, resp,
+def _sequential_point(cfg: ScenarioConfig, cadence,
                       energies: list[float]) -> list[dict]:
-    """One cadence report per energy, from one optimize_tau call for all.
+    """One cadence report per energy, from one optimize_tau call for all,
+    on the _cadence of the scenario.
 
     The asymptotics read the window integrals xi and C over all of T; the
     reported ones cover each optimum's own steps, nu * tau.
     """
-    force = cfg.force()
-    block = cfg.block("sequential")
-    total = float(block["total_window"])
+    total, (lo, hi), force, resp = cadence
     m = bath_mod.moments(resp.bath)
     omega0 = resp.bath.probe_frequency
-    if "tau" in block:
-        tau = float(block["tau"])
-        _check_steps(total, tau)
+    if lo == hi:
         terms = sequential.interval_terms(
-            sequential.SequentialScheme(total, tau), resp, force)
+            sequential.SequentialScheme(total, lo), resp, force)
         found = [sequential.seq_result(terms, energy) for energy in energies]
     else:
-        found = sequential.optimize_tau(total, energies, resp, force,
-                                        _tau_bounds(block, resp, total))
+        found = sequential.optimize_tau(total, energies, resp, force, (lo, hi))
     ints = sequential.xi_and_c(force, omega0, total)
     gamma = _gamma_for(cfg)
     n_thermal = float(cfg.options.get("n_thermal", 0.0))
@@ -253,17 +266,22 @@ def _sequential_point(cfg: ScenarioConfig, resp,
     return points
 
 
-def run_sequential(cfg: ScenarioConfig, resp: ResponseFunction):
-    return _sequential_point(cfg, resp, [cfg.energy()])[0]
-
-
-def run_sequential_scan(cfg: ScenarioConfig, resp: ResponseFunction):
-    """The cadence total at report_points intervals spaced geometrically."""
-    force = cfg.force()
+def _cadence_energy(cfg: ScenarioConfig) -> float:
     energy = cfg.energy()
-    block = cfg.block("sequential")
-    total = float(block["total_window"])
-    lo, hi = _tau_bounds(block, resp, total)
+    if energy is None:
+        raise ConfigError("sequential subcommand needs probe.energy")
+    return energy
+
+
+def run_sequential(cfg: ScenarioConfig):
+    energy = _cadence_energy(cfg)
+    return _sequential_point(cfg, _cadence(cfg, fixed=True), [energy])[0]
+
+
+def run_sequential_scan(cfg: ScenarioConfig):
+    """The cadence total at report_points intervals spaced geometrically."""
+    energy = _cadence_energy(cfg)
+    total, (lo, hi), force, resp = _cadence(cfg, fixed=False)
     rows = []
     for tau in np.geomspace(lo, hi, _report_points(cfg)):
         terms = sequential.interval_terms(
@@ -272,10 +290,14 @@ def run_sequential_scan(cfg: ScenarioConfig, resp: ResponseFunction):
     return ["tau", "total_qfi"], rows
 
 
-def run_sweep(cfg: ScenarioConfig, resp: ResponseFunction):
+def run_sweep(cfg: ScenarioConfig):
+    if "energy_sweep" not in cfg.options:
+        raise ConfigError("sweep subcommand needs options.energy_sweep "
+                          "(list of script-E values)")
     script_es = [float(se) for se in cfg.options["energy_sweep"]]
+    cadence = _cadence(cfg, fixed=True)
     points = _sequential_point(
-        cfg, resp, [metrology.energy_for_script_e(se) for se in script_es])
+        cfg, cadence, [metrology.energy_for_script_e(se) for se in script_es])
     keys = ("tau_opt_numeric", "total_qfi", "tau_opt_asymptotic",
             "total_qfi_asymptotic", "markov_bound")
     return (["script_e", "tau_opt", "total_qfi", "tau_opt_asymptotic",
@@ -284,9 +306,10 @@ def run_sweep(cfg: ScenarioConfig, resp: ResponseFunction):
              for se, row in zip(script_es, points)])
 
 
-def run_correlation(cfg: ScenarioConfig, resp: ResponseFunction):
-    fluct = 0.5 * cfg.init_state().trace
+def run_correlation(cfg: ScenarioConfig):
     t_prime = float(cfg.options.get("t_prime", 0.0))
+    fluct = 0.5 * cfg.init_state().trace
+    resp = _march(cfg)
     times = np.linspace(t_prime, resp.t_end, _report_points(cfg))
     r = corr_mod.bath_correlation(resp, fluct, times, t_prime)
     return (["t_minus_tprime", "re_total", "im_total", "re_born", "im_born",
@@ -295,8 +318,12 @@ def run_correlation(cfg: ScenarioConfig, resp: ResponseFunction):
                              r.born.real, r.born.imag, np.abs(r.interaction))))
 
 
-def run_limits(cfg: ScenarioConfig, resp: ResponseFunction):
+def run_limits(cfg: ScenarioConfig):
     gamma = _gamma_for(cfg)
+    if gamma is None:
+        raise ConfigError("limits subcommand needs options.gamma or a "
+                          "continuum bath block")
+    resp = _march(cfg)
     omega2 = bath_mod.moments(resp.bath).omega(2)
     taus = resp.grid.times()
     return (["tau", "re_exact", "im_exact", "abs_exact", "narrowband",
@@ -320,35 +347,6 @@ _SUBCOMMANDS = {
     ("correlation", "csv"): run_correlation,
     ("limits", "csv"): run_limits,
 }
-
-# The blocks each subcommand reads beyond probe, bath and grid, in the order
-# its runner reads them.
-_BLOCKS = {"moments": ("window",), "qfi": ("force", "window"),
-           "estimate": ("force", "window"),
-           "sequential": ("force", "sequential"),
-           "sweep": ("force", "sequential")}
-
-
-def _check_inputs(cfg: ScenarioConfig, subcommand: str):
-    """ConfigError when the scenario lacks an input the subcommand reads
-    beyond probe, bath and grid, or gives a probe.energy it cannot take;
-    main calls it before any bath is built."""
-    energy = cfg.energy()
-    if subcommand in ("moments", "correlation") and energy is not None:
-        raise ConfigError("probe gives an energy: build the state per "
-                          "window with the best-state form instead")
-    if subcommand == "sequential" and energy is None:
-        raise ConfigError("sequential subcommand needs probe.energy")
-    if subcommand == "sweep" and "energy_sweep" not in cfg.options:
-        raise ConfigError("sweep subcommand needs options.energy_sweep "
-                          "(list of script-E values)")
-    if (subcommand == "limits" and "gamma" not in cfg.options
-            and "continuum" not in cfg.raw["bath"]):
-        raise ConfigError("limits subcommand needs options.gamma or a "
-                          "continuum bath block")
-    for name in _BLOCKS.get(subcommand, ()):
-        cfg.block(name)
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -374,10 +372,7 @@ def main(argv=None) -> int:
         if fmt not in formats:
             raise ConfigError(f"subcommand {args.subcommand} emits "
                               f"{'/'.join(formats)} only")
-        _check_inputs(cfg, args.subcommand)
-        bath = cfg.bath()
-        result = _SUBCOMMANDS[args.subcommand, fmt](
-            cfg, response_mod.solve_response(bath, cfg.grid(bath)))
+        result = _SUBCOMMANDS[args.subcommand, fmt](cfg)
         text = io.StringIO()
         if fmt == "csv":
             _write_csv(text, result[0], _cells(result[1]))

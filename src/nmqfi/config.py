@@ -212,6 +212,9 @@ class ScenarioConfig(Frozen):
 
     @_builder
     def init_state(self) -> GaussianProbeInit:
+        if "energy" in self.raw["probe"]:
+            raise ConfigError("probe gives an energy: build the state per "
+                              "window with the best-state form instead")
         init = self.raw["probe"].get("init", {})
         if init.get("kind") == "matrix":
             mean = complex(init.get("mean_re", 0.0), init.get("mean_im", 0.0))

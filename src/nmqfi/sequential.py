@@ -21,7 +21,7 @@ from .errors import (ConfigError, ConsistencyError, Frozen, NmqfiError,
 from .force import ForceModulation
 from .metrology import best_state_variance, script_e
 from .probe import WindowTerms, displacement, window_terms
-from .response import ResponseFunction
+from .response import ResponseFunction, TimeGrid
 
 # Relative slack of the bound sum_k |D_k|^2 <= omega0^2 tau xi, which assumes
 # |G| <= 1. The solver admits |G| <= 1 + 1e-6 (|D_k|^2 up to 2e-6 more) and the
@@ -123,12 +123,13 @@ def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
     return seq_result(interval_terms(scheme, response, force), energy)
 
 
-def default_tau_bounds(response: ResponseFunction, total_window: float,
+def default_tau_bounds(grid: TimeGrid, total_window: float,
                        moments: BathMoments) -> tuple[float, float]:
-    """Search bracket [8 h, min(T, 5/Omega_2)] from the grid and kernel scales."""
-    lower = 8.0 * response.grid.h
+    """Search bracket [8 h, min(T, t_end, 5/Omega_2)] from the grid and
+    kernel scales, known before the response is solved."""
+    lower = 8.0 * grid.h
     omega2 = moments.omega(2)
-    upper = min(total_window, response.t_end)
+    upper = min(total_window, grid.t_end)
     if omega2 > 0:
         upper = min(upper, 5.0 / omega2)
     if upper <= lower:

@@ -14,17 +14,21 @@ ship (a table with knots inside the window, a sinusoid, a pulse):
 prepared states they do not ship (coherent, thermal, squeezed at r = 20 on
 the aligned axis, squeezed at r = 0.6 off it, a matrix):
 `qfi_noiseless_pi` through `qfi`, `estimate_cramer_rao` through
-`estimate`. Then
-runs the single_shot and cadence benchmark jobs that
-perfbench/jobs.py (of this file's checkout) generates for seeds 5 and 7,
-each job's config through both checkouts. Compares stdout bytes and exit
-codes, prints one line per difference, and exits 1 if there is any, else
-0. When both outputs of a differing run parse as CSV or JSON with the same
-columns (JSON: the leaf keys, a list's items sharing their key), the line
-also sizes the change: the columns that moved, the cells moved, the
-largest absolute difference, and the largest difference relative to its
-column's largest magnitude, each with its column. BLAS runs on one thread
-so reruns are deterministic. pytest does not collect this file.
+`estimate`. Every refused input of tests/test_cli.py (of this file's
+checkout), its `MISSING_INPUT` and `LATE_REFUSAL` cases, also runs, each
+case's edit of its base scenario through its subcommand. Then runs the
+single_shot and cadence benchmark jobs that perfbench/jobs.py (of this
+file's checkout) generates for seeds 5 and 7, each job's config through
+both checkouts. Compares exit codes, stdout bytes and stderr bytes (the
+checkout's own path read as one placeholder, so a message naming a file
+of the checkout compares equal), prints one line per difference, and
+exits 1 if there is any, else 0. When both outputs of a differing run
+parse as CSV or JSON with the same columns (JSON: the leaf keys, a list's
+items sharing their key), the line also sizes the change: the columns
+that moved, the cells moved, the largest absolute difference, and the
+largest difference relative to its column's largest magnitude, each with
+its column. BLAS runs on one thread so reruns are deterministic. pytest
+does not collect this file.
 """
 
 import json
@@ -68,8 +72,10 @@ FORCE_VARIANTS = {
 
 
 def run(checkout: Path, subcommand: str, config: Path, fmt, seed=None):
-    """(exit code, stdout bytes) of one CLI run of the checkout."""
-    args = [sys.executable, "-m", "nmqfi.cli", subcommand, "--config", str(config)]
+    """(exit code, stdout bytes, stderr bytes) of one CLI run of the
+    checkout; subcommand may carry flags ("sequential --format csv")."""
+    args = [sys.executable, "-m", "nmqfi.cli", *subcommand.split(), "--config",
+            str(config)]
     if fmt:
         args += ["--format", fmt]
     if seed is not None:
@@ -78,7 +84,8 @@ def run(checkout: Path, subcommand: str, config: Path, fmt, seed=None):
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(args, cwd=checkout, env=env, capture_output=True,
                           check=False)
-    return proc.returncode, proc.stdout
+    return (proc.returncode, proc.stdout,
+            proc.stderr.replace(bytes(checkout), b"CHECKOUT"))
 
 
 def columns(text: bytes):
@@ -161,6 +168,8 @@ def difference(old, new):
         sized = size(old[1], new[1])
         return (f"stdout differs ({len(old[1])} -> {len(new[1])} bytes)"
                 + (f": {sized}" if sized else ""))
+    if old[2] != new[2]:
+        return f"stderr {old[2].decode()!r} -> {new[2].decode()!r}"
     return None
 
 
@@ -208,6 +217,24 @@ def init_variant_runs(parent: Path, change: Path, scratch: Path):
                      for root in (parent, change)))
 
 
+def refusal_runs(parent: Path, change: Path, scratch: Path):
+    """(label, parent run, change run) for every refused input of
+    tests/test_cli.py."""
+    here = Path(__file__).resolve().parent
+    sys.path[:0] = [str(here), str(here.parent / "src")]
+    import test_cli
+
+    for table in (test_cli.MISSING_INPUT, test_cli.LATE_REFUSAL):
+        for case, (base, subcommand, edit, _) in sorted(table.items()):
+            raw = json.loads((change / "scenarios" / f"{base}.json").read_text())
+            edit(raw)
+            config = scratch / f"refused_{case}.json"
+            config.write_text(json.dumps(raw))
+            yield (f"{base}.json refused {case}",
+                   *(run(root, subcommand, config, None)
+                     for root in (parent, change)))
+
+
 def generated_runs(parent: Path, change: Path, scratch: Path):
     """(label, parent run, change run) for every generated benchmark job."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -236,6 +263,8 @@ def main(argv) -> int:
                             force_variant_runs(parent, change, Path(scratch))),
                            ("init variant runs",
                             init_variant_runs(parent, change, Path(scratch))),
+                           ("refusal runs",
+                            refusal_runs(parent, change, Path(scratch))),
                            ("generated jobs",
                             generated_runs(parent, change, Path(scratch)))):
             total = differences = 0

@@ -635,6 +635,50 @@ def test_missing_input_is_refused_before_the_march(case, tmp_path, capsys,
     assert len(err.splitlines()) == 1
 
 
+_STEP_CAP = ("config error: a cadence of interval 1e-07 has more than 1000000 "
+             "steps in total_window 1.0")
+
+# An input that a builder or the cadence step cap refuses, which once exited
+# 2 only after the march: (base scenario, subcommand, edit, stderr line).
+LATE_REFUSAL = {
+    "sequential_tau": ("sequential_nonmarkov", "sequential",
+                       lambda raw: raw.update(sequential={
+                           "total_window": 1.0, "optimize": False,
+                           "tau": 1e-7}), _STEP_CAP),
+    "sequential_tau_bounds": ("sequential_nonmarkov", "sequential",
+                              _set("sequential", tau_bounds=[1e-7, 0.3]),
+                              _STEP_CAP),
+    "qfi_table_times": ("qfi_ohmic_thermal", "qfi", _force(
+        kind="table", times=[0.0, 0.5, 0.4], values=[0.0, 1.0, 0.5]),
+        "config error: force: table times must be strictly increasing"),
+    "qfi_matrix_cov": ("qfi_ohmic_thermal", "qfi", _set("probe", init={
+        "kind": "matrix", "cov": [[0.1, 0.0], [0.0, 0.1]]}),
+        "config error: init_state: covariance violates the uncertainty "
+        "bound det >= 1/4"),
+    "qfi_pulse_width": ("qfi_ohmic_thermal", "qfi", _force(
+        kind="gaussian_pulse", center=0.5, width=0.0),
+        "config error: force: width must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_REFUSAL))
+def test_builder_and_step_cap_refusals_come_before_the_march(
+        case, tmp_path, capsys, monkeypatch):
+    from nmqfi import response
+
+    def march(*args):
+        raise AssertionError("the response was solved")
+
+    monkeypatch.setattr(response, "solve_response", march)
+    base, sub, edit, refusal = LATE_REFUSAL[case]
+    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
+    edit(raw)
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(raw))
+    assert run_cli([sub, "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", refusal + "\n")
+
+
 # The first shipped scenario of each subcommand.
 FIRST_SCENARIO = {subcommand_for(path): path for path in reversed(SCENARIOS)}
 

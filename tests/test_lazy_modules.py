@@ -11,6 +11,7 @@ import pytest
 
 import nmqfi
 from conftest import CHILD_ENV
+from test_cli import MISSING_INPUT
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,6 +59,27 @@ def test_refused_scenario_exits_2_without_numpy(tmp_path):
                           text=True, check=True, env=CHILD_ENV, cwd=ROOT)
     assert proc.stdout.splitlines() == ["2", "False"]
     assert "longer than grid.t_end" in proc.stderr
+
+
+def test_missing_inputs_exit_2_without_numpy(tmp_path):
+    # every case in one child process: no refusal may load numpy
+    runs = []
+    for case, (base, sub, edit, _) in sorted(MISSING_INPUT.items()):
+        raw = json.loads((ROOT / f"scenarios/{base}.json").read_text())
+        edit(raw)
+        cfg = tmp_path / f"{case}.json"
+        cfg.write_text(json.dumps(raw))
+        runs.append([*sub.split(), "--config", str(cfg)])
+    code = ("import sys; from nmqfi.cli import main; "
+            f"print([main(args) for args in {runs!r}]); {NUMPY_RAN}")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=CHILD_ENV, cwd=ROOT)
+    assert proc.stdout.splitlines() == [str([2] * len(runs)), "False"]
+    refusals = [refusal for _, (*_, refusal) in sorted(MISSING_INPUT.items())]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == len(refusals)
+    assert all(line.startswith("config error:") and refusal in line
+               for line, refusal in zip(lines, refusals))
 
 
 def test_cli_keeps_a_numpy_imported_before_it():

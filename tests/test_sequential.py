@@ -369,7 +369,7 @@ class TestOptimize:
 
     def test_default_bounds(self, unit_weight_bath, unit_weight_response):
         m = moments(unit_weight_bath)
-        lo, hi = default_tau_bounds(unit_weight_response, 10.0, m)
+        lo, hi = default_tau_bounds(unit_weight_response.grid, 10.0, m)
         assert lo == pytest.approx(8.0 * unit_weight_response.grid.h)
         assert hi == pytest.approx(unit_weight_response.t_end)
 
