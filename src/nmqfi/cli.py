@@ -319,11 +319,11 @@ def run_correlation(cfg: ScenarioConfig):
 
 
 def run_limits(cfg: ScenarioConfig):
-    gamma = _gamma_for(cfg)
-    if gamma is None:
+    if "gamma" not in cfg.options and "continuum" not in cfg.raw["bath"]:
         raise ConfigError("limits subcommand needs options.gamma or a "
                           "continuum bath block")
     resp = _march(cfg)
+    gamma = _gamma_for(cfg)   # the bath builder has checked the spectrum
     omega2 = bath_mod.moments(resp.bath).omega(2)
     taus = resp.grid.times()
     return (["tau", "re_exact", "im_exact", "abs_exact", "narrowband",

@@ -14,9 +14,9 @@ ship (a table with knots inside the window, a sinusoid, a pulse):
 prepared states they do not ship (coherent, thermal, squeezed at r = 20 on
 the aligned axis, squeezed at r = 0.6 off it, a matrix):
 `qfi_noiseless_pi` through `qfi`, `estimate_cramer_rao` through
-`estimate`. Every refused input of tests/test_cli.py (of this file's
-checkout), its `MISSING_INPUT` and `LATE_REFUSAL` cases, also runs, each
-case's edit of its base scenario through its subcommand. Then runs the
+`estimate`. The refusal cases of tests/test_cli.py (of this file's
+checkout), those of its `MISSING_INPUT` and `PAST_THE_GRID` tables, also
+run, each case's edit of its base scenario through its subcommand. Then runs the
 single_shot and cadence benchmark jobs that perfbench/jobs.py (of this
 file's checkout) generates for seeds 5 and 7, each job's config through
 both checkouts. Compares exit codes, stdout bytes and stderr bytes (the
@@ -218,14 +218,14 @@ def init_variant_runs(parent: Path, change: Path, scratch: Path):
 
 
 def refusal_runs(parent: Path, change: Path, scratch: Path):
-    """(label, parent run, change run) for every refused input of
-    tests/test_cli.py."""
+    """(label, parent run, change run) for every case of tests/test_cli.py's
+    MISSING_INPUT and PAST_THE_GRID tables."""
     here = Path(__file__).resolve().parent
     sys.path[:0] = [str(here), str(here.parent / "src")]
     import test_cli
 
-    for table in (test_cli.MISSING_INPUT, test_cli.LATE_REFUSAL):
-        for case, (base, subcommand, edit, _) in sorted(table.items()):
+    for table in (test_cli.MISSING_INPUT, test_cli.PAST_THE_GRID):
+        for case, (base, subcommand, edit, *_) in sorted(table.items()):
             raw = json.loads((change / "scenarios" / f"{base}.json").read_text())
             edit(raw)
             config = scratch / f"refused_{case}.json"

@@ -517,9 +517,21 @@ def test_out_of_range_input_is_a_config_error(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-# Windows and cadence intervals longer than grid.t_end, and a window that
-# ends before it starts, which once exited 3 (or 2) only after the march:
-# (base scenario, subcommand and its flags, edit of the parsed file).
+_STEP_CAP = ("config error: a cadence of interval 1e-07 has more than 1000000 "
+             "steps in total_window 1.0")
+
+
+def _cutoff_0_continuum(raw):
+    del raw["options"]["gamma"]
+    raw["bath"] = {"continuum": {"family": "ohmic", "scale": 0.03,
+                                 "cutoff": 0.0, "n_modes": 8}}
+
+
+# Inputs refused before the march, which once exited 3 (or 2) only after
+# it: windows and cadence intervals longer than grid.t_end, a window that
+# ends before it starts, a cadence past the step cap, and inputs a builder
+# refuses: (base scenario, subcommand and its flags, edit of the parsed
+# file[, the exact stderr line]).
 PAST_THE_GRID = {
     "qfi_window": ("qfi_ohmic_thermal", "qfi", _set("window", t=7.0)),
     "moments_window": ("moments_detuned_coherent", "moments",
@@ -546,6 +558,27 @@ PAST_THE_GRID = {
                          _set("sequential", tau_bounds=[0.01, 0.5])),
     "window_reversed": ("qfi_noiseless_pi", "qfi",
                         _set("window", t0=2.0, t=1.0)),
+    "sequential_tau_step_cap": ("sequential_nonmarkov", "sequential",
+                                lambda raw: raw.update(sequential={
+                                    "total_window": 1.0, "optimize": False,
+                                    "tau": 1e-7}), _STEP_CAP),
+    "sequential_tau_bounds_step_cap": (
+        "sequential_nonmarkov", "sequential",
+        _set("sequential", tau_bounds=[1e-7, 0.3]), _STEP_CAP),
+    "qfi_table_times": ("qfi_ohmic_thermal", "qfi", _force(
+        kind="table", times=[0.0, 0.5, 0.4], values=[0.0, 1.0, 0.5]),
+        "config error: force: table times must be strictly increasing"),
+    "qfi_matrix_cov": ("qfi_ohmic_thermal", "qfi", _set("probe", init={
+        "kind": "matrix", "cov": [[0.1, 0.0], [0.0, 0.1]]}),
+        "config error: init_state: covariance violates the uncertainty "
+        "bound det >= 1/4"),
+    "qfi_pulse_width": ("qfi_ohmic_thermal", "qfi", _force(
+        kind="gaussian_pulse", center=0.5, width=0.0),
+        "config error: force: width must be > 0"),
+    # the continuum gives limits its gamma only once the bath is built
+    "limits_continuum_cutoff": ("limits_narrowband", "limits",
+                                _cutoff_0_continuum,
+                                "config error: bath: cutoff must be > 0"),
 }
 
 
@@ -558,7 +591,7 @@ def test_window_past_the_grid_is_refused_before_the_march(case, tmp_path,
         raise AssertionError("the response was solved")
 
     monkeypatch.setattr(response, "solve_response", march)
-    base, sub, edit = PAST_THE_GRID[case]
+    base, sub, edit, *refusal = PAST_THE_GRID[case]
     raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
     edit(raw)
     cfg = tmp_path / "probe.json"
@@ -567,6 +600,8 @@ def test_window_past_the_grid_is_refused_before_the_march(case, tmp_path,
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:")
     assert len(err.splitlines()) == 1
+    if refusal:
+        assert err == refusal[0] + "\n"
 
 
 def _drop(block, key=None):
@@ -633,50 +668,6 @@ def test_missing_input_is_refused_before_the_march(case, tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:") and refusal in err
     assert len(err.splitlines()) == 1
-
-
-_STEP_CAP = ("config error: a cadence of interval 1e-07 has more than 1000000 "
-             "steps in total_window 1.0")
-
-# An input that a builder or the cadence step cap refuses, which once exited
-# 2 only after the march: (base scenario, subcommand, edit, stderr line).
-LATE_REFUSAL = {
-    "sequential_tau": ("sequential_nonmarkov", "sequential",
-                       lambda raw: raw.update(sequential={
-                           "total_window": 1.0, "optimize": False,
-                           "tau": 1e-7}), _STEP_CAP),
-    "sequential_tau_bounds": ("sequential_nonmarkov", "sequential",
-                              _set("sequential", tau_bounds=[1e-7, 0.3]),
-                              _STEP_CAP),
-    "qfi_table_times": ("qfi_ohmic_thermal", "qfi", _force(
-        kind="table", times=[0.0, 0.5, 0.4], values=[0.0, 1.0, 0.5]),
-        "config error: force: table times must be strictly increasing"),
-    "qfi_matrix_cov": ("qfi_ohmic_thermal", "qfi", _set("probe", init={
-        "kind": "matrix", "cov": [[0.1, 0.0], [0.0, 0.1]]}),
-        "config error: init_state: covariance violates the uncertainty "
-        "bound det >= 1/4"),
-    "qfi_pulse_width": ("qfi_ohmic_thermal", "qfi", _force(
-        kind="gaussian_pulse", center=0.5, width=0.0),
-        "config error: force: width must be > 0"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(LATE_REFUSAL))
-def test_builder_and_step_cap_refusals_come_before_the_march(
-        case, tmp_path, capsys, monkeypatch):
-    from nmqfi import response
-
-    def march(*args):
-        raise AssertionError("the response was solved")
-
-    monkeypatch.setattr(response, "solve_response", march)
-    base, sub, edit, refusal = LATE_REFUSAL[case]
-    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
-    edit(raw)
-    cfg = tmp_path / "probe.json"
-    cfg.write_text(json.dumps(raw))
-    assert run_cli([sub, "--config", cfg]) == 2
-    assert capsys.readouterr() == ("", refusal + "\n")
 
 
 # The first shipped scenario of each subcommand.
