@@ -14,9 +14,9 @@ ship (a table with knots inside the window, a sinusoid, a pulse):
 prepared states they do not ship (coherent, thermal, squeezed at r = 20 on
 the aligned axis, squeezed at r = 0.6 off it, a matrix):
 `qfi_noiseless_pi` through `qfi`, `estimate_cramer_rao` through
-`estimate`. The refusal cases of tests/test_cli.py (of this file's
-checkout), those of its `MISSING_INPUT` and `PAST_THE_GRID` tables, also
-run, each case's edit of its base scenario through its subcommand. Then runs the
+`estimate`. Every case of the failure corpus, tests/failures.py (of this
+file's checkout), also runs: its edit of its base scenario through its
+subcommand and flags. Then runs the
 single_shot and cadence benchmark jobs that perfbench/jobs.py (of this
 file's checkout) generates for seeds 5 and 7, each job's config through
 both checkouts. Compares exit codes, stdout bytes and stderr bytes (the
@@ -35,10 +35,13 @@ import json
 import math
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import failures
 
 FORMATS = (None, "csv", "json")
 SEED = 3   # the --seed of the extra run of each estimate_* scenario
@@ -218,32 +221,24 @@ def init_variant_runs(parent: Path, change: Path, scratch: Path):
 
 
 def refusal_runs(parent: Path, change: Path, scratch: Path):
-    """(label, parent run, change run) for every case of tests/test_cli.py's
-    MISSING_INPUT and PAST_THE_GRID tables."""
-    here = Path(__file__).resolve().parent
-    sys.path[:0] = [str(here), str(here.parent / "src")]
-    import test_cli
-
-    for table in (test_cli.MISSING_INPUT, test_cli.PAST_THE_GRID):
-        for case, (base, subcommand, edit, *_) in sorted(table.items()):
-            raw = json.loads((change / "scenarios" / f"{base}.json").read_text())
-            edit(raw)
-            config = scratch / f"refused_{case}.json"
-            config.write_text(json.dumps(raw))
-            yield (f"{base}.json refused {case}",
-                   *(run(root, subcommand, config, None)
-                     for root in (parent, change)))
+    """(label, parent run, change run) for every case of the failure
+    corpus."""
+    for n, (label, case) in enumerate(sorted(failures.CORPUS.items())):
+        config = scratch / f"refused_{n}.json"
+        config.write_bytes(failures.scenario_bytes(case, change / "scenarios"))
+        yield (f"{case.base}.json refused {label}",
+               *(run(root, case.command, config, None)
+                 for root in (parent, change)))
 
 
 def generated_runs(parent: Path, change: Path, scratch: Path):
     """(label, parent run, change run) for every generated benchmark job."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import jobs
-
+    generate = runpy.run_path(str(Path(__file__).resolve().parent.parent
+                                  / "perfbench" / "jobs.py"))["generate"]
     for workload in GENERATED_WORKLOADS:
         for seed in GENERATED_SEEDS:
-            for job in jobs.generate(workload, random.Random(seed),
-                                     change / "scenarios"):
+            for job in generate(workload, random.Random(seed),
+                                change / "scenarios"):
                 config = scratch / f"{workload}_{seed}_{job.name}.json"
                 config.write_text(json.dumps(job.config))
                 yield (f"{workload} seed {seed} {job.name}",

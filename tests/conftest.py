@@ -1,11 +1,16 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import contextlib
+import io
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import failures
+from nmqfi import cli, response
 from nmqfi._quad import adaptive_simpson
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         bare_correlation, discretize, memory_kernel)
@@ -20,6 +25,49 @@ from nmqfi.response import (_ABS_G_SLACK, _REFINE, ResponseFunction, TimeGrid,
 # where the package is not installed.
 CHILD_ENV = dict(os.environ,
                  PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def run_main(args, action: str = "always"):
+    """(exit code, stdout, stderr) of cli.main(args) in-process, with
+    warnings under the filter action; stderr starts with the warnings that
+    production would print."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args)
+    printed = "".join(warnings.formatwarning(w.message, w.category, w.filename,
+                                             w.lineno) for w in shown)
+    return code, out.getvalue(), printed + err.getvalue()
+
+
+def _forbidden_march(*args):
+    raise AssertionError("the response was solved")
+
+
+def check_failure(case: failures.Case, tmp_path: Path, monkeypatch) -> Path:
+    """Runs a case of the failure corpus through cli.main and returns its
+    scenario file. Asserts the exit code, exactly its one stderr line, empty
+    stdout and no warning; a case whose stage precedes the engine runs with
+    response.solve_response patched to raise. (That a front_end case loads
+    no numpy, tests/test_lazy_modules.py checks in a child process.)"""
+    config = tmp_path / "case.json"
+    config.write_bytes(failures.scenario_bytes(case, SCENARIO_DIR))
+    if case.stage != failures.ENGINE:
+        monkeypatch.setattr(response, "solve_response", _forbidden_march)
+    got = run_main([*case.command.split(), "--config", str(config)])
+    assert got == (case.code, "", case.stderr(config))
+    return config
+
+
+def corpus_test(table: dict):
+    """A test that runs check_failure on every case of a corpus table, one
+    test id per case name."""
+    @pytest.mark.parametrize("name", sorted(table))
+    def test(name, tmp_path, monkeypatch):
+        check_failure(table[name], tmp_path, monkeypatch)
+    return test
 
 
 def exact_single_mode_g(coupling_sq: float, delta: float, tau):

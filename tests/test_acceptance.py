@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (exact_single_mode_g, forced_window, markov_qfi,
-                      short_time_qfi)
+                      mean_energy, short_time_qfi)
 from nmqfi import force as fc
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         discretize, moments)
@@ -20,7 +20,7 @@ from nmqfi.correlation import bath_correlation
 from nmqfi.metrology import (energy_for_script_e, fisher_quadrature,
                              optimal_angle, qfi_aligned, qfi_best_state,
                              qfi_general, simulate_estimation)
-from nmqfi.probe import (GaussianProbeInit, covariance_snapshot,
+from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, phase,
                          quadrature_variance, window_terms)
 from nmqfi.response import TimeGrid, default_grid, markov_closed_form, solve_response
 from nmqfi.sequential import markov_seq, optimize_tau, tau_opt_asymptotic, xi_and_c
@@ -281,3 +281,59 @@ def test_criterion_12_correlation_decomposition():
             split_ok and slope_ok,
             f"decomposition residual {worst_split:.1e} <= 1e-10; "
             f"interaction/Born slope {slope:.3f} in [1.8, 2.2]")
+
+
+def _best_state_windows():
+    """Window terms of criterion 17: three baths, two forces, three windows."""
+    baths = [DiscreteBath([0.09], [0.7], [0.0], 1.0),     # a cold mode
+             DiscreteBath([0.09], [0.7], [2.0], 1.0),     # a hot mode, N = 2
+             discretize(ContinuousSpectrum(
+                 "ohmic", scale=0.05, cutoff=2.0,
+                 occupation=OccupationModel("thermal", 0.8)), 48, 1.0)]
+    forces = [ZETA, fc.SinusoidForce(1.0, 2.3)]
+    for bath in baths:
+        resp = solve_response(bath, TimeGrid(5.5, 2048))
+        for force in forces:
+            for window in ((0.0, 0.5), (0.0, 3.0), (1.0, 5.5)):
+                yield forced_window(resp, force, window)
+
+
+def _random_state(rng) -> GaussianProbeInit:
+    alpha = (rng.choice([0.0, 0.3, 3.0]) * complex(*rng.normal(size=2))
+             / np.sqrt(2.0))
+    nbar = rng.exponential() if rng.random() < 0.5 else 0.0
+    return GaussianProbeInit(alpha, nbar, rng.uniform(0.0, 4.0),
+                             rng.uniform(0.0, np.pi))
+
+
+def test_criterion_17_best_state_optimality():
+    # no Gaussian state of mean energy E = |alpha|^2 + trace/2 beats the
+    # best state of E, aligned squeezed vacua are the best state, and
+    # trading squeezing for thermal occupation or displacement at the same
+    # energy loses information
+    rng = np.random.default_rng(17)
+    worst_ratio, worst_aligned, n_states, strict = -np.inf, 0.0, 0, True
+    for w in _best_state_windows():
+        def ratio(init):
+            best = qfi_best_state(mean_energy(init), w).value
+            return qfi_general(init, w).value / best
+        for _ in range(120):
+            worst_ratio = max(worst_ratio, ratio(_random_state(rng)) - 1.0)
+            n_states += 1
+        axis = phase(w.disp) - phase(w.g)
+        for r in (0.2, 1.0, 3.0, 8.0):
+            dev = abs(ratio(GaussianProbeInit(0.0, r=r, axis=axis)) - 1.0)
+            worst_aligned = max(worst_aligned, dev)
+        # at E = 5: occupation nbar = 1/2, or |alpha|^2 = 1, with the rest
+        # of the energy in aligned squeezing
+        thermal = GaussianProbeInit(0.0, 0.5, 0.5 * np.arccosh(5.0), axis)
+        displaced = GaussianProbeInit(1.0, r=0.5 * np.arccosh(8.0), axis=axis)
+        strict &= all(mean_energy(init) == pytest.approx(5.0, rel=1e-12)
+                      and ratio(init) < 1.0 for init in (thermal, displaced))
+    ok = (n_states >= 2000 and worst_ratio <= 1e-12
+          and worst_aligned <= 1e-12 and strict)
+    _report(17, "no Gaussian state beats the best state", ok,
+            f"{n_states} random states: largest QFI / best - 1 = "
+            f"{worst_ratio:.2e} <= 1e-12; aligned squeezed vacua within "
+            f"{worst_aligned:.1e} <= 1e-12; thermal and displaced states "
+            f"strictly below: {strict}")

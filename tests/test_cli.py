@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,12 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CHILD_ENV, noiseless_table_displacement
+import failures
+from conftest import (CHILD_ENV, SCENARIO_DIR, check_failure, corpus_test,
+                      noiseless_table_displacement)
+from failures import replace_force, update
 from nmqfi import cli
 from nmqfi.cli import main
 from nmqfi.errors import NmqfiError
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 SUBCOMMAND_BY_PREFIX = {
     "qfi": "qfi",
@@ -101,7 +104,7 @@ def test_estimate_error_is_kept_at_a_large_force(force, tmp_path, capsys):
     # each error sqrt(crb) z lies far below the force's last digit, so the
     # draw f + sqrt(crb) z rounds back to f; the MSE reads the errors
     payload = _run_json(tmp_path, capsys, "estimate_cramer_rao", "estimate",
-                        _set("options", force_amplitude=force))
+                        update("options", force_amplitude=force))
     assert 0.9 <= payload["ratio_to_crb"] <= 1.1
 
 
@@ -158,11 +161,9 @@ def test_malformed_json_rejected(tmp_path):
 def _underflow_config(tmp_path) -> Path:
     # the pulse is 28 widths past the window: the Fisher information
     # underflows to 0 inside the engine -> numerical error -> exit 3
-    raw = json.loads((SCENARIO_DIR / "estimate_cramer_rao.json").read_text())
-    raw.update(force={"kind": "gaussian_pulse", "center": 4, "width": 0.125},
-               window={"t0": 0, "t": 0.5})
     cfg = tmp_path / "underflow.json"
-    cfg.write_text(json.dumps(raw))
+    cfg.write_bytes(failures.scenario_bytes(failures.ARITHMETIC_FAILURES[
+        "fisher_information_underflows_estimate"], SCENARIO_DIR))
     return cfg
 
 
@@ -306,368 +307,26 @@ def test_energy_and_init_conflict_rejected(tmp_path):
     assert run_cli(["qfi", "--config", cfg]) == 2
 
 
-def _set(block, **values):
-    return lambda raw: raw[block].update(values)
+# Each table of the failure corpus runs as one test of its own name, one
+# test id per case; check_failure asserts the case's exit code, its one
+# stderr line, empty stdout, no warning and its stage.
+test_out_of_range_input_is_a_config_error = corpus_test(failures.OUT_OF_RANGE)
+test_window_past_the_grid_is_refused_before_the_march = corpus_test(
+    failures.PAST_THE_GRID)
+test_missing_input_is_refused_before_the_march = corpus_test(
+    failures.MISSING_INPUT)
+test_first_of_two_faults_is_named = corpus_test(failures.TWO_FAULTS)
+test_arithmetic_failure_is_a_numerical_error = corpus_test(
+    failures.ARITHMETIC_FAILURES)
 
 
-def _force(**block):
-    return lambda raw: raw.update(force=block)
-
-
-_SQUEEZED_OVERFLOW = _set("probe", init={"kind": "squeezed", "r": 400})
-# Terabytes of response samples or bath modes: numpy refuses them at once.
-# Never test with a size the OS might grant.
-_TOO_MANY_STEPS = _set("grid", n_steps=10 ** 12)
-
-
-def _too_many_modes(raw):
-    raw["bath"]["continuum"].update(n_modes=10 ** 12)
-
-
-# Intervals whose shortest one fits 10^6 + 1 steps into total_window 1.
-_PAST_STEP_CAP = [9.99999e-7, 1e-6]
-# An integer literal beyond the float range, and a count numpy refuses to
-# allocate at once (2^62 elements).
-_PAST_FLOAT_RANGE = 10 ** 400
-_TOO_BIG_COUNT = 2 ** 62
-
-
-# Inputs that once escaped as a traceback (exit 1) or a numerical error
-# (exit 3), or ran to exit 0 with a NaN in the output, a key ignored or a
-# cadence too large to run: (base scenario, subcommand and its flags, edit
-# of the parsed file; an edit that returns bytes gives the file's bytes).
-OUT_OF_RANGE = {
-    "omega0_zero": ("qfi_best_state_resonant", "qfi", _set("probe", omega0=0)),
-    "omega0_nan_literal": ("qfi_best_state_resonant", "qfi",
-                           _set("probe", omega0=float("nan"))),
-    "energy_below_vacuum": ("qfi_best_state_resonant", "qfi",
-                            _set("probe", energy=0.1)),
-    "t_end_zero": ("response_narrowband", "response", _set("grid", t_end=0)),
-    "k_sq_negative": ("response_narrowband", "response",
-                      _set("bath", modes=[[-0.25, 1.0, 0.0]])),
-    "cutoff_zero": ("correlation_flatband", "correlation",
-                    lambda raw: raw["bath"]["continuum"].update(cutoff=0)),
-    "total_window_zero": ("sequential_nonmarkov", "sequential",
-                          _set("sequential", total_window=0)),
-    "tau_negative": ("sequential_nonmarkov", "sequential",
-                     _set("sequential", tau=-1, optimize=False)),
-    "tau_bounds_reversed": ("sequential_nonmarkov", "sequential",
-                            _set("sequential", tau_bounds=[0.2, 0.1])),
-    "tau_bounds_past_window": ("sequential_nonmarkov", "sequential",
-                               _set("sequential", tau_bounds=[0.01, 1.5])),
-    "script_e_below_half": ("sweep_scaling", "sweep",
-                            _set("options", energy_sweep=[0.1])),
-    "sequential_block_missing": ("sequential_nonmarkov", "sequential",
-                                 lambda raw: raw.pop("sequential")),
-    "tau_bracket_collapsed": ("sequential_nonmarkov", "sequential",
-                              lambda raw: (raw["sequential"].pop("tau_bounds"),
-                                           raw["grid"].update(n_steps=2))),
-    "gamma_negative": ("limits_narrowband", "limits",
-                       _set("options", gamma=-0.1)),
-    "n_thermal_negative_half": ("sequential_nonmarkov", "sequential",
-                                _set("options", n_thermal=-0.5)),
-    "n_thermal_negative": ("sequential_nonmarkov", "sequential",
-                           _set("options", n_thermal=-2.0)),
-    "optimize_false_without_tau": ("sequential_nonmarkov", "sequential",
-                                   lambda raw: (raw["sequential"].pop("tau_bounds"),
-                                                raw["sequential"].update(optimize=False))),
-    "optimize_true_with_tau": ("sequential_nonmarkov", "sequential",
-                               _set("sequential", optimize=True, tau=0.1)),
-    "t_prime_negative": ("correlation_flatband", "correlation",
-                         _set("options", t_prime=-0.5)),
-    # t_end is 12: a lag past it, or one with no room left, has no rows
-    "t_prime_past_t_end": ("correlation_flatband", "correlation",
-                           _set("options", t_prime=20.0)),
-    "t_prime_at_t_end": ("correlation_flatband", "correlation",
-                         _set("options", t_prime=12.0)),
-    "seed_negative": ("estimate_cramer_rao", "estimate",
-                      _set("options", seed=-1)),
-    "seed_flag_negative": ("estimate_cramer_rao", "estimate --seed -1",
-                           lambda raw: None),
-    # probe states whose covariance is too large for floats
-    "qfi_squeezed_overflow": ("qfi_noiseless_pi", "qfi", _SQUEEZED_OVERFLOW),
-    "estimate_squeezed_overflow": ("estimate_cramer_rao", "estimate",
-                                   _SQUEEZED_OVERFLOW),
-    "moments_squeezed_overflow": ("moments_resonant_vacuum", "moments",
-                                  _SQUEEZED_OVERFLOW),
-    "thermal_overflow": ("qfi_noiseless_pi", "qfi",
-                         _set("probe", init={"kind": "thermal", "nbar": 1e308})),
-    # energies whose script_e overflows, on every subcommand that reads one
-    "energy_1e200": ("qfi_best_state_resonant", "qfi", _set("probe", energy=1e200)),
-    "energy_1e200_sequential": ("sequential_nonmarkov", "sequential",
-                                _set("probe", energy=1e200)),
-    "energy_sweep_1e200": ("sweep_scaling", "sweep",
-                           _set("options", energy_sweep=[100.0, 1e200])),
-    # a bath occupation N = 6e300 whose (N + 1/2)^2 overflows (its noise
-    # weight script_n = 6e298 is finite)
-    "occupation_overflow": ("qfi_ohmic_thermal", "qfi",
-                            lambda raw: raw["bath"]["continuum"].update(
-                                occupation={"model": "thermal",
-                                            "temperature": 1e300})),
-    # cadences past 10^6 steps, on every path that builds one
-    "steps_sequential_json": ("sequential_nonmarkov", "sequential",
-                              _set("sequential", tau_bounds=_PAST_STEP_CAP)),
-    "steps_sequential_csv": ("sequential_nonmarkov", "sequential --format csv",
-                             lambda raw: (raw["sequential"].update(
-                                 tau_bounds=_PAST_STEP_CAP),
-                                 raw["options"].update(report_points=2))),
-    "steps_sweep": ("sweep_scaling", "sweep",
-                    _set("sequential", tau_bounds=_PAST_STEP_CAP)),
-    "steps_fixed_tau": ("sequential_nonmarkov", "sequential",
-                        lambda raw: raw.update(sequential={
-                            "total_window": 1.0, "tau": _PAST_STEP_CAP[0]})),
-    # the default lower bound 8 h = 3.90625e-4 fits 1,024,000 steps into 400
-    "steps_default_bracket": ("sequential_nonmarkov", "sequential",
-                              lambda raw: raw.update(sequential={
-                                  "total_window": 400.0})),
-    # arrays too large to allocate, in the response grid or the bath
-    "n_steps_1e12_qfi": ("qfi_ohmic_thermal", "qfi", _TOO_MANY_STEPS),
-    "n_steps_1e12_response": ("qfi_ohmic_thermal", "response", _TOO_MANY_STEPS),
-    "n_modes_1e12_qfi": ("qfi_ohmic_thermal", "qfi", _too_many_modes),
-    "n_modes_1e12_response": ("qfi_ohmic_thermal", "response", _too_many_modes),
-    # a kind without one of its required keys, or with a key that only
-    # another kind of its block takes
-    "pulse_without_center": ("qfi_noiseless_pi", "qfi", _force(
-        kind="gaussian_pulse", width=0.5)),
-    "pulse_without_width": ("qfi_noiseless_pi", "qfi", _force(
-        kind="gaussian_pulse", center=1.0)),
-    "table_without_times": ("qfi_noiseless_pi", "qfi", _force(
-        kind="table", values=[1.0, 1.0])),
-    "table_without_values": ("qfi_noiseless_pi", "qfi", _force(
-        kind="table", times=[0.0, 4.0])),
-    "matrix_without_cov": ("qfi_noiseless_pi", "qfi", _set(
-        "probe", init={"kind": "matrix", "mean_re": 0.5})),
-    "constant_with_amplitude": ("qfi_noiseless_pi", "qfi",
-                                _set("force", amplitude=5)),
-    "table_with_value": ("qfi_noiseless_pi", "qfi", _set(
-        "force", kind="table", times=[0.0, 4.0], values=[1.0, 1.0])),
-    "coherent_with_r_and_nbar": ("moments_detuned_coherent", "moments",
-                                 lambda raw: raw["probe"]["init"].update(
-                                     r=0.5, nbar=1.0)),
-    "vacuum_with_alpha": ("moments_resonant_vacuum", "moments",
-                          lambda raw: raw["probe"]["init"].update(
-                              alpha_re=1.0)),
-    "flat_with_s": ("correlation_flatband", "correlation",
-                    lambda raw: raw["bath"]["continuum"].update(s=2.0)),
-    "zero_occupation_with_temperature": (
-        "qfi_ohmic_thermal", "qfi",
-        lambda raw: raw["bath"]["continuum"].update(
-            occupation={"model": "zero", "temperature": 0.8})),
-    "thermal_occupation_with_value": (
-        "qfi_ohmic_thermal", "qfi",
-        lambda raw: raw["bath"]["continuum"]["occupation"].update(value=1.0)),
-    "thermal_occupation_without_temperature": (
-        "qfi_ohmic_thermal", "qfi",
-        lambda raw: raw["bath"]["continuum"].update(
-            occupation={"model": "thermal"})),
-    # the exclusive and inclusive edges of single-key bounds
-    "tau_zero": ("sequential_nonmarkov", "sequential",
-                 _set("sequential", tau=0, optimize=False)),
-    "gamma_just_below_zero": ("limits_narrowband", "limits",
-                              _set("options", gamma=-1e-300)),
-    # files the JSON parser cannot read: not UTF-8, nested past its
-    # recursion limit, an integer past int()'s 4,300-digit limit
-    "not_utf8": ("qfi_noiseless_pi", "qfi", lambda raw: b"\xff\xfe{}"),
-    "nested_too_deep": ("qfi_noiseless_pi", "qfi",
-                        lambda raw: b"[" * 1500 + b"]" * 1500),
-    "integer_past_digit_limit": (
-        "qfi_noiseless_pi", "qfi", lambda raw: json.dumps(raw).replace(
-            '"t0": 0.0', '"t0": 1' + "0" * 5000).encode()),
-    # integer literals beyond the float range
-    "t_end_past_float_range": ("qfi_noiseless_pi", "qfi",
-                               _set("grid", t_end=_PAST_FLOAT_RANGE)),
-    "omega0_past_float_range": ("qfi_noiseless_pi", "qfi",
-                                _set("probe", omega0=_PAST_FLOAT_RANGE)),
-    "mode_past_float_range": ("response_narrowband", "response", _set(
-        "bath", modes=[[0.25, 1.0, _PAST_FLOAT_RANGE]])),
-    "total_window_past_float_range": (
-        "sequential_nonmarkov", "sequential",
-        _set("sequential", total_window=_PAST_FLOAT_RANGE)),
-    "force_amplitude_past_float_range": (
-        "estimate_cramer_rao", "estimate",
-        _set("options", force_amplitude=_PAST_FLOAT_RANGE)),
-    "nu_past_float_range": ("estimate_cramer_rao", "estimate",
-                            _set("options", nu=_PAST_FLOAT_RANGE)),
-    # counts past 2^53, which numpy refused with a traceback
-    "n_steps_2e62": ("moments_resonant_vacuum", "moments",
-                     _set("grid", n_steps=_TOO_BIG_COUNT)),
-    "replications_2e62": ("estimate_cramer_rao", "estimate",
-                          _set("options", replications=_TOO_BIG_COUNT)),
-    "report_points_2e62_moments": ("moments_resonant_vacuum", "moments",
-                                   _set("options", report_points=_TOO_BIG_COUNT)),
-    "report_points_2e62_correlation": (
-        "correlation_flatband", "correlation",
-        _set("options", report_points=_TOO_BIG_COUNT)),
-    "report_points_2e62_sequential_csv": (
-        "sequential_nonmarkov", "sequential --format csv",
-        _set("options", report_points=_TOO_BIG_COUNT)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
-def test_out_of_range_input_is_a_config_error(case, tmp_path, capsys):
-    base, sub, edit = OUT_OF_RANGE[case]
-    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
-    text = edit(raw)
-    cfg = tmp_path / "probe.json"
-    cfg.write_bytes(text if isinstance(text, bytes) else json.dumps(raw).encode())
-    assert run_cli([*sub.split(), "--config", cfg]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("config error:")
-    assert len(err.splitlines()) == 1
-
-
-_STEP_CAP = ("config error: a cadence of interval 1e-07 has more than 1000000 "
-             "steps in total_window 1.0")
-
-
-def _cutoff_0_continuum(raw):
-    del raw["options"]["gamma"]
-    raw["bath"] = {"continuum": {"family": "ohmic", "scale": 0.03,
-                                 "cutoff": 0.0, "n_modes": 8}}
-
-
-# Inputs refused before the march, which once exited 3 (or 2) only after
-# it: windows and cadence intervals longer than grid.t_end, a window that
-# ends before it starts, a cadence past the step cap, and inputs a builder
-# refuses: (base scenario, subcommand and its flags, edit of the parsed
-# file[, the exact stderr line]).
-PAST_THE_GRID = {
-    "qfi_window": ("qfi_ohmic_thermal", "qfi", _set("window", t=7.0)),
-    "moments_window": ("moments_detuned_coherent", "moments",
-                       _set("window", t=6.5)),
-    "estimate_window": ("estimate_cramer_rao", "estimate",
-                        _set("window", t=4.5)),
-    "qfi_window_single_mode": ("qfi_noiseless_pi", "qfi", lambda raw: (
-        raw.clear(), raw.update({
-            "probe": {"omega0": 1.0},
-            "bath": {"modes": [[0.25, 1.0, 0.0]]},
-            "force": {"kind": "constant", "value": 1.0,
-                      "support": [0.0, 100.0]},
-            "grid": {"t_end": 1.0, "n_steps": 64},
-            "window": {"t0": 0.0, "t": 5.0}}))),
-    "sequential_tau": ("sequential_nonmarkov", "sequential",
-                       lambda raw: raw.update(sequential={
-                           "total_window": 1.0, "tau": 0.45})),
-    "sequential_tau_bounds_json": ("sequential_nonmarkov", "sequential",
-                                   _set("grid", t_end=0.2)),
-    "sequential_tau_bounds_csv": ("sequential_nonmarkov",
-                                  "sequential --format csv",
-                                  _set("grid", t_end=0.2)),
-    "sweep_tau_bounds": ("sweep_scaling", "sweep",
-                         _set("sequential", tau_bounds=[0.01, 0.5])),
-    "window_reversed": ("qfi_noiseless_pi", "qfi",
-                        _set("window", t0=2.0, t=1.0)),
-    "sequential_tau_step_cap": ("sequential_nonmarkov", "sequential",
-                                lambda raw: raw.update(sequential={
-                                    "total_window": 1.0, "optimize": False,
-                                    "tau": 1e-7}), _STEP_CAP),
-    "sequential_tau_bounds_step_cap": (
-        "sequential_nonmarkov", "sequential",
-        _set("sequential", tau_bounds=[1e-7, 0.3]), _STEP_CAP),
-    "qfi_table_times": ("qfi_ohmic_thermal", "qfi", _force(
-        kind="table", times=[0.0, 0.5, 0.4], values=[0.0, 1.0, 0.5]),
-        "config error: force: table times must be strictly increasing"),
-    "qfi_matrix_cov": ("qfi_ohmic_thermal", "qfi", _set("probe", init={
-        "kind": "matrix", "cov": [[0.1, 0.0], [0.0, 0.1]]}),
-        "config error: init_state: covariance violates the uncertainty "
-        "bound det >= 1/4"),
-    "qfi_pulse_width": ("qfi_ohmic_thermal", "qfi", _force(
-        kind="gaussian_pulse", center=0.5, width=0.0),
-        "config error: force: width must be > 0"),
-    # the continuum gives limits its gamma only once the bath is built
-    "limits_continuum_cutoff": ("limits_narrowband", "limits",
-                                _cutoff_0_continuum,
-                                "config error: bath: cutoff must be > 0"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(PAST_THE_GRID))
-def test_window_past_the_grid_is_refused_before_the_march(case, tmp_path,
-                                                         capsys, monkeypatch):
-    from nmqfi import response
-
-    def march(*args):
-        raise AssertionError("the response was solved")
-
-    monkeypatch.setattr(response, "solve_response", march)
-    base, sub, edit, *refusal = PAST_THE_GRID[case]
-    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
-    edit(raw)
-    cfg = tmp_path / "probe.json"
-    cfg.write_text(json.dumps(raw))
-    assert run_cli([*sub.split(), "--config", cfg]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("config error:")
-    assert len(err.splitlines()) == 1
-    if refusal:
-        assert err == refusal[0] + "\n"
-
-
-def _drop(block, key=None):
-    return lambda raw: raw.pop(block) if key is None else raw[block].pop(key)
-
-
-def _energy_for_init(raw):
-    del raw["probe"]["init"]
-    raw["probe"]["energy"] = 2.0
-
-
-# An input a subcommand reads beyond probe, bath and grid, missing (or a
-# probe.energy it cannot take), which once exited 2 only after the march:
-# (base scenario, subcommand and its flags, edit, part of the refusal).
-MISSING_INPUT = {
-    "sequential_energy": ("sequential_nonmarkov", "sequential",
-                          _drop("probe", "energy"), "needs probe.energy"),
-    "sequential_csv_energy": ("sequential_nonmarkov", "sequential --format csv",
-                              _drop("probe", "energy"), "needs probe.energy"),
-    "sequential_force": ("sequential_nonmarkov", "sequential", _drop("force"),
-                         "'force' block"),
-    "sequential_block": ("sequential_nonmarkov", "sequential --format csv",
-                         _drop("sequential"), "'sequential' block"),
-    "sweep_energy_sweep": ("sweep_scaling", "sweep",
-                           _drop("options", "energy_sweep"),
-                           "needs options.energy_sweep"),
-    "sweep_force": ("sweep_scaling", "sweep", _drop("force"), "'force' block"),
-    "sweep_block": ("sweep_scaling", "sweep", _drop("sequential"),
-                    "'sequential' block"),
-    "qfi_force": ("qfi_noiseless_pi", "qfi", _drop("force"), "'force' block"),
-    "qfi_window": ("qfi_ohmic_thermal", "qfi", _drop("window"),
-                   "'window' block"),
-    "estimate_force": ("estimate_cramer_rao", "estimate", _drop("force"),
-                       "'force' block"),
-    "estimate_window": ("estimate_cramer_rao", "estimate", _drop("window"),
-                        "'window' block"),
-    "moments_window": ("moments_resonant_vacuum", "moments", _drop("window"),
-                       "'window' block"),
-    "moments_energy": ("moments_resonant_vacuum", "moments", _energy_for_init,
-                       "probe gives an energy"),
-    "correlation_energy": ("correlation_flatband", "correlation",
-                           _set("probe", energy=2.0), "probe gives an energy"),
-    "limits_gamma": ("limits_narrowband", "limits", _drop("options", "gamma"),
-                     "needs options.gamma or a continuum"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MISSING_INPUT))
-def test_missing_input_is_refused_before_the_march(case, tmp_path, capsys,
-                                                   monkeypatch):
-    from nmqfi import config, response
-
-    def build(*args):
-        raise AssertionError("a bath was built or the response solved")
-
-    monkeypatch.setattr(config.ScenarioConfig, "bath", build)
-    monkeypatch.setattr(response, "solve_response", build)
-    base, sub, edit, refusal = MISSING_INPUT[case]
-    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
-    edit(raw)
-    cfg = tmp_path / "probe.json"
-    cfg.write_text(json.dumps(raw))
-    assert run_cli([*sub.split(), "--config", cfg]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("config error:") and refusal in err
-    assert len(err.splitlines()) == 1
+def test_readme_names_each_stage_with_a_corpus_case():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    section = readme.split("### Failures and their stages\n", 1)[1]
+    named = re.findall(r"^- `(\w+)`", section.split("\n#", 1)[0], re.M)
+    assert named == list(failures.STAGES)
+    stages = {case.stage for case in failures.CORPUS.values()}
+    assert stages == set(named)
 
 
 # The first shipped scenario of each subcommand.
@@ -716,7 +375,7 @@ def test_energy_1e100_reaches_the_best_state_closed_form(tmp_path, capsys):
     from nmqfi.response import solve_response
 
     got = _run_json(tmp_path, capsys, "qfi_best_state_resonant", "qfi",
-                    _set("probe", energy=1e100))
+                    update("probe", energy=1e100))
     cfg = load_config(SCENARIO_DIR / "qfi_best_state_resonant.json")
     bath = cfg.bath()
     resp = solve_response(bath, cfg.grid(bath))
@@ -763,7 +422,7 @@ def test_best_state_runs_at_every_energy(case, tmp_path, capsys):
 def test_aligned_squeezed_qfi_is_exact(r, tmp_path, capsys):
     # the noiseless window has G = 1 and D = 2i, so the axis pi/2 is
     # phase(D) - phase(G): the QFI is |D|^2 Var X(pi/2) / det = |D|^2 2 e^{2r}
-    got = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi", _set(
+    got = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi", update(
         "probe", init={"kind": "squeezed", "r": r, "axis_angle": np.pi / 2}))
     assert got["form"] == "aligned"
     assert got["value"] == pytest.approx(
@@ -771,7 +430,7 @@ def test_aligned_squeezed_qfi_is_exact(r, tmp_path, capsys):
 
 
 def _init(**state):
-    return _set("probe", init=state)
+    return update("probe", init=state)
 
 
 # (base scenario, edit): prepared states on the noiseless window, the
@@ -804,13 +463,13 @@ def test_table_support_is_honoured(tmp_path, capsys):
     # support, and one held past its last sample to [0, pi] the constant
     # force of the scenario
     def table(support):
-        return _force(kind="table", times=[0.0, 1.0], values=[1.0, 1.0],
+        return replace_force(kind="table", times=[0.0, 1.0], values=[1.0, 1.0],
                       support=support)
 
     for support in ([0.0, np.pi / 2], [0.0, np.pi]):
         got = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi",
                         table(support))
-        want = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi", _set(
+        want = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi", update(
             "force", support=support))
         assert got["abs_d"] == pytest.approx(want["abs_d"], rel=1e-9)
 
@@ -865,56 +524,6 @@ def test_near_zero_temperature_is_the_zero_temperature_limit(tmp_path, capsys):
     assert _thermal_qfi_run(tmp_path, {"model": "thermal",
                                        "temperature": 1e-300}) == 0
     assert capsys.readouterr() == (zero, "")
-
-
-def _flat_continuum(raw):
-    # the noise weight N is about 1e-299 > 0, and N ** 1.5 underflows to 0
-    raw["bath"] = {"continuum": {
-        "family": "flat", "scale": 2.7, "cutoff": 1e-300, "n_modes": 11,
-        "occupation": {"model": "constant", "value": 2.4}}}
-
-
-# Float arithmetic that fails inside the engine: (base scenario,
-# subcommand, edit of the parsed file, the quantity the message names).
-ARITHMETIC_FAILURES = {
-    # the pulse is 28 widths past the window: |D|^2 underflows to 0
-    "fisher_information_underflows_estimate": (
-        "estimate_cramer_rao", "estimate",
-        lambda raw: raw.update(force={"kind": "gaussian_pulse", "center": 4,
-                                      "width": 0.125},
-                               window={"t0": 0, "t": 0.5}),
-        "Fisher information"),
-    "constant_force_squared_overflows": (
-        "sequential_nonmarkov", "sequential", _set("force", value=1e200),
-        "force amplitude"),
-    "sinusoid_amplitude_squared_overflows": (
-        "sequential_nonmarkov", "sequential",
-        _force(kind="sinusoid", amplitude=1e300, support=[0.0, 100.0]),
-        "force amplitude"),
-    "table_value_squared_overflows": (
-        "sequential_nonmarkov", "sequential",
-        lambda raw: raw.update(force={"kind": "table", "times": [0, 0.5, 1],
-                                      "values": [0, 1e300, 0]}),
-        "force amplitude"),
-    "asymptotic_noise_power_underflows_sweep": (
-        "sweep_scaling", "sweep", _flat_continuum, "noise weight"),
-    "asymptotic_noise_power_underflows_sequential": (
-        "sequential_nonmarkov", "sequential", _flat_continuum, "noise weight"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(ARITHMETIC_FAILURES))
-def test_arithmetic_failure_is_a_numerical_error(case, tmp_path, capsys):
-    base, sub, edit, quantity = ARITHMETIC_FAILURES[case]
-    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
-    edit(raw)
-    cfg = tmp_path / "probe.json"
-    cfg.write_text(json.dumps(raw))
-    assert run_cli([sub, "--config", cfg]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("numerical error:")
-    assert len(err.splitlines()) == 1
-    assert quantity in err
 
 
 def test_nan_cadence_bound_stops_before_the_teeth(monkeypatch):
@@ -1021,27 +630,16 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-# Runs of qfi_noiseless_pi that fail: (edit of the parsed file, exit code)
-FAILING_RUNS = {
-    "config_error": (_set("probe", omega0=0), 2),
-    "numerical_error": (_set("probe", init={"kind": "thermal", "nbar": 1e200}),
-                        3),   # det_sigma overflows
-    "too_large_to_allocate": (_TOO_MANY_STEPS, 2),
-}
-
-
-@pytest.mark.parametrize("case", sorted(FAILING_RUNS))
-def test_failed_run_creates_no_out_file_and_keeps_an_existing_one(case,
-                                                                  tmp_path):
-    edit, code = FAILING_RUNS[case]
-    raw = json.loads((SCENARIO_DIR / "qfi_noiseless_pi.json").read_text())
-    edit(raw)
-    cfg = tmp_path / "probe.json"
-    cfg.write_text(json.dumps(raw))
+@pytest.mark.parametrize("case", sorted(failures.FAILING_RUNS))
+def test_failed_run_creates_no_out_file_and_keeps_an_existing_one(
+        case, tmp_path, monkeypatch):
+    run = failures.FAILING_RUNS[case]
+    cfg = check_failure(run, tmp_path, monkeypatch)
     fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
     kept.write_text("earlier output\n")
-    assert run_cli(["qfi", "--config", cfg, "--out", fresh]) == code
-    assert run_cli(["qfi", "--config", cfg, "--out", kept]) == code
+    for out in (fresh, kept):
+        assert run_cli([*run.command.split(), "--config", cfg,
+                        "--out", out]) == run.code
     assert not fresh.exists()
     assert kept.read_text() == "earlier output\n"
 
@@ -1218,7 +816,7 @@ WINDOW_RUNS = {
     "qfi_energy": ("qfi_best_state_resonant", "qfi", lambda raw: None),
     "qfi_misaligned": ("qfi_best_state_resonant", "qfi", _misaligned),
     "estimate_energy": ("estimate_cramer_rao", "estimate",
-                        _set("probe", energy=3.0)),
+                        update("probe", energy=3.0)),
     "moments_every_report_time": ("moments_detuned_coherent", "moments",
                                   lambda raw: None),
 }

@@ -6,8 +6,8 @@ independent of `config.KEYS`, and run through `cli.main` in-process; a
 probe state or a force mostly holds only its own kind's keys, and now and
 then lacks a required one or holds another kind's, and a config now and
 then lacks a whole block, `probe`, `bath` and `grid` included.
-A numpy RuntimeWarning fails the example: the engine reports overflow
-through its exit code, never through a warning. A failed run writes
+A warning, such as numpy's RuntimeWarning, fails the example: the engine
+reports overflow through its exit code, never through a warning. A failed run writes
 nothing to stdout, and a run that exits 0 prints only
 finite numbers, except the asymptotic and Markov columns of `sweep`, which
 read nan where the bath or the config gives none. Magnitudes range from
@@ -19,19 +19,17 @@ Every example is small: at most 8 modes, 512 grid steps, 9 report points
 and 1000 cadence steps.
 """
 
-import contextlib
-import io
 import json
 import math
 import re
 import tempfile
-import warnings
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import failures
+from conftest import SCENARIO_DIR, corpus_test, run_main
 from nmqfi import cli
 
 # The sweep columns that read nan where an asymptotic or a rate is absent.
@@ -249,30 +247,16 @@ def _check_finite(sub: str, fmt: str, text: str):
             assert not negative, (name, row)
 
 
-def _main(sub: str, fmt, raw: dict, action: str):
-    """(exit code, stdout, stderr) of cli.main on raw, with numpy's
-    RuntimeWarnings under the warnings filter action; stderr starts with
-    the warnings that production would print."""
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as scratch:
-        config = Path(scratch) / "scenario.json"
-        config.write_text(json.dumps(raw))
-        with warnings.catch_warnings(record=True) as shown:
-            warnings.simplefilter(action, RuntimeWarning)
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = cli.main([sub, "--config", str(config),
-                                 *(["--format", fmt] if fmt else [])])
-    printed = "".join(warnings.formatwarning(w.message, w.category, w.filename,
-                                             w.lineno) for w in shown)
-    return code, out.getvalue(), printed + err.getvalue()
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(run=runs())
 def test_every_valid_config_exits_cleanly(run):
     sub, fmt, raw = run
-    code, out, err = _main(sub, fmt, raw, "error")
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "scenario.json"
+        config.write_text(json.dumps(raw))
+        code, out, err = run_main([sub, "--config", str(config),
+                                   *(["--format", fmt] if fmt else [])],
+                                  "error")
     assert code in (0, 2, 3), err
     if code:
         assert out == "", (code, err)
@@ -280,86 +264,18 @@ def test_every_valid_config_exits_cleanly(run):
         _check_finite(sub, fmt, out)
 
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# The overflows of the failure corpus, one test id per case.
+test_overflow_prints_no_warning = corpus_test(failures.OVERFLOWS)
 
 
-def _pulse(raw):
-    # 1e-200 wide, so every window node lies ~1e200 widths from its center
-    raw["force"] = {"kind": "gaussian_pulse", "center": 0.5, "width": 1e-200,
-                    "support": [0.0, 4.0]}
-
-
-def _driven_overflow(raw):
-    raw["force"] = {"kind": "table", "times": [0.0, 5.0],
-                    "values": [1e30, 1e30]}
-    raw["options"]["force_amplitude"] = 1e300
-
-
-def _default_grid(t_end, omega0=None):
-    """A grid without n_steps, so its count is the default grid's."""
-    def edit(raw):
-        raw["grid"] = {"t_end": t_end}
-        if omega0 is not None:
-            raw["probe"]["omega0"] = omega0
-    return edit
-
-
-# Inputs whose arithmetic once overflowed in numpy, which printed its
-# RuntimeWarning ahead of the one line of the exit code, or overflowed a
-# default grid's step count, which ended in a traceback: (base scenario,
-# subcommand, edit of the parsed file, exit code).
-OVERFLOWS = {
-    "coherent_mean_past_float": (
-        "moments_detuned_coherent", "moments",
-        lambda raw: raw["probe"]["init"].update(alpha_re=1.7e308), 2),
-    "displacement_squared_qfi": (
-        "qfi_best_state_resonant", "qfi",
-        lambda raw: raw["force"].update(value=1e200), 3),
-    "displacement_squared_cadence": (
-        "sequential_nonmarkov", "sequential",
-        lambda raw: (raw["force"].update(value=1e200), raw.update(
-            sequential={"total_window": 1.0, "tau": 0.1})), 3),
-    "pulse_far_narrower_than_its_distance": (
-        "qfi_best_state_resonant", "qfi", _pulse, 0),
-    "driven_mean_past_float": (
-        "moments_detuned_coherent", "moments", _driven_overflow, 3),
-    # omega / T underflows to 0, so the occupation 1 / expm1(0) is inf
-    "occupation_past_float": (
-        "correlation_flatband", "correlation",
-        lambda raw: raw["bath"].update(continuum={
-            "family": "flat", "scale": 0.0, "cutoff": 1e-300, "n_modes": 1,
-            "occupation": {"model": "thermal", "temperature": 1e30}}), 2),
-    "table_slope_past_float": (
-        "qfi_best_state_resonant", "qfi",
-        lambda raw: raw.update(force={"kind": "table",
-                                      "times": [0.0, 1.6e-195, 1.0],
-                                      "values": [0.0, 1e200, 0.0]}), 2),
-    "table_square_cadence_search": (
-        "sequential_nonmarkov", "sequential",
-        lambda raw: raw.update(force={"kind": "table", "times": [0.0, 1.0],
-                                      "values": [1e200, 1e200]}), 3),
-    # default grid counts past numpy's array size, its dimension limit and
-    # the float range
-    "default_grid_past_array_size": (
-        "response_narrowband", "response", _default_grid(1e17), 2),
-    "default_grid_past_dimension_limit": (
-        "sequential_nonmarkov", "sequential", _default_grid(1e19), 2),
-    "default_grid_count_infinite": (
-        "qfi_best_state_resonant", "qfi", _default_grid(1e300, 1e10), 2),
-    "markov_ceiling_past_float": (
-        "sequential_nonmarkov", "sequential",
-        lambda raw: raw["options"].update(gamma=2.2250738585e-313), 3),
-}
-
-
-@pytest.mark.parametrize("case", sorted(OVERFLOWS))
-def test_overflow_prints_no_warning(case):
-    # the warnings print here, as in production; a failed run prints its
-    # one error line and nothing else
-    base, sub, edit, want = OVERFLOWS[case]
-    raw = json.loads((SCENARIOS / f"{base}.json").read_text())
-    edit(raw)
-    code, out, err = _main(sub, None, raw, "always")
-    assert code == want, err
-    assert len(err.splitlines()) == (code != 0) and "Warning" not in err
-    assert (out == "") == (code != 0)
+def test_narrow_distant_pulse_prints_no_warning(tmp_path):
+    # its Gaussian once overflowed in numpy, whose warning would print here
+    # as in production; every window node lies ~1e200 widths from its
+    # center, so the force there, and the QFI, are 0
+    config = tmp_path / "pulse.json"
+    config.write_bytes(failures.scenario_bytes(failures.NARROW_PULSE,
+                                               SCENARIO_DIR))
+    code, out, err = run_main([failures.NARROW_PULSE.command, "--config",
+                               str(config)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 0.0

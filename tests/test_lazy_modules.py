@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import nmqfi
+import failures
 from conftest import CHILD_ENV
-from test_cli import MISSING_INPUT
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,25 +61,23 @@ def test_refused_scenario_exits_2_without_numpy(tmp_path):
     assert "longer than grid.t_end" in proc.stderr
 
 
-def test_missing_inputs_exit_2_without_numpy(tmp_path):
-    # every case in one child process: no refusal may load numpy
+def test_front_end_failures_exit_without_numpy(tmp_path):
+    # every front_end case of the failure corpus in one child process: none
+    # may load numpy, and each prints exactly its line
+    cases = [case for _, case in sorted(failures.CORPUS.items())
+             if case.stage == failures.FRONT_END]
+    configs = [tmp_path / f"{n}.json" for n in range(len(cases))]
     runs = []
-    for case, (base, sub, edit, _) in sorted(MISSING_INPUT.items()):
-        raw = json.loads((ROOT / f"scenarios/{base}.json").read_text())
-        edit(raw)
-        cfg = tmp_path / f"{case}.json"
-        cfg.write_text(json.dumps(raw))
-        runs.append([*sub.split(), "--config", str(cfg)])
+    for case, cfg in zip(cases, configs):
+        cfg.write_bytes(failures.scenario_bytes(case, ROOT / "scenarios"))
+        runs.append([*case.command.split(), "--config", str(cfg)])
     code = ("import sys; from nmqfi.cli import main; "
             f"print([main(args) for args in {runs!r}]); {NUMPY_RAN}")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=CHILD_ENV, cwd=ROOT)
-    assert proc.stdout.splitlines() == [str([2] * len(runs)), "False"]
-    refusals = [refusal for _, (*_, refusal) in sorted(MISSING_INPUT.items())]
-    lines = proc.stderr.splitlines()
-    assert len(lines) == len(refusals)
-    assert all(line.startswith("config error:") and refusal in line
-               for line, refusal in zip(lines, refusals))
+    assert proc.stdout.splitlines() == [str([c.code for c in cases]), "False"]
+    assert proc.stderr == "".join(case.stderr(cfg)
+                                  for case, cfg in zip(cases, configs))
 
 
 def test_cli_keeps_a_numpy_imported_before_it():
