@@ -309,9 +309,10 @@ def run_sweep(cfg: ScenarioConfig):
 def run_correlation(cfg: ScenarioConfig):
     t_prime = float(cfg.options.get("t_prime", 0.0))
     fluct = 0.5 * cfg.init_state().trace
-    resp = _march(cfg)
-    times = np.linspace(t_prime, resp.t_end, _report_points(cfg))
-    r = corr_mod.bath_correlation(resp, fluct, times, t_prime)
+    bath = cfg.bath()
+    # the grid is built for its refusals; the rows read only its t_end
+    times = np.linspace(t_prime, cfg.grid(bath).t_end, _report_points(cfg))
+    r = corr_mod.bath_correlation(bath, fluct, times, t_prime)
     return (["t_minus_tprime", "re_total", "im_total", "re_born", "im_born",
              "abs_interaction"],
             np.column_stack((times - t_prime, r.total.real, r.total.imag,

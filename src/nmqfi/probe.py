@@ -13,6 +13,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from ._quad import adaptive_simpson
+from .bath import DiscreteBath
 from .errors import Frozen, retired
 from .force import ForceModulation
 from .response import ResponseFunction
@@ -168,18 +169,18 @@ def displacement(response: ResponseFunction, force: ForceModulation,
     return omega0 * val.reshape(np.shape(t1))
 
 
-def noise_term(response: ResponseFunction,
+def noise_term(bath: DiscreteBath,
                window: Window) -> Union[float, np.ndarray]:
     """Bath-injected quadrature noise n_B, identical for every angle.
 
-    sum_n (N_n + 1/2) |U_0n(tau)|^2 over the bath amplitudes of the modal
-    propagator of the response's bath (DiscreteBath.propagate), tau = t - t0;
-    zero exactly for an empty bath or a zero-length window. Array window
-    ends give each window its scalar call's value, _WINDOW_CHUNK at a time.
+    sum_n (N_n + 1/2) |U_0n(tau)|^2 over the bath amplitudes of the bath's
+    modal propagator (DiscreteBath.propagate), tau = t - t0; zero exactly
+    for an empty bath or a zero-length window. It reads no response, so no
+    grid bounds tau. Array window ends give each window its scalar call's
+    value, _WINDOW_CHUNK at a time.
     """
     t0, t1 = _check_window(window)
     tau = np.asarray(t1 - t0, dtype=float)
-    bath = response.bath
     probe_row = np.eye(1, bath.n_modes + 1)[0]
     taus, n_b = tau.reshape(-1, 1), np.zeros(tau.size)
     for i in range(0, tau.size, _WINDOW_CHUNK):
@@ -217,7 +218,7 @@ def window_terms(response: ResponseFunction, window: Window,
     tau = t1 - t0
     return WindowTerms(tau=tau if np.ndim(tau) else float(tau),
                        g=response.g(tau),
-                       n_b=noise_term(response, window), disp=disp,
+                       n_b=noise_term(response.bath, window), disp=disp,
                        omega0=response.bath.probe_frequency)
 
 

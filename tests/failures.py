@@ -72,6 +72,11 @@ def _energy_for_init(raw):
     raw["probe"]["energy"] = 2.0
 
 
+def _thermal_1e200(raw):
+    # a finite thermal state whose det_sigma overflows
+    raw["probe"] = {"omega0": 1.0, "init": {"kind": "thermal", "nbar": 1e200}}
+
+
 def _both(*edits):
     return lambda raw: [edit(raw) for edit in edits]
 
@@ -90,6 +95,9 @@ _TOO_BIG_COUNT = 2 ** 62
 _PULSE_WIDTH_0 = replace_force(kind="gaussian_pulse", center=0.5, width=0.0)
 _MATRIX_BELOW_BOUND = update("probe", init={
     "kind": "matrix", "cov": [[0.1, 0.0], [0.0, 0.1]]})
+# A table force with knots inside the window, for the cadence step caps.
+_KNOTTED_TABLE = {"kind": "table", "times": [0.0, 0.3, 0.7, 4.0],
+                  "values": [0.0, 2.0, -1.0, 0.5]}
 
 # Lines several cases share.
 _INVALID = "config error: config invalid at "
@@ -216,6 +224,9 @@ OUT_OF_RANGE = {
     "seed_flag_negative": Case(
         "estimate_cramer_rao", "estimate --seed -1", lambda raw: None, 2,
         FRONT_END, _INVALID + "options/seed: -1" + _NOT_NEGATIVE),
+    "csv_subcommand_as_json": Case(
+        "response_narrowband", "response --format json", lambda raw: None, 2,
+        FRONT_END, "config error: subcommand response emits csv only"),
     # probe states whose covariance is too large for floats
     "qfi_squeezed_overflow": Case(
         "qfi_noiseless_pi", "qfi", _SQUEEZED_OVERFLOW, 2, BEFORE_MARCH,
@@ -316,6 +327,9 @@ OUT_OF_RANGE = {
         "qfi_noiseless_pi", "qfi",
         update("force", kind="table", times=[0.0, 4.0], values=[1.0, 1.0]),
         2, FRONT_END, _INVALID + "force: unknown key 'value'"),
+    "probe_with_oops": Case(
+        "qfi_best_state_resonant", "qfi", update("probe", oops=1), 2,
+        FRONT_END, _INVALID + "probe: unknown key 'oops'"),
     "coherent_with_r_and_nbar": Case(
         "moments_detuned_coherent", "moments",
         lambda raw: raw["probe"]["init"].update(r=0.5, nbar=1.0), 2,
@@ -342,6 +356,27 @@ OUT_OF_RANGE = {
         _continuum(occupation={"model": "thermal"}), 2, FRONT_END,
         _INVALID + "bath/continuum/occupation: missing required key "
         "'temperature'"),
+    # keys that exclude each other, or a bound set by another key, which
+    # once ended in a traceback or ran with a key ignored
+    "bath_without_modes_or_continuum": Case(
+        "qfi_noiseless_pi", "qfi", lambda raw: raw.update(bath={}), 2,
+        FRONT_END,
+        "config error: bath block must give either 'modes' or 'continuum'"),
+    "modes_beside_continuum": Case(
+        "correlation_flatband", "correlation",
+        update("bath", modes=[[0.25, 1.0, 0.0]]), 2, FRONT_END,
+        "config error: bath block must give either 'modes' or 'continuum'"),
+    "energy_and_init": Case(
+        "qfi_best_state_resonant", "qfi",
+        update("probe", init={"kind": "vacuum"}), 2, FRONT_END,
+        "config error: probe.energy and probe.init are mutually exclusive: "
+        "the energy selects the best squeezed state"),
+    # t_end 2.0 covers tau, so the coverage rule does not refuse it first
+    "tau_past_total_window": Case(
+        "sequential_nonmarkov", "sequential",
+        lambda raw: (raw["grid"].update(t_end=2.0), raw.update(sequential={
+            "total_window": 1.0, "optimize": False, "tau": 1.5})), 2,
+        FRONT_END, "config error: sequential.tau must be <= total_window"),
     # the exclusive and inclusive edges of single-key bounds
     "tau_zero": Case(
         "sequential_nonmarkov", "sequential",
@@ -350,8 +385,12 @@ OUT_OF_RANGE = {
     "gamma_just_below_zero": Case(
         "limits_narrowband", "limits", update("options", gamma=-1e-300), 2,
         FRONT_END, _INVALID + "options/gamma: -1e-300" + _NOT_NEGATIVE),
-    # files the JSON parser cannot read: not UTF-8, nested past its
-    # recursion limit, an integer past int()'s 4,300-digit limit
+    # files the JSON parser cannot read: not JSON, not UTF-8, nested past
+    # its recursion limit, an integer past int()'s 4,300-digit limit
+    "not_json": Case(
+        "qfi_noiseless_pi", "qfi", lambda raw: b"{not json", 2, FRONT_END,
+        "config error: config {config} is not valid JSON (line 1, column 2): "
+        "Expecting property name enclosed in double quotes"),
     "not_utf8": Case(
         "qfi_noiseless_pi", "qfi", lambda raw: b"\xff\xfe{}", 2, FRONT_END,
         "config error: cannot parse config {config}: 'utf-8' codec can't "
@@ -367,7 +406,11 @@ OUT_OF_RANGE = {
             '"t0": 0.0', '"t0": 1' + "0" * 5000).encode(), 2, FRONT_END,
         "config error: integer of 5001 digits in config is beyond the float "
         "range"),
-    # integer literals beyond the float range
+    # number literals beyond the float range
+    "t_1e400_literal": Case(
+        "qfi_best_state_resonant", "qfi",
+        lambda raw: json.dumps(raw).replace('"t": 1.7', '"t": 1e400').encode(),
+        2, FRONT_END, "config error: non-finite number 1e400 in config"),
     "t_end_past_float_range": Case(
         "qfi_noiseless_pi", "qfi", update("grid", t_end=_PAST_FLOAT_RANGE),
         2, FRONT_END, _FLOAT_RANGE),
@@ -470,6 +513,17 @@ PAST_THE_GRID = {
         "sequential_nonmarkov", "sequential",
         update("sequential", tau_bounds=[1e-7, 0.3]), 2, BEFORE_MARCH,
         _STEP_CAP),
+    # before any step or window integral of the table force
+    "table_tau_step_cap": Case(
+        "sequential_nonmarkov", "sequential",
+        lambda raw: raw.update(force=_KNOTTED_TABLE, sequential={
+            "total_window": 1.0, "optimize": False, "tau": 1e-7}), 2,
+        BEFORE_MARCH, _STEP_CAP),
+    "table_tau_bounds_step_cap": Case(
+        "sequential_nonmarkov", "sequential",
+        lambda raw: raw.update(force=_KNOTTED_TABLE, sequential={
+            "total_window": 1.0, "tau_bounds": [1e-7, 0.3]}), 2,
+        BEFORE_MARCH, _STEP_CAP),
     "qfi_table_times": Case(
         "qfi_ohmic_thermal", "qfi",
         replace_force(kind="table", times=[0.0, 0.5, 0.4],
@@ -605,7 +659,7 @@ ARITHMETIC_FAILURES = {
         _NOISE_WEIGHT),
 }
 
-# Runs of qfi_noiseless_pi that fail, one per kind of failure: none may
+# Runs that fail, one per kind of failure and output format: none may
 # write its --out file.
 FAILING_RUNS = {
     "config_error": Case(
@@ -618,6 +672,13 @@ FAILING_RUNS = {
         _JSON_INF),
     "too_large_to_allocate": Case(
         "qfi_noiseless_pi", "qfi", _TOO_MANY_STEPS, 2, ENGINE, _STEPS_1E12),
+    "json_value_overflows": Case(
+        "qfi_best_state_resonant", "qfi", _thermal_1e200, 3, ENGINE,
+        _JSON_INF),
+    "csv_cell_overflows": Case(
+        "qfi_best_state_resonant", "moments", _thermal_1e200, 3, ENGINE,
+        "numerical error: non-finite value in the CSV output (row 1, "
+        "column 6)"),
 }
 
 
@@ -707,10 +768,24 @@ def _pulse(raw):
 # warning.
 NARROW_PULSE = Case("qfi_best_state_resonant", "qfi", _pulse, 0, ENGINE, "")
 
+# A scenario without one of the root blocks every run reads: each
+# subcommand's first shipped scenario, the block dropped.
+_FIRST_SCENARIO = {
+    "correlation": "correlation_flatband", "estimate": "estimate_cramer_rao",
+    "limits": "limits_narrowband", "moments": "moments_detuned_coherent",
+    "qfi": "qfi_best_state_resonant", "response": "response_markov_flatband",
+    "sequential": "sequential_nonmarkov", "sweep": "sweep_scaling"}
+ROOT_BLOCKS = {
+    f"{sub}-{block}": Case(base, sub, _drop(block), 2, FRONT_END,
+                           _INVALID + f"<root>: missing required key '{block}'")
+    for sub, base in _FIRST_SCENARIO.items()
+    for block in ("probe", "bath", "grid")}
+
 TABLES = {"OUT_OF_RANGE": OUT_OF_RANGE, "PAST_THE_GRID": PAST_THE_GRID,
           "MISSING_INPUT": MISSING_INPUT, "TWO_FAULTS": TWO_FAULTS,
           "ARITHMETIC_FAILURES": ARITHMETIC_FAILURES,
-          "FAILING_RUNS": FAILING_RUNS, "OVERFLOWS": OVERFLOWS}
+          "FAILING_RUNS": FAILING_RUNS, "OVERFLOWS": OVERFLOWS,
+          "ROOT_BLOCKS": ROOT_BLOCKS}
 # Every failing case, as "TABLE/name".
 CORPUS = {f"{table}/{name}": case for table, cases in TABLES.items()
           for name, case in cases.items()}

@@ -269,8 +269,7 @@ def test_criterion_12_correlation_decomposition():
     for sc in scales:
         bath = discretize(ContinuousSpectrum("flat", scale=float(sc),
                                              cutoff=2.0), 64, 1.0)
-        resp = solve_response(bath, TimeGrid(4.0, 1024))
-        r = bath_correlation(resp, 0.5, 2.0, 0.9)
+        r = bath_correlation(bath, 0.5, 2.0, 0.9)
         worst_split = max(worst_split, abs(r.total - r.born - r.interaction))
         ratios.append(abs(r.interaction) / abs(r.born))
     k = np.sqrt(scales * 2.0)

@@ -118,7 +118,7 @@ class TestAgainstSymplecticOracle:
         sigma = _evolved_covariance(bath, vac, T_FINAL)
         want = 0.5 * float(np.trace(sigma[:2, :2]))
         g_abs = abs(response.g(T_FINAL))
-        got = 0.5 * (g_abs ** 2) + noise_term(response, (0.0, T_FINAL))
+        got = 0.5 * (g_abs ** 2) + noise_term(bath, (0.0, T_FINAL))
         assert got == pytest.approx(want, abs=2e-7)
 
 

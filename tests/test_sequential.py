@@ -85,7 +85,7 @@ class TestStepNoise:
         # independent double-quadrature route vs the mode-sum noise term
         for tau in (0.05, 0.11, 0.3):
             a = step_noise_variance(unit_weight_response, unit_weight_bath, tau)
-            b = noise_term(unit_weight_response, (0.0, tau))
+            b = noise_term(unit_weight_bath, (0.0, tau))
             assert a == pytest.approx(b, rel=1e-7)
 
     def test_empty_bath_zero(self):
@@ -152,7 +152,7 @@ class TestSeqQfi:
         r = seq_qfi(scheme, energy, unit_weight_bath, unit_weight_response,
                     force, 1.0)
         denom = (0.25 * abs(unit_weight_response.g(tau)) ** 2 / script_e(energy)
-                 + noise_term(unit_weight_response, (0.0, tau)))
+                 + noise_term(unit_weight_bath, (0.0, tau)))
         terms = interval_terms(scheme, unit_weight_response, force)
         assert best_state_variance(energy, terms) == pytest.approx(denom,
                                                                    rel=1e-12)
