@@ -141,6 +141,12 @@ def test_sequential_csv_sweep(tmp_path):
     assert len(lines) > 10
 
 
+def test_missing_block_rejected(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"probe": {"omega0": 1.0}}))
+    assert run_cli(["qfi", "--config", cfg]) == 2
+
+
 def _underflow_config(tmp_path) -> Path:
     # the pulse is 28 widths past the window: the Fisher information
     # underflows to 0 inside the engine -> numerical error -> exit 3
@@ -148,6 +154,10 @@ def _underflow_config(tmp_path) -> Path:
     cfg.write_bytes(failures.scenario_bytes(failures.ARITHMETIC_FAILURES[
         "fisher_information_underflows_estimate"], SCENARIO_DIR))
     return cfg
+
+
+def test_numerical_error_exit_code(tmp_path):
+    assert run_cli(["estimate", "--config", _underflow_config(tmp_path)]) == 3
 
 
 def _console_script() -> tuple[str, str]:

@@ -1,6 +1,7 @@
 """Package import: each engine module runs only when a command first uses
 it, and numpy only at the first engine call."""
 
+import json
 import re
 import subprocess
 import sys
@@ -45,6 +46,19 @@ def test_setup_runs_only_cli_config_and_errors():
     assert numpy_ran == "False"
     assert eval(executed) == ["nmqfi", "nmqfi.cli", "nmqfi.config",
                               "nmqfi.errors"]
+
+
+def test_refused_scenario_exits_2_without_numpy(tmp_path):
+    raw = json.loads((ROOT / "scenarios/qfi_noiseless_pi.json").read_text())
+    raw["window"]["t"] = 2 * raw["grid"]["t_end"]
+    cfg = tmp_path / "long_window.json"
+    cfg.write_text(json.dumps(raw))
+    code = ("import sys; from nmqfi.cli import main; "
+            f"print(main(['qfi', '--config', {str(cfg)!r}])); {NUMPY_RAN}")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=CHILD_ENV, cwd=ROOT)
+    assert proc.stdout.splitlines() == ["2", "False"]
+    assert "longer than grid.t_end" in proc.stderr
 
 
 def test_front_end_failures_exit_without_numpy(tmp_path):
