@@ -388,7 +388,11 @@ def main(argv=None) -> int:
                     handle.write(text.getvalue())
             except OSError as exc:
                 raise ConfigError(f"cannot write {args.out}: {exc}") from exc
-    except (ConfigError, MemoryError) as exc:
+    except MemoryError:
+        print("config error: the problem is too large to allocate",
+              file=sys.stderr)
+        return 2
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NmqfiError, ArithmeticError) as exc:

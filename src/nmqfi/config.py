@@ -303,6 +303,11 @@ def load_config(path: str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON "
                           f"(line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested too deep
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 (byte "
+                          f"0x{exc.object[exc.start]:02x} at position "
+                          f"{exc.start})") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests JSON arrays or objects too "
+                          "deeply to parse") from exc
     return validate(raw)

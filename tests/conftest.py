@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import json
+import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -46,27 +49,87 @@ def _forbidden_march(*args):
     raise AssertionError("the response was solved")
 
 
-def check_failure(case: failures.Case, tmp_path: Path, monkeypatch) -> Path:
-    """Runs a case of the failure corpus through cli.main and returns its
-    scenario file. Asserts the exit code, exactly its one stderr line, empty
-    stdout and no warning; a case whose stage precedes the engine runs with
-    response.solve_response patched to raise. (That a front_end case loads
-    no numpy, tests/test_lazy_modules.py checks in a child process.)"""
+# The sweep columns that read nan where an asymptotic or a rate is absent.
+SWEEP_NAN_COLUMNS = {"tau_opt_asymptotic", "total_qfi_asymptotic",
+                     "markov_bound"}
+
+# The keys and columns that hold an information, a variance, a bound, an
+# interval or a modulus: none can be negative.
+NON_NEGATIVE = re.compile(
+    r"value|abs_d|variance|det_sigma|crb|empirical_mse|ratio_to_crb"
+    r"|tau_opt.*|total_qfi.*|markov_bound|xi|c_coeff|var_x|var_p|n_b"
+    r"|abs_g|abs_exact|abs_interaction")
+
+
+def _numbers(value, key=None):
+    """(key, number) for every number in a parsed JSON payload; a list's
+    numbers carry the list's key."""
+    if isinstance(value, dict):
+        return [n for k, item in value.items() for n in _numbers(item, k)]
+    if isinstance(value, list):
+        return [n for item in value for n in _numbers(item, key)]
+    return [(key, value)] if isinstance(value, float) else []
+
+
+def check_finite(sub: str, fmt: str, text: str):
+    """The output contract of a run that exits 0: every number finite
+    (sweep's absent values aside) and none negative under a NON_NEGATIVE key
+    or column."""
+    if fmt == "json":
+        payload = json.loads(text, parse_constant=float)
+        for key, value in _numbers(payload):
+            assert math.isfinite(value), text
+            assert not (value < 0 and NON_NEGATIVE.fullmatch(key)), (key, text)
+        return
+    header, *rows = text.splitlines()
+    names = header.split(",")
+    for row in rows:
+        for name, cell in zip(names, row.split(",")):
+            value = float(cell)
+            assert math.isfinite(value) or (
+                sub == "sweep" and name in SWEEP_NAN_COLUMNS
+                and math.isnan(value)), (name, row)
+            negative = value < 0 and NON_NEGATIVE.fullmatch(name)
+            assert not negative, (name, row)
+
+
+def command_format(command: str) -> tuple[str, str]:
+    """The subcommand of a case's command and the format it writes."""
+    sub, *flags = command.split()
+    if "--format" in flags:
+        return sub, flags[flags.index("--format") + 1]
+    return sub, failures.EMITS[sub][0]
+
+
+def check_case(case: failures.Case, tmp_path: Path, monkeypatch) -> str:
+    """Runs a case of the corpus through cli.main in tmp_path/case.json and
+    returns its stdout. A failing case must print exactly its one stderr
+    line, no stdout and no warning; one whose stage precedes the engine
+    runs with response.solve_response patched to raise. A case that exits
+    0 must print no warning and an output that passes check_finite, and
+    print the same bytes when run again. (That a front_end case loads no
+    numpy, tests/test_lazy_modules.py checks in a child process.)"""
     config = tmp_path / "case.json"
     config.write_bytes(failures.scenario_bytes(case, SCENARIO_DIR))
     if case.stage != failures.ENGINE:
         monkeypatch.setattr(response, "solve_response", _forbidden_march)
-    got = run_main([*case.command.split(), "--config", str(config)])
-    assert got == (case.code, "", case.stderr(config))
-    return config
+    args = [*case.command.split(), "--config", str(config)]
+    code, out, err = run_main(args)
+    assert (code, err) == (case.code, case.stderr(config))
+    if case.code:
+        assert out == ""
+    else:
+        check_finite(*command_format(case.command), out)
+        assert run_main(args) == (0, out, "")
+    return out
 
 
 def corpus_test(table: dict):
-    """A test that runs check_failure on every case of a corpus table, one
+    """A test that runs check_case on every case of a corpus table, one
     test id per case name."""
     @pytest.mark.parametrize("name", sorted(table))
     def test(name, tmp_path, monkeypatch):
-        check_failure(table[name], tmp_path, monkeypatch)
+        check_case(table[name], tmp_path, monkeypatch)
     return test
 
 

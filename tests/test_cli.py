@@ -14,43 +14,45 @@ import numpy as np
 import pytest
 
 import failures
-from conftest import (CHILD_ENV, SCENARIO_DIR, check_failure, corpus_test,
-                      noiseless_table_displacement)
-from failures import replace_force, update
+from conftest import (CHILD_ENV, SCENARIO_DIR, check_case, command_format,
+                      corpus_test, noiseless_table_displacement)
+from failures import replace_force, success, update
 from nmqfi import cli
 from nmqfi.cli import main
 from nmqfi.errors import NmqfiError
-
-SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
-SUBCOMMAND_BY_PREFIX = {
-    "qfi": "qfi",
-    "response": "response",
-    "limits": "limits",
-    "estimate": "estimate",
-    "sequential": "sequential",
-    "sweep": "sweep",
-    "correlation": "correlation",
-    "moments": "moments",
-}
-
-
-def subcommand_for(path: Path) -> str:
-    return SUBCOMMAND_BY_PREFIX[path.name.split("_")[0]]
 
 
 def run_cli(args):
     return main([str(a) for a in args])
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.name)
-def test_every_scenario_runs_and_reruns_identically(scenario, tmp_path):
-    sub = subcommand_for(scenario)
-    out_a = tmp_path / "a.out"
-    out_b = tmp_path / "b.out"
-    assert run_cli([sub, "--config", scenario, "--out", out_a]) == 0
-    assert run_cli([sub, "--config", scenario, "--out", out_b]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-    assert out_a.stat().st_size > 0
+# Each success table runs as one test, one test id per case; check_case
+# asserts exit 0, no stderr and no warning, finite numbers and a rerun that
+# prints the same bytes. The shipped runs keep the ids of the scenario
+# files.
+test_every_scenario_runs_and_reruns_identically = corpus_test(failures.SHIPPED)
+test_force_variant_runs_and_reruns_identically = corpus_test(
+    failures.FORCE_VARIANTS)
+test_state_variant_runs_and_reruns_identically = corpus_test(
+    failures.STATE_VARIANTS)
+
+
+def test_every_scenario_and_subcommand_has_a_success_case():
+    # and each subcommand is refused every format it does not emit
+    emits = {sub: tuple(f for s, f in cli._SUBCOMMANDS if s == sub)
+             for sub, _ in cli._SUBCOMMANDS}
+    assert failures.EMITS == emits
+    successes = [case for case in failures.CORPUS.values() if case.code == 0]
+    assert {path.stem for path in SCENARIO_DIR.glob("*.json")} <= {
+        case.base for case in successes}
+    assert set(cli._SUBCOMMANDS) <= {command_format(case.command)
+                                     for case in successes}
+    refused = {(case.command, case.code, case.line)
+               for case in failures.CORPUS.values()}
+    assert [(sub, fmt) for sub in emits for fmt in ("csv", "json")
+            if fmt not in emits[sub] and (
+                f"{sub} --format {fmt}", 2, f"config error: subcommand {sub} "
+                f"emits {'/'.join(emits[sub])} only") not in refused] == []
 
 
 def test_noiseless_pi_scenario_value(tmp_path):
@@ -101,10 +103,11 @@ def test_estimate_ratio_near_one(tmp_path):
 
 
 @pytest.mark.parametrize("force", [1e16, 1e308])
-def test_estimate_error_is_kept_at_a_large_force(force, tmp_path, capsys):
+def test_estimate_error_is_kept_at_a_large_force(force, tmp_path,
+                                                 monkeypatch):
     # each error sqrt(crb) z lies far below the force's last digit, so the
     # draw f + sqrt(crb) z rounds back to f; the MSE reads the errors
-    payload = _run_json(tmp_path, capsys, "estimate_cramer_rao", "estimate",
+    payload = _run_json(tmp_path, monkeypatch, "estimate_cramer_rao", "estimate",
                         update("options", force_amplitude=force))
     assert 0.9 <= payload["ratio_to_crb"] <= 1.1
 
@@ -264,23 +267,20 @@ def test_sweep_shares_one_search_and_one_window_integral(tmp_path,
     assert taus and len(taus) == len(set(taus))
 
 
-def test_fixed_tau_sweep_reports_seq_qfi_per_energy(tmp_path):
+def test_fixed_tau_sweep_reports_seq_qfi_per_energy(tmp_path, monkeypatch):
     from nmqfi import sequential
     from nmqfi.config import load_config
     from nmqfi.metrology import energy_for_script_e
     from nmqfi.response import solve_response
 
-    raw = json.loads((SCENARIO_DIR / "sweep_scaling.json").read_text())
-    raw["sequential"] = {"total_window": 1.0, "optimize": False, "tau": 0.05}
-    cfg_path = tmp_path / "fixed.json"
-    cfg_path.write_text(json.dumps(raw))
-    out = tmp_path / "fixed.csv"
-    assert run_cli(["sweep", "--config", cfg_path, "--out", out]) == 0
-    cfg = load_config(cfg_path)
+    out = check_case(success("sweep_scaling", "sweep", lambda raw: raw.update(
+        sequential={"total_window": 1.0, "optimize": False, "tau": 0.05})),
+        tmp_path, monkeypatch)
+    cfg = load_config(tmp_path / "case.json")
     bath = cfg.bath()
     resp = solve_response(bath, cfg.grid(bath))
     scheme = sequential.SequentialScheme(1.0, 0.05)
-    for line in out.read_text().splitlines()[1:]:
+    for line in out.splitlines()[1:]:
         se, tau, total = (float(v) for v in line.split(",")[:3])
         want = sequential.seq_qfi(scheme, energy_for_script_e(se), bath, resp,
                                   cfg.force(), cfg.omega0)
@@ -288,8 +288,8 @@ def test_fixed_tau_sweep_reports_seq_qfi_per_energy(tmp_path):
         assert total == want.total_qfi
 
 
-# Each table of the failure corpus runs as one test of its own name, one
-# test id per case; check_failure asserts the case's exit code, its one
+# Each refusal table of the corpus runs as one test of its own name, one
+# test id per case; check_case asserts the case's exit code, its one
 # stderr line, empty stdout, no warning and its stage.
 test_out_of_range_input_is_a_config_error = corpus_test(failures.OUT_OF_RANGE)
 test_window_past_the_grid_is_refused_before_the_march = corpus_test(
@@ -303,6 +303,8 @@ test_arithmetic_failure_is_a_numerical_error = corpus_test(
 # without one before numpy loads
 test_scenario_without_a_root_block_is_refused_before_any_bath = corpus_test(
     failures.ROOT_BLOCKS)
+test_format_a_subcommand_does_not_emit_is_refused = corpus_test(
+    failures.FORMAT_MISMATCHES)
 
 
 def test_readme_names_each_stage_with_a_corpus_case():
@@ -329,25 +331,21 @@ def test_every_constant_config_error_has_a_corpus_case():
     assert [m for m in messages if "config error: " + m not in lines] == []
 
 
-def _run_json(tmp_path, capsys, base, sub, edit):
-    """The parsed stdout of a run of base edited by edit, which exits 0."""
-    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
-    edit(raw)
-    cfg = tmp_path / "edited.json"
-    cfg.write_text(json.dumps(raw))
-    assert run_cli([sub, "--config", cfg]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    return json.loads(out)
+def _run_json(tmp_path, monkeypatch, base, sub, edit):
+    """The parsed stdout of a run of base edited by edit, checked as a case
+    that exits 0."""
+    return json.loads(check_case(success(base, sub, edit), tmp_path,
+                                 monkeypatch))
 
 
-def test_energy_1e100_reaches_the_best_state_closed_form(tmp_path, capsys):
+def test_energy_1e100_reaches_the_best_state_closed_form(tmp_path,
+                                                        monkeypatch):
     # value = |D|^2 / (|G|^2 / (4 script_e) + n_B), script_e = 2e100
     from nmqfi.config import load_config
     from nmqfi.probe import displacement, window_terms
     from nmqfi.response import solve_response
 
-    got = _run_json(tmp_path, capsys, "qfi_best_state_resonant", "qfi",
+    got = _run_json(tmp_path, monkeypatch, "qfi_best_state_resonant", "qfi",
                     update("probe", energy=1e100))
     cfg = load_config(SCENARIO_DIR / "qfi_best_state_resonant.json")
     bath = cfg.bath()
@@ -375,7 +373,7 @@ BEST_STATE_SCENARIOS = {
 
 
 @pytest.mark.parametrize("case", sorted(BEST_STATE_SCENARIOS))
-def test_best_state_runs_at_every_energy(case, tmp_path, capsys):
+def test_best_state_runs_at_every_energy(case, tmp_path, monkeypatch):
     # qfi and estimate exit 0 from the vacuum energy (the inclusive edge of
     # probe.energy >= 1/2) to 1e30, and the Cramer-Rao bound of estimate is
     # 1 / (nu QFI) of qfi
@@ -385,53 +383,50 @@ def test_best_state_runs_at_every_energy(case, tmp_path, capsys):
             edit(raw)
             raw["probe"]["energy"] = energy
 
-        qfi = _run_json(tmp_path, capsys, base, "qfi", at_energy)
-        est = _run_json(tmp_path, capsys, base, "estimate", at_energy)
+        qfi = _run_json(tmp_path, monkeypatch, base, "qfi", at_energy)
+        est = _run_json(tmp_path, monkeypatch, base, "estimate", at_energy)
         assert est["crb"] == pytest.approx(1.0 / (est["nu"] * qfi["value"]),
                                            rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [10.0, 15.0, 20.0, 30.0])
-def test_aligned_squeezed_qfi_is_exact(r, tmp_path, capsys):
+def test_aligned_squeezed_qfi_is_exact(r, tmp_path, monkeypatch):
     # the noiseless window has G = 1 and D = 2i, so the axis pi/2 is
     # phase(D) - phase(G): the QFI is |D|^2 Var X(pi/2) / det = |D|^2 2 e^{2r}
-    got = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi", update(
+    got = _run_json(tmp_path, monkeypatch, "qfi_noiseless_pi", "qfi", update(
         "probe", init={"kind": "squeezed", "r": r, "axis_angle": np.pi / 2}))
     assert got["form"] == "aligned"
     assert got["value"] == pytest.approx(
         got["abs_d"] ** 2 * 2.0 * np.exp(2.0 * r), rel=1e-12)
 
 
-def _init(**state):
-    return update("probe", init=state)
-
-
-# (base scenario, edit): prepared states on the noiseless window, the
-# misaligned squeezed state of qfi_ohmic_thermal, and a best state
+# (qfi run, estimate run) of a state: the prepared states on the noiseless
+# window, the misaligned squeezed state of qfi_ohmic_thermal, and a best
+# state
 ESTIMATE_STATES = {
-    "vacuum": ("estimate_cramer_rao", lambda raw: None),
-    "coherent": ("estimate_cramer_rao",
-                 _init(kind="coherent", alpha_re=0.7, alpha_im=-0.4)),
-    "thermal": ("estimate_cramer_rao", _init(kind="thermal", nbar=1.5)),
-    "squeezed_aligned": ("estimate_cramer_rao", _init(
-        kind="squeezed", r=20.0, axis_angle=np.pi / 2)),
-    "squeezed_misaligned": ("qfi_ohmic_thermal", lambda raw: None),
-    "matrix": ("estimate_cramer_rao", _init(
-        kind="matrix", cov=[[1.2, 0.3], [0.3, 0.9]], mean_re=0.2)),
-    "energy": ("qfi_best_state_resonant", lambda raw: None),
+    "vacuum": (failures.SHIPPED["qfi_noiseless_pi.json"],
+               failures.SHIPPED["estimate_cramer_rao.json"]),
+    **{case: tuple(failures.STATE_VARIANTS[f"{state}-{sub}"]
+                   for sub in ("qfi", "estimate"))
+       for case, state in (("coherent", "coherent"), ("thermal", "thermal"),
+                           ("squeezed_aligned", "squeezed_aligned_r20"),
+                           ("matrix", "matrix"))},
+    **{case: (failures.SHIPPED[f"{base}.json"],
+              failures.STATE_VARIANTS[f"{base}-estimate"])
+       for case, base in (("squeezed_misaligned", "qfi_ohmic_thermal"),
+                          ("energy", "qfi_best_state_resonant"))},
 }
 
 
 @pytest.mark.parametrize("case", sorted(ESTIMATE_STATES))
-def test_estimate_bound_is_the_qfi_of_its_state(case, tmp_path, capsys):
-    base, edit = ESTIMATE_STATES[case]
-    qfi = _run_json(tmp_path, capsys, base, "qfi", edit)
-    est = _run_json(tmp_path, capsys, base, "estimate", edit)
+def test_estimate_bound_is_the_qfi_of_its_state(case, tmp_path, monkeypatch):
+    qfi, est = (json.loads(check_case(run, tmp_path, monkeypatch))
+                for run in ESTIMATE_STATES[case])
     assert est["crb"] == pytest.approx(1.0 / (est["nu"] * qfi["value"]),
                                        rel=1e-12)
 
 
-def test_table_support_is_honoured(tmp_path, capsys):
+def test_table_support_is_honoured(tmp_path, monkeypatch):
     # a flat table of 1 cut to [0, pi/2] is the constant force of that
     # support, and one held past its last sample to [0, pi] the constant
     # force of the scenario
@@ -440,41 +435,30 @@ def test_table_support_is_honoured(tmp_path, capsys):
                       support=support)
 
     for support in ([0.0, np.pi / 2], [0.0, np.pi]):
-        got = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi",
+        got = _run_json(tmp_path, monkeypatch, "qfi_noiseless_pi", "qfi",
                         table(support))
-        want = _run_json(tmp_path, capsys, "qfi_noiseless_pi", "qfi", update(
-            "force", support=support))
+        want = _run_json(tmp_path, monkeypatch, "qfi_noiseless_pi", "qfi",
+                         update("force", support=support))
         assert got["abs_d"] == pytest.approx(want["abs_d"], rel=1e-9)
 
 
 @pytest.mark.parametrize("r", [6.0, 8.0])
 @pytest.mark.parametrize("sub", ["moments", "qfi"])
-def test_strongly_squeezed_init_runs(sub, r, tmp_path, capsys):
-    raw = json.loads((SCENARIO_DIR / "moments_detuned_coherent.json")
-                     .read_text())
-    raw["probe"]["init"] = {"kind": "squeezed", "r": r, "axis_angle": 0.3}
-    cfg = tmp_path / "squeezed.json"
-    cfg.write_text(json.dumps(raw))
-    assert run_cli([sub, "--config", cfg]) == 0
-    assert capsys.readouterr().err == ""
+def test_strongly_squeezed_init_runs(sub, r, tmp_path, monkeypatch):
+    check_case(failures.STATE_VARIANTS[f"squeezed_r{r:g}-{sub}"], tmp_path,
+               monkeypatch)
 
 
-def _thermal_qfi_run(tmp_path, occupation):
-    raw = json.loads((SCENARIO_DIR / "qfi_ohmic_thermal.json").read_text())
-    raw["bath"]["continuum"]["occupation"] = occupation
-    cfg = tmp_path / "probe.json"
-    cfg.write_text(json.dumps(raw))
-    return run_cli(["qfi", "--config", cfg])
-
-
-def test_near_zero_temperature_is_the_zero_temperature_limit(tmp_path, capsys):
+def test_near_zero_temperature_is_the_zero_temperature_limit(tmp_path,
+                                                            monkeypatch):
     # 1/expm1(omega/T) overflows to the exact limit 0 without a warning on
-    # stderr (pytest turns a numpy RuntimeWarning into an error)
-    assert _thermal_qfi_run(tmp_path, {"model": "zero"}) == 0
-    zero = capsys.readouterr().out
-    assert _thermal_qfi_run(tmp_path, {"model": "thermal",
-                                       "temperature": 1e-300}) == 0
-    assert capsys.readouterr() == (zero, "")
+    # stderr
+    zero, cold = (check_case(success(
+        "qfi_ohmic_thermal", "qfi",
+        lambda raw: raw["bath"]["continuum"].update(occupation=occupation)),
+        tmp_path, monkeypatch) for occupation in (
+            {"model": "zero"}, {"model": "thermal", "temperature": 1e-300}))
+    assert cold == zero
 
 
 def test_nan_cadence_bound_stops_before_the_teeth(monkeypatch):
@@ -502,35 +486,30 @@ def test_nan_cadence_bound_stops_before_the_teeth(monkeypatch):
     assert intervals == [0.3, 0.004]       # the bracket ends only
 
 
-def test_table_force_with_interior_knots(tmp_path):
+def test_table_force_with_interior_knots(tmp_path, monkeypatch):
     # kinks at 0.3 and 0.7 inside the window [0, pi] of a noiseless probe:
     # |D| against the segment-by-segment closed form
-    times, values = [0.0, 0.3, 0.7, 4.0], [0.0, 2.0, -1.0, 0.5]
-    raw = json.loads((SCENARIO_DIR / "qfi_noiseless_pi.json").read_text())
-    raw["force"] = {"kind": "table", "times": times, "values": values}
-    cfg = tmp_path / "table.json"
-    cfg.write_text(json.dumps(raw))
-    out = tmp_path / "qfi.json"
-    assert run_cli(["qfi", "--config", cfg, "--out", out]) == 0
-    want = abs(noiseless_table_displacement(times, values, (0.0, np.pi)))
-    assert json.loads(out.read_text())["abs_d"] == pytest.approx(want, rel=1e-9)
-    assert run_cli(["moments", "--config", cfg, "--out", tmp_path / "m.csv"]) == 0
+    table = failures.KNOTTED_TABLE
+    out = check_case(failures.FORCE_VARIANTS["table-qfi"], tmp_path,
+                     monkeypatch)
+    want = abs(noiseless_table_displacement(table["times"], table["values"],
+                                            (0.0, np.pi)))
+    assert json.loads(out)["abs_d"] == pytest.approx(want, rel=1e-9)
+    check_case(failures.FORCE_VARIANTS["table-moments"], tmp_path,
+               monkeypatch)
 
 
-@pytest.mark.parametrize("base,sub", [("sequential_nonmarkov", "sequential"),
-                                      ("sweep_scaling", "sweep")])
-def test_table_force_with_interior_knots_runs_a_cadence(base, sub, tmp_path):
+@pytest.mark.parametrize("sub", ["sequential", "sweep"],
+                         ids=["sequential_nonmarkov-sequential",
+                              "sweep_scaling-sweep"])
+def test_table_force_with_interior_knots_runs_a_cadence(sub, tmp_path,
+                                                        monkeypatch):
     # the slope jumps at the knots 0.3 and 0.7 inside T; xi and C are
     # exact per segment, so the run exits 0
-    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
-    raw["force"] = {"kind": "table", "times": [0.0, 0.3, 0.7, 4.0],
-                    "values": [0.0, 2.0, -1.0, 0.5]}
-    cfg = tmp_path / "table.json"
-    cfg.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    assert run_cli([sub, "--config", cfg, "--out", out]) == 0
+    out = check_case(failures.FORCE_VARIANTS[f"table-{sub}"], tmp_path,
+                     monkeypatch)
     if sub == "sequential":
-        assert json.loads(out.read_text())["xi"] > 0.0
+        assert json.loads(out)["xi"] > 0.0
 
 
 def test_csv_cells_read_none_as_nan_and_reject_other_non_finite_values():
@@ -554,7 +533,8 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
 def test_failed_run_creates_no_out_file_and_keeps_an_existing_one(
         case, tmp_path, monkeypatch):
     run = failures.FAILING_RUNS[case]
-    cfg = check_failure(run, tmp_path, monkeypatch)
+    check_case(run, tmp_path, monkeypatch)
+    cfg = tmp_path / "case.json"
     fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
     kept.write_text("earlier output\n")
     for out in (fresh, kept):
@@ -564,41 +544,38 @@ def test_failed_run_creates_no_out_file_and_keeps_an_existing_one(
     assert kept.read_text() == "earlier output\n"
 
 
-def _seed_flag_matches_option(tmp_path, seed):
-    raw = json.loads((SCENARIO_DIR / "estimate_cramer_rao.json").read_text())
-    raw["options"]["seed"] = seed
-    cfg = tmp_path / "seeded.json"
-    cfg.write_text(json.dumps(raw))
-    by_flag, by_option = tmp_path / "flag.json", tmp_path / "option.json"
-    base = SCENARIO_DIR / "estimate_cramer_rao.json"
-    assert run_cli(["estimate", "--config", base, "--seed", str(seed),
-                    "--out", by_flag]) == 0
-    assert run_cli(["estimate", "--config", cfg, "--out", by_option]) == 0
-    assert by_flag.read_bytes() == by_option.read_bytes()
-    assert json.loads(by_flag.read_text())["seed"] == seed
+def _seed_flag_matches_option(tmp_path, monkeypatch, seed):
+    by_flag, by_option = (check_case(run, tmp_path, monkeypatch) for run in (
+        success("estimate_cramer_rao", f"estimate --seed {seed}"),
+        success("estimate_cramer_rao", "estimate",
+                update("options", seed=seed))))
+    assert by_flag == by_option
+    assert json.loads(by_flag)["seed"] == seed
 
 
-def test_seed_flag_is_the_seed_option(tmp_path):
-    _seed_flag_matches_option(tmp_path, 3)
+def test_seed_flag_is_the_seed_option(tmp_path, monkeypatch):
+    _seed_flag_matches_option(tmp_path, monkeypatch, 3)
 
 
-def test_seed_zero_runs(tmp_path):
+def test_seed_zero_runs(tmp_path, monkeypatch):
     # 0 is the inclusive edge of options.seed >= 0 (and the default seed)
-    _seed_flag_matches_option(tmp_path, 0)
+    _seed_flag_matches_option(tmp_path, monkeypatch, 0)
 
 
-def test_sweep_keeps_a_zero_asymptotic_total(tmp_path, capsys):
-    # a force outside the total window has xi = C = 0: the asymptotic total
-    # is exactly 0.0, which sweep must print as 0, not as an absent value
-    raw = json.loads((SCENARIO_DIR / "sweep_scaling.json").read_text())
+def _outside_the_window(raw):
     raw["force"]["support"] = [5.0, 6.0]
     raw["sequential"]["total_window"] = 2.0
-    cfg = tmp_path / "outside.json"
-    cfg.write_text(json.dumps(raw))
-    assert run_cli(["sequential", "--config", cfg]) == 0
-    assert json.loads(capsys.readouterr().out)["total_qfi_asymptotic"] == 0.0
-    assert run_cli(["sweep", "--config", cfg]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+
+
+def test_sweep_keeps_a_zero_asymptotic_total(tmp_path, monkeypatch):
+    # a force outside the total window has xi = C = 0: the asymptotic total
+    # is exactly 0.0, which sweep must print as 0, not as an absent value
+    point, table = (check_case(success("sweep_scaling", sub,
+                                       _outside_the_window),
+                               tmp_path, monkeypatch)
+                    for sub in ("sequential", "sweep"))
+    assert json.loads(point)["total_qfi_asymptotic"] == 0.0
+    header, *rows = table.splitlines()
     column = header.split(",").index("total_qfi_asymptotic")
     assert rows and all(row.split(",")[column] == "0" for row in rows)
 
@@ -648,12 +625,12 @@ def test_short_time_flag_counts_the_force_rate(tmp_path, capsys):
     assert point["regime_flags"]["short_time_valid"] is False
 
 
-def test_short_time_flag_of_a_constant_force_reads_omega0(capsys):
+def test_short_time_flag_of_a_constant_force_reads_omega0(tmp_path,
+                                                          monkeypatch):
     # a constant force has 2 sqrt(C / xi) = omega0 = 1, which the flag
     # already counted: tau* = 0.05 of sequential_nonmarkov stays short
-    cfg = SCENARIO_DIR / "sequential_nonmarkov.json"
-    assert run_cli(["sequential", "--config", cfg]) == 0
-    point = json.loads(capsys.readouterr().out)
+    point = json.loads(check_case(failures.SHIPPED["sequential_nonmarkov.json"],
+                                  tmp_path, monkeypatch))
     assert 2 * (point["c_coeff"] / point["xi"]) ** 0.5 == pytest.approx(1.0)
     assert point["regime_flags"]["short_time_valid"] is True
 
@@ -690,7 +667,7 @@ def test_force_jobs_do_not_import_numpy_ma():
     assert '"form": "aligned"' in proc.stdout and '"total_qfi"' in proc.stdout
 
 
-def test_correlation_solves_no_response(tmp_path, monkeypatch, capsys):
+def test_correlation_solves_no_response(tmp_path, monkeypatch):
     # the rows read only grid.t_end, so a grid of 10^12 steps, which the
     # march could not allocate, prints the shipped rows
     from nmqfi import response
@@ -698,16 +675,12 @@ def test_correlation_solves_no_response(tmp_path, monkeypatch, capsys):
     def march(*args):
         raise AssertionError("the response was solved")
 
-    shipped = SCENARIO_DIR / "correlation_flatband.json"
-    assert run_cli(["correlation", "--config", shipped]) == 0
-    want = capsys.readouterr()
+    want = check_case(failures.SHIPPED["correlation_flatband.json"], tmp_path,
+                      monkeypatch)
     monkeypatch.setattr(response, "solve_response", march)
-    raw = json.loads(shipped.read_text())
-    raw["grid"]["n_steps"] = 10 ** 12
-    cfg = tmp_path / "fine.json"
-    cfg.write_text(json.dumps(raw))
-    assert run_cli(["correlation", "--config", cfg]) == 0
-    assert capsys.readouterr() == want
+    fine = success("correlation_flatband", "correlation",
+                   update("grid", n_steps=10 ** 12))
+    assert check_case(fine, tmp_path, monkeypatch) == want
 
 
 def test_moments_csv_variance_identity(tmp_path):
@@ -745,25 +718,23 @@ def _misaligned(raw):
     raw["probe"]["init"] = {"kind": "squeezed", "r": 0.6, "axis_angle": 1.2}
 
 
-# (base scenario, subcommand, edit): each run reads one window record, the
-# moments run one record of all its report times
+# Each run reads one window record, the moments run one record of all its
+# report times
 WINDOW_RUNS = {
-    "qfi_energy": ("qfi_best_state_resonant", "qfi", lambda raw: None),
-    "qfi_misaligned": ("qfi_best_state_resonant", "qfi", _misaligned),
-    "estimate_energy": ("estimate_cramer_rao", "estimate",
-                        update("probe", energy=3.0)),
-    "moments_every_report_time": ("moments_detuned_coherent", "moments",
-                                  lambda raw: None),
+    "qfi_energy": failures.SHIPPED["qfi_best_state_resonant.json"],
+    "qfi_misaligned": success("qfi_best_state_resonant", "qfi", _misaligned),
+    "estimate_energy": success("estimate_cramer_rao", "estimate",
+                               update("probe", energy=3.0)),
+    "moments_every_report_time": failures.SHIPPED[
+        "moments_detuned_coherent.json"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_RUNS))
 def test_window_terms_are_computed_once(case, tmp_path, monkeypatch):
-    base, sub, edit = WINDOW_RUNS[case]
-    raw = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
-    edit(raw)
+    run = WINDOW_RUNS[case]
     cfg = tmp_path / "window.json"
-    cfg.write_text(json.dumps(raw))
+    cfg.write_bytes(failures.scenario_bytes(run, SCENARIO_DIR))
     calls = {"displacement": 0, "noise_term": 0}
     for name in calls:
         real = getattr(sys.modules["nmqfi.probe"], name)
@@ -776,7 +747,7 @@ def test_window_terms_are_computed_once(case, tmp_path, monkeypatch):
             if mod_name.startswith("nmqfi.") and getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counted)
     out = tmp_path / "out.json"
-    assert run_cli([sub, "--config", cfg, "--out", out]) == 0
+    assert run_cli([*run.command.split(), "--config", cfg, "--out", out]) == 0
     assert calls == {"displacement": 1, "noise_term": 1}
     if case == "qfi_misaligned":
         assert json.loads(out.read_text())["form"] == "general"

@@ -20,8 +20,6 @@ and 1000 cadence steps.
 """
 
 import json
-import math
-import re
 import tempfile
 from pathlib import Path
 
@@ -29,19 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import failures
-from conftest import SCENARIO_DIR, corpus_test, run_main
+from conftest import check_case, check_finite, corpus_test, run_main
 from nmqfi import cli
-
-# The sweep columns that read nan where an asymptotic or a rate is absent.
-SWEEP_NAN_COLUMNS = {"tau_opt_asymptotic", "total_qfi_asymptotic",
-                     "markov_bound"}
-
-# The keys and columns that hold an information, a variance, a bound, an
-# interval or a modulus: none can be negative.
-NON_NEGATIVE = re.compile(
-    r"value|abs_d|variance|det_sigma|crb|empirical_mse|ratio_to_crb"
-    r"|tau_opt.*|total_qfi.*|markov_bound|xi|c_coeff|var_x|var_p|n_b"
-    r"|abs_g|abs_exact|abs_interaction")
 
 TINY = st.sampled_from([0.0, 1e-300, 1e-30])
 TINY_OR_HUGE = st.one_of(TINY, st.sampled_from([1e30, 1e200, 1e300]))
@@ -216,37 +203,6 @@ def runs(draw):
     return sub, fmt, raw
 
 
-def _numbers(value, key=None):
-    """(key, number) for every number in a parsed JSON payload; a list's
-    numbers carry the list's key."""
-    if isinstance(value, dict):
-        return [n for k, item in value.items() for n in _numbers(item, k)]
-    if isinstance(value, list):
-        return [n for item in value for n in _numbers(item, key)]
-    return [(key, value)] if isinstance(value, float) else []
-
-
-def _check_finite(sub: str, fmt: str, text: str):
-    """Every number finite (sweep's absent values aside) and none negative
-    under a NON_NEGATIVE key or column."""
-    if fmt == "json":
-        payload = json.loads(text, parse_constant=float)
-        for key, value in _numbers(payload):
-            assert math.isfinite(value), text
-            assert not (value < 0 and NON_NEGATIVE.fullmatch(key)), (key, text)
-        return
-    header, *rows = text.splitlines()
-    names = header.split(",")
-    for row in rows:
-        for name, cell in zip(names, row.split(",")):
-            value = float(cell)
-            assert math.isfinite(value) or (
-                sub == "sweep" and name in SWEEP_NAN_COLUMNS
-                and math.isnan(value)), (name, row)
-            negative = value < 0 and NON_NEGATIVE.fullmatch(name)
-            assert not negative, (name, row)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(run=runs())
 def test_every_valid_config_exits_cleanly(run):
@@ -261,21 +217,17 @@ def test_every_valid_config_exits_cleanly(run):
     if code:
         assert out == "", (code, err)
     else:
-        _check_finite(sub, fmt, out)
+        check_finite(sub, fmt, out)
 
 
 # The overflows of the failure corpus, one test id per case.
 test_overflow_prints_no_warning = corpus_test(failures.OVERFLOWS)
 
 
-def test_narrow_distant_pulse_prints_no_warning(tmp_path):
+def test_narrow_distant_pulse_prints_no_warning(tmp_path, monkeypatch):
     # its Gaussian once overflowed in numpy, whose warning would print here
     # as in production; every window node lies ~1e200 widths from its
     # center, so the force there, and the QFI, are 0
-    config = tmp_path / "pulse.json"
-    config.write_bytes(failures.scenario_bytes(failures.NARROW_PULSE,
-                                               SCENARIO_DIR))
-    code, out, err = run_main([failures.NARROW_PULSE.command, "--config",
-                               str(config)])
-    assert (code, err) == (0, "")
+    out = check_case(failures.OVERFLOWS["narrow_pulse"], tmp_path,
+                     monkeypatch)
     assert json.loads(out)["value"] == 0.0
