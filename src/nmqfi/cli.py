@@ -46,10 +46,6 @@ else:
 # Rows formatted per `%` operation; bounds the Python floats held at once.
 _CSV_BLOCK_ROWS = 1024
 
-# Most steps a cadence may have; 10^6 steps already cost tens of seconds
-# and hundreds of MB.
-_MAX_STEPS = 10 ** 6
-
 
 def _write_csv(out: IO[str], header: list[str], rows):
     """Write a header and rows (a 2-D array or a list of tuples) as CSV.
@@ -193,7 +189,7 @@ def _cadence(cfg: ScenarioConfig, fixed: bool):
     """(total window, interval bracket, force, response) of the cadence,
     read, built and solved in that order. The bracket is (tau, tau) if fixed
     and the block gives a tau, else tau_bounds or the default; more than
-    _MAX_STEPS steps at its lower end is a ConfigError before the march."""
+    MAX_STEPS steps at its lower end is a ConfigError before the march."""
     block = cfg.block("sequential")
     total = float(block["total_window"])
     force = cfg.force()
@@ -206,16 +202,17 @@ def _cadence(cfg: ScenarioConfig, fixed: bool):
     else:
         bracket = sequential.default_tau_bounds(grid, total,
                                                 bath_mod.moments(bath))
-    if sequential.SequentialScheme(total, bracket[0]).repetitions > _MAX_STEPS:
+    cap = sequential.MAX_STEPS
+    if sequential.SequentialScheme(total, bracket[0]).repetitions > cap:
         raise ConfigError(f"a cadence of interval {bracket[0]!r} has more than "
-                          f"{_MAX_STEPS} steps in total_window {total!r}")
+                          f"{cap} steps in total_window {total!r}")
     return total, bracket, force, response_mod.solve_response(bath, grid)
 
 
 def _sequential_point(cfg: ScenarioConfig, cadence,
                       energies: list[float]) -> list[dict]:
-    """One cadence report per energy, from one optimize_tau call for all,
-    on the _cadence of the scenario.
+    """One cadence report per energy, from one optimize_tau call for all
+    (one interval_terms record if fixed), on the _cadence of the scenario.
 
     The asymptotics read the window integrals xi and C over all of T; the
     reported ones cover each optimum's own steps, nu * tau.
@@ -224,9 +221,8 @@ def _sequential_point(cfg: ScenarioConfig, cadence,
     m = bath_mod.moments(resp.bath)
     omega0 = resp.bath.probe_frequency
     if lo == hi:
-        terms = sequential.interval_terms(
-            sequential.SequentialScheme(total, lo), resp, force)
-        found = [sequential.seq_result(terms, energy) for energy in energies]
+        w, = sequential.interval_terms(total, [lo], resp, force)
+        found = [sequential.seq_result(w, energy) for energy in energies]
     else:
         found = sequential.optimize_tau(total, energies, resp, force, (lo, hi))
     ints = sequential.xi_and_c(force, omega0, total)
@@ -279,15 +275,13 @@ def run_sequential(cfg: ScenarioConfig):
 
 
 def run_sequential_scan(cfg: ScenarioConfig):
-    """The cadence total at report_points intervals spaced geometrically."""
+    """The cadence total at report_points geometric intervals, one table."""
     energy = _cadence_energy(cfg)
     total, (lo, hi), force, resp = _cadence(cfg, fixed=False)
-    rows = []
-    for tau in np.geomspace(lo, hi, _report_points(cfg)):
-        terms = sequential.interval_terms(
-            sequential.SequentialScheme(total, float(tau)), resp, force)
-        rows.append((tau, sequential.seq_result(terms, energy).total_qfi))
-    return ["tau", "total_qfi"], rows
+    table = sequential.interval_terms(
+        total, np.geomspace(lo, hi, _report_points(cfg)), resp, force)
+    return ["tau", "total_qfi"], [
+        (w.tau, sequential.seq_result(w, energy).total_qfi) for w in table]
 
 
 def run_sweep(cfg: ScenarioConfig):

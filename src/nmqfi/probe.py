@@ -144,8 +144,8 @@ def displacement(response: ResponseFunction, force: ForceModulation,
     sums the force's smooth pieces of the window (ForceModulation.pieces);
     none gives zero. Window ends that are arrays (broadcast together) give
     one value per window, each integrated to the same tolerance; a scalar
-    window is a batch of one. Each piece integrates its nonempty windows,
-    whatever their lengths, _WINDOW_CHUNK at a time.
+    window is a batch of one. Each piece integrates its nonempty windows in
+    runs of one length octave, _WINDOW_CHUNK at a time.
     """
     t0, t1 = _check_window(window)
     omega0 = response.bath.probe_frequency
@@ -163,9 +163,13 @@ def displacement(response: ResponseFunction, force: ForceModulation,
     # An empty piece adds exactly zero; under a table force most are empty.
     for lo, hi in force.pieces(starts, ends):
         live = np.flatnonzero(hi > lo)
-        for i in range(0, live.size, _WINDOW_CHUNK):
-            rows = live[i:i + _WINDOW_CHUNK]
-            val[rows] += integral(starts[rows], ends[rows], lo[rows], hi[rows])
+        # a short window integrated with long ones is refined with them
+        octave = np.frexp(hi[live] - lo[live])[1]
+        for same in np.split(live, np.flatnonzero(np.diff(octave)) + 1):
+            for i in range(0, same.size, _WINDOW_CHUNK):
+                rows = same[i:i + _WINDOW_CHUNK]
+                val[rows] += integral(starts[rows], ends[rows], lo[rows],
+                                      hi[rows])
     return omega0 * val.reshape(np.shape(t1))
 
 

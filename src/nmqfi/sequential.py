@@ -29,6 +29,10 @@ from .response import ResponseFunction, TimeGrid
 # covers their sum 4x.
 _BOUND_SLACK = 1e-5
 
+# Most steps a cadence may have, and most step windows one displacement call
+# holds; 10^6 steps already cost tens of seconds and hundreds of MB.
+MAX_STEPS = 10 ** 6
+
 
 class SequentialScheme(Frozen):
     """Cadence: total window, step interval, and the implied repetitions."""
@@ -43,11 +47,6 @@ class SequentialScheme(Frozen):
     @property
     def repetitions(self) -> int:
         return int(math.floor(self.total_window / self.interval * (1.0 + 1e-12)))
-
-    def step_window(self, k):
-        """Window of step k; an integer array k gives arrays of window ends."""
-        t_k = k * self.interval
-        return (t_k, t_k + self.interval)
 
 
 class SeqResult(NamedTuple):
@@ -83,18 +82,29 @@ def xi_and_c(force: ForceModulation, omega0: float,
     return ForceWindowIntegrals(xi, 0.25 * (slope_sq + omega0 ** 2 * xi))
 
 
-def interval_terms(scheme: SequentialScheme, response: ResponseFunction,
-                   force: ForceModulation) -> WindowTerms:
-    """G(tau), n_B(tau) and every step's D_k (one batched displacement call).
+def interval_terms(total_window: float, taus: Sequence[float],
+                   response: ResponseFunction,
+                   force: ForceModulation) -> list[WindowTerms]:
+    """One record per interval of taus: G(tau), n_B(tau) and every step's D_k.
 
-    The energy-independent parts of the cadence total: step k carries
-    |D_k|^2 / best_state_variance, and only the 1/(4 script_e) term of
-    that denominator depends on the probe energy, so one record serves
-    every energy.
+    Step k is the window (k tau, k tau + tau). One window_terms call gives
+    every G and n_B; the steps of all intervals, in order, fill displacement
+    calls of at most MAX_STEPS windows, each window keeping its scalar value.
+    A record serves every energy: step k carries |D_k|^2 / best_state_variance,
+    and only that denominator's 1/(4 script_e) term depends on the energy.
     """
-    steps = scheme.step_window(np.arange(scheme.repetitions))
-    return window_terms(response, (0.0, scheme.interval),
-                        displacement(response, force, steps))
+    taus = np.array(taus, dtype=float)
+    first = np.cumsum([0] + [SequentialScheme(total_window, tau).repetitions
+                             for tau in taus.tolist()])  # each one's step 0
+    disp = np.empty(first[-1], dtype=complex)
+    for start in range(0, first[-1], MAX_STEPS):
+        j = np.arange(start, min(start + MAX_STEPS, first[-1]))
+        i = np.searchsorted(first, j, side="right") - 1
+        t_k = (j - first[i]) * taus[i]
+        disp[j] = displacement(response, force, (t_k, t_k + taus[i]))
+    w = window_terms(response, (0.0, taus))
+    return [WindowTerms(*row, w.omega0) for row in zip(
+        taus.tolist(), w.g, w.n_b.tolist(), np.split(disp, first[1:-1]))]
 
 
 @np.errstate(over="ignore")   # overflow is reported inf
@@ -108,11 +118,8 @@ def seq_result(w: WindowTerms, energy: float) -> SeqResult:
 def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
             response: ResponseFunction, force: ForceModulation,
             omega0: float) -> SeqResult:
-    """Total Fisher information of the cadence with best-state re-preparation.
-
-    The interval's energy-independent terms, then the energy step: the
-    squared displacements of all steps over the step-independent
-    denominator |G(tau)|^2 / (4 script_e) + n_B(tau).
+    """Total Fisher information of the cadence with best-state re-preparation:
+    seq_result of the interval's interval_terms record.
 
     bath must be response.bath and omega0 its probe_frequency, else
     ValueError; ROADMAP item 1 drops both arguments.
@@ -120,7 +127,8 @@ def seq_qfi(scheme: SequentialScheme, energy: float, bath: DiscreteBath,
     if bath is not response.bath or omega0 != bath.probe_frequency:
         raise ValueError("seq_qfi needs bath = response.bath and "
                          "omega0 = bath.probe_frequency")
-    return seq_result(interval_terms(scheme, response, force), energy)
+    return seq_result(*interval_terms(scheme.total_window, [scheme.interval],
+                                      response, force), energy)
 
 
 def default_tau_bounds(grid: TimeGrid, total_window: float,
@@ -155,9 +163,8 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     both vanish) raises NmqfiError before any tooth is evaluated. A
     maximum on the first or last tooth or on an end sets hit_bound.
 
-    A sequence of energies gives one SeqResult per energy. The energies
-    share one table of interval terms keyed by interval, so each interval
-    any of their searches visits costs one displacement call.
+    A sequence of energies gives one SeqResult per energy. They share one
+    interval_terms call for both ends and one per tooth any search visits.
     """
     lo, hi = tau_bounds
     if not (0.0 < lo < hi):
@@ -166,17 +173,17 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     ceiling = response.bath.probe_frequency ** 2 * xi * (1.0 + _BOUND_SLACK)
     table: dict[float, WindowTerms] = {}
 
-    def terms(tau: float) -> WindowTerms:
-        if tau not in table:
-            w = interval_terms(SequentialScheme(total_window, tau), response,
-                               force)
+    def terms(*taus: float) -> list[WindowTerms]:
+        new = [tau for tau in taus if tau not in table]
+        for w in (interval_terms(total_window, new, response, force)
+                  if new else ()):
             with np.errstate(over="ignore"):   # a sum past floats reads inf
                 d_sq = (abs(w.disp) ** 2).sum()
-            if not d_sq <= ceiling * tau:
+            if not d_sq <= ceiling * w.tau:
                 raise ConsistencyError(
-                    f"cadence interval {tau!r} exceeds its bound")
-            table[tau] = w
-        return table[tau]
+                    f"cadence interval {w.tau!r} exceeds its bound")
+            table[w.tau] = w
+        return [table[tau] for tau in taus]
 
     nu_min = math.ceil(total_window / hi * (1.0 - 1e-12))
     nu_max = math.floor(total_window / lo * (1.0 + 1e-12))
@@ -184,7 +191,7 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     teeth = window_terms(response, (0.0, total_window / nus))
 
     def search(energy: float) -> SeqResult:
-        ends = [terms(tau) for tau in (hi, lo)]
+        ends = terms(hi, lo)
         with np.errstate(invalid="ignore"):     # a nan is raised below
             found = [seq_result(w, energy) for w in ends]
             bound = ceiling * teeth.tau / best_state_variance(energy, teeth)
@@ -197,7 +204,7 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
         for i in np.argsort(-bound, kind="stable"):
             if (bound[i], True) <= key:
                 break
-            found = seq_result(terms(float(teeth.tau[i])), energy)
+            found = seq_result(*terms(float(teeth.tau[i])), energy)
             if (found.total_qfi, True) > key:
                 best, key, winner = found, (found.total_qfi, True), i
         return best._replace(hit_bound=winner in (None, 0, teeth.tau.size - 1))

@@ -23,7 +23,8 @@ from nmqfi.metrology import (energy_for_script_e, fisher_quadrature,
 from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, phase,
                          quadrature_variance, window_terms)
 from nmqfi.response import TimeGrid, default_grid, markov_closed_form, solve_response
-from nmqfi.sequential import markov_seq, optimize_tau, tau_opt_asymptotic, xi_and_c
+from nmqfi.sequential import (interval_terms, markov_seq, optimize_tau,
+                              seq_result, tau_opt_asymptotic, xi_and_c)
 
 ZETA = fc.ConstantForce(1.0)
 VACUUM = GaussianProbeInit(0.0)
@@ -282,17 +283,20 @@ def test_criterion_12_correlation_decomposition():
             f"interaction/Born slope {slope:.3f} in [1.8, 2.2]")
 
 
-def _best_state_windows():
-    """Window terms of criterion 17: three baths, two forces, three windows."""
+def _best_state_responses():
+    """Criterion 17's baths, each solved on [0, 5.5]."""
     baths = [DiscreteBath([0.09], [0.7], [0.0], 1.0),     # a cold mode
              DiscreteBath([0.09], [0.7], [2.0], 1.0),     # a hot mode, N = 2
              discretize(ContinuousSpectrum(
                  "ohmic", scale=0.05, cutoff=2.0,
                  occupation=OccupationModel("thermal", 0.8)), 48, 1.0)]
-    forces = [ZETA, fc.SinusoidForce(1.0, 2.3)]
-    for bath in baths:
-        resp = solve_response(bath, TimeGrid(5.5, 2048))
-        for force in forces:
+    return [solve_response(bath, TimeGrid(5.5, 2048)) for bath in baths]
+
+
+def _best_state_windows():
+    """Window terms of criterion 17: three baths, two forces, three windows."""
+    for resp in _best_state_responses():
+        for force in (ZETA, fc.SinusoidForce(1.0, 2.3)):
             for window in ((0.0, 0.5), (0.0, 3.0), (1.0, 5.5)):
                 yield forced_window(resp, force, window)
 
@@ -336,3 +340,29 @@ def test_criterion_17_best_state_optimality():
             f"{worst_ratio:.2e} <= 1e-12; aligned squeezed vacua within "
             f"{worst_aligned:.1e} <= 1e-12; thermal and displaced states "
             f"strictly below: {strict}")
+
+
+def test_criterion_17_best_state_holds_over_a_cadence():
+    # a state re-prepared for every step of a cadence gathers, summed over
+    # the steps, at most the cadence total of the best state of its mean
+    # energy, which the sequential totals report
+    rng = np.random.default_rng(17)
+    forces = (ZETA, fc.SinusoidForce(1.0, 2.3), fc.GaussianPulseForce(1.0, 0.3))
+    worst_ratio, n_states, within = -np.inf, 0, True
+    for resp in _best_state_responses():
+        for force in forces:
+            for total, tau in ((2.0, 0.1), (3.0, 0.5), (1.0, 0.013)):
+                w, = interval_terms(total, [tau], resp, force)
+                steps = [w._replace(disp=d) for d in w.disp]
+                for _ in range(20):
+                    init = _random_state(rng)
+                    summed = sum(qfi_general(init, step).value
+                                 for step in steps)
+                    best = seq_result(w, mean_energy(init)).total_qfi
+                    within &= summed <= best * (1.0 + 1e-12)
+                    worst_ratio = max(worst_ratio, summed / best - 1.0)
+                    n_states += 1
+    _report(17, "no Gaussian state beats the best state over a cadence",
+            n_states >= 500 and within,
+            f"{n_states} random states on 27 cadences: largest summed QFI / "
+            f"best total - 1 = {worst_ratio:.2e} <= 1e-12")

@@ -144,6 +144,76 @@ def test_sequential_csv_sweep(tmp_path):
     assert len(lines) > 10
 
 
+def _scan(tmp_path, budget=None):
+    """The bytes of the sequential_nonmarkov CSV scan and the step windows
+    of each of its displacement calls. A budget is set as
+    sequential.MAX_STEPS once the bracket has passed the step cap, which
+    reads the same constant."""
+    from nmqfi import sequential
+
+    calls = []
+    real_disp, real_cadence = sequential.displacement, cli._cadence
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[2][1]))
+        return real_disp(*args, **kwargs)
+
+    def cadence(*args, **kwargs):
+        found = real_cadence(*args, **kwargs)
+        if budget is not None:
+            mp.setattr(sequential, "MAX_STEPS", budget)
+        return found
+
+    out = tmp_path / "scan.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequential, "displacement", counted)
+        mp.setattr(cli, "_cadence", cadence)
+        assert run_cli(["sequential", "--config",
+                        SCENARIO_DIR / "sequential_nonmarkov.json", "--out",
+                        out, "--format", "csv"]) == 0
+    return out.read_bytes(), calls
+
+
+def test_sequential_scan_makes_one_displacement_call(tmp_path):
+    # the 33 report intervals are one interval_terms table, whose rows
+    # equal one interval_terms call per interval bit for bit
+    from nmqfi import sequential
+    from nmqfi.config import load_config
+    from nmqfi.response import solve_response
+
+    text, calls = _scan(tmp_path)
+    rows = [[float(v) for v in line.split(",")]
+            for line in text.decode().splitlines()[1:]]
+    assert len(rows) == 33 and len(calls) == 1
+    cfg = load_config(SCENARIO_DIR / "sequential_nonmarkov.json")
+    bath = cfg.bath()
+    resp = solve_response(bath, cfg.grid(bath))
+    total = cfg.raw["sequential"]["total_window"]
+    steps = 0
+    for tau, total_qfi in rows:
+        w, = sequential.interval_terms(total, [tau], resp, cfg.force())
+        assert total_qfi == sequential.seq_result(w, cfg.energy()).total_qfi
+        steps += w.disp.size
+    assert calls == [steps]
+
+
+def test_scan_calls_hold_at_most_max_steps_windows(tmp_path):
+    # at a budget of 64 the 250 steps of the lower end span four calls;
+    # every window keeps its value, so the scan keeps its bytes
+    from nmqfi import sequential
+
+    whole, (steps,) = _scan(tmp_path)
+    batched, calls = _scan(tmp_path, budget=64)
+    assert batched == whole
+    assert max(calls) == 64 and sum(calls) == steps
+    assert len(calls) == -(-steps // 64)
+    # the step cap's refusals read the same constant, unpatched
+    for name in ("sequential_tau_step_cap", "sequential_tau_bounds_step_cap",
+                 "table_tau_step_cap", "table_tau_bounds_step_cap"):
+        assert (f"has more than {sequential.MAX_STEPS} steps"
+                in failures.PAST_THE_GRID[name].line)
+
+
 def test_missing_block_rejected(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"probe": {"omega0": 1.0}}))
@@ -263,7 +333,7 @@ def test_sweep_shares_one_search_and_one_window_integral(tmp_path,
     assert len(calls["optimize_tau"]) == 1
     assert len(calls["optimize_tau"][0][1]) == n_energies
     # the energies' searches integrate each visited interval once
-    taus = [args[0].interval for args in calls["interval_terms"]]
+    taus = [tau for args in calls["interval_terms"] for tau in args[1]]
     assert taus and len(taus) == len(set(taus))
 
 
@@ -474,9 +544,9 @@ def test_nan_cadence_bound_stops_before_the_teeth(monkeypatch):
     intervals = []
     real = sequential.interval_terms
 
-    def counted(scheme, *args):
-        intervals.append(scheme.interval)
-        return real(scheme, *args)
+    def counted(total, taus, *args):
+        intervals.extend(taus)
+        return real(total, taus, *args)
 
     monkeypatch.setattr(sequential, "interval_terms", counted)
     with pytest.raises(NmqfiError, match=r"^cadence total or its bound is "

@@ -160,14 +160,34 @@ class TestDisplacement:
     def test_mixed_length_windows_match_scalar_calls_bit_for_bit(
             self, ohmic_response):
         # the 33 report windows of `moments`, of lengths 0 to 3.9, share
-        # each table segment's quadrature passes; every window's Simpson
-        # sums run over its own nodes, so each keeps its scalar value
+        # quadrature passes by table segment and length octave; every
+        # window's Simpson sums run over its own nodes, so each keeps its
+        # scalar value
         table = fc.TabulatedForce((0.0, 0.3, 0.7, 4.0),
                                   (0.0, 2.0, -1.0, 0.5))
         times = np.linspace(0.0, 3.9, 33)
         batch = displacement(ohmic_response, table, (0.0, times))
         assert batch.tolist() == [displacement(ohmic_response, table, (0.0, t))
                                   for t in times]
+
+    @pytest.mark.parametrize("force", [
+        fc.SinusoidForce(1.0, 3.0, 0.4), fc.GaussianPulseForce(1.0, 0.3)],
+        ids=["sinusoid", "gaussian_pulse"])
+    def test_short_windows_are_not_refined_with_long_ones(self, resonant03,
+                                                          force):
+        # a cadence bracket's two ends in one call: 4 steps of 0.5 and 200
+        # of 0.01. Integrated in one pass, the short steps took the long
+        # ones' node count, a traced peak near 8 MB; in runs of one length
+        # octave the peak is under 0.4 MB
+        t0 = np.concatenate([np.arange(4) * 0.5, np.arange(200) * 0.01])
+        t1 = t0 + np.repeat([0.5, 0.01], [4, 200])
+        tracemalloc.start()
+        try:
+            displacement(resonant03[1], force, (t0, t1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestMean:

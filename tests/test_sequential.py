@@ -74,10 +74,13 @@ class TestScheme:
         with pytest.raises(ValueError):
             SequentialScheme(0.1, 0.2)
 
-    def test_step_windows(self):
-        s = SequentialScheme(1.0, 0.25)
-        assert s.step_window(0) == (0.0, 0.25)
-        assert s.step_window(3) == (0.75, 1.0)
+    def test_step_windows(self, unit_weight_response):
+        # step k of interval tau is the window (k tau, k tau + tau)
+        pulse = fc.GaussianPulseForce(0.5, 0.2, (0.0, 1.0))
+        w, = interval_terms(1.0, [0.25], unit_weight_response, pulse)
+        assert w.disp.tolist() == [
+            displacement(unit_weight_response, pulse, window)
+            for window in ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))]
 
 
 class TestStepNoise:
@@ -135,7 +138,7 @@ class TestSeqQfi:
         scheme = SequentialScheme(0.2, 0.05)
         r = seq_qfi(scheme, 3.0, unit_weight_bath, unit_weight_response, pulse,
                     1.0)
-        terms = interval_terms(scheme, unit_weight_response, pulse)
+        terms, = interval_terms(0.2, [0.05], unit_weight_response, pulse)
         steps = abs(terms.disp) ** 2 / best_state_variance(3.0, terms)
         assert steps[0] != pytest.approx(steps[-1])
         assert r.total_qfi == pytest.approx(steps.sum())
@@ -153,7 +156,7 @@ class TestSeqQfi:
                     force, 1.0)
         denom = (0.25 * abs(unit_weight_response.g(tau)) ** 2 / script_e(energy)
                  + noise_term(unit_weight_bath, (0.0, tau)))
-        terms = interval_terms(scheme, unit_weight_response, force)
+        terms, = interval_terms(total, [tau], unit_weight_response, force)
         assert best_state_variance(energy, terms) == pytest.approx(denom,
                                                                    rel=1e-12)
         steps = abs(terms.disp) ** 2 / best_state_variance(energy, terms)
@@ -161,7 +164,7 @@ class TestSeqQfi:
         assert r.total_qfi == steps.sum()
         for k, step in enumerate(steps):
             d = displacement(unit_weight_response, force,
-                             scheme.step_window(k))
+                             (k * tau, k * tau + tau))
             assert step == pytest.approx(abs(d) ** 2 / denom, rel=1e-12)
             assert (step == 0.0) == (k in zero_steps)
 
@@ -190,8 +193,8 @@ class TestSeqQfi:
     def test_chunked_windows_match_one_unchunked_call(
             self, unit_weight_response, monkeypatch):
         # 600 windows, 500 inside the support: a full chunk and a partial one
-        scheme = SequentialScheme(600 * 0.004, 0.004)
-        steps = scheme.step_window(np.arange(scheme.repetitions))
+        t0 = np.arange(600) * 0.004
+        steps = (t0, t0 + 0.004)
         force = fc.SinusoidForce(1.0, 3.0, 0.0, (0.0, 2.0))
         chunked = displacement(unit_weight_response, force, steps)
         monkeypatch.setattr(probe, "_WINDOW_CHUNK", 10 ** 6, raising=False)
@@ -209,8 +212,8 @@ class TestSeqQfi:
             self, unit_weight_response, force):
         # each window's Simpson sums run over its own nodes only, so sub-
         # batches of 37 windows reproduce one 600-window call bit for bit
-        scheme = SequentialScheme(600 * 0.004, 0.004)
-        t0, t1 = scheme.step_window(np.arange(scheme.repetitions))
+        t0 = np.arange(600) * 0.004
+        t1 = t0 + 0.004
         whole = displacement(unit_weight_response, force, (t0, t1))
         parts = np.concatenate([
             displacement(unit_weight_response, force,
@@ -336,7 +339,7 @@ class TestOptimize:
 
     def test_energies_share_one_displacement_per_interval(
             self, unit_weight_response, monkeypatch):
-        noise_calls, disp_calls = [], []
+        noise_calls, table_calls, disp_calls = [], [], []
 
         def counted(module, name, log):
             fn = getattr(module, name)
@@ -348,23 +351,29 @@ class TestOptimize:
 
         monkeypatch.setattr(probe, "noise_term",
                             counted(probe, "noise_term", noise_calls))
+        monkeypatch.setattr(sequential, "interval_terms",
+                            counted(sequential, "interval_terms", table_calls))
         monkeypatch.setattr(sequential, "displacement",
                             counted(sequential, "displacement", disp_calls))
         energies = [energy_for_script_e(se)
                     for se in (1e2, 3e2, 1e3, 3e3, 1e4, 3e4)]
         args = (unit_weight_response, ZETA, (0.002, 0.3))
         optimize_tau(1.0, energies, *args)
-        # one noise_term call covers the lattice, then one per interval
-        # evaluated; a displacement call's first step window is (0, tau)
-        assert [np.ndim(call[1][1]) for call in noise_calls].count(1) == 1
-        intervals = {float(call[2][1][0]) for call in disp_calls}
-        assert len(disp_calls) == len(intervals) == len(noise_calls) - 1
+        # the ends share the first table call, each tooth visited costs one
+        # more, and each table call makes one displacement and one
+        # noise_term call; one more noise_term call covers the lattice
+        tables = [call[1] for call in table_calls]
+        assert tables[0] == [0.3, 0.002]
+        assert all(len(taus) == 1 for taus in tables[1:])
+        intervals = [tau for taus in tables for tau in taus]
+        assert len(intervals) == len(set(intervals))
+        assert len(disp_calls) == len(tables) == len(noise_calls) - 1
         # one search per energy visits more intervals than they share
         per_energy = 0
         for energy in energies:
-            disp_calls.clear()
+            table_calls.clear()
             optimize_tau(1.0, energy, *args)
-            per_energy += len(disp_calls)
+            per_energy += sum(len(call[1]) for call in table_calls)
         assert per_energy > len(intervals)
 
     def test_default_bounds(self, unit_weight_bath, unit_weight_response):
@@ -424,10 +433,8 @@ def every_tooth(request, unit_weight_response):
     total, energy, resp, force, (lo, hi) = _exact_case(request.param,
                                                        unit_weight_response)
     nus = range(int(np.ceil(total / hi)), int(total / lo) + 1)
-    teeth = [interval_terms(SequentialScheme(total, total / nu), resp, force)
-             for nu in nus]
-    ends = [interval_terms(SequentialScheme(total, tau), resp, force)
-            for tau in (hi, lo)]
+    teeth = interval_terms(total, [total / nu for nu in nus], resp, force)
+    ends = interval_terms(total, (hi, lo), resp, force)
     return ((total, energy, resp, force, (lo, hi)),
             xi_and_c(force, 1.0, total).xi, teeth, ends)
 
