@@ -145,6 +145,13 @@ def exact_single_mode_g(coupling_sq: float, delta: float, tau):
                                          - 1j * (0.5 * delta / mu) * np.sin(mu * tau))
 
 
+def exact_single_mode_g_dot(coupling_sq: float, delta: float, tau):
+    """Derivative of exact_single_mode_g: -(c / mu) e^{i d tau/2} sin(mu tau)."""
+    tau = np.asarray(tau, dtype=float)
+    mu = np.sqrt(0.25 * delta * delta + coupling_sq)
+    return -(coupling_sq / mu) * np.exp(0.5j * delta * tau) * np.sin(mu * tau)
+
+
 def noiseless_table_displacement(times, values, window, omega0=1.0):
     """D of a piecewise-linear force under G = 1, exact segment by segment.
 

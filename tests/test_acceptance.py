@@ -11,8 +11,9 @@ test_sequential.py).
 import numpy as np
 import pytest
 
-from conftest import (exact_single_mode_g, forced_window, markov_qfi,
-                      mean_energy, short_time_qfi)
+from conftest import (exact_single_mode_g, exact_single_mode_g_dot,
+                      forced_window, markov_qfi, mean_energy,
+                      short_time_qfi)
 from nmqfi import force as fc
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         discretize, moments)
@@ -366,3 +367,68 @@ def test_criterion_17_best_state_holds_over_a_cadence():
             n_states >= 500 and within,
             f"{n_states} random states on 27 cadences: largest summed QFI / "
             f"best total - 1 = {worst_ratio:.2e} <= 1e-12")
+
+
+def _eigh_response(bath: DiscreteBath, tau: np.ndarray):
+    """G and dG/dtau from a dense eigendecomposition of the arrowhead H."""
+    n = bath.n_modes
+    h = np.zeros((n + 1, n + 1))
+    h[0, 0] = bath.probe_frequency
+    h[0, 1:] = h[1:, 0] = np.sqrt(bath.coupling_sq)
+    h[1:, 1:] = np.diag(bath.frequencies)
+    lam, vec = np.linalg.eigh(h)
+    shift = lam - bath.probe_frequency
+    phases = np.exp(-1j * np.multiply.outer(tau, shift))
+    weights = vec[0] ** 2
+    return phases @ weights, phases @ (-1j * shift * weights)
+
+
+def test_criterion_18_exact_response(detuned_bath, two_mode_bath):
+    # G is the probe amplitude of the global unitary, with no time step:
+    # it matches the single-mode closed form and a dense eigh of H to
+    # rounding, stays in the unit disc and is exactly 1 without coupling
+    worst_single = 0.0
+    for bath, grid in ((detuned_bath, TimeGrid(10.0, 2048)),
+                       (DiscreteBath([0.25], [1.0], [0.0], 1.0),
+                        TimeGrid(8.0 * np.pi, 4096))):
+        resp = solve_response(bath, grid)
+        t = grid.times()
+        c, delta = bath.coupling_sq[0], bath.detunings[0]
+        worst_single = max(
+            worst_single,
+            float(np.abs(resp.g_samples - exact_single_mode_g(c, delta, t)).max()),
+            float(np.abs(resp.g_dot_samples
+                         - exact_single_mode_g_dot(c, delta, t)).max()))
+    ohmic16 = discretize(ContinuousSpectrum("ohmic", scale=0.05, cutoff=2.0,
+                                            cutoff_shape="exponential"), 16, 1.0)
+    flat = ContinuousSpectrum("flat", scale=0.02, cutoff=2.0,
+                              occupation=OccupationModel("thermal", 0.5))
+    cases = [(bath, TimeGrid(10.0, n)) for bath in (detuned_bath, two_mode_bath,
+                                                     ohmic16)
+             for n in (256, 4096)]
+    # half-widths a of about 1.2: a * t_end reaches 960
+    cases += [(discretize(flat, modes, 1.0), TimeGrid(t_end, steps))
+              for modes, t_end, steps in ((16, 20.0, 1024), (64, 200.0, 4096),
+                                          (256, 50.0, 2048), (1024, 800.0, 8192))]
+    worst_eigh = 0.0
+    for bath, grid in cases:
+        resp = solve_response(bath, grid)
+        g, g_dot = _eigh_response(bath, grid.times())
+        worst_eigh = max(worst_eigh,
+                         float(np.abs(resp.g_samples - g).max()),
+                         float(np.abs(resp.g_dot_samples - g_dot).max()))
+    largest = max(float(np.abs(resp.g_samples).max())
+                  for resp in _best_state_responses())
+    identity = True
+    for bath in (DiscreteBath([], [], [], 1.0),
+                 DiscreteBath([0.0, 0.0], [0.5, 2.0], [0.0, 1.0], 1.0)):
+        resp = solve_response(bath, TimeGrid(5.0, 64))
+        identity &= bool((resp.g_samples == 1.0).all()
+                         and (resp.g_dot_samples == 0.0).all())
+    ok = (worst_single <= 1e-12 and worst_eigh <= 1e-11
+          and largest <= 1.0 + 1e-12 and identity)
+    _report(18, "exact response", ok,
+            f"single mode {worst_single:.1e} <= 1e-12; dense eigh "
+            f"{worst_eigh:.1e} <= 1e-11 on {len(cases)} grids; "
+            f"max |G| - 1 = {largest - 1.0:.1e} <= 1e-12; "
+            f"G == 1 without coupling: {identity}")
