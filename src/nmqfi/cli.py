@@ -6,7 +6,7 @@ large to allocate among them), 3 for numerical failures inside the engine
 digits and JSON keys are sorted, so identical configs (and seeds) reproduce
 byte-identical outputs. Each (subcommand, format) has one runner, which
 reads the scenario's inputs, builds its engine objects and solves, in that
-order, so every refusal precedes the march; `main` writes its result only
+order, so every refusal precedes the response; `main` writes its result only
 once every value in it is finite, so a run that fails writes nothing.
 """
 
@@ -94,14 +94,14 @@ def _gamma_for(cfg: ScenarioConfig) -> float | None:
             else response_mod.markov_decay_rate(spectrum, cfg.omega0))
 
 
-def _march(cfg: ScenarioConfig) -> ResponseFunction:
+def _response(cfg: ScenarioConfig) -> ResponseFunction:
     """The response solved on the scenario's bath and grid."""
     bath = cfg.bath()
     return response_mod.solve_response(bath, cfg.grid(bath))
 
 
 def run_response(cfg: ScenarioConfig):
-    resp = _march(cfg)
+    resp = _response(cfg)
     g, g_dot = resp.g_samples, resp.g_dot_samples
     return (["tau", "re_g", "im_g", "abs_g", "re_gdot", "im_gdot"],
             np.column_stack((resp.grid.times(), g.real, g.imag, np.abs(g),
@@ -114,7 +114,7 @@ def run_moments(cfg: ScenarioConfig):
     amp = float(cfg.options.get("force_amplitude", 0.0))
     init = cfg.init_state()
     force = cfg.force() if "force" in cfg.raw else None
-    resp = _march(cfg)
+    resp = _response(cfg)
     times = np.linspace(t0, t1, _report_points(cfg))
     values = (np.zeros(times.shape, dtype=complex) if force is None
               else probe.displacement(resp, force, (t0, times)))
@@ -134,7 +134,7 @@ def _window_qfi(cfg: ScenarioConfig):
     energy = cfg.energy()
     force = cfg.force()
     init = cfg.init_state() if energy is None else None
-    resp = _march(cfg)
+    resp = _response(cfg)
     w = probe.window_terms(resp, window,
                            probe.displacement(resp, force, window))
     if energy is None:
@@ -189,7 +189,7 @@ def _cadence(cfg: ScenarioConfig, fixed: bool):
     """(total window, interval bracket, force, response) of the cadence,
     read, built and solved in that order. The bracket is (tau, tau) if fixed
     and the block gives a tau, else tau_bounds or the default; more than
-    MAX_STEPS steps at its lower end is a ConfigError before the march."""
+    MAX_STEPS steps at its lower end is a ConfigError before the response."""
     block = cfg.block("sequential")
     total = float(block["total_window"])
     force = cfg.force()
@@ -317,7 +317,7 @@ def run_limits(cfg: ScenarioConfig):
     if "gamma" not in cfg.options and "continuum" not in cfg.raw["bath"]:
         raise ConfigError("limits subcommand needs options.gamma or a "
                           "continuum bath block")
-    resp = _march(cfg)
+    resp = _response(cfg)
     gamma = _gamma_for(cfg)   # the bath builder has checked the spectrum
     omega2 = bath_mod.moments(resp.bath).omega(2)
     taus = resp.grid.times()

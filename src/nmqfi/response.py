@@ -1,7 +1,8 @@
-"""Bath response function: Volterra solver and closed-form limits.
+"""Bath response function: exact evaluation and closed-form limits.
 
 The response G(tau) is the complex amplitude multiplying the initial probe
-quadratures after tracing out the bath. It solves
+quadratures after tracing out the bath, the probe amplitude of the global
+unitary, e^{i omega0 tau} <0|e^{-i H tau}|0>. It solves
 
     dG/dtau = - integral_0^tau kernel(tau - s) G(s) ds,   G(0) = 1,
 
@@ -18,17 +19,17 @@ from typing import Union
 import numpy as np
 
 from .bath import ContinuousSpectrum, DiscreteBath, moments
-from .errors import CoverageError, Frozen, SolverInstabilityError, covers
+from .errors import (ConfigError, CoverageError, Frozen, SolverInstabilityError,
+                     covers)
 
 _ABS_G_SLACK = 1e-6
 
-# Internal marching runs on a grid this many times finer than the requested
-# one; the scheme stays second order in the grid step while the error
-# constant drops by the square of the factor.
-_REFINE = 4
-
-# Inner steps the march advances per block (a multiple of _REFINE).
-_BLOCK = 64
+# Most Chebyshev terms of the propagator solve_response sums: a bath whose
+# spectral half-width times grid.t_end needs more is refused.
+MAX_TERMS = 2 ** 16
+# Orders per block product of the assembly: at most _ORDERS, and at most
+# _BLOCK_ENTRIES Bessel values, which bounds its working memory.
+_ORDERS, _BLOCK_ENTRIES = 128, 2 ** 16
 
 # Fewest steps default_grid gives, however slow the probe and kernel rates.
 _FLOOR_STEPS = 1024
@@ -136,93 +137,92 @@ class ResponseFunction(Frozen):
         return self._eval(tau, slope=True)
 
 
+def _n_terms(x):
+    """Terms kept of e^{-i x y}, |y| <= 1: past them J_k(x) is below rounding."""
+    return x + 8.0 * np.cbrt(x) + 30.0
+
+
+def _expand(times: np.ndarray, n_terms: int, shift: float, a: float,
+            rows) -> np.ndarray:
+    """sum_k c_k(t) R_k per time t (ascending), c_k(t) = e_k (-i)^k J_k(a t)
+    e^{i shift t} (e_0 = 1, else 2) for k < n_terms, R_k the rows rows(k0, k1)
+    builds a block at a time. Miller's recurrence J_{k-1} = (2k/z) J_k - J_{k+1},
+    normalised by J_0 + 2 sum J_2k = 1, seeds z with 1e-300 at order _n_terms(z)
+    (at 1 below z = 1e-8: J_1 = z/2), so no value leaves [1e-300, 2]."""
+    z = a * times
+    start = np.where(z < 1e-8, 1, np.ceil(_n_terms(z))).clip(max=n_terms - 1)
+    seeds = np.searchsorted(start, np.arange(n_terms + 1)).tolist()
+    inv = 2.0 / np.maximum(z, 1e-300)
+    weights = np.append(1.0, np.resize([-2j, -2.0, 2j, 2.0], n_terms - 1))
+    span = max(1, min(_ORDERS, _BLOCK_ENTRIES // z.size))
+    block = np.empty((span, z.size))
+    total = even = 0.0
+    j1 = j2 = np.zeros(z.size)                     # J_{k+1}, J_{k+2}
+    for k in range(n_terms - 1, -1, -1):
+        j1, j2 = (k + 1) * inv * j1 - j2, j1
+        j1[seeds[k]:seeds[k + 1]] = 1e-300
+        k0 = k - k % span
+        block[k - k0] = j1
+        if k == k0:
+            k1 = min(k0 + span, n_terms)
+            even = even + block[k0 % 2:k1 - k0:2].sum(axis=0)
+            total = total + (block[:k1 - k0].T * weights[k0:k1]) @ rows(k0, k1)
+    return total * (np.exp(1j * shift * times) / (2.0 * even - j1))[:, None]
+
+
 def solve_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
-    """March the response equation with an implicit product-trapezoid scheme.
-
-    On the inner step h, b_j = sum_{i<j} w_i g_i k_{j-i} is the trapezoid
-    memory sum (w_0 = 1/2, else 1; k_m = sum_n |K_n|^2 e^{i delta_n m h})
-    and the step is the trapezoid rule on dG/dtau, implicit in g_j:
-
-        g_j = (g_{j-1} + h/2 gd_{j-1} - h^2/2 b_j) / (1 + h^2 K^2 / 4),
-        gd_j = -h (b_j + K^2 g_j / 2).
-
-    The march advances _BLOCK inner steps at a time. History older than
-    the block enters b through the per-mode state
-    a_J[n] = sum_{i<J} w_i g_i e^{i delta_n (J-i) h}, one matrix-vector
-    product per block; the steps inside the block form one lower-triangular
-    linear system, whose inverse is built once per call. Cost scales with
-    n_steps * n_modes, not n_steps**2. Marching runs on a grid _REFINE
-    times finer than requested and stores every _REFINE-th sample. Global
-    error is O(h^2) in the requested step.
-
-    Raises SolverInstabilityError when |G| at any inner step leaves the
-    unit disc by more than 1e-6, the signature of a step too coarse for
-    the kernel.
-    """
+    """G and dG/dtau on the grid, exact to rounding: G(tau) = e^{i omega0 tau}
+    <0|e^{-i H tau}|0>, H the generator of DiscreteBath.eigensystem, its
+    spectrum in b -+ a by Weyl. Index qB + r (B = isqrt(n_steps + 1), 1 once
+    a h >= 1) splits each time into s + t; by e^{-i H t} = sum_k c_k(t) T_k,
+    G(s + t) e^{-i omega0 (s + t)} = sum_jk c_j(s) c_k(t) (mu_j+k + mu_|j-k|)/2
+    with mu_k = e0.T_k e0, T_k = T_k((H - b)/a); dG/dtau uses the moments of
+    -i (H - omega0). Cost O((n_modes + n_anchors K_B) K + n_steps K_B) for K =
+    _n_terms(a t_end) and K_B one offset span's. Raises ConfigError when K
+    passes MAX_TERMS and SolverInstabilityError when |G| passes 1 + 1e-6."""
     n_out = grid.n_steps
-    g = np.empty(n_out + 1, dtype=complex)
-    g_dot = np.empty(n_out + 1, dtype=complex)
-    ksq = bath.k_squared
+    if bath.k_squared == 0.0:       # no mode carries weight: G is identically one
+        ones = np.ones(n_out + 1, dtype=complex)
+        return ResponseFunction(grid, ones, 0.0 * ones, bath)
+    omega0, freqs = bath.probe_frequency, bath.frequencies
+    lo, hi = min(omega0, float(freqs.min())), max(omega0, float(freqs.max()))
+    a, b = 0.5 * (hi - lo) + math.sqrt(bath.k_squared), 0.5 * (hi + lo)
+    if not _n_terms(a * grid.t_end) <= MAX_TERMS:
+        raise ConfigError(f"grid.t_end {grid.t_end!r} needs more than {MAX_TERMS} "
+                          f"Chebyshev terms at the bath's spectral half-width {a:.6g}")
+    h, shift = grid.h, omega0 - b
+    width = math.isqrt(n_out + 1) if a * h < 1.0 else 1
+    n_anchor = -(-(n_out + 1) // width)
+    both = np.empty((2, n_anchor, width), dtype=complex)      # G, dG/dtau
+    offsets, anchors = h * np.arange(width), h * width * np.arange(n_anchor)
+    n_off = int(math.ceil(_n_terms(a * offsets[-1]))) if width > 1 else 1
+    n_all = int(math.ceil(_n_terms(a * anchors[-1])))
+    # v_k = T_k e0 by the three-term recurrence from v_-1 = v_1 (p its probe
+    # entry, u the modes'): mu_2k = 2 v_k.v_k - 1, mu_2k+1 = 2 v_k+1.v_k - mu_1
+    d0, k = (omega0 - b) / a, np.sqrt(bath.coupling_sq) / a
+    k2, d2 = 2.0 * k, 2.0 * (freqs - b) / a
+    mu = np.empty(n_all + n_off + 1)
+    p0, u0, p1, u1 = d0, k, 1.0, np.zeros_like(k)
+    for m in range(0, n_all + n_off, 2):
+        mu[m] = 2.0 * (p1 * p1 + u1 @ u1) - 1.0
+        p0, u0, p1, u1 = p1, u1, 2.0 * (d0 * p1 + k @ u1) - p0, k2 * p1 + d2 * u1 - u0
+        mu[m + 1] = 2.0 * (p1 * p0 + u1 @ u0) - d0
+    # of -i (H - omega0): -i [a (mu_{m+1} + mu_{|m-1|}) / 2 + (b - omega0) mu_m]
+    nu = -0.5j * a * (mu[1:] + np.append(mu[1], mu[:-2])) + 1j * shift * mu[:-1]
+    orders, eye = np.arange(n_off), np.eye(n_off)
+
+    def pairs(k0, k1):         # rows k0..k1-1 of (m_{j+k} + m_{|j-k|}) / 2
+        j = np.arange(k0, k1)[:, None]
+        return 0.5 * np.hstack([m[j + orders] + m[abs(j - orders)] for m in (mu, nu)])
+    inner = _expand(anchors, n_all, shift, a, pairs).reshape(n_anchor, 2, n_off)
+    right = _expand(offsets, n_off, shift, a, lambda k0, k1: eye[k0:k1]).T
+    np.matmul(inner.transpose(1, 0, 2), right, out=both)
+    g, g_dot = both.reshape(2, -1)[:, :n_out + 1]
     g[0], g_dot[0] = 1.0, 0.0
-
-    if ksq == 0.0:            # no mode carries weight: G is identically one
-        g[:], g_dot[:] = 1.0, 0.0
-        return ResponseFunction(grid, g, g_dot, bath)
-
-    h = grid.h / _REFINE
-    n_int = n_out * _REFINE
-    delta = bath.detunings
-    i_delta = 1j * delta
-    # ahead[p, n] = e^{i delta_n (B-p) h} carries step p of a block to the
-    # block end; its rows reversed are the kernel phases of lags 1..B.
-    ahead = np.exp(np.outer(np.arange(_BLOCK, 0, -1) * h, i_delta))
-    lagged = bath.coupling_sq * ahead[::-1]          # E[m-1, n] = c_n e^{i delta_n m h}
-    kern = lagged.sum(axis=1)                        # k_1 .. k_B
-    store = slice(_REFINE - 1, None, _REFINE)        # block rows kept as samples
-
-    # In-block memory: b = E a_J + toeplitz(k) x with x_q = w g at step q.
-    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
-    causal = lag >= 0
-    toep = np.where(causal, kern[lag], 0.0)
-    toep_kept = toep[store]
-    # The B steps as one system M u = e_0 (g_0 + h/2 gd_0) - H (p + x_0 k)
-    # in u = (g_1 .. g_B), with p = E a_J: M = D + H S, D the implicit
-    # step, H the trapezoid pair and S the strictly lower memory matrix.
-    eye, sub = np.eye(_BLOCK), np.eye(_BLOCK, k=-1)
-    step = (1.0 + 0.25 * h * h * ksq) * eye - (1.0 - 0.25 * h * h * ksq) * sub
-    pair = 0.5 * h * h * (eye + sub)
-    strict = np.zeros((_BLOCK, _BLOCK), dtype=complex)
-    strict[:, :-1] = toep[:, 1:]
-    inverse = np.linalg.inv(step + pair @ strict)
-    gain = inverse @ pair
-    gain_k = gain @ kern
-    lead = inverse[:, 0]
-
-    state = np.zeros(delta.shape[0], dtype=complex)  # a_J
-    g_prev, gd_prev, w_prev = 1.0 + 0.0j, 0.0 + 0.0j, 0.5
-    for start in range(0, n_int, _BLOCK):
-        r = min(_BLOCK, n_int - start)               # r is a multiple of _REFINE
-        x0 = w_prev * g_prev
-        past = lagged[:r] @ state
-        u = (lead[:r] * (g_prev + 0.5 * h * gd_prev) - gain[:r, :r] @ past
-             - x0 * gain_k[:r])
-        over = np.abs(u) > 1.0 + _ABS_G_SLACK
-        if over.any():
-            first = int(np.argmax(over))
-            raise SolverInstabilityError(
-                f"|G| reached {abs(u[first]):.8f} at tau={(start + first + 1) * h:g}; "
-                "refine the time grid for this kernel")
-        x = np.concatenate(([x0], u[:-1]))
-        kept = u[store]
-        n_kept = kept.shape[0]
-        b = past[store] + toep_kept[:n_kept, :r] @ x
-        out = slice(start // _REFINE + 1, start // _REFINE + 1 + n_kept)
-        g[out] = kept
-        g_dot[out] = -h * (b + 0.5 * ksq * kept)
-        if r == _BLOCK:
-            state = ahead[0] * state + x @ ahead
-        g_prev, gd_prev, w_prev = u[-1], g_dot[out.stop - 1], 1.0
-
+    over = np.flatnonzero(~(np.abs(g) <= 1.0 + _ABS_G_SLACK))
+    if over.size:
+        raise SolverInstabilityError(f"|G| reached {abs(g[over[0]]):.8f} at "
+                                     f"tau={over[0] * h:g}, outside the unit disc")
     return ResponseFunction(grid, g, g_dot, bath)
 
 

