@@ -7,11 +7,11 @@ its stage, the earliest point where the run must end:
 
 - `front_end`: numpy never loads. The parser, `validate` and each
   runner's reads of its blocks and options refuse the input.
-- `before_march`: a builder (the force, the probe state, the bath or the
-  grid) or the cadence step cap refuses it before
-  `response.solve_response` runs.
-- `engine`: the response (the label keeps the name of the former march)
-  or the arithmetic after it fails, or the run ends with exit 0.
+- `before_march` (named after the former Volterra march): a builder (the
+  force, the probe state, the bath or the grid) or the cadence step cap
+  refuses it before `response.solve_response` runs.
+- `engine`: the response or the arithmetic after it fails, or the run
+  ends with exit 0.
 
 A failed run prints nothing to stdout and no warning. A run that exits 0
 prints no warning, an output whose numbers are finite (`sweep`'s

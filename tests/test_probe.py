@@ -298,7 +298,7 @@ class TestVariance:
         assert peak < 8e6
 
     def test_vacuum_unitarity_against_marched_response(self):
-        # modal n_B against the marched G: a vacuum bath conserves the
+        # modal n_B against the engine's G: a vacuum bath conserves the
         # probe's amplitude, n_B = (1 - |G|^2) / 2, to the |G| tolerance
         bath = discretize(ContinuousSpectrum("flat", scale=0.02, cutoff=2.0),
                           64, 1.0)
