@@ -214,6 +214,21 @@ def solver_residual(resp: ResponseFunction) -> float:
     return worst
 
 
+def dense_propagate(bath: DiscreteBath, w, tau) -> np.ndarray:
+    """Row w^T U(tau) of the amplitude propagator from a dense eigh of the
+    arrowhead generator H = [[omega0, K^T], [K, diag(omega_n)]]:
+    U = V e^{-i Lambda tau} V^T, of shape tau.shape + (N+1,).
+
+    O(N^3) per call, and at short times U_0n cancels between eigenvectors:
+    at tau = 1e-8 its relative error is about 1e-6.
+    """
+    h = np.diag(np.append(bath.probe_frequency, bath.frequencies))
+    h[0, 1:] = h[1:, 0] = np.sqrt(bath.coupling_sq)
+    lam, vec = np.linalg.eigh(h)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(tau, dtype=float), lam))
+    return (phases * (np.asarray(w, dtype=float) @ vec)) @ vec.T
+
+
 def amplitude_drift(bath: DiscreteBath) -> np.ndarray:
     """Mode-amplitude drift matrix of the full linear Heisenberg equations.
 

@@ -8,12 +8,13 @@ the sequential module docstrings and the closed-form oracles in
 test_sequential.py).
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import (exact_single_mode_g, exact_single_mode_g_dot,
-                      forced_window, markov_qfi, mean_energy,
-                      short_time_qfi)
+from conftest import (dense_propagate, exact_single_mode_g,
+                      exact_single_mode_g_dot, forced_window, markov_qfi,
+                      mean_energy, short_time_qfi)
 from march import blocked_response
 from nmqfi import force as fc
 from nmqfi.bath import (ContinuousSpectrum, DiscreteBath, OccupationModel,
@@ -22,8 +23,8 @@ from nmqfi.correlation import bath_correlation
 from nmqfi.metrology import (energy_for_script_e, fisher_quadrature,
                              optimal_angle, qfi_aligned, qfi_best_state,
                              qfi_general, simulate_estimation)
-from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, phase,
-                         quadrature_variance, window_terms)
+from nmqfi.probe import (GaussianProbeInit, covariance_snapshot, noise_term,
+                         phase, quadrature_variance, window_terms)
 from nmqfi.response import TimeGrid, default_grid, markov_closed_form, solve_response
 from nmqfi.sequential import (interval_terms, markov_seq, optimize_tau,
                               seq_result, tau_opt_asymptotic, xi_and_c)
@@ -385,6 +386,23 @@ def _eigh_response(bath: DiscreteBath, tau: np.ndarray):
     return phases @ weights, phases @ (-1j * shift * weights)
 
 
+def _exact_response_cases(detuned_bath, two_mode_bath):
+    """Criterion 18's baths and grids: criterion 3's baths on [0, 10] at two
+    step counts, and thermal flat bands of 16-1024 modes."""
+    ohmic16 = discretize(ContinuousSpectrum("ohmic", scale=0.05, cutoff=2.0,
+                                            cutoff_shape="exponential"), 16, 1.0)
+    flat = ContinuousSpectrum("flat", scale=0.02, cutoff=2.0,
+                              occupation=OccupationModel("thermal", 0.5))
+    cases = [(bath, TimeGrid(10.0, n)) for bath in (detuned_bath, two_mode_bath,
+                                                     ohmic16)
+             for n in (256, 4096)]
+    # half-widths a of about 1.2: a * t_end reaches 960
+    cases += [(discretize(flat, modes, 1.0), TimeGrid(t_end, steps))
+              for modes, t_end, steps in ((16, 20.0, 1024), (64, 200.0, 4096),
+                                          (256, 50.0, 2048), (1024, 800.0, 8192))]
+    return cases
+
+
 def test_criterion_18_exact_response(detuned_bath, two_mode_bath):
     # G is the probe amplitude of the global unitary, with no time step:
     # it matches the single-mode closed form and a dense eigh of H to
@@ -401,17 +419,7 @@ def test_criterion_18_exact_response(detuned_bath, two_mode_bath):
             float(np.abs(resp.g_samples - exact_single_mode_g(c, delta, t)).max()),
             float(np.abs(resp.g_dot_samples
                          - exact_single_mode_g_dot(c, delta, t)).max()))
-    ohmic16 = discretize(ContinuousSpectrum("ohmic", scale=0.05, cutoff=2.0,
-                                            cutoff_shape="exponential"), 16, 1.0)
-    flat = ContinuousSpectrum("flat", scale=0.02, cutoff=2.0,
-                              occupation=OccupationModel("thermal", 0.5))
-    cases = [(bath, TimeGrid(10.0, n)) for bath in (detuned_bath, two_mode_bath,
-                                                     ohmic16)
-             for n in (256, 4096)]
-    # half-widths a of about 1.2: a * t_end reaches 960
-    cases += [(discretize(flat, modes, 1.0), TimeGrid(t_end, steps))
-              for modes, t_end, steps in ((16, 20.0, 1024), (64, 200.0, 4096),
-                                          (256, 50.0, 2048), (1024, 800.0, 8192))]
+    cases = _exact_response_cases(detuned_bath, two_mode_bath)
     worst_eigh = 0.0
     for bath, grid in cases:
         resp = solve_response(bath, grid)
@@ -434,3 +442,55 @@ def test_criterion_18_exact_response(detuned_bath, two_mode_bath):
             f"{worst_eigh:.1e} <= 1e-11 on {len(cases)} grids; "
             f"max |G| - 1 = {largest - 1.0:.1e} <= 1e-12; "
             f"G == 1 without coupling: {identity}")
+
+
+def _expm_amplitudes(bath: DiscreteBath, tau: float) -> np.ndarray:
+    """U_0n(tau), n = 0..N, from mpmath's expm of -i H tau at 32 digits."""
+    with mp.workdps(32):
+        h = mp.diag([bath.probe_frequency, *bath.frequencies.tolist()])
+        for n, c in enumerate(bath.coupling_sq.tolist(), 1):
+            h[0, n] = h[n, 0] = mp.sqrt(c)
+        u = mp.expm(-1j * mp.mpf(tau) * h)
+        return np.array([complex(u[0, n]) for n in range(bath.n_modes + 1)])
+
+
+def test_criterion_21_chebyshev_propagator(detuned_bath, two_mode_bath):
+    # the bath amplitudes and n_B match a 32-digit expm of H to rounding
+    # at every time, where the dense eigh cancels at short times; the
+    # propagator matches the dense eigh on criterion 18's baths
+    rng = np.random.default_rng(21)
+    worst_expm, eigh_short = 0.0, []
+    for n_modes in (1, 4, 9, 16):
+        bath = DiscreteBath(rng.uniform(0.0, 0.1, n_modes),
+                            rng.uniform(0.0, 2.0, n_modes),
+                            rng.uniform(0.0, 2.0, n_modes), 1.0)
+        probe_row = np.eye(1, n_modes + 1)[0]
+        occ = bath.occupations + 0.5
+        for tau in (1e-8, 1e-4, 0.3, 5.0):
+            exact = _expm_amplitudes(bath, tau)[1:]
+            n_b = float(np.abs(exact) ** 2 @ occ)
+            series = bath.propagate(probe_row, tau)[1:]
+            worst_expm = max(worst_expm,
+                             float(np.abs(series - exact).max()
+                                   / np.abs(exact).max()),
+                             abs(noise_term(bath, (0.0, tau)) - n_b) / n_b)
+            dense = dense_propagate(bath, probe_row, tau)[1:]
+            eigh_short.append(float(np.abs(dense - exact).max()
+                                    / np.abs(exact).max()))
+    worst_dense, n_rows = 0.0, 0
+    for bath, t_end in {id(b): (b, g.t_end) for b, g in _exact_response_cases(
+            detuned_bath, two_mode_bath)}.values():
+        tau = np.linspace(0.0, t_end, 33)
+        for w in (np.eye(1, bath.n_modes + 1)[0],
+                  np.append(0.0, np.sqrt(bath.coupling_sq))):
+            worst_dense = max(worst_dense, float(
+                np.abs(bath.propagate(w, tau) - dense_propagate(bath, w, tau))
+                .max() / np.linalg.norm(w)))
+            n_rows += tau.size
+    ok = worst_expm <= 1e-13 and worst_dense <= 1e-12
+    _report(21, "Chebyshev propagator", ok,
+            f"bath amplitudes and n_B within {worst_expm:.1e} <= 1e-13 "
+            f"relative of a 32-digit expm on 4 random baths at 4 times (a "
+            f"dense eigh: {max(eigh_short):.1e}); {n_rows} rows within "
+            f"{worst_dense:.1e} |w| <= 1e-12 |w| of a dense eigh on "
+            f"criterion 18's baths")
