@@ -8,12 +8,19 @@ phases are never represented.
 
 from __future__ import annotations
 
-from functools import cached_property
+import math
+from functools import cached_property, reduce
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import Frozen
+from .errors import ConfigError, Frozen
+
+
+# Most Chebyshev terms of the propagator: past them, a bath's spectral
+# half-width times grid.t_end is refused. A block of the series holds at
+# most BLOCK_ENTRIES Bessel values, which bounds its working memory.
+MAX_TERMS = BLOCK_ENTRIES = 2 ** 16
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -26,9 +33,11 @@ class DiscreteBath(Frozen):
 
     coupling_sq |K_n|^2, frequencies omega_n and occupations N_n are 1-D,
     of one length and >= 0. The arrays are copied and set read-only, as
-    are the cached detunings and eigensystem, so the type is immutable and
-    no cached array can fall out of step with the modes; an empty mode
-    list is the noiseless limit (zero kernel, response identically one).
+    are the cached detunings, so the type is immutable and no cached array
+    can fall out of step with the modes; an empty mode list is the
+    noiseless limit (zero kernel, response identically one). Amplitudes
+    evolve under H = [[omega0, K^T], [K, diag(omega_n)]], K_n = sqrt(|K_n|^2):
+    the rotating-wave (N+1)-mode Friedrichs (Fano-Anderson) model.
     """
 
     def __init__(self, coupling_sq: np.ndarray, frequencies: np.ndarray,
@@ -67,29 +76,93 @@ class DiscreteBath(Frozen):
     def script_n(self) -> float:
         return float(np.dot(self.coupling_sq, self.occupations + 0.5))
 
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and vectors of the probe-plus-bath amplitude generator.
+    def series(self, t_end: float) -> tuple[float, float, int]:
+        """(a, b, K): Weyl's inequality puts the spectrum of H in b -+ a (b
+        the middle of omega0 and the mode frequencies, a half their spread
+        plus ||K|| and at least the smallest float), and K terms expand
+        e^{-i H t} for t <= t_end. K past MAX_TERMS is a ConfigError naming
+        grid.t_end, which bounds every time a run propagates to."""
+        diag = np.append(self.frequencies, self.probe_frequency)
+        lo, hi, t_end = float(diag.min()), float(diag.max()), float(t_end)
+        a = max(0.5 * (hi - lo) + math.sqrt(self.k_squared), np.finfo(float).tiny)
+        if not n_terms(a * t_end) <= MAX_TERMS:
+            raise ConfigError(f"grid.t_end {t_end!r} needs more than {MAX_TERMS} Chebyshev"
+                              f" terms at the bath's spectral half-width {a:.6g}")
+        return a, 0.5 * (hi + lo), math.ceil(n_terms(a * t_end))
 
-        H = [[omega0, K^T], [K, diag(omega_n)]] with K_n = sqrt(|K_n|^2):
-        the rotating-wave system is an (N+1)-mode Friedrichs (Fano-Anderson)
-        model. Computed on first use only.
-        """
-        h = np.diag(np.concatenate(([self.probe_frequency], self.frequencies)))
-        h[0, 1:] = h[1:, 0] = np.sqrt(self.coupling_sq)
-        lam, vec = np.linalg.eigh(h)
-        return _read_only(lam), _read_only(vec)
+    def chebyshev_vectors(self, w: np.ndarray, a: float, b: float):
+        """T_k((H - b)/a) w for k = 0, 1, ..., by the three-term recurrence
+        from T_-1 w = T_1 w: one O(N) arrowhead product per order."""
+        diag = (np.append(self.probe_frequency, self.frequencies) - b) / a
+        k = np.sqrt(self.coupling_sq) / a
+
+        def arrow(v):                  # (H - b) v / a
+            y = diag * v
+            y[0] += k @ v[1:]
+            y[1:] += k * v[0]
+            return y
+        prev = arrow(w)
+        while True:
+            yield w
+            prev, w = w, 2.0 * arrow(w) - prev
 
     def propagate(self, w, tau) -> np.ndarray:
-        """Row w^T U(tau) of the amplitude propagator U = V e^{-i Lambda tau} V^T.
+        """Row w^T U(tau) of the amplitude propagator U(tau) = e^{-i H tau}.
 
-        w weights the probe (index 0) and the modes (1..N); the result has
-        shape tau.shape + (N+1,). U_0n(tau) is the bath-mode content of the
-        probe amplitude; the probe frame is not rotated.
+        w weights the probe (index 0) and the modes (1..N); tau >= 0, and
+        the result has shape tau.shape + (N+1,): U_0n(tau) is the bath-mode
+        content of the probe amplitude, in the unrotated frame. The series
+        of solve_response, e^{-i b tau} sum_k c_k(tau) T_k w, one order past
+        series(max tau), costs O(K N) per tau for K orders; each order is
+        added elementwise, so a tau's bits do not depend on the other taus.
         """
-        lam, vec = self.eigensystem
-        phases = np.exp(-1j * np.multiply.outer(np.asarray(tau, dtype=float), lam))
-        return (phases * (np.asarray(w, dtype=float) @ vec)) @ vec.T
+        w, tau = np.asarray(w, dtype=float), np.asarray(tau, dtype=float)
+        t = tau.ravel()
+        a, b, n = self.series(t.max(initial=0.0))
+        out = np.empty((t.size, w.size), dtype=complex)
+        chunk = max(1, BLOCK_ENTRIES // (n + 1))
+        for i in range(0, t.size, chunk):
+            c, norm = chebyshev_sum(a * t[i:i + chunk], n + 1, n + 1, lambda k0, c: c)
+            acc = np.zeros((2, c.shape[0], w.size))     # even, odd orders
+            for k, v in zip(range(n + 1), self.chebyshev_vectors(w, a, b)):
+                acc[k % 2] += np.multiply.outer((c.real, c.imag)[k % 2][:, k], v)
+            out[i:i + chunk] = (acc[0] + 1j * acc[1]) * (
+                np.exp(-1j * b * t[i:i + chunk]) / norm)[:, None]
+        return out.reshape(tau.shape + w.shape)
+
+
+def n_terms(x):
+    """Terms kept of e^{-i x y}, |y| <= 1: past them J_k(x) is below rounding."""
+    return x + 8.0 * np.cbrt(x) + 30.0
+
+
+def chebyshev_sum(z: np.ndarray, count: int, span: int, term):
+    """sum of term(k0, c) over blocks of span orders from the top down, and
+    the normaliser that divides it: c[:, i] holds the coefficient of order
+    k = k0 + i < count, unnormalised, of e^{-i z y} = sum_k c_k T_k(y),
+    c_k = e_k (-i)^k J_k(z) (e_0 = 1, else 2), elementwise in z >= 0.
+    Miller's recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, normalised by J_0 +
+    2 sum J_2k = 1, seeds each z with 1e-300 at order n_terms(z) (at 2 below
+    z = 1e-8, where J_3 / J_1 < 1e-17) and at most count - 1, so no value
+    leaves [1e-300, 1e301].
+    """
+    start = np.where(z < 1e-8, 2, np.ceil(n_terms(z))).clip(max=count - 1)
+    inv = 2.0 / np.maximum(z, 1e-300)
+    weights = np.append(1.0, np.resize([-2j, -2.0, 2j, 2.0], count - 1))
+    block = np.empty((span, z.size))
+    total = even = 0.0
+    j1 = j2 = np.zeros(z.size)                     # J_{k+1}, J_{k+2}
+    for k in range(count - 1, -1, -1):
+        j1, j2 = (k + 1) * inv * j1 - j2, j1
+        j1[start == k] = 1e-300
+        k0 = k - k % span
+        block[k - k0] = j1
+        if k == k0:
+            k1 = min(k0 + span, count)
+            # row by row: a one-column sum(axis=0) would sum pairwise
+            even = even + reduce(np.add, block[k0 % 2:k1 - k0:2])
+            total = total + term(k0, block[:k1 - k0].T * weights[k0:k1])
+    return total, 2.0 * even - j1
 
 
 class OccupationModel(Frozen):

@@ -8,8 +8,8 @@ moment frequencies of the coupling spectrum. Times are measured from
 t0 = 0, the start of the probe-bath coupling. Evaluation is at zero force
 amplitude: the amplitude-dependent piece shifts only the mean of the
 collective coupling and the correlation subtracts means. Both parts come
-from the bath's modal propagator, exact at any time: no quadrature and no
-solved response.
+from the bath's Chebyshev propagator (DiscreteBath.propagate), exact to
+rounding up to its term cap: no quadrature and no solved response.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ def bath_correlation(bath: DiscreteBath, probe_fluctuation: float,
 
     probe_fluctuation is the centered symmetric second moment of the
     initial probe, (<a adag + adag a>/2 - |<a>|^2); one half for any pure
-    coherent or vacuum preparation. With beta(t) = (0, K)^T U(t) from the
-    modal propagator, the total is sum_m beta_m(t) conj(beta_m(t')) occ_m,
+    coherent or vacuum preparation. With beta(t) = (0, K)^T U(t) from
+    DiscreteBath.propagate, the total is sum_m beta_m(t) conj(beta_m(t')) occ_m,
     where occ_0 is the probe fluctuation and occ_n = N_n + 1/2. The Born
     part is e^{-i omega0 (t - t')} C0(t - t') at the bath's probe
     frequency omega0; the interaction part is the rest.

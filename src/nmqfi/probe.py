@@ -178,10 +178,10 @@ def noise_term(bath: DiscreteBath,
     """Bath-injected quadrature noise n_B, identical for every angle.
 
     sum_n (N_n + 1/2) |U_0n(tau)|^2 over the bath amplitudes of the bath's
-    modal propagator (DiscreteBath.propagate), tau = t - t0; zero exactly
-    for an empty bath or a zero-length window. It reads no response, so no
-    grid bounds tau. Array window ends give each window its scalar call's
-    value, _WINDOW_CHUNK at a time.
+    Chebyshev propagator (DiscreteBath.propagate), tau = t - t0; zero
+    exactly for an empty bath or a zero-length window. It reads no
+    response; the propagator's term cap bounds tau. Array window ends give
+    each window its scalar call's value, _WINDOW_CHUNK at a time.
     """
     t0, t1 = _check_window(window)
     tau = np.asarray(t1 - t0, dtype=float)

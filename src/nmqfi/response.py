@@ -18,18 +18,15 @@ from typing import Union
 
 import numpy as np
 
-from .bath import ContinuousSpectrum, DiscreteBath, moments
-from .errors import (ConfigError, CoverageError, Frozen, SolverInstabilityError,
-                     covers)
+from .bath import (BLOCK_ENTRIES, ContinuousSpectrum, DiscreteBath,
+                   chebyshev_sum, moments, n_terms)
+from .errors import CoverageError, Frozen, SolverInstabilityError, covers
 
 _ABS_G_SLACK = 1e-6
 
-# Most Chebyshev terms of the propagator solve_response sums: a bath whose
-# spectral half-width times grid.t_end needs more is refused.
-MAX_TERMS = 2 ** 16
 # Orders per block product of the assembly: at most _ORDERS, and at most
-# _BLOCK_ENTRIES Bessel values, which bounds its working memory.
-_ORDERS, _BLOCK_ENTRIES = 128, 2 ** 16
+# BLOCK_ENTRIES Bessel values, which bounds its working memory.
+_ORDERS = 128
 
 # Fewest steps default_grid gives, however slow the probe and kernel rates.
 _FLOOR_STEPS = 1024
@@ -137,76 +134,49 @@ class ResponseFunction(Frozen):
         return self._eval(tau, slope=True)
 
 
-def _n_terms(x):
-    """Terms kept of e^{-i x y}, |y| <= 1: past them J_k(x) is below rounding."""
-    return x + 8.0 * np.cbrt(x) + 30.0
-
-
-def _expand(times: np.ndarray, n_terms: int, shift: float, a: float,
+def _expand(times: np.ndarray, count: int, shift: float, a: float,
             rows) -> np.ndarray:
-    """sum_k c_k(t) R_k per time t (ascending), c_k(t) = e_k (-i)^k J_k(a t)
-    e^{i shift t} (e_0 = 1, else 2) for k < n_terms, R_k the rows rows(k0, k1)
-    builds a block at a time. Miller's recurrence J_{k-1} = (2k/z) J_k - J_{k+1},
-    normalised by J_0 + 2 sum J_2k = 1, seeds z with 1e-300 at order _n_terms(z)
-    (at 1 below z = 1e-8: J_1 = z/2), so no value leaves [1e-300, 2]."""
-    z = a * times
-    start = np.where(z < 1e-8, 1, np.ceil(_n_terms(z))).clip(max=n_terms - 1)
-    seeds = np.searchsorted(start, np.arange(n_terms + 1)).tolist()
-    inv = 2.0 / np.maximum(z, 1e-300)
-    weights = np.append(1.0, np.resize([-2j, -2.0, 2j, 2.0], n_terms - 1))
-    span = max(1, min(_ORDERS, _BLOCK_ENTRIES // z.size))
-    block = np.empty((span, z.size))
-    total = even = 0.0
-    j1 = j2 = np.zeros(z.size)                     # J_{k+1}, J_{k+2}
-    for k in range(n_terms - 1, -1, -1):
-        j1, j2 = (k + 1) * inv * j1 - j2, j1
-        j1[seeds[k]:seeds[k + 1]] = 1e-300
-        k0 = k - k % span
-        block[k - k0] = j1
-        if k == k0:
-            k1 = min(k0 + span, n_terms)
-            even = even + block[k0 % 2:k1 - k0:2].sum(axis=0)
-            total = total + (block[:k1 - k0].T * weights[k0:k1]) @ rows(k0, k1)
-    return total * (np.exp(1j * shift * times) / (2.0 * even - j1))[:, None]
+    """sum_k c_k(a t) e^{i shift t} R_k per time t over k < count, with the
+    coefficients of chebyshev_sum and R_k the rows rows(k0, k1) builds."""
+    span = max(1, min(_ORDERS, BLOCK_ENTRIES // times.size))
+    total, norm = chebyshev_sum(a * times, count, span,
+                                lambda k0, c: c @ rows(k0, k0 + c.shape[1]))
+    return total * (np.exp(1j * shift * times) / norm)[:, None]
 
 
 def solve_response(bath: DiscreteBath, grid: TimeGrid) -> ResponseFunction:
     """G and dG/dtau on the grid, exact to rounding: G(tau) = e^{i omega0 tau}
-    <0|e^{-i H tau}|0>, H the generator of DiscreteBath.eigensystem, its
-    spectrum in b -+ a by Weyl. Index qB + r (B = isqrt(n_steps + 1), 1 once
-    a h >= 1) splits each time into s + t; by e^{-i H t} = sum_k c_k(t) T_k,
-    G(s + t) e^{-i omega0 (s + t)} = sum_jk c_j(s) c_k(t) (mu_j+k + mu_|j-k|)/2
-    with mu_k = e0.T_k e0, T_k = T_k((H - b)/a); dG/dtau uses the moments of
-    -i (H - omega0). Cost O((n_modes + n_anchors K_B) K + n_steps K_B) for K =
-    _n_terms(a t_end) and K_B one offset span's. Raises ConfigError when K
-    passes MAX_TERMS and SolverInstabilityError when |G| passes 1 + 1e-6."""
+    <0|e^{-i H tau}|0>, from the Chebyshev series of DiscreteBath.propagate
+    (H's spectrum in b -+ a, DiscreteBath.series). Index qB + r
+    (B = isqrt(n_steps + 1), 1 once a h >= 1) splits each time into s + t;
+    by e^{-i H t} = sum_k c_k(t) T_k, G(s + t) e^{-i omega0 (s + t)} =
+    sum_jk c_j(s) c_k(t) (mu_j+k + mu_|j-k|)/2 with mu_k = e0.T_k e0, T_k =
+    T_k((H - b)/a); dG/dtau uses the moments of -i (H - omega0). Cost
+    O((n_modes + n_anchors K_B) K + n_steps K_B) for K = n_terms(a t_end)
+    and K_B one offset span's. Raises ConfigError when K passes MAX_TERMS
+    and SolverInstabilityError when |G| passes 1 + 1e-6."""
     n_out = grid.n_steps
     if bath.k_squared == 0.0:       # no mode carries weight: G is identically one
         ones = np.ones(n_out + 1, dtype=complex)
         return ResponseFunction(grid, ones, 0.0 * ones, bath)
-    omega0, freqs = bath.probe_frequency, bath.frequencies
-    lo, hi = min(omega0, float(freqs.min())), max(omega0, float(freqs.max()))
-    a, b = 0.5 * (hi - lo) + math.sqrt(bath.k_squared), 0.5 * (hi + lo)
-    if not _n_terms(a * grid.t_end) <= MAX_TERMS:
-        raise ConfigError(f"grid.t_end {grid.t_end!r} needs more than {MAX_TERMS} "
-                          f"Chebyshev terms at the bath's spectral half-width {a:.6g}")
+    omega0 = bath.probe_frequency
+    a, b, _ = bath.series(grid.t_end)
     h, shift = grid.h, omega0 - b
     width = math.isqrt(n_out + 1) if a * h < 1.0 else 1
     n_anchor = -(-(n_out + 1) // width)
     both = np.empty((2, n_anchor, width), dtype=complex)      # G, dG/dtau
     offsets, anchors = h * np.arange(width), h * width * np.arange(n_anchor)
-    n_off = int(math.ceil(_n_terms(a * offsets[-1]))) if width > 1 else 1
-    n_all = int(math.ceil(_n_terms(a * anchors[-1])))
-    # v_k = T_k e0 by the three-term recurrence from v_-1 = v_1 (p its probe
-    # entry, u the modes'): mu_2k = 2 v_k.v_k - 1, mu_2k+1 = 2 v_k+1.v_k - mu_1
-    d0, k = (omega0 - b) / a, np.sqrt(bath.coupling_sq) / a
-    k2, d2 = 2.0 * k, 2.0 * (freqs - b) / a
+    n_off = int(math.ceil(n_terms(a * offsets[-1]))) if width > 1 else 1
+    n_all = int(math.ceil(n_terms(a * anchors[-1])))
+    # from v_k = T_k e0: mu_2k = 2 v_k.v_k - 1, mu_2k+1 = 2 v_k+1.v_k - mu_1
+    d0 = (omega0 - b) / a
+    vectors = bath.chebyshev_vectors(np.eye(1, bath.n_modes + 1)[0], a, b)
+    v1 = next(vectors)
     mu = np.empty(n_all + n_off + 1)
-    p0, u0, p1, u1 = d0, k, 1.0, np.zeros_like(k)
     for m in range(0, n_all + n_off, 2):
-        mu[m] = 2.0 * (p1 * p1 + u1 @ u1) - 1.0
-        p0, u0, p1, u1 = p1, u1, 2.0 * (d0 * p1 + k @ u1) - p0, k2 * p1 + d2 * u1 - u0
-        mu[m + 1] = 2.0 * (p1 * p0 + u1 @ u0) - d0
+        mu[m] = 2.0 * (v1[0] * v1[0] + v1[1:] @ v1[1:]) - 1.0
+        v0, v1 = v1, next(vectors)
+        mu[m + 1] = 2.0 * (v1[0] * v0[0] + v1[1:] @ v0[1:]) - d0
     # of -i (H - omega0): -i [a (mu_{m+1} + mu_{|m-1|}) / 2 + (b - omega0) mu_m]
     nu = -0.5j * a * (mu[1:] + np.append(mu[1], mu[:-2])) + 1j * shift * mu[:-1]
     orders, eye = np.arange(n_off), np.eye(n_off)

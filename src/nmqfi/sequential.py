@@ -164,7 +164,9 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     maximum on the first or last tooth or on an end sets hit_bound.
 
     A sequence of energies gives one SeqResult per energy. They share one
-    interval_terms call for both ends and one per tooth any search visits.
+    interval_terms call for both ends, and G and n_B of every tooth from
+    one window_terms call; a tooth any search visits adds the displacement
+    call of its steps.
     """
     lo, hi = tau_bounds
     if not (0.0 < lo < hi):
@@ -173,25 +175,31 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
     ceiling = response.bath.probe_frequency ** 2 * xi * (1.0 + _BOUND_SLACK)
     table: dict[float, WindowTerms] = {}
 
-    def terms(*taus: float) -> list[WindowTerms]:
-        new = [tau for tau in taus if tau not in table]
-        for w in (interval_terms(total_window, new, response, force)
-                  if new else ()):
-            with np.errstate(over="ignore"):   # a sum past floats reads inf
-                d_sq = (abs(w.disp) ** 2).sum()
-            if not d_sq <= ceiling * w.tau:
-                raise ConsistencyError(
-                    f"cadence interval {w.tau!r} exceeds its bound")
-            table[w.tau] = w
-        return [table[tau] for tau in taus]
+    def check(w: WindowTerms) -> WindowTerms:
+        with np.errstate(over="ignore"):   # a sum past floats reads inf
+            d_sq = (abs(w.disp) ** 2).sum()
+        if not d_sq <= ceiling * w.tau:
+            raise ConsistencyError(f"cadence interval {w.tau!r} exceeds its bound")
+        table[w.tau] = w
+        return w
 
     nu_min = math.ceil(total_window / hi * (1.0 - 1e-12))
     nu_max = math.floor(total_window / lo * (1.0 + 1e-12))
     nus = np.arange(nu_min, nu_max + 1)
     teeth = window_terms(response, (0.0, total_window / nus))
+    ends = [check(w) for w in interval_terms(total_window, [hi, lo],
+                                             response, force)]
+
+    def tooth(i: int) -> WindowTerms:     # step k is (k tau, k tau + tau)
+        tau = float(teeth.tau[i])
+        if tau not in table:
+            t_k = np.arange(SequentialScheme(total_window, tau).repetitions) * tau
+            check(WindowTerms(tau, teeth.g[i], float(teeth.n_b[i]),
+                              displacement(response, force, (t_k, t_k + tau)),
+                              teeth.omega0))
+        return table[tau]
 
     def search(energy: float) -> SeqResult:
-        ends = terms(hi, lo)
         with np.errstate(invalid="ignore"):     # a nan is raised below
             found = [seq_result(w, energy) for w in ends]
             bound = ceiling * teeth.tau / best_state_variance(energy, teeth)
@@ -204,7 +212,7 @@ def optimize_tau(total_window: float, energy: float | Sequence[float],
         for i in np.argsort(-bound, kind="stable"):
             if (bound[i], True) <= key:
                 break
-            found = seq_result(*terms(float(teeth.tau[i])), energy)
+            found = seq_result(tooth(i), energy)
             if (found.total_qfi, True) > key:
                 best, key, winner = found, (found.total_qfi, True), i
         return best._replace(hit_bound=winner in (None, 0, teeth.tau.size - 1))

@@ -293,7 +293,7 @@ def initial_joint_covariance(bath: DiscreteBath, probe_cov: np.ndarray) -> np.nd
 
 # Quadrature oracles: the time-integral forms of the bath noise and the
 # two-time correlation, built on the solved response. The engine computes
-# both in closed form from the bath's modal propagator instead.
+# both from the bath's Chebyshev propagator instead.
 
 def step_noise_variance(response, bath: DiscreteBath, tau: float,
                         rel_tol: float = 1e-8, max_panels: int = 1 << 12) -> float:

@@ -309,6 +309,12 @@ OUT_OF_RANGE = {
         "response_narrowband", "response", update("grid", t_end=1e6), 2,
         ENGINE, "config error: grid.t_end 1000000.0 needs more than 65536 "
         "Chebyshev terms at the bath's spectral half-width 0.5"),
+    # correlation solves no response, but its propagator is the same
+    # series: half-width 1.18437 times grid.t_end 1e6 needs about 1.2e6 terms
+    "correlation_t_end_past_term_cap": Case(
+        "correlation_flatband", "correlation", update("grid", t_end=1e6), 2,
+        ENGINE, "config error: grid.t_end 1000000.0 needs more than 65536 "
+        "Chebyshev terms at the bath's spectral half-width 1.18437"),
     # a kind without one of its required keys, or with a key that only
     # another kind of its block takes
     "pulse_without_center": Case(

@@ -1,14 +1,21 @@
-"""Time the engine's response route against the blocked Volterra march.
+"""Time the engine's Chebyshev routes against the routes they replaced.
 
-Prints one JSON object with two tables, each row giving the median wall
-time of `solve_response` (the Chebyshev route) and of `blocked_response`
-(the march kept in tests/march.py) and each one's max |G| error on the
-grid against the exact modal oracle of perfbench/modal_oracle.py:
+Prints one JSON object with three tables. In the first two each row
+gives the median wall time of `solve_response` (the Chebyshev route) and
+of `blocked_response` (the march kept in tests/march.py) and each one's
+max |G| error on the grid against the exact modal oracle of
+perfbench/modal_oracle.py:
 
 - `scaling`: a thermal flat band of n_modes in {16, 64, 256, 1024} on
   grids of n_steps in {1024, 4096} on [0, 20];
 - `jobs`: the bath and grid of every job of the benchmark's workloads
   (perfbench/jobs.py, seed 11) that solves a response.
+
+The third, `propagator`, has one row per flat band of the scaling table:
+the median wall time of `DiscreteBath.propagate` (the series) and of the
+dense eigh oracle `dense_propagate` of tests/conftest.py for the probe
+row of U(tau) at 33 times on [0, 20], each on a freshly built bath, and
+the max |difference| between them.
 
 Run from the root of a checkout with BLAS pinned to one thread:
 
@@ -29,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import jobs  # noqa: E402
+from conftest import dense_propagate  # noqa: E402
 from march import blocked_response  # noqa: E402
 from modal_oracle import ModalOracle  # noqa: E402
 from nmqfi.bath import ContinuousSpectrum, OccupationModel, discretize  # noqa: E402
@@ -43,13 +51,13 @@ JOB_SEED = 11
 NO_RESPONSE = {"correlation"}
 
 
-def timed(solver, bath, grid):
-    times, resp = [], None
+def timed(solver, *args):
+    times, result = [], None
     for _ in range(REPEATS):
         start = time.perf_counter()
-        resp = solver(bath, grid)
+        result = solver(*args)
         times.append(time.perf_counter() - start)
-    return statistics.median(times), resp
+    return statistics.median(times), result
 
 
 def row(bath, grid, **labels) -> dict:
@@ -64,6 +72,21 @@ def row(bath, grid, **labels) -> dict:
         out[f"{label}_ms"] = round(1e3 * wall, 3)
         out[f"{label}_g_max_err"] = float(np.abs(resp.g_samples - exact).max())
     out["speedup"] = round(out["march_ms"] / out["route_ms"], 1)
+    print(json.dumps(out), file=sys.stderr)
+    return out
+
+
+def propagator_row(spec, n_modes: int) -> dict:
+    """Median times of the series and the dense eigh for the probe row of
+    U(tau) on a fresh bath, and the max |difference| between them."""
+    taus = np.linspace(0.0, 20.0, 33)
+    w = np.eye(1, n_modes + 1)[0]
+    out, rows = {"n_modes": n_modes, "n_times": taus.size}, {}
+    for label, route in (("series", lambda bath: bath.propagate(w, taus)),
+                         ("eigh", lambda bath: dense_propagate(bath, w, taus))):
+        wall, rows[label] = timed(lambda: route(discretize(spec, n_modes, 1.0)))
+        out[f"{label}_ms"] = round(1e3 * wall, 3)
+    out["max_abs_diff"] = float(np.abs(rows["series"] - rows["eigh"]).max())
     print(json.dumps(out), file=sys.stderr)
     return out
 
@@ -83,10 +106,12 @@ def main():
             bath = cfg.bath()
             per_job.append(row(bath, cfg.grid(bath), workload=workload,
                                job=job.name))
+    propagator = [propagator_row(spec, n_modes) for n_modes in MODES]
     print(json.dumps({"scaling_bath": "flat band, scale 0.02, cutoff 2, "
                                       "thermal 0.5, omega0 1, t_end 20",
                       "job_seed": JOB_SEED, "repeats": REPEATS,
-                      "scaling": scaling, "jobs": per_job}, indent=1))
+                      "scaling": scaling, "jobs": per_job,
+                      "propagator": propagator}, indent=1))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Bath construction, discretization, kernels, and moment frequencies."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,30 @@ class TestKernel:
             m.k_squared, rel=1e-12)
 
 
+class TestPropagate:
+    @pytest.mark.parametrize("tau", [1e-12, 3e-9, 1e-8, 0.7])
+    def test_bath_amplitudes_keep_relative_digits_at_short_times(self, tau):
+        # spectral half-width a = 0.15 + 0.17: below a tau of 1e-8 / a the
+        # amplitudes, about -i K tau, still match a 32-digit expm
+        bath = DiscreteBath([0.01, 0.02], [1.2, 0.9], [0.0, 1.0], 1.0)
+        with mp.workdps(32):
+            h = mp.matrix([[1.0, 0.1, mp.sqrt(0.02)], [0.1, 1.2, 0.0],
+                           [mp.sqrt(0.02), 0.0, 0.9]])
+            u = mp.expm(-1j * mp.mpf(tau) * h)
+            exact = np.array([complex(u[0, n]) for n in (1, 2)])
+        got = bath.propagate([1.0, 0.0, 0.0], tau)[1:]
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    def test_zero_coupling_and_empty_bath_only_turn_phases(self):
+        for bath in (DiscreteBath([], [], [], 2.0),
+                     DiscreteBath([0.0, 0.0], [0.5, 2.0], [0.0, 1.0], 2.0)):
+            w = np.arange(1.0, bath.n_modes + 2)
+            h = np.append(bath.probe_frequency, bath.frequencies)
+            assert_allclose(bath.propagate(w, [0.0, 3.0]),
+                            w * np.exp(-1j * np.outer([0.0, 3.0], h)),
+                            rtol=0, atol=1e-14)
+
+
 class TestMoments:
     def test_resonant_mode(self, resonant_bath):
         m = moments(resonant_bath)
@@ -187,16 +212,11 @@ class TestValidation:
             DiscreteBath(*arrays)
 
     @pytest.mark.parametrize("name", ["coupling_sq", "frequencies", "occupations",
-                                      "detunings", "eigenvalues", "eigenvectors",
-                                      "g_samples", "g_dot_samples"])
+                                      "detunings", "g_samples", "g_dot_samples"])
     def test_arrays_are_read_only(self, name):
         resp = solve_response(DiscreteBath([0.25], [1.0], [0.0], 1.0),
                               TimeGrid(1.0, 8))
-        eigen = dict(zip(("eigenvalues", "eigenvectors"), resp.bath.eigensystem))
-        if name in eigen:
-            array = eigen[name]
-        else:
-            array = getattr(resp if name.startswith("g_") else resp.bath, name)
+        array = getattr(resp if name.startswith("g_") else resp.bath, name)
         with pytest.raises(ValueError):
             array[0] = 5.0
 

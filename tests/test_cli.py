@@ -197,6 +197,26 @@ def test_sequential_scan_makes_one_displacement_call(tmp_path):
     assert calls == [steps]
 
 
+def test_sequential_reads_each_tooth_from_its_lattice(monkeypatch, capsys):
+    # the cadence optimum evaluates n_B of the tooth lattice and of both
+    # bracket ends, one noise_term call each; a tooth the search visits
+    # takes its G and n_B from the lattice
+    from nmqfi import probe
+
+    calls = []
+    real = probe.noise_term
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1][1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(probe, "noise_term", counted)
+    assert run_cli(["sequential", "--config",
+                    SCENARIO_DIR / "sequential_nonmarkov.json"]) == 0
+    assert calls[1] == 2 and len(calls) == 2
+    capsys.readouterr()
+
+
 def test_scan_calls_hold_at_most_max_steps_windows(tmp_path):
     # at a budget of 64 the 250 steps of the lower end span four calls;
     # every window keeps its value, so the scan keeps its bytes

@@ -66,7 +66,7 @@ class TestSolver:
                                                          monkeypatch):
         # cut to two terms, the expansion is no longer unitary: |G| passes
         # 1 + 1e-6 and the invariant check refuses the response
-        monkeypatch.setattr(response, "_n_terms", lambda x: 0.0 * x + 2.0)
+        monkeypatch.setattr(response, "n_terms", lambda x: 0.0 * x + 2.0)
         with pytest.raises(SolverInstabilityError,
                            match=r"^\|G\| reached .* outside the unit disc$"):
             solve_response(detuned_bath, TimeGrid(10.0, 64))

@@ -359,21 +359,21 @@ class TestOptimize:
                     for se in (1e2, 3e2, 1e3, 3e3, 1e4, 3e4)]
         args = (unit_weight_response, ZETA, (0.002, 0.3))
         optimize_tau(1.0, energies, *args)
-        # the ends share the first table call, each tooth visited costs one
-        # more, and each table call makes one displacement and one
-        # noise_term call; one more noise_term call covers the lattice
-        tables = [call[1] for call in table_calls]
-        assert tables[0] == [0.3, 0.002]
-        assert all(len(taus) == 1 for taus in tables[1:])
-        intervals = [tau for taus in tables for tau in taus]
+        # the ends share one table call and its displacement call, each
+        # tooth visited costs one more displacement call, and one
+        # noise_term call covers the lattice of teeth, one the ends
+        assert [call[1] for call in table_calls] == [[0.3, 0.002]]
+        steps = [np.size(call[2][0]) for call in disp_calls]
+        assert steps[0] == 3 + 500
+        intervals = [0.3, 0.002] + [1.0 / n for n in steps[1:]]
         assert len(intervals) == len(set(intervals))
-        assert len(disp_calls) == len(tables) == len(noise_calls) - 1
+        assert len(noise_calls) == 2
         # one search per energy visits more intervals than they share
         per_energy = 0
         for energy in energies:
-            table_calls.clear()
+            disp_calls.clear()
             optimize_tau(1.0, energy, *args)
-            per_energy += sum(len(call[1]) for call in table_calls)
+            per_energy += 2 + len(disp_calls) - 1
         assert per_energy > len(intervals)
 
     def test_default_bounds(self, unit_weight_bath, unit_weight_response):
